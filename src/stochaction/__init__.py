@@ -25,10 +25,9 @@ from .stochastic import (ActionIncrement, StochasticParams, check_separability,
 from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem,
                      build_metric_hamiltonian, build_unsymmetrized_hamiltonian,
                      evolve_grid, quantum_potential, verify_hjm_residual)
-from .trajectories import (EnsembleSpec, ModeFlow, Trajectory, actual_velocity,
+from .trajectories import (EnsembleSpec, ModeFlow, actual_velocity,
                            effective_velocity, equivariance_report,
-                           integrate_ensemble, integrate_trajectory,
-                           sample_initial_ensemble)
+                           integrate_ensemble)
 from .measurement import (EnsembleStats, MeasurementPipeline, MeasurementRecord,
                           actual_observable_prior, average_prior, effective_post,
                           prepare_initial_state, repeat_measurement, run_ensemble,

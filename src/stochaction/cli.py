@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -82,9 +81,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(cfg["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        trial = re.search(r"trial (\d+)", str(exc))
-        if trial:
-            payload["trial"] = int(trial.group(1))
+        if getattr(exc, "trial", None) is not None:
+            payload["trial"] = exc.trial
         (out_dir / "error.json").write_text(canonical_json(payload))
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

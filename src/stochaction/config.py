@@ -61,8 +61,6 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
         "hierarchy_factor": ((float, int), 10.0),
         "sign_law": ((str,), "iid"),
         "flip_prob": ((float, int), 0.5),
-        "xi_mag_law": ((str,), "constant"),
-        "xi_mag_spread": ((float, int), 0.0),
     },
     "ensemble": {
         "n_trials": ((int,), 1000),
@@ -151,12 +149,11 @@ class ExperimentConfig:
             lambda_mag=float(self.raw["physical"]["lambda_mag"]),
             tau_lambda=tau_lambda, tau_xi=float(s["tau_xi"]), dt=float(s["dt"]),
             hierarchy_factor=float(s["hierarchy_factor"]), sign_law=s["sign_law"],
-            flip_prob=float(s["flip_prob"]), xi_mag_law=s["xi_mag_law"],
-            xi_mag_spread=float(s["xi_mag_spread"]), seed=self.raw["seed"])
+            flip_prob=float(s["flip_prob"]))
 
     def ensemble(self) -> EnsembleSpec:
         e = self.raw["ensemble"]
-        return EnsembleSpec(n_trials=e["n_trials"], dt_traj=float(e["dt_traj"]),
+        return EnsembleSpec(dt_traj=float(e["dt_traj"]),
                             integrator=e["integrator"], node_policy=e["node_policy"])
 
     def basis(self) -> AngularBasis:
@@ -284,7 +281,10 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
                     violations.append(
                         "grid.q2_max/q2_min: pointer drift leaves the grid "
                         f"(max drift {drift:.3g} plus 5 sigma margin)")
-    if stochastic and ensemble:
+    if cfg["ensemble"]["n_trials"] < 1:
+        violations.append("ensemble.n_trials: must be at least 1")
+    # only actual-velocity runs draw sign paths
+    if stochastic and ensemble and cfg["velocity"] == "actual":
         try:
             ensemble.validate_against(stochastic)
         except ValueError as exc:
@@ -294,8 +294,8 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
         if abs(steps - round(steps)) > 1e-9:
             violations.append("ensemble.dt_traj: t_M must be an integral number of steps")
     app = cfg["appendix"]
-    if app["dimension"] not in (1, 2):
-        violations.append("appendix.dimension: must be 1 or 2")
+    if app["dimension"] != 1:
+        violations.append("appendix.dimension: only 1-D appendix runs are implemented")
     if 0.0 not in [float(d) for d in app["deltas"]]:
         violations.append("appendix.deltas: must include the 0 reference entry")
 

@@ -24,7 +24,11 @@ class DegenerateInputError(ValueError):
 
 
 class DomainOverflowError(RuntimeError):
-    """Dynamics tried to leave the configured grid."""
+    """Dynamics tried to leave the configured grid; ``trial`` names the event, if any."""
+
+    def __init__(self, message: str, trial: int | None = None):
+        super().__init__(message)
+        self.trial = trial
 
 
 class InvalidSystemError(ValueError):

@@ -21,14 +21,14 @@ from .config import ExperimentConfig
 from .core import DomainOverflowError, field_to_binary, field_to_csv
 from .gridop import (CartesianGrid, build_metric_hamiltonian, evolve_grid,
                      verify_hjm_residual)
-from .measurement import (average_prior, prepare_initial_state, run_ensemble,
-                          run_single_event)
+from .measurement import (_sign_paths, average_prior, prepare_initial_state,
+                          run_ensemble, run_single_event)
 from .potentials import LambdaSweep, run_lambda_sweep, system_from_expressions
 from .rng import GENERIC, stream
 from .spectral import GaussianPacket
 from .stochastic import (ActionIncrement, check_separability, gaussian_log_weight,
                          sample_deviation, sample_sign_path)
-from .trajectories import ModeFlow, equivariance_report, integrate_trajectory
+from .trajectories import equivariance_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -123,7 +123,7 @@ def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
         for rec in records:
             if rec.overflow:
                 raise DomainOverflowError(
-                    f"trial {rec.trial_seed} left the pointer grid")
+                    f"trial {rec.trial_seed} left the pointer grid", trial=rec.trial_seed)
 
     out.add_text("records.jsonl",
                  "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records))
@@ -168,34 +168,30 @@ def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
     physical = cfg.physical()
     espec = cfg.ensemble()
     state0 = _prepared_state(cfg)
-    flow = ModeFlow(state0, physical.g)
     stoch = cfg.stochastic() if cfg["velocity"] == "actual" else None
     n_steps = int(round(physical.t_M / espec.dt_traj))
     n_store = min(cfg["ensemble"]["n_store"], cfg["ensemble"]["n_trials"])
-    every = max(1, cfg["ensemble"]["store_every"])
+    stored = range(0, n_steps + 1, max(1, cfg["ensemble"]["store_every"]))
+    steps = sorted(set(stored) | {n_steps})
 
+    _, stats, extras = run_ensemble(
+        state0, physical, espec, cfg["ensemble"]["n_trials"], cfg["seed"],
+        velocity=cfg["velocity"], stoch=stoch, threads=cfg["threads"],
+        snapshot_steps=tuple(steps))
+    # snapshot times ascend with their steps
+    snaps = dict(zip(steps, sorted(extras["snapshots"].items())))
+    signs = np.ones((n_store, n_steps), dtype=np.int8)
+    if stoch is not None:
+        signs = _sign_paths(cfg["seed"], np.arange(n_store), n_steps, stoch)
     rows = []
-    from .measurement import _initial_draws, _sign_paths  # shared trial streams
-    q0 = _initial_draws(state0, cfg["seed"], np.arange(n_store))
     for trial in range(n_store):
-        sign_path = None
-        if cfg["velocity"] == "actual":
-            sign_path = _sign_paths(cfg["seed"], np.array([trial]), n_steps, stoch)[0]
-        traj = integrate_trajectory(
-            q0[trial], flow, espec, physical.t_M, sign_path=sign_path,
-            lambda_mag=physical.lambda_mag, t0=state0.t, seed=cfg["seed"],
-            q2_bounds=(state0.grid.q2_min, state0.grid.q2_max))
-        for k in range(0, len(traj.times), every):
-            sign = int(traj.lambda_signs[min(k, len(traj.lambda_signs) - 1)])
-            rows.append([trial, _float(traj.times[k]), _float(traj.configs[k, 0]),
-                         _float(traj.configs[k, 1]), sign])
+        for k in stored:
+            t, pts = snaps[k]
+            rows.append([trial, _float(t), _float(np.mod(pts[trial, 0], 2 * np.pi)),
+                         _float(pts[trial, 1]), int(signs[trial, min(k, n_steps - 1)])])
     out.add_text("trajectories.csv",
                  _csv(rows, ["trial", "t", "theta1", "q2", "lambda_sign"]))
 
-    records, stats, extras = run_ensemble(
-        state0, physical, espec, cfg["ensemble"]["n_trials"], cfg["seed"],
-        velocity=cfg["velocity"], stoch=stoch, threads=cfg["threads"],
-        snapshot_steps=(n_steps,))
     final = extras["final_configs"]
     hist_theta, edges_theta = np.histogram(np.mod(final[:, 0], 2 * np.pi), bins=36,
                                            range=(0.0, 2 * np.pi))
@@ -209,7 +205,8 @@ def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
         "stats": stats.to_dict(),
     }
     if cfg["equivariance"]["enabled"]:
-        report = equivariance_report(extras["snapshots"], state0, physical.g,
+        t_m, final_snap = snaps[n_steps]
+        report = equivariance_report({t_m: final_snap}, state0, physical.g,
                                      n_bins=cfg["equivariance"]["n_bins"])
         summary["equivariance"] = {repr(t): r for t, r in report.items()}
     out.add_json("summary.json", summary)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import InvalidSystemError, NumericalError, polar_decompose
+from .core import InvalidSystemError, NumericalError
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,7 +493,3 @@ def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
             "continuity_mean": float(np.mean(cont_rms)),
             "hj_mean": float(np.mean(hj_rms))}
 
-
-def polar_of(psi: np.ndarray, lambda_mag: float):
-    """Amplitude/action split of a bare grid field (thin wrapper)."""
-    return polar_decompose(psi, lambda_mag)

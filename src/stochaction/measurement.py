@@ -28,7 +28,7 @@ from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        RingModes, SpectralState, evolve_measurement_spectral)
 from .stochastic import StochasticParams, sample_sign_path
 from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow,
-                           integrate_ensemble, sample_ring_angles, _sample_line)
+                           integrate_ensemble, sample_ring_angles)
 
 _CHUNK = 1024  # fixed ensemble chunk size; independent of thread count
 
@@ -227,6 +227,19 @@ def _outcome_window(config: PhysicalConfig) -> float:
     return config.sep_factor * config.sigma / 2.0
 
 
+def _sample_line(density: np.ndarray, points: np.ndarray, n: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draws from a 1-D tabulated density (piecewise constant cells)."""
+    h = points[1] - points[0]
+    masses = density * h
+    cdf = np.cumsum(masses)
+    u = rng.random(n) * cdf[-1]
+    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(points) - 1)
+    prev = np.where(idx > 0, cdf[idx - 1], 0.0)
+    frac = np.clip((u - prev) / np.maximum(masses[idx], 1e-300), 0.0, 1.0)
+    return points[idx] + (frac - 0.5) * h
+
+
 def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray) -> np.ndarray:
     """Per-trial product-form draws from |Psi(0)|^2, one counter stream each."""
     out = np.empty((len(trials), 2))
@@ -278,9 +291,6 @@ def _run_chunk(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensemble
     sign_paths = None
     signs0 = np.ones(len(trials), dtype=np.int8)
     if velocity == "actual":
-        if stoch is None:
-            raise ValueError("actual-velocity runs need StochasticParams")
-        spec.validate_against(stoch)
         sign_paths = _sign_paths(seed, trials, n_steps, stoch)
         signs0 = sign_paths[:, 0]
     else:
@@ -296,37 +306,25 @@ def _run_chunk(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensemble
     return q0, result, signs0
 
 
-def _merge_chunks(parts, snapshot_steps):
-    q0 = np.concatenate([p[0] for p in parts])
-    configs = np.concatenate([p[1]["configs"] for p in parts])
-    overflow = np.concatenate([p[1]["overflow"] for p in parts])
-    clamped = np.concatenate([p[1]["node_clamped"] for p in parts])
-    signs0 = np.concatenate([p[2] for p in parts])
-    snaps = {s: np.concatenate([p[1]["snapshots"][s] for p in parts])
-             for s in snapshot_steps}
-    return q0, configs, overflow, clamped, signs0, snaps
-
-
-def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, n_trials: int,
-                 seed: int, velocity: str = "effective",
-                 stoch: StochasticParams | None = None, threads: int = 1,
-                 snapshot_steps: tuple[int, ...] = ()):
-    """Seeded batch of measurement events.
-
-    Returns ``(records, stats, extras)`` where extras carries trajectory
-    snapshots for equivariance diagnostics.  Trials are integrated in fixed
-    chunks whose results are identical at any thread count.
-    """
+def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: EnsembleSpec,
+                seed: int, trials: np.ndarray, velocity: str,
+                stoch: StochasticParams | None, threads: int,
+                snapshot_steps: tuple[int, ...]):
+    """Validate, integrate ``trials`` in fixed chunks, and record one event each."""
     if velocity not in ("effective", "actual"):
         raise ValueError(f"unknown velocity source {velocity!r}")
-    pipe = _resolve_pipeline(prepared)
+    if velocity == "actual":
+        if stoch is None:
+            raise ValueError("actual-velocity runs need StochasticParams")
+        spec.validate_against(stoch)
     state0 = pipe.state0
     n_steps = int(round(config.t_M / spec.dt_traj))
     if abs(n_steps * spec.dt_traj - config.t_M) > 1e-9 * max(1.0, config.t_M):
         raise ValueError("t_M must be an integral number of dt_traj steps")
+    # no packet center may drift off the pointer grid; checked before any work
+    evolve_measurement_spectral(state0, config.t_M, config.g)
 
-    all_trials = np.arange(n_trials)
-    chunks = [all_trials[k:k + _CHUNK] for k in range(0, n_trials, _CHUNK)]
+    chunks = [trials[k:k + _CHUNK] for k in range(0, len(trials), _CHUNK)]
     parts = [None] * len(chunks)
 
     def work(ci: int):
@@ -340,64 +338,61 @@ def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, n_trials:
         for ci in range(len(chunks)):
             work(ci)
 
-    q0, final, overflow, clamped, signs0, snaps = _merge_chunks(parts, snapshot_steps)
+    q0 = np.concatenate([p[0] for p in parts])
+    final = np.concatenate([p[1]["configs"] for p in parts])
+    overflow = np.concatenate([p[1]["overflow"] for p in parts])
+    clamped = np.concatenate([p[1]["node_clamped"] for p in parts])
+    signs0 = np.concatenate([p[2] for p in parts])
+    snaps = {s: np.concatenate([p[1]["snapshots"][s] for p in parts])
+             for s in snapshot_steps}
 
-    # also validates that no packet center drifts off the pointer grid
-    evolve_measurement_spectral(state0, config.t_M, config.g)
     centers_tm = pipe.centers_at(config)
     window = _outcome_window(config)
-
     records = []
     counts = np.zeros(len(pipe.outcome_indices), dtype=int)
-    n_amb = n_ovf = 0
-    for i in range(n_trials):
-        if overflow[i]:
-            rec = MeasurementRecord(None, None, q0[i, 1], final[i, 1], q0[i, 0],
-                                    int(signs0[i]), i, ambiguous=False, overflow=True)
-            n_ovf += 1
-        else:
-            hit = pipe.infer(final[i, 1], centers_tm, window, config)
-            if hit is None:
-                rec = MeasurementRecord(None, None, q0[i, 1], final[i, 1], q0[i, 0],
-                                        int(signs0[i]), i, ambiguous=True)
-                n_amb += 1
-            else:
-                rec = MeasurementRecord(int(pipe.outcome_indices[hit]),
-                                        float(pipe.outcome_values[hit]),
-                                        q0[i, 1], final[i, 1], q0[i, 0],
-                                        int(signs0[i]), i)
-                counts[hit] += 1
-        records.append(rec)
+    for i, trial in enumerate(trials):
+        hit = None if overflow[i] else pipe.infer(final[i, 1], centers_tm, window, config)
+        if hit is not None:
+            counts[hit] += 1
+        records.append(MeasurementRecord(
+            None if hit is None else int(pipe.outcome_indices[hit]),
+            None if hit is None else float(pipe.outcome_values[hit]),
+            q0[i, 1], final[i, 1], q0[i, 0], int(signs0[i]), int(trial),
+            ambiguous=hit is None and not overflow[i], overflow=bool(overflow[i])))
 
     stats = EnsembleStats(
         indices=np.asarray(pipe.outcome_indices), omegas=np.asarray(pipe.outcome_values),
         reference=np.asarray(pipe.outcome_reference), counts=counts,
-        n_trials=n_trials, n_ambiguous=n_amb, n_overflow=n_ovf)
+        n_trials=len(trials), n_ambiguous=sum(r.ambiguous for r in records),
+        n_overflow=sum(r.overflow for r in records))
     extras = {"snapshots": {s * spec.dt_traj + state0.t: snaps[s] for s in snaps},
               "node_clamped": clamped, "final_configs": final, "initial_configs": q0}
     return records, stats, extras
+
+
+def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, n_trials: int,
+                 seed: int, velocity: str = "effective",
+                 stoch: StochasticParams | None = None, threads: int = 1,
+                 snapshot_steps: tuple[int, ...] = ()):
+    """Seeded batch of measurement events.
+
+    Returns ``(records, stats, extras)`` where extras carries trajectory
+    snapshots for equivariance diagnostics.  Trials are integrated in fixed
+    chunks whose results are identical at any thread count.
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
+    return _run_events(_resolve_pipeline(prepared), config, spec, seed,
+                       np.arange(n_trials), velocity, stoch, threads, snapshot_steps)
 
 
 def run_single_event(prepared, config: PhysicalConfig, spec: EnsembleSpec, seed: int,
                      trial: int = 0, velocity: str = "effective",
                      stoch: StochasticParams | None = None) -> MeasurementRecord:
     """One seeded measurement event (trial ``trial`` of the seed's ensemble)."""
-    pipe = _resolve_pipeline(prepared)
-    parts = [_run_chunk(pipe, config, spec, seed, np.array([trial]), velocity,
-                        stoch, ())]
-    q0, final, overflow, _, signs0, _ = _merge_chunks(parts, ())
-    evolve_measurement_spectral(pipe.state0, config.t_M, config.g)
-    window = _outcome_window(config)
-    if overflow[0]:
-        return MeasurementRecord(None, None, q0[0, 1], final[0, 1], q0[0, 0],
-                                 int(signs0[0]), trial, overflow=True)
-    hit = pipe.infer(final[0, 1], pipe.centers_at(config), window, config)
-    if hit is None:
-        return MeasurementRecord(None, None, q0[0, 1], final[0, 1], q0[0, 0],
-                                 int(signs0[0]), trial, ambiguous=True)
-    return MeasurementRecord(int(pipe.outcome_indices[hit]),
-                             float(pipe.outcome_values[hit]),
-                             q0[0, 1], final[0, 1], q0[0, 0], int(signs0[0]), trial)
+    records, _, _ = _run_events(_resolve_pipeline(prepared), config, spec, seed,
+                                np.array([trial]), velocity, stoch, 1, ())
+    return records[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ class StochasticParams:
     ``tau_lambda`` may be ``inf`` (fixed magnitude, the default regime).
     ``sign_law`` is ``"iid"`` (fresh equiprobable sign each dt step) or
     ``"telegraph"`` (flip with probability ``flip_prob`` per step; 0.5
-    reproduces iid).  ``xi_mag_law`` is ``"constant"`` or ``"uniform"``
-    with half-width ``xi_mag_spread`` around 1.
+    reproduces iid).
     """
 
     lambda_mag: float = 1.0
@@ -35,9 +34,6 @@ class StochasticParams:
     hierarchy_factor: float = 10.0
     sign_law: str = "iid"
     flip_prob: float = 0.5
-    xi_mag_law: str = "constant"
-    xi_mag_spread: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.lambda_mag <= 0 or self.tau_xi <= 0 or self.dt <= 0:
@@ -52,14 +48,6 @@ class StochasticParams:
             raise ValueError(f"unknown sign_law {self.sign_law!r}")
         if not 0.0 < self.flip_prob <= 1.0:
             raise ValueError("flip_prob must lie in (0, 1]")
-        if self.xi_mag_law not in ("constant", "uniform"):
-            raise ValueError(f"unknown xi_mag_law {self.xi_mag_law!r}")
-        if not 0.0 <= self.xi_mag_spread < 1.0:
-            raise ValueError("xi_mag_spread must lie in [0, 1)")
-
-    @property
-    def xi_block_steps(self) -> int:
-        return max(1, int(round(self.tau_xi / self.dt)))
 
 
 @dataclass(frozen=True)
@@ -148,18 +136,6 @@ def sample_sign_path(params: StochasticParams, n_steps: int, rng: np.random.Gene
     flips = rng.random(n_steps - 1) < params.flip_prob
     toggles = np.concatenate(([0], np.cumsum(flips) % 2)).astype(np.int8)
     return first * np.where(toggles == 0, np.int8(1), np.int8(-1))
-
-
-def sample_xi_magnitudes(params: StochasticParams, n_steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-step |xi| values, constant within each tau_xi block (mean 1)."""
-    block = params.xi_block_steps
-    n_blocks = -(-n_steps // block)
-    if params.xi_mag_law == "constant":
-        vals = np.ones(n_blocks)
-    else:
-        s = params.xi_mag_spread
-        vals = rng.uniform(1.0 - s, 1.0 + s, size=n_blocks)
-    return np.repeat(vals, block)[:n_steps]
 
 
 def check_separability(inc1: ActionIncrement, inc2: ActionIncrement, lambda_signed: float,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import EPS_NODE_REL, DegenerateInputError, GridSpec
+from .core import EPS_NODE_REL
 from .spectral import (PlaneWaveModes, RingModes, SpectralState,
                        evolve_measurement_spectral, system_marginal_density)
 
@@ -29,7 +29,6 @@ TWO_PI = 2.0 * np.pi
 class EnsembleSpec:
     """Numerical knobs for trajectory ensembles."""
 
-    n_trials: int = 1000
     dt_traj: float = 1e-3
     integrator: str = "rk4"
     node_policy: str = "reject-resample"
@@ -37,8 +36,6 @@ class EnsembleSpec:
     max_halvings: int = 4
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
         if self.dt_traj <= 0:
             raise ValueError("dt_traj must be positive")
         if self.integrator not in ("rk4", "explicit-midpoint"):
@@ -47,23 +44,11 @@ class EnsembleSpec:
             raise ValueError(f"unknown node_policy {self.node_policy!r}")
 
     def validate_against(self, stoch) -> None:
-        """Trajectory steps may not outpace the sign-block scale."""
+        """Integration steps may not outpace the sign-block scale (actual-velocity runs)."""
         if self.dt_traj > stoch.tau_xi / stoch.hierarchy_factor + 1e-15:
             raise ValueError(
                 f"dt_traj = {self.dt_traj} exceeds tau_xi / hierarchy_factor "
                 f"= {stoch.tau_xi / stoch.hierarchy_factor}")
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Time-stamped configuration path with the hidden-sign path used."""
-
-    times: np.ndarray
-    configs: np.ndarray          # (n_steps + 1, dim); axis 0 of dim 2 is wrapped theta
-    lambda_signs: np.ndarray     # (n_steps,) int8, all +1 for effective runs
-    seed: int
-    overflow: bool = False
-    node_clamped: bool = False
 
 
 class ModeFlow:
@@ -87,6 +72,7 @@ class ModeFlow:
         # the plane-wave power chain needs the full equally spaced ladder, so
         # zero-weight interior modes must stay in place there
         sup = np.arange(len(state.coeffs)) if self.plane else state.support_indices()
+        self._sup = sup
         self.coeffs = state.coeffs[sup]
         self.omegas = state.omegas[sup]
         self.centers0 = state.centers[sup]
@@ -95,12 +81,6 @@ class ModeFlow:
         elif self.plane:
             self._p = state.modes.momenta[sup]
             self._box_scale = 1.0 / np.sqrt(state.modes.box_length)
-        else:
-            from scipy.interpolate import CubicSpline
-
-            self._spl = CubicSpline(state.modes.x_grid, state.modes.table[sup],
-                                    axis=1, extrapolate=False)
-            self._dspl = self._spl.derivative()
         self._pack_norm = (TWO_PI * self.sigma**2) ** -0.25
         self.ref_peak = self._reference_peak()
 
@@ -143,8 +123,8 @@ class ModeFlow:
             u *= self._box_scale
             du = (1j * p.reshape((-1,) + (1,) * x.ndim)) * u if with_derivatives else None
             return u, du
-        u = np.nan_to_num(self._spl(x), nan=0.0)
-        du = np.nan_to_num(self._dspl(x), nan=0.0) if with_derivatives else None
+        u = self.modes.values(x)[self._sup]
+        du = self.modes.derivatives(x)[self._sup] if with_derivatives else None
         return u, du
 
     def _gaussians(self, q2: np.ndarray, t: float):
@@ -222,27 +202,6 @@ class PointerReadoutFlow:
         return self.effective(points, t)
 
 
-class StaticFieldFlow:
-    """1-D velocity field tabulated on a grid (external-potential runs)."""
-
-    def __init__(self, x: np.ndarray, velocity: np.ndarray, density: np.ndarray):
-        self.x = np.asarray(x, dtype=float)
-        self.v = np.asarray(velocity, dtype=float)
-        self.dens = np.asarray(density, dtype=float)
-        self.ref_peak = float(self.dens.max())
-
-    def density(self, points: np.ndarray, t: float) -> np.ndarray:
-        return np.interp(points[..., 0], self.x, self.dens, left=0.0, right=0.0)
-
-    def effective(self, points: np.ndarray, t: float) -> np.ndarray:
-        out = np.empty_like(points)
-        out[..., 0] = np.interp(points[..., 0], self.x, self.v)
-        return out
-
-    def actual(self, points: np.ndarray, t: float, lambda_signed) -> np.ndarray:
-        return self.effective(points, t)
-
-
 def effective_velocity(state: SpectralState, points, g: float, t: float | None = None) -> np.ndarray:
     """Phase-gradient velocity (system-dot, pointer-dot) at the given points."""
     flow = ModeFlow(state, g)
@@ -255,72 +214,6 @@ def actual_velocity(state: SpectralState, points, g: float, lambda_signed,
     flow = ModeFlow(state, g)
     return flow.actual(np.asarray(points, dtype=float), state.t if t is None else t,
                        lambda_signed)
-
-
-# ---------------------------------------------------------------------------
-# Born sampling
-# ---------------------------------------------------------------------------
-
-class GridSampler:
-    """Inverse-CDF sampler for a density tabulated on the joint grid.
-
-    The density is treated as piecewise constant on cells centered at the
-    grid points; axis 0 is sampled from its marginal and axis 1 from the
-    conditional row of the sampled cell.
-    """
-
-    def __init__(self, density: np.ndarray, grid: GridSpec, tol: float = 1e-6):
-        w_t = grid.theta_weights
-        w_q = grid.q2_weights
-        masses = density * w_t[:, None] * w_q[None, :]
-        total = float(masses.sum())
-        if not np.isfinite(total) or abs(total - 1.0) > tol:
-            raise DegenerateInputError(f"density is not normalized: mass = {total!r}")
-        self.grid = grid
-        self._marg = masses.sum(axis=1)
-        self._cdf0 = np.cumsum(self._marg)
-        self._rows = np.cumsum(masses, axis=1)
-        self._total = total
-
-    def _invert_axis0(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        target = u * self._total
-        idx = np.searchsorted(self._cdf0, target, side="right")
-        idx = np.minimum(idx, len(self._marg) - 1)
-        prev = np.where(idx > 0, self._cdf0[idx - 1], 0.0)
-        frac = np.clip((target - prev) / np.maximum(self._marg[idx], 1e-300), 0.0, 1.0)
-        theta = (idx + frac - 0.5) * self.grid.dtheta
-        return np.mod(theta, TWO_PI), idx
-
-    def _invert_axis1(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        q = self.grid.q2
-        out = np.empty(len(rows))
-        for k, (r, uu) in enumerate(zip(rows, u)):
-            cdf = self._rows[r]
-            target = uu * cdf[-1]
-            j = min(np.searchsorted(cdf, target, side="right"), len(q) - 1)
-            prev = cdf[j - 1] if j > 0 else 0.0
-            mass = cdf[j] - prev
-            frac = np.clip((target - prev) / max(mass, 1e-300), 0.0, 1.0)
-            half = 0.5 * self.grid.dq2
-            if j == 0:
-                out[k] = q[0] + frac * half
-            elif j == len(q) - 1:
-                out[k] = q[-1] - half + frac * half
-            else:
-                out[k] = q[j] - half + frac * self.grid.dq2
-        return out
-
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random((n, 2))
-        theta, idx = self._invert_axis0(u[:, 0])
-        q2 = self._invert_axis1(idx, u[:, 1])
-        return np.stack([theta, q2], axis=-1)
-
-
-def sample_initial_ensemble(density: np.ndarray, grid: GridSpec, n: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. configuration draws from a normalized grid density."""
-    return GridSampler(density, grid).draw(n, rng)
 
 
 def sample_ring_angles(coeffs: np.ndarray, modes: RingModes, n: int,
@@ -347,37 +240,6 @@ def sample_ring_angles(coeffs: np.ndarray, modes: RingModes, n: int,
         out[filled:filled + take] = acc[:take]
         filled += take
     return out
-
-
-def born_initial_draw(state: SpectralState, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """Exact product-form draw from the initial joint density.
-
-    Valid at preparation time, when every packet center coincides and the
-    joint density factorizes into (ring density) x (packet Gaussian).
-    """
-    if not np.allclose(state.centers, state.centers[0]):
-        raise ValueError("exact product sampling needs coinciding packet centers")
-    if isinstance(state.modes, RingModes):
-        x = sample_ring_angles(state.coeffs, state.modes, n, rng)
-    else:
-        xg = state.modes.x_grid
-        dens = np.abs(np.tensordot(state.coeffs, state.modes.table, axes=1)) ** 2
-        x = _sample_line(dens, xg, n, rng)
-    q2 = rng.normal(state.centers[0], state.packet.sigma, size=n)
-    return np.stack([x, q2], axis=-1)
-
-
-def _sample_line(density: np.ndarray, points: np.ndarray, n: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from a 1-D tabulated density (piecewise constant cells)."""
-    h = points[1] - points[0]
-    masses = density * h
-    cdf = np.cumsum(masses)
-    u = rng.random(n) * cdf[-1]
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(points) - 1)
-    prev = np.where(idx > 0, cdf[idx - 1], 0.0)
-    frac = np.clip((u - prev) / np.maximum(masses[idx], 1e-300), 0.0, 1.0)
-    return points[idx] + (frac - 0.5) * h
 
 
 # ---------------------------------------------------------------------------
@@ -475,53 +337,6 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
 
     return {"configs": x, "overflow": overflow, "node_clamped": node_clamped,
             "snapshots": snapshots, "n_steps": n_steps}
-
-
-def integrate_trajectory(q0, flow, spec: EnsembleSpec, duration: float,
-                         sign_path: np.ndarray | None = None, lambda_mag: float = 0.0,
-                         t0: float = 0.0, seed: int = 0,
-                         q2_bounds: tuple[float, float] | None = None,
-                         wrap_axis0: bool = True) -> Trajectory:
-    """Single-trial integration retaining the full path."""
-    n_steps = int(round(duration / spec.dt_traj))
-    if abs(n_steps * spec.dt_traj - duration) > 1e-9 * max(1.0, duration):
-        raise ValueError("duration must be an integral number of dt_traj steps")
-    q0 = np.atleast_2d(np.asarray(q0, dtype=float))
-    dim = q0.shape[1]
-    path = np.empty((n_steps + 1, dim))
-    path[0] = q0[0]
-    signs = np.ones(n_steps, dtype=np.int8) if sign_path is None else \
-        np.asarray(sign_path[:n_steps], dtype=np.int8)
-    if len(signs) < n_steps:
-        raise ValueError("sign path shorter than the trajectory")
-    eps_abs = spec.eps_node_rel * flow.ref_peak
-    x = q0.copy()
-    overflow = False
-    clamped = False
-    for k in range(n_steps):
-        t = t0 + k * spec.dt_traj
-        lam = None if sign_path is None else lambda_mag * float(signs[k])
-        if spec.node_policy == "reject-resample":
-            x_new, c = _resolve_step(flow, x, t, spec.dt_traj, lam, spec.integrator,
-                                     eps_abs, spec.max_halvings)
-            clamped |= c
-        else:
-            x_new = _step(flow, x, t, spec.dt_traj, lam, spec.integrator)
-            if flow.density(x_new, t + spec.dt_traj) < eps_abs:
-                x_new = x
-                clamped = True
-        if q2_bounds is not None and dim == 2 and not overflow:
-            if not (q2_bounds[0] <= x_new[0, 1] <= q2_bounds[1]):
-                x_new = x
-                overflow = True
-        if not overflow:
-            x = x_new
-        path[k + 1] = x[0]
-    if wrap_axis0 and dim == 2 and getattr(getattr(flow, "modes", None), "periodic", True):
-        path[:, 0] = np.mod(path[:, 0], TWO_PI)
-    times = t0 + np.arange(n_steps + 1) * spec.dt_traj
-    return Trajectory(times=times, configs=path, lambda_signs=signs, seed=seed,
-                      overflow=overflow, node_clamped=clamped)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ GRID = GridSpec(128, -4.0, 4.0, 1024)
 BASIS = AngularBasis(8)
 CONFIG = PhysicalConfig(lambda_mag=1.0, g=1.0, t_M=1.0, sigma=0.05, sep_factor=8.0)
 PACKET = GaussianPacket(0.0, 0.05)
-SPEC = EnsembleSpec(n_trials=10_000, dt_traj=1e-3)
+SPEC = EnsembleSpec(dt_traj=1e-3)
 SEED = 20240817
 
 
@@ -61,7 +61,7 @@ def two_mode_run():
 def eigen_run():
     state = prepare_initial_state({2: 1.0}, PACKET, CONFIG, GRID, BASIS)
     records, stats, extras = run_ensemble(
-        state, CONFIG, EnsembleSpec(n_trials=1000, dt_traj=1e-3), 1000, SEED + 2)
+        state, CONFIG, EnsembleSpec(dt_traj=1e-3), 1000, SEED + 2)
     return state, records, stats, extras
 
 
@@ -145,12 +145,12 @@ def test_criterion_06_effective_post_and_repeatability(born_run):
         np.max(np.abs(effective_post(l, thetas, BASIS) - float(l))) < 1e-10
         for l in outcomes)
 
-    spec1 = EnsembleSpec(n_trials=1, dt_traj=1e-3)
+    spec1 = EnsembleSpec(dt_traj=1e-3)
     first = run_single_event(state, CONFIG, spec1, SEED + 7)
     collapsed = prepare_initial_state({first.outcome_index: 1.0}, PACKET,
                                       CONFIG, GRID, BASIS)
     _, rep_stats, _ = run_ensemble(collapsed, CONFIG,
-                                   EnsembleSpec(n_trials=1000, dt_traj=1e-3),
+                                   EnsembleSpec(dt_traj=1e-3),
                                    1000, SEED + 8)
     unanimous = (rep_stats.indices.tolist() == [first.outcome_index]
                  and rep_stats.frequencies.tolist() == [1.0]
@@ -199,7 +199,7 @@ def test_criterion_08_equivariance(born_run):
     n_biased = 4000
     biased = np.stack([r.uniform(0, 2 * np.pi, n_biased),
                        r.uniform(-0.6, 0.6, n_biased)], axis=-1)
-    spec = EnsembleSpec(n_trials=n_biased, dt_traj=1e-3, node_policy="clamp")
+    spec = EnsembleSpec(dt_traj=1e-3, node_policy="clamp")
     out = integrate_ensemble(flow, biased, spec, 0.0, 1.0, snapshot_steps=(1000,))
     rep_b = equivariance_report({1.0: out["snapshots"][1000]}, state, CONFIG.g,
                                 n_bins=50)

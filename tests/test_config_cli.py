@@ -71,6 +71,22 @@ class TestParseConfig:
             parse_config(json.dumps(bad))
         assert any("stochastic" in v for v in err.value.violations)
 
+    def test_sign_hierarchy_applies_to_actual_velocity_only(self):
+        data = {"experiment": "born", "velocity": "effective",
+                "ensemble": {"dt_traj": 0.01}}
+        assert parse_config(json.dumps(data)).ensemble().dt_traj == 0.01
+        data["velocity"] = "actual"
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert any(v.startswith("ensemble.dt_traj") for v in err.value.violations)
+
+    def test_trial_count_must_be_positive(self):
+        bad = json.loads(json.dumps(MINIMAL_BORN))
+        bad["ensemble"]["n_trials"] = 0
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(bad))
+        assert any(v.startswith("ensemble.n_trials") for v in err.value.violations)
+
     def test_traj_step_must_divide_duration(self):
         bad = json.loads(json.dumps(MINIMAL_BORN))
         bad["ensemble"]["dt_traj"] = 0.0003
@@ -164,6 +180,34 @@ class TestExperiments:
         assert lines[0] == "trial,t,theta1,q2,lambda_sign"
         assert len(lines) == 1 + 5 * 11   # 5 trials, 500 steps stored every 50
 
+    @pytest.mark.parametrize("velocity", ["effective", "actual"])
+    def test_trajectory_rows_end_at_recorded_configs(self, tmp_path, monkeypatch,
+                                                     velocity):
+        import stochaction.experiments as experiments
+        finals = []
+        real = experiments.run_ensemble
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            finals.append(out[2]["final_configs"])
+            return out
+
+        monkeypatch.setattr(experiments, "run_ensemble", spy)
+        path, data = make_config(tmp_path, overrides={
+            "ensemble": {"n_trials": 100, "dt_traj": 0.002, "n_store": 20,
+                         "store_every": 50},
+            "state": {"modes": [-3, -1, 1, 3], "weights": [0.1, 0.4, 0.3, 0.2]}},
+            experiment="trajectories", velocity=velocity, seed=5)
+        assert run_experiment(parse_config(path.read_text())) == 0
+        lines = (Path(data["out_dir"]) / "trajectories.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(finals) == 1 and len(rows) == 20 * 11
+        for trial in range(20):
+            last = rows[11 * trial + 10]
+            assert int(last[0]) == trial and float(last[1]) == 1.0
+            assert float(last[2]) == np.mod(finals[0][trial, 0], 2 * np.pi)
+            assert float(last[3]) == finals[0][trial, 1]
+
     def test_appendix_experiment_with_residuals(self, tmp_path):
         path, data = make_config(tmp_path, overrides={
             "appendix": {"scalar": "0.5*q^2", "n_steps": 100, "record_every": 10,
@@ -247,6 +291,13 @@ class TestCli:
         err = json.loads((Path(data["out_dir"]) / "error.json").read_text())
         assert err["error"] == "DomainOverflowError"
         assert err["trial"] == 3
+
+    def test_two_dimensional_appendix_rejected_at_parse(self, tmp_path, capsys):
+        path, data = make_config(tmp_path, overrides={"appendix": {"dimension": 2}},
+                                 experiment="appendix")
+        assert cli_main(["appendix", "--config", str(path)]) == 1
+        assert "appendix.dimension" in capsys.readouterr().err
+        assert not (Path(data["out_dir"]) / "error.json").exists()
 
     def test_seed_and_trials_overrides(self, tmp_path):
         path, data = make_config(tmp_path)

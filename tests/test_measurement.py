@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from stochaction import (AngularBasis, GaussianPacket, GridSpec,
+from stochaction import (AngularBasis, DomainOverflowError, GaussianPacket, GridSpec,
                          InvalidSystemError, PhysicalConfig,
                          actual_observable_prior, average_prior, effective_post,
                          prepare_initial_state, repeat_measurement, run_ensemble,
@@ -32,7 +32,7 @@ def packet():
 
 @pytest.fixture
 def espec():
-    return EnsembleSpec(n_trials=1, dt_traj=1e-3)
+    return EnsembleSpec(dt_traj=1e-3)
 
 
 def fixture_coeffs():
@@ -93,20 +93,20 @@ class TestEnsemble:
     def test_equal_weight_frequencies(self, grid, basis, config, packet):
         state = prepare_initial_state({-1: np.sqrt(0.5), 1: np.sqrt(0.5)},
                                       packet, config, grid, basis)
-        spec = EnsembleSpec(n_trials=2000, dt_traj=1e-3)
+        spec = EnsembleSpec(dt_traj=1e-3)
         _, stats, _ = run_ensemble(state, config, spec, 2000, seed=12, threads=2)
         se = np.sqrt(0.25 / stats.n_used)
         assert np.all(np.abs(stats.frequencies - 0.5) < 3 * se + 1e-12)
 
     def test_eigenstate_point_mass(self, grid, basis, config, packet):
         state = prepare_initial_state({1: 1.0}, packet, config, grid, basis)
-        spec = EnsembleSpec(n_trials=300, dt_traj=1e-3)
+        spec = EnsembleSpec(dt_traj=1e-3)
         _, stats, _ = run_ensemble(state, config, spec, 300, seed=13)
         assert stats.frequencies.tolist() == [1.0]
         assert stats.n_ambiguous == 0
 
     def test_global_phase_invariance(self, grid, basis, config, packet):
-        spec = EnsembleSpec(n_trials=1500, dt_traj=1e-3)
+        spec = EnsembleSpec(dt_traj=1e-3)
         base = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
         rotated = prepare_initial_state(
             {l: c * np.exp(0.73j) for l, c in fixture_coeffs().items()},
@@ -118,9 +118,27 @@ class TestEnsemble:
 
     def test_counts_account_for_all_trials(self, grid, basis, config, packet):
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
-        spec = EnsembleSpec(n_trials=500, dt_traj=1e-3)
+        spec = EnsembleSpec(dt_traj=1e-3)
         _, stats, _ = run_ensemble(state, config, spec, 500, seed=15)
         assert stats.counts.sum() == 500 - stats.n_ambiguous - stats.n_overflow
+
+    def test_packet_drift_checked_before_integrating(self, basis, config, packet,
+                                                     monkeypatch):
+        import stochaction.measurement as meas
+        calls = []
+        real = meas.integrate_ensemble
+        monkeypatch.setattr(meas, "integrate_ensemble",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        narrow = GridSpec(64, -1.0, 1.0, 256)   # the l = 3 packet drifts to q2 = 3
+        state = prepare_initial_state({3: 1.0}, packet, config, narrow, basis)
+        with pytest.raises(DomainOverflowError):
+            run_ensemble(state, config, EnsembleSpec(dt_traj=1e-2), 5, seed=27)
+        assert calls == []
+
+    def test_trial_count_must_be_positive(self, grid, basis, config, packet, espec):
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        with pytest.raises(ValueError, match="n_trials"):
+            run_ensemble(state, config, espec, 0, seed=28)
 
 
 class TestPriorObservable:
@@ -232,19 +250,19 @@ class TestRepeatability:
 
     def test_collapsed_ensemble_unanimous(self, grid, basis, config, packet):
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
-        spec = EnsembleSpec(n_trials=1, dt_traj=1e-3)
+        spec = EnsembleSpec(dt_traj=1e-3)
         first = run_single_event(state, config, spec, seed=21)
         collapsed = prepare_initial_state({first.outcome_index: 1.0}, packet,
                                           config, grid, basis)
         _, stats, _ = run_ensemble(collapsed, config,
-                                   EnsembleSpec(n_trials=400, dt_traj=1e-3),
+                                   EnsembleSpec(dt_traj=1e-3),
                                    400, seed=22)
         assert stats.frequencies.tolist() == [1.0]
 
     def test_ablated_collapse_not_repeatable(self, grid, basis, config, packet):
         # re-measuring the original superposition spreads outcomes again
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
-        spec = EnsembleSpec(n_trials=400, dt_traj=1e-3)
+        spec = EnsembleSpec(dt_traj=1e-3)
         _, stats, _ = run_ensemble(state, config, spec, 400, seed=23)
         assert np.count_nonzero(stats.counts) >= 2
 
@@ -271,7 +289,7 @@ class TestSubstituteObservable:
         pipe = substitute_observable("linear_momentum", psi, x,
                                      window=(-4.0, 6.0), n_bins=10,
                                      config=config, grid=GridSpec(64, -8, 8, 1024))
-        spec = EnsembleSpec(n_trials=60, dt_traj=2e-3)
+        spec = EnsembleSpec(dt_traj=2e-3)
         recs, stats, _ = run_ensemble(pipe, config, spec, 60, seed=24)
         # every outcome lands in the bin containing p0 = 1.5 (center 1.5)
         assert all(r.omega == pytest.approx(1.5) for r in recs)
@@ -284,7 +302,7 @@ class TestSubstituteObservable:
         pipe = substitute_observable("position", psi, x, window=(-4.0, 4.0),
                                      n_bins=8, config=config,
                                      grid=GridSpec(64, -6, 6, 512))
-        spec = EnsembleSpec(n_trials=400, dt_traj=2e-3)
+        spec = EnsembleSpec(dt_traj=2e-3)
         recs, stats, _ = run_ensemble(pipe, config, spec, 400, seed=25)
         hits = sum(1 for r in recs if r.omega == pytest.approx(1.5))
         assert hits / len(recs) > 0.99
@@ -296,7 +314,7 @@ class TestSubstituteObservable:
         pipe = substitute_observable("linear_momentum", psi, x,
                                      window=(-4.0, 6.0), n_bins=10,
                                      config=config, grid=GridSpec(64, -8, 8, 1024))
-        spec = EnsembleSpec(n_trials=1200, dt_traj=2e-3)
+        spec = EnsembleSpec(dt_traj=2e-3)
         _, stats, _ = run_ensemble(pipe, config, spec, 1200, seed=26, threads=4)
         assert stats.n_ambiguous + stats.n_overflow < 10
         dev = np.abs(stats.frequencies - stats.reference)

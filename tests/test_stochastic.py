@@ -8,7 +8,6 @@ from stochaction import (ActionIncrement, StochasticParams, check_separability,
                          gaussian_log_weight, sample_deviation, sample_sign_path,
                          transition_log_weight)
 from stochaction.rng import stream
-from stochaction.stochastic import sample_xi_magnitudes
 
 
 @pytest.fixture
@@ -19,7 +18,6 @@ def params():
 class TestParams:
     def test_defaults_satisfy_hierarchy(self, params):
         assert params.tau_lambda == math.inf
-        assert params.xi_block_steps == 10
 
     @pytest.mark.parametrize("kwargs", [
         dict(tau_lambda=0.05, tau_xi=0.01, dt=0.001),   # tau_lambda too close
@@ -27,7 +25,6 @@ class TestParams:
         dict(hierarchy_factor=2.0),
         dict(lambda_mag=-1.0),
         dict(sign_law="sticky"),
-        dict(xi_mag_spread=1.5),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -133,22 +130,6 @@ class TestSignPath:
     def test_values_are_signs(self, params):
         path = sample_sign_path(params, 1000, stream(11))
         assert set(np.unique(path)) <= {-1, 1}
-
-
-class TestXiMagnitudes:
-    def test_constant_law(self, params):
-        mags = sample_xi_magnitudes(params, 95, stream(12))
-        assert np.all(mags == 1.0)
-        assert len(mags) == 95
-
-    def test_uniform_law_blocks(self):
-        p = StochasticParams(xi_mag_law="uniform", xi_mag_spread=0.2,
-                             tau_xi=0.01, dt=0.001)
-        mags = sample_xi_magnitudes(p, 100, stream(13))
-        blocks = mags.reshape(10, 10)
-        assert np.all(blocks == blocks[:, :1])            # constant inside a block
-        assert np.all((mags >= 0.8) & (mags <= 1.2))
-        assert len(np.unique(blocks[:, 0])) > 1
 
 
 class TestSeparability:

@@ -3,11 +3,10 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from stochaction import (AngularBasis, DegenerateInputError, GaussianPacket,
-                         GridSpec, RingModes, SpectralState, actual_velocity,
+from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
+                         RingModes, SpectralState, actual_velocity,
                          effective_velocity, equivariance_report,
-                         integrate_ensemble, integrate_trajectory,
-                         sample_initial_ensemble, synthesize_joint)
+                         integrate_ensemble, synthesize_joint)
 from stochaction.rng import stream
 from stochaction.trajectories import EnsembleSpec, ModeFlow, sample_ring_angles
 
@@ -32,34 +31,6 @@ def make_state(coeff_map, basis, grid, sigma=0.3, mu0=0.0):
 
 
 class TestBornSampling:
-    def test_uniform_theta_passes_ks(self, grid):
-        dens = np.full((grid.n_theta, grid.n_q2 + 1), 1.0 / (2 * np.pi * 6.0))
-        draws = sample_initial_ensemble(dens, grid, 10_000, stream(1))
-        ks = sps.kstest(draws[:, 0] / (2 * np.pi), "uniform")
-        assert ks.pvalue > 0.01
-
-    def test_product_density_marginals(self, grid):
-        sigma = 0.5
-        gauss = np.exp(-grid.q2**2 / (2 * sigma**2))
-        gauss /= np.sum(gauss * grid.q2_weights)
-        dens = np.full((grid.n_theta, 1), 1.0 / (2 * np.pi)) * gauss[None, :]
-        draws = sample_initial_ensemble(dens, grid, 10_000, stream(2))
-        ks_theta = sps.kstest(draws[:, 0] / (2 * np.pi), "uniform")
-        ks_q2 = sps.kstest(draws[:, 1] / sigma, "norm")
-        assert ks_theta.pvalue > 0.01
-        assert ks_q2.pvalue > 0.01
-
-    def test_fixed_seed_reproducible(self, grid):
-        dens = np.full((grid.n_theta, grid.n_q2 + 1), 1.0 / (2 * np.pi * 6.0))
-        a = sample_initial_ensemble(dens, grid, 50, stream(3))
-        b = sample_initial_ensemble(dens, grid, 50, stream(3))
-        assert np.array_equal(a, b)
-
-    def test_unnormalized_density_rejected(self, grid):
-        dens = np.ones((grid.n_theta, grid.n_q2 + 1))
-        with pytest.raises(DegenerateInputError):
-            sample_initial_ensemble(dens, grid, 10, stream(4))
-
     def test_ring_rejection_sampler_matches_density(self, basis):
         c = np.zeros(len(basis.modes), dtype=complex)
         c[basis.l_max] = np.sqrt(0.5)
@@ -126,6 +97,19 @@ class TestVelocities:
         assert np.allclose(v[:, 0], expected, atol=1e-8)
         assert np.allclose(v[:, 1], 0.0, atol=1e-12)
 
+    def test_line_mode_field_from_the_mode_table(self, grid):
+        # a tabulated plane-wave envelope: the pointer moves at g times its momentum
+        x = np.linspace(-6.0, 6.0, 801)
+        psi = np.exp(-x**2 / 2 + 0.7j * x)
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
+        state = SpectralState(coeffs=np.array([1.0]), modes=LineModes(x, psi[None, :],
+                                                                       np.array([0.0])),
+                              packet=GaussianPacket(0.0, 0.3), centers=np.zeros(1),
+                              t=0.0, grid=grid)
+        v = effective_velocity(state, np.array([[0.3, 0.1], [-1.0, -0.2]]), g=1.5)
+        assert np.allclose(v[:, 1], 1.5 * 0.7, atol=1e-6)
+        assert np.allclose(v[:, 0], 0.0, atol=1e-12)
+
     def test_vanishing_scale_recovers_effective(self, grid, basis):
         state = make_state({0: np.sqrt(0.5), 1: np.sqrt(0.5)}, basis, grid)
         pts = np.array([[1.0, 0.1]])
@@ -138,47 +122,59 @@ class TestIntegration:
     def test_zero_field_stays_put(self, grid, basis):
         state = make_state({0: 1.0}, basis, grid)   # real: zero effective field
         flow = ModeFlow(state, g=1.0)
-        spec = EnsembleSpec(n_trials=1, dt_traj=0.01)
-        traj = integrate_trajectory(np.array([1.0, 0.0]), flow, spec, 0.5)
-        assert np.allclose(traj.configs, traj.configs[0])
+        spec = EnsembleSpec(dt_traj=0.01)
+        q0 = np.array([[1.0, 0.0]])
+        out = integrate_ensemble(flow, q0, spec, 0.0, 0.5, snapshot_steps=tuple(range(51)))
+        assert len(out["snapshots"]) == 51
+        for snap in out["snapshots"].values():
+            assert np.allclose(snap, q0)
 
     def test_single_mode_pointer_relation(self, grid, basis):
         state = make_state({2: 1.0}, basis, grid, sigma=0.05)
         flow = ModeFlow(state, g=1.0)
-        spec = EnsembleSpec(n_trials=1, dt_traj=1e-3)
-        traj = integrate_trajectory(np.array([0.7, 0.02]), flow, spec, 1.0,
-                                    q2_bounds=(grid.q2_min, grid.q2_max))
-        shift = traj.configs[-1, 1] - traj.configs[0, 1]
+        spec = EnsembleSpec(dt_traj=1e-3)
+        out = integrate_ensemble(flow, np.array([[0.7, 0.02]]), spec, 0.0, 1.0,
+                                 q2_bounds=(grid.q2_min, grid.q2_max),
+                                 snapshot_steps=(0, 1000))
+        shift = out["snapshots"][1000][0, 1] - out["snapshots"][0][0, 1]
         assert shift == pytest.approx(2.0, abs=1e-6)
-        assert not traj.overflow
+        assert not out["overflow"][0]
 
     def test_richardson_convergence(self, grid, basis):
         state = make_state({0: np.sqrt(0.5), 1: np.sqrt(0.5)}, basis, grid)
         flow = ModeFlow(state, g=1.0)
         ends = {}
         for dt in (4e-3, 2e-3, 1e-3):
-            spec = EnsembleSpec(n_trials=1, dt_traj=dt, integrator="explicit-midpoint")
-            traj = integrate_trajectory(np.array([1.2, 0.1]), flow, spec, 0.4)
-            ends[dt] = traj.configs[-1]
+            spec = EnsembleSpec(dt_traj=dt, integrator="explicit-midpoint")
+            steps = int(round(0.4 / dt))
+            out = integrate_ensemble(flow, np.array([[1.2, 0.1]]), spec, 0.0, 0.4,
+                                     snapshot_steps=(steps,))
+            ends[dt] = out["snapshots"][steps][0]
         d1 = np.linalg.norm(ends[4e-3] - ends[2e-3])
         d2 = np.linalg.norm(ends[2e-3] - ends[1e-3])
         assert 3.0 < d1 / d2 < 5.5
 
     def test_ensemble_matches_individual(self, grid, basis):
+        # a 4-row batch equals four 1-row batches, along the whole path
         state = make_state({-1: np.sqrt(0.4), 1: np.sqrt(0.6)}, basis, grid)
         flow = ModeFlow(state, g=1.0)
-        spec = EnsembleSpec(n_trials=4, dt_traj=2e-3)
+        spec = EnsembleSpec(dt_traj=2e-3)
         q0 = np.array([[0.5, 0.1], [2.0, -0.2], [4.0, 0.0], [1.0, 0.3]])
-        batch = integrate_ensemble(flow, q0, spec, 0.0, 0.3)
+        steps = (0, 50, 100, 150)
+        batch = integrate_ensemble(flow, q0, spec, 0.0, 0.3, snapshot_steps=steps)
         for i in range(4):
-            traj = integrate_trajectory(q0[i], flow, spec, 0.3, wrap_axis0=False)
-            assert np.allclose(batch["configs"][i], traj.configs[-1], atol=1e-12)
+            single = integrate_ensemble(flow, q0[i:i + 1], spec, 0.0, 0.3,
+                                        snapshot_steps=steps)
+            assert np.allclose(batch["configs"][i], single["configs"][0], atol=1e-12)
+            for k in steps:
+                assert np.allclose(batch["snapshots"][k][i], single["snapshots"][k][0],
+                                   atol=1e-12)
 
     def test_overflow_flagged(self, grid, basis):
         # trajectory rides the drifting packet off the edge of the pointer grid
         state = make_state({2: 1.0}, basis, grid, sigma=0.05)
         flow = ModeFlow(state, g=1.0)
-        spec = EnsembleSpec(n_trials=1, dt_traj=1e-2)
+        spec = EnsembleSpec(dt_traj=1e-2)
         out = integrate_ensemble(flow, np.array([[0.0, 0.0]]), spec, 0.0, 2.0,
                                  q2_bounds=(grid.q2_min, grid.q2_max))
         assert out["overflow"][0]
@@ -188,8 +184,7 @@ class TestIntegration:
         state = make_state({-1: np.sqrt(0.5), 1: np.sqrt(0.5)}, basis, grid,
                            sigma=0.05)
         flow = ModeFlow(state, g=1.0)
-        spec = EnsembleSpec(n_trials=128, dt_traj=1e-3,
-                            node_policy="reject-resample")
+        spec = EnsembleSpec(dt_traj=1e-3, node_policy="reject-resample")
         r = stream(31)
         theta = sample_ring_angles(state.coeffs, state.modes, 128, r)
         q2 = r.normal(0.0, 0.05, 128)
@@ -217,7 +212,7 @@ class TestEquivariance:
             theta = sample_ring_angles(state.coeffs, state.modes, n, r)
             q2 = r.normal(state.packet.center, state.packet.sigma, n)
             q0 = np.stack([theta, q2], axis=-1)
-        spec = EnsembleSpec(n_trials=n, dt_traj=2e-3, node_policy="clamp")
+        spec = EnsembleSpec(dt_traj=2e-3, node_policy="clamp")
         steps = int(round(t_end / spec.dt_traj))
         out = integrate_ensemble(flow, q0, spec, 0.0, t_end,
                                  snapshot_steps=(steps,))

@@ -1,0 +1,70 @@
+"""Result-file hashes of one small run per experiment kind.
+
+Runs each config below through ``run_experiment`` and prints
+``{kind: manifest["files"]}`` as JSON.  Diff the output of two checkouts to
+see whether a change kept the result bytes for a fixed (config, seed):
+
+    python3 tools/result_hashes.py > hashes.json
+
+The package is imported from the ``src`` directory next to this script.
+"""
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+BASE = {
+    "seed": 5,
+    "grid": {"n_theta": 64, "q2_min": -4.0, "q2_max": 4.0, "n_q2": 512},
+    "ensemble": {"n_trials": 200, "dt_traj": 0.002},
+    "stochastic": {"tau_xi": 0.02},
+    "state": {"modes": [-1, 0, 1], "weights": [0.5, 0.3, 0.2]},
+}
+TRAJ = {"n_trials": 100, "dt_traj": 0.002, "n_store": 5, "store_every": 50}
+WIDE_STATE = {"modes": [-3, -1, 1, 3], "weights": [0.1, 0.4, 0.3, 0.2]}
+APPENDIX = {"scalar": "0.5*q^2", "n_steps": 100, "record_every": 10,
+            "residual_check": True, "initial_center": 1.0,
+            "save_wavefunctions": True}
+SWEEP = {"deltas": [0.0, 0.25], "n_steps": 100, "record_every": 50,
+         "x_min": -20.0, "x_max": 20.0, "n_points": 256}
+
+# name -> (experiment kind, sections overriding BASE)
+CONFIGS = {
+    "born-effective": ("born", {"equivariance": {"enabled": True}}),
+    "born-actual": ("born", {"velocity": "actual"}),
+    "trajectories-effective": ("trajectories", {"ensemble": TRAJ,
+                                                "equivariance": {"enabled": True}}),
+    "trajectories-actual": ("trajectories", {"ensemble": TRAJ, "velocity": "actual"}),
+    "trajectories-clamp": ("trajectories", {
+        "ensemble": dict(TRAJ, node_policy="clamp"), "velocity": "actual"}),
+    "trajectories-wide-effective": ("trajectories", {"ensemble": TRAJ,
+                                                     "state": WIDE_STATE}),
+    "trajectories-wide-actual": ("trajectories", {"ensemble": TRAJ, "state": WIDE_STATE,
+                                                  "velocity": "actual"}),
+    "prior-average": ("prior-average", {"prior": {"n_mc": 20000}}),
+    "repeatability": ("repeatability", {"repeat": {"n_repeats": 50}}),
+    "appendix": ("appendix", {"appendix": APPENDIX}),
+    "lambda-sweep": ("lambda-sweep", {"appendix": SWEEP}),
+    "stochastic-check": ("stochastic-check", {"checks": {"n_draws": 100000}}),
+}
+
+
+def result_hashes() -> dict:
+    from stochaction import parse_config, run_experiment
+
+    hashes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (kind, overrides) in CONFIGS.items():
+            data = dict(BASE, experiment=kind, out_dir=str(Path(tmp) / name))
+            data.update(overrides)
+            run_experiment(parse_config(json.dumps(data)))
+            manifest = json.loads((Path(tmp) / name / "manifest.json").read_text())
+            hashes[name] = manifest["files"]
+    return hashes
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    print(json.dumps(result_hashes(), indent=2, sort_keys=True))
