@@ -118,6 +118,16 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
     },
 }
 
+# smallest value each count key can run with: a chi-squared needs two
+# bins, a sample standard deviation or a lag-1 product two samples
+_COUNT_MINIMA = {
+    ("ensemble", "n_trials"): 1,
+    ("repeat", "n_repeats"): 1,
+    ("equivariance", "n_bins"): 2,
+    ("prior", "n_mc"): 2,
+    ("checks", "n_draws"): 2,
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -281,8 +291,9 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
                     violations.append(
                         "grid.q2_max/q2_min: pointer drift leaves the grid "
                         f"(max drift {drift:.3g} plus 5 sigma margin)")
-    if cfg["ensemble"]["n_trials"] < 1:
-        violations.append("ensemble.n_trials: must be at least 1")
+    for (section, key), least in _COUNT_MINIMA.items():
+        if cfg[section][key] < least:
+            violations.append(f"{section}.{key}: must be at least {least}")
     # only actual-velocity runs draw sign paths
     if stochastic and ensemble and cfg["velocity"] == "actual":
         try:

@@ -30,7 +30,12 @@ from .stochastic import StochasticParams, sample_sign_path
 from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow,
                            integrate_ensemble, sample_ring_angles)
 
-_CHUNK = 1024  # fixed ensemble chunk size; independent of thread count
+# Fixed ensemble chunk size, independent of thread count; results do not
+# depend on it.  On a 2-vCPU machine with a 2 MB L2, a 3-mode Born ensemble
+# of 4096 trials ran 1.2x faster in 2048-row chunks than in 1024-row ones,
+# and 0.7x in 4096-row ones, where each complex 3-mode temporary (196 KB)
+# pushes the working set out of L2.
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)

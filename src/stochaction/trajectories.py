@@ -139,9 +139,10 @@ class ModeFlow:
         u, du = self._mode_values(x, with_derivatives=True)
         gauss, zq = self._gaussians(q2, t)
         cg = self.coeffs.reshape((-1,) + (1,) * x.ndim) * gauss
-        psi = np.sum(cg * u, axis=0)
+        cgu = cg * u
+        psi = np.sum(cgu, axis=0)
         dpsi_x = np.sum(cg * du, axis=0)
-        dpsi_q = np.sum(cg * u * (-zq), axis=0)
+        dpsi_q = np.sum(cgu * (-zq), axis=0)
         dens = np.abs(psi) ** 2
         return psi, dpsi_x, dpsi_q, dens
 
@@ -153,18 +154,21 @@ class ModeFlow:
         psi = np.sum(cg * u, axis=0)
         return np.abs(psi) ** 2
 
-    def effective(self, points: np.ndarray, t: float) -> np.ndarray:
+    def effective(self, points: np.ndarray, t: float, with_density: bool = False):
+        """Phase-gradient field; ``with_density`` also returns ``|Psi|^2`` as ``(v, dens)``."""
         psi, dpsi_x, dpsi_q, dens = self._terms(points[..., 0], points[..., 1], t)
         safe = np.maximum(dens, 1e-300)
         grad_s_x = np.imag(np.conj(psi) * dpsi_x) / safe
         grad_s_q = np.imag(np.conj(psi) * dpsi_q) / safe
-        return self.g * np.stack([grad_s_q, grad_s_x], axis=-1)
+        v = self.g * np.stack([grad_s_q, grad_s_x], axis=-1)
+        return (v, dens) if with_density else v
 
-    def actual(self, points: np.ndarray, t: float, lambda_signed) -> np.ndarray:
+    def actual(self, points: np.ndarray, t: float, lambda_signed, with_density: bool = False):
         """Effective field plus the osmotic term with the given signed scale.
 
         ``lambda_signed`` may be a scalar or a per-point vector of signed
-        magnitudes (sign path value times lambda_mag).
+        magnitudes (sign path value times lambda_mag).  ``with_density``
+        also returns ``|Psi|^2`` as ``(v, dens)``.
         """
         psi, dpsi_x, dpsi_q, dens = self._terms(points[..., 0], points[..., 1], t)
         safe = np.maximum(dens, 1e-300)
@@ -174,8 +178,9 @@ class ModeFlow:
         osm_x = np.real(pc * dpsi_x) / safe
         osm_q = np.real(pc * dpsi_q) / safe
         lam = np.asarray(lambda_signed)
-        return self.g * np.stack([grad_s_q + lam * osm_q,
-                                  grad_s_x + lam * osm_x], axis=-1)
+        v = self.g * np.stack([grad_s_q + lam * osm_q,
+                               grad_s_x + lam * osm_x], axis=-1)
+        return (v, dens) if with_density else v
 
 
 class PointerReadoutFlow:
@@ -193,13 +198,13 @@ class PointerReadoutFlow:
     def density(self, points: np.ndarray, t: float) -> np.ndarray:
         return np.full(points.shape[:-1], self.ref_peak)
 
-    def effective(self, points: np.ndarray, t: float) -> np.ndarray:
+    def effective(self, points: np.ndarray, t: float, with_density: bool = False):
         out = np.zeros_like(points)
         out[..., 1] = self.g * points[..., 0]
-        return out
+        return (out, self.density(points, t)) if with_density else out
 
-    def actual(self, points: np.ndarray, t: float, lambda_signed) -> np.ndarray:
-        return self.effective(points, t)
+    def actual(self, points: np.ndarray, t: float, lambda_signed, with_density: bool = False):
+        return self.effective(points, t, with_density)
 
 
 def effective_velocity(state: SpectralState, points, g: float, t: float | None = None) -> np.ndarray:
@@ -246,20 +251,21 @@ def sample_ring_angles(coeffs: np.ndarray, modes: RingModes, n: int,
 # integration
 # ---------------------------------------------------------------------------
 
-def _stage_velocity(flow, x, t, lam):
+def _stage_velocity(flow, x, t, lam, with_density: bool = False):
     if lam is None:
-        return flow.effective(x, t)
-    return flow.actual(x, t, lam)
+        return flow.effective(x, t, with_density=with_density)
+    return flow.actual(x, t, lam, with_density=with_density)
 
 
-def _step(flow, x, t, dt, lam, scheme: str) -> np.ndarray:
-    if scheme == "rk4":
+def _step(flow, x, t, dt, lam, scheme: str, k1: np.ndarray | None = None) -> np.ndarray:
+    """One explicit step; ``k1`` is the field at ``(x, t)`` when already known."""
+    if k1 is None:
         k1 = _stage_velocity(flow, x, t, lam)
+    if scheme == "rk4":
         k2 = _stage_velocity(flow, x + 0.5 * dt * k1, t + 0.5 * dt, lam)
         k3 = _stage_velocity(flow, x + 0.5 * dt * k2, t + 0.5 * dt, lam)
         k4 = _stage_velocity(flow, x + dt * k3, t + dt, lam)
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    k1 = _stage_velocity(flow, x, t, lam)
     k2 = _stage_velocity(flow, x + 0.5 * dt * k1, t + 0.5 * dt, lam)
     return x + dt * k2
 
@@ -286,56 +292,76 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
 
     ``sign_paths`` (n, n_steps) switches the osmotic term per step; omit it
     for effective-velocity runs.  Trials whose pointer leaves ``q2_bounds``
-    freeze and are flagged.  Returns final configs, per-trial flags and any
-    requested intermediate snapshots.
+    (or whose system coordinate leaves ``x_bounds``) freeze at their last
+    configuration, are flagged, and drop out of the working set.  Returns
+    final configs, per-trial flags and any requested intermediate snapshots.
+
+    Each step evaluates the field once per stage: one evaluation at the
+    landing point gives both the node check (``|Psi|^2``) and the next
+    step's first stage (first-same-as-last).  Rows whose landing is then
+    replaced by the node policy get that first stage evaluated again.
     """
     n_steps = int(round(duration / spec.dt_traj))
     if abs(n_steps * spec.dt_traj - duration) > 1e-9 * max(1.0, duration):
         raise ValueError("duration must be an integral number of dt_traj steps")
-    x = np.array(q0, dtype=float)
-    n = x.shape[0]
+    dt = spec.dt_traj
+    configs = np.array(q0, dtype=float)
+    n = configs.shape[0]
     overflow = np.zeros(n, dtype=bool)
     node_clamped = np.zeros(n, dtype=bool)
     eps_abs = spec.eps_node_rel * flow.ref_peak
     snapshots: dict[int, np.ndarray] = {}
     if 0 in snapshot_steps:
-        snapshots[0] = x.copy()
+        snapshots[0] = configs.copy()
 
+    live = np.arange(n)          # rows still integrating; frozen rows stay in configs
+    x = configs.copy()
+    lam = None if sign_paths is None else lambda_mag * sign_paths[:, 0]
+    v = _stage_velocity(flow, x, t0, lam)
     for k in range(n_steps):
-        t = t0 + k * spec.dt_traj
-        lam = None
-        if sign_paths is not None:
-            lam = lambda_mag * sign_paths[:, k]
-        prop = _step(flow, x, t, spec.dt_traj, lam, spec.integrator)
-        landing = flow.density(prop, t + spec.dt_traj)
+        t = t0 + k * dt
+        t_next = t0 + (k + 1) * dt
+        prop = _step(flow, x, t, dt, lam, spec.integrator, v)
+        # after the last step only the landing density is used
+        lam_next = (None if sign_paths is None or k + 1 == n_steps
+                    else lambda_mag * sign_paths[live, k + 1])
+        v_next, landing = _stage_velocity(flow, prop, t_next, lam_next, with_density=True)
         bad = landing < eps_abs
         if spec.node_policy == "reject-resample" and np.any(bad):
             for i in np.flatnonzero(bad):
                 li = None if lam is None else lam[i]
-                fixed, clamped = _resolve_step(flow, x[i:i + 1], t, spec.dt_traj, li,
+                fixed, clamped = _resolve_step(flow, x[i:i + 1], t, dt, li,
                                                spec.integrator, eps_abs,
                                                spec.max_halvings)
                 prop[i] = fixed[0]
-                node_clamped[i] |= clamped
+                node_clamped[live[i]] |= clamped
         elif np.any(bad):
             prop[bad] = x[bad]
-            node_clamped |= bad
+            node_clamped[live[bad]] = True
+        newly = np.zeros(len(live), dtype=bool)
         if q2_bounds is not None:
-            out = (prop[:, 1] < q2_bounds[0]) | (prop[:, 1] > q2_bounds[1])
-            newly = out & ~overflow
-            prop[newly] = x[newly]
-            overflow |= newly
+            newly |= (prop[:, 1] < q2_bounds[0]) | (prop[:, 1] > q2_bounds[1])
         if x_bounds is not None:
-            out = (prop[:, 0] < x_bounds[0]) | (prop[:, 0] > x_bounds[1])
-            newly = out & ~overflow
-            prop[newly] = x[newly]
-            overflow |= newly
-        prop[overflow] = x[overflow]
+            newly |= (prop[:, 0] < x_bounds[0]) | (prop[:, 0] > x_bounds[1])
+        if np.any(newly):
+            configs[live[newly]] = x[newly]
+            overflow[live[newly]] = True
+            keep = ~newly
+            live, prop, bad, v_next = live[keep], prop[keep], bad[keep], v_next[keep]
+            if lam_next is not None:
+                lam_next = lam_next[keep]
         x = prop
+        if np.any(bad) and k + 1 < n_steps:
+            v_next[bad] = _stage_velocity(flow, x[bad], t_next,
+                                          None if lam_next is None else lam_next[bad])
+        v, lam = v_next, lam_next
         if (k + 1) in snapshot_steps:
-            snapshots[k + 1] = x.copy()
+            snap = configs.copy()
+            snap[live] = x
+            snapshots[k + 1] = snap
 
-    return {"configs": x, "overflow": overflow, "node_clamped": node_clamped,
+    configs[live] = x
+    return {"configs": configs, "overflow": overflow, "node_clamped": node_clamped,
             "snapshots": snapshots, "n_steps": n_steps}
 
 

@@ -299,6 +299,22 @@ class TestCli:
         assert "appendix.dimension" in capsys.readouterr().err
         assert not (Path(data["out_dir"]) / "error.json").exists()
 
+    @pytest.mark.parametrize("experiment, section, key, value", [
+        ("born", "equivariance", "n_bins", 1),
+        ("prior-average", "prior", "n_mc", 1),
+        ("repeatability", "repeat", "n_repeats", 0),
+        ("stochastic-check", "checks", "n_draws", 1),
+    ])
+    def test_too_small_sample_count_rejected_at_parse(self, tmp_path, capsys, experiment,
+                                                      section, key, value):
+        overrides = {section: {key: value}}
+        if section == "equivariance":
+            overrides[section]["enabled"] = True
+        path, data = make_config(tmp_path, overrides=overrides, experiment=experiment)
+        assert cli_main([experiment, "--config", str(path)]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (Path(data["out_dir"]) / "error.json").exists()
+
     def test_seed_and_trials_overrides(self, tmp_path):
         path, data = make_config(tmp_path)
         out = tmp_path / "alt"

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from stochaction import (AngularBasis, DomainOverflowError, GaussianPacket, GridSpec,
-                         InvalidSystemError, PhysicalConfig,
+                         InvalidSystemError, PhysicalConfig, StochasticParams,
                          actual_observable_prior, average_prior, effective_post,
                          prepare_initial_state, repeat_measurement, run_ensemble,
                          run_single_event, substitute_observable)
@@ -134,6 +134,24 @@ class TestEnsemble:
         with pytest.raises(DomainOverflowError):
             run_ensemble(state, config, EnsembleSpec(dt_traj=1e-2), 5, seed=27)
         assert calls == []
+
+    @pytest.mark.parametrize("velocity, n_trials", [("effective", 1500), ("actual", 300)])
+    def test_chunking_and_workers_do_not_change_results(self, grid, basis, config, packet,
+                                                        monkeypatch, velocity, n_trials):
+        import stochaction.measurement as meas
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        spec = EnsembleSpec(dt_traj=5e-3)
+        stoch = StochasticParams(tau_xi=0.05) if velocity == "actual" else None
+        runs = []
+        for chunk in (128, 1000, 2048):
+            monkeypatch.setattr(meas, "_CHUNK", chunk)
+            for threads in (1, 4):
+                records, _, extras = run_ensemble(state, config, spec, n_trials, seed=29,
+                                                  velocity=velocity, stoch=stoch,
+                                                  threads=threads)
+                runs.append(([r.to_dict() for r in records],
+                             extras["final_configs"].tobytes()))
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_trial_count_must_be_positive(self, grid, basis, config, packet, espec):
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)

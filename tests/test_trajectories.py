@@ -8,7 +8,8 @@ from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
                          effective_velocity, equivariance_report,
                          integrate_ensemble, synthesize_joint)
 from stochaction.rng import stream
-from stochaction.trajectories import EnsembleSpec, ModeFlow, sample_ring_angles
+from stochaction.trajectories import (EnsembleSpec, ModeFlow, _resolve_step,
+                                      sample_ring_angles)
 
 
 @pytest.fixture
@@ -198,6 +199,134 @@ class TestIntegration:
             assert np.all(dens[~clamped] >= eps)
         # Born-initialized trials essentially never strand between packets
         assert clamped.sum() <= 2
+
+
+class RecordingFlow:
+    """Forwards to a flow and logs ``(kind, rows)`` for every field evaluation."""
+
+    def __init__(self, flow):
+        self.flow = flow
+        self.ref_peak = flow.ref_peak
+        self.calls = []
+
+    def effective(self, points, t, **kw):
+        self.calls.append(("velocity", len(points)))
+        return self.flow.effective(points, t, **kw)
+
+    def actual(self, points, t, lambda_signed, **kw):
+        self.calls.append(("velocity", len(points)))
+        return self.flow.actual(points, t, lambda_signed, **kw)
+
+    def density(self, points, t):
+        self.calls.append(("density", len(points)))
+        return self.flow.density(points, t)
+
+
+def oracle_step(flow, x, t, dt, lam, scheme):
+    def vel(p, s):
+        return flow.effective(p, s) if lam is None else flow.actual(p, s, lam)
+    k1 = vel(x, t)
+    k2 = vel(x + 0.5 * dt * k1, t + 0.5 * dt)
+    if scheme != "rk4":
+        return x + dt * k2
+    k3 = vel(x + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = vel(x + dt * k3, t + dt)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def oracle_integrate(flow, q0, spec, t0, n_steps, sign_paths, lambda_mag, q2_bounds):
+    """Reference loop: every trial steps every time, then a separate landing check."""
+    x = np.array(q0, dtype=float)
+    overflow = np.zeros(len(x), dtype=bool)
+    clamped = np.zeros(len(x), dtype=bool)
+    eps_abs = spec.eps_node_rel * flow.ref_peak
+    landings = 0
+    for k in range(n_steps):
+        t = t0 + k * spec.dt_traj
+        lam = None if sign_paths is None else lambda_mag * sign_paths[:, k]
+        prop = oracle_step(flow, x, t, spec.dt_traj, lam, spec.integrator)
+        bad = flow.density(prop, t + spec.dt_traj) < eps_abs
+        landings += int(np.count_nonzero(bad & ~overflow))
+        if spec.node_policy == "reject-resample":
+            for i in np.flatnonzero(bad):
+                fixed, c = _resolve_step(flow, x[i:i + 1], t, spec.dt_traj,
+                                         None if lam is None else lam[i],
+                                         spec.integrator, eps_abs, spec.max_halvings)
+                prop[i] = fixed[0]
+                clamped[i] |= c
+        else:
+            prop[bad] = x[bad]
+            clamped |= bad
+        if q2_bounds is not None:
+            out = (prop[:, 1] < q2_bounds[0]) | (prop[:, 1] > q2_bounds[1])
+            overflow |= out & ~overflow
+        prop[overflow] = x[overflow]
+        x = prop
+    return x, overflow, clamped, landings
+
+
+class TestStepLoop:
+    """The loop evaluates each stage once and drops frozen trials."""
+
+    @pytest.mark.parametrize("integrator", ["rk4", "explicit-midpoint"])
+    @pytest.mark.parametrize("node_policy", ["reject-resample", "clamp"])
+    @pytest.mark.parametrize("velocity", ["effective", "actual"])
+    def test_matches_reference_loop(self, grid, basis, integrator, node_policy, velocity):
+        state = make_state({-1: np.sqrt(0.5), 1: np.sqrt(0.5)}, basis, grid)
+        flow = ModeFlow(state, g=1.0)
+        spec = EnsembleSpec(dt_traj=1e-2, integrator=integrator,
+                            node_policy=node_policy, eps_node_rel=1e-2)
+        r = stream(41)
+        n, n_steps = 96, 30
+        q0 = np.stack([r.uniform(0.0, 2 * np.pi, n), r.uniform(-0.45, 0.45, n)], axis=-1)
+        signs = None
+        if velocity == "actual":
+            signs = (r.integers(0, 2, size=(n, n_steps)) * 2 - 1).astype(np.int8)
+        bounds = (-0.5, 0.5)
+        want, w_over, w_clamped, landings = oracle_integrate(
+            flow, q0, spec, 0.0, n_steps, signs, 1.0, bounds)
+        got = integrate_ensemble(flow, q0, spec, 0.0, n_steps * spec.dt_traj,
+                                 sign_paths=signs, lambda_mag=1.0, q2_bounds=bounds)
+        assert landings > 0                      # the node policy fired
+        assert 0 < w_over.sum() < n              # some trials froze, not all
+        assert np.array_equal(got["configs"], want)
+        assert np.array_equal(got["overflow"], w_over)
+        # frozen trials stop collecting node flags; live ones must agree
+        assert np.array_equal(got["node_clamped"][~w_over], w_clamped[~w_over])
+
+    def test_one_field_evaluation_per_stage(self, grid, basis):
+        state = make_state({2: 1.0}, basis, grid, sigma=0.05)
+        flow = RecordingFlow(ModeFlow(state, g=1.0))
+        q0 = np.array([[0.3, 0.01], [2.0, -0.02], [4.5, 0.0]])
+        n_steps = 25
+        integrate_ensemble(flow, q0, EnsembleSpec(dt_traj=1e-3), 0.0, n_steps * 1e-3,
+                           q2_bounds=(grid.q2_min, grid.q2_max))
+        kinds = [kind for kind, _ in flow.calls]
+        assert kinds.count("velocity") == 4 * n_steps + 1
+        assert kinds.count("density") == 0
+
+    def test_frozen_trial_leaves_working_set(self, grid, basis):
+        # trial 0 starts near the upper bound and rides the packet out early
+        state = make_state({2: 1.0}, basis, grid)
+        q0 = np.array([[0.3, 0.45], [2.0, 0.01], [4.5, -0.02], [1.0, 0.0]])
+        spec = EnsembleSpec(dt_traj=1e-3)
+        steps = (0, 20, 100, 200)
+        flow = RecordingFlow(ModeFlow(state, g=1.0))
+        full = integrate_ensemble(flow, q0, spec, 0.0, 0.2, q2_bounds=(-0.5, 0.5),
+                                  snapshot_steps=steps)
+        rows = [m for _, m in flow.calls]
+        assert len(q0) - 1 in rows, "the frozen trial was never dropped"
+        first_drop = rows.index(len(q0) - 1)
+        assert first_drop < len(rows) // 4
+        assert max(rows[first_drop:]) == len(q0) - 1
+        assert full["overflow"].tolist() == [True, False, False, False]
+        assert full["configs"][0, 1] <= 0.5
+        rest = integrate_ensemble(ModeFlow(state, g=1.0), q0[1:], spec, 0.0, 0.2,
+                                  q2_bounds=(-0.5, 0.5), snapshot_steps=steps)
+        assert np.array_equal(full["configs"][1:], rest["configs"])
+        for k in steps:
+            assert np.array_equal(full["snapshots"][k][1:], rest["snapshots"][k])
+        assert np.array_equal(full["snapshots"][200][0], full["configs"][0])
 
 
 class TestEquivariance:
