@@ -1,16 +1,18 @@
 """Batch experiment execution and artifact serialization.
 
 Every run writes its result files plus ``manifest.json`` carrying the echoed
-config, the package version, the seed, per-file content hashes and the wall
-time.  Result files are byte-identical across repeat runs and across thread
-counts for a fixed (config, seed); the manifest is excluded from that
-contract because it records the wall time, but its file-hash map is itself
+config, the package version, the seed, per-file content hashes, the wall
+time and the environment (cpu count, requested threads, library versions).
+Result files are byte-identical across repeat runs and across thread counts
+for a fixed (config, seed); the manifest is excluded from that contract
+because it records the wall time, but its file-hash map is itself
 deterministic.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 
@@ -72,8 +74,24 @@ class RunOutput:
             "package_version": __version__,
             "files": hashes,
             "wall_time_s": time.monotonic() - started,
+            "environment": _environment(cfg["threads"]),
         }
         (self.out_dir / "manifest.json").write_bytes(canonical_json(manifest).encode())
+
+
+def _environment(threads: int) -> dict:
+    """Machine and library versions behind a run's numbers.
+
+    Result bytes rest on the platform's math library (the velocity kernel
+    builds exp(i x) from cos and sin), so a run names where it ran.
+    """
+    import platform
+
+    import scipy
+
+    return {"cpu_count": os.cpu_count(), "threads": threads,
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "python": platform.python_version(), "machine": platform.machine()}
 
 
 def _check_block(checks: list[tuple[str, bool, str]]) -> dict:
@@ -182,7 +200,8 @@ def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
     snaps = dict(zip(steps, sorted(extras["snapshots"].items())))
     signs = np.ones((n_store, n_steps), dtype=np.int8)
     if stoch is not None:
-        signs = _sign_paths(cfg["seed"], np.arange(n_store), n_steps, stoch)
+        signs = _sign_paths(cfg["seed"], np.arange(n_store), n_steps, stoch,
+                            stream(cfg["seed"]))
     rows = []
     for trial in range(n_store):
         for k in stored:

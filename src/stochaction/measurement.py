@@ -36,6 +36,10 @@ from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow,
 # and 0.7x in 4096-row ones, where each complex 3-mode temporary (196 KB)
 # pushes the working set out of L2.
 _CHUNK = 2048
+# Initial ring draws evaluate the density this many trials (8 angles each) per
+# product: small enough that the BLAS product stays on one thread, where every
+# row is computed exactly as in a one-trial product.
+_DRAW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -245,24 +249,47 @@ def _sample_line(density: np.ndarray, points: np.ndarray, n: int,
     return points[idx] + (frac - 0.5) * h
 
 
-def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray) -> np.ndarray:
-    """Per-trial product-form draws from |Psi(0)|^2, one counter stream each."""
+def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray,
+                   gen: np.random.Generator) -> np.ndarray:
+    """Per-trial product-form draws from |Psi(0)|^2, one counter stream each.
+
+    ``gen`` is re-keyed to each trial's stream.  On the ring every trial draws
+    8 angles and 8 envelope heights per round until one lands under the
+    density, then one pointer normal.  The rounds of all pending trials share
+    one density evaluation and each trial's stream position is kept between
+    rounds, so the draws equal those of a trial-by-trial loop.
+    """
     out = np.empty((len(trials), 2))
+    bits = gen.bit_generator
+    center, sigma = state0.centers[0], state0.packet.sigma
     if isinstance(state0.modes, RingModes):
         fine = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
         dens_fine = np.abs(np.tensordot(state0.coeffs, state0.modes.values(fine), axes=1)) ** 2
         bound = 1.05 * float(dens_fine.max())
-        for k, trial in enumerate(trials):
-            r = rngmod.stream(seed, rngmod.INITIAL, int(trial))
-            while True:
-                th = r.uniform(0.0, 2.0 * np.pi, size=8)
-                u = r.uniform(0.0, bound, size=8)
-                dens = np.abs(np.tensordot(state0.coeffs, state0.modes.values(th), axes=1)) ** 2
-                ok = np.flatnonzero(u < dens)
-                if len(ok):
-                    out[k, 0] = th[ok[0]]
-                    break
-            out[k, 1] = r.normal(state0.centers[0], state0.packet.sigma)
+        positions = [None] * len(trials)
+        pending = np.arange(len(trials))
+        while len(pending):
+            th = np.empty((len(pending), 8))
+            u = np.empty((len(pending), 8))
+            for j, k in enumerate(pending):
+                if positions[k] is None:
+                    rngmod.rekey(gen, seed, rngmod.INITIAL, int(trials[k]))
+                else:
+                    bits.state = positions[k]
+                th[j] = gen.uniform(0.0, 2.0 * np.pi, size=8)
+                u[j] = gen.uniform(0.0, bound, size=8)
+                positions[k] = bits.state
+                # the pointer draw that follows if this round hits; a miss
+                # resumes from the saved position and draws it again
+                out[k, 1] = gen.normal(center, sigma)
+            dens = np.empty_like(th)
+            for a in range(0, len(pending), _DRAW_BLOCK):
+                dens[a:a + _DRAW_BLOCK] = np.abs(np.tensordot(
+                    state0.coeffs, state0.modes.values(th[a:a + _DRAW_BLOCK]), axes=1)) ** 2
+            hit = u < dens
+            found = hit.any(axis=1)
+            out[pending[found], 0] = th[found, np.argmax(hit[found], axis=1)]
+            pending = pending[~found]
     else:
         xg = state0.modes.x_grid
         if isinstance(state0.modes, PlaneWaveModes):
@@ -271,18 +298,19 @@ def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray) -> np.n
             table = state0.modes.table
         dens = np.abs(np.tensordot(state0.coeffs, table, axes=1)) ** 2
         for k, trial in enumerate(trials):
-            r = rngmod.stream(seed, rngmod.INITIAL, int(trial))
-            out[k, 0] = _sample_line(dens, xg, 1, r)[0]
-            out[k, 1] = r.normal(state0.centers[0], state0.packet.sigma)
+            rngmod.rekey(gen, seed, rngmod.INITIAL, int(trial))
+            out[k, 0] = _sample_line(dens, xg, 1, gen)[0]
+            out[k, 1] = gen.normal(center, sigma)
     return out
 
 
-def _sign_paths(seed: int, trials: np.ndarray, n_steps: int,
-                stoch: StochasticParams) -> np.ndarray:
+def _sign_paths(seed: int, trials: np.ndarray, n_steps: int, stoch: StochasticParams,
+                gen: np.random.Generator) -> np.ndarray:
+    """Each trial's sign path from its own stream (``gen`` is re-keyed per trial)."""
     paths = np.empty((len(trials), n_steps), dtype=np.int8)
     for k, trial in enumerate(trials):
-        r = rngmod.stream(seed, rngmod.SIGNS, int(trial))
-        paths[k] = sample_sign_path(stoch, n_steps, r)
+        paths[k] = sample_sign_path(stoch, n_steps,
+                                    rngmod.rekey(gen, seed, rngmod.SIGNS, int(trial)))
     return paths
 
 
@@ -291,18 +319,20 @@ def _run_chunk(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensemble
                stoch: StochasticParams | None, snapshot_steps: tuple[int, ...]):
     state0 = pipe.state0
     flow = _make_flow(pipe, config)
-    q0 = _initial_draws(state0, seed, trials)
+    # one generator per chunk, re-keyed to every per-trial stream it draws from
+    gen = rngmod.stream(seed)
+    q0 = _initial_draws(state0, seed, trials, gen)
     n_steps = int(round(config.t_M / spec.dt_traj))
     sign_paths = None
     signs0 = np.ones(len(trials), dtype=np.int8)
     if velocity == "actual":
-        sign_paths = _sign_paths(seed, trials, n_steps, stoch)
+        sign_paths = _sign_paths(seed, trials, n_steps, stoch, gen)
         signs0 = sign_paths[:, 0]
     else:
         # the prior observable still carries a hidden sign at t = 0
         for k, trial in enumerate(trials):
-            r = rngmod.stream(seed, rngmod.SIGNS, int(trial))
-            signs0[k] = np.int8(r.integers(0, 2) * 2 - 1)
+            rngmod.rekey(gen, seed, rngmod.SIGNS, int(trial))
+            signs0[k] = np.int8(gen.integers(0, 2) * 2 - 1)
     result = integrate_ensemble(
         flow, q0, spec, t0=state0.t, duration=config.t_M,
         sign_paths=sign_paths, lambda_mag=config.lambda_mag,

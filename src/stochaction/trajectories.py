@@ -78,10 +78,15 @@ class ModeFlow:
         self.centers0 = state.centers[sup]
         if self.ring:
             self._l = state.modes.basis.modes[sup].astype(int)
+            self._l_abs_max = int(np.max(np.abs(self._l))) if len(self._l) else 0
+            self._scale = 1.0 / np.sqrt(TWO_PI)
+            self._dfactor = 1j * self._l
         elif self.plane:
             self._p = state.modes.momenta[sup]
             self._box_scale = 1.0 / np.sqrt(state.modes.box_length)
+            self._dfactor = 1j * self._p
         self._pack_norm = (TWO_PI * self.sigma**2) ** -0.25
+        self._two_var = 2.0 * self.sigma**2
         self.ref_peak = self._reference_peak()
 
     def _reference_peak(self) -> float:
@@ -97,21 +102,25 @@ class ModeFlow:
         return self.centers0 + self.g * self.omegas * (t - self.t0)
 
     def _mode_values(self, x: np.ndarray, with_derivatives: bool):
+        """Occupied mode values ``u`` (and ``du/dx``), each row written once."""
         if self.ring:
-            # powers of exp(i x) cover every occupied mode; conjugate gives l < 0
-            z = np.exp(1j * x)
-            l_abs_max = int(np.max(np.abs(self._l))) if len(self._l) else 0
-            powers = [np.ones_like(z)]
-            for _ in range(l_abs_max):
+            # powers of exp(i x) cover every occupied mode; conjugates give l < 0
+            z = np.empty(x.shape, dtype=complex)
+            np.cos(x, out=z.real)
+            np.sin(x, out=z.imag)
+            powers = [None, z]
+            for _ in range(1, self._l_abs_max):
                 powers.append(powers[-1] * z)
-            scale = 1.0 / np.sqrt(TWO_PI)
             u = np.empty((len(self._l),) + x.shape, dtype=complex)
             for k, l in enumerate(self._l):
-                u[k] = powers[abs(l)] if l >= 0 else np.conj(powers[abs(l)])
-            u *= scale
-            du = (1j * self._l.reshape((-1,) + (1,) * x.ndim)) * u if with_derivatives else None
-            return u, du
-        if self.plane:
+                if l == 0:
+                    u[k] = 1.0
+                elif l > 0:
+                    u[k] = powers[l]
+                else:
+                    np.conjugate(powers[-l], out=u[k])
+            u *= self._scale
+        elif self.plane:
             # equally spaced momenta: one exp for the base, one per step of the chain
             p = self._p
             u = np.empty((len(p),) + x.shape, dtype=complex)
@@ -119,48 +128,59 @@ class ModeFlow:
             if len(p) > 1:
                 step = np.exp(1j * (p[1] - p[0]) * x)
                 for k in range(1, len(p)):
-                    u[k] = u[k - 1] * step
+                    np.multiply(u[k - 1], step, out=u[k])
             u *= self._box_scale
-            du = (1j * p.reshape((-1,) + (1,) * x.ndim)) * u if with_derivatives else None
+        else:
+            u = self.modes.values(x)[self._sup]
+            du = self.modes.derivatives(x)[self._sup] if with_derivatives else None
             return u, du
-        u = self.modes.values(x)[self._sup]
-        du = self.modes.derivatives(x)[self._sup] if with_derivatives else None
+        du = self._dfactor.reshape((-1,) + (1,) * x.ndim) * u if with_derivatives else None
         return u, du
 
-    def _gaussians(self, q2: np.ndarray, t: float):
+    def _weighted_gaussians(self, q2: np.ndarray, t: float):
+        """``c_k`` times each pointer packet at ``q2``, and ``(mu_k - q2) / (2 sigma^2)``.
+
+        Built from ``mu_k - q2``: negating both factors of the exponent keeps
+        every bit of the ``q2 - mu_k`` form and saves the negation that the
+        pointer gradient needs.
+        """
         mu = self.centers(t)
-        shift = q2[None, ...] - mu.reshape((-1,) + (1,) * q2.ndim)
-        zq = shift / (2.0 * self.sigma**2)
-        gauss = self._pack_norm * np.exp(-0.5 * zq * shift)
-        return gauss, zq
+        mshift = mu.reshape((-1,) + (1,) * q2.ndim) - q2[None, ...]
+        mzq = mshift / self._two_var
+        gauss = -0.5 * mzq
+        gauss *= mshift
+        np.exp(gauss, out=gauss)
+        gauss *= self._pack_norm
+        return self.coeffs.reshape((-1,) + (1,) * q2.ndim) * gauss, mzq
 
     def _terms(self, x: np.ndarray, q2: np.ndarray, t: float):
         """Psi, its two gradients and the density at arbitrary points."""
         u, du = self._mode_values(x, with_derivatives=True)
-        gauss, zq = self._gaussians(q2, t)
-        cg = self.coeffs.reshape((-1,) + (1,) * x.ndim) * gauss
-        cgu = cg * u
-        psi = np.sum(cgu, axis=0)
-        dpsi_x = np.sum(cg * du, axis=0)
-        dpsi_q = np.sum(cgu * (-zq), axis=0)
+        cg, mzq = self._weighted_gaussians(q2, t)
+        # operand order as in cg * du: complex products are not bitwise commutative
+        dpsi_x = np.add.reduce(np.multiply(cg, du, out=du), axis=0)
+        psi = np.add.reduce(np.multiply(cg, u, out=u), axis=0)
+        u *= mzq
+        dpsi_q = np.add.reduce(u, axis=0)
         dens = np.abs(psi) ** 2
         return psi, dpsi_x, dpsi_q, dens
 
     def density(self, points: np.ndarray, t: float) -> np.ndarray:
         x, q2 = points[..., 0], points[..., 1]
         u, _ = self._mode_values(x, with_derivatives=False)
-        gauss, _ = self._gaussians(q2, t)
-        cg = self.coeffs.reshape((-1,) + (1,) * x.ndim) * gauss
-        psi = np.sum(cg * u, axis=0)
-        return np.abs(psi) ** 2
+        cg, _ = self._weighted_gaussians(q2, t)
+        return np.abs(np.add.reduce(np.multiply(cg, u, out=u), axis=0)) ** 2
 
     def effective(self, points: np.ndarray, t: float, with_density: bool = False):
         """Phase-gradient field; ``with_density`` also returns ``|Psi|^2`` as ``(v, dens)``."""
         psi, dpsi_x, dpsi_q, dens = self._terms(points[..., 0], points[..., 1], t)
         safe = np.maximum(dens, 1e-300)
-        grad_s_x = np.imag(np.conj(psi) * dpsi_x) / safe
-        grad_s_q = np.imag(np.conj(psi) * dpsi_q) / safe
-        v = self.g * np.stack([grad_s_q, grad_s_x], axis=-1)
+        pc = np.conj(psi)
+        v = np.empty(psi.shape + (2,))
+        for j, dpsi in enumerate((dpsi_q, dpsi_x)):
+            np.multiply(pc, dpsi, out=dpsi)
+            np.divide(dpsi.imag, safe, out=v[..., j])
+        v *= self.g
         return (v, dens) if with_density else v
 
     def actual(self, points: np.ndarray, t: float, lambda_signed, with_density: bool = False):
@@ -173,13 +193,15 @@ class ModeFlow:
         psi, dpsi_x, dpsi_q, dens = self._terms(points[..., 0], points[..., 1], t)
         safe = np.maximum(dens, 1e-300)
         pc = np.conj(psi)
-        grad_s_x = np.imag(pc * dpsi_x) / safe
-        grad_s_q = np.imag(pc * dpsi_q) / safe
-        osm_x = np.real(pc * dpsi_x) / safe
-        osm_q = np.real(pc * dpsi_q) / safe
         lam = np.asarray(lambda_signed)
-        v = self.g * np.stack([grad_s_q + lam * osm_q,
-                               grad_s_x + lam * osm_x], axis=-1)
+        v = np.empty(psi.shape + (2,))
+        for j, dpsi in enumerate((dpsi_q, dpsi_x)):
+            np.multiply(pc, dpsi, out=dpsi)
+            np.divide(dpsi.imag, safe, out=v[..., j])
+            osmotic = dpsi.real / safe
+            osmotic *= lam
+            v[..., j] += osmotic
+        v *= self.g
         return (v, dens) if with_density else v
 
 

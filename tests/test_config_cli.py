@@ -1,5 +1,6 @@
 """Config validation, experiment runners, CLI exit codes, determinism."""
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,20 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["config"]["ensemble"]["n_trials"] == 150
+
+    def test_manifest_names_its_environment(self, tmp_path):
+        path, data = make_config(tmp_path)
+        out = tmp_path / "env"
+        assert cli_main(["born", "--config", str(path), "--threads", "3",
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        env = manifest["environment"]
+        assert set(env) == {"cpu_count", "threads", "numpy", "scipy", "python", "machine"}
+        assert env["threads"] == 3
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["numpy"] == np.__version__
+        assert set(manifest["files"]) == {"records.jsonl", "summary.json",
+                                          "frequencies.csv"}
 
 
 class TestDeterminism:

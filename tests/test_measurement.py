@@ -7,6 +7,8 @@ from stochaction import (AngularBasis, DomainOverflowError, GaussianPacket, Grid
                          actual_observable_prior, average_prior, effective_post,
                          prepare_initial_state, repeat_measurement, run_ensemble,
                          run_single_event, substitute_observable)
+from stochaction.rng import INITIAL, SIGNS, stream
+from stochaction.stochastic import sample_sign_path
 from stochaction.trajectories import EnsembleSpec
 
 
@@ -390,3 +392,97 @@ class TestSubstituteObservable:
         with pytest.raises(ValueError):
             substitute_observable("energy", psi, x, window=(-1, 1), n_bins=4,
                                   config=config, grid=grid)
+
+
+def oracle_initial_draws(state0, seed, trials):
+    """Reference loop: a new stream per trial, one 8-point density call per round."""
+    from stochaction.measurement import _sample_line
+    from stochaction.spectral import PlaneWaveModes, RingModes
+    out = np.empty((len(trials), 2))
+    rounds = np.zeros(len(trials), dtype=int)
+    if isinstance(state0.modes, RingModes):
+        fine = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+        dens_fine = np.abs(np.tensordot(state0.coeffs, state0.modes.values(fine), axes=1)) ** 2
+        bound = 1.05 * float(dens_fine.max())
+        for k, trial in enumerate(trials):
+            r = stream(seed, INITIAL, int(trial))
+            while True:
+                rounds[k] += 1
+                th = r.uniform(0.0, 2.0 * np.pi, size=8)
+                u = r.uniform(0.0, bound, size=8)
+                dens = np.abs(np.tensordot(state0.coeffs, state0.modes.values(th),
+                                           axes=1)) ** 2
+                ok = np.flatnonzero(u < dens)
+                if len(ok):
+                    out[k, 0] = th[ok[0]]
+                    break
+            out[k, 1] = r.normal(state0.centers[0], state0.packet.sigma)
+    else:
+        xg = state0.modes.x_grid
+        table = (state0.modes.values(xg) if isinstance(state0.modes, PlaneWaveModes)
+                 else state0.modes.table)
+        dens = np.abs(np.tensordot(state0.coeffs, table, axes=1)) ** 2
+        for k, trial in enumerate(trials):
+            r = stream(seed, INITIAL, int(trial))
+            out[k, 0] = _sample_line(dens, xg, 1, r)[0]
+            out[k, 1] = r.normal(state0.centers[0], state0.packet.sigma)
+    return out, rounds
+
+
+class TestDrawOracle:
+    """Batched initial draws and re-keyed streams equal per-trial fresh streams."""
+
+    @staticmethod
+    def _draws(state0, seed, trials):
+        from stochaction.measurement import _initial_draws
+        return _initial_draws(state0, seed, trials, stream(seed))
+
+    def test_canonical_state(self, grid, basis, config, packet):
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        trials = np.arange(100, 2600)
+        want, _ = oracle_initial_draws(state, 31, trials)
+        assert np.array_equal(self._draws(state, 31, trials), want)
+
+    def test_low_acceptance_ring_state(self, grid, basis, config, packet):
+        # all 17 modes in phase: a sharp peak under a flat envelope
+        coeffs = {l: 1.0 / np.sqrt(17) for l in basis.modes}
+        state = prepare_initial_state(coeffs, packet, config, grid, basis,
+                                      enforce_separation=False)
+        trials = np.array([0, 5, 3, 2**48 - 1] + list(range(10, 400)))
+        want, rounds = oracle_initial_draws(state, 32, trials)
+        assert np.count_nonzero(rounds >= 2) > 50
+        assert rounds.max() >= 4
+        assert np.array_equal(self._draws(state, 32, trials), want)
+
+    @pytest.mark.parametrize("kind", ["position", "linear_momentum"])
+    def test_line_pipelines(self, kind):
+        config = PhysicalConfig(sigma=0.02, sep_factor=8.0, g=1.0, t_M=1.0)
+        x = np.linspace(-20.0, 20.0, 1024, endpoint=False)
+        psi = np.exp(-x**2 / 4 + 1j * x).astype(complex)
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
+        window, n_bins = ((-4.0, 4.0), 8) if kind == "position" else ((-4.0, 6.0), 10)
+        pipe = substitute_observable(kind, psi, x, window=window, n_bins=n_bins,
+                                     config=config, grid=GridSpec(64, -8, 8, 1024))
+        trials = np.arange(300)
+        want, _ = oracle_initial_draws(pipe.state0, 33, trials)
+        assert np.array_equal(self._draws(pipe.state0, 33, trials), want)
+
+    @pytest.mark.parametrize("velocity", ["effective", "actual"])
+    def test_signs_equal_fresh_streams(self, grid, basis, config, packet, velocity):
+        from stochaction.measurement import _sign_paths
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        spec = EnsembleSpec(dt_traj=1e-2)
+        stoch = StochasticParams(tau_xi=0.1, sign_law="telegraph", flip_prob=0.3)
+        records, _, _ = run_ensemble(state, config, spec, 40, seed=34, velocity=velocity,
+                                     stoch=stoch if velocity == "actual" else None)
+        trials = np.arange(40)
+        if velocity == "effective":
+            want0 = [int(stream(34, SIGNS, t).integers(0, 2) * 2 - 1) for t in trials]
+        else:
+            want0 = [int(sample_sign_path(stoch, 100, stream(34, SIGNS, t))[0])
+                     for t in trials]
+        assert [r.lambda_sign0 for r in records] == want0
+        paths = _sign_paths(34, trials[::-1], 100, stoch, stream(0))
+        want = np.stack([sample_sign_path(stoch, 100, stream(34, SIGNS, t))
+                         for t in trials[::-1]])
+        assert np.array_equal(paths, want)

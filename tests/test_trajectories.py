@@ -4,7 +4,7 @@ import pytest
 from scipy import stats as sps
 
 from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
-                         RingModes, SpectralState, actual_velocity,
+                         PlaneWaveModes, RingModes, SpectralState, actual_velocity,
                          effective_velocity, equivariance_report,
                          integrate_ensemble, synthesize_joint)
 from stochaction.rng import stream
@@ -117,6 +117,165 @@ class TestVelocities:
         eff = effective_velocity(state, pts, g=1.0)
         act = actual_velocity(state, pts, g=1.0, lambda_signed=0.0)
         assert np.array_equal(act, eff)
+
+
+def oracle_mode_values(flow, x, with_derivatives):
+    """Reference mode table: complex exp, power chain from ones, per-mode copies."""
+    if flow.ring:
+        z = np.exp(1j * x)
+        l_abs_max = int(np.max(np.abs(flow._l))) if len(flow._l) else 0
+        powers = [np.ones_like(z)]
+        for _ in range(l_abs_max):
+            powers.append(powers[-1] * z)
+        u = np.empty((len(flow._l),) + x.shape, dtype=complex)
+        for k, l in enumerate(flow._l):
+            u[k] = powers[abs(l)] if l >= 0 else np.conj(powers[abs(l)])
+        u *= 1.0 / np.sqrt(2 * np.pi)
+        du = (1j * flow._l.reshape((-1,) + (1,) * x.ndim)) * u if with_derivatives else None
+        return u, du
+    if flow.plane:
+        p = flow._p
+        u = np.empty((len(p),) + x.shape, dtype=complex)
+        u[0] = np.exp(1j * p[0] * x)
+        if len(p) > 1:
+            step = np.exp(1j * (p[1] - p[0]) * x)
+            for k in range(1, len(p)):
+                u[k] = u[k - 1] * step
+        u *= flow._box_scale
+        du = (1j * p.reshape((-1,) + (1,) * x.ndim)) * u if with_derivatives else None
+        return u, du
+    u = flow.modes.values(x)[flow._sup]
+    du = flow.modes.derivatives(x)[flow._sup] if with_derivatives else None
+    return u, du
+
+
+def oracle_gaussians(flow, q2, t):
+    mu = flow.centers(t)
+    shift = q2[None, ...] - mu.reshape((-1,) + (1,) * q2.ndim)
+    zq = shift / (2.0 * flow.sigma**2)
+    gauss = flow._pack_norm * np.exp(-0.5 * zq * shift)
+    return gauss, zq
+
+
+def oracle_terms(flow, x, q2, t):
+    u, du = oracle_mode_values(flow, x, True)
+    gauss, zq = oracle_gaussians(flow, q2, t)
+    cg = flow.coeffs.reshape((-1,) + (1,) * x.ndim) * gauss
+    cgu = cg * u
+    psi = np.sum(cgu, axis=0)
+    dpsi_x = np.sum(cg * du, axis=0)
+    dpsi_q = np.sum(cgu * (-zq), axis=0)
+    return psi, dpsi_x, dpsi_q, np.abs(psi) ** 2
+
+
+def oracle_density(flow, points, t):
+    x, q2 = points[..., 0], points[..., 1]
+    u, _ = oracle_mode_values(flow, x, False)
+    gauss, _ = oracle_gaussians(flow, q2, t)
+    cg = flow.coeffs.reshape((-1,) + (1,) * x.ndim) * gauss
+    return np.abs(np.sum(cg * u, axis=0)) ** 2
+
+
+def oracle_effective(flow, points, t):
+    psi, dpsi_x, dpsi_q, dens = oracle_terms(flow, points[..., 0], points[..., 1], t)
+    safe = np.maximum(dens, 1e-300)
+    grad_s_x = np.imag(np.conj(psi) * dpsi_x) / safe
+    grad_s_q = np.imag(np.conj(psi) * dpsi_q) / safe
+    return flow.g * np.stack([grad_s_q, grad_s_x], axis=-1), dens
+
+
+def oracle_actual(flow, points, t, lambda_signed):
+    psi, dpsi_x, dpsi_q, dens = oracle_terms(flow, points[..., 0], points[..., 1], t)
+    safe = np.maximum(dens, 1e-300)
+    pc = np.conj(psi)
+    grad_s_x = np.imag(pc * dpsi_x) / safe
+    grad_s_q = np.imag(pc * dpsi_q) / safe
+    osm_x = np.real(pc * dpsi_x) / safe
+    osm_q = np.real(pc * dpsi_q) / safe
+    lam = np.asarray(lambda_signed)
+    v = flow.g * np.stack([grad_s_q + lam * osm_q, grad_s_x + lam * osm_x], axis=-1)
+    return v, dens
+
+
+def plane_wave_state(grid):
+    # equally spaced momenta with a zero-weight interior mode
+    x = np.linspace(-8.0, 8.0, 257)
+    p = np.array([-1.5, -0.5, 0.5, 1.5, 2.5])
+    c = np.array([0.3, 0.6, 0.0, 0.5j, -0.4 + 0.2j])
+    return SpectralState(coeffs=c / np.linalg.norm(c),
+                         modes=PlaneWaveModes(p, 16.0, x),
+                         packet=GaussianPacket(0.0, 0.05),
+                         centers=np.full(len(p), 0.02), t=0.0, grid=grid)
+
+
+def line_mode_state(grid):
+    x = np.linspace(-6.0, 6.0, 401)
+    table = np.stack([np.exp(-(x - 1.0) ** 2 + 0.7j * x),
+                      np.exp(-(x + 1.0) ** 2 / 2 - 0.2j * x)])
+    return SpectralState(coeffs=np.array([0.8, 0.6j]),
+                         modes=LineModes(x, table, np.array([-1.0, 1.0])),
+                         packet=GaussianPacket(0.0, 0.05),
+                         centers=np.zeros(2), t=0.0, grid=grid)
+
+
+class TestKernelOracle:
+    """The velocity kernel reproduces the reference kernel bit for bit."""
+
+    RING_STATES = {
+        "three": {-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
+        "wide": {-3: np.sqrt(0.1), -1: np.sqrt(0.4), 1: np.sqrt(0.3), 3: np.sqrt(0.2)},
+        # |l| up to 8, gaps, and an explicit zero weight inside the range
+        "high": {-8: 0.3, -5: 0.4j, -2: 0.2, 0: 0.0, 1: -0.5, 4: 0.3 + 0.3j,
+                 8: 0.5},
+    }
+
+    @staticmethod
+    def _points(state, n, seed):
+        r = stream(seed)
+        theta = r.uniform(-20.0, 20.0, n)          # well outside [0, 2 pi)
+        q2 = r.normal(0.0, 2.0 * state.packet.sigma, n)
+        q2[::17] = r.uniform(-60.0, 60.0, len(q2[::17]))   # far tail: density 0
+        theta[:3] = (-0.0, 0.0, 2 * np.pi)
+        return np.stack([theta, q2], axis=-1)
+
+    def _check(self, state, seed):
+        flow = ModeFlow(state, g=1.3)
+        pts = self._points(state, 3000, seed)
+        lam_points = 0.8 * (stream(seed + 1).integers(0, 2, len(pts)) * 2 - 1)
+        for t in (state.t, 0.37):
+            want_v, want_d = oracle_effective(flow, pts, t)
+            got_v, got_d = flow.effective(pts, t, with_density=True)
+            assert np.array_equal(got_v, want_v)
+            assert np.array_equal(got_d, want_d)
+            assert np.array_equal(flow.density(pts, t), oracle_density(flow, pts, t))
+            for lam in (0.7, lam_points):
+                want_a, want_ad = oracle_actual(flow, pts, t, lam)
+                got_a, got_ad = flow.actual(pts, t, lam, with_density=True)
+                assert np.array_equal(got_a, want_a)
+                assert np.array_equal(got_ad, want_ad)
+            # any leading shape
+            grid_pts = pts[:2400].reshape(40, 60, 2)
+            assert np.array_equal(flow.effective(grid_pts, t),
+                                  oracle_effective(flow, grid_pts, t)[0])
+        assert np.count_nonzero(want_d == 0.0) > 0, "the 1e-300 guard was not exercised"
+        return flow
+
+    @pytest.mark.parametrize("name", sorted(RING_STATES))
+    def test_ring_states(self, grid, basis, name):
+        coeffs = dict(self.RING_STATES[name])
+        norm = np.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
+        state = make_state({l: c / norm for l, c in coeffs.items()}, basis, grid,
+                           sigma=0.05, mu0=0.1)
+        flow = self._check(state, seed=61)
+        assert flow.ring and len(flow._l) == sum(c != 0 for c in coeffs.values())
+
+    def test_plane_wave_flow(self, grid):
+        flow = self._check(plane_wave_state(grid), seed=62)
+        assert flow.plane and len(flow._p) == 5
+
+    def test_line_mode_flow(self, grid):
+        flow = self._check(line_mode_state(grid), seed=63)
+        assert not flow.ring and not flow.plane
 
 
 class TestIntegration:

@@ -1,15 +1,21 @@
 """Result-file hashes of one small run per experiment kind.
 
 Runs each config below through ``run_experiment`` and prints
-``{kind: manifest["files"]}`` as JSON.  Diff the output of two checkouts to
-see whether a change kept the result bytes for a fixed (config, seed):
+``{kind: manifest["files"]}`` as JSON.  To check that a change kept the
+result bytes for a fixed (config, seed), save the hashes of one checkout and
+compare the other against them:
 
-    python3 tools/result_hashes.py > hashes.json
+    python3 tools/result_hashes.py > hashes.json              # in the parent
+    python3 tools/result_hashes.py --compare hashes.json      # in the change
+
+``--compare`` prints every (kind, file) whose hash differs or that exists on
+one side only, and exits 1 if there is any, 0 if all match.
 
 The package is imported from the ``src`` directory next to this script.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import tempfile
@@ -65,6 +71,33 @@ def result_hashes() -> dict:
     return hashes
 
 
-if __name__ == "__main__":
+def differences(expected: dict, actual: dict) -> list[tuple[str, str]]:
+    """Every (kind, file) whose hash differs or that only one side has."""
+    out = []
+    for kind in sorted(set(expected) | set(actual)):
+        want, got = expected.get(kind, {}), actual.get(kind, {})
+        out += [(kind, name) for name in sorted(set(want) | set(got))
+                if want.get(name) != got.get(name)]
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", metavar="FILE",
+                        help="hashes saved from another checkout to compare against")
+    args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    print(json.dumps(result_hashes(), indent=2, sort_keys=True))
+    hashes = result_hashes()
+    if args.compare is None:
+        print(json.dumps(hashes, indent=2, sort_keys=True))
+        return 0
+    diff = differences(json.loads(Path(args.compare).read_text()), hashes)
+    for kind, name in diff:
+        print(f"differs: {kind} {name}")
+    n_files = sum(len(files) for files in hashes.values())
+    print(f"{len(diff)} differing of {n_files} files in {len(hashes)} kinds")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
