@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from .core import GridSpec, InvalidSystemError, PhysicalConfig
+from .rng import SEED_MAX
 from .spectral import AngularBasis
 from .stochastic import StochasticParams
 from .trajectories import EnsembleSpec
@@ -238,6 +239,10 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
         violations.append("velocity: must be effective or actual")
     if cfg.get("threads", 1) < 1:
         violations.append("threads: must be at least 1")
+    # repeatability draws its follow-up ensemble at seed + 1
+    seed_max = SEED_MAX - 1 if cfg.get("experiment") == "repeatability" else SEED_MAX
+    if not 0 <= cfg["seed"] <= seed_max:
+        violations.append(f"seed: must be in [0, {seed_max}]")
     if violations:
         return
 

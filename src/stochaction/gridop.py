@@ -10,8 +10,10 @@ potential a and scalar potential V.  The kinetic sandwich is discretized so
 that Hermiticity holds by construction: the diagonal blocks use the
 conservative half-point stencil for d(g d.)/dq and the cross blocks pair the
 antisymmetric central-difference matrix with the metric diagonal in both
-orders.  Time stepping is the Cayley (implicit midpoint) form, which is
-unitary for any Hermitian matrix and second order in dt.
+orders.  Each axis operator is assembled in one pass from the flat indices of
+neighbouring grid points, the same code for any dimension and any mix of
+periodic axes.  Time stepping is the Cayley (implicit midpoint) form, which
+is unitary for any Hermitian matrix and second order in dt.
 """
 from __future__ import annotations
 
@@ -173,68 +175,45 @@ def _validate_metric(g: np.ndarray, d: int) -> None:
         raise InvalidSystemError("metric must be positive-definite at every grid point")
 
 
-def _central_diff(n: int, h: float, periodic: bool) -> sp.spmatrix:
-    d = sp.diags([np.full(n - 1, -0.5 / h), np.full(n - 1, 0.5 / h)],
-                 offsets=[-1, 1], format="lil")
-    if periodic:
-        d[0, n - 1] = -0.5 / h
-        d[n - 1, 0] = 0.5 / h
-    return d.tocsr()
+def _neighbours(grid: CartesianGrid, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of each grid point and of its ``+1`` neighbour along ``axis``.
+
+    On a non-periodic axis the wrap-around pair is dropped.
+    """
+    index = np.arange(grid.size).reshape(grid.shape)
+    nxt = np.roll(index, -1, axis)
+    if not grid.periodic[axis]:
+        index, nxt = np.moveaxis(index, axis, 0)[:-1], np.moveaxis(nxt, axis, 0)[:-1]
+    return index.ravel(), nxt.ravel()
 
 
-def _conservative(coeff: np.ndarray, h: float, periodic: bool) -> sp.spmatrix:
-    """Symmetric stencil for d/dq (c(q) d/dq .) with half-point coefficients."""
-    n = len(coeff)
-    if periodic:
-        c_plus = 0.5 * (coeff + np.roll(coeff, -1))
-        c_minus = np.roll(c_plus, 1)
-    else:
-        c_plus = np.empty(n)
-        c_plus[:-1] = 0.5 * (coeff[:-1] + coeff[1:])
-        c_plus[-1] = coeff[-1]
-        c_minus = np.empty(n)
-        c_minus[1:] = c_plus[:-1]
-        c_minus[0] = coeff[0]
-    mat = sp.lil_matrix((n, n))
-    mat.setdiag(-(c_plus + c_minus) / h**2)
-    mat.setdiag(c_plus[:-1] / h**2, 1)
-    mat.setdiag(c_plus[:-1] / h**2, -1)
-    if periodic:
-        mat[0, n - 1] = c_minus[0] / h**2
-        mat[n - 1, 0] = c_plus[n - 1] / h**2
-    return mat.tocsr()
+def _derivative(grid: CartesianGrid, axis: int) -> sp.csr_matrix:
+    """Antisymmetric central difference ``d/dq`` along ``axis``."""
+    i, j = _neighbours(grid, axis)
+    half = np.full(len(i), 0.5 / grid.spacing(axis))
+    return sp.csr_matrix((np.concatenate([half, -half]),
+                          (np.concatenate([i, j]), np.concatenate([j, i]))),
+                         shape=(grid.size, grid.size))
 
 
-def _axis_operator(mat_1d: sp.spmatrix, axis: int, shape: tuple[int, ...]) -> sp.spmatrix:
-    if len(shape) == 1:
-        return mat_1d
-    if axis == 0:
-        return sp.kron(mat_1d, sp.identity(shape[1]), format="csr")
-    return sp.kron(sp.identity(shape[0]), mat_1d, format="csr")
+def _divergence_form(coeff: np.ndarray, grid: CartesianGrid, axis: int) -> sp.csr_matrix:
+    """Symmetric stencil for ``d/dq (c(q) d/dq .)`` along ``axis``, half-point coefficients.
 
-
-def _conservative_nd(coeff: np.ndarray, grid: CartesianGrid, axis: int) -> sp.spmatrix:
-    """Conservative operator along one axis with a position-dependent coefficient."""
-    if grid.dimension == 1:
-        return _conservative(coeff, grid.spacing(0), grid.periodic[0])
-    # build rows for every line along `axis`, assembled as a block pattern
+    Beyond a non-periodic edge the half-point coefficient is the edge value.
+    """
     h = grid.spacing(axis)
-    per = grid.periodic[axis]
-    n0, n1 = grid.shape
-    flat = sp.lil_matrix((grid.size, grid.size))
-    if axis == 0:
-        for j in range(n1):
-            line = _conservative(coeff[:, j], h, per).tocoo()
-            rows = line.row * n1 + j
-            cols = line.col * n1 + j
-            flat[rows, cols] = line.data
-    else:
-        for i in range(n0):
-            line = _conservative(coeff[i, :], h, per).tocoo()
-            rows = i * n1 + line.row
-            cols = i * n1 + line.col
-            flat[rows, cols] = line.data
-    return flat.tocsr()
+    c_plus = 0.5 * (coeff + np.roll(coeff, -1, axis))
+    c_minus = np.roll(c_plus, 1, axis)
+    if not grid.periodic[axis]:
+        edges = np.moveaxis(coeff, axis, 0)
+        np.moveaxis(c_plus, axis, 0)[-1] = edges[-1]
+        np.moveaxis(c_minus, axis, 0)[0] = edges[0]
+    i, j = _neighbours(grid, axis)
+    off = c_plus.ravel()[i] / h**2
+    every = np.arange(grid.size)
+    return sp.csr_matrix((np.concatenate([-(c_plus + c_minus).ravel() / h**2, off, off]),
+                          (np.concatenate([every, i, j]), np.concatenate([every, j, i]))),
+                         shape=(grid.size, grid.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,13 +257,11 @@ def build_metric_hamiltonian(system: MetricPotentialSystem, lambda_mag: float,
     lam2 = lambda_mag**2
     H = sp.csr_matrix((grid.size, grid.size), dtype=complex)
 
-    diffs = [_central_diff(grid.ns[i], grid.spacing(i), grid.periodic[i])
-             for i in range(d)]
-    D = [_axis_operator(diffs[i], i, grid.shape) for i in range(d)]
+    D = [_derivative(grid, i) for i in range(d)]
 
     # kinetic sandwich p_i g^{ij} p_j
     for i in range(d):
-        H = H + (-0.5 * lam2) * _conservative_nd(g[..., i, i], grid, i)
+        H = H + (-0.5 * lam2) * _divergence_form(g[..., i, i], grid, i)
     if d == 2:
         G12 = sp.diags(g[..., 0, 1].ravel())
         H = H + (-0.5 * lam2) * (D[0] @ G12 @ D[1] + D[1] @ G12 @ D[0])
@@ -316,7 +293,7 @@ def build_unsymmetrized_hamiltonian(system: MetricPotentialSystem, lambda_mag: f
     d = grid.dimension
     H = sp.csr_matrix((grid.size, grid.size), dtype=complex)
     for i in range(d):
-        lap = _conservative_nd(np.ones(grid.shape), grid, i)
+        lap = _divergence_form(np.ones(grid.shape), grid, i)
         H = H + (-0.5 * lambda_mag**2) * sp.diags(g[..., i, i].ravel()) @ lap
     H = H + sp.diags(v.ravel())
     return GridOperator(matrix=H.tocsr(), grid=grid, lambda_mag=lambda_mag)
@@ -363,13 +340,14 @@ def evolve_grid(psi: np.ndarray, op: GridOperator, dt: float, n_steps: int,
 # finite-difference diagnostics (4th-order interior stencils)
 # ---------------------------------------------------------------------------
 
-def _d1_4(f: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
+def _d1_4(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Wraps every axis; ``interior_mask`` drops the wrapped non-periodic edges."""
     fp1, fp2 = np.roll(f, -1, axis), np.roll(f, -2, axis)
     fm1, fm2 = np.roll(f, 1, axis), np.roll(f, 2, axis)
     return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
 
 
-def _d2_4(f: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
+def _d2_4(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     fp1, fp2 = np.roll(f, -1, axis), np.roll(f, -2, axis)
     fm1, fm2 = np.roll(f, 1, axis), np.roll(f, 2, axis)
     return (-fm2 + 16.0 * fm1 - 30.0 * f + 16.0 * fp1 - fp2) / (12.0 * h**2)
@@ -404,18 +382,18 @@ def quantum_potential(R: np.ndarray, system: MetricPotentialSystem, grid: Cartes
     coords = grid.coords()
     g = system.metric_field(coords)
     d = grid.dimension
-    dR = [_d1_4(R, grid.spacing(i), i, grid.periodic[i]) for i in range(d)]
+    dR = [_d1_4(R, grid.spacing(i), i) for i in range(d)]
     ddR = np.zeros_like(R)
     div_term = np.zeros_like(R)
     for i in range(d):
         for j in range(d):
             gij = g[..., i, j]
             if i == j:
-                dij = _d2_4(R, grid.spacing(i), i, grid.periodic[i])
+                dij = _d2_4(R, grid.spacing(i), i)
             else:
-                dij = _d1_4(dR[j], grid.spacing(i), i, grid.periodic[i])
+                dij = _d1_4(dR[j], grid.spacing(i), i)
             ddR += gij * dij
-            div_term += _d1_4(gij, grid.spacing(i), i, grid.periodic[i]) * dR[j]
+            div_term += _d1_4(gij, grid.spacing(i), i) * dR[j]
     peak = float((R**2).max())
     valid = (R**2 > eps_node_rel * peak) & interior_mask(grid, 4)
     safe_R = np.where(valid, R, 1.0)
@@ -465,7 +443,7 @@ def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
         dS_dt = lambda_mag * np.angle(psi_next * np.conj(psi_prev)) / dt2
 
         grad_s = [lambda_mag * np.imag(np.conj(psi_now)
-                                       * _d1_4(psi_now, grid.spacing(i), i, grid.periodic[i]))
+                                       * _d1_4(psi_now, grid.spacing(i), i))
                   / safe for i in range(d)]
 
         flux_div = np.zeros_like(dens)
@@ -473,7 +451,7 @@ def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
             flux_i = np.zeros_like(dens)
             for j in range(d):
                 flux_i += g[..., i, j] * (grad_s[j] - a[..., j])
-            flux_div += _d1_4(flux_i * dens, grid.spacing(i), i, grid.periodic[i])
+            flux_div += _d1_4(flux_i * dens, grid.spacing(i), i)
         continuity = dOmega_dt + flux_div
 
         hj = dS_dt + v.copy()

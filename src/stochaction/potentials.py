@@ -89,7 +89,7 @@ def appendix_velocity(psi: np.ndarray, system: MetricPotentialSystem,
     valid = (dens > eps_node_rel * dens.max()) & interior_mask(grid, 2)
     grads = []
     for j in range(d):
-        dpsi = _d1_4(psi, grid.spacing(j), j, grid.periodic[j])
+        dpsi = _d1_4(psi, grid.spacing(j), j)
         core = np.conj(psi) * dpsi
         grad_s = np.imag(core) / safe          # in units of the action scale = 1
         osm = np.real(core) / safe             # (1/2) d_j Omega / Omega

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+SEED_MAX = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
 
 # purpose tags
@@ -24,10 +24,11 @@ GENERIC = 0
 
 
 def _key(seed: int, purpose: int, index: int) -> np.ndarray:
+    if seed < 0 or seed > SEED_MAX:
+        raise ValueError("stream seed out of range")
     if index < 0 or index > _MASK48:
         raise ValueError("stream index out of range")
-    return np.array([seed & _MASK64, ((purpose & 0xFFFF) << 48) | (index & _MASK48)],
-                    dtype=np.uint64)
+    return np.array([seed, ((purpose & 0xFFFF) << 48) | index], dtype=np.uint64)
 
 
 def stream(seed: int, purpose: int = GENERIC, index: int = 0) -> np.random.Generator:

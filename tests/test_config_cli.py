@@ -316,6 +316,20 @@ class TestCli:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (Path(data["out_dir"]) / "error.json").exists()
 
+    @pytest.mark.parametrize("experiment, seed", [
+        ("born", -1),
+        ("born", 2**64),
+        ("repeatability", 2**64 - 1),     # its repeats are drawn at seed + 1
+    ])
+    def test_out_of_range_seed_rejected_at_parse(self, tmp_path, capsys, experiment, seed):
+        path, data = make_config(tmp_path, experiment=experiment, seed=seed)
+        assert cli_main([experiment, "--config", str(path)]) == 1
+        assert "seed: must be in [0, " in capsys.readouterr().err
+        assert not Path(data["out_dir"]).exists()
+
+    def test_largest_seed_accepted(self):
+        assert parse_config(json.dumps(dict(MINIMAL_BORN, seed=2**64 - 1)))["seed"] == 2**64 - 1
+
     def test_seed_and_trials_overrides(self, tmp_path):
         path, data = make_config(tmp_path)
         out = tmp_path / "alt"

@@ -1,15 +1,35 @@
 """Metric Hamiltonians, Cayley propagation, curvature term, residual pair."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from stochaction import (CartesianGrid, InvalidSystemError, MetricPotentialSystem,
                          build_metric_hamiltonian, build_unsymmetrized_hamiltonian,
                          evolve_grid, quantum_potential, verify_hjm_residual)
+from stochaction.gridop import _derivative, _divergence_form
 
 
 def harmonic_system():
     return MetricPotentialSystem.flat(1, scalar=lambda c: 0.5 * c[0] ** 2)
+
+
+def wavy_2d_system():
+    """Metric with a cross term, a rotational vector potential and a bowl."""
+
+    def metric(coords):
+        x, y = coords
+        out = np.zeros(x.shape + (2, 2))
+        out[..., 0, 0] = 1.0 + 0.2 * np.sin(x)
+        out[..., 1, 1] = 1.0 + 0.1 * np.cos(y)
+        out[..., 0, 1] = out[..., 1, 0] = 0.05 * np.sin(x) * np.cos(y)
+        return out
+
+    def vector(coords):
+        x, y = coords
+        return np.stack([0.1 * y, -0.1 * x], axis=-1)
+
+    return MetricPotentialSystem(2, metric, vector, lambda c: 0.5 * (c[0] ** 2 + c[1] ** 2))
 
 
 @pytest.fixture
@@ -31,23 +51,23 @@ class TestHamiltonianAssembly:
 
     def test_2d_variable_metric_is_hermitian(self):
         grid = CartesianGrid((-2.0, -2.0), (2.0, 2.0), (24, 24), (False, False))
-
-        def metric(coords):
-            x, y = coords
-            out = np.zeros(x.shape + (2, 2))
-            out[..., 0, 0] = 1.0 + 0.2 * np.sin(x)
-            out[..., 1, 1] = 1.0 + 0.1 * np.cos(y)
-            out[..., 0, 1] = out[..., 1, 0] = 0.05 * np.sin(x) * np.cos(y)
-            return out
-
-        def vector(coords):
-            x, y = coords
-            return np.stack([0.1 * y, -0.1 * x], axis=-1)
-
-        system = MetricPotentialSystem(2, metric, vector,
-                                       lambda c: 0.5 * (c[0] ** 2 + c[1] ** 2))
-        op = build_metric_hamiltonian(system, 1.0, grid)
+        op = build_metric_hamiltonian(wavy_2d_system(), 1.0, grid)
         assert op.hermiticity_defect() < 1e-10
+
+    @pytest.mark.parametrize("ns, periodic", [((24, 24), (True, True)),
+                                              ((24, 23), (True, False))])
+    def test_2d_periodic_operator_is_hermitian_and_unitary(self, ns, periodic):
+        # on [-2, 2] a periodic axis of n points and a closed one of n - 1 share
+        # the spacing 4/n; the two cross-term products then round alike, so
+        # the defect is exactly 0 (with unequal spacings it is about 1 ulp)
+        grid = CartesianGrid((-2.0, -2.0), (2.0, 2.0), ns, periodic)
+        assert grid.spacing(0) == grid.spacing(1)
+        op = build_metric_hamiltonian(wavy_2d_system(), 1.0, grid)
+        assert op.hermiticity_defect() == 0.0
+        x, y = grid.coords()
+        psi = normalized(np.exp(-((x - 0.3) ** 2 + y**2) / 0.5 + 0.7j * y), grid)
+        out = evolve_grid(psi, op, 5e-3, 200)
+        assert abs(1.0 - grid.norm2(out)) < 1e-12
 
     def test_naive_ordering_breaks_hermiticity(self):
         grid = CartesianGrid((0.0,), (2 * np.pi,), (128,), (True,))
@@ -186,3 +206,155 @@ class TestResidualPair:
         ablated = verify_hjm_residual(hist, harmonic_system(), grid, 1.0,
                                       include_quantum_term=False)
         assert ablated["hj_mean"] > 50 * full["hj_mean"]
+
+
+# ---------------------------------------------------------------------------
+# the stencil assembly against a copy of the earlier per-line builders
+# ---------------------------------------------------------------------------
+
+def _oracle_central_diff(n, h, periodic):
+    d = sp.diags([np.full(n - 1, -0.5 / h), np.full(n - 1, 0.5 / h)],
+                 offsets=[-1, 1], format="lil")
+    if periodic:
+        d[0, n - 1] = -0.5 / h
+        d[n - 1, 0] = 0.5 / h
+    return d.tocsr()
+
+
+def _oracle_conservative(coeff, h, periodic):
+    n = len(coeff)
+    if periodic:
+        c_plus = 0.5 * (coeff + np.roll(coeff, -1))
+        c_minus = np.roll(c_plus, 1)
+    else:
+        c_plus = np.empty(n)
+        c_plus[:-1] = 0.5 * (coeff[:-1] + coeff[1:])
+        c_plus[-1] = coeff[-1]
+        c_minus = np.empty(n)
+        c_minus[1:] = c_plus[:-1]
+        c_minus[0] = coeff[0]
+    mat = sp.lil_matrix((n, n))
+    mat.setdiag(-(c_plus + c_minus) / h**2)
+    mat.setdiag(c_plus[:-1] / h**2, 1)
+    mat.setdiag(c_plus[:-1] / h**2, -1)
+    if periodic:
+        mat[0, n - 1] = c_minus[0] / h**2
+        mat[n - 1, 0] = c_plus[n - 1] / h**2
+    return mat.tocsr()
+
+
+def _oracle_axis_operator(mat_1d, axis, shape):
+    if len(shape) == 1:
+        return mat_1d
+    if axis == 0:
+        return sp.kron(mat_1d, sp.identity(shape[1]), format="csr")
+    return sp.kron(sp.identity(shape[0]), mat_1d, format="csr")
+
+
+def _oracle_conservative_nd(coeff, grid, axis):
+    if grid.dimension == 1:
+        return _oracle_conservative(coeff, grid.spacing(0), grid.periodic[0])
+    h = grid.spacing(axis)
+    per = grid.periodic[axis]
+    n0, n1 = grid.shape
+    flat = sp.lil_matrix((grid.size, grid.size))
+    if axis == 0:
+        for j in range(n1):
+            line = _oracle_conservative(coeff[:, j], h, per).tocoo()
+            flat[line.row * n1 + j, line.col * n1 + j] = line.data
+    else:
+        for i in range(n0):
+            line = _oracle_conservative(coeff[i, :], h, per).tocoo()
+            flat[i * n1 + line.row, i * n1 + line.col] = line.data
+    return flat.tocsr()
+
+
+def _oracle_metric_hamiltonian(system, lambda_mag, grid):
+    d = grid.dimension
+    coords = grid.coords()
+    g = system.metric_field(coords)
+    a = system.vector_field(coords)
+    v = system.scalar_field(coords)
+    lam2 = lambda_mag**2
+    H = sp.csr_matrix((grid.size, grid.size), dtype=complex)
+    D = [_oracle_axis_operator(_oracle_central_diff(grid.ns[i], grid.spacing(i),
+                                                    grid.periodic[i]), i, grid.shape)
+         for i in range(d)]
+    for i in range(d):
+        H = H + (-0.5 * lam2) * _oracle_conservative_nd(g[..., i, i], grid, i)
+    if d == 2:
+        G12 = sp.diags(g[..., 0, 1].ravel())
+        H = H + (-0.5 * lam2) * (D[0] @ G12 @ D[1] + D[1] @ G12 @ D[0])
+    if system.vector_potential is not None:
+        for i in range(d):
+            b = np.einsum("...j,...j->...", g[..., i, :], a)
+            B = sp.diags(b.ravel())
+            H = H + (0.5j * lambda_mag) * (D[i] @ B + B @ D[i])
+    aga = 0.5 * np.einsum("...i,...ij,...j->...", a, g, a)
+    H = H + sp.diags((aga + v).ravel())
+    return H.tocsr()
+
+
+def assert_same_csr(got, want):
+    assert got.format == want.format == "csr"
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.dtype == want.data.dtype
+    assert np.array_equal(got.data, want.data)
+
+
+def bumpy_metric(coords):
+    """Position-dependent SPD metric, with a cross term in two dimensions."""
+    x = coords[0]
+    d = len(coords)
+    out = np.zeros(x.shape + (d, d))
+    out[..., 0, 0] = 1.0 + 0.3 * np.sin(1.3 * x) ** 2
+    if d == 2:
+        y = coords[1]
+        out[..., 1, 1] = 1.1 + 0.2 * np.cos(0.7 * y + 0.4 * x)
+        out[..., 0, 1] = out[..., 1, 0] = 0.07 * np.sin(x - y)
+    return out
+
+
+ORACLE_GRIDS = [
+    CartesianGrid((-2.0,), (3.0,), (n,), (per,))
+    for n in (8, 37) for per in (False, True)
+] + [
+    CartesianGrid((-2.0, -1.5), (3.0, 2.5), shape, per)
+    for shape in ((8, 8), (9, 13), (16, 8))
+    for per in ((False, False), (True, False), (False, True), (True, True))
+]
+
+
+def grid_id(grid):
+    return "x".join(map(str, grid.ns)) + "-" + "".join("p" if p else "n"
+                                                      for p in grid.periodic)
+
+
+class TestStencilOracle:
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=grid_id)
+    def test_axis_operators_equal_the_per_line_builders(self, grid):
+        g = bumpy_metric(grid.coords())
+        for axis in range(grid.dimension):
+            want = _oracle_axis_operator(
+                _oracle_central_diff(grid.ns[axis], grid.spacing(axis),
+                                     grid.periodic[axis]), axis, grid.shape)
+            assert_same_csr(_derivative(grid, axis), want)
+            for coeff in (g[..., axis, axis], np.ones(grid.shape)):
+                assert_same_csr(_divergence_form(coeff, grid, axis),
+                                _oracle_conservative_nd(coeff, grid, axis))
+
+    @pytest.mark.parametrize("periodic", [(True, False), (False, True)])
+    def test_full_hamiltonian_equals_oracle_build(self, periodic):
+        grid = CartesianGrid((-3.0, -2.0), (3.0, 2.5), (20, 14), periodic)
+
+        def vector(coords):
+            x, y = coords
+            return np.stack([0.3 * np.cos(y), -0.2 * x], axis=-1)
+
+        system = MetricPotentialSystem(2, bumpy_metric, vector,
+                                       lambda c: 0.5 * c[0] ** 2 + 0.1 * c[1] ** 4)
+        for lam in (1.0, 0.37):
+            op = build_metric_hamiltonian(system, lam, grid)
+            assert_same_csr(op.matrix, _oracle_metric_hamiltonian(system, lam, grid))

@@ -49,3 +49,13 @@ def test_out_of_range_index_rejected(index):
     gen = stream(1)
     with pytest.raises(ValueError, match="out of range"):
         rekey(gen, 1, GENERIC, index)
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_MAX + 1])
+def test_out_of_range_seed_rejected(seed):
+    # masked to 64 bits these would alias the streams of SEED_MAX and 0
+    with pytest.raises(ValueError, match="seed out of range"):
+        stream(seed)
+    gen = stream(1)
+    with pytest.raises(ValueError, match="seed out of range"):
+        rekey(gen, seed)

@@ -1,9 +1,11 @@
 """Result-file hashes of one small run per experiment kind.
 
-Runs each config below through ``run_experiment`` and prints
-``{kind: manifest["files"]}`` as JSON.  To check that a change kept the
-result bytes for a fixed (config, seed), save the hashes of one checkout and
-compare the other against them:
+Runs each config below through ``run_experiment``, plus the API-level runs
+the CLI cannot reach, and prints ``{kind: {file: sha256}}`` as JSON: the
+manifest's ``files`` map for a config, the hash of the result's canonical
+JSON for an API run.  To check that a change kept the result bytes for a
+fixed (config, seed), save the hashes of one checkout and compare the other
+against them:
 
     python3 tools/result_hashes.py > hashes.json              # in the parent
     python3 tools/result_hashes.py --compare hashes.json      # in the change
@@ -16,6 +18,7 @@ The package is imported from the ``src`` directory next to this script.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
@@ -57,8 +60,27 @@ CONFIGS = {
 }
 
 
+def lambda_sweep_2d():
+    """Mixed-periodic 2-D sweep with metric (cross term included), vector and scalar."""
+    import numpy as np
+    from stochaction import (CartesianGrid, LambdaSweep, run_lambda_sweep,
+                             system_from_expressions)
+
+    system = system_from_expressions(
+        2, metric={"g11": "1+0.2*sin(x)^2", "g22": "1+0.1*cos(x)*exp(-y^2/8)",
+                   "g12": "0.05*sin(x)*exp(-y^2/8)"},
+        vector=["-0.5*y", "0.3*cos(x)"], scalar="0.5*y^2+0.2*cos(x)")
+    grid = CartesianGrid((-np.pi, -5.0), (np.pi, 5.0), (24, 20), (True, False))
+    x, y = grid.coords()
+    psi0 = np.exp(-(x**2 + (y - 0.5) ** 2) / 2 + 1j * x)
+    psi0 = psi0 / np.sqrt(grid.norm2(psi0))
+    return run_lambda_sweep(system, psi0, grid, LambdaSweep(deltas=(0.0, 0.1)),
+                            0.005, 40, 20)
+
+
 def result_hashes() -> dict:
     from stochaction import parse_config, run_experiment
+    from stochaction.experiments import canonical_json
 
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -68,6 +90,8 @@ def result_hashes() -> dict:
             run_experiment(parse_config(json.dumps(data)))
             manifest = json.loads((Path(tmp) / name / "manifest.json").read_text())
             hashes[name] = manifest["files"]
+    blob = canonical_json(lambda_sweep_2d()).encode()
+    hashes["lambda-sweep-2d"] = {"result.json": hashlib.sha256(blob).hexdigest()}
     return hashes
 
 
