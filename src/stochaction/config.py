@@ -127,6 +127,9 @@ _COUNT_MINIMA = {
     ("equivariance", "n_bins"): 2,
     ("prior", "n_mc"): 2,
     ("checks", "n_draws"): 2,
+    ("appendix", "n_points"): 8,
+    ("appendix", "n_steps"): 1,
+    ("appendix", "record_every"): 1,
 }
 
 
@@ -312,7 +315,23 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
     app = cfg["appendix"]
     if app["dimension"] != 1:
         violations.append("appendix.dimension: only 1-D appendix runs are implemented")
-    if 0.0 not in [float(d) for d in app["deltas"]]:
+    if app["x_max"] <= app["x_min"]:
+        violations.append("appendix.x_max: must exceed appendix.x_min")
+    if app["dt"] <= 0:
+        violations.append("appendix.dt: must be positive")
+    if app["initial_width"] <= 0:
+        violations.append("appendix.initial_width: must be positive")
+    if (app["residual_check"] and app["record_every"] >= 1
+            and app["n_steps"] // app["record_every"] < 2):
+        violations.append("appendix.residual_check: needs at least three snapshots "
+                          "(n_steps // record_every >= 2)")
+    deltas = app["deltas"]
+    if not all(isinstance(d, (int, float)) and not isinstance(d, bool) for d in deltas):
+        violations.append("appendix.deltas: every entry must be a number")
+    elif any(d <= -1 for d in deltas):
+        violations.append("appendix.deltas: every entry must exceed -1 "
+                          "(the scale lambda_mag * (1 + delta) must be positive)")
+    elif 0.0 not in deltas:
         violations.append("appendix.deltas: must include the 0 reference entry")
 
 

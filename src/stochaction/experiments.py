@@ -2,7 +2,9 @@
 
 Every run writes its result files plus ``manifest.json`` carrying the echoed
 config, the package version, the seed, per-file content hashes, the wall
-time and the environment (cpu count, requested threads, library versions).
+time, the environment (cpu count, requested threads, library versions) and,
+for grid runs, a ``grid`` block with each Cayley operator's Hermiticity
+defect and worst snapshot norm drift.
 Result files are byte-identical across repeat runs and across thread counts
 for a fixed (config, seed); the manifest is excluded from that contract
 because it records the wall time, but its file-hash map is itself
@@ -52,6 +54,7 @@ class RunOutput:
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
         self.files: dict[str, bytes] = {}
+        self.telemetry: dict = {}   # extra manifest blocks, outside the byte contract
 
     def add_text(self, name: str, text: str) -> None:
         self.files[name] = text.encode()
@@ -75,6 +78,7 @@ class RunOutput:
             "files": hashes,
             "wall_time_s": time.monotonic() - started,
             "environment": _environment(cfg["threads"]),
+            **self.telemetry,
         }
         (self.out_dir / "manifest.json").write_bytes(canonical_json(manifest).encode())
 
@@ -285,6 +289,12 @@ def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> int:
     return status
 
 
+def _grid_health(op, norms) -> dict:
+    """Solver health of one Cayley run: Hermiticity defect and worst norm drift."""
+    return {"lambda_mag": op.lambda_mag, "hermiticity_defect": op.hermiticity_defect(),
+            "max_norm_error": max(abs(n - 1.0) for n in norms)}
+
+
 def _appendix_setup(cfg: ExperimentConfig):
     app = cfg["appendix"]
     grid = CartesianGrid((float(app["x_min"]),), (float(app["x_max"]),),
@@ -315,6 +325,7 @@ def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
         sq = float(np.sum(x**2 * dens) * grid.cell_volume / total)
         rows.append([_float(t), _float(total), mean, sq])
     out.add_text("observables.csv", _csv(rows, ["t", "norm", "position", "position_sq"]))
+    out.telemetry["grid"] = [_grid_health(op, [row[1] for row in rows])]
     summary = {"final_norm": _float(grid.norm2(final)), "n_steps": app["n_steps"],
                "lambda_mag": lam}
     if app["residual_check"]:
@@ -344,6 +355,10 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> int:
             rows.append([_float(delta), _float(entry["lambda"]), _float(row["t"])]
                         + [_float(row[k]) for k in obs_names])
     out.add_text("sweep.csv", _csv(rows, ["delta", "lambda", "t"] + obs_names))
+    out.telemetry["grid"] = [
+        _grid_health(build_metric_hamiltonian(system, results[d]["lambda"], grid),
+                     [row["norm"] for row in results[d]["series"]])
+        for d in sorted(results)]
     summary = {
         "deviations": {repr(d): results[d]["max_deviation_from_reference"]
                        for d in sorted(results)},

@@ -229,6 +229,25 @@ class TestExperiments:
         assert abs(np.sum(np.abs(amp) ** 2) * (axes[0][2] - axes[0][1]) / 511
                    - 1.0) < 0.01
 
+    @pytest.mark.parametrize("experiment", ["appendix", "lambda-sweep"])
+    def test_manifest_records_grid_health(self, tmp_path, experiment):
+        path, data = make_config(tmp_path, overrides={
+            "appendix": {"deltas": [0.0, 0.25], "n_steps": 40, "record_every": 10,
+                         "n_points": 128, "metric": "1+0.1*sin(q)^2",
+                         "vector": ["0.2*cos(q)"], "scalar": "0.5*q^2"}},
+            experiment=experiment)
+        assert run_experiment(parse_config(path.read_text())) == 0
+        out = Path(data["out_dir"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        appendix = experiment == "appendix"
+        assert set(manifest["files"]) == {"observables.csv" if appendix else "sweep.csv",
+                                          "summary.json"}
+        entries = manifest["grid"]
+        assert [e["lambda_mag"] for e in entries] == ([1.0] if appendix else [1.0, 1.25])
+        for entry in entries:
+            assert entry["hermiticity_defect"] == 0.0
+            assert 0.0 <= entry["max_norm_error"] < 1e-12
+
     def test_lambda_sweep_experiment(self, tmp_path):
         path, data = make_config(tmp_path, overrides={
             "appendix": {"deltas": [0.0, 0.25], "n_steps": 100,
@@ -299,6 +318,27 @@ class TestCli:
         assert cli_main(["appendix", "--config", str(path)]) == 1
         assert "appendix.dimension" in capsys.readouterr().err
         assert not (Path(data["out_dir"]) / "error.json").exists()
+
+    @pytest.mark.parametrize("experiment, appendix, path", [
+        ("appendix", {"n_steps": 0}, "appendix.n_steps"),
+        ("lambda-sweep", {"dt": 0}, "appendix.dt"),
+        ("appendix", {"record_every": 0}, "appendix.record_every"),
+        ("lambda-sweep", {"record_every": -5}, "appendix.record_every"),
+        ("appendix", {"n_points": 4}, "appendix.n_points"),
+        ("lambda-sweep", {"x_min": 2.0, "x_max": 2.0}, "appendix.x_max"),
+        ("appendix", {"initial_width": 0}, "appendix.initial_width"),
+        ("lambda-sweep", {"deltas": [0.0, -1.0]}, "appendix.deltas"),
+        ("lambda-sweep", {"deltas": [0.0, "0.1"]}, "appendix.deltas"),
+        ("appendix", {"residual_check": True, "n_steps": 100, "record_every": 51},
+         "appendix.residual_check"),
+    ])
+    def test_unrunnable_appendix_rejected_at_parse(self, tmp_path, capsys, experiment,
+                                                   appendix, path):
+        path_cfg, data = make_config(tmp_path, overrides={"appendix": appendix},
+                                     experiment=experiment)
+        assert cli_main([experiment, "--config", str(path_cfg)]) == 1
+        assert path in capsys.readouterr().err
+        assert not Path(data["out_dir"]).exists()
 
     @pytest.mark.parametrize("experiment, section, key, value", [
         ("born", "equivariance", "n_bins", 1),

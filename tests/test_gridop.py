@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.sparse.linalg import splu
 
 from stochaction import (CartesianGrid, InvalidSystemError, MetricPotentialSystem,
                          build_metric_hamiltonian, build_unsymmetrized_hamiltonian,
@@ -141,6 +142,17 @@ class TestEvolveGrid:
         d1 = np.sqrt(line_grid.norm2(outs[0.05] - outs[0.025]))
         d2 = np.sqrt(line_grid.norm2(outs[0.025] - outs[0.0125]))
         assert 3.4 < d1 / d2 < 4.6
+
+    def test_closed_2d_norm_drift_tiny(self):
+        # the unitarity test above covers periodic axes only; here both axes
+        # are closed and the operator carries a g12 cross term and a vector
+        # potential
+        grid = CartesianGrid((-3.0, -3.0), (3.0, 3.0), (28, 24), (False, False))
+        op = build_metric_hamiltonian(wavy_2d_system(), 1.0, grid)
+        x, y = grid.coords()
+        psi = normalized(np.exp(-((x - 0.4) ** 2 + y**2) / 0.8 + 0.9j * y), grid)
+        out = evolve_grid(psi, op, 5e-3, 200)
+        assert abs(1.0 - grid.norm2(out)) < 1e-12
 
     def test_bad_steps_rejected(self, line_grid):
         op = build_metric_hamiltonian(harmonic_system(), 1.0, line_grid)
@@ -358,3 +370,61 @@ class TestStencilOracle:
         for lam in (1.0, 0.37):
             op = build_metric_hamiltonian(system, lam, grid)
             assert_same_csr(op.matrix, _oracle_metric_hamiltonian(system, lam, grid))
+
+
+# ---------------------------------------------------------------------------
+# the one-solve Cayley step against a copy of the earlier two-matrix loop
+# ---------------------------------------------------------------------------
+
+def _oracle_evolve(psi, op, dt, n_steps, record_every):
+    """``(I + zH)^-1 (I - zH)`` per step, default column ordering."""
+    vec = np.asarray(psi, dtype=complex).ravel()
+    z = 0.5j * dt / op.lambda_mag
+    eye = sp.identity(op.grid.size, format="csc", dtype=complex)
+    lu = splu((eye + z * op.matrix).tocsc())
+    B = (eye - z * op.matrix).tocsr()
+    history = [(0.0, vec.reshape(psi.shape).copy())]
+    for k in range(n_steps):
+        vec = lu.solve(B @ vec)
+        if (k + 1) % record_every == 0:
+            history.append(((k + 1) * dt, vec.reshape(psi.shape).copy()))
+    return vec.reshape(psi.shape), history
+
+
+def _line_case(periodic):
+    grid = CartesianGrid((-6.0,), (6.0,), (200,), (periodic,))
+    system = MetricPotentialSystem.isotropic(
+        1, lambda c: 1.0 + 0.3 * np.sin(0.8 * c[0]) ** 2,
+        scalar=lambda c: 0.5 * c[0] ** 2,
+        vector=lambda c: np.stack([0.4 * np.cos(0.5 * c[0])], axis=-1))
+    x = grid.axis(0)
+    return grid, system, np.exp(-((x - 1.0) ** 2) / 2 + 0.8j * x)
+
+
+def _plane_case(periodic):
+    grid = CartesianGrid((-3.0, -3.0), (3.0, 3.0), (26, 22), periodic)
+    x, y = grid.coords()
+    return grid, wavy_2d_system(), np.exp(-((x - 0.5) ** 2 + y**2) / 0.8 + 0.6j * x)
+
+
+CAYLEY_CASES = {
+    "1d-closed": lambda: _line_case(False),
+    "1d-periodic": lambda: _line_case(True),
+    "2d-closed-closed": lambda: _plane_case((False, False)),
+    "2d-periodic-closed": lambda: _plane_case((True, False)),
+}
+
+
+class TestCayleyOracle:
+    @pytest.mark.parametrize("case", sorted(CAYLEY_CASES))
+    def test_one_solve_step_matches_two_matrix_loop(self, case):
+        grid, system, psi = CAYLEY_CASES[case]()
+        psi = normalized(psi, grid)
+        op = build_metric_hamiltonian(system, 0.8, grid)
+        final, history = evolve_grid(psi, op, 4e-3, 120, record_every=20)
+        want_final, want_history = _oracle_evolve(psi, op, 4e-3, 120, 20)
+        assert np.max(np.abs(final - want_final)) < 1e-12
+        assert len(history) == len(want_history) == 7
+        for (t, snap), (t_want, snap_want) in zip(history, want_history):
+            assert t == t_want
+            assert np.max(np.abs(snap - snap_want)) < 1e-12

@@ -36,6 +36,12 @@ WIDE_STATE = {"modes": [-3, -1, 1, 3], "weights": [0.1, 0.4, 0.3, 0.2]}
 APPENDIX = {"scalar": "0.5*q^2", "n_steps": 100, "record_every": 10,
             "residual_check": True, "initial_center": 1.0,
             "save_wavefunctions": True}
+# wrap-around stencil entries give the Cayley factorization a different pattern
+APPENDIX_PERIODIC = {"periodic": True, "x_min": -3.0, "x_max": 3.0, "n_points": 128,
+                     "metric": "1+0.2*sin(pi*q/3)^2", "vector": ["0.3*cos(pi*q/3)"],
+                     "scalar": "0.5*cos(pi*q/3)", "initial_width": 0.5,
+                     "initial_momentum": 2.0, "n_steps": 100, "record_every": 10,
+                     "save_wavefunctions": True}
 SWEEP = {"deltas": [0.0, 0.25], "n_steps": 100, "record_every": 50,
          "x_min": -20.0, "x_max": 20.0, "n_points": 256}
 
@@ -55,6 +61,7 @@ CONFIGS = {
     "prior-average": ("prior-average", {"prior": {"n_mc": 20000}}),
     "repeatability": ("repeatability", {"repeat": {"n_repeats": 50}}),
     "appendix": ("appendix", {"appendix": APPENDIX}),
+    "appendix-periodic": ("appendix", {"appendix": APPENDIX_PERIODIC}),
     "lambda-sweep": ("lambda-sweep", {"appendix": SWEEP}),
     "stochastic-check": ("stochastic-check", {"checks": {"n_draws": 100000}}),
 }
