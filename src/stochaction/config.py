@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from .core import GridSpec, InvalidSystemError, PhysicalConfig
+from .potentials import appendix_setup
 from .rng import SEED_MAX
 from .spectral import AngularBasis
 from .stochastic import StochasticParams
@@ -325,6 +326,12 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
             and app["n_steps"] // app["record_every"] < 2):
         violations.append("appendix.residual_check: needs at least three snapshots "
                           "(n_steps // record_every >= 2)")
+    # fields and packet on the configured grid, once the grid itself is valid
+    if not any(v.startswith("appendix.") for v in violations):
+        try:
+            appendix_setup(app)
+        except InvalidSystemError as exc:
+            violations.append(str(exc))
     deltas = app["deltas"]
     if not all(isinstance(d, (int, float)) and not isinstance(d, bool) for d in deltas):
         violations.append("appendix.deltas: every entry must be a number")

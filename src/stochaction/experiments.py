@@ -23,11 +23,10 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .core import DomainOverflowError, field_to_binary, field_to_csv
-from .gridop import (CartesianGrid, build_metric_hamiltonian, evolve_grid,
-                     verify_hjm_residual)
+from .gridop import build_metric_hamiltonian, evolve_grid, verify_hjm_residual
 from .measurement import (_sign_paths, average_prior, prepare_initial_state,
                           run_ensemble, run_single_event)
-from .potentials import LambdaSweep, run_lambda_sweep, system_from_expressions
+from .potentials import LambdaSweep, appendix_setup, run_lambda_sweep
 from .rng import GENERIC, stream
 from .spectral import GaussianPacket
 from .stochastic import (ActionIncrement, check_separability, gaussian_log_weight,
@@ -295,23 +294,9 @@ def _grid_health(op, norms) -> dict:
             "max_norm_error": max(abs(n - 1.0) for n in norms)}
 
 
-def _appendix_setup(cfg: ExperimentConfig):
-    app = cfg["appendix"]
-    grid = CartesianGrid((float(app["x_min"]),), (float(app["x_max"]),),
-                         (app["n_points"],), (app["periodic"],))
-    system = system_from_expressions(app["dimension"], metric=app["metric"],
-                                     vector=app["vector"], scalar=app["scalar"])
-    x = grid.axis(0)
-    width = float(app["initial_width"])
-    psi0 = np.exp(-((x - float(app["initial_center"])) ** 2) / (4.0 * width**2)
-                  + 1j * float(app["initial_momentum"]) * x)
-    psi0 = psi0 / np.sqrt(grid.norm2(psi0))
-    return grid, system, psi0
-
-
 def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
     app = cfg["appendix"]
-    grid, system, psi0 = _appendix_setup(cfg)
+    grid, system, psi0 = appendix_setup(app)
     lam = cfg.physical().lambda_mag
     op = build_metric_hamiltonian(system, lam, grid)
     final, history = evolve_grid(psi0, op, float(app["dt"]), app["n_steps"],
@@ -340,7 +325,7 @@ def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
 
 def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> int:
     app = cfg["appendix"]
-    grid, system, psi0 = _appendix_setup(cfg)
+    grid, system, psi0 = appendix_setup(app)
     sweep = LambdaSweep(deltas=tuple(float(d) for d in app["deltas"]),
                         base=cfg.physical().lambda_mag)
     results = run_lambda_sweep(system, psi0, grid, sweep, float(app["dt"]),

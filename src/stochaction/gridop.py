@@ -89,13 +89,6 @@ class CartesianGrid:
     def norm2(self, psi: np.ndarray) -> float:
         return float(np.sum(np.abs(psi) ** 2) * self.cell_volume)
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
-        return complex(np.sum(np.conj(u) * v) * self.cell_volume)
-
-    def expectation(self, psi: np.ndarray, values: np.ndarray) -> float:
-        w = np.abs(psi) ** 2
-        return float(np.sum(values * w) / np.sum(w))
-
 
 @dataclass(frozen=True, eq=False)
 class MetricPotentialSystem:

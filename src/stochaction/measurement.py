@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import stats as sps
@@ -36,10 +37,6 @@ from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow,
 # and 0.7x in 4096-row ones, where each complex 3-mode temporary (196 KB)
 # pushes the working set out of L2.
 _CHUNK = 2048
-# Initial ring draws evaluate the density this many trials (8 angles each) per
-# product: small enough that the BLAS product stays on one thread, where every
-# row is computed exactly as in a one-trial product.
-_DRAW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -253,54 +250,28 @@ def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray,
                    gen: np.random.Generator) -> np.ndarray:
     """Per-trial product-form draws from |Psi(0)|^2, one counter stream each.
 
-    ``gen`` is re-keyed to each trial's stream.  On the ring every trial draws
-    8 angles and 8 envelope heights per round until one lands under the
-    density, then one pointer normal.  The rounds of all pending trials share
-    one density evaluation and each trial's stream position is kept between
-    rounds, so the draws equal those of a trial-by-trial loop.
+    ``gen`` is re-keyed to each trial's ``INITIAL`` stream, which gives the
+    system coordinate and then one pointer normal.  On the ring the
+    coordinate comes from :func:`sample_ring_angles` over the occupied modes,
+    on a line from the inverse CDF of the tabulated density.  A trial's
+    draws depend on its stream alone, so no chunking can change them.
     """
-    out = np.empty((len(trials), 2))
-    bits = gen.bit_generator
-    center, sigma = state0.centers[0], state0.packet.sigma
     if isinstance(state0.modes, RingModes):
-        fine = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-        dens_fine = np.abs(np.tensordot(state0.coeffs, state0.modes.values(fine), axes=1)) ** 2
-        bound = 1.05 * float(dens_fine.max())
-        positions = [None] * len(trials)
-        pending = np.arange(len(trials))
-        while len(pending):
-            th = np.empty((len(pending), 8))
-            u = np.empty((len(pending), 8))
-            for j, k in enumerate(pending):
-                if positions[k] is None:
-                    rngmod.rekey(gen, seed, rngmod.INITIAL, int(trials[k]))
-                else:
-                    bits.state = positions[k]
-                th[j] = gen.uniform(0.0, 2.0 * np.pi, size=8)
-                u[j] = gen.uniform(0.0, bound, size=8)
-                positions[k] = bits.state
-                # the pointer draw that follows if this round hits; a miss
-                # resumes from the saved position and draws it again
-                out[k, 1] = gen.normal(center, sigma)
-            dens = np.empty_like(th)
-            for a in range(0, len(pending), _DRAW_BLOCK):
-                dens[a:a + _DRAW_BLOCK] = np.abs(np.tensordot(
-                    state0.coeffs, state0.modes.values(th[a:a + _DRAW_BLOCK]), axes=1)) ** 2
-            hit = u < dens
-            found = hit.any(axis=1)
-            out[pending[found], 0] = th[found, np.argmax(hit[found], axis=1)]
-            pending = pending[~found]
+        sup = state0.support_indices()
+        draw = partial(sample_ring_angles, state0.coeffs[sup],
+                       state0.modes.basis.modes[sup], 1, gen)
     else:
         xg = state0.modes.x_grid
-        if isinstance(state0.modes, PlaneWaveModes):
-            table = state0.modes.values(xg)
-        else:
-            table = state0.modes.table
+        table = (state0.modes.values(xg) if isinstance(state0.modes, PlaneWaveModes)
+                 else state0.modes.table)
         dens = np.abs(np.tensordot(state0.coeffs, table, axes=1)) ** 2
-        for k, trial in enumerate(trials):
-            rngmod.rekey(gen, seed, rngmod.INITIAL, int(trial))
-            out[k, 0] = _sample_line(dens, xg, 1, gen)[0]
-            out[k, 1] = gen.normal(center, sigma)
+        draw = partial(_sample_line, dens, xg, 1, gen)
+    out = np.empty((len(trials), 2))
+    center, sigma = state0.centers[0], state0.packet.sigma
+    for k, trial in enumerate(trials):
+        rngmod.rekey(gen, seed, rngmod.INITIAL, int(trial))
+        out[k, 0] = draw()[0]
+        out[k, 1] = gen.normal(center, sigma)
     return out
 
 
@@ -465,10 +436,10 @@ def average_prior(coeffs: np.ndarray, basis: AngularBasis, n_mc: int, seed: int,
     compares with the closed-form expectation sum(omega_l |c_l|^2).
     """
     c = np.asarray(coeffs, dtype=complex)
-    r = rngmod.stream(seed, rngmod.PRIOR, 0)
-    theta = sample_ring_angles(c, RingModes(basis), n_mc, r)
-    signs = r.integers(0, 2, size=n_mc) * 2 - 1
     support = np.flatnonzero(np.abs(c) ** 2 > 1e-14)
+    r = rngmod.stream(seed, rngmod.PRIOR, 0)
+    theta = sample_ring_angles(c[support], basis.modes[support], n_mc, r)
+    signs = r.integers(0, 2, size=n_mc) * 2 - 1
     l = basis.modes[support].reshape(-1, 1)
     phi = np.tensordot(c[support], np.exp(1j * l * theta[None, :]), axes=1)
     dphi = np.tensordot(c[support], 1j * l * np.exp(1j * l * theta[None, :]), axes=1)

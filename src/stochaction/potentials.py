@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import InvalidSystemError
 from .expressions import compile_expression
 from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem, _d1_4,
-                     build_metric_hamiltonian, evolve_grid, interior_mask,
-                     quantum_potential)
+                     _validate_metric, build_metric_hamiltonian, evolve_grid,
+                     interior_mask, quantum_potential)
 
 _COORD_NAMES = {1: ("q",), 2: ("x", "y")}
 
@@ -67,6 +68,43 @@ def system_from_expressions(dimension: int, metric=None, vector=None, scalar=Non
         return out
 
     return MetricPotentialSystem(dimension, metric_fn, vector_fn, scalar_fn)
+
+
+def appendix_setup(app: dict):
+    """Grid, field system and unit-norm initial packet of an ``appendix`` config section.
+
+    Each field is compiled and evaluated on the grid, and the packet's
+    discrete norm must be positive and finite, so every defect of the
+    section raises :class:`InvalidSystemError` naming its key before any
+    step is taken.
+    """
+    d = app["dimension"]
+    grid = CartesianGrid((float(app["x_min"]),), (float(app["x_max"]),),
+                         (app["n_points"],), (app["periodic"],))
+    coords = grid.coords()
+    parts = {}
+    for key in ("metric", "vector", "scalar"):
+        try:
+            part = system_from_expressions(d, **{key: app[key]})
+            _validate_metric(part.metric_field(coords), d)
+            part.vector_field(coords)
+            part.scalar_field(coords)
+        except (ValueError, IndexError) as exc:
+            raise InvalidSystemError(f"appendix.{key}: {exc}") from exc
+        parts[key] = part
+    system = MetricPotentialSystem(d, parts["metric"].metric,
+                                   parts["vector"].vector_potential,
+                                   parts["scalar"].scalar_potential)
+    x = grid.axis(0)
+    width = float(app["initial_width"])
+    psi0 = np.exp(-((x - float(app["initial_center"])) ** 2) / (4.0 * width**2)
+                  + 1j * float(app["initial_momentum"]) * x)
+    norm2 = grid.norm2(psi0)
+    if not (np.isfinite(norm2) and norm2 > 0):
+        raise InvalidSystemError(
+            f"appendix.initial_center: the initial packet has discrete norm {norm2!r} "
+            "on the grid; it must lie on the grid")
+    return grid, system, psi0 / np.sqrt(norm2)
 
 
 def appendix_velocity(psi: np.ndarray, system: MetricPotentialSystem,

@@ -11,7 +11,6 @@ only used for synthesis, sampling and diagnostics.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,8 +186,7 @@ def _check_centers_inside(centers: np.ndarray, sigma: float, grid: GridSpec) -> 
 
 
 def expand_in_angular_basis(phi: WaveFunction, basis: AngularBasis,
-                            residual_tol: float = 1e-6,
-                            on_truncation: str = "raise") -> tuple[np.ndarray, float]:
+                            residual_tol: float = 1e-6) -> tuple[np.ndarray, float]:
     """Mode coefficients of a ring wavefunction by grid quadrature.
 
     Returns ``(coeffs, residual)`` where residual is ``1 - sum |c_l|^2``, the
@@ -202,10 +200,8 @@ def expand_in_angular_basis(phi: WaveFunction, basis: AngularBasis,
     residual = float(abs(np.sum(np.abs(phi.amplitudes) ** 2 * phi.grid.theta_weights)
                          - np.sum(np.abs(coeffs) ** 2)))
     if residual > residual_tol:
-        msg = f"truncation residual {residual:.3g} exceeds {residual_tol:.3g}; raise l_max"
-        if on_truncation == "raise":
-            raise TruncationError(msg)
-        warnings.warn(msg)
+        raise TruncationError(
+            f"truncation residual {residual:.3g} exceeds {residual_tol:.3g}; raise l_max")
     return coeffs, residual
 
 

@@ -243,26 +243,30 @@ def actual_velocity(state: SpectralState, points, g: float, lambda_signed,
                        lambda_signed)
 
 
-def sample_ring_angles(coeffs: np.ndarray, modes: RingModes, n: int,
+def _ring_envelope(c: np.ndarray) -> float:
+    """``(sum |c_k|)^2 / 2 pi``, a bound on the ring density by the triangle inequality."""
+    return float(np.abs(c).sum()) ** 2 / TWO_PI
+
+
+def sample_ring_angles(c: np.ndarray, l: np.ndarray, n: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """Exact draws from the ring density ``|sum c_l u_l(theta)|^2`` by rejection."""
-    support = np.flatnonzero(np.abs(coeffs) ** 2 > 1e-14)
-    c = coeffs[support]
-    l = modes.basis.modes[support].reshape(-1, 1)
+    """Exact draws from the ring density ``|sum_k c_k exp(i l_k theta)|^2 / 2 pi``.
 
-    def density(theta):
-        phi = np.tensordot(c, np.exp(1j * l * theta[None, :]), axes=1)
-        return np.abs(phi) ** 2 / TWO_PI
-
-    fine = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-    bound = 1.05 * float(density(fine).max())
+    ``c`` holds the occupied coefficients and ``l`` their mode numbers.
+    Rejection under the constant envelope :func:`_ring_envelope`, which
+    touches the density for in-phase states.  Each round draws ``m`` angles
+    and then ``m`` heights and keeps the accepted angles in draw order.
+    """
+    c = np.asarray(c, dtype=complex)
+    l = np.asarray(l).reshape(-1, 1)
+    bound = _ring_envelope(c)
     out = np.empty(n)
     filled = 0
     while filled < n:
         m = int(2.5 * (n - filled) * bound * TWO_PI) + 16
         theta = rng.uniform(0.0, TWO_PI, size=m)
         u = rng.uniform(0.0, bound, size=m)
-        acc = theta[u < density(theta)]
+        acc = theta[u < np.abs(c @ np.exp(1j * l * theta)) ** 2 / TWO_PI]
         take = min(len(acc), n - filled)
         out[filled:filled + take] = acc[:take]
         filled += take

@@ -340,6 +340,22 @@ class TestCli:
         assert path in capsys.readouterr().err
         assert not Path(data["out_dir"]).exists()
 
+    @pytest.mark.parametrize("experiment, appendix, path", [
+        ("appendix", {"scalar": "0.5*qq^2"}, "appendix.scalar"),
+        ("lambda-sweep", {"scalar": "sin("}, "appendix.scalar"),
+        ("appendix", {"metric": "q"}, "appendix.metric"),   # not positive for q <= 0
+        ("lambda-sweep", {"vector": ["q", "1"]}, "appendix.vector"),
+        ("appendix", {"initial_center": 100}, "appendix.initial_center"),  # zero norm
+    ], ids=["unknown-name", "syntax", "metric-not-positive", "vector-length",
+            "packet-off-grid"])
+    def test_bad_appendix_field_rejected_at_parse(self, tmp_path, capsys, experiment,
+                                                  appendix, path):
+        path_cfg, data = make_config(tmp_path, overrides={"appendix": appendix},
+                                     experiment=experiment)
+        assert cli_main([experiment, "--config", str(path_cfg)]) == 1
+        assert path in capsys.readouterr().err
+        assert not (Path(data["out_dir"]) / "error.json").exists()
+
     @pytest.mark.parametrize("experiment, section, key, value", [
         ("born", "equivariance", "n_bins", 1),
         ("prior-average", "prior", "n_mc", 1),

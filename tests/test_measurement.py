@@ -1,6 +1,8 @@
 """Preparation, single events, ensembles, prior/post values, substitution."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochaction import (AngularBasis, DomainOverflowError, GaussianPacket, GridSpec,
                          InvalidSystemError, PhysicalConfig, StochasticParams,
@@ -395,23 +397,23 @@ class TestSubstituteObservable:
 
 
 def oracle_initial_draws(state0, seed, trials):
-    """Reference loop: a new stream per trial, one 8-point density call per round."""
+    """Reference loop: a new stream per trial, rejection rounds over the occupied modes."""
     from stochaction.measurement import _sample_line
     from stochaction.spectral import PlaneWaveModes, RingModes
     out = np.empty((len(trials), 2))
     rounds = np.zeros(len(trials), dtype=int)
     if isinstance(state0.modes, RingModes):
-        fine = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-        dens_fine = np.abs(np.tensordot(state0.coeffs, state0.modes.values(fine), axes=1)) ** 2
-        bound = 1.05 * float(dens_fine.max())
+        sup = np.flatnonzero(np.abs(state0.coeffs) ** 2 > 1e-14)
+        c, l = state0.coeffs[sup], state0.modes.basis.modes[sup]
+        bound = float(np.sum(np.abs(c))) ** 2 / (2.0 * np.pi)
+        m = int(2.5 * bound * 2.0 * np.pi) + 16
         for k, trial in enumerate(trials):
             r = stream(seed, INITIAL, int(trial))
             while True:
                 rounds[k] += 1
-                th = r.uniform(0.0, 2.0 * np.pi, size=8)
-                u = r.uniform(0.0, bound, size=8)
-                dens = np.abs(np.tensordot(state0.coeffs, state0.modes.values(th),
-                                           axes=1)) ** 2
+                th = r.uniform(0.0, 2.0 * np.pi, size=m)
+                u = r.uniform(0.0, bound, size=m)
+                dens = np.abs(c @ np.exp(1j * l[:, None] * th)) ** 2 / (2.0 * np.pi)
                 ok = np.flatnonzero(u < dens)
                 if len(ok):
                     out[k, 0] = th[ok[0]]
@@ -429,8 +431,29 @@ def oracle_initial_draws(state0, seed, trials):
     return out, rounds
 
 
+# four modes with gaps and unequal phases: the envelope is 4x the mean density
+GAPPED = {-3: 0.5, -1: 0.5j, 2: -0.5, 5: 0.5 * np.exp(0.7j)}
+
+
+def ring_cdf(coeffs: dict):
+    """Exact CDF of ``|sum_l c_l exp(i l theta)|^2 / 2 pi`` on [0, 2 pi)."""
+    l = np.array(list(coeffs))
+    c = np.array(list(coeffs.values()), dtype=complex)
+    d = l[:, None] - l[None, :]
+    cc = c[:, None] * np.conj(c)[None, :]
+    off = d != 0
+    dsafe = np.where(off, d, 1)
+
+    def cdf(theta):
+        th = np.asarray(theta, dtype=float)[:, None, None]
+        terms = np.where(off, cc * (np.exp(1j * dsafe * th) - 1.0) / (1j * dsafe), cc * th)
+        return np.real(terms.sum(axis=(1, 2))) / (2.0 * np.pi)
+
+    return cdf
+
+
 class TestDrawOracle:
-    """Batched initial draws and re-keyed streams equal per-trial fresh streams."""
+    """Per-trial initial draws and re-keyed streams equal per-trial fresh streams."""
 
     @staticmethod
     def _draws(state0, seed, trials):
@@ -444,15 +467,17 @@ class TestDrawOracle:
         assert np.array_equal(self._draws(state, 31, trials), want)
 
     def test_low_acceptance_ring_state(self, grid, basis, config, packet):
-        # all 17 modes in phase: a sharp peak under a flat envelope
-        coeffs = {l: 1.0 / np.sqrt(17) for l in basis.modes}
-        state = prepare_initial_state(coeffs, packet, config, grid, basis,
-                                      enforce_separation=False)
-        trials = np.array([0, 5, 3, 2**48 - 1] + list(range(10, 400)))
-        want, rounds = oracle_initial_draws(state, 32, trials)
-        assert np.count_nonzero(rounds >= 2) > 50
-        assert rounds.max() >= 4
-        assert np.array_equal(self._draws(state, 32, trials), want)
+        # all 17 modes in phase: the envelope touches the peak and accepts 1/17;
+        # the gapped state accepts 1/4, so a second round needs all 26 draws of
+        # the first rejected and takes many trials to show up
+        for coeffs, n_trials in [({l: 1.0 / np.sqrt(17) for l in basis.modes}, 400),
+                                 (GAPPED, 20000)]:
+            state = prepare_initial_state(coeffs, packet, config, grid, basis,
+                                          enforce_separation=False)
+            trials = np.array([0, 5, 3, 2**48 - 1] + list(range(10, n_trials)))
+            want, rounds = oracle_initial_draws(state, 32, trials)
+            assert np.count_nonzero(rounds >= 2) >= 3
+            assert np.array_equal(self._draws(state, 32, trials), want)
 
     @pytest.mark.parametrize("kind", ["position", "linear_momentum"])
     def test_line_pipelines(self, kind):
@@ -486,3 +511,29 @@ class TestDrawOracle:
         want = np.stack([sample_sign_path(stoch, 100, stream(34, SIGNS, t))
                          for t in trials[::-1]])
         assert np.array_equal(paths, want)
+
+
+class TestRingSampler:
+    """The one ring sampler draws the exact marginal under an exact envelope."""
+
+    @pytest.mark.parametrize("coeffs", [fixture_coeffs(), GAPPED],
+                             ids=["canonical", "gapped-4"])
+    def test_ks_against_exact_cdf(self, coeffs):
+        from scipy import stats as sps
+        from stochaction.trajectories import sample_ring_angles
+        l = np.array(list(coeffs))
+        c = np.array(list(coeffs.values()), dtype=complex)
+        draws = sample_ring_angles(c, l, 100_000, stream(41))
+        assert sps.kstest(draws, ring_cdf(coeffs)).pvalue > 0.01
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_envelope_bounds_density(self, data):
+        from stochaction.trajectories import _ring_envelope
+        l = np.array(data.draw(st.lists(st.integers(-8, 8), min_size=1, max_size=17,
+                                        unique=True)))
+        part = st.floats(-1.0, 1.0, allow_subnormal=False)
+        c = np.array([complex(data.draw(part), data.draw(part)) for _ in l])
+        th = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
+        dens = np.abs(c @ np.exp(1j * l[:, None] * th)) ** 2 / (2.0 * np.pi)
+        assert dens.max() <= _ring_envelope(c) * (1.0 + 1e-12)

@@ -36,7 +36,7 @@ class TestBornSampling:
         c = np.zeros(len(basis.modes), dtype=complex)
         c[basis.l_max] = np.sqrt(0.5)
         c[basis.l_max + 1] = np.sqrt(0.5)
-        draws = sample_ring_angles(c, RingModes(basis), 20_000, stream(5))
+        draws = sample_ring_angles(c, basis.modes, 20_000, stream(5))
         # CDF oracle by quadrature of |phi|^2 = (1 + cos theta) / (2 pi)
         th = np.linspace(0, 2 * np.pi, 4001)
         cdf = (th + np.sin(th)) / (2 * np.pi)
@@ -346,7 +346,7 @@ class TestIntegration:
         flow = ModeFlow(state, g=1.0)
         spec = EnsembleSpec(dt_traj=1e-3, node_policy="reject-resample")
         r = stream(31)
-        theta = sample_ring_angles(state.coeffs, state.modes, 128, r)
+        theta = sample_ring_angles(state.coeffs, state.modes.basis.modes, 128, r)
         q2 = r.normal(0.0, 0.05, 128)
         q0 = np.stack([theta, q2], axis=-1)
         out = integrate_ensemble(flow, q0, spec, 0.0, 0.5,
@@ -497,7 +497,7 @@ class TestEquivariance:
             q2 = r.uniform(-0.6, 0.6, n)
             q0 = np.stack([theta, q2], axis=-1)
         else:
-            theta = sample_ring_angles(state.coeffs, state.modes, n, r)
+            theta = sample_ring_angles(state.coeffs, state.modes.basis.modes, n, r)
             q2 = r.normal(state.packet.center, state.packet.sigma, n)
             q0 = np.stack([theta, q2], axis=-1)
         spec = EnsembleSpec(dt_traj=2e-3, node_policy="clamp")
@@ -519,7 +519,7 @@ class TestEquivariance:
                            sigma=0.05)
         flow = ModeFlow(state, g=1.0)
         r = stream(22)
-        theta = sample_ring_angles(state.coeffs, state.modes, 4000, r)
+        theta = sample_ring_angles(state.coeffs, state.modes.basis.modes, 4000, r)
         q2 = r.normal(0.0, 0.05, 4000)
         report = equivariance_report({0.0: np.stack([theta, q2], axis=-1)},
                                      state, g=1.0)

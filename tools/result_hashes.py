@@ -85,6 +85,31 @@ def lambda_sweep_2d():
                             0.005, 40, 20)
 
 
+def born_line(kind: str):
+    """Records of a binned position or linear-momentum readout of a line state."""
+    import numpy as np
+    from stochaction import (EnsembleSpec, GridSpec, PhysicalConfig, run_ensemble,
+                             substitute_observable)
+
+    config = PhysicalConfig(sigma=0.02, sep_factor=8.0, g=1.0, t_M=1.0)
+    x = np.linspace(-20.0, 20.0, 1024, endpoint=False)
+    psi = np.exp(-x**2 / 4 + 1j * x)
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
+    window, n_bins = ((-4.0, 4.0), 8) if kind == "position" else ((-4.0, 6.0), 10)
+    pipe = substitute_observable(kind, psi, x, window=window, n_bins=n_bins,
+                                 config=config, grid=GridSpec(64, -8.0, 8.0, 1024))
+    records, _, _ = run_ensemble(pipe, config, EnsembleSpec(dt_traj=0.002), 200, seed=5)
+    return [r.to_dict() for r in records]
+
+
+# name -> API run whose result is hashed as canonical JSON
+API_RUNS = {
+    "lambda-sweep-2d": lambda_sweep_2d,
+    "born-position": lambda: born_line("position"),
+    "born-linear-momentum": lambda: born_line("linear_momentum"),
+}
+
+
 def result_hashes() -> dict:
     from stochaction import parse_config, run_experiment
     from stochaction.experiments import canonical_json
@@ -97,8 +122,9 @@ def result_hashes() -> dict:
             run_experiment(parse_config(json.dumps(data)))
             manifest = json.loads((Path(tmp) / name / "manifest.json").read_text())
             hashes[name] = manifest["files"]
-    blob = canonical_json(lambda_sweep_2d()).encode()
-    hashes["lambda-sweep-2d"] = {"result.json": hashlib.sha256(blob).hexdigest()}
+    for name, run in API_RUNS.items():
+        blob = canonical_json(run()).encode()
+        hashes[name] = {"result.json": hashlib.sha256(blob).hexdigest()}
     return hashes
 
 
