@@ -138,10 +138,6 @@ _COUNT_MINIMA = {
 class ExperimentConfig:
     raw: dict
 
-    def section(self, name: str) -> dict:
-        return self.raw[name] if name else {k: v for k, v in self.raw.items()
-                                            if not isinstance(v, dict)}
-
     def __getitem__(self, key: str):
         return self.raw[key]
 
@@ -185,52 +181,30 @@ class ExperimentConfig:
 
 def _check_types(data: dict, violations: list[str]) -> dict:
     merged: dict[str, Any] = {}
-    # top-level scalars
-    for key, (types, default) in _SCHEMA[""].items():
-        if key in data:
-            value = data[key]
-            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-                violations.append(f"{key}: expected {'/'.join(t.__name__ for t in types)}, "
-                                  f"got {type(value).__name__}")
-            else:
-                merged[key] = value
-        elif default is not None or type(None) in types:
-            merged[key] = default
-        else:
-            violations.append(f"{key}: required")
-    # unknown keys and sections
-    for key in data:
-        if key in _SCHEMA[""]:
-            continue
-        if key not in _SCHEMA:
-            violations.append(f"{key}: unknown key")
-    # sections
     for section, fields in _SCHEMA.items():
-        if not section:
-            continue
-        given = data.get(section, {})
+        # section "" holds the top-level scalars, and there every section name is known
+        given = data.get(section, {}) if section else data
         if not isinstance(given, dict):
             violations.append(f"{section}: expected an object")
             given = {}
-        out = {}
+        prefix = f"{section}." if section else ""
+        out = merged.setdefault(section, {}) if section else merged
         for key, (types, default) in fields.items():
-            if key in given:
-                value = given[key]
-                ok = isinstance(value, types)
-                if isinstance(value, bool) and bool not in types:
-                    ok = False
-                if not ok:
-                    violations.append(
-                        f"{section}.{key}: expected "
-                        f"{'/'.join(t.__name__ for t in types)}, got {type(value).__name__}")
+            if key not in given:
+                if default is None and type(None) not in types:
+                    violations.append(f"{prefix}{key}: required")
                 else:
-                    out[key] = value
+                    out[key] = default
+                continue
+            value = given[key]
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                violations.append(f"{prefix}{key}: expected "
+                                  f"{'/'.join(t.__name__ for t in types)}, "
+                                  f"got {type(value).__name__}")
             else:
-                out[key] = default
-        for key in given:
-            if key not in fields:
-                violations.append(f"{section}.{key}: unknown key")
-        merged[section] = out
+                out[key] = value
+        known = fields.keys() | (set() if section else _SCHEMA.keys())
+        violations += [f"{prefix}{key}: unknown key" for key in given if key not in known]
     return merged
 
 

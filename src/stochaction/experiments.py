@@ -97,11 +97,17 @@ def _environment(threads: int) -> dict:
             "python": platform.python_version(), "machine": platform.machine()}
 
 
-def _check_block(checks: list[tuple[str, bool, str]]) -> dict:
-    return {
-        "passed": bool(all(ok for _, ok, _ in checks)),
+def _declared_checks(cfg: ExperimentConfig, summary: dict,
+                     checks: list[tuple[str, bool, str]]) -> int:
+    """Exit status of the ``(name, passed, detail)`` checks, put in ``summary`` if enabled."""
+    if not cfg["checks"]["enabled"]:
+        return EXIT_OK
+    passed = bool(all(ok for _, ok, _ in checks))
+    summary["checks"] = {
+        "passed": passed,
         "items": [{"name": n, "passed": bool(ok), "detail": d} for n, ok, d in checks],
     }
+    return EXIT_OK if passed else EXIT_CHECKS
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
@@ -159,23 +165,18 @@ def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
         out.add_json("frequencies.json", [dict(zip(header, r)) for r in rows])
 
     summary = {"stats": stats.to_dict()}
-    status = EXIT_OK
-    if cfg["checks"]["enabled"]:
-        ck = cfg["checks"]
-        items = [
-            ("ambiguous_rate", stats.ambiguous_rate < ck["max_ambiguous_rate"],
-             f"rate {stats.ambiguous_rate:.2e} budget {ck['max_ambiguous_rate']:.2e}"),
-            ("chi2_p", stats.chi2_p > ck["chi2_p_min"],
-             f"p {stats.chi2_p:.4g} floor {ck['chi2_p_min']}"),
-        ]
-        if ck["freq_within_3sigma"]:
-            dev = np.abs(stats.frequencies - stats.reference)
-            ok = bool(np.all(dev <= 3.0 * stats.standard_errors + 1e-15))
-            items.append(("freq_within_3sigma", ok,
-                          f"max |f - p| = {float(dev.max()):.4g}"))
-        summary["checks"] = _check_block(items)
-        if not summary["checks"]["passed"]:
-            status = EXIT_CHECKS
+    ck = cfg["checks"]
+    items = [
+        ("ambiguous_rate", stats.ambiguous_rate < ck["max_ambiguous_rate"],
+         f"rate {stats.ambiguous_rate:.2e} budget {ck['max_ambiguous_rate']:.2e}"),
+        ("chi2_p", stats.chi2_p > ck["chi2_p_min"],
+         f"p {stats.chi2_p:.4g} floor {ck['chi2_p_min']}"),
+    ]
+    if ck["freq_within_3sigma"]:
+        dev = np.abs(stats.frequencies - stats.reference)
+        ok = bool(np.all(dev <= 3.0 * stats.standard_errors + 1e-15))
+        items.append(("freq_within_3sigma", ok, f"max |f - p| = {float(dev.max()):.4g}"))
+    status = _declared_checks(cfg, summary, items)
     if cfg["equivariance"]["enabled"]:
         snaps = extras["snapshots"]
         report = equivariance_report(snaps, state0, physical.g,
@@ -244,13 +245,9 @@ def _run_prior_average(cfg: ExperimentConfig, out: RunOutput) -> int:
                            lambda_mag=cfg.physical().lambda_mag)
     z = abs(result["mean"] - result["analytic"]) / max(result["se"], 1e-300)
     summary = {"prior_average": result, "z_score": z}
-    status = EXIT_OK
-    if cfg["checks"]["enabled"]:
-        summary["checks"] = _check_block(
-            [("mc_matches_analytic", z <= cfg["prior"]["z_max"],
-              f"z = {z:.3f} limit {cfg['prior']['z_max']}")])
-        if not summary["checks"]["passed"]:
-            status = EXIT_CHECKS
+    status = _declared_checks(cfg, summary, [
+        ("mc_matches_analytic", z <= cfg["prior"]["z_max"],
+         f"z = {z:.3f} limit {cfg['prior']['z_max']}")])
     out.add_json("summary.json", summary)
     return status
 
@@ -278,12 +275,8 @@ def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> int:
         "n_agreeing": agree,
         "agreement": agree / n_rep,
     }
-    status = EXIT_OK
-    if cfg["checks"]["enabled"]:
-        summary["checks"] = _check_block(
-            [("always_same_outcome", agree == n_rep, f"{agree}/{n_rep}")])
-        if not summary["checks"]["passed"]:
-            status = EXIT_CHECKS
+    status = _declared_checks(cfg, summary, [
+        ("always_same_outcome", agree == n_rep, f"{agree}/{n_rep}")])
     out.add_json("summary.json", summary)
     return status
 
@@ -348,13 +341,9 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> int:
         "deviations": {repr(d): results[d]["max_deviation_from_reference"]
                        for d in sorted(results)},
     }
-    status = EXIT_OK
-    if cfg["checks"]["enabled"]:
-        ref_dev = results[0.0]["max_deviation_from_reference"]
-        summary["checks"] = _check_block(
-            [("reference_zero_deviation", ref_dev == 0.0, f"delta=0 deviation {ref_dev!r}")])
-        if not summary["checks"]["passed"]:
-            status = EXIT_CHECKS
+    ref_dev = results[0.0]["max_deviation_from_reference"]
+    status = _declared_checks(cfg, summary, [
+        ("reference_zero_deviation", ref_dev == 0.0, f"delta=0 deviation {ref_dev!r}")])
     out.add_json("summary.json", summary)
     return status
 
@@ -395,20 +384,15 @@ def _run_stochastic_check(cfg: ExperimentConfig, out: RunOutput) -> int:
         "gaussian_control_max_error": float(worst_gauss),
         "n_draws": n,
     }
-    status = EXIT_OK
-    if cfg["checks"]["enabled"]:
-        rtol = cfg["checks"]["mean_abs_dev_rtol"]
-        items = [
-            ("mean_abs_deviation", abs(mean_abs - expected) <= rtol * expected,
-             f"{mean_abs:.5f} vs {expected:.5f}"),
-            ("sign_lock", sign_locked, "all draws share the scale sign"),
-            ("separability", worst < 1e-12, f"max error {worst:.3e}"),
-            ("gaussian_control_fails", worst_gauss > 1e-2,
-             f"gaussian max error {worst_gauss:.3e}"),
-        ]
-        summary["checks"] = _check_block(items)
-        if not summary["checks"]["passed"]:
-            status = EXIT_CHECKS
+    rtol = cfg["checks"]["mean_abs_dev_rtol"]
+    status = _declared_checks(cfg, summary, [
+        ("mean_abs_deviation", abs(mean_abs - expected) <= rtol * expected,
+         f"{mean_abs:.5f} vs {expected:.5f}"),
+        ("sign_lock", sign_locked, "all draws share the scale sign"),
+        ("separability", worst < 1e-12, f"max error {worst:.3e}"),
+        ("gaussian_control_fails", worst_gauss > 1e-2,
+         f"gaussian max error {worst_gauss:.3e}"),
+    ])
     out.add_json("summary.json", summary)
     return status
 

@@ -1,18 +1,21 @@
 """Tiny arithmetic expression grammar for potential and metric fields.
 
-Supported: + - * / ^ with the usual precedence, parentheses, unary minus,
-the functions sin, cos, exp, the constants pi and e, numeric literals, and
-coordinate names supplied at compile time.  Expressions evaluate on numpy
-arrays; nothing else is allowed (no attribute access, no general Python).
++ - * / ^ (``**`` an alias) in Python's precedence (``-q^2`` is ``-(q^2)``),
+parentheses, unary plus, sin, cos, exp, pi, e, decimal literals and the given
+coordinate names: Python parses the text, and a node whitelist allows no more.
 """
 from __future__ import annotations
 
+import ast
+import operator
 import re
 
 import numpy as np
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_]\w*)|(\*\*|[-+*/^()]))")
-
+_DECIMAL = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
@@ -21,131 +24,55 @@ class ExpressionError(ValueError):
     """Syntax or name error in a field expression."""
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ExpressionError(f"unexpected character at position {pos}: {text[pos:]!r}")
-            break
-        tokens.append(m.group(0).strip())
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[str], names: tuple[str, ...]):
-        self.tokens = tokens
-        self.pos = 0
-        self.names = names
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str):
-        got = self.take()
-        if got != tok:
-            raise ExpressionError(f"expected {tok!r}, got {got!r}")
-
-    # expr := term (('+'|'-') term)*
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.power()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.power()
-            node = (op, node, rhs)
-        return node
-
-    # unary minus binds looser than '^', so -q^2 means -(q^2)
-    def power(self):
-        if self.peek() in ("-", "+"):
-            op = self.take()
-            node = self.power()
-            return ("neg", node, None) if op == "-" else node
-        node = self.primary()
-        if self.peek() in ("^", "**"):
-            self.take()
-            return ("^", node, self.power())
-        return node
-
-    def primary(self):
-        tok = self.take()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression")
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if re.fullmatch(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?", tok):
-            return ("num", float(tok), None)
-        if re.fullmatch(r"[A-Za-z_]\w*", tok):
-            if self.peek() == "(":
-                if tok not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {tok!r}")
-                self.take()
-                arg = self.expr()
-                self.expect(")")
-                return ("call", tok, arg)
-            if tok in _CONSTANTS:
-                return ("num", _CONSTANTS[tok], None)
-            if tok in self.names:
-                return ("var", tok, None)
-            raise ExpressionError(f"unknown name {tok!r} (coordinates: {self.names})")
-        raise ExpressionError(f"unexpected token {tok!r}")
+def _check(node, src: str, names: tuple[str, ...]) -> None:
+    """Raise :class:`ExpressionError` unless every node under ``node`` is allowed."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        _check(node.left, src, names)
+        _check(node.right, src, names)
+    elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        _check(node.operand, src, names)
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and len(node.args) == 1 and not node.keywords):
+        # a parenthesized name, as in (sin)(q), is not a function
+        if node.func.id not in _FUNCTIONS or node.func.col_offset != node.col_offset:
+            raise ExpressionError(f"unknown function {node.func.id!r}")
+        _check(node.args[0], src, names)
+    elif isinstance(node, ast.Name):
+        if node.id not in _CONSTANTS and node.id not in names:
+            raise ExpressionError(f"unknown name {node.id!r} (coordinates: {names})")
+    elif isinstance(node, ast.Constant) and _DECIMAL.fullmatch(
+            text := ast.get_source_segment(src, node)):
+        node.value = float(text)  # every literal a float; an overlong integer reads inf
+    else:
+        raise ExpressionError(f"not allowed: {ast.get_source_segment(src, node)!r}")
 
 
 def _evaluate(node, env):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        return env[node[1]]
-    if kind == "neg":
-        return -_evaluate(node[1], env)
-    if kind == "call":
-        return _FUNCTIONS[node[1]](_evaluate(node[2], env))
-    a = _evaluate(node[1], env)
-    b = _evaluate(node[2], env)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
-    if kind == "^":
-        return a ** b
-    raise ExpressionError(f"bad node {kind!r}")
+    if isinstance(node, ast.BinOp):
+        return _BINARY[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
+    if isinstance(node, ast.UnaryOp):
+        return _UNARY[type(node.op)](_evaluate(node.operand, env))
+    if isinstance(node, ast.Call):
+        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], env))
+    return env[node.id] if isinstance(node, ast.Name) else node.value
 
 
 def compile_expression(text: str, names: tuple[str, ...]):
     """Compile to a callable taking coordinate arrays in ``names`` order."""
-    parser = _Parser(_tokenize(text), names)
-    tree = parser.expr()
-    if parser.peek() is not None:
-        raise ExpressionError(f"trailing tokens starting at {parser.peek()!r}")
+    # Python would end at a line break, skip a '#' comment and NFKC-fold names.
+    src = " ".join(text.split()).replace("^", "**")
+    if not (src.isascii() and src.isprintable()) or "#" in src:
+        raise ExpressionError(f"unexpected character in {text!r}")
+    try:
+        tree = ast.parse(src, mode="eval").body
+        _check(tree, src, names)
+    except (SyntaxError, MemoryError, RecursionError) as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc}") from exc
 
     def fn(*coords):
         if len(coords) != len(names):
             raise ExpressionError(f"expected {len(names)} coordinate arrays")
-        env = dict(zip(names, coords))
-        out = np.asarray(_evaluate(tree, env), dtype=float)
+        out = np.asarray(_evaluate(tree, dict(zip(names, coords), **_CONSTANTS)), dtype=float)
         if out.ndim == 0 and coords:
             out = np.full(np.shape(coords[0]), float(out))
         return out

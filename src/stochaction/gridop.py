@@ -258,8 +258,11 @@ def build_metric_hamiltonian(system: MetricPotentialSystem, lambda_mag: float,
     for i in range(d):
         H = H + (-0.5 * lam2) * _divergence_form(g[..., i, i], grid, i)
     if d == 2:
-        G12 = sp.diags(g[..., 0, 1].ravel())
-        H = H + (-0.5 * lam2) * (D[0] @ G12 @ D[1] + D[1] @ G12 @ D[0])
+        # D1 G12 D0 = X.T as both D are antisymmetric; taking the transpose
+        # rather than a second product keeps the sum exactly symmetric
+        # whatever the two spacings
+        X = D[0] @ sp.diags(g[..., 0, 1].ravel()) @ D[1]
+        H = H + (-0.5 * lam2) * (X + X.T)
 
     # gauge cross terms -(p_i b_i + b_i p_i)/2 with b_i = g^{ij} a_j
     if system.vector_potential is not None:

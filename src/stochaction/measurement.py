@@ -152,7 +152,6 @@ class MeasurementPipeline:
     outcome_values: np.ndarray   # recorded eigenvalue per category
     outcome_reference: np.ndarray  # squared-coefficient weight per category
     outcome_edges: np.ndarray | None = None  # bin edges, observable units
-    coverage: float = 1.0
     x_bounds: tuple[float, float] | None = None
 
     def infer(self, q2_final: float, centers_tm: np.ndarray, window: float,
@@ -578,5 +577,5 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
     return MeasurementPipeline(
         state0=state0, flow_kind=flow_kind, outcome_mode="ranges",
         outcome_indices=np.arange(n_bins), outcome_values=bin_centers,
-        outcome_reference=weights, outcome_edges=edges, coverage=coverage,
+        outcome_reference=weights, outcome_edges=edges,
         x_bounds=(float(x[0]), float(x[-1])))

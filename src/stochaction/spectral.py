@@ -65,8 +65,6 @@ class GaussianPacket:
 class RingModes:
     """Analytic mode table for the angular-momentum problem."""
 
-    periodic = True
-
     def __init__(self, basis: AngularBasis):
         self.basis = basis
         self.omegas = basis.omegas
@@ -86,8 +84,6 @@ class LineModes:
     Used by the position measurement kind, where the 'modes' are the
     bin-masked pieces of the state with outcome values at bin centers.
     """
-
-    periodic = False
 
     def __init__(self, x_grid: np.ndarray, table: np.ndarray, omegas: np.ndarray):
         if table.shape != (len(omegas), len(x_grid)):
@@ -114,8 +110,6 @@ class PlaneWaveModes:
     outcome only appears when the readout is binned.  ``x_grid`` is kept for
     initial-density sampling and trajectory bounds.
     """
-
-    periodic = False
 
     def __init__(self, momenta: np.ndarray, box_length: float, x_grid: np.ndarray):
         p = np.asarray(momenta, dtype=float)

@@ -55,12 +55,18 @@ class TestHamiltonianAssembly:
         op = build_metric_hamiltonian(wavy_2d_system(), 1.0, grid)
         assert op.hermiticity_defect() < 1e-10
 
+    @pytest.mark.parametrize("ns, periodic", [((24, 20), (False, False)),
+                                              ((20, 14), (False, True))])
+    def test_2d_operator_is_exactly_hermitian_on_unequal_spacings(self, ns, periodic):
+        grid = CartesianGrid((-2.0, -2.0), (2.0, 2.0), ns, periodic)
+        assert grid.spacing(0) != grid.spacing(1)
+        assert build_metric_hamiltonian(wavy_2d_system(), 1.0, grid).hermiticity_defect() == 0.0
+
     @pytest.mark.parametrize("ns, periodic", [((24, 24), (True, True)),
                                               ((24, 23), (True, False))])
     def test_2d_periodic_operator_is_hermitian_and_unitary(self, ns, periodic):
         # on [-2, 2] a periodic axis of n points and a closed one of n - 1 share
-        # the spacing 4/n; the two cross-term products then round alike, so
-        # the defect is exactly 0 (with unequal spacings it is about 1 ulp)
+        # the spacing 4/n
         grid = CartesianGrid((-2.0, -2.0), (2.0, 2.0), ns, periodic)
         assert grid.spacing(0) == grid.spacing(1)
         op = build_metric_hamiltonian(wavy_2d_system(), 1.0, grid)
@@ -296,7 +302,7 @@ def _oracle_metric_hamiltonian(system, lambda_mag, grid):
         H = H + (-0.5 * lam2) * _oracle_conservative_nd(g[..., i, i], grid, i)
     if d == 2:
         G12 = sp.diags(g[..., 0, 1].ravel())
-        H = H + (-0.5 * lam2) * (D[0] @ G12 @ D[1] + D[1] @ G12 @ D[0])
+        H = H + (-0.5 * lam2) * (D[0] @ G12 @ D[1] + (D[0] @ G12 @ D[1]).T)
     if system.vector_potential is not None:
         for i in range(d):
             b = np.einsum("...j,...j->...", g[..., i, :], a)
@@ -370,6 +376,15 @@ class TestStencilOracle:
         for lam in (1.0, 0.37):
             op = build_metric_hamiltonian(system, lam, grid)
             assert_same_csr(op.matrix, _oracle_metric_hamiltonian(system, lam, grid))
+
+    def test_transposed_cross_term_keeps_the_bits_on_equal_spacings(self):
+        # D0 G D1 + D1 G D0 rounds (a*g)*b and (b*g)*a alike when |a| == |b|
+        grid = CartesianGrid((-3.0, -2.0), (3.0, 2.5), (20, 14), (True, False))
+        assert grid.spacing(0) == grid.spacing(1)
+        D = [_derivative(grid, axis) for axis in range(2)]
+        G12 = sp.diags(bumpy_metric(grid.coords())[..., 0, 1].ravel())
+        X = D[0] @ G12 @ D[1]
+        assert_same_csr((X + X.T).tocsr(), (X + D[1] @ G12 @ D[0]).tocsr())
 
 
 # ---------------------------------------------------------------------------

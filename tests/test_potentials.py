@@ -38,10 +38,23 @@ class TestExpressionGrammar:
         assert f(np.zeros(7)).shape == (7,)
 
     @pytest.mark.parametrize("text", ["q +", "sin(q", "2 ** * 3", "q @ 2",
-                                      "tan(q)", "unknown + 1"])
+                                      "tan(q)", "unknown + 1", "q[0]", "q.real",
+                                      "q < 1", "q//2", "1j*q", "True*q", "sin(q, q)",
+                                      "sin(x=q)", "lambda: q", "0x10*q", "1_0*q", "",
+                                      "\u0663*q"])
     def test_rejects_bad_expressions(self, text):
         with pytest.raises(ExpressionError):
             compile_expression(text, ("q",))
+
+    def test_overlong_integer_literal_reads_inf(self):
+        f = compile_expression("1" + "0" * 400 + "*q", ("q",))
+        assert np.array_equal(f(np.array([1.0, -2.0])), [np.inf, -np.inf])
+
+    def test_leading_zero_integer_rejected(self):
+        # Python's grammar has no such literal; "007." and "0.07" are decimals
+        with pytest.raises(ExpressionError):
+            compile_expression("007*q", ("q",))
+        assert compile_expression("007.*q", ("q",))(np.array([2.0]))[0] == 14.0
 
 
 class TestSystemFromExpressions:

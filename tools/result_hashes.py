@@ -42,6 +42,11 @@ APPENDIX_PERIODIC = {"periodic": True, "x_min": -3.0, "x_max": 3.0, "n_points": 
                      "scalar": "0.5*cos(pi*q/3)", "initial_width": 0.5,
                      "initial_momentum": 2.0, "n_steps": 100, "record_every": 10,
                      "save_wavefunctions": True}
+# the field grammar: e, the ** alias, 2^-q^2 (power above unary minus), a
+# right-associative chain and nested calls
+APPENDIX_GRAMMAR = {"metric": "1+0.2*exp(-sin(cos(q))^2)", "vector": ["0.3*e^(-q**2/8)"],
+                    "scalar": "0.5*q^2 - 2^-q^2 + 0.1*2^2^0.5*sin(q)", "n_steps": 100,
+                    "record_every": 10, "initial_center": 0.5, "save_wavefunctions": True}
 SWEEP = {"deltas": [0.0, 0.25], "n_steps": 100, "record_every": 50,
          "x_min": -20.0, "x_max": 20.0, "n_points": 256}
 
@@ -62,6 +67,7 @@ CONFIGS = {
     "repeatability": ("repeatability", {"repeat": {"n_repeats": 50}}),
     "appendix": ("appendix", {"appendix": APPENDIX}),
     "appendix-periodic": ("appendix", {"appendix": APPENDIX_PERIODIC}),
+    "appendix-grammar": ("appendix", {"appendix": APPENDIX_GRAMMAR}),
     "lambda-sweep": ("lambda-sweep", {"appendix": SWEEP}),
     "stochastic-check": ("stochastic-check", {"checks": {"n_draws": 100000}}),
 }
