@@ -2,9 +2,9 @@
 
 Every run writes its result files plus ``manifest.json`` carrying the echoed
 config, the package version, the seed, per-file content hashes, the wall
-time, the environment (cpu count, requested threads, library versions) and,
-for grid runs, a ``grid`` block with each Cayley operator's Hermiticity
-defect and worst snapshot norm drift.
+time, the environment (cpu count, requested threads, OpenBLAS threads,
+library versions) and, for grid runs, a ``grid`` block with each Cayley
+operator's Hermiticity defect and worst snapshot norm drift.
 Result files are byte-identical across repeat runs and across thread counts
 for a fixed (config, seed); the manifest is excluded from that contract
 because it records the wall time, but its file-hash map is itself
@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .core import DomainOverflowError, field_to_binary, field_to_csv
-from .gridop import build_metric_hamiltonian, evolve_grid, verify_hjm_residual
+from .gridop import (blas_threads, build_metric_hamiltonian, evolve_grid,
+                     verify_hjm_residual)
 from .measurement import (_sign_paths, average_prior, prepare_initial_state,
                           run_ensemble, run_single_event)
 from .potentials import LambdaSweep, appendix_setup, run_lambda_sweep
@@ -87,12 +88,15 @@ def _environment(threads: int) -> dict:
 
     Result bytes rest on the platform's math library (the velocity kernel
     builds exp(i x) from cos and sin), so a run names where it ran.
+    ``blas_threads`` is what scipy's OpenBLAS reports outside the Cayley
+    solver, which holds it at one thread (None when none is loaded).
     """
     import platform
 
     import scipy
 
     return {"cpu_count": os.cpu_count(), "threads": threads,
+            "blas_threads": blas_threads(),
             "numpy": np.__version__, "scipy": scipy.__version__,
             "python": platform.python_version(), "machine": platform.machine()}
 

@@ -16,9 +16,17 @@ periodic axes.  Time stepping is the Cayley (implicit midpoint) form, which
 is unitary for any Hermitian matrix and second order in dt.  Its matrix
 ``I + (i dt / 2 lambda) H`` is factored once per run with a fill-reducing
 ordering for symmetric patterns, and each step is then a single sparse solve.
+The factorization and the steps run on one thread of scipy's OpenBLAS: a
+second thread on the large dense blocks of the supernodal factor and solve
+costs CPU and gains no wall time, and one thread keeps the arithmetic
+independent of the thread count OpenBLAS would pick on a given machine.
 """
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -297,6 +305,74 @@ def build_unsymmetrized_hamiltonian(system: MetricPotentialSystem, lambda_mag: f
     return GridOperator(matrix=H.tocsr(), grid=grid, lambda_mag=lambda_mag)
 
 
+_BLAS_LOCK = threading.Lock()
+_blas = {"depth": 0, "saved": None}
+
+
+@functools.cache
+def _openblas_calls():
+    """``(get_num_threads, set_num_threads)`` of scipy's loaded OpenBLAS, or None.
+
+    Looked up once per process among the shared objects already mapped
+    (``/proc/self/maps``, so Linux only); scipy's own build names its entry
+    points ``scipy_openblas_*``, a system OpenBLAS ``openblas_*``.  numpy's
+    64-bit-integer OpenBLAS exports neither pair and is left alone.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({fields[-1] for fields in map(str.split, fh)
+                            if len(fields) == 6 and "openblas" in os.path.basename(fields[-1])})
+    except OSError:
+        return None
+    import ctypes
+
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads", None)
+            put = getattr(lib, f"{prefix}_set_num_threads", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """Thread count scipy's OpenBLAS reports here, or None if none is loaded."""
+    calls = _openblas_calls()
+    return None if calls is None else calls[0]()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold scipy's OpenBLAS at one thread; the outermost exit restores the count.
+
+    A lock and a depth count make nested and concurrent callers share one
+    save and one restore.
+    """
+    calls = _openblas_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _BLAS_LOCK:
+        if _blas["depth"] == 0:
+            _blas["saved"] = get()
+            put(1)
+        _blas["depth"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas["depth"] -= 1
+            if _blas["depth"] == 0:
+                put(_blas["saved"])
+
+
 def evolve_grid(psi: np.ndarray, op: GridOperator, dt: float, n_steps: int,
                 record_every: int | None = None):
     """Cayley-stepped evolution of ``i lambda dpsi/dt = H psi``.
@@ -312,6 +388,14 @@ def evolve_grid(psi: np.ndarray, op: GridOperator, dt: float, n_steps: int,
     ordering leaves 37% less fill in L + U than the default column ordering
     (1.13M against 1.80M entries on a 128x128 grid).  Since
     ``A^-1 (I - zH) = 2 A^-1 - I``, a step is one solve and no mat-vec.
+
+    The factorization and every solve run with scipy's OpenBLAS held at one
+    thread, and the caller's thread count is restored on every exit.  On
+    2-D grids OpenBLAS would wake a second thread for the large dense
+    blocks of both; on a ``sweep-2d`` unit that cost about 0.8 s of CPU in
+    3.4 s and saved no wall time.  A threaded factorization also rounds
+    some entries of L and U differently (grids from about 64x64), so one
+    thread makes the results the same on any core count.
     """
     if dt <= 0 or n_steps < 1:
         raise ValueError("need dt > 0 and n_steps >= 1")
@@ -320,20 +404,21 @@ def evolve_grid(psi: np.ndarray, op: GridOperator, dt: float, n_steps: int,
     z = 0.5j * dt / op.lambda_mag
     eye = sp.identity(op.grid.size, format="csc", dtype=complex)
     A = (eye + z * op.matrix).tocsc()
-    try:
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # singular factorization
-        raise NumericalError(f"Cayley factorization failed: {exc}") from exc
     history = []
     if record_every:
         history.append((0.0, vec.reshape(shape).copy()))
-    for k in range(n_steps):
-        vec = 2.0 * lu.solve(vec) - vec
-        if not np.all(np.isfinite(vec)):
-            raise NumericalError(f"non-finite field after step {k + 1}; "
-                                 f"dt={dt}, lambda={op.lambda_mag}")
-        if record_every and (k + 1) % record_every == 0:
-            history.append(((k + 1) * dt, vec.reshape(shape).copy()))
+    with _one_blas_thread():
+        try:
+            lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # singular factorization
+            raise NumericalError(f"Cayley factorization failed: {exc}") from exc
+        for k in range(n_steps):
+            vec = 2.0 * lu.solve(vec) - vec
+            if not np.all(np.isfinite(vec)):
+                raise NumericalError(f"non-finite field after step {k + 1}; "
+                                     f"dt={dt}, lambda={op.lambda_mag}")
+            if record_every and (k + 1) % record_every == 0:
+                history.append(((k + 1) * dt, vec.reshape(shape).copy()))
     out = vec.reshape(shape)
     if record_every:
         return out, history

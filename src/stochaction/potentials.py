@@ -89,7 +89,8 @@ def appendix_setup(app: dict):
             _validate_metric(part.metric_field(coords), d)
             part.vector_field(coords)
             part.scalar_field(coords)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, ArithmeticError, TypeError) as exc:
+            # float arithmetic fails on constant parts: 0^-1, 10^400, (-8)^0.5
             raise InvalidSystemError(f"appendix.{key}: {exc}") from exc
         parts[key] = part
     system = MetricPotentialSystem(d, parts["metric"].metric,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochaction import ConfigError, parse_config, run_experiment, serialize_config
+from stochaction import ConfigError, gridop, parse_config, run_experiment, serialize_config
 from stochaction.cli import main as cli_main
 
 MINIMAL_BORN = {
@@ -346,8 +346,11 @@ class TestCli:
         ("appendix", {"metric": "q"}, "appendix.metric"),   # not positive for q <= 0
         ("lambda-sweep", {"vector": ["q", "1"]}, "appendix.vector"),
         ("appendix", {"initial_center": 100}, "appendix.initial_center"),  # zero norm
+        ("appendix", {"scalar": "0^-1"}, "appendix.scalar"),       # ZeroDivisionError
+        ("lambda-sweep", {"scalar": "10^400"}, "appendix.scalar"),  # OverflowError
+        ("appendix", {"scalar": "(-8)^0.5"}, "appendix.scalar"),   # complex: TypeError
     ], ids=["unknown-name", "syntax", "metric-not-positive", "vector-length",
-            "packet-off-grid"])
+            "packet-off-grid", "zero-division", "overflow", "complex-power"])
     def test_bad_appendix_field_rejected_at_parse(self, tmp_path, capsys, experiment,
                                                   appendix, path):
         path_cfg, data = make_config(tmp_path, overrides={"appendix": appendix},
@@ -402,12 +405,29 @@ class TestCli:
                          "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         env = manifest["environment"]
-        assert set(env) == {"cpu_count", "threads", "numpy", "scipy", "python", "machine"}
+        assert set(env) == {"cpu_count", "threads", "blas_threads", "numpy", "scipy",
+                            "python", "machine"}
         assert env["threads"] == 3
         assert env["cpu_count"] == os.cpu_count()
         assert env["numpy"] == np.__version__
         assert set(manifest["files"]) == {"records.jsonl", "summary.json",
                                           "frequencies.csv"}
+
+    def test_manifest_reports_blas_threads_outside_the_solver(self, tmp_path, monkeypatch):
+        path, data = make_config(tmp_path, experiment="appendix",
+                                 overrides={"appendix": {"n_steps": 10, "record_every": 5}})
+        before = gridop.blas_threads()
+        assert cli_main(["appendix", "--config", str(path)]) == 0
+        env = json.loads((Path(data["out_dir"]) / "manifest.json").read_text())["environment"]
+        assert env["blas_threads"] == before == gridop.blas_threads()
+        # no OpenBLAS found: the key is null and the run is unchanged
+        monkeypatch.setattr(gridop, "_openblas_calls", lambda: None)
+        out = tmp_path / "no-blas"
+        assert cli_main(["appendix", "--config", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"]["blas_threads"] is None
+        assert manifest["files"] == json.loads(
+            (Path(data["out_dir"]) / "manifest.json").read_text())["files"]
 
 
 class TestDeterminism:

@@ -1,4 +1,7 @@
 """Metric Hamiltonians, Cayley propagation, curvature term, residual pair."""
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +11,8 @@ from scipy.sparse.linalg import splu
 from stochaction import (CartesianGrid, InvalidSystemError, MetricPotentialSystem,
                          build_metric_hamiltonian, build_unsymmetrized_hamiltonian,
                          evolve_grid, quantum_potential, verify_hjm_residual)
-from stochaction.gridop import _derivative, _divergence_form
+from stochaction import gridop
+from stochaction.gridop import NumericalError, _derivative, _divergence_form
 
 
 def harmonic_system():
@@ -443,3 +447,116 @@ class TestCayleyOracle:
         for (t, snap), (t_want, snap_want) in zip(history, want_history):
             assert t == t_want
             assert np.max(np.abs(snap - snap_want)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the Cayley solver runs on one OpenBLAS thread
+# ---------------------------------------------------------------------------
+
+needs_openblas = pytest.mark.skipif(gridop.blas_threads() is None,
+                                    reason="no OpenBLAS loaded")
+
+
+@pytest.fixture
+def blas_count():
+    """Set the caller's OpenBLAS thread count; the test's end puts the old one back."""
+    get, put = gridop._openblas_calls()
+    saved = get()
+
+    def set_count(n):
+        put(n)
+        return get()
+
+    yield set_count
+    put(saved)
+
+
+def _blas_case(n=96):
+    """Closed ``n`` x ``n`` grid, metric cross term, vector and scalar terms."""
+    grid = CartesianGrid((-4.0, -4.0), (4.0, 4.0), (n, n), (False, False))
+    x, y = grid.coords()
+    psi = normalized(np.exp(-((x - 0.5) ** 2 + y**2) / 2 + 0.8j * y), grid)
+    return psi, build_metric_hamiltonian(wavy_2d_system(), 1.0, grid)
+
+
+def _recording_splu(seen):
+    """``splu`` whose factorization and solves log the OpenBLAS thread count."""
+
+    class Recorded:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            seen.append(("solve", gridop.blas_threads()))
+            return self.lu.solve(rhs)
+
+    def wrapped(A, **kwargs):
+        seen.append(("splu", gridop.blas_threads()))
+        return Recorded(splu(A, **kwargs))
+
+    return wrapped
+
+
+@needs_openblas
+class TestOneBlasThread:
+    def test_bits_are_the_one_thread_bits_at_any_caller_count(self, blas_count,
+                                                              monkeypatch):
+        # 96x96 is large enough that OpenBLAS threads the factorization's
+        # supernode updates, and a threaded factorization rounds differently
+        psi, op = _blas_case()
+        blas_count(2)
+        pinned = evolve_grid(psi, op, 0.01, 10)
+        monkeypatch.setattr(gridop, "_one_blas_thread", contextlib.nullcontext)
+        blas_count(1)
+        assert np.array_equal(pinned, evolve_grid(psi, op, 0.01, 10))
+
+    def test_factorization_and_every_solve_see_one_thread(self, blas_count, monkeypatch):
+        psi, op = _blas_case(24)
+        blas_count(2)
+        seen = []
+        monkeypatch.setattr(gridop, "splu", _recording_splu(seen))
+        evolve_grid(psi, op, 0.01, 5)
+        assert seen == [("splu", 1)] + [("solve", 1)] * 5
+
+    def test_count_restored_after_return_and_after_each_numerical_error(
+            self, blas_count, monkeypatch):
+        psi, op = _blas_case(24)
+        most = blas_count(2)
+        evolve_grid(psi, op, 0.01, 3)
+        assert gridop.blas_threads() == most
+        with pytest.raises(NumericalError, match="non-finite field after step 1"):
+            evolve_grid(np.full_like(psi, np.nan), op, 0.01, 3)
+        assert gridop.blas_threads() == most
+
+        def singular(A, **kwargs):
+            assert gridop.blas_threads() == 1
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(gridop, "splu", singular)
+        with pytest.raises(NumericalError, match="factorization failed"):
+            evolve_grid(psi, op, 0.01, 3)
+        assert gridop.blas_threads() == most
+        assert gridop._blas["depth"] == 0
+
+    def test_concurrent_runs_restore_the_count_once(self, blas_count, monkeypatch):
+        psi, op = _blas_case(48)
+        most = blas_count(2)
+        want = evolve_grid(psi, op, 0.01, 20)
+        seen = []
+        monkeypatch.setattr(gridop, "splu", _recording_splu(seen))
+        start = threading.Barrier(2)
+        outs = [None, None]
+
+        def run(i):
+            start.wait()
+            outs[i] = evolve_grid(psi, op, 0.01, 20)
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        assert all(np.array_equal(out, want) for out in outs)
+        assert {count for _, count in seen} == {1}
+        assert gridop.blas_threads() == most
+        assert gridop._blas["depth"] == 0

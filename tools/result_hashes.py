@@ -91,6 +91,29 @@ def lambda_sweep_2d():
                             0.005, 40, 20)
 
 
+def cayley_2d():
+    """Final field of 10 Cayley steps on a closed 96x96 grid, metric cross term included.
+
+    At this size a threaded OpenBLAS rounds some entries of the LU factors
+    differently, so the kind pins the solver's bits where the BLAS thread
+    count matters.
+    """
+    import numpy as np
+    from stochaction import (CartesianGrid, build_metric_hamiltonian, evolve_grid,
+                             system_from_expressions)
+
+    system = system_from_expressions(
+        2, metric={"g11": "1+0.2*sin(x)", "g22": "1+0.1*cos(y)",
+                   "g12": "0.05*sin(x)*cos(y)"},
+        vector=["0.1*y", "-0.1*x"], scalar="0.5*(x^2+y^2)")
+    grid = CartesianGrid((-4.0, -4.0), (4.0, 4.0), (96, 96), (False, False))
+    x, y = grid.coords()
+    psi0 = np.exp(-((x - 0.5) ** 2 + y**2) / 2 + 0.8j * y)
+    psi0 = psi0 / np.sqrt(grid.norm2(psi0))
+    out = evolve_grid(psi0, build_metric_hamiltonian(system, 1.0, grid), 0.01, 10)
+    return {"real": out.real.ravel().tolist(), "imag": out.imag.ravel().tolist()}
+
+
 def born_line(kind: str):
     """Records of a binned position or linear-momentum readout of a line state."""
     import numpy as np
@@ -111,6 +134,7 @@ def born_line(kind: str):
 # name -> API run whose result is hashed as canonical JSON
 API_RUNS = {
     "lambda-sweep-2d": lambda_sweep_2d,
+    "cayley-2d": cayley_2d,
     "born-position": lambda: born_line("position"),
     "born-linear-momentum": lambda: born_line("linear_momentum"),
 }
