@@ -3,8 +3,10 @@
 Every run writes its result files plus ``manifest.json`` carrying the echoed
 config, the package version, the seed, per-file content hashes, the wall
 time, the environment (cpu count, requested threads, OpenBLAS threads,
-library versions) and, for grid runs, a ``grid`` block with each Cayley
-operator's Hermiticity defect and worst snapshot norm drift.
+library versions), for trajectory runs an ``ensemble`` block of run
+counters (trials, decided trials and their mean decision time, node-clamped
+trials) and, for grid runs, a ``grid`` block with each Cayley operator's
+Hermiticity defect and worst snapshot norm drift.
 Result files are byte-identical across repeat runs and across thread counts
 for a fixed (config, seed); the manifest is excluded from that contract
 because it records the wall time, but its file-hash map is itself
@@ -26,7 +28,7 @@ from .core import DomainOverflowError, field_to_binary, field_to_csv
 from .gridop import (blas_threads, build_metric_hamiltonian, evolve_grid,
                      verify_hjm_residual)
 from .measurement import (_sign_paths, average_prior, prepare_initial_state,
-                          run_ensemble, run_single_event)
+                          run_ensemble)
 from .potentials import LambdaSweep, appendix_setup, run_lambda_sweep
 from .rng import GENERIC, stream
 from .spectral import GaussianPacket
@@ -149,6 +151,7 @@ def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
         state0, physical, espec, cfg["ensemble"]["n_trials"], cfg["seed"],
         velocity=cfg["velocity"], stoch=stoch, threads=cfg["threads"],
         snapshot_steps=snapshot_steps)
+    out.telemetry["ensemble"] = _ensemble_counters(extras)
 
     if cfg["ensemble"]["fail_on_overflow"]:
         for rec in records:
@@ -204,6 +207,7 @@ def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
         state0, physical, espec, cfg["ensemble"]["n_trials"], cfg["seed"],
         velocity=cfg["velocity"], stoch=stoch, threads=cfg["threads"],
         snapshot_steps=tuple(steps))
+    out.telemetry["ensemble"] = _ensemble_counters(extras)
     # snapshot times ascend with their steps
     snaps = dict(zip(steps, sorted(extras["snapshots"].items())))
     signs = np.ones((n_store, n_steps), dtype=np.int8)
@@ -260,9 +264,10 @@ def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> int:
     physical = cfg.physical()
     espec = cfg.ensemble()
     state0 = _prepared_state(cfg)
-    first = run_single_event(state0, physical, espec, cfg["seed"], trial=0,
-                             velocity=cfg["velocity"],
-                             stoch=cfg.stochastic() if cfg["velocity"] == "actual" else None)
+    # trial 0 of the seed's ensemble, as run_single_event draws it
+    (first,), _, first_extras = run_ensemble(
+        state0, physical, espec, 1, cfg["seed"], velocity=cfg["velocity"],
+        stoch=cfg.stochastic() if cfg["velocity"] == "actual" else None)
     if first.outcome_index is None:
         raise DomainOverflowError("first event was flagged; cannot test repetition")
     collapsed = prepare_initial_state(
@@ -270,8 +275,9 @@ def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> int:
         GaussianPacket(state0.packet.center, state0.packet.sigma), physical,
         state0.grid, state0.modes.basis)
     n_rep = cfg["repeat"]["n_repeats"]
-    records, stats, _ = run_ensemble(collapsed, physical, espec, n_rep,
-                                     cfg["seed"] + 1, threads=cfg["threads"])
+    records, stats, extras = run_ensemble(collapsed, physical, espec, n_rep,
+                                          cfg["seed"] + 1, threads=cfg["threads"])
+    out.telemetry["ensemble"] = _ensemble_counters(first_extras, extras)
     agree = sum(1 for r in records if r.outcome_index == first.outcome_index)
     summary = {
         "first_outcome": first.outcome_index,
@@ -283,6 +289,15 @@ def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> int:
         ("always_same_outcome", agree == n_rep, f"{agree}/{n_rep}")])
     out.add_json("summary.json", summary)
     return status
+
+
+def _ensemble_counters(*extras) -> dict:
+    """Counters of the trajectory ensembles behind one run, summed over them."""
+    decided_at = np.concatenate([e["decided_at"] for e in extras])
+    decided = decided_at[~np.isnan(decided_at)]
+    return {"n_trials": len(decided_at), "n_decided": len(decided),
+            "mean_decision_time": float(decided.mean()) if len(decided) else None,
+            "n_node_clamped": sum(int(np.count_nonzero(e["node_clamped"])) for e in extras)}
 
 
 def _grid_health(op, norms) -> dict:

@@ -13,8 +13,9 @@ import re
 import numpy as np
 
 _DECIMAL = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_BINARY = {ast.Add: (operator.add, "+"), ast.Sub: (operator.sub, "-"),
+           ast.Mult: (operator.mul, "*"), ast.Div: (operator.truediv, "/"),
+           ast.Pow: (operator.pow, "^")}
 _UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -49,7 +50,14 @@ def _check(node, src: str, names: tuple[str, ...]) -> None:
 
 def _evaluate(node, env):
     if isinstance(node, ast.BinOp):
-        return _BINARY[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
+        op, symbol = _BINARY[type(node.op)]
+        left, right = _evaluate(node.left, env), _evaluate(node.right, env)
+        try:
+            return op(left, right)
+        except ArithmeticError as exc:  # float operands only: 0^-1, 1/0, 10^400
+            what = ("overflow" if isinstance(exc, OverflowError)
+                    else "zero to a negative power" if symbol == "^" else "division by zero")
+            raise type(exc)(f"{what} in {symbol!r}") from None
     if isinstance(node, ast.UnaryOp):
         return _UNARY[type(node.op)](_evaluate(node.operand, env))
     if isinstance(node, ast.Call):
@@ -72,7 +80,10 @@ def compile_expression(text: str, names: tuple[str, ...]):
     def fn(*coords):
         if len(coords) != len(names):
             raise ExpressionError(f"expected {len(names)} coordinate arrays")
-        out = np.asarray(_evaluate(tree, dict(zip(names, coords), **_CONSTANTS)), dtype=float)
+        value = _evaluate(tree, dict(zip(names, coords), **_CONSTANTS))
+        if type(value) is complex:  # only a float power makes one: (-8)^0.5
+            raise TypeError("fractional power of a negative base in '^'")
+        out = np.asarray(value, dtype=float)
         if out.ndim == 0 and coords:
             out = np.full(np.shape(coords[0]), float(out))
         return out

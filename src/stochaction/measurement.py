@@ -29,7 +29,7 @@ from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        RingModes, SpectralState, evolve_measurement_spectral)
 from .stochastic import StochasticParams, sample_sign_path
 from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow,
-                           integrate_ensemble, sample_ring_angles)
+                           integrate_ensemble, ring_sampler, sample_ring_angles)
 
 # Fixed ensemble chunk size, independent of thread count; results do not
 # depend on it.  On a 2-vCPU machine with a 2 MB L2, a 3-mode Born ensemble
@@ -251,14 +251,15 @@ def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray,
 
     ``gen`` is re-keyed to each trial's ``INITIAL`` stream, which gives the
     system coordinate and then one pointer normal.  On the ring the
-    coordinate comes from :func:`sample_ring_angles` over the occupied modes,
-    on a line from the inverse CDF of the tabulated density.  A trial's
-    draws depend on its stream alone, so no chunking can change them.
+    coordinate comes from one :func:`ring_sampler` over the occupied modes,
+    set up once per chunk, on a line from the inverse CDF of the tabulated
+    density.  A trial's draws depend on its stream alone, so no chunking can
+    change them.
     """
     if isinstance(state0.modes, RingModes):
         sup = state0.support_indices()
-        draw = partial(sample_ring_angles, state0.coeffs[sup],
-                       state0.modes.basis.modes[sup], 1, gen)
+        draw = partial(ring_sampler(state0.coeffs[sup], state0.modes.basis.modes[sup]),
+                       1, gen)
     else:
         xg = state0.modes.x_grid
         table = (state0.modes.values(xg) if isinstance(state0.modes, PlaneWaveModes)
@@ -347,6 +348,7 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
     final = np.concatenate([p[1]["configs"] for p in parts])
     overflow = np.concatenate([p[1]["overflow"] for p in parts])
     clamped = np.concatenate([p[1]["node_clamped"] for p in parts])
+    decided_at = np.concatenate([p[1]["decided_at"] for p in parts])
     signs0 = np.concatenate([p[2] for p in parts])
     snaps = {s: np.concatenate([p[1]["snapshots"][s] for p in parts])
              for s in snapshot_steps}
@@ -371,7 +373,8 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
         n_trials=len(trials), n_ambiguous=sum(r.ambiguous for r in records),
         n_overflow=sum(r.overflow for r in records))
     extras = {"snapshots": {s * spec.dt_traj + state0.t: snaps[s] for s in snaps},
-              "node_clamped": clamped, "final_configs": final, "initial_configs": q0}
+              "node_clamped": clamped, "decided_at": decided_at,
+              "final_configs": final, "initial_configs": q0}
     return records, stats, extras
 
 

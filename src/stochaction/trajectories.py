@@ -23,6 +23,10 @@ from .spectral import (PlaneWaveModes, RingModes, SpectralState,
                        evolve_measurement_spectral, system_marginal_density)
 
 TWO_PI = 2.0 * np.pi
+# A decided row's neglected packets sit below DECIDE_EPS of its own amplitude
+# (rounding level); live rows are tested every DECIDE_EVERY steps.
+DECIDE_EPS = 2.0 ** -53
+DECIDE_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,13 @@ class ModeFlow:
         self._pack_norm = (TWO_PI * self.sigma**2) ** -0.25
         self._two_var = 2.0 * self.sigma**2
         self.ref_peak = self._reference_peak()
+        # |u_l| is the same for every ring or plane-wave mode, so a row can be
+        # decided from the packets alone (zero-weight plane waves do not count)
+        self.decides = self.ring or self.plane
+        occ = np.flatnonzero(self.coeffs != 0)
+        self._occ_log_amp = np.log(np.abs(self.coeffs[occ]))
+        self._occ_omegas = self.omegas[occ]
+        self._occ_centers0 = self.centers0[occ]
 
     def _reference_peak(self) -> float:
         if self.ring:
@@ -183,6 +194,36 @@ class ModeFlow:
         v *= self.g
         return (v, dens) if with_density else v
 
+    def decided(self, points: np.ndarray, dens: np.ndarray, t: float, t_end: float,
+                q2_bounds: tuple[float, float] | None, eps_abs: float):
+        """Rows of an effective run that stay in one packet until ``t_end``, and their speed.
+
+        A row is decided when one occupied packet k dominates at its pointer
+        (every other ``|c_j| G_j(q2)`` is below ``DECIDE_EPS |c_k| G_k(q2)``,
+        compared as logs), every other packet recedes from it
+        (``(q2 - mu_j) (omega_k - omega_j) g > 0``), its density ``dens``
+        passes the node check and the straight finish
+        ``q2 + g omega_k (t_end - t)`` stays inside ``q2_bounds``.  Along that
+        finish the gaps only grow and ``|c_k G_k|`` is constant, so the row
+        moves on the classical line ``q2' = g omega_k`` with its system
+        coordinate fixed.  Returns the mask and ``g omega_k`` per row.
+        """
+        q2 = points[:, 1]
+        occ_speed = self.g * self._occ_omegas
+        d = q2[None, :] - (self._occ_centers0 + occ_speed * (t - self.t0))[:, None]
+        logw = self._occ_log_amp[:, None] - d * d / (2.0 * self._two_var)
+        top = np.argmax(logw, axis=0)
+        rows = np.arange(len(q2))
+        speed = occ_speed[top]
+        other_ok = ((logw - logw[top, rows] < np.log(DECIDE_EPS))
+                    & (d * (speed[None, :] - occ_speed[:, None]) > 0))
+        other_ok[top, rows] = True
+        done = np.all(other_ok, axis=0) & (dens >= eps_abs)
+        if q2_bounds is not None:
+            end = q2 + speed * (t_end - t)
+            done &= (end >= q2_bounds[0]) & (end <= q2_bounds[1])
+        return done, speed
+
     def actual(self, points: np.ndarray, t: float, lambda_signed, with_density: bool = False):
         """Effective field plus the osmotic term with the given signed scale.
 
@@ -248,29 +289,39 @@ def _ring_envelope(c: np.ndarray) -> float:
     return float(np.abs(c).sum()) ** 2 / TWO_PI
 
 
-def sample_ring_angles(c: np.ndarray, l: np.ndarray, n: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Exact draws from the ring density ``|sum_k c_k exp(i l_k theta)|^2 / 2 pi``.
+def ring_sampler(c: np.ndarray, l: np.ndarray):
+    """``draw(n, rng)``: exact draws from ``|sum_k c_k exp(i l_k theta)|^2 / 2 pi``.
 
     ``c`` holds the occupied coefficients and ``l`` their mode numbers.
     Rejection under the constant envelope :func:`_ring_envelope`, which
     touches the density for in-phase states.  Each round draws ``m`` angles
-    and then ``m`` heights and keeps the accepted angles in draw order.
+    and then ``m`` heights and keeps the accepted angles in draw order.  The
+    set-up is done once here, so per-trial draws pay only for the rounds.
     """
     c = np.asarray(c, dtype=complex)
-    l = np.asarray(l).reshape(-1, 1)
+    il = 1j * np.asarray(l).reshape(-1, 1)
     bound = _ring_envelope(c)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = int(2.5 * (n - filled) * bound * TWO_PI) + 16
-        theta = rng.uniform(0.0, TWO_PI, size=m)
-        u = rng.uniform(0.0, bound, size=m)
-        acc = theta[u < np.abs(c @ np.exp(1j * l * theta)) ** 2 / TWO_PI]
-        take = min(len(acc), n - filled)
-        out[filled:filled + take] = acc[:take]
-        filled += take
-    return out
+
+    def draw(n: int, rng: np.random.Generator) -> np.ndarray:
+        out = np.empty(n)
+        filled = 0
+        while filled < n:
+            m = int(2.5 * (n - filled) * bound * TWO_PI) + 16
+            theta = rng.uniform(0.0, TWO_PI, size=m)
+            u = rng.uniform(0.0, bound, size=m)
+            acc = theta[u < np.abs(c @ np.exp(il * theta)) ** 2 / TWO_PI]
+            take = min(len(acc), n - filled)
+            out[filled:filled + take] = acc[:take]
+            filled += take
+        return out
+
+    return draw
+
+
+def sample_ring_angles(c: np.ndarray, l: np.ndarray, n: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """``n`` exact draws from the ring density of ``c`` over modes ``l`` (:func:`ring_sampler`)."""
+    return ring_sampler(c, l)(n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +360,13 @@ def _resolve_step(flow, x, t, dt, lam, scheme, eps_abs, halvings):
     return end, (c1 or c2)
 
 
+def _place_finished(out: np.ndarray, finished: list, step: int, dt: float) -> None:
+    """Write every decided row at ``step`` on its line ``x + (0, g omega_k (t - t_k))``."""
+    for rows, x, speed, k in finished:
+        out[rows] = x
+        out[rows, 1] += speed * ((step - k) * dt)
+
+
 def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, duration: float,
                        sign_paths: np.ndarray | None = None, lambda_mag: float = 0.0,
                        q2_bounds: tuple[float, float] | None = None,
@@ -320,21 +378,31 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     for effective-velocity runs.  Trials whose pointer leaves ``q2_bounds``
     (or whose system coordinate leaves ``x_bounds``) freeze at their last
     configuration, are flagged, and drop out of the working set.  Returns
-    final configs, per-trial flags and any requested intermediate snapshots.
+    final configs, per-trial flags, the time each trial was decided (NaN if
+    never) and any requested intermediate snapshots.
 
     Each step evaluates the field once per stage: one evaluation at the
     landing point gives both the node check (``|Psi|^2``) and the next
     step's first stage (first-same-as-last).  Rows whose landing is then
     replaced by the node policy get that first stage evaluated again.
+
+    In an effective run of a flow that offers ``decided`` (ring and
+    plane-wave :class:`ModeFlow`), every ``DECIDE_EVERY`` steps the rows
+    that have left every packet but one also drop out of the working set;
+    they finish on their classical pointer line.
     """
     n_steps = int(round(duration / spec.dt_traj))
     if abs(n_steps * spec.dt_traj - duration) > 1e-9 * max(1.0, duration):
         raise ValueError("duration must be an integral number of dt_traj steps")
     dt = spec.dt_traj
+    t_end = t0 + n_steps * dt
     configs = np.array(q0, dtype=float)
     n = configs.shape[0]
     overflow = np.zeros(n, dtype=bool)
     node_clamped = np.zeros(n, dtype=bool)
+    decided_at = np.full(n, np.nan)
+    finished = []                # (rows, config, pointer speed, step) per decision
+    decide = flow.decided if sign_paths is None and getattr(flow, "decides", False) else None
     eps_abs = spec.eps_node_rel * flow.ref_peak
     snapshots: dict[int, np.ndarray] = {}
     if 0 in snapshot_steps:
@@ -343,9 +411,18 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     live = np.arange(n)          # rows still integrating; frozen rows stay in configs
     x = configs.copy()
     lam = None if sign_paths is None else lambda_mag * sign_paths[:, 0]
-    v = _stage_velocity(flow, x, t0, lam)
+    v, dens = _stage_velocity(flow, x, t0, lam, with_density=True)
     for k in range(n_steps):
         t = t0 + k * dt
+        if decide is not None and k % DECIDE_EVERY == 0:
+            done, speed = decide(x, dens, t, t_end, q2_bounds, eps_abs)
+            if np.any(done):
+                finished.append((live[done], x[done], speed[done], k))
+                decided_at[live[done]] = t
+                keep = ~done
+                live, x, v, dens = live[keep], x[keep], v[keep], dens[keep]
+            if len(live) == 0:
+                break
         t_next = t0 + (k + 1) * dt
         prop = _step(flow, x, t, dt, lam, spec.integrator, v)
         # after the last step only the landing density is used
@@ -373,10 +450,13 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
             configs[live[newly]] = x[newly]
             overflow[live[newly]] = True
             keep = ~newly
-            live, prop, bad, v_next = live[keep], prop[keep], bad[keep], v_next[keep]
+            live, prop, bad, v_next, landing = (live[keep], prop[keep], bad[keep],
+                                                v_next[keep], landing[keep])
             if lam_next is not None:
                 lam_next = lam_next[keep]
         x = prop
+        # a replaced landing has no density yet; such rows wait for the next test
+        dens = np.where(bad, 0.0, landing)
         if np.any(bad) and k + 1 < n_steps:
             v_next[bad] = _stage_velocity(flow, x[bad], t_next,
                                           None if lam_next is None else lam_next[bad])
@@ -384,11 +464,18 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
         if (k + 1) in snapshot_steps:
             snap = configs.copy()
             snap[live] = x
+            _place_finished(snap, finished, k + 1, dt)
             snapshots[k + 1] = snap
 
     configs[live] = x
+    # every row decided early: the later snapshots are the finished lines
+    for s in snapshot_steps:
+        if s not in snapshots and 0 < s <= n_steps:
+            snapshots[s] = configs.copy()
+            _place_finished(snapshots[s], finished, s, dt)
+    _place_finished(configs, finished, n_steps, dt)
     return {"configs": configs, "overflow": overflow, "node_clamped": node_clamped,
-            "snapshots": snapshots, "n_steps": n_steps}
+            "decided_at": decided_at, "snapshots": snapshots, "n_steps": n_steps}
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,23 @@ class TestCli:
         assert path in capsys.readouterr().err
         assert not (Path(data["out_dir"]) / "error.json").exists()
 
+    @pytest.mark.parametrize("experiment, scalar, message", [
+        ("lambda-sweep", "10^400", "appendix.scalar: overflow in '^'"),
+        ("appendix", "(-8)^0.5",
+         "appendix.scalar: fractional power of a negative base in '^'"),
+        ("appendix", "0^-1", "appendix.scalar: zero to a negative power in '^'"),
+        ("lambda-sweep", "q + 1/0", "appendix.scalar: division by zero in '/'"),
+    ], ids=["overflow", "complex-power", "zero-power", "zero-division"])
+    def test_arithmetic_failure_named_in_grammar_terms(self, tmp_path, capsys, experiment,
+                                                       scalar, message):
+        path_cfg, data = make_config(tmp_path, overrides={"appendix": {"scalar": scalar}},
+                                     experiment=experiment)
+        assert cli_main([experiment, "--config", str(path_cfg)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Numerical result" not in err and "not 'complex'" not in err
+        assert not (Path(data["out_dir"]) / "error.json").exists()
+
     @pytest.mark.parametrize("experiment, section, key, value", [
         ("born", "equivariance", "n_bins", 1),
         ("prior-average", "prior", "n_mc", 1),
@@ -428,6 +445,31 @@ class TestCli:
         assert manifest["environment"]["blas_threads"] is None
         assert manifest["files"] == json.loads(
             (Path(data["out_dir"]) / "manifest.json").read_text())["files"]
+
+
+    @pytest.mark.parametrize("experiment, overrides, n_trials", [
+        ("born", {}, 200),
+        ("born", {"velocity": "actual"}, 200),
+        ("trajectories", {"ensemble": {"n_store": 3, "store_every": 100}}, 200),
+        ("repeatability", {"repeat": {"n_repeats": 20}}, 21),   # first event + repeats
+    ])
+    def test_manifest_counts_ensemble_safeguards(self, tmp_path, experiment, overrides,
+                                                 n_trials):
+        path, data = make_config(tmp_path, overrides=overrides, experiment=experiment)
+        assert cli_main([experiment, "--config", str(path)]) == 0
+        block = json.loads((Path(data["out_dir"]) / "manifest.json").read_text())["ensemble"]
+        assert set(block) == {"n_trials", "n_decided", "mean_decision_time",
+                              "n_node_clamped"}
+        assert block["n_trials"] == n_trials
+        assert 0 <= block["n_decided"] <= n_trials
+        assert 0 <= block["n_node_clamped"] <= n_trials
+        if data.get("velocity") == "actual":
+            # the osmotic term never lets a trial leave the integrator
+            assert block["n_decided"] == 0 and block["mean_decision_time"] is None
+        else:
+            # the README 3-mode state separates well before t_M
+            assert block["n_decided"] > n_trials // 2
+            assert 0.0 <= block["mean_decision_time"] < 1.0
 
 
 class TestDeterminism:

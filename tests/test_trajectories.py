@@ -7,8 +7,10 @@ from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
                          PlaneWaveModes, RingModes, SpectralState, actual_velocity,
                          effective_velocity, equivariance_report,
                          integrate_ensemble, synthesize_joint)
+from stochaction.measurement import _initial_draws
 from stochaction.rng import stream
-from stochaction.trajectories import (EnsembleSpec, ModeFlow, _resolve_step,
+from stochaction.trajectories import (DECIDE_EPS, EnsembleSpec, ModeFlow,
+                                      _resolve_step, _stage_velocity, _step,
                                       sample_ring_angles)
 
 
@@ -480,12 +482,259 @@ class TestStepLoop:
         assert max(rows[first_drop:]) == len(q0) - 1
         assert full["overflow"].tolist() == [True, False, False, False]
         assert full["configs"][0, 1] <= 0.5
-        rest = integrate_ensemble(ModeFlow(state, g=1.0), q0[1:], spec, 0.0, 0.2,
-                                  q2_bounds=(-0.5, 0.5), snapshot_steps=steps)
+        # RecordingFlow offers no decision rule: both batches step every live row
+        rest = integrate_ensemble(RecordingFlow(ModeFlow(state, g=1.0)), q0[1:], spec,
+                                  0.0, 0.2, q2_bounds=(-0.5, 0.5), snapshot_steps=steps)
         assert np.array_equal(full["configs"][1:], rest["configs"])
         for k in steps:
             assert np.array_equal(full["snapshots"][k][1:], rest["snapshots"][k])
         assert np.array_equal(full["snapshots"][200][0], full["configs"][0])
+
+
+def parent_integrate(flow, q0, spec, t0, duration, sign_paths=None, lambda_mag=0.0,
+                     q2_bounds=None, x_bounds=None, snapshot_steps=()):
+    """The integration loop before decided trials: every live row steps until the end."""
+    n_steps = int(round(duration / spec.dt_traj))
+    dt = spec.dt_traj
+    configs = np.array(q0, dtype=float)
+    n = configs.shape[0]
+    overflow = np.zeros(n, dtype=bool)
+    node_clamped = np.zeros(n, dtype=bool)
+    eps_abs = spec.eps_node_rel * flow.ref_peak
+    snapshots = {}
+    if 0 in snapshot_steps:
+        snapshots[0] = configs.copy()
+    live = np.arange(n)
+    x = configs.copy()
+    lam = None if sign_paths is None else lambda_mag * sign_paths[:, 0]
+    v = _stage_velocity(flow, x, t0, lam)
+    for k in range(n_steps):
+        t = t0 + k * dt
+        t_next = t0 + (k + 1) * dt
+        prop = _step(flow, x, t, dt, lam, spec.integrator, v)
+        lam_next = (None if sign_paths is None or k + 1 == n_steps
+                    else lambda_mag * sign_paths[live, k + 1])
+        v_next, landing = _stage_velocity(flow, prop, t_next, lam_next, with_density=True)
+        bad = landing < eps_abs
+        if spec.node_policy == "reject-resample" and np.any(bad):
+            for i in np.flatnonzero(bad):
+                li = None if lam is None else lam[i]
+                fixed, clamped = _resolve_step(flow, x[i:i + 1], t, dt, li,
+                                               spec.integrator, eps_abs,
+                                               spec.max_halvings)
+                prop[i] = fixed[0]
+                node_clamped[live[i]] |= clamped
+        elif np.any(bad):
+            prop[bad] = x[bad]
+            node_clamped[live[bad]] = True
+        newly = np.zeros(len(live), dtype=bool)
+        if q2_bounds is not None:
+            newly |= (prop[:, 1] < q2_bounds[0]) | (prop[:, 1] > q2_bounds[1])
+        if x_bounds is not None:
+            newly |= (prop[:, 0] < x_bounds[0]) | (prop[:, 0] > x_bounds[1])
+        if np.any(newly):
+            configs[live[newly]] = x[newly]
+            overflow[live[newly]] = True
+            keep = ~newly
+            live, prop, bad, v_next = live[keep], prop[keep], bad[keep], v_next[keep]
+            if lam_next is not None:
+                lam_next = lam_next[keep]
+        x = prop
+        if np.any(bad) and k + 1 < n_steps:
+            v_next[bad] = _stage_velocity(flow, x[bad], t_next,
+                                          None if lam_next is None else lam_next[bad])
+        v, lam = v_next, lam_next
+        if (k + 1) in snapshot_steps:
+            snap = configs.copy()
+            snap[live] = x
+            snapshots[k + 1] = snap
+    configs[live] = x
+    return {"configs": configs, "overflow": overflow, "node_clamped": node_clamped,
+            "snapshots": snapshots}
+
+
+def seven_mode_state(basis, grid):
+    weights = [0.05, 0.1, 0.15, 0.4, 0.15, 0.1, 0.05]
+    phases = [0.0, 0.3, 1.1, 0.0, -0.7, 2.0, 0.4]
+    return make_state({l: np.sqrt(w) * np.exp(1j * ph)
+                       for l, w, ph in zip(range(-3, 4), weights, phases)},
+                      basis, grid, sigma=0.05)
+
+
+def window_outcomes(flow, q2, overflow, t_end, window):
+    """Index of the unique occupied packet window holding each landing, else -1."""
+    centers = flow.centers(t_end)[flow.coeffs != 0]
+    hits = np.abs(q2[:, None] - centers[None, :]) < window
+    out = np.where(hits.sum(axis=1) == 1, np.argmax(hits, axis=1), -1)
+    return np.where(overflow, -2, out)
+
+
+class TestDecidedTrials:
+    """Separated trials finish on their pointer line with the parent loop's outcomes."""
+
+    @pytest.mark.parametrize("name", ["three", "seven", "plane"])
+    def test_same_outcomes_as_parent_loop(self, grid, basis, name):
+        state, x_bounds = {
+            "three": (make_state({-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
+                                 basis, grid, sigma=0.05), None),
+            "seven": (seven_mode_state(basis, grid), None),
+            "plane": (plane_wave_state(grid), (-8.0, 8.0)),
+        }[name]
+        flow = ModeFlow(state, g=1.0)
+        q0 = _initial_draws(state, 11, np.arange(256), stream(11))
+        spec = EnsembleSpec(dt_traj=2e-3)
+        steps = (0, 250, 500)
+        kw = dict(q2_bounds=(grid.q2_min, grid.q2_max), x_bounds=x_bounds,
+                  snapshot_steps=steps)
+        want = parent_integrate(flow, q0, spec, 0.0, 1.0, **kw)
+        got = integrate_ensemble(flow, q0, spec, 0.0, 1.0, **kw)
+        decided = ~np.isnan(got["decided_at"])
+        assert decided.sum() > len(q0) // 2
+        assert np.array_equal(got["overflow"], want["overflow"])
+        assert np.array_equal(got["node_clamped"], want["node_clamped"])
+        assert np.array_equal(window_outcomes(flow, got["configs"][:, 1], got["overflow"],
+                                              1.0, 0.2),
+                              window_outcomes(flow, want["configs"][:, 1], want["overflow"],
+                                              1.0, 0.2))
+        assert np.max(np.abs(got["configs"] - want["configs"])) <= 1e-12
+        for k in steps:
+            assert np.max(np.abs(got["snapshots"][k] - want["snapshots"][k])) <= 1e-12
+        # rows undecided at a snapshot are still bit-equal there
+        mid = np.isnan(got["decided_at"]) | (got["decided_at"] > 0.5)
+        assert np.array_equal(got["snapshots"][250][mid], want["snapshots"][250][mid])
+
+    @staticmethod
+    def _crossing_state(basis, grid, center_minus):
+        # modes -1 and +1 with their packets placed apart by hand
+        c = np.zeros(len(basis.modes), dtype=complex)
+        centers = np.zeros(len(basis.modes))
+        for l, mu in ((-1, center_minus), (1, -center_minus)):
+            i = np.flatnonzero(basis.modes == l)[0]
+            c[i], centers[i] = np.sqrt(0.5), mu
+        return SpectralState(coeffs=c, modes=RingModes(basis),
+                             packet=GaussianPacket(0.0, 0.05), centers=centers, t=0.0,
+                             grid=grid)
+
+    def test_approaching_packet_is_not_decided(self, grid, basis):
+        # the row sits in packet -1 and the +1 packet is 60 exponent units away:
+        # decided when that packet recedes, not when it approaches
+        for center_minus, q2, want in ((0.5, 0.3, False), (-0.5, -0.3, True)):
+            flow = ModeFlow(self._crossing_state(basis, grid, center_minus), g=1.0)
+            pts = np.array([[1.0, q2]])
+            done, speed = flow.decided(pts, flow.density(pts, 0.0), 0.0, 1.0,
+                                       (grid.q2_min, grid.q2_max), 1e-300)
+            assert done.tolist() == [want]
+            assert speed[0] == -1.0
+        flow = ModeFlow(self._crossing_state(basis, grid, 0.5), g=1.0)
+        q0 = np.array([[1.0, 0.3], [2.0, 0.35]])
+        spec = EnsembleSpec(dt_traj=1e-3)
+        want = parent_integrate(flow, q0, spec, 0.0, 0.2, snapshot_steps=(100, 200))
+        got = integrate_ensemble(flow, q0, spec, 0.0, 0.2, snapshot_steps=(100, 200))
+        assert np.all(np.isnan(got["decided_at"]))
+        assert np.array_equal(got["configs"], want["configs"])
+
+    def test_finish_out_of_bounds_is_not_decided(self, grid, basis):
+        # one mode: a row decides at once unless its straight finish leaves the bounds
+        state = make_state({2: 1.0}, basis, grid, sigma=0.05)
+        flow = ModeFlow(state, g=1.0)
+        q0 = np.array([[0.3, 0.45], [2.0, 0.01]])
+        spec = EnsembleSpec(dt_traj=1e-3)
+        kw = dict(q2_bounds=(-0.5, 0.5), snapshot_steps=(20, 200))
+        want = parent_integrate(flow, q0, spec, 0.0, 0.2, **kw)
+        got = integrate_ensemble(flow, q0, spec, 0.0, 0.2, **kw)
+        assert np.isnan(got["decided_at"][0]) and got["decided_at"][1] == 0.0
+        assert got["overflow"].tolist() == want["overflow"].tolist() == [True, False]
+        assert np.array_equal(got["configs"][0], want["configs"][0])
+        assert got["configs"][1, 1] == 0.01 + 2.0 * 0.2
+        assert abs(got["configs"][1, 1] - want["configs"][1, 1]) <= 1e-12
+
+    def test_row_below_node_threshold_is_not_decided(self, grid, basis):
+        # 9 sigma out the density is below the node threshold: the row stays with
+        # the node policy, as in the parent loop, instead of finishing on its line
+        state = make_state({2: 1.0}, basis, grid, sigma=0.05)
+        flow = ModeFlow(state, g=1.0)
+        q0 = np.array([[0.3, 0.45], [2.0, 0.01]])
+        spec = EnsembleSpec(dt_traj=1e-3)
+        want = parent_integrate(flow, q0, spec, 0.0, 0.05)
+        got = integrate_ensemble(flow, q0, spec, 0.0, 0.05)
+        assert np.isnan(got["decided_at"][0]) and got["decided_at"][1] == 0.0
+        assert want["node_clamped"].tolist() == got["node_clamped"].tolist() == [True, False]
+        assert np.array_equal(got["configs"][0], want["configs"][0])
+
+    def test_one_mode_rows_finish_at_once(self, grid, basis):
+        calls = []
+
+        class CountingFlow(ModeFlow):
+            def effective(self, points, t, **kw):
+                calls.append(len(points))
+                return super().effective(points, t, **kw)
+
+        flow = CountingFlow(make_state({2: 1.0}, basis, grid, sigma=0.05), g=1.0)
+        q0 = np.array([[0.3, 0.01], [2.0, -0.02], [4.5, 0.0]])
+        out = integrate_ensemble(flow, q0, EnsembleSpec(dt_traj=1e-3), 0.0, 1.0,
+                                 q2_bounds=(grid.q2_min, grid.q2_max),
+                                 snapshot_steps=(0, 500, 1000))
+        assert calls == [3]                       # the first stage, then no steps
+        assert np.array_equal(out["decided_at"], np.zeros(3))
+        assert np.array_equal(out["configs"][:, 0], q0[:, 0])
+        assert np.array_equal(out["configs"][:, 1], q0[:, 1] + 2.0 * (1000 * 1e-3))
+        assert np.array_equal(out["snapshots"][500][:, 1], q0[:, 1] + 2.0 * (500 * 1e-3))
+
+    def test_actual_velocity_run_is_byte_equal(self, grid, basis):
+        state = make_state({-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
+                           basis, grid, sigma=0.05)
+        flow = ModeFlow(state, g=1.0)
+        q0 = _initial_draws(state, 12, np.arange(128), stream(12))
+        n_steps = 250
+        signs = (stream(13).integers(0, 2, size=(128, n_steps)) * 2 - 1).astype(np.int8)
+        kw = dict(sign_paths=signs, lambda_mag=1.0, q2_bounds=(grid.q2_min, grid.q2_max),
+                  snapshot_steps=(0, 100, 250))
+        spec = EnsembleSpec(dt_traj=2e-3)
+        want = parent_integrate(flow, q0, spec, 0.0, 0.5, **kw)
+        got = integrate_ensemble(flow, q0, spec, 0.0, 0.5, **kw)
+        assert np.all(np.isnan(got["decided_at"]))
+        for key in ("configs", "overflow", "node_clamped"):
+            assert np.array_equal(got[key], want[key])
+        for k in kw["snapshot_steps"]:
+            assert np.array_equal(got["snapshots"][k], want["snapshots"][k])
+
+    def test_velocity_error_within_neglected_mode_bound(self, grid, basis):
+        # with rho_j = |c_j G_j| / |c_k G_k| and R = sum rho_j < 1 for the
+        # dominant packet k: |v_q2 - g omega_k| <= g sum rho_j |omega_j - omega_k| / (1 - R)
+        # and |v_x| <= g sum rho_j |mu_j - mu_k| / (2 sigma^2 (1 - R))
+        state = make_state({-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
+                           basis, grid, sigma=0.05)
+        flow = ModeFlow(state, g=1.3)
+        t = 0.4
+        r = stream(14)
+        pts = np.stack([r.uniform(0.0, 2 * np.pi, 20000), r.uniform(-0.8, 0.8, 20000)],
+                       axis=-1)
+        mu = flow.centers(t)
+        amp = np.abs(flow.coeffs)[:, None] * np.exp(
+            -(pts[:, 1][None, :] - mu[:, None]) ** 2 / (4 * flow.sigma**2))
+        top = np.argmax(amp, axis=0)
+        rho = amp / amp[top, np.arange(len(pts))]
+        rho[top, np.arange(len(pts))] = 0.0
+        total = rho.sum(axis=0)
+        use = total < 0.5
+        bound_q = flow.g * np.sum(rho * np.abs(flow.omegas[:, None] - flow.omegas[top]),
+                                  axis=0) / (1 - total)
+        bound_x = flow.g * np.sum(rho * np.abs(mu[:, None] - mu[top]), axis=0) / (
+            2 * flow.sigma**2 * (1 - total))
+        v = flow.effective(pts, t)
+        err_q = np.abs(v[:, 1] - flow.g * flow.omegas[top])
+        err_x = np.abs(v[:, 0])
+        slack = 1e-12          # the kernel's own rounding
+        assert np.all(err_q[use] <= bound_q[use] * (1 + 1e-9) + slack)
+        assert np.all(err_x[use] <= bound_x[use] * (1 + 1e-9) + slack)
+        # the bounds are attained up to the phases of the neglected terms
+        big = use & (bound_q > 1e-8)
+        assert np.max(err_q[big] / bound_q[big]) > 0.5
+        assert np.max(err_x[big] / bound_x[big]) > 0.5
+        # at the decision threshold both errors are rounding
+        tiny = total < DECIDE_EPS
+        assert tiny.sum() > 1000
+        assert np.all(bound_q[tiny] <= 1e-14) and np.all(bound_x[tiny] <= 1e-12)
 
 
 class TestEquivariance:

@@ -13,6 +13,21 @@ against them:
 ``--compare`` prints every (kind, file) whose hash differs or that exists on
 one side only, and exits 1 if there is any, 0 if all match.
 
+A change that declares new last bits must still keep every outcome.  The
+record options compare outcomes rather than bytes:
+
+    python3 tools/result_hashes.py --dump-records recs > hashes.json   # parent
+    python3 tools/result_hashes.py --compare-records recs              # change
+
+``--dump-records DIR`` writes one ``DIR/<kind>.json`` per kind that records
+outcomes: its ``records.jsonl`` rows (the born kinds and the API-level
+``born-position`` and ``born-linear-momentum``), the outcome counts of its
+``summary.json`` and its ``trajectories.csv`` rows.  ``--compare-records DIR``
+compares ``outcome_index`` and ``overflow`` row by row and the counts, prints
+``max |dq2_final|`` per kind and the largest change in any trajectories.csv
+cell, and exits 1 on any outcome difference.  Both options may be combined
+with ``--compare``; the exit status is 1 if any comparison fails.
+
 The package is imported from the ``src`` directory next to this script.
 """
 from __future__ import annotations
@@ -140,11 +155,31 @@ API_RUNS = {
 }
 
 
-def result_hashes() -> dict:
+def outcome_data(out_dir: Path) -> dict:
+    """What one run's result files say about its trials' outcomes."""
+    data = {}
+    records = out_dir / "records.jsonl"
+    if records.exists():
+        data["records"] = [json.loads(line) for line in records.read_text().splitlines()]
+    summary = json.loads((out_dir / "summary.json").read_text())
+    counts = {k: summary[k] for k in ("first_outcome", "n_agreeing") if k in summary}
+    if "stats" in summary:
+        counts.update({k: summary["stats"][k] for k in ("counts", "n_ambiguous", "n_overflow")})
+    if counts:
+        data["counts"] = counts
+    trajectories = out_dir / "trajectories.csv"
+    if trajectories.exists():
+        data["trajectories"] = [[float(c) for c in line.split(",")]
+                                for line in trajectories.read_text().splitlines()[1:]]
+    return data
+
+
+def result_hashes() -> tuple[dict, dict]:
+    """``{kind: {file: sha256}}`` and ``{kind: outcome data}`` of every run."""
     from stochaction import parse_config, run_experiment
     from stochaction.experiments import canonical_json
 
-    hashes = {}
+    hashes, outcomes = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (kind, overrides) in CONFIGS.items():
             data = dict(BASE, experiment=kind, out_dir=str(Path(tmp) / name))
@@ -152,10 +187,49 @@ def result_hashes() -> dict:
             run_experiment(parse_config(json.dumps(data)))
             manifest = json.loads((Path(tmp) / name / "manifest.json").read_text())
             hashes[name] = manifest["files"]
+            if found := outcome_data(Path(tmp) / name):
+                outcomes[name] = found
     for name, run in API_RUNS.items():
-        blob = canonical_json(run()).encode()
+        result = run()
+        blob = canonical_json(result).encode()
         hashes[name] = {"result.json": hashlib.sha256(blob).hexdigest()}
-    return hashes
+        if name.startswith("born-"):
+            outcomes[name] = {"records": result}
+    return hashes, outcomes
+
+
+def record_differences(expected: dict, actual: dict) -> tuple[list[str], list[str]]:
+    """Outcome differences per kind, and one report line per kind compared."""
+    diffs, report = [], []
+    for kind in sorted(set(expected) | set(actual)):
+        if kind not in expected or kind not in actual:
+            diffs.append(f"{kind}: outcomes on one side only")
+            continue
+        want, got = expected[kind], actual[kind]
+        parts = []
+        if want.get("counts") != got.get("counts"):
+            diffs.append(f"{kind}: outcome counts {want.get('counts')} -> {got.get('counts')}")
+        elif "counts" in want:
+            parts.append("outcome counts equal")
+        w_rec, g_rec = want.get("records", []), got.get("records", [])
+        if len(w_rec) != len(g_rec):
+            diffs.append(f"{kind}: {len(w_rec)} -> {len(g_rec)} records")
+        elif w_rec:
+            for a, b in zip(w_rec, g_rec):
+                if (a["outcome_index"], a["overflow"]) != (b["outcome_index"], b["overflow"]):
+                    diffs.append(f"{kind}: trial {a['trial']} outcome "
+                                 f"{a['outcome_index']} overflow {a['overflow']} -> "
+                                 f"{b['outcome_index']} overflow {b['overflow']}")
+            dq2 = max(abs(a["q2_final"] - b["q2_final"]) for a, b in zip(w_rec, g_rec))
+            parts.append(f"{len(w_rec)} records, max |dq2_final| {dq2:.3g}")
+        w_tr, g_tr = want.get("trajectories", []), got.get("trajectories", [])
+        if len(w_tr) != len(g_tr) or any(len(a) != len(b) for a, b in zip(w_tr, g_tr)):
+            diffs.append(f"{kind}: trajectories.csv shapes differ")
+        elif w_tr:
+            cell = max(abs(x - y) for a, b in zip(w_tr, g_tr) for x, y in zip(a, b))
+            parts.append(f"max |d| in trajectories.csv {cell:.3g}")
+        report.append(f"{kind}: {', '.join(parts)}")
+    return diffs, report
 
 
 def differences(expected: dict, actual: dict) -> list[tuple[str, str]]:
@@ -172,18 +246,37 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", metavar="FILE",
                         help="hashes saved from another checkout to compare against")
+    parser.add_argument("--dump-records", metavar="DIR",
+                        help="write each kind's outcomes to DIR/<kind>.json")
+    parser.add_argument("--compare-records", metavar="DIR",
+                        help="outcomes dumped from another checkout to compare against")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    hashes = result_hashes()
-    if args.compare is None:
+    hashes, outcomes = result_hashes()
+    status = 0
+    if args.dump_records is not None:
+        out = Path(args.dump_records)
+        out.mkdir(parents=True, exist_ok=True)
+        for kind, data in outcomes.items():
+            (out / f"{kind}.json").write_text(json.dumps(data, sort_keys=True) + "\n")
+    if args.compare_records is not None:
+        saved = {path.stem: json.loads(path.read_text())
+                 for path in sorted(Path(args.compare_records).glob("*.json"))}
+        diffs, report = record_differences(saved, outcomes)
+        for line in report + [f"differs: {d}" for d in diffs]:
+            print(line)
+        print(f"{len(diffs)} outcome differences in {len(report)} kinds")
+        status = 1 if diffs else status
+    if args.compare is not None:
+        diff = differences(json.loads(Path(args.compare).read_text()), hashes)
+        for kind, name in diff:
+            print(f"differs: {kind} {name}")
+        n_files = sum(len(files) for files in hashes.values())
+        print(f"{len(diff)} differing of {n_files} files in {len(hashes)} kinds")
+        status = 1 if diff else status
+    if args.compare is None and args.compare_records is None:
         print(json.dumps(hashes, indent=2, sort_keys=True))
-        return 0
-    diff = differences(json.loads(Path(args.compare).read_text()), hashes)
-    for kind, name in diff:
-        print(f"differs: {kind} {name}")
-    n_files = sum(len(files) for files in hashes.values())
-    print(f"{len(diff)} differing of {n_files} files in {len(hashes)} kinds")
-    return 1 if diff else 0
+    return status
 
 
 if __name__ == "__main__":
