@@ -13,12 +13,9 @@ parameter for precision sweeps around the quantum point.
 __version__ = "0.1.0"
 
 from .core import (HBAR, DegenerateInputError, DomainOverflowError, GridSpec,
-                   InvalidSystemError, NumericalError, PhysicalConfig,
-                   PolarFields, TruncationError, WaveFunction, compose_polar,
-                   norm, normalize, polar_decompose)
+                   InvalidSystemError, NumericalError, PhysicalConfig)
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
-                       RingModes, SpectralState, evolve_measurement_spectral,
-                       expand_in_angular_basis, synthesize_joint)
+                       RingModes, SpectralState, evolve_measurement_spectral)
 from .stochastic import (ActionIncrement, StochasticParams, check_separability,
                          gaussian_log_weight, sample_deviation, sample_sign_path,
                          transition_log_weight)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -121,8 +122,13 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
 }
 
 # smallest value each count key can run with: a chi-squared needs two
-# bins, a sample standard deviation or a lag-1 product two samples
+# bins, a sample standard deviation or a lag-1 product two samples, the
+# angular basis one mode pair; the two grid counts are read by no run and
+# are only range-checked
 _COUNT_MINIMA = {
+    ("grid", "n_theta"): 8,
+    ("grid", "n_q2"): 32,
+    ("state", "l_max"): 1,
     ("ensemble", "n_trials"): 1,
     ("repeat", "n_repeats"): 1,
     ("equivariance", "n_bins"): 2,
@@ -145,7 +151,7 @@ class ExperimentConfig:
 
     def grid(self) -> GridSpec:
         g = self.raw["grid"]
-        return GridSpec(g["n_theta"], float(g["q2_min"]), float(g["q2_max"]), g["n_q2"])
+        return GridSpec(float(g["q2_min"]), float(g["q2_max"]))
 
     def physical(self) -> PhysicalConfig:
         p = self.raw["physical"]
@@ -177,6 +183,22 @@ class ExperimentConfig:
         phases = s["phases"] or [0.0] * len(weights)
         return {int(m): np.sqrt(w) * np.exp(1j * float(ph))
                 for m, w, ph in zip(s["modes"], weights, phases)}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _out_of_range(value, path: str = ""):
+    """Paths of the numbers no float64 holds: NaN, Infinity, beyond 1.8e308."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _out_of_range(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _out_of_range(item, f"{path}[{i}]")
+    elif _is_number(value) and not abs(value) <= sys.float_info.max:
+        yield path
 
 
 def _check_types(data: dict, violations: list[str]) -> dict:
@@ -247,14 +269,25 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
         ensemble = None
 
     state = cfg["state"]
-    if len(state["modes"]) != len(state["weights"]):
+    not_numbers = [f"state.{key}: every entry must be a number"
+                   for key in ("modes", "weights", "phases")
+                   if not all(map(_is_number, state[key] or []))]
+    if not_numbers:
+        violations += not_numbers
+    elif not all(float(m).is_integer() for m in state["modes"]):
+        violations.append("state.modes: every entry must be an integer")
+    elif len(set(state["modes"])) != len(state["modes"]):
+        violations.append("state.modes: must be distinct")
+    elif len(state["modes"]) != len(state["weights"]):
         violations.append("state.weights: must match state.modes in length")
     elif state["phases"] is not None and len(state["phases"]) != len(state["modes"]):
         violations.append("state.phases: must match state.modes in length")
     elif physical and grid:
         weights = np.asarray(state["weights"], dtype=float)
-        if np.any(weights < 0) or weights.sum() <= 0:
-            violations.append("state.weights: must be non-negative with positive total")
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if np.any(weights < 0) or not 0 < total < math.inf:
+            violations.append("state.weights: must be non-negative with a positive, finite total")
         else:
             l_max = state["l_max"]
             if any(abs(int(m)) > l_max for m in state["modes"]):
@@ -307,7 +340,7 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
         except InvalidSystemError as exc:
             violations.append(str(exc))
     deltas = app["deltas"]
-    if not all(isinstance(d, (int, float)) and not isinstance(d, bool) for d in deltas):
+    if not all(map(_is_number, deltas)):
         violations.append("appendix.deltas: every entry must be a number")
     elif any(d <= -1 for d in deltas):
         violations.append("appendix.deltas: every entry must exceed -1 "
@@ -324,7 +357,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"json: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected an object"])
-    violations: list[str] = []
+    violations = [f"{path}: must be a finite number within float64 range"
+                  for path in _out_of_range(data)]
     merged = _check_types(data, violations)
     if not violations:
         _check_invariants(merged, violations)

@@ -6,8 +6,10 @@ system eigenmode drags a rigid copy of the pointer packet at speed
 
     Psi(x, q2; t) = sum_l c_l u_l(x) phi(q2 - mu_l(t)),   mu_l(t) = mu0 + g omega_l t
 
-with constant coefficients.  No time discretization error enters; grids are
-only used for synthesis, sampling and diagnostics.
+with constant coefficients.  No time discretization error enters, and the
+joint field is never sampled on a grid: runs evaluate it along trajectories,
+and the only grid a state carries is the pointer domain its packets must
+stay inside.
 """
 from __future__ import annotations
 
@@ -16,8 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .core import (HBAR, DomainOverflowError, GridSpec, TruncationError,
-                   WaveFunction)
+from .core import HBAR, DomainOverflowError, GridSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,55 +180,11 @@ def _check_centers_inside(centers: np.ndarray, sigma: float, grid: GridSpec) -> 
             f"5 sigma of the pointer grid boundary [{grid.q2_min}, {grid.q2_max}]")
 
 
-def expand_in_angular_basis(phi: WaveFunction, basis: AngularBasis,
-                            residual_tol: float = 1e-6) -> tuple[np.ndarray, float]:
-    """Mode coefficients of a ring wavefunction by grid quadrature.
-
-    Returns ``(coeffs, residual)`` where residual is ``1 - sum |c_l|^2``, the
-    weight lost to truncation at ``l_max``.  The quadrature on the uniform
-    ring grid is exact for mode numbers below ``n_theta - l_max``.
-    """
-    if phi.axes != ("theta",):
-        raise ValueError("expansion expects a ring wavefunction")
-    eig = basis.eigenfunctions(phi.grid.theta)
-    coeffs = (eig.conj() * phi.amplitudes) @ phi.grid.theta_weights
-    residual = float(abs(np.sum(np.abs(phi.amplitudes) ** 2 * phi.grid.theta_weights)
-                         - np.sum(np.abs(coeffs) ** 2)))
-    if residual > residual_tol:
-        raise TruncationError(
-            f"truncation residual {residual:.3g} exceeds {residual_tol:.3g}; raise l_max")
-    return coeffs, residual
-
-
 def evolve_measurement_spectral(state: SpectralState, delta_t: float, g: float) -> SpectralState:
     """Advance the exact solution: centers shift by ``g * omega * delta_t``."""
     centers = state.centers + g * state.omegas * delta_t
     _check_centers_inside(centers[state.support_indices()], state.packet.sigma, state.grid)
     return replace(state, centers=centers, t=state.t + delta_t)
-
-
-def synthesize_joint(state: SpectralState, grid: GridSpec | None = None) -> WaveFunction:
-    """Evaluate the closed-form joint wavefunction on the full grid."""
-    grid = grid or state.grid
-    if not isinstance(state.modes, RingModes):
-        raise NotImplementedError("joint synthesis is defined for the ring system")
-    _check_centers_inside(state.centers[state.support_indices()], state.packet.sigma, grid)
-    eig = state.modes.values(grid.theta)                       # (M, n_theta)
-    packs = np.stack([state.packet_profile(grid.q2, m)        # (M, n_q2+1)
-                      for m in range(len(state.coeffs))])
-    amp = np.einsum("m,mt,mq->tq", state.coeffs, eig, packs)
-    return WaveFunction(amp, grid, ("theta", "q2"))
-
-
-def pointer_marginal_density(state: SpectralState, q) -> np.ndarray:
-    """Exact pointer-position density (ring modes are orthonormal, so the
-    cross terms vanish under the theta integral)."""
-    q = np.asarray(q, dtype=float)
-    weights = np.abs(state.coeffs) ** 2
-    dens = np.zeros_like(q)
-    for m, w in enumerate(weights):
-        dens += w * np.abs(state.packet_profile(q, m)) ** 2
-    return dens
 
 
 def system_marginal_density(state: SpectralState, theta) -> np.ndarray:

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import EPS_NODE_REL
 from .spectral import (PlaneWaveModes, RingModes, SpectralState,
                        evolve_measurement_spectral, system_marginal_density)
 
 TWO_PI = 2.0 * np.pi
+#: relative density threshold below which a point counts as a node
+EPS_NODE_REL = 1e-12
 # A decided row's neglected packets sit below DECIDE_EPS of its own amplitude
 # (rounding level); live rows are tested every DECIDE_EVERY steps.
 DECIDE_EPS = 2.0 ** -53

@@ -1,0 +1,103 @@
+"""Joint-grid oracle for the tests.
+
+The package evaluates the joint state only along trajectories and never
+samples ``Psi(theta, q2)`` on a grid.  Tests that check the closed forms
+against a grid picture (phase-gradient velocities, marginals, pointer
+moments) sample it here: ``n_theta`` ring points without a duplicate
+endpoint times ``n_q2 + 1`` pointer points spanning a ``GridSpec``, with
+Riemann weights on the ring and trapezoid weights on the line, against
+which the closed-form marginals are checked.  The WFSN reader inverts
+``stochaction.core.field_to_binary``.
+"""
+from __future__ import annotations
+
+import struct
+from dataclasses import dataclass
+
+import numpy as np
+
+from stochaction import GridSpec, SpectralState
+
+
+@dataclass(frozen=True, eq=False)
+class JointAxes:
+    grid: GridSpec
+    n_theta: int
+    n_q2: int
+
+    @property
+    def dtheta(self) -> float:
+        return 2.0 * np.pi / self.n_theta
+
+    @property
+    def dq2(self) -> float:
+        return (self.grid.q2_max - self.grid.q2_min) / self.n_q2
+
+    @property
+    def theta(self) -> np.ndarray:
+        return np.arange(self.n_theta) * self.dtheta
+
+    @property
+    def q2(self) -> np.ndarray:
+        return self.grid.q2_min + np.arange(self.n_q2 + 1) * self.dq2
+
+    @property
+    def theta_weights(self) -> np.ndarray:
+        return np.full(self.n_theta, self.dtheta)
+
+    @property
+    def q2_weights(self) -> np.ndarray:
+        w = np.full(self.n_q2 + 1, self.dq2)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
+
+
+@dataclass(frozen=True, eq=False)
+class JointField:
+    amplitudes: np.ndarray
+    axes: JointAxes
+
+    def density(self) -> np.ndarray:
+        return np.abs(self.amplitudes) ** 2
+
+    def quadrature_weights(self) -> np.ndarray:
+        return self.axes.theta_weights[:, None] * self.axes.q2_weights[None, :]
+
+
+def norm(field: JointField) -> float:
+    return float(np.sum(field.density() * field.quadrature_weights()))
+
+
+def synthesize_joint(state: SpectralState, axes: JointAxes) -> JointField:
+    """The ring state's closed-form joint wavefunction on the axes."""
+    eig = state.modes.values(axes.theta)                       # (M, n_theta)
+    packs = np.stack([state.packet_profile(axes.q2, m)        # (M, n_q2+1)
+                      for m in range(len(state.coeffs))])
+    return JointField(np.einsum("m,mt,mq->tq", state.coeffs, eig, packs), axes)
+
+
+def pointer_marginal_density(state: SpectralState, q) -> np.ndarray:
+    """Closed-form pointer density: ring modes are orthonormal, so the cross
+    terms vanish under the theta integral."""
+    q = np.asarray(q, dtype=float)
+    return sum(w * np.abs(state.packet_profile(q, m)) ** 2
+               for m, w in enumerate(np.abs(state.coeffs) ** 2))
+
+
+def field_from_binary(blob: bytes) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
+    """Read a WFSN dump: (amplitudes, [(points, first, last) per axis])."""
+    if blob[:4] != b"WFSN":
+        raise ValueError("not a WFSN dump")
+    version, ndim = struct.unpack_from("<II", blob, 4)
+    if version != 1:
+        raise ValueError(f"unsupported dump version {version}")
+    off = 12
+    axes = []
+    for _ in range(ndim):
+        n, lo, hi = struct.unpack_from("<Qdd", blob, off)
+        axes.append((int(n), lo, hi))
+        off += 24
+    count = int(np.prod([n for n, _, _ in axes]))
+    inter = np.frombuffer(blob, dtype="<f8", count=2 * count, offset=off)
+    return (inter[0::2] + 1j * inter[1::2]).reshape([n for n, _, _ in axes]), axes

@@ -23,7 +23,7 @@ from stochaction.cli import main as cli_main
 from stochaction.rng import stream
 from stochaction.trajectories import EnsembleSpec, ModeFlow
 
-GRID = GridSpec(128, -4.0, 4.0, 1024)
+GRID = GridSpec(-4.0, 4.0)
 BASIS = AngularBasis(8)
 CONFIG = PhysicalConfig(lambda_mag=1.0, g=1.0, t_M=1.0, sigma=0.05, sep_factor=8.0)
 PACKET = GaussianPacket(0.0, 0.05)

@@ -1,11 +1,15 @@
 """Config validation, experiment runners, CLI exit codes, determinism."""
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from joint_oracle import field_from_binary
 from stochaction import ConfigError, gridop, parse_config, run_experiment, serialize_config
 from stochaction.cli import main as cli_main
 
@@ -38,7 +42,7 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(MINIMAL_BORN))
         assert cfg["threads"] == 1
         assert cfg["physical"]["sigma"] == 0.05
-        assert cfg.grid().n_theta == 64
+        assert (cfg.grid().q2_min, cfg.grid().q2_max) == (-4.0, 4.0)
 
     def test_round_trip(self):
         cfg = parse_config(json.dumps(MINIMAL_BORN))
@@ -223,8 +227,7 @@ class TestExperiments:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["final_norm"] == pytest.approx(1.0, abs=1e-10)
         assert summary["hjm_residuals"]["hj_mean"] < 0.1
-        from stochaction.core import wavefunction_from_binary
-        amp, axes = wavefunction_from_binary((out / "psi_final.wfsn").read_bytes())
+        amp, axes = field_from_binary((out / "psi_final.wfsn").read_bytes())
         assert axes[0][0] == 512
         assert abs(np.sum(np.abs(amp) ** 2) * (axes[0][2] - axes[0][1]) / 511
                    - 1.0) < 0.01
@@ -381,6 +384,9 @@ class TestCli:
         ("prior-average", "prior", "n_mc", 1),
         ("repeatability", "repeat", "n_repeats", 0),
         ("stochastic-check", "checks", "n_draws", 1),
+        ("born", "grid", "n_theta", 7),      # inert, but range-checked
+        ("born", "grid", "n_q2", 31),
+        ("born", "state", "l_max", 0),
     ])
     def test_too_small_sample_count_rejected_at_parse(self, tmp_path, capsys, experiment,
                                                       section, key, value):
@@ -391,6 +397,35 @@ class TestCli:
         assert cli_main([experiment, "--config", str(path)]) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (Path(data["out_dir"]) / "error.json").exists()
+
+    def test_grid_counts_are_inert(self, tmp_path):
+        # only the pointer bounds act; the ring and line counts change no byte
+        files = []
+        for n_theta, n_q2 in ((8, 32), (128, 1024)):
+            out = tmp_path / f"grid-{n_theta}"
+            path, _ = make_config(tmp_path, overrides={
+                "grid": {"n_theta": n_theta, "n_q2": n_q2},
+                "ensemble": {"n_trials": 64, "dt_traj": 0.01}})
+            assert cli_main(["born", "--config", str(path), "--out", str(out)]) == 0
+            files.append(json.loads((out / "manifest.json").read_text())["files"])
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("state, message", [
+        ({"modes": [0, "1"]}, "state.modes: every entry must be a number"),
+        ({"weights": [0.5, None, 0.2]}, "state.weights: every entry must be a number"),
+        ({"phases": [0.0, True, 0.0]}, "state.phases: every entry must be a number"),
+        ({"modes": [-1, 0.5, 1]}, "state.modes: every entry must be an integer"),
+        ({"modes": [1, 0, 1.0]}, "state.modes: must be distinct"),
+        ({"weights": [1e308, 1e308, 0.0]}, "state.weights: must be non-negative"),
+        ({"weights": [0.5, float("nan"), 0.2]}, "state.weights[1]: must be a finite number"),
+        ({"packet_center": float("inf")}, "state.packet_center: must be a finite number"),
+    ], ids=["mode-text", "weight-null", "phase-bool", "mode-fraction", "mode-repeated",
+            "weight-total-overflow", "weight-nan", "center-infinite"])
+    def test_unrunnable_state_rejected_at_parse(self, tmp_path, capsys, state, message):
+        path, data = make_config(tmp_path, overrides={"state": state})
+        assert cli_main(["born", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not Path(data["out_dir"]).exists()
 
     @pytest.mark.parametrize("experiment, seed", [
         ("born", -1),
@@ -489,3 +524,58 @@ class TestDeterminism:
         hash_maps = [json.loads((o / "manifest.json").read_text())["files"]
                      for o in outs]
         assert hash_maps[0] == hash_maps[1] == hash_maps[2]
+
+
+_ANY_FLOAT = st.floats()          # NaN, +-Infinity and 1e308 included
+
+
+@st.composite
+def grid_and_state(draw):
+    """Schema-valid ``grid`` and ``state`` sections: runnable ones with up to
+    two fields drawn from an unusual range (below a minimum, inverted or
+    narrow bounds, repeated or fractional modes, non-finite numbers)."""
+    n = draw(st.integers(1, 4))
+
+    def sized(elements):
+        return st.lists(elements, min_size=n, max_size=n)
+
+    # key -> (usual values, unusual values)
+    fields = {
+        "n_theta": (st.integers(8, 256), st.integers(-1, 7)),
+        "n_q2": (st.integers(32, 2048), st.integers(-1, 31)),
+        "q2_min": (st.floats(-6.0, -4.0), st.floats(-6.0, 1.0) | _ANY_FLOAT),
+        "q2_max": (st.floats(4.0, 6.0), st.floats(-1.0, 6.0) | _ANY_FLOAT),
+        "modes": (st.lists(st.integers(-3, 3), min_size=n, max_size=n, unique=True),
+                  st.lists(st.integers(-4, 4) | st.floats(-4.0, 4.0), max_size=5)),
+        "weights": (sized(st.floats(0.01, 1.0)), sized(st.floats(0.0, 1.0) | _ANY_FLOAT)),
+        "phases": (st.none() | sized(st.floats(-7.0, 7.0)), sized(_ANY_FLOAT)),
+        "l_max": (st.integers(4, 8), st.integers(-1, 3)),
+        "packet_center": (st.floats(-0.5, 0.5), _ANY_FLOAT),
+    }
+    odd = draw(st.sets(st.sampled_from(sorted(fields)), max_size=2))
+    values = {key: draw(unusual if key in odd else usual)
+              for key, (usual, unusual) in fields.items()}
+    grid_keys = ("n_theta", "n_q2", "q2_min", "q2_max")
+    return ({key: values[key] for key in grid_keys},
+            {key: value for key, value in values.items() if key not in grid_keys})
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sections=grid_and_state())
+def test_fuzzed_grid_and_state_fail_at_parse_or_run(tmp_path, sections):
+    # a config parse_config accepts runs (exit 0) or fails its checks (exit 3);
+    # one it rejects exits 1; none exits 2 or raises
+    grid, state = sections
+    case = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = case / "config.json"
+    path.write_text(json.dumps({"experiment": "born", "seed": 1, "out_dir": str(case / "out"),
+                                "grid": grid, "state": state,
+                                "ensemble": {"n_trials": 3, "dt_traj": 0.01}}))
+    try:
+        parse_config(path.read_text())
+    except ConfigError:
+        expected = {1}
+    else:
+        expected = {0, 3}
+    assert cli_main(["born", "--config", str(path)]) in expected

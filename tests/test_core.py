@@ -1,155 +1,39 @@
-"""Grids, norms, polar decomposition and snapshot export."""
+"""The pointer domain, physical parameters and snapshot export."""
 import numpy as np
 import pytest
 
-from stochaction import (DegenerateInputError, GridSpec, InvalidSystemError,
-                         PhysicalConfig, WaveFunction, compose_polar, norm,
-                         normalize, polar_decompose)
-from stochaction.core import (wavefunction_from_binary, wavefunction_to_binary,
-                              wavefunction_to_csv)
+from joint_oracle import JointAxes, field_from_binary
+from stochaction import GridSpec, InvalidSystemError, PhysicalConfig
+from stochaction.core import field_to_binary, field_to_csv
 
 
 @pytest.fixture
 def grid():
-    return GridSpec(128, -10.0, 10.0, 512)
+    return GridSpec(-10.0, 10.0)
 
 
-def ring_field(grid, fn):
-    return WaveFunction(fn(grid.theta).astype(complex), grid, ("theta",))
-
-
-def line_field(grid, fn):
-    return WaveFunction(fn(grid.q2).astype(complex), grid, ("q2",))
+@pytest.fixture
+def axes(grid):
+    return JointAxes(grid, 128, 512)
 
 
 class TestGridSpec:
-    def test_spacings(self, grid):
-        assert grid.dtheta == pytest.approx(2 * np.pi / 128)
-        assert grid.dq2 == pytest.approx(20.0 / 512)
-        assert len(grid.theta) == 128
-        assert len(grid.q2) == 513
+    def test_spacings(self, axes):
+        # the test-local joint axes span the pointer domain end to end
+        assert axes.dtheta == pytest.approx(2 * np.pi / 128)
+        assert axes.dq2 == pytest.approx(20.0 / 512)
+        assert len(axes.theta) == 128
+        assert len(axes.q2) == 513
+        assert (axes.q2[0], axes.q2[-1]) == (-10.0, 10.0)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(n_theta=4, q2_min=-1.0, q2_max=1.0, n_q2=64),
-        dict(n_theta=64, q2_min=-1.0, q2_max=1.0, n_q2=16),
-        dict(n_theta=64, q2_min=1.0, q2_max=-1.0, n_q2=64),
+        dict(q2_min=1.0, q2_max=-1.0),
+        dict(q2_min=1.0, q2_max=1.0),
+        dict(q2_min=-1.0, q2_max=float("nan")),
     ])
     def test_rejects_bad_grids(self, kwargs):
         with pytest.raises(InvalidSystemError):
             GridSpec(**kwargs)
-
-
-class TestNorm:
-    def test_uniform_ring_is_unit(self, grid):
-        psi = ring_field(grid, lambda th: np.full_like(th, 1 / np.sqrt(2 * np.pi)))
-        assert norm(psi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_quadratic_scaling(self, grid):
-        psi = ring_field(grid, lambda th: np.cos(th) + 0.5)
-        scaled = WaveFunction(3.0 * psi.amplitudes, grid, ("theta",))
-        assert norm(scaled) == pytest.approx(9.0 * norm(psi), rel=1e-12)
-
-    def test_gaussian_against_closed_form(self, grid):
-        sigma = 0.5
-        psi = line_field(grid, lambda q: np.exp(-q**2 / (2 * sigma**2)))
-        exact = sigma * np.sqrt(np.pi)  # integral of exp(-q^2/sigma^2)
-        assert norm(psi) == pytest.approx(exact, abs=1e-8)
-
-    def test_normalize_zero_field_raises(self, grid):
-        psi = ring_field(grid, np.zeros_like)
-        with pytest.raises(DegenerateInputError):
-            normalize(psi)
-
-    def test_refinement_is_second_order(self):
-        # endpoint-supported field so the trapezoid error is genuinely O(h^2)
-        def measure(n_q2):
-            g = GridSpec(16, -1.0, 1.0, n_q2)
-            psi = WaveFunction(np.cos(g.q2).astype(complex), g, ("q2",))
-            exact = 1.0 + 0.5 * np.sin(2.0)
-            return abs(norm(psi) - exact)
-
-        ratio = measure(64) / measure(128)
-        assert 3.0 < ratio < 5.0
-
-
-class TestPolar:
-    def test_single_winding_mode(self, grid):
-        psi = ring_field(grid, lambda th: np.exp(1j * th) / np.sqrt(2 * np.pi))
-        fields = polar_decompose(psi, 1.0)
-        assert fields.winding == 1
-        assert np.allclose(fields.R, 1 / np.sqrt(2 * np.pi))
-        assert np.allclose(fields.S, grid.theta, atol=1e-12)
-
-    def test_real_positive_field_has_zero_action(self, grid):
-        psi = normalize(line_field(grid, lambda q: np.exp(-q**2)))
-        fields = polar_decompose(psi, 1.0)
-        assert np.allclose(fields.S, 0.0)
-        assert np.allclose(fields.R, np.abs(psi.amplitudes))
-
-    def test_boosted_gaussian_against_unwrap_oracle(self, grid):
-        p0 = 2.0
-        psi = normalize(line_field(grid, lambda q: np.exp(-q**2) * np.exp(1j * p0 * q)))
-        fields = polar_decompose(psi, 1.0)
-        # independent oracle: cumulative sum of pointwise phase differences
-        amp = psi.amplitudes
-        steps = np.angle(amp[1:] / amp[:-1])
-        oracle = np.concatenate(([np.angle(amp[0])], np.angle(amp[0]) + np.cumsum(steps)))
-        assert np.allclose(fields.S, oracle, atol=1e-9)
-        interior = slice(10, -10)
-        dS = np.gradient(fields.S, grid.dq2)
-        assert np.allclose(dS[interior], p0, atol=1e-6)
-
-    def test_zero_field_raises(self, grid):
-        with pytest.raises(DegenerateInputError):
-            polar_decompose(ring_field(grid, np.zeros_like), 1.0)
-
-    def test_node_mask_flags_small_density(self, grid):
-        amp = np.exp(-grid.q2**2).astype(complex)
-        amp[0] = 1e-10
-        fields = polar_decompose(WaveFunction(amp, grid, ("q2",)), 1.0)
-        assert fields.node_mask[0]
-        assert not fields.node_mask[len(grid.q2) // 2]
-
-
-class TestComposePolar:
-    def test_constant_fields_give_real_constant(self, grid):
-        from stochaction.core import PolarFields
-        n = len(grid.theta)
-        fields = PolarFields(R=np.full(n, 0.3), S=np.zeros(n),
-                             node_mask=np.zeros(n, dtype=bool),
-                             grid=grid, axes=("theta",))
-        psi = compose_polar(fields, 1.0)
-        assert np.allclose(psi.amplitudes, 0.3)
-        assert np.all(psi.amplitudes.imag == 0)
-
-    def test_round_trip_identity(self, grid):
-        rng = np.random.default_rng(1)
-        c = rng.normal(size=5) + 1j * rng.normal(size=5)
-        th = grid.theta
-        amp = sum(ck * np.exp(1j * k * th) for k, ck in enumerate(c, start=-2))
-        psi = normalize(WaveFunction(amp, grid, ("theta",)))
-        fields = polar_decompose(psi, 0.7)
-        back = compose_polar(fields, 0.7)
-        off = ~fields.node_mask
-        assert np.max(np.abs(back.amplitudes[off] - psi.amplitudes[off])) < 1e-10
-
-    def test_matches_direct_construction(self, grid):
-        R = np.exp(-((grid.theta - np.pi) ** 2))
-        from stochaction.core import PolarFields
-        fields = PolarFields(R=R, S=grid.theta.copy(),
-                             node_mask=np.zeros_like(R, dtype=bool),
-                             grid=grid, axes=("theta",))
-        composed = compose_polar(fields, 1.0)
-        direct = R * np.exp(1j * grid.theta)
-        assert np.allclose(composed.amplitudes, direct, atol=1e-14)
-
-    def test_negative_amplitude_rejected(self, grid):
-        from stochaction.core import PolarFields
-        n = len(grid.theta)
-        fields = PolarFields(R=-np.ones(n), S=np.zeros(n),
-                             node_mask=np.zeros(n, dtype=bool))
-        with pytest.raises(ValueError):
-            compose_polar(fields, 1.0)
 
 
 class TestPhysicalConfig:
@@ -170,20 +54,18 @@ class TestPhysicalConfig:
 
 
 class TestSnapshotExport:
-    def test_binary_round_trip(self, grid):
-        psi = normalize(line_field(grid, lambda q: np.exp(-q**2) * np.exp(0.5j * q)))
-        blob = wavefunction_to_binary(psi)
-        amp, axes = wavefunction_from_binary(blob)
-        assert np.array_equal(amp, psi.amplitudes)
-        assert axes == [(513, -10.0, 10.0)]
+    def test_binary_round_trip(self, axes):
+        amp = np.exp(-axes.q2**2) * np.exp(0.5j * axes.q2)
+        back, spec = field_from_binary(field_to_binary(amp, [axes.q2]))
+        assert np.array_equal(back, amp)
+        assert spec == [(513, -10.0, 10.0)]
 
-    def test_csv_shape(self, grid):
-        psi = normalize(ring_field(grid, lambda th: 1 + 0.1 * np.cos(th)))
-        text = wavefunction_to_csv(psi)
-        lines = text.strip().split("\n")
+    def test_csv_shape(self, axes):
+        amp = (1 + 0.1 * np.cos(axes.theta)).astype(complex)
+        lines = field_to_csv(amp, [axes.theta], ["theta"]).strip().split("\n")
         assert lines[0] == "theta,re,im"
         assert len(lines) == 1 + 128
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
-            wavefunction_from_binary(b"nope" + b"\x00" * 64)
+            field_from_binary(b"nope" + b"\x00" * 64)

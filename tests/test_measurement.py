@@ -16,7 +16,7 @@ from stochaction.trajectories import EnsembleSpec
 
 @pytest.fixture
 def grid():
-    return GridSpec(128, -4.0, 4.0, 1024)
+    return GridSpec(-4.0, 4.0)
 
 
 @pytest.fixture
@@ -133,7 +133,7 @@ class TestEnsemble:
         real = meas.integrate_ensemble
         monkeypatch.setattr(meas, "integrate_ensemble",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
-        narrow = GridSpec(64, -1.0, 1.0, 256)   # the l = 3 packet drifts to q2 = 3
+        narrow = GridSpec(-1.0, 1.0)   # the l = 3 packet drifts to q2 = 3
         state = prepare_initial_state({3: 1.0}, packet, config, narrow, basis)
         with pytest.raises(DomainOverflowError):
             run_ensemble(state, config, EnsembleSpec(dt_traj=1e-2), 5, seed=27)
@@ -245,14 +245,16 @@ class TestEffectivePost:
         assert np.allclose(effective_post(3, theta, basis), 3.0)
         assert np.allclose(effective_post(0, theta, basis), 0.0)
 
-    def test_against_grid_operator_oracle(self, grid, basis):
+    def test_against_grid_operator_oracle(self, basis):
         # Re(phi* L phi)/|phi|^2 with the spectral derivative on the ring
-        l = 3
-        phi = np.exp(1j * l * grid.theta) / np.sqrt(2 * np.pi)
-        k = 2 * np.pi * np.fft.fftfreq(grid.n_theta, d=grid.dtheta)
+        l, n_theta = 3, 128
+        dtheta = 2 * np.pi / n_theta
+        theta = np.arange(n_theta) * dtheta
+        phi = np.exp(1j * l * theta) / np.sqrt(2 * np.pi)
+        k = 2 * np.pi * np.fft.fftfreq(n_theta, d=dtheta)
         lphi = np.fft.ifft(k * np.fft.fft(phi))       # -i d/dtheta in k space
         oracle = np.real(np.conj(phi) * lphi) / np.abs(phi) ** 2
-        vals = effective_post(l, grid.theta, basis)
+        vals = effective_post(l, theta, basis)
         assert np.max(np.abs(vals - oracle)) < 1e-10
 
     def test_outside_basis_rejected(self, basis):
@@ -310,7 +312,7 @@ class TestSubstituteObservable:
         x, psi = self._line_state(width=8.0, momentum=1.5, L=80.0, n=2048)
         pipe = substitute_observable("linear_momentum", psi, x,
                                      window=(-4.0, 6.0), n_bins=10,
-                                     config=config, grid=GridSpec(64, -8, 8, 1024))
+                                     config=config, grid=GridSpec(-8, 8))
         spec = EnsembleSpec(dt_traj=2e-3)
         recs, stats, _ = run_ensemble(pipe, config, spec, 60, seed=24)
         # every outcome lands in the bin containing p0 = 1.5 (center 1.5)
@@ -323,7 +325,7 @@ class TestSubstituteObservable:
         x, psi = self._line_state(center=1.3, width=0.03, L=10.0)
         pipe = substitute_observable("position", psi, x, window=(-4.0, 4.0),
                                      n_bins=8, config=config,
-                                     grid=GridSpec(64, -6, 6, 512))
+                                     grid=GridSpec(-6, 6))
         spec = EnsembleSpec(dt_traj=2e-3)
         recs, stats, _ = run_ensemble(pipe, config, spec, 400, seed=25)
         hits = sum(1 for r in recs if r.omega == pytest.approx(1.5))
@@ -335,7 +337,7 @@ class TestSubstituteObservable:
         x, psi = self._line_state(width=1.0, momentum=1.0, L=40.0, n=1024)
         pipe = substitute_observable("linear_momentum", psi, x,
                                      window=(-4.0, 6.0), n_bins=10,
-                                     config=config, grid=GridSpec(64, -8, 8, 1024))
+                                     config=config, grid=GridSpec(-8, 8))
         spec = EnsembleSpec(dt_traj=2e-3)
         _, stats, _ = run_ensemble(pipe, config, spec, 1200, seed=26, threads=4)
         assert stats.n_ambiguous + stats.n_overflow < 10
@@ -356,7 +358,7 @@ class TestSubstituteObservable:
         psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * h)
         pipe = substitute_observable("linear_momentum", psi, x,
                                      window=(-4.0, 4.0), n_bins=8,
-                                     config=config, grid=GridSpec(64, -8, 8, 1024))
+                                     config=config, grid=GridSpec(-8, 8))
         state = pipe.state0
         flow = ModeFlow(state, g=1.0)
         pts = np.array([[0.3, 0.01], [-1.2, -0.02], [2.5, 0.0]])
@@ -487,7 +489,7 @@ class TestDrawOracle:
         psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
         window, n_bins = ((-4.0, 4.0), 8) if kind == "position" else ((-4.0, 6.0), 10)
         pipe = substitute_observable(kind, psi, x, window=window, n_bins=n_bins,
-                                     config=config, grid=GridSpec(64, -8, 8, 1024))
+                                     config=config, grid=GridSpec(-8, 8))
         trials = np.arange(300)
         want, _ = oracle_initial_draws(pipe.state0, 33, trials)
         assert np.array_equal(self._draws(pipe.state0, 33, trials), want)

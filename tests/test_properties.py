@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from stochaction import (ActionIncrement, AngularBasis, GaussianPacket, GridSpec,
                          RingModes, SpectralState, actual_velocity,
-                         check_separability, compose_polar, effective_velocity,
-                         gaussian_log_weight, normalize, polar_decompose,
-                         transition_log_weight, WaveFunction)
+                         check_separability, effective_velocity,
+                         gaussian_log_weight, transition_log_weight)
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=50.0, allow_nan=False)
@@ -49,31 +48,13 @@ def test_weight_finite_iff_sign_locked(dev, lam):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=5),
-       st.floats(min_value=0.1, max_value=5.0))
-def test_polar_round_trip(mode_amps, lam):
-    grid = GridSpec(64, -1.0, 1.0, 64)
-    th = grid.theta
-    amp = np.zeros(64, dtype=complex)
-    for k, (re, im) in enumerate(mode_amps):
-        amp += complex(re, im) * np.exp(1j * (k - 2) * th)
-    if np.max(np.abs(amp)) < 1e-12:
-        return
-    psi = normalize(WaveFunction(amp, grid, ("theta",)))
-    fields = polar_decompose(psi, lam)
-    back = compose_polar(fields, lam)
-    off = ~fields.node_mask
-    assert np.max(np.abs(back.amplitudes[off] - psi.amplitudes[off])) < 1e-10
-
-
-@settings(max_examples=50, deadline=None)
 @given(w=st.floats(min_value=0.05, max_value=0.95),
        phase=st.floats(min_value=0.0, max_value=6.28),
        theta=st.floats(min_value=0.0, max_value=6.28),
        q2=st.floats(min_value=-0.5, max_value=0.5),
        lam=st.floats(min_value=0.1, max_value=3.0))
 def test_sign_average_identity(w, phase, theta, q2, lam):
-    grid = GridSpec(32, -3.0, 3.0, 64)
+    grid = GridSpec(-3.0, 3.0)
     basis = AngularBasis(4)
     c = np.zeros(9, dtype=complex)
     c[4] = np.sqrt(w)

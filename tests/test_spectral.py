@@ -1,17 +1,22 @@
-"""Angular basis, exact measurement propagation, joint synthesis."""
+"""Angular basis, exact measurement propagation, checked on a joint grid."""
 import numpy as np
 import pytest
 
+from joint_oracle import JointAxes, norm, pointer_marginal_density, synthesize_joint
 from stochaction import (AngularBasis, DomainOverflowError, GaussianPacket,
                          GridSpec, PlaneWaveModes, RingModes, SpectralState,
-                         TruncationError, WaveFunction, evolve_measurement_spectral,
-                         expand_in_angular_basis, norm, normalize, synthesize_joint)
-from stochaction.spectral import pointer_marginal_density, system_marginal_density
+                         evolve_measurement_spectral)
+from stochaction.spectral import system_marginal_density
 
 
 @pytest.fixture
 def grid():
-    return GridSpec(128, -3.0, 3.0, 1024)
+    return GridSpec(-3.0, 3.0)
+
+
+@pytest.fixture
+def axes(grid):
+    return JointAxes(grid, 128, 1024)
 
 
 @pytest.fixture
@@ -29,66 +34,18 @@ def make_state(coeff_map, basis, grid, sigma=0.05, mu0=0.0):
 
 
 class TestAngularBasis:
-    def test_orthonormal_on_grid(self, grid, basis):
-        eig = basis.eigenfunctions(grid.theta)
-        gram = (eig.conj() * grid.theta_weights) @ eig.T
+    def test_orthonormal_on_grid(self, axes, basis):
+        eig = basis.eigenfunctions(axes.theta)
+        gram = (eig.conj() * axes.theta_weights) @ eig.T
         assert np.max(np.abs(gram - np.eye(len(basis.modes)))) < 1e-10
 
-    def test_modes_are_derivative_eigenfunctions(self, grid, basis):
+    def test_modes_are_derivative_eigenfunctions(self, axes, basis):
         # spectral derivative on the ring is exact for resolved modes
         for l in (-3, 0, 5):
-            phi = np.exp(1j * l * grid.theta) / np.sqrt(2 * np.pi)
-            k = np.fft.fftfreq(len(grid.theta), d=grid.dtheta) * 2 * np.pi
+            phi = np.exp(1j * l * axes.theta) / np.sqrt(2 * np.pi)
+            k = np.fft.fftfreq(len(axes.theta), d=axes.dtheta) * 2 * np.pi
             dphi = np.fft.ifft(1j * k * np.fft.fft(phi))
             assert np.allclose(dphi, 1j * l * phi, atol=1e-10)
-
-
-class TestExpansion:
-    def test_pure_mode(self, grid, basis):
-        phi = WaveFunction(basis.eigenfunctions(grid.theta)[basis.l_max + 1],
-                           grid, ("theta",))
-        coeffs, residual = expand_in_angular_basis(phi, basis)
-        expected = np.zeros(len(basis.modes))
-        expected[basis.l_max + 1] = 1.0
-        assert np.allclose(np.abs(coeffs) ** 2, expected, atol=1e-12)
-        assert residual < 1e-10
-
-    def test_two_mode_split(self, grid, basis):
-        eig = basis.eigenfunctions(grid.theta)
-        phi = WaveFunction((eig[basis.l_max - 1] + eig[basis.l_max + 2]) / np.sqrt(2),
-                           grid, ("theta",))
-        coeffs, _ = expand_in_angular_basis(phi, basis)
-        w = np.abs(coeffs) ** 2
-        assert w[basis.l_max - 1] == pytest.approx(0.5, abs=1e-12)
-        assert w[basis.l_max + 2] == pytest.approx(0.5, abs=1e-12)
-
-    def test_against_riemann_sum_oracle(self, grid, basis):
-        th = grid.theta
-        raw = (0.7 * np.exp(0j * th) + 0.5 * np.exp(1j * th)
-               + 0.2 * np.exp(3j * th)) / np.sqrt(2 * np.pi)
-        phi = normalize(WaveFunction(raw, grid, ("theta",)))
-        coeffs, _ = expand_in_angular_basis(phi, basis)
-        for l in basis.modes:
-            oracle = np.sum(np.exp(-1j * l * th) / np.sqrt(2 * np.pi)
-                            * phi.amplitudes) * grid.dtheta
-            assert coeffs[l + basis.l_max] == pytest.approx(oracle, abs=1e-10)
-
-    def test_parseval_with_residual(self, grid, basis):
-        th = grid.theta
-        raw = np.exp(np.cos(th)) * np.exp(2j * th)
-        phi = normalize(WaveFunction(raw, grid, ("theta",)))
-        coeffs, residual = expand_in_angular_basis(phi, basis,
-                                                   residual_tol=1.0)
-        assert np.sum(np.abs(coeffs) ** 2) + residual == pytest.approx(norm(phi),
-                                                                       abs=1e-10)
-
-    def test_truncation_error_raised(self, grid):
-        small = AngularBasis(2)
-        th = grid.theta
-        raw = np.exp(4j * th) / np.sqrt(2 * np.pi)
-        phi = WaveFunction(raw, grid, ("theta",))
-        with pytest.raises(TruncationError):
-            expand_in_angular_basis(phi, small)
 
 
 class TestSpectralEvolution:
@@ -108,13 +65,13 @@ class TestSpectralEvolution:
         out = evolve_measurement_spectral(state, 0.7, 1.3)
         assert np.array_equal(out.coeffs, state.coeffs)
 
-    def test_pointer_expectation_against_quadrature(self, grid, basis):
+    def test_pointer_expectation_against_quadrature(self, grid, axes, basis):
         state = make_state({-1: np.sqrt(0.4), 2: np.sqrt(0.6)}, basis, grid)
         t, g = 0.5, 1.0
         out = evolve_measurement_spectral(state, t, g)
-        joint = synthesize_joint(out)
+        joint = synthesize_joint(out, axes)
         w = joint.quadrature_weights()
-        q2 = grid.q2[None, :]
+        q2 = axes.q2[None, :]
         mean_q2 = float(np.sum(q2 * joint.density() * w))
         analytic = g * t * (0.4 * -1.0 + 0.6 * 2.0)
         assert mean_q2 == pytest.approx(analytic, abs=1e-8)
@@ -126,56 +83,56 @@ class TestSpectralEvolution:
 
 
 class TestSynthesis:
-    def test_single_mode_factorizes(self, grid, basis):
+    def test_single_mode_factorizes(self, grid, axes, basis):
         state = make_state({1: 1.0}, basis, grid)
-        joint = synthesize_joint(state)
+        joint = synthesize_joint(state, axes)
         dens = joint.density()
         outer = np.sum(dens, axis=1)[:, None] * np.sum(dens, axis=0)[None, :]
         outer *= dens.sum() / outer.sum()
         assert np.allclose(dens, outer, atol=1e-12)
 
-    def test_norm_equals_coefficient_mass(self, grid, basis):
+    def test_norm_equals_coefficient_mass(self, grid, axes, basis):
         state = make_state({-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
                            basis, grid)
-        assert norm(synthesize_joint(state)) == pytest.approx(1.0, abs=1e-8)
+        assert norm(synthesize_joint(state, axes)) == pytest.approx(1.0, abs=1e-8)
 
-    def test_cross_terms_vanish_when_separated(self, grid, basis):
+    def test_cross_terms_vanish_when_separated(self, grid, axes, basis):
         state = make_state({-1: np.sqrt(0.5), 1: np.sqrt(0.5)}, basis, grid)
         out = evolve_measurement_spectral(state, 1.0, 1.0)
-        joint = synthesize_joint(out)
+        joint = synthesize_joint(out, axes)
         dens = joint.density()
         # oracle: incoherent sum of the per-mode products
-        eig = RingModes(basis).values(grid.theta)
+        eig = RingModes(basis).values(axes.theta)
         incoherent = np.zeros_like(dens)
         for l, wgt in ((-1, 0.5), (1, 0.5)):
-            pk = out.packet_profile(grid.q2, basis.l_max + l)
+            pk = out.packet_profile(axes.q2, basis.l_max + l)
             incoherent += wgt * np.abs(eig[basis.l_max + l][:, None]) ** 2 * pk**2
         peak = dens.max()
         assert np.max(np.abs(dens - incoherent)) < 1e-8 * peak
 
-    def test_evolution_commutes_with_projection(self, grid, basis):
+    def test_evolution_commutes_with_projection(self, grid, axes, basis):
         # projecting the evolved joint field onto a mode leaves that mode's
         # coefficient times its rigidly shifted packet
         state = make_state({-1: np.sqrt(0.4), 2: np.sqrt(0.6)}, basis, grid)
         out = evolve_measurement_spectral(state, 0.4, 1.0)
-        joint = synthesize_joint(out)
-        eig = RingModes(basis).values(grid.theta)
+        joint = synthesize_joint(out, axes)
+        eig = RingModes(basis).values(axes.theta)
         for l, amp in ((-1, np.sqrt(0.4)), (2, np.sqrt(0.6))):
             idx = basis.l_max + l
-            section = (eig[idx].conj() * grid.theta_weights) @ joint.amplitudes
-            shifted = amp * out.packet_profile(grid.q2, idx)
+            section = (eig[idx].conj() * axes.theta_weights) @ joint.amplitudes
+            shifted = amp * out.packet_profile(axes.q2, idx)
             assert np.max(np.abs(section - shifted)) < 1e-12
 
-    def test_marginals_match_synthesis(self, grid, basis):
+    def test_marginals_match_synthesis(self, grid, axes, basis):
         state = make_state({0: np.sqrt(0.7), 1: np.sqrt(0.3)}, basis, grid)
         out = evolve_measurement_spectral(state, 0.2, 1.0)
-        joint = synthesize_joint(out)
+        joint = synthesize_joint(out, axes)
         dens = joint.density()
-        q2_marg = dens @ grid.q2_weights
-        th_marg = grid.theta_weights @ dens
-        assert np.allclose(q2_marg, system_marginal_density(out, grid.theta),
+        q2_marg = dens @ axes.q2_weights
+        th_marg = axes.theta_weights @ dens
+        assert np.allclose(q2_marg, system_marginal_density(out, axes.theta),
                            atol=1e-9)
-        assert np.allclose(th_marg, pointer_marginal_density(out, grid.q2),
+        assert np.allclose(th_marg, pointer_marginal_density(out, axes.q2),
                            atol=1e-9)
 
 

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from joint_oracle import JointAxes, synthesize_joint
 from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
                          PlaneWaveModes, RingModes, SpectralState, actual_velocity,
                          effective_velocity, equivariance_report,
-                         integrate_ensemble, synthesize_joint)
+                         integrate_ensemble)
 from stochaction.measurement import _initial_draws
 from stochaction.rng import stream
 from stochaction.trajectories import (DECIDE_EPS, EnsembleSpec, ModeFlow,
@@ -16,7 +17,7 @@ from stochaction.trajectories import (DECIDE_EPS, EnsembleSpec, ModeFlow,
 
 @pytest.fixture
 def grid():
-    return GridSpec(128, -3.0, 3.0, 768)
+    return GridSpec(-3.0, 3.0)
 
 
 @pytest.fixture
@@ -60,9 +61,9 @@ class TestVelocities:
         assert np.allclose(effective_velocity(state, pts, g=1.0), 0.0)
 
     def test_two_mode_field_against_phase_difference_oracle(self, basis):
-        fine = GridSpec(2048, -3.0, 3.0, 2048)
-        state = make_state({0: np.sqrt(0.6), 1: np.sqrt(0.4)}, basis, fine)
-        joint = synthesize_joint(state)
+        fine = JointAxes(GridSpec(-3.0, 3.0), 2048, 2048)
+        state = make_state({0: np.sqrt(0.6), 1: np.sqrt(0.4)}, basis, fine.grid)
+        joint = synthesize_joint(state, fine)
         phase = np.angle(joint.amplitudes)
         phase = np.unwrap(np.unwrap(phase, axis=0), axis=1)
         # 4th-order central differences of the unwrapped phase

@@ -41,7 +41,7 @@ from pathlib import Path
 
 BASE = {
     "seed": 5,
-    "grid": {"n_theta": 64, "q2_min": -4.0, "q2_max": 4.0, "n_q2": 512},
+    "grid": {"q2_min": -4.0, "q2_max": 4.0},
     "ensemble": {"n_trials": 200, "dt_traj": 0.002},
     "stochastic": {"tau_xi": 0.02},
     "state": {"modes": [-1, 0, 1], "weights": [0.5, 0.3, 0.2]},
@@ -141,7 +141,7 @@ def born_line(kind: str):
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
     window, n_bins = ((-4.0, 4.0), 8) if kind == "position" else ((-4.0, 6.0), 10)
     pipe = substitute_observable(kind, psi, x, window=window, n_bins=n_bins,
-                                 config=config, grid=GridSpec(64, -8.0, 8.0, 1024))
+                                 config=config, grid=GridSpec(-8.0, 8.0))
     records, _, _ = run_ensemble(pipe, config, EnsembleSpec(dt_traj=0.002), 200, seed=5)
     return [r.to_dict() for r in records]
 
