@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 from .core import (HBAR, DegenerateInputError, DomainOverflowError, GridSpec,
                    InvalidSystemError, NumericalError, PhysicalConfig)
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
-                       RingModes, SpectralState, evolve_measurement_spectral)
+                       SpectralState, evolve_measurement_spectral)
 from .stochastic import (ActionIncrement, StochasticParams, check_separability,
                          gaussian_log_weight, sample_deviation, sample_sign_path,
                          transition_log_weight)
@@ -30,7 +30,6 @@ from .measurement import (EnsembleStats, MeasurementPipeline, MeasurementRecord,
                           prepare_initial_state, repeat_measurement, run_ensemble,
                           run_single_event, substitute_observable)
 from .potentials import (LambdaSweep, appendix_velocity, classical_limit_check,
-                         effective_appendix_velocity, run_lambda_sweep,
-                         system_from_expressions)
+                         run_lambda_sweep, system_from_expressions)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .experiments import run_experiment

@@ -273,7 +273,7 @@ def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> int:
     collapsed = prepare_initial_state(
         {first.outcome_index: 1.0},
         GaussianPacket(state0.packet.center, state0.packet.sigma), physical,
-        state0.grid, state0.modes.basis)
+        state0.grid, state0.modes)
     n_rep = cfg["repeat"]["n_repeats"]
     records, stats, extras = run_ensemble(collapsed, physical, espec, n_rep,
                                           cfg["seed"] + 1, threads=cfg["threads"])

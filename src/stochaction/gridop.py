@@ -143,12 +143,6 @@ class MetricPotentialSystem:
         return v
 
     @classmethod
-    def flat(cls, dimension: int, scalar: Callable | None = None,
-             vector: Callable | None = None) -> "MetricPotentialSystem":
-        return cls(dimension=dimension, metric=None, vector_potential=vector,
-                   scalar_potential=scalar)
-
-    @classmethod
     def isotropic(cls, dimension: int, conformal: Callable,
                   scalar: Callable | None = None,
                   vector: Callable | None = None) -> "MetricPotentialSystem":
@@ -233,9 +227,6 @@ class GridOperator:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         return (self.matrix @ psi.ravel()).reshape(psi.shape)
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def build_metric_hamiltonian(system: MetricPotentialSystem, lambda_mag: float,
@@ -491,10 +482,13 @@ def quantum_potential(R: np.ndarray, system: MetricPotentialSystem, grid: Cartes
     return Q, valid
 
 
+# residuals are taken where the density exceeds this fraction of its peak
+_BULK_THRESHOLD = 1e-6
+
+
 def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
                         system: MetricPotentialSystem, grid: CartesianGrid,
-                        lambda_mag: float, bulk_threshold: float = 1e-6,
-                        include_quantum_term: bool = True) -> dict:
+                        lambda_mag: float, include_quantum_term: bool = True) -> dict:
     """Residuals of the continuity / modified Hamilton-Jacobi pair.
 
     Both equations are evaluated on the amplitude and phase of the evolved
@@ -524,7 +518,7 @@ def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
         dens = np.abs(psi_now) ** 2
         R = np.abs(psi_now)
         peak = dens.max()
-        valid = (dens > bulk_threshold * peak) & interior_mask(grid, 4)
+        valid = (dens > _BULK_THRESHOLD * peak) & interior_mask(grid, 4)
         safe = np.maximum(dens, 1e-300)
 
         # time derivatives: density directly, phase via the branch-free ratio

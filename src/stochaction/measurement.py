@@ -26,10 +26,10 @@ from . import rng as rngmod
 from .core import (HBAR, DegenerateInputError, GridSpec, InvalidSystemError,
                    PhysicalConfig)
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
-                       RingModes, SpectralState, evolve_measurement_spectral)
+                       SpectralState, evolve_measurement_spectral)
 from .stochastic import StochasticParams, sample_sign_path
 from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow,
-                           integrate_ensemble, ring_sampler, sample_ring_angles)
+                           integrate_ensemble, ring_sampler)
 
 # Fixed ensemble chunk size, independent of thread count; results do not
 # depend on it.  On a 2-vCPU machine with a 2 MB L2, a 3-mode Born ensemble
@@ -196,14 +196,13 @@ def prepare_initial_state(coeffs, packet: GaussianPacket, config: PhysicalConfig
     else:
         vec = np.asarray(coeffs, dtype=complex)
     total = float(np.sum(np.abs(vec) ** 2))
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise DegenerateInputError(f"coefficients must be normalized: sum |c|^2 = {total!r}")
-    modes = RingModes(basis)
     support = np.flatnonzero(np.abs(vec) ** 2 > 1e-14)
     if enforce_separation:
-        config.check_separation(modes.omegas[support])
+        config.check_separation(basis.omegas[support])
     centers = np.full(len(vec), packet.center)
-    return SpectralState(coeffs=vec, modes=modes, packet=packet, centers=centers,
+    return SpectralState(coeffs=vec, modes=basis, packet=packet, centers=centers,
                          t=0.0, grid=grid)
 
 
@@ -212,8 +211,8 @@ def _resolve_pipeline(prepared) -> MeasurementPipeline:
         return prepared
     state = prepared
     sup = state.support_indices()
-    if isinstance(state.modes, RingModes):
-        labels = state.modes.basis.modes[sup]
+    if isinstance(state.modes, AngularBasis):
+        labels = state.modes.modes[sup]
     else:
         labels = sup
     return MeasurementPipeline(
@@ -256,9 +255,9 @@ def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray,
     density.  A trial's draws depend on its stream alone, so no chunking can
     change them.
     """
-    if isinstance(state0.modes, RingModes):
+    if isinstance(state0.modes, AngularBasis):
         sup = state0.support_indices()
-        draw = partial(ring_sampler(state0.coeffs[sup], state0.modes.basis.modes[sup]),
+        draw = partial(ring_sampler(state0.coeffs[sup], state0.modes.modes[sup]),
                        1, gen)
     else:
         xg = state0.modes.x_grid
@@ -440,7 +439,7 @@ def average_prior(coeffs: np.ndarray, basis: AngularBasis, n_mc: int, seed: int,
     c = np.asarray(coeffs, dtype=complex)
     support = np.flatnonzero(np.abs(c) ** 2 > 1e-14)
     r = rngmod.stream(seed, rngmod.PRIOR, 0)
-    theta = sample_ring_angles(c[support], basis.modes[support], n_mc, r)
+    theta = ring_sampler(c[support], basis.modes[support])(n_mc, r)
     signs = r.integers(0, 2, size=n_mc) * 2 - 1
     l = basis.modes[support].reshape(-1, 1)
     phi = np.tensordot(c[support], np.exp(1j * l * theta[None, :]), axes=1)
@@ -477,13 +476,12 @@ def repeat_measurement(record: MeasurementRecord, state0: SpectralState,
     """
     if record.outcome_index is None:
         raise ValueError("cannot repeat a flagged measurement")
-    if not isinstance(state0.modes, RingModes):
+    if not isinstance(state0.modes, AngularBasis):
         raise NotImplementedError("repetition protocol is defined for the ring system")
-    basis = state0.modes.basis
     collapsed = prepare_initial_state({record.outcome_index: 1.0},
                                       GaussianPacket(state0.packet.center,
                                                      state0.packet.sigma),
-                                      config, state0.grid, basis)
+                                      config, state0.grid, state0.modes)
     return run_single_event(collapsed, config, spec, seed, trial=trial)
 
 
@@ -516,7 +514,7 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
     x = np.asarray(x_grid, dtype=float)
     h = x[1] - x[0]
     total = float(np.sum(np.abs(psi) ** 2) * h)
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:
         raise DegenerateInputError(f"system state is not normalized: {total!r}")
     lo, hi = window
     if hi <= lo:

@@ -115,9 +115,9 @@ def appendix_velocity(psi: np.ndarray, system: MetricPotentialSystem,
 
     Evaluated on the grid with 4th-order differences; returns the field and
     the mask of points where it is trustworthy (off nodes, off the boundary
-    margin).  Averaging the two signs leaves the classical-looking
-    ``g^{ij} (d_j S - a_j)`` drift, which :func:`effective_appendix_velocity`
-    returns directly.
+    margin).  The osmotic term is linear in ``lambda_signed``, so averaging
+    the two signs leaves the classical-looking ``g^{ij} (d_j S - a_j)`` drift,
+    the field at ``lambda_signed = 0``.
     """
     coords = grid.coords()
     g = system.metric_field(coords)
@@ -140,14 +140,6 @@ def appendix_velocity(psi: np.ndarray, system: MetricPotentialSystem,
             vel[..., i] += g[..., i, j] * (grad_s + lambda_signed * osm - a[..., j])
     vel[~valid] = 0.0
     return vel, valid
-
-
-def effective_appendix_velocity(psi: np.ndarray, system: MetricPotentialSystem,
-                                grid: CartesianGrid, eps_node_rel: float = 1e-12):
-    """Sign-averaged (osmotic-free) velocity field and its validity mask."""
-    plus, valid = appendix_velocity(psi, system, grid, +1.0, eps_node_rel)
-    minus, _ = appendix_velocity(psi, system, grid, -1.0, eps_node_rel)
-    return 0.5 * (plus + minus), valid
 
 
 # ---------------------------------------------------------------------------
@@ -190,32 +182,26 @@ def _observables(psi: np.ndarray, psi0: np.ndarray, op: GridOperator,
 
 def run_lambda_sweep(system: MetricPotentialSystem, psi0: np.ndarray,
                      grid: CartesianGrid, sweep: LambdaSweep, dt: float,
-                     n_steps: int, record_every: int,
-                     observables: tuple[str, ...] = OBSERVABLE_MENU) -> dict:
+                     n_steps: int, record_every: int) -> dict:
     """Evolve the same initial state at every scale in the sweep.
 
-    Output maps each delta to a time series of the requested observables plus
-    the running deviation from the delta = 0 entry.  The delta = 0 run uses
-    the same code path as any other, so it doubles as the quantum reference.
+    Output maps each delta to a time series of the observables in
+    ``OBSERVABLE_MENU`` plus the running deviation from the delta = 0 entry.
+    The delta = 0 run uses the same code path as any other, so it doubles as
+    the quantum reference.
     """
-    unknown = set(observables) - set(OBSERVABLE_MENU)
-    if unknown:
-        raise ValueError(f"unknown observables: {sorted(unknown)}")
     results = {}
     for delta, lam in zip(sweep.deltas, sweep.lambdas):
         op = build_metric_hamiltonian(system, lam, grid)
         _, history = evolve_grid(psi0, op, dt, n_steps, record_every=record_every)
-        rows = []
-        for t, snap in history:
-            obs = _observables(snap, psi0, op, grid)
-            rows.append({"t": float(t), **{k: obs[k] for k in observables}})
+        rows = [{"t": float(t), **_observables(snap, psi0, op, grid)} for t, snap in history]
         results[delta] = {"lambda": lam, "series": rows}
 
     reference = results[0.0]["series"]
     for delta, entry in results.items():
         devs = []
         for row, ref in zip(entry["series"], reference):
-            devs.append(max(abs(row[k] - ref[k]) for k in observables))
+            devs.append(max(abs(row[k] - ref[k]) for k in OBSERVABLE_MENU))
         entry["max_deviation_from_reference"] = float(np.max(devs))
     return results
 
@@ -234,7 +220,7 @@ def classical_limit_check(system: MetricPotentialSystem, psi: np.ndarray,
     R = np.abs(psi)
     dens = R**2
     entries = []
-    classical, valid0 = effective_appendix_velocity(psi, system, grid, eps_node_rel)
+    classical, valid0 = appendix_velocity(psi, system, grid, 0.0, eps_node_rel)
     for lam in sorted(lambdas, reverse=True):
         Q, q_valid = quantum_potential(R, system, grid, lam, eps_node_rel)
         q_norm = float(np.sqrt(np.mean(Q[q_valid] ** 2)))

@@ -16,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import HBAR, DomainOverflowError, GridSpec
 
 
 @dataclass(frozen=True, eq=False)
 class AngularBasis:
-    """Ring eigenmodes ``exp(i l theta) / sqrt(2 pi)`` for |l| <= l_max."""
+    """The ring's mode table: eigenmodes ``exp(i l theta) / sqrt(2 pi)`` for |l| <= l_max."""
 
     l_max: int = 8
 
@@ -63,27 +62,13 @@ class GaussianPacket:
         return norm * np.exp(-((q - self.center) ** 2) / (4.0 * self.sigma**2))
 
 
-class RingModes:
-    """Analytic mode table for the angular-momentum problem."""
-
-    def __init__(self, basis: AngularBasis):
-        self.basis = basis
-        self.omegas = basis.omegas
-
-    def values(self, x) -> np.ndarray:
-        return self.basis.eigenfunctions(x)
-
-    def derivatives(self, x) -> np.ndarray:
-        th = np.asarray(x, dtype=float)
-        l = self.basis.modes.reshape((-1,) + (1,) * th.ndim)
-        return 1j * l * self.values(x)
-
-
 class LineModes:
-    """Tabulated mode functions on a line, spline-interpolated off the grid.
+    """Tabulated mode functions on a line: one row of ``table`` per mode on ``x_grid``.
 
     Used by the position measurement kind, where the 'modes' are the
-    bin-masked pieces of the state with outcome values at bin centers.
+    bin-masked pieces of the state with outcome values at bin centers.  Its
+    states move under :class:`~stochaction.trajectories.PointerReadoutFlow`,
+    so the table is only read for the initial draws.
     """
 
     def __init__(self, x_grid: np.ndarray, table: np.ndarray, omegas: np.ndarray):
@@ -92,15 +77,6 @@ class LineModes:
         self.x_grid = np.asarray(x_grid, dtype=float)
         self.table = np.asarray(table, dtype=complex)
         self.omegas = np.asarray(omegas, dtype=float)
-        self._spline = CubicSpline(self.x_grid, self.table, axis=1, extrapolate=False)
-        self._dspline = self._spline.derivative()
-
-    def values(self, x) -> np.ndarray:
-        # out-of-window points evaluate to 0 (packet support left the window)
-        return np.nan_to_num(self._spline(np.asarray(x, dtype=float)), nan=0.0)
-
-    def derivatives(self, x) -> np.ndarray:
-        return np.nan_to_num(self._dspline(np.asarray(x, dtype=float)), nan=0.0)
 
 
 class PlaneWaveModes:
@@ -128,18 +104,13 @@ class PlaneWaveModes:
         p = self.momenta.reshape((-1,) + (1,) * x.ndim)
         return np.exp(1j * p * x) / np.sqrt(self.box_length)
 
-    def derivatives(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        p = self.momenta.reshape((-1,) + (1,) * x.ndim)
-        return 1j * p * self.values(x)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralState:
     """Closed-form joint state: coefficients plus per-mode packet centers."""
 
     coeffs: np.ndarray
-    modes: RingModes | LineModes
+    modes: AngularBasis | LineModes | PlaneWaveModes
     packet: GaussianPacket
     centers: np.ndarray
     t: float
@@ -151,7 +122,7 @@ class SpectralState:
         if c.shape != self.modes.omegas.shape or mu.shape != c.shape:
             raise ValueError("coefficients, omegas and centers must share a shape")
         total = float(np.sum(np.abs(c) ** 2))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"coefficients are not normalized: sum |c|^2 = {total!r}")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "centers", mu)
@@ -191,7 +162,7 @@ def system_marginal_density(state: SpectralState, theta) -> np.ndarray:
     """Exact ring-angle density including packet-overlap interference."""
     th = np.asarray(theta, dtype=float)
     sig2 = state.packet.sigma ** 2
-    eig = state.modes.values(th)
+    eig = state.modes.eigenfunctions(th)
     dens = np.zeros_like(th)
     M = len(state.coeffs)
     for a in range(M):

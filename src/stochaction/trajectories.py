@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .spectral import (PlaneWaveModes, RingModes, SpectralState,
+from .core import DegenerateInputError
+from .spectral import (AngularBasis, PlaneWaveModes, SpectralState,
                        evolve_measurement_spectral, system_marginal_density)
 
 TWO_PI = 2.0 * np.pi
@@ -64,29 +65,34 @@ class ModeFlow:
     system-gradient, each scaled by g.  Only occupied modes enter the sums;
     ring eigenfunctions come from a single complex exponential through an
     integer power chain, which is what keeps large ensembles cheap.
+
+    Ring (:class:`AngularBasis`) and plane-wave states only: a position
+    state moves under :class:`PointerReadoutFlow`.
     """
 
     def __init__(self, state: SpectralState, g: float):
+        self.ring = isinstance(state.modes, AngularBasis)
+        if not (self.ring or isinstance(state.modes, PlaneWaveModes)):
+            raise TypeError(f"ModeFlow takes ring or plane-wave states, not "
+                            f"{type(state.modes).__name__}; position states move "
+                            "under PointerReadoutFlow")
         self.state = state
         self.g = g
         self.sigma = state.packet.sigma
         self.t0 = state.t
         self.modes = state.modes
-        self.ring = isinstance(state.modes, RingModes)
-        self.plane = isinstance(state.modes, PlaneWaveModes)
         # the plane-wave power chain needs the full equally spaced ladder, so
         # zero-weight interior modes must stay in place there
-        sup = np.arange(len(state.coeffs)) if self.plane else state.support_indices()
-        self._sup = sup
+        sup = state.support_indices() if self.ring else np.arange(len(state.coeffs))
         self.coeffs = state.coeffs[sup]
         self.omegas = state.omegas[sup]
         self.centers0 = state.centers[sup]
         if self.ring:
-            self._l = state.modes.basis.modes[sup].astype(int)
+            self._l = state.modes.modes[sup].astype(int)
             self._l_abs_max = int(np.max(np.abs(self._l))) if len(self._l) else 0
             self._scale = 1.0 / np.sqrt(TWO_PI)
             self._dfactor = 1j * self._l
-        elif self.plane:
+        else:
             self._p = state.modes.momenta[sup]
             self._box_scale = 1.0 / np.sqrt(state.modes.box_length)
             self._dfactor = 1j * self._p
@@ -95,7 +101,6 @@ class ModeFlow:
         self.ref_peak = self._reference_peak()
         # |u_l| is the same for every ring or plane-wave mode, so a row can be
         # decided from the packets alone (zero-weight plane waves do not count)
-        self.decides = self.ring or self.plane
         occ = np.flatnonzero(self.coeffs != 0)
         self._occ_log_amp = np.log(np.abs(self.coeffs[occ]))
         self._occ_omegas = self.omegas[occ]
@@ -132,7 +137,7 @@ class ModeFlow:
                 else:
                     np.conjugate(powers[-l], out=u[k])
             u *= self._scale
-        elif self.plane:
+        else:
             # equally spaced momenta: one exp for the base, one per step of the chain
             p = self._p
             u = np.empty((len(p),) + x.shape, dtype=complex)
@@ -142,10 +147,6 @@ class ModeFlow:
                 for k in range(1, len(p)):
                     np.multiply(u[k - 1], step, out=u[k])
             u *= self._box_scale
-        else:
-            u = self.modes.values(x)[self._sup]
-            du = self.modes.derivatives(x)[self._sup] if with_derivatives else None
-            return u, du
         du = self._dfactor.reshape((-1,) + (1,) * x.ndim) * u if with_derivatives else None
         return u, du
 
@@ -255,9 +256,11 @@ class PointerReadoutFlow:
     coordinate is frozen and the pointer drifts at ``g * x``.
     """
 
-    def __init__(self, g: float, ref_peak: float = 1.0):
+    # the density is this constant everywhere, so no landing is ever a node
+    ref_peak = 1.0
+
+    def __init__(self, g: float):
         self.g = g
-        self.ref_peak = ref_peak
 
     def density(self, points: np.ndarray, t: float) -> np.ndarray:
         return np.full(points.shape[:-1], self.ref_peak)
@@ -298,10 +301,14 @@ def ring_sampler(c: np.ndarray, l: np.ndarray):
     touches the density for in-phase states.  Each round draws ``m`` angles
     and then ``m`` heights and keeps the accepted angles in draw order.  The
     set-up is done once here, so per-trial draws pay only for the rounds.
+    An envelope that is not positive and finite (no occupied mode, or a NaN
+    amplitude) would never accept, so it raises before any draw.
     """
     c = np.asarray(c, dtype=complex)
     il = 1j * np.asarray(l).reshape(-1, 1)
     bound = _ring_envelope(c)
+    if not (np.isfinite(bound) and bound > 0):
+        raise DegenerateInputError(f"ring density has no positive finite bound ({bound!r})")
 
     def draw(n: int, rng: np.random.Generator) -> np.ndarray:
         out = np.empty(n)
@@ -317,12 +324,6 @@ def ring_sampler(c: np.ndarray, l: np.ndarray):
         return out
 
     return draw
-
-
-def sample_ring_angles(c: np.ndarray, l: np.ndarray, n: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """``n`` exact draws from the ring density of ``c`` over modes ``l`` (:func:`ring_sampler`)."""
-    return ring_sampler(c, l)(n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +388,8 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     step's first stage (first-same-as-last).  Rows whose landing is then
     replaced by the node policy get that first stage evaluated again.
 
-    In an effective run of a flow that offers ``decided`` (ring and
-    plane-wave :class:`ModeFlow`), every ``DECIDE_EVERY`` steps the rows
+    In an effective run of a flow that offers ``decided`` (a
+    :class:`ModeFlow`), every ``DECIDE_EVERY`` steps the rows
     that have left every packet but one also drop out of the working set;
     they finish on their classical pointer line.
     """
@@ -403,7 +404,7 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     node_clamped = np.zeros(n, dtype=bool)
     decided_at = np.full(n, np.nan)
     finished = []                # (rows, config, pointer speed, step) per decision
-    decide = flow.decided if sign_paths is None and getattr(flow, "decides", False) else None
+    decide = getattr(flow, "decided", None) if sign_paths is None else None
     eps_abs = spec.eps_node_rel * flow.ref_peak
     snapshots: dict[int, np.ndarray] = {}
     if 0 in snapshot_steps:
@@ -530,7 +531,7 @@ def equivariance_report(snapshots: dict[float, np.ndarray], state0: SpectralStat
     ensemble.  Bins are equal-mass under the reference marginal, so every
     bin has the same expected count.
     """
-    if not isinstance(state0.modes, RingModes):
+    if not isinstance(state0.modes, AngularBasis):
         raise NotImplementedError("equivariance diagnostics assume the ring system")
     report = {}
     for t, pts in sorted(snapshots.items()):

@@ -71,7 +71,7 @@ def norm(field: JointField) -> float:
 
 def synthesize_joint(state: SpectralState, axes: JointAxes) -> JointField:
     """The ring state's closed-form joint wavefunction on the axes."""
-    eig = state.modes.values(axes.theta)                       # (M, n_theta)
+    eig = state.modes.eigenfunctions(axes.theta)              # (M, n_theta)
     packs = np.stack([state.packet_profile(axes.q2, m)        # (M, n_q2+1)
                       for m in range(len(state.coeffs))])
     return JointField(np.einsum("m,mt,mq->tq", state.coeffs, eig, packs), axes)

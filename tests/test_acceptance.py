@@ -212,7 +212,7 @@ def test_criterion_08_equivariance(born_run):
 
 
 def test_criterion_09_engine_fidelity():
-    harmonic = MetricPotentialSystem.flat(1, scalar=lambda c: 0.5 * c[0] ** 2)
+    harmonic = MetricPotentialSystem(1, scalar_potential=lambda c: 0.5 * c[0] ** 2)
     grid = CartesianGrid((-7.0,), (7.0,), (512,), (False,))
     op = build_metric_hamiltonian(harmonic, 1.0, grid)
     x = grid.axis(0)
@@ -221,7 +221,7 @@ def test_criterion_09_engine_fidelity():
     out = evolve_grid(packet, op, 2e-3, 1000)
     drift = abs(1.0 - grid.norm2(out))
 
-    _, vecs = eigh(op.dense())
+    _, vecs = eigh(op.matrix.toarray())
     gs = vecs[:, 0].astype(complex)
     gs /= np.sqrt(grid.norm2(gs))
     gs_out = evolve_grid(gs, op, 2e-3, 3142)
@@ -231,7 +231,7 @@ def test_criterion_09_engine_fidelity():
     xf = free_grid.axis(0)
     free = np.exp(-xf**2 / 4).astype(complex)
     free /= np.sqrt(free_grid.norm2(free))
-    free_op = build_metric_hamiltonian(MetricPotentialSystem.flat(1), 1.0, free_grid)
+    free_op = build_metric_hamiltonian(MetricPotentialSystem(1), 1.0, free_grid)
     free_out = evolve_grid(free, free_op, 2e-3, 1000)
     dens = np.abs(free_out) ** 2
     total = dens.sum() * free_grid.cell_volume
@@ -282,7 +282,7 @@ def test_criterion_11_classical_limit():
     x = grid.axis(0)
     psi = np.exp(-x**2 / (4 * s**2)).astype(complex)
     psi /= np.sqrt(grid.norm2(psi))
-    rep = classical_limit_check(MetricPotentialSystem.flat(1), psi, grid,
+    rep = classical_limit_check(MetricPotentialSystem(1), psi, grid,
                                 lambdas=(1.0, 0.5, 1e-3))
     ratio = rep["halving_ratios"][0]
     v_dist = rep["entries"][-1]["velocity_rms_distance"]

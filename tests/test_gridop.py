@@ -16,7 +16,7 @@ from stochaction.gridop import NumericalError, _derivative, _divergence_form
 
 
 def harmonic_system():
-    return MetricPotentialSystem.flat(1, scalar=lambda c: 0.5 * c[0] ** 2)
+    return MetricPotentialSystem(1, scalar_potential=lambda c: 0.5 * c[0] ** 2)
 
 
 def wavy_2d_system():
@@ -103,10 +103,10 @@ class TestHamiltonianAssembly:
     def test_constant_gauge_spectrum_matches_plane_wave_symbol(self):
         n, a0 = 128, 0.37
         grid = CartesianGrid((0.0,), (2 * np.pi,), (n,), (True,))
-        system = MetricPotentialSystem.flat(
-            1, vector=lambda c: np.stack([np.full_like(c[0], a0)], axis=-1))
+        system = MetricPotentialSystem(
+            1, vector_potential=lambda c: np.stack([np.full_like(c[0], a0)], axis=-1))
         op = build_metric_hamiltonian(system, 1.0, grid)
-        evals = np.sort(np.linalg.eigvalsh(op.dense()))
+        evals = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
         h = grid.spacing(0)
         k = 2 * np.pi * np.fft.fftfreq(n, d=h)
         # the discrete operator applied to exp(ikx), worked out by hand
@@ -127,7 +127,7 @@ class TestEvolveGrid:
         grid = CartesianGrid((-30.0,), (30.0,), (768,), (False,))
         x = grid.axis(0)
         psi = normalized(np.exp(-x**2 / 4).astype(complex), grid)  # width 1
-        op = build_metric_hamiltonian(MetricPotentialSystem.flat(1), 1.0, grid)
+        op = build_metric_hamiltonian(MetricPotentialSystem(1), 1.0, grid)
         out = evolve_grid(psi, op, 2e-3, 1000)
         dens = np.abs(out) ** 2
         total = dens.sum() * grid.cell_volume
@@ -138,7 +138,7 @@ class TestEvolveGrid:
 
     def test_discrete_ground_state_is_stationary(self, line_grid):
         op = build_metric_hamiltonian(harmonic_system(), 1.0, line_grid)
-        _, vecs = eigh(op.dense())
+        _, vecs = eigh(op.matrix.toarray())
         gs = normalized(vecs[:, 0].astype(complex), line_grid)
         out = evolve_grid(gs, op, 2e-3, 3142)  # one period
         assert np.max(np.abs(np.abs(out) ** 2 - np.abs(gs) ** 2)) < 1e-6
@@ -173,14 +173,14 @@ class TestEvolveGrid:
 class TestQuantumPotential:
     def test_constant_amplitude_gives_zero(self):
         grid = CartesianGrid((0.0,), (2 * np.pi,), (64,), (True,))
-        Q, valid = quantum_potential(np.ones(64), MetricPotentialSystem.flat(1),
+        Q, valid = quantum_potential(np.ones(64), MetricPotentialSystem(1),
                                      grid, 1.0)
         assert np.allclose(Q[valid], 0.0, atol=1e-12)
 
     def test_exact_quadratic_scaling(self, line_grid):
         x = line_grid.axis(0)
         R = np.exp(-x**2 / 2)
-        system = MetricPotentialSystem.flat(1)
+        system = MetricPotentialSystem(1)
         Q1, v1 = quantum_potential(R, system, line_grid, 1.0)
         Qh, vh = quantum_potential(R, system, line_grid, 0.5)
         assert np.array_equal(v1, vh)
@@ -216,7 +216,7 @@ class TestResidualPair:
 
     def test_eigenstate_continuity_residual_vanishes(self, line_grid):
         op = build_metric_hamiltonian(harmonic_system(), 1.0, line_grid)
-        _, vecs = eigh(op.dense())
+        _, vecs = eigh(op.matrix.toarray())
         gs = normalized(vecs[:, 0].astype(complex), line_grid)
         _, hist = evolve_grid(gs, op, 2e-3, 100, record_every=10)
         res = verify_hjm_residual(hist, harmonic_system(), line_grid, 1.0)

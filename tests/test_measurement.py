@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochaction import (AngularBasis, DomainOverflowError, GaussianPacket, GridSpec,
-                         InvalidSystemError, PhysicalConfig, StochasticParams,
-                         actual_observable_prior, average_prior, effective_post,
+from stochaction import (AngularBasis, DegenerateInputError, DomainOverflowError,
+                         GaussianPacket, GridSpec, InvalidSystemError, PhysicalConfig,
+                         StochasticParams, actual_observable_prior, average_prior, effective_post,
                          prepare_initial_state, repeat_measurement, run_ensemble,
                          run_single_event, substitute_observable)
 from stochaction.rng import INITIAL, SIGNS, stream
@@ -63,6 +63,11 @@ class TestPreparation:
     def test_unnormalized_rejected(self, grid, basis, config, packet):
         with pytest.raises(Exception):
             prepare_initial_state({0: 0.7}, packet, config, grid, basis)
+
+    def test_nan_amplitudes_rejected(self, grid, basis, config, packet):
+        # a NaN total fails every comparison; it used to pass and hang the sampler
+        with pytest.raises(DegenerateInputError, match="normalized"):
+            prepare_initial_state({0: np.nan, 1: np.nan}, packet, config, grid, basis)
 
     def test_mode_outside_basis_rejected(self, grid, config, packet):
         with pytest.raises(InvalidSystemError):
@@ -238,6 +243,11 @@ class TestAveragePrior:
         res = average_prior(c, basis, 50_000, seed=18)
         assert abs(res["mean"]) < 3 * res["se"]
 
+    def test_empty_state_raises(self, basis):
+        # no occupied mode: the ring sampler has nothing to accept under
+        with pytest.raises(DegenerateInputError):
+            average_prior(np.zeros(len(basis.modes)), basis, 10, seed=0)
+
 
 class TestEffectivePost:
     def test_constant_eigenvalue(self, basis):
@@ -391,6 +401,14 @@ class TestSubstituteObservable:
             substitute_observable("position", psi, x, window=(-4.0, 4.0),
                                   n_bins=8, config=wide, grid=grid)
 
+    @pytest.mark.parametrize("kind", ["position", "linear_momentum"])
+    def test_nan_state_rejected(self, grid, config, kind):
+        x, psi = self._line_state()
+        psi[10] = np.nan
+        with pytest.raises(DegenerateInputError, match="not normalized"):
+            substitute_observable(kind, psi, x, window=(-4.0, 4.0), n_bins=8,
+                                  config=config, grid=grid)
+
     def test_unknown_kind_rejected(self, grid, config):
         x, psi = self._line_state()
         with pytest.raises(ValueError):
@@ -401,12 +419,12 @@ class TestSubstituteObservable:
 def oracle_initial_draws(state0, seed, trials):
     """Reference loop: a new stream per trial, rejection rounds over the occupied modes."""
     from stochaction.measurement import _sample_line
-    from stochaction.spectral import PlaneWaveModes, RingModes
+    from stochaction.spectral import PlaneWaveModes
     out = np.empty((len(trials), 2))
     rounds = np.zeros(len(trials), dtype=int)
-    if isinstance(state0.modes, RingModes):
+    if isinstance(state0.modes, AngularBasis):
         sup = np.flatnonzero(np.abs(state0.coeffs) ** 2 > 1e-14)
-        c, l = state0.coeffs[sup], state0.modes.basis.modes[sup]
+        c, l = state0.coeffs[sup], state0.modes.modes[sup]
         bound = float(np.sum(np.abs(c))) ** 2 / (2.0 * np.pi)
         m = int(2.5 * bound * 2.0 * np.pi) + 16
         for k, trial in enumerate(trials):
@@ -522,11 +540,20 @@ class TestRingSampler:
                              ids=["canonical", "gapped-4"])
     def test_ks_against_exact_cdf(self, coeffs):
         from scipy import stats as sps
-        from stochaction.trajectories import sample_ring_angles
+        from stochaction.trajectories import ring_sampler
         l = np.array(list(coeffs))
         c = np.array(list(coeffs.values()), dtype=complex)
-        draws = sample_ring_angles(c, l, 100_000, stream(41))
+        draws = ring_sampler(c, l)(100_000, stream(41))
         assert sps.kstest(draws, ring_cdf(coeffs)).pvalue > 0.01
+
+    @pytest.mark.parametrize("c", [[0.0, 0.0], [np.nan, 0.5], [np.inf, 0.5]],
+                             ids=["empty", "nan", "inf"])
+    def test_degenerate_envelope_raises_before_drawing(self, c):
+        from stochaction.trajectories import ring_sampler
+        gen = stream(42)
+        with pytest.raises(DegenerateInputError, match="positive finite bound"):
+            ring_sampler(np.array(c, dtype=complex), np.array([0, 1]))(3, gen)
+        assert gen.random() == stream(42).random()   # nothing was drawn
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

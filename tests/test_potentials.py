@@ -5,8 +5,7 @@ import pytest
 from stochaction import (CartesianGrid, InvalidSystemError, LambdaSweep,
                          MetricPotentialSystem, appendix_velocity,
                          build_metric_hamiltonian, classical_limit_check,
-                         effective_appendix_velocity, evolve_grid,
-                         run_lambda_sweep, system_from_expressions)
+                         evolve_grid, run_lambda_sweep, system_from_expressions)
 from stochaction.expressions import ExpressionError, compile_expression
 
 
@@ -88,7 +87,7 @@ class TestAppendixVelocity:
         x = grid.axis(0)
         psi = np.exp(-x**2 / 2).astype(complex)
         psi /= np.sqrt(grid.norm2(psi))
-        system = MetricPotentialSystem.flat(1)
+        system = MetricPotentialSystem(1)
         vel, valid = appendix_velocity(psi, system, grid, lambda_signed=1.0)
         # (lambda/2) d ln(Omega) = -x for this width; differencing error grows
         # with x^5 in the far tail, so compare on the bulk
@@ -100,10 +99,11 @@ class TestAppendixVelocity:
         x = grid.axis(0)
         psi = (np.exp(-x**2 / 2) * np.exp(0.4j * x)).astype(complex)
         psi /= np.sqrt(grid.norm2(psi))
-        system = MetricPotentialSystem.flat(1)
+        system = MetricPotentialSystem(1)
         plus, valid = appendix_velocity(psi, system, grid, +0.7)
         minus, _ = appendix_velocity(psi, system, grid, -0.7)
-        eff, _ = effective_appendix_velocity(psi, system, grid)
+        eff, eff_valid = appendix_velocity(psi, system, grid, 0.0)
+        assert np.array_equal(eff_valid, valid)
         assert np.max(np.abs(0.5 * (plus + minus) - eff)[valid]) < 1e-13
 
     def test_coherent_state_velocity_analytic(self):
@@ -114,7 +114,7 @@ class TestAppendixVelocity:
         psi = np.exp(-((x - xc) ** 2) / 2 + 1j * pc * x).astype(complex)
         psi /= np.sqrt(grid.norm2(psi))
         system = system_from_expressions(1, scalar="0.5*q^2")
-        eff, valid = effective_appendix_velocity(psi, system, grid)
+        eff, valid = appendix_velocity(psi, system, grid, 0.0)
         assert np.max(np.abs(eff[valid, 0] - pc)) < 1e-4
 
     def test_gauge_term_subtracts(self):
@@ -123,9 +123,9 @@ class TestAppendixVelocity:
         psi = np.exp(-x**2 / 2).astype(complex)
         psi /= np.sqrt(grid.norm2(psi))
         a0 = 0.4
-        system = MetricPotentialSystem.flat(
-            1, vector=lambda c: np.stack([np.full_like(c[0], a0)], axis=-1))
-        eff, valid = effective_appendix_velocity(psi, system, grid)
+        system = MetricPotentialSystem(
+            1, vector_potential=lambda c: np.stack([np.full_like(c[0], a0)], axis=-1))
+        eff, valid = appendix_velocity(psi, system, grid, 0.0)
         assert np.allclose(eff[valid, 0], -a0, atol=1e-10)
 
 
@@ -142,7 +142,7 @@ class TestLambdaSweep:
 
     def test_reference_deviation_is_exactly_zero(self):
         grid = CartesianGrid((-20.0,), (20.0,), (256,), (False,))
-        system = MetricPotentialSystem.flat(1)
+        system = MetricPotentialSystem(1)
         res = run_lambda_sweep(system, self._free_packet(grid), grid,
                                LambdaSweep(deltas=(0.0, 0.2)), dt=5e-3,
                                n_steps=100, record_every=50)
@@ -151,7 +151,7 @@ class TestLambdaSweep:
 
     def test_free_dispersion_scales_with_lambda(self):
         grid = CartesianGrid((-30.0,), (30.0,), (768,), (False,))
-        system = MetricPotentialSystem.flat(1)
+        system = MetricPotentialSystem(1)
         sweep = LambdaSweep(deltas=(0.0, 0.5, -0.5))
         res = run_lambda_sweep(system, self._free_packet(grid), grid, sweep,
                                dt=2e-3, n_steps=500, record_every=500)
@@ -179,7 +179,7 @@ class TestLambdaSweep:
 
     def test_reference_run_is_bit_identical_to_direct_evolution(self):
         grid = CartesianGrid((-20.0,), (20.0,), (256,), (False,))
-        system = MetricPotentialSystem.flat(1)
+        system = MetricPotentialSystem(1)
         psi = self._free_packet(grid)
         res = run_lambda_sweep(system, psi, grid, LambdaSweep(deltas=(0.0,)),
                                dt=5e-3, n_steps=50, record_every=50)
@@ -191,13 +191,6 @@ class TestLambdaSweep:
         mean = float(np.sum(x * dens) * grid.cell_volume / total)
         assert res[0.0]["series"][-1]["position"] == mean
 
-    def test_unknown_observable_rejected(self):
-        grid = CartesianGrid((-20.0,), (20.0,), (256,), (False,))
-        with pytest.raises(ValueError):
-            run_lambda_sweep(MetricPotentialSystem.flat(1), self._free_packet(grid),
-                             grid, LambdaSweep(), dt=1e-2, n_steps=10,
-                             record_every=10, observables=("entropy",))
-
 
 class TestClassicalLimit:
     def test_quadratic_scaling_and_velocity_convergence(self):
@@ -206,7 +199,7 @@ class TestClassicalLimit:
         x = grid.axis(0)
         psi = np.exp(-x**2 / (4 * s**2)).astype(complex)
         psi /= np.sqrt(grid.norm2(psi))
-        system = MetricPotentialSystem.flat(1)
+        system = MetricPotentialSystem(1)
         report = classical_limit_check(system, psi, grid,
                                        lambdas=(1.0, 0.5, 1e-3))
         assert report["halving_ratios"][0] == pytest.approx(0.25, rel=0.01)
@@ -219,7 +212,7 @@ class TestClassicalLimit:
         x = grid.axis(0)
         psi = (x * np.exp(-x**2 / 2)).astype(complex)   # node at the origin
         psi /= np.sqrt(grid.norm2(psi))
-        system = MetricPotentialSystem.flat(1)
+        system = MetricPotentialSystem(1)
         report = classical_limit_check(system, psi, grid, lambdas=(1.0, 0.5),
                                        eps_node_rel=1e-6)
         assert report["halving_ratios"][0] == pytest.approx(0.25, rel=0.01)

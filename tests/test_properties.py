@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochaction import (ActionIncrement, AngularBasis, GaussianPacket, GridSpec,
-                         RingModes, SpectralState, actual_velocity,
+                         SpectralState, actual_velocity,
                          check_separability, effective_velocity,
                          gaussian_log_weight, transition_log_weight)
 
@@ -59,7 +59,7 @@ def test_sign_average_identity(w, phase, theta, q2, lam):
     c = np.zeros(9, dtype=complex)
     c[4] = np.sqrt(w)
     c[5] = np.sqrt(1 - w) * np.exp(1j * phase)
-    state = SpectralState(coeffs=c, modes=RingModes(basis),
+    state = SpectralState(coeffs=c, modes=basis,
                           packet=GaussianPacket(0.0, 0.3),
                           centers=np.zeros(9), t=0.0, grid=grid)
     pts = np.array([[theta, q2]])

@@ -4,7 +4,7 @@ import pytest
 
 from joint_oracle import JointAxes, norm, pointer_marginal_density, synthesize_joint
 from stochaction import (AngularBasis, DomainOverflowError, GaussianPacket,
-                         GridSpec, PlaneWaveModes, RingModes, SpectralState,
+                         GridSpec, PlaneWaveModes, SpectralState,
                          evolve_measurement_spectral)
 from stochaction.spectral import system_marginal_density
 
@@ -28,7 +28,7 @@ def make_state(coeff_map, basis, grid, sigma=0.05, mu0=0.0):
     c = np.zeros(len(basis.modes), dtype=complex)
     for l, amp in coeff_map.items():
         c[np.flatnonzero(basis.modes == l)[0]] = amp
-    return SpectralState(coeffs=c, modes=RingModes(basis),
+    return SpectralState(coeffs=c, modes=basis,
                          packet=GaussianPacket(mu0, sigma),
                          centers=np.full(len(c), mu0), t=0.0, grid=grid)
 
@@ -102,7 +102,7 @@ class TestSynthesis:
         joint = synthesize_joint(out, axes)
         dens = joint.density()
         # oracle: incoherent sum of the per-mode products
-        eig = RingModes(basis).values(axes.theta)
+        eig = basis.eigenfunctions(axes.theta)
         incoherent = np.zeros_like(dens)
         for l, wgt in ((-1, 0.5), (1, 0.5)):
             pk = out.packet_profile(axes.q2, basis.l_max + l)
@@ -116,7 +116,7 @@ class TestSynthesis:
         state = make_state({-1: np.sqrt(0.4), 2: np.sqrt(0.6)}, basis, grid)
         out = evolve_measurement_spectral(state, 0.4, 1.0)
         joint = synthesize_joint(out, axes)
-        eig = RingModes(basis).values(axes.theta)
+        eig = basis.eigenfunctions(axes.theta)
         for l, amp in ((-1, np.sqrt(0.4)), (2, np.sqrt(0.6))):
             idx = basis.l_max + l
             section = (eig[idx].conj() * axes.theta_weights) @ joint.amplitudes
@@ -146,14 +146,6 @@ class TestPlaneWaveModes:
         gram = (u.conj() * (L / 256)) @ u.T
         assert np.max(np.abs(gram - np.eye(10))) < 1e-10
 
-    def test_derivative_is_momentum_multiple(self):
-        x = np.linspace(-5, 5, 64, endpoint=False)
-        modes = PlaneWaveModes(np.array([0.5, 1.0, 1.5]), 10.0, x)
-        u = modes.values(x)
-        du = modes.derivatives(x)
-        for k, pk in enumerate(modes.momenta):
-            assert np.allclose(du[k], 1j * pk * u[k])
-
     def test_unequal_spacing_rejected(self):
         with pytest.raises(ValueError):
             PlaneWaveModes(np.array([0.0, 0.5, 1.5]), 10.0, np.linspace(0, 1, 8))
@@ -164,6 +156,15 @@ class TestStateValidation:
         c = np.zeros(len(basis.modes), dtype=complex)
         c[basis.l_max] = 0.9
         with pytest.raises(ValueError):
-            SpectralState(coeffs=c, modes=RingModes(basis),
+            SpectralState(coeffs=c, modes=basis,
+                          packet=GaussianPacket(0.0, 0.05),
+                          centers=np.zeros(len(c)), t=0.0, grid=grid)
+
+    def test_nan_coefficients_rejected(self, grid, basis):
+        # a NaN total fails every comparison, so the check must not read "> tol"
+        c = np.zeros(len(basis.modes), dtype=complex)
+        c[basis.l_max] = np.nan
+        with pytest.raises(ValueError, match="not normalized"):
+            SpectralState(coeffs=c, modes=basis,
                           packet=GaussianPacket(0.0, 0.05),
                           centers=np.zeros(len(c)), t=0.0, grid=grid)

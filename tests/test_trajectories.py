@@ -5,14 +5,14 @@ from scipy import stats as sps
 
 from joint_oracle import JointAxes, synthesize_joint
 from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
-                         PlaneWaveModes, RingModes, SpectralState, actual_velocity,
+                         PlaneWaveModes, SpectralState, actual_velocity,
                          effective_velocity, equivariance_report,
                          integrate_ensemble)
 from stochaction.measurement import _initial_draws
 from stochaction.rng import stream
 from stochaction.trajectories import (DECIDE_EPS, EnsembleSpec, ModeFlow,
                                       _resolve_step, _stage_velocity, _step,
-                                      sample_ring_angles)
+                                      ring_sampler)
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def make_state(coeff_map, basis, grid, sigma=0.3, mu0=0.0):
     c = np.zeros(len(basis.modes), dtype=complex)
     for l, amp in coeff_map.items():
         c[np.flatnonzero(basis.modes == l)[0]] = amp
-    return SpectralState(coeffs=c, modes=RingModes(basis),
+    return SpectralState(coeffs=c, modes=basis,
                          packet=GaussianPacket(mu0, sigma),
                          centers=np.full(len(c), mu0), t=0.0, grid=grid)
 
@@ -39,7 +39,7 @@ class TestBornSampling:
         c = np.zeros(len(basis.modes), dtype=complex)
         c[basis.l_max] = np.sqrt(0.5)
         c[basis.l_max + 1] = np.sqrt(0.5)
-        draws = sample_ring_angles(c, basis.modes, 20_000, stream(5))
+        draws = ring_sampler(c, basis.modes)(20_000, stream(5))
         # CDF oracle by quadrature of |phi|^2 = (1 + cos theta) / (2 pi)
         th = np.linspace(0, 2 * np.pi, 4001)
         cdf = (th + np.sin(th)) / (2 * np.pi)
@@ -101,19 +101,6 @@ class TestVelocities:
         assert np.allclose(v[:, 0], expected, atol=1e-8)
         assert np.allclose(v[:, 1], 0.0, atol=1e-12)
 
-    def test_line_mode_field_from_the_mode_table(self, grid):
-        # a tabulated plane-wave envelope: the pointer moves at g times its momentum
-        x = np.linspace(-6.0, 6.0, 801)
-        psi = np.exp(-x**2 / 2 + 0.7j * x)
-        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
-        state = SpectralState(coeffs=np.array([1.0]), modes=LineModes(x, psi[None, :],
-                                                                       np.array([0.0])),
-                              packet=GaussianPacket(0.0, 0.3), centers=np.zeros(1),
-                              t=0.0, grid=grid)
-        v = effective_velocity(state, np.array([[0.3, 0.1], [-1.0, -0.2]]), g=1.5)
-        assert np.allclose(v[:, 1], 1.5 * 0.7, atol=1e-6)
-        assert np.allclose(v[:, 0], 0.0, atol=1e-12)
-
     def test_vanishing_scale_recovers_effective(self, grid, basis):
         state = make_state({0: np.sqrt(0.5), 1: np.sqrt(0.5)}, basis, grid)
         pts = np.array([[1.0, 0.1]])
@@ -136,19 +123,15 @@ def oracle_mode_values(flow, x, with_derivatives):
         u *= 1.0 / np.sqrt(2 * np.pi)
         du = (1j * flow._l.reshape((-1,) + (1,) * x.ndim)) * u if with_derivatives else None
         return u, du
-    if flow.plane:
-        p = flow._p
-        u = np.empty((len(p),) + x.shape, dtype=complex)
-        u[0] = np.exp(1j * p[0] * x)
-        if len(p) > 1:
-            step = np.exp(1j * (p[1] - p[0]) * x)
-            for k in range(1, len(p)):
-                u[k] = u[k - 1] * step
-        u *= flow._box_scale
-        du = (1j * p.reshape((-1,) + (1,) * x.ndim)) * u if with_derivatives else None
-        return u, du
-    u = flow.modes.values(x)[flow._sup]
-    du = flow.modes.derivatives(x)[flow._sup] if with_derivatives else None
+    p = flow._p
+    u = np.empty((len(p),) + x.shape, dtype=complex)
+    u[0] = np.exp(1j * p[0] * x)
+    if len(p) > 1:
+        step = np.exp(1j * (p[1] - p[0]) * x)
+        for k in range(1, len(p)):
+            u[k] = u[k - 1] * step
+    u *= flow._box_scale
+    du = (1j * p.reshape((-1,) + (1,) * x.ndim)) * u if with_derivatives else None
     return u, du
 
 
@@ -274,11 +257,12 @@ class TestKernelOracle:
 
     def test_plane_wave_flow(self, grid):
         flow = self._check(plane_wave_state(grid), seed=62)
-        assert flow.plane and len(flow._p) == 5
+        assert not flow.ring and len(flow._p) == 5
 
-    def test_line_mode_flow(self, grid):
-        flow = self._check(line_mode_state(grid), seed=63)
-        assert not flow.ring and not flow.plane
+    def test_line_mode_state_rejected(self, grid):
+        # position states move under PointerReadoutFlow; ModeFlow has no line kernel
+        with pytest.raises(TypeError, match="PointerReadoutFlow"):
+            ModeFlow(line_mode_state(grid), g=1.3)
 
 
 class TestIntegration:
@@ -349,7 +333,7 @@ class TestIntegration:
         flow = ModeFlow(state, g=1.0)
         spec = EnsembleSpec(dt_traj=1e-3, node_policy="reject-resample")
         r = stream(31)
-        theta = sample_ring_angles(state.coeffs, state.modes.basis.modes, 128, r)
+        theta = ring_sampler(state.coeffs, state.modes.modes)(128, r)
         q2 = r.normal(0.0, 0.05, 128)
         q0 = np.stack([theta, q2], axis=-1)
         out = integrate_ensemble(flow, q0, spec, 0.0, 0.5,
@@ -612,7 +596,7 @@ class TestDecidedTrials:
         for l, mu in ((-1, center_minus), (1, -center_minus)):
             i = np.flatnonzero(basis.modes == l)[0]
             c[i], centers[i] = np.sqrt(0.5), mu
-        return SpectralState(coeffs=c, modes=RingModes(basis),
+        return SpectralState(coeffs=c, modes=basis,
                              packet=GaussianPacket(0.0, 0.05), centers=centers, t=0.0,
                              grid=grid)
 
@@ -747,7 +731,7 @@ class TestEquivariance:
             q2 = r.uniform(-0.6, 0.6, n)
             q0 = np.stack([theta, q2], axis=-1)
         else:
-            theta = sample_ring_angles(state.coeffs, state.modes.basis.modes, n, r)
+            theta = ring_sampler(state.coeffs, state.modes.modes)(n, r)
             q2 = r.normal(state.packet.center, state.packet.sigma, n)
             q0 = np.stack([theta, q2], axis=-1)
         spec = EnsembleSpec(dt_traj=2e-3, node_policy="clamp")
@@ -769,7 +753,7 @@ class TestEquivariance:
                            sigma=0.05)
         flow = ModeFlow(state, g=1.0)
         r = stream(22)
-        theta = sample_ring_angles(state.coeffs, state.modes.basis.modes, 4000, r)
+        theta = ring_sampler(state.coeffs, state.modes.modes)(4000, r)
         q2 = r.normal(0.0, 0.05, 4000)
         report = equivariance_report({0.0: np.stack([theta, q2], axis=-1)},
                                      state, g=1.0)

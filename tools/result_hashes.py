@@ -88,11 +88,14 @@ CONFIGS = {
 }
 
 
-def lambda_sweep_2d():
-    """Mixed-periodic 2-D sweep with metric (cross term included), vector and scalar."""
+def mixed_2d():
+    """Mixed-periodic 2-D system with metric (cross term included), vector and scalar.
+
+    Returns the system, its 24x20 grid (x periodic, y closed) and a unit-norm
+    start state.
+    """
     import numpy as np
-    from stochaction import (CartesianGrid, LambdaSweep, run_lambda_sweep,
-                             system_from_expressions)
+    from stochaction import CartesianGrid, system_from_expressions
 
     system = system_from_expressions(
         2, metric={"g11": "1+0.2*sin(x)^2", "g22": "1+0.1*cos(x)*exp(-y^2/8)",
@@ -101,9 +104,24 @@ def lambda_sweep_2d():
     grid = CartesianGrid((-np.pi, -5.0), (np.pi, 5.0), (24, 20), (True, False))
     x, y = grid.coords()
     psi0 = np.exp(-(x**2 + (y - 0.5) ** 2) / 2 + 1j * x)
-    psi0 = psi0 / np.sqrt(grid.norm2(psi0))
+    return system, grid, psi0 / np.sqrt(grid.norm2(psi0))
+
+
+def lambda_sweep_2d():
+    """Sweep of the mixed-periodic 2-D system at deltas 0 and 0.1."""
+    from stochaction import LambdaSweep, run_lambda_sweep
+
+    system, grid, psi0 = mixed_2d()
     return run_lambda_sweep(system, psi0, grid, LambdaSweep(deltas=(0.0, 0.1)),
                             0.005, 40, 20)
+
+
+def classical_limit_2d():
+    """Classical-limit check of the mixed-periodic 2-D start state at lambda 1, 0.5, 0.25."""
+    from stochaction import classical_limit_check
+
+    system, grid, psi0 = mixed_2d()
+    return classical_limit_check(system, psi0, grid, (1.0, 0.5, 0.25))
 
 
 def cayley_2d():
@@ -149,6 +167,7 @@ def born_line(kind: str):
 # name -> API run whose result is hashed as canonical JSON
 API_RUNS = {
     "lambda-sweep-2d": lambda_sweep_2d,
+    "classical-limit-2d": classical_limit_2d,
     "cayley-2d": cayley_2d,
     "born-position": lambda: born_line("position"),
     "born-linear-momentum": lambda: born_line("linear_momentum"),
