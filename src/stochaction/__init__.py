@@ -22,8 +22,7 @@ from .stochastic import (ActionIncrement, StochasticParams, check_separability,
 from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem,
                      build_metric_hamiltonian, build_unsymmetrized_hamiltonian,
                      evolve_grid, quantum_potential, verify_hjm_residual)
-from .trajectories import (EnsembleSpec, ModeFlow, actual_velocity,
-                           effective_velocity, equivariance_report,
+from .trajectories import (EnsembleSpec, ModeFlow, equivariance_report,
                            integrate_ensemble)
 from .measurement import (EnsembleStats, MeasurementPipeline, MeasurementRecord,
                           actual_observable_prior, average_prior, effective_post,

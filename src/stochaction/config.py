@@ -317,9 +317,10 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
         except ValueError as exc:
             violations.append(f"ensemble.dt_traj: {exc}")
     if physical and ensemble:
-        steps = physical.t_M / ensemble.dt_traj
-        if abs(steps - round(steps)) > 1e-9:
-            violations.append("ensemble.dt_traj: t_M must be an integral number of steps")
+        try:
+            ensemble.n_steps(physical.t_M)
+        except ValueError as exc:
+            violations.append(f"ensemble.dt_traj: {exc}")
     app = cfg["appendix"]
     if app["dimension"] != 1:
         violations.append("appendix.dimension: only 1-D appendix runs are implemented")

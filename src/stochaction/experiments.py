@@ -27,7 +27,7 @@ from .config import ExperimentConfig
 from .core import DomainOverflowError, field_to_binary, field_to_csv
 from .gridop import (blas_threads, build_metric_hamiltonian, evolve_grid,
                      verify_hjm_residual)
-from .measurement import (_sign_paths, average_prior, prepare_initial_state,
+from .measurement import (_collapsed, _sign_paths, average_prior, prepare_initial_state,
                           run_ensemble)
 from .potentials import LambdaSweep, appendix_setup, run_lambda_sweep
 from .rng import GENERIC, stream
@@ -133,25 +133,37 @@ def _csv(rows: list[list], header: list[str]) -> str:
 # experiment kinds
 # ---------------------------------------------------------------------------
 
-def _prepared_state(cfg: ExperimentConfig):
-    packet = GaussianPacket(float(cfg["state"]["packet_center"]),
-                            cfg.physical().sigma)
-    return prepare_initial_state(cfg.coefficients(), packet, cfg.physical(),
-                                 cfg.grid(), cfg.basis())
+def _configured_run(cfg: ExperimentConfig, out: RunOutput, n_trials: int,
+                    snapshot_steps: tuple[int, ...]):
+    """The configured state and ``n_trials`` of its ensemble; counters go to the manifest.
+
+    Returns ``(state0, records, stats, extras)``.
+    """
+    physical, espec = cfg.physical(), cfg.ensemble()
+    packet = GaussianPacket(float(cfg["state"]["packet_center"]), physical.sigma)
+    state0 = prepare_initial_state(cfg.coefficients(), packet, physical, cfg.grid(),
+                                   cfg.basis())
+    records, stats, extras = run_ensemble(
+        state0, physical, espec, n_trials, cfg["seed"], velocity=cfg["velocity"],
+        stoch=cfg.stochastic() if cfg["velocity"] == "actual" else None,
+        threads=cfg["threads"], snapshot_steps=snapshot_steps)
+    out.telemetry["ensemble"] = _ensemble_counters(extras)
+    return state0, records, stats, extras
+
+
+def _equivariance(cfg: ExperimentConfig, summary: dict, state0, extras: dict) -> None:
+    """Equivariance of the run's last snapshot (at t_M), put in ``summary`` if enabled."""
+    if cfg["equivariance"]["enabled"]:
+        report = equivariance_report(dict([max(extras["snapshots"].items())]), state0,
+                                     cfg.physical().g, n_bins=cfg["equivariance"]["n_bins"])
+        summary["equivariance"] = {repr(t): r for t, r in report.items()}
 
 
 def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
-    physical = cfg.physical()
-    espec = cfg.ensemble()
-    state0 = _prepared_state(cfg)
-    stoch = cfg.stochastic() if cfg["velocity"] == "actual" else None
-    n_steps = int(round(physical.t_M / espec.dt_traj))
-    snapshot_steps = (n_steps,) if cfg["equivariance"]["enabled"] else ()
-    records, stats, extras = run_ensemble(
-        state0, physical, espec, cfg["ensemble"]["n_trials"], cfg["seed"],
-        velocity=cfg["velocity"], stoch=stoch, threads=cfg["threads"],
-        snapshot_steps=snapshot_steps)
-    out.telemetry["ensemble"] = _ensemble_counters(extras)
+    n_steps = cfg.ensemble().n_steps(cfg.physical().t_M)
+    state0, records, stats, extras = _configured_run(
+        cfg, out, cfg["ensemble"]["n_trials"],
+        (n_steps,) if cfg["equivariance"]["enabled"] else ())
 
     if cfg["ensemble"]["fail_on_overflow"]:
         for rec in records:
@@ -184,35 +196,24 @@ def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
         ok = bool(np.all(dev <= 3.0 * stats.standard_errors + 1e-15))
         items.append(("freq_within_3sigma", ok, f"max |f - p| = {float(dev.max()):.4g}"))
     status = _declared_checks(cfg, summary, items)
-    if cfg["equivariance"]["enabled"]:
-        snaps = extras["snapshots"]
-        report = equivariance_report(snaps, state0, physical.g,
-                                     n_bins=cfg["equivariance"]["n_bins"])
-        summary["equivariance"] = {repr(t): r for t, r in report.items()}
+    _equivariance(cfg, summary, state0, extras)
     out.add_json("summary.json", summary)
     return status
 
 
 def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
-    physical = cfg.physical()
-    espec = cfg.ensemble()
-    state0 = _prepared_state(cfg)
-    stoch = cfg.stochastic() if cfg["velocity"] == "actual" else None
-    n_steps = int(round(physical.t_M / espec.dt_traj))
+    n_steps = cfg.ensemble().n_steps(cfg.physical().t_M)
     n_store = min(cfg["ensemble"]["n_store"], cfg["ensemble"]["n_trials"])
     stored = range(0, n_steps + 1, max(1, cfg["ensemble"]["store_every"]))
     steps = sorted(set(stored) | {n_steps})
 
-    _, stats, extras = run_ensemble(
-        state0, physical, espec, cfg["ensemble"]["n_trials"], cfg["seed"],
-        velocity=cfg["velocity"], stoch=stoch, threads=cfg["threads"],
-        snapshot_steps=tuple(steps))
-    out.telemetry["ensemble"] = _ensemble_counters(extras)
+    state0, _, stats, extras = _configured_run(cfg, out, cfg["ensemble"]["n_trials"],
+                                               tuple(steps))
     # snapshot times ascend with their steps
     snaps = dict(zip(steps, sorted(extras["snapshots"].items())))
     signs = np.ones((n_store, n_steps), dtype=np.int8)
-    if stoch is not None:
-        signs = _sign_paths(cfg["seed"], np.arange(n_store), n_steps, stoch,
+    if cfg["velocity"] == "actual":
+        signs = _sign_paths(cfg["seed"], np.arange(n_store), n_steps, cfg.stochastic(),
                             stream(cfg["seed"]))
     rows = []
     for trial in range(n_store):
@@ -235,11 +236,7 @@ def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
         },
         "stats": stats.to_dict(),
     }
-    if cfg["equivariance"]["enabled"]:
-        t_m, final_snap = snaps[n_steps]
-        report = equivariance_report({t_m: final_snap}, state0, physical.g,
-                                     n_bins=cfg["equivariance"]["n_bins"])
-        summary["equivariance"] = {repr(t): r for t, r in report.items()}
+    _equivariance(cfg, summary, state0, extras)
     out.add_json("summary.json", summary)
     return EXIT_OK
 
@@ -261,32 +258,24 @@ def _run_prior_average(cfg: ExperimentConfig, out: RunOutput) -> int:
 
 
 def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> int:
-    physical = cfg.physical()
-    espec = cfg.ensemble()
-    state0 = _prepared_state(cfg)
     # trial 0 of the seed's ensemble, as run_single_event draws it
-    (first,), _, first_extras = run_ensemble(
-        state0, physical, espec, 1, cfg["seed"], velocity=cfg["velocity"],
-        stoch=cfg.stochastic() if cfg["velocity"] == "actual" else None)
-    if first.outcome_index is None:
-        raise DomainOverflowError("first event was flagged; cannot test repetition")
-    collapsed = prepare_initial_state(
-        {first.outcome_index: 1.0},
-        GaussianPacket(state0.packet.center, state0.packet.sigma), physical,
-        state0.grid, state0.modes)
+    state0, (first,), _, first_extras = _configured_run(cfg, out, 1, ())
     n_rep = cfg["repeat"]["n_repeats"]
-    records, stats, extras = run_ensemble(collapsed, physical, espec, n_rep,
-                                          cfg["seed"] + 1, threads=cfg["threads"])
-    out.telemetry["ensemble"] = _ensemble_counters(first_extras, extras)
-    agree = sum(1 for r in records if r.outcome_index == first.outcome_index)
-    summary = {
-        "first_outcome": first.outcome_index,
-        "n_repeats": n_rep,
-        "n_agreeing": agree,
-        "agreement": agree / n_rep,
-    }
+    summary = {"first_outcome": first.outcome_index, "n_repeats": n_rep}
+    if first.outcome_index is None:
+        # a flagged first event names no eigenstate to repeat
+        agree, detail = 0, "first event was flagged; no repeats run"
+    else:
+        physical = cfg.physical()
+        records, _, extras = run_ensemble(_collapsed(state0, first.outcome_index, physical),
+                                          physical, cfg.ensemble(), n_rep, cfg["seed"] + 1,
+                                          threads=cfg["threads"])
+        out.telemetry["ensemble"] = _ensemble_counters(first_extras, extras)
+        agree = sum(1 for r in records if r.outcome_index == first.outcome_index)
+        detail = f"{agree}/{n_rep}"
+    summary.update(n_agreeing=agree, agreement=agree / n_rep)
     status = _declared_checks(cfg, summary, [
-        ("always_same_outcome", agree == n_rep, f"{agree}/{n_rep}")])
+        ("always_same_outcome", agree == n_rep and first.outcome_index is not None, detail)])
     out.add_json("summary.json", summary)
     return status
 

@@ -97,7 +97,8 @@ class EnsembleStats:
         occupied = self.reference > 0
         if np.any(self.counts[~occupied] > 0):
             return float("inf")   # landed in a category of reference weight zero
-        expected = self.reference[occupied] * self.n_used
+        # no recorded outcome: zero frequencies, as in ``frequencies``, give sum(p)
+        expected = self.reference[occupied] * max(self.n_used, 1)
         return float(np.sum((self.counts[occupied] - expected) ** 2 / expected))
 
     @property
@@ -137,42 +138,28 @@ class EnsembleStats:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementPipeline:
-    """Prepared state, velocity rule and outcome-inference rule for one observable.
+    """Prepared state, velocity rule and outcome readout for one observable.
 
-    Discrete spectra use ``outcome_mode="windows"``: the landing must fall in
+    Discrete spectra leave ``outcome_edges`` None: the landing must fall in
     the unique packet window ``sep_factor * sigma / 2`` around one center.
-    Binned continuous spectra use ``"ranges"``: the pointer shift is mapped
-    back through the classical relation and binned by the observable edges.
+    Binned continuous spectra give the bin edges: the pointer shift is mapped
+    back through the classical relation and binned by them.  A position
+    state (:class:`LineModes`) moves under :class:`PointerReadoutFlow`, every
+    other state under :class:`ModeFlow`.
     """
 
     state0: SpectralState
-    flow_kind: str               # "mode" or "pointer-readout"
-    outcome_mode: str            # "windows" or "ranges"
     outcome_indices: np.ndarray  # category labels (mode numbers or bin indices)
     outcome_values: np.ndarray   # recorded eigenvalue per category
     outcome_reference: np.ndarray  # squared-coefficient weight per category
     outcome_edges: np.ndarray | None = None  # bin edges, observable units
     x_bounds: tuple[float, float] | None = None
 
-    def infer(self, q2_final: float, centers_tm: np.ndarray, window: float,
-              config: PhysicalConfig):
-        """Category index of a landing, or None when ambiguous."""
-        if self.outcome_mode == "windows":
-            hits = np.flatnonzero(np.abs(q2_final - centers_tm) < window)
-            return int(hits[0]) if len(hits) == 1 else None
-        value_hat = (q2_final - self.state0.packet.center) / (config.g * config.t_M)
-        edges = self.outcome_edges
-        if value_hat < edges[0] or value_hat >= edges[-1]:
-            return None
-        return int(np.searchsorted(edges, value_hat, side="right") - 1)
 
-    def centers_at(self, config: PhysicalConfig) -> np.ndarray:
-        """Per-category packet centers at readout time (windows mode)."""
-        if self.outcome_mode == "windows":
-            sup = self.state0.support_indices()
-            return (self.state0.centers[sup]
-                    + config.g * self.state0.omegas[sup] * config.t_M)
-        return np.array([])
+def _check_normalized(vec: np.ndarray) -> None:
+    total = float(np.sum(np.abs(vec) ** 2))
+    if not abs(total - 1.0) <= 1e-10:
+        raise DegenerateInputError(f"coefficients must be normalized: sum |c|^2 = {total!r}")
 
 
 def prepare_initial_state(coeffs, packet: GaussianPacket, config: PhysicalConfig,
@@ -195,9 +182,7 @@ def prepare_initial_state(coeffs, packet: GaussianPacket, config: PhysicalConfig
             vec[matches[0]] = c
     else:
         vec = np.asarray(coeffs, dtype=complex)
-    total = float(np.sum(np.abs(vec) ** 2))
-    if not abs(total - 1.0) <= 1e-10:
-        raise DegenerateInputError(f"coefficients must be normalized: sum |c|^2 = {total!r}")
+    _check_normalized(vec)
     support = np.flatnonzero(np.abs(vec) ** 2 > 1e-14)
     if enforce_separation:
         config.check_separation(basis.omegas[support])
@@ -216,19 +201,22 @@ def _resolve_pipeline(prepared) -> MeasurementPipeline:
     else:
         labels = sup
     return MeasurementPipeline(
-        state0=state, flow_kind="mode", outcome_mode="windows",
-        outcome_indices=np.asarray(labels), outcome_values=state.omegas[sup],
+        state0=state, outcome_indices=np.asarray(labels), outcome_values=state.omegas[sup],
         outcome_reference=np.abs(state.coeffs[sup]) ** 2)
 
 
-def _make_flow(pipe: MeasurementPipeline, config: PhysicalConfig):
-    if pipe.flow_kind == "pointer-readout":
-        return PointerReadoutFlow(config.g)
-    return ModeFlow(pipe.state0, config.g)
-
-
-def _outcome_window(config: PhysicalConfig) -> float:
-    return config.sep_factor * config.sigma / 2.0
+def _readout(pipe: MeasurementPipeline, q2: np.ndarray, config: PhysicalConfig) -> np.ndarray:
+    """Category of each pointer landing ``q2`` at t_M, or -1 where none is named."""
+    state0 = pipe.state0
+    if pipe.outcome_edges is None:
+        sup = state0.support_indices()
+        centers = state0.centers[sup] + config.g * state0.omegas[sup] * config.t_M
+        inside = np.abs(q2[:, None] - centers) < config.sep_factor * config.sigma / 2.0
+        return np.where(inside.sum(axis=1) == 1, inside.argmax(axis=1), -1)
+    edges = pipe.outcome_edges
+    value = (q2 - state0.packet.center) / (config.g * config.t_M)
+    inside = (value >= edges[0]) & (value < edges[-1])
+    return np.where(inside, np.searchsorted(edges, value, side="right") - 1, -1)
 
 
 def _sample_line(density: np.ndarray, points: np.ndarray, n: int,
@@ -285,30 +273,29 @@ def _sign_paths(seed: int, trials: np.ndarray, n_steps: int, stoch: StochasticPa
 
 
 def _run_chunk(pipe: MeasurementPipeline, config: PhysicalConfig, spec: EnsembleSpec,
-               seed: int, trials: np.ndarray, velocity: str,
-               stoch: StochasticParams | None, snapshot_steps: tuple[int, ...]):
+               seed: int, trials: np.ndarray, n_steps: int,
+               stoch: StochasticParams | None, snapshot_steps: tuple[int, ...]) -> dict:
+    """Integrate one chunk; ``stoch`` is None in effective runs.
+
+    Returns ``integrate_ensemble``'s dict plus ``initial_configs`` and each
+    trial's first sign ``signs0``.
+    """
     state0 = pipe.state0
-    flow = _make_flow(pipe, config)
+    flow = (PointerReadoutFlow(config.g) if isinstance(state0.modes, LineModes)
+            else ModeFlow(state0, config.g))
     # one generator per chunk, re-keyed to every per-trial stream it draws from
     gen = rngmod.stream(seed)
     q0 = _initial_draws(state0, seed, trials, gen)
-    n_steps = int(round(config.t_M / spec.dt_traj))
-    sign_paths = None
-    signs0 = np.ones(len(trials), dtype=np.int8)
-    if velocity == "actual":
-        sign_paths = _sign_paths(seed, trials, n_steps, stoch, gen)
-        signs0 = sign_paths[:, 0]
-    else:
-        # the prior observable still carries a hidden sign at t = 0
-        for k, trial in enumerate(trials):
-            rngmod.rekey(gen, seed, rngmod.SIGNS, int(trial))
-            signs0[k] = np.int8(gen.integers(0, 2) * 2 - 1)
+    # an effective run still carries the hidden sign at t = 0, a path's first entry
+    actual = stoch is not None
+    paths = _sign_paths(seed, trials, n_steps if actual else 1,
+                        stoch if actual else StochasticParams(), gen)
     result = integrate_ensemble(
         flow, q0, spec, t0=state0.t, duration=config.t_M,
-        sign_paths=sign_paths, lambda_mag=config.lambda_mag,
+        sign_paths=paths if actual else None, lambda_mag=config.lambda_mag,
         q2_bounds=(state0.grid.q2_min, state0.grid.q2_max),
         x_bounds=pipe.x_bounds, snapshot_steps=snapshot_steps)
-    return q0, result, signs0
+    return dict(result, initial_configs=q0, signs0=paths[:, 0])
 
 
 def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: EnsembleSpec,
@@ -322,57 +309,43 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
         if stoch is None:
             raise ValueError("actual-velocity runs need StochasticParams")
         spec.validate_against(stoch)
+    else:
+        stoch = None   # effective runs draw only each trial's first sign
     state0 = pipe.state0
-    n_steps = int(round(config.t_M / spec.dt_traj))
-    if abs(n_steps * spec.dt_traj - config.t_M) > 1e-9 * max(1.0, config.t_M):
-        raise ValueError("t_M must be an integral number of dt_traj steps")
+    n_steps = spec.n_steps(config.t_M)
     # no packet center may drift off the pointer grid; checked before any work
     evolve_measurement_spectral(state0, config.t_M, config.g)
 
     chunks = [trials[k:k + _CHUNK] for k in range(0, len(trials), _CHUNK)]
-    parts = [None] * len(chunks)
-
-    def work(ci: int):
-        parts[ci] = _run_chunk(pipe, config, spec, seed, chunks[ci], velocity,
-                               stoch, snapshot_steps)
-
+    work = partial(_run_chunk, pipe, config, spec, seed, n_steps=n_steps, stoch=stoch,
+                   snapshot_steps=snapshot_steps)
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(chunks))))
+            parts = list(pool.map(work, chunks))
     else:
-        for ci in range(len(chunks)):
-            work(ci)
+        parts = [work(chunk) for chunk in chunks]
+    run = {key: np.concatenate([p[key] for p in parts])
+           for key in ("configs", "overflow", "node_clamped", "decided_at",
+                       "initial_configs", "signs0")}
+    snaps = {s: np.concatenate([p["snapshots"][s] for p in parts]) for s in snapshot_steps}
 
-    q0 = np.concatenate([p[0] for p in parts])
-    final = np.concatenate([p[1]["configs"] for p in parts])
-    overflow = np.concatenate([p[1]["overflow"] for p in parts])
-    clamped = np.concatenate([p[1]["node_clamped"] for p in parts])
-    decided_at = np.concatenate([p[1]["decided_at"] for p in parts])
-    signs0 = np.concatenate([p[2] for p in parts])
-    snaps = {s: np.concatenate([p[1]["snapshots"][s] for p in parts])
-             for s in snapshot_steps}
-
-    centers_tm = pipe.centers_at(config)
-    window = _outcome_window(config)
-    records = []
-    counts = np.zeros(len(pipe.outcome_indices), dtype=int)
-    for i, trial in enumerate(trials):
-        hit = None if overflow[i] else pipe.infer(final[i, 1], centers_tm, window, config)
-        if hit is not None:
-            counts[hit] += 1
-        records.append(MeasurementRecord(
-            None if hit is None else int(pipe.outcome_indices[hit]),
-            None if hit is None else float(pipe.outcome_values[hit]),
-            q0[i, 1], final[i, 1], q0[i, 0], int(signs0[i]), int(trial),
-            ambiguous=hit is None and not overflow[i], overflow=bool(overflow[i])))
-
+    q0, final, overflow = run["initial_configs"], run["configs"], run["overflow"]
+    hit = np.where(overflow, -1, _readout(pipe, final[:, 1], config))
+    ambiguous = (hit < 0) & ~overflow
+    records = [MeasurementRecord(
+        None if h < 0 else int(pipe.outcome_indices[h]),
+        None if h < 0 else float(pipe.outcome_values[h]),
+        q0[i, 1], final[i, 1], q0[i, 0], int(run["signs0"][i]), int(trial),
+        ambiguous=bool(ambiguous[i]), overflow=bool(overflow[i]))
+        for i, (h, trial) in enumerate(zip(hit.tolist(), trials))]
     stats = EnsembleStats(
         indices=np.asarray(pipe.outcome_indices), omegas=np.asarray(pipe.outcome_values),
-        reference=np.asarray(pipe.outcome_reference), counts=counts,
-        n_trials=len(trials), n_ambiguous=sum(r.ambiguous for r in records),
-        n_overflow=sum(r.overflow for r in records))
+        reference=np.asarray(pipe.outcome_reference),
+        counts=np.bincount(hit[hit >= 0], minlength=len(pipe.outcome_indices)),
+        n_trials=len(trials), n_ambiguous=int(ambiguous.sum()),
+        n_overflow=int(overflow.sum()))
     extras = {"snapshots": {s * spec.dt_traj + state0.t: snaps[s] for s in snaps},
-              "node_clamped": clamped, "decided_at": decided_at,
+              "node_clamped": run["node_clamped"], "decided_at": run["decided_at"],
               "final_configs": final, "initial_configs": q0}
     return records, stats, extras
 
@@ -434,9 +407,11 @@ def average_prior(coeffs: np.ndarray, basis: AngularBasis, n_mc: int, seed: int,
     """Monte Carlo average of the prior observable over configuration and sign.
 
     Draws theta from the system density and the hidden sign fairly, then
-    compares with the closed-form expectation sum(omega_l |c_l|^2).
+    compares with the closed-form expectation sum(omega_l |c_l|^2), which
+    holds for normalized amplitudes only.
     """
     c = np.asarray(coeffs, dtype=complex)
+    _check_normalized(c)
     support = np.flatnonzero(np.abs(c) ** 2 > 1e-14)
     r = rngmod.stream(seed, rngmod.PRIOR, 0)
     theta = ring_sampler(c[support], basis.modes[support])(n_mc, r)
@@ -476,13 +451,17 @@ def repeat_measurement(record: MeasurementRecord, state0: SpectralState,
     """
     if record.outcome_index is None:
         raise ValueError("cannot repeat a flagged measurement")
+    return run_single_event(_collapsed(state0, record.outcome_index, config), config,
+                            spec, seed, trial=trial)
+
+
+def _collapsed(state0: SpectralState, outcome_index: int,
+               config: PhysicalConfig) -> SpectralState:
+    """Eigenstate of ``outcome_index`` under ``state0``'s pointer packet, at t = 0."""
     if not isinstance(state0.modes, AngularBasis):
         raise NotImplementedError("repetition protocol is defined for the ring system")
-    collapsed = prepare_initial_state({record.outcome_index: 1.0},
-                                      GaussianPacket(state0.packet.center,
-                                                     state0.packet.sigma),
-                                      config, state0.grid, state0.modes)
-    return run_single_event(collapsed, config, spec, seed, trial=trial)
+    return prepare_initial_state({outcome_index: 1.0}, state0.packet, config,
+                                 state0.grid, state0.modes)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +521,6 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
         modes = LineModes(x, table, bin_centers)
         state0 = SpectralState(coeffs=coeffs, modes=modes, packet=packet,
                                centers=np.full(n_bins, packet_center), t=0.0, grid=grid)
-        flow_kind = "pointer-readout"
     else:
         spect = np.fft.fft(psi)
         p_axis = 2.0 * np.pi * np.fft.fftfreq(len(x), d=h)
@@ -573,10 +551,8 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
         state0 = SpectralState(coeffs=c_full, modes=modes, packet=packet,
                                centers=np.full(len(p_full), packet_center),
                                t=0.0, grid=grid)
-        flow_kind = "mode"
 
     return MeasurementPipeline(
-        state0=state0, flow_kind=flow_kind, outcome_mode="ranges",
-        outcome_indices=np.arange(n_bins), outcome_values=bin_centers,
+        state0=state0, outcome_indices=np.arange(n_bins), outcome_values=bin_centers,
         outcome_reference=weights, outcome_edges=edges,
         x_bounds=(float(x[0]), float(x[-1])))

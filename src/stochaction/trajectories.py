@@ -49,6 +49,18 @@ class EnsembleSpec:
         if self.node_policy not in ("reject-resample", "clamp"):
             raise ValueError(f"unknown node_policy {self.node_policy!r}")
 
+    def n_steps(self, duration: float) -> int:
+        """Steps of ``dt_traj`` in ``duration``, which must be a positive whole number.
+
+        Whole means within 1e-9 of an integer; above 2^53 steps a float no
+        longer tells whole numbers apart.  Raises ValueError otherwise.
+        """
+        steps = duration / self.dt_traj
+        if not (0.5 <= steps < 2.0**53 and abs(steps - round(steps)) <= 1e-9):
+            raise ValueError(f"t_M = {duration!r} is not a positive whole number of "
+                             f"dt_traj = {self.dt_traj!r} steps")
+        return int(round(steps))
+
     def validate_against(self, stoch) -> None:
         """Integration steps may not outpace the sign-block scale (actual-velocity runs)."""
         if self.dt_traj > stoch.tau_xi / stoch.hierarchy_factor + 1e-15:
@@ -274,20 +286,6 @@ class PointerReadoutFlow:
         return self.effective(points, t, with_density)
 
 
-def effective_velocity(state: SpectralState, points, g: float, t: float | None = None) -> np.ndarray:
-    """Phase-gradient velocity (system-dot, pointer-dot) at the given points."""
-    flow = ModeFlow(state, g)
-    return flow.effective(np.asarray(points, dtype=float), state.t if t is None else t)
-
-
-def actual_velocity(state: SpectralState, points, g: float, lambda_signed,
-                    t: float | None = None) -> np.ndarray:
-    """Effective velocity plus the signed osmotic contribution."""
-    flow = ModeFlow(state, g)
-    return flow.actual(np.asarray(points, dtype=float), state.t if t is None else t,
-                       lambda_signed)
-
-
 def _ring_envelope(c: np.ndarray) -> float:
     """``(sum |c_k|)^2 / 2 pi``, a bound on the ring density by the triangle inequality."""
     return float(np.abs(c).sum()) ** 2 / TWO_PI
@@ -393,9 +391,7 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     that have left every packet but one also drop out of the working set;
     they finish on their classical pointer line.
     """
-    n_steps = int(round(duration / spec.dt_traj))
-    if abs(n_steps * spec.dt_traj - duration) > 1e-9 * max(1.0, duration):
-        raise ValueError("duration must be an integral number of dt_traj steps")
+    n_steps = spec.n_steps(duration)
     dt = spec.dt_traj
     t_end = t0 + n_steps * dt
     configs = np.array(q0, dtype=float)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from joint_oracle import field_from_binary
@@ -99,6 +99,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(bad))
         assert any("dt_traj" in v for v in err.value.violations)
+        # zero steps: within the integrality tolerance of 0, but nothing to integrate
+        zero = {"experiment": "trajectories", "physical": {"t_M": 1e-10, "sigma": 1e-12},
+                "ensemble": {"dt_traj": 1.0}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(zero))
+        assert any(v.startswith("ensemble.dt_traj") for v in err.value.violations)
 
     def test_pointer_drift_must_fit_grid(self):
         bad = json.loads(json.dumps(MINIMAL_BORN))
@@ -174,6 +180,19 @@ class TestExperiments:
         assert run_experiment(parse_config(path.read_text())) == 0
         summary = json.loads((Path(data["out_dir"]) / "summary.json").read_text())
         assert summary["agreement"] == 1.0
+
+    def test_repeatability_flagged_first_event_fails_check(self, tmp_path):
+        # coarse actual-velocity steps leave trial 0 of seed 1 outside every window
+        path, data = make_config(tmp_path, overrides={
+            "physical": {"g": -1.0, "sigma": 0.01, "sep_factor": 6.0},
+            "stochastic": {"tau_xi": 100.0}, "ensemble": {"dt_traj": 0.5},
+            "repeat": {"n_repeats": 2}}, experiment="repeatability", velocity="actual",
+            seed=1)
+        assert cli_main(["repeatability", "--config", str(path)]) == 3
+        summary = json.loads((Path(data["out_dir"]) / "summary.json").read_text())
+        assert summary["first_outcome"] is None and summary["n_agreeing"] == 0
+        (item,) = summary["checks"]["items"]
+        assert not item["passed"] and "flagged" in item["detail"]
 
     def test_trajectories_experiment(self, tmp_path):
         path, data = make_config(tmp_path, overrides={
@@ -579,3 +598,63 @@ def test_fuzzed_grid_and_state_fail_at_parse_or_run(tmp_path, sections):
     else:
         expected = {0, 3}
     assert cli_main(["born", "--config", str(path)]) in expected
+
+
+@st.composite
+def physical_and_ensemble(draw):
+    """Schema-valid ``physical`` and ``ensemble`` sections and a trajectory kind.
+
+    ``t_M`` and ``dt_traj`` come from short lists, so zero-step, non-integral
+    and one-step runs all come up; the other physical fields are runnable
+    ones with up to two drawn from an unusual range (``g`` 0 or of either
+    sign, a ``sigma`` far below any step, ``sep_factor`` below 6).  At most
+    4 trials of at most 200 steps each."""
+    # key -> (usual values, unusual values)
+    fields = {
+        "g": (st.floats(0.5, 1.5) | st.floats(-1.5, -0.5),
+              st.sampled_from([0.0, -1.0]) | st.floats(-4.0, 4.0)),
+        "sigma": (st.floats(0.005, 0.02), st.sampled_from([1e-12]) | st.floats(1e-3, 0.5)),
+        "sep_factor": (st.floats(6.0, 10.0), st.floats(0.0, 20.0)),
+        "lambda_mag": (st.floats(0.1, 3.0), st.floats(-1.0, 100.0)),
+    }
+    odd = draw(st.sets(st.sampled_from(sorted(fields)), max_size=2))
+    physical = {key: draw(unusual if key in odd else usual)
+                for key, (usual, unusual) in fields.items()}
+    physical["t_M"] = draw(st.sampled_from([1.0, 0.5, 2.0, 1e-10]))
+    ensemble = {
+        "n_trials": draw(st.integers(1, 4)),
+        "dt_traj": draw(st.sampled_from([1.0, 0.5, 0.25, 0.1, 0.01])),
+        "integrator": draw(st.sampled_from(["rk4", "explicit-midpoint"])),
+        "node_policy": draw(st.sampled_from(["reject-resample", "clamp"])),
+        "fail_on_overflow": False,   # its exit 2 is opt-in
+    }
+    kind = draw(st.sampled_from(["born", "trajectories", "repeatability"]))
+    velocity = draw(st.sampled_from(["effective", "actual"]))
+    return kind, velocity, physical, ensemble
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=physical_and_ensemble())
+# zero steps, and a repeatability run whose first event is flagged
+@example(drawn=("trajectories", "effective", {"t_M": 1e-10, "sigma": 1e-12},
+                {"dt_traj": 1.0, "n_trials": 2}))
+@example(drawn=("repeatability", "actual", {"g": -1.0, "sigma": 0.01, "sep_factor": 6.0},
+                {"dt_traj": 0.5, "n_trials": 1}))
+def test_fuzzed_physical_and_ensemble_fail_at_parse_or_run(tmp_path, drawn):
+    # as above, for the sections that set the step count, the coupling and the
+    # integrator of the trajectory kinds
+    kind, velocity, physical, ensemble = drawn
+    case = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = case / "config.json"
+    path.write_text(json.dumps({"experiment": kind, "seed": 1, "out_dir": str(case / "out"),
+                                "velocity": velocity, "physical": physical,
+                                "ensemble": ensemble, "stochastic": {"tau_xi": 100.0},
+                                "repeat": {"n_repeats": 4}}))
+    try:
+        parse_config(path.read_text())
+    except ConfigError:
+        expected = {1}
+    else:
+        expected = {0, 3}
+    assert cli_main([kind, "--config", str(path)]) in expected

@@ -247,6 +247,11 @@ class TestAveragePrior:
         # no occupied mode: the ring sampler has nothing to accept under
         with pytest.raises(DegenerateInputError):
             average_prior(np.zeros(len(basis.modes)), basis, 10, seed=0)
+        # a scaled vector: the closed form scales with the norm, the samples do not
+        c = np.zeros(len(basis.modes), dtype=complex)
+        c[basis.l_max - 1], c[basis.l_max + 1] = np.sqrt(0.5), np.sqrt(0.5)
+        with pytest.raises(DegenerateInputError, match="normalized"):
+            average_prior(2 * c, basis, 10, seed=0)
 
 
 class TestEffectivePost:
@@ -531,6 +536,50 @@ class TestDrawOracle:
         want = np.stack([sample_sign_path(stoch, 100, stream(34, SIGNS, t))
                          for t in trials[::-1]])
         assert np.array_equal(paths, want)
+
+
+class TestReadout:
+    """The array readout names the category the per-trial rule named, bit for bit."""
+
+    @staticmethod
+    def oracle(pipe, q2, config):
+        # the per-trial rule it replaced, -1 for a landing that names nothing
+        state0 = pipe.state0
+        if pipe.outcome_edges is None:
+            sup = state0.support_indices()
+            centers = state0.centers[sup] + config.g * state0.omegas[sup] * config.t_M
+            hits = np.flatnonzero(np.abs(q2 - centers) < config.sep_factor * config.sigma / 2.0)
+            return int(hits[0]) if len(hits) == 1 else -1
+        value = (q2 - state0.packet.center) / (config.g * config.t_M)
+        edges = pipe.outcome_edges
+        if value < edges[0] or value >= edges[-1]:
+            return -1
+        return int(np.searchsorted(edges, value, side="right") - 1)
+
+    @pytest.mark.parametrize("kind", ["windows", "position"])
+    def test_equals_per_trial_rule(self, grid, basis, packet, kind):
+        from stochaction.measurement import _readout, _resolve_pipeline
+        if kind == "windows":
+            # windows of neighbouring modes overlap at g = 0.25
+            config = PhysicalConfig(g=0.25, t_M=1.0, sigma=0.05, sep_factor=8.0)
+            pipe = _resolve_pipeline(prepare_initial_state(
+                fixture_coeffs(), packet, config, grid, basis, enforce_separation=False))
+            sup = pipe.state0.support_indices()
+            marks = np.concatenate([pipe.state0.omegas[sup] * 0.25 + d for d in (-0.2, 0.2)])
+        else:
+            config = PhysicalConfig(sigma=0.02, sep_factor=8.0, g=1.0, t_M=1.0)
+            x = np.linspace(-20.0, 20.0, 1024, endpoint=False)
+            psi = np.exp(-x**2 / 4).astype(complex)
+            psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
+            pipe = substitute_observable("position", psi, x, window=(-4.0, 4.0), n_bins=8,
+                                         config=config, grid=GridSpec(-8, 8))
+            marks = pipe.outcome_edges
+        # window and bin boundaries, their float neighbours and uniform landings
+        q2 = np.concatenate([marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
+                             stream(35).uniform(-5.0, 5.0, 2000)])
+        want = [self.oracle(pipe, q, config) for q in q2]
+        assert _readout(pipe, q2, config).tolist() == want
+        assert -1 in want and len(set(want)) > 2
 
 
 class TestRingSampler:

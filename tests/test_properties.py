@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochaction import (ActionIncrement, AngularBasis, GaussianPacket, GridSpec,
-                         SpectralState, actual_velocity,
-                         check_separability, effective_velocity,
+                         ModeFlow, SpectralState, check_separability,
                          gaussian_log_weight, transition_log_weight)
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -63,8 +62,8 @@ def test_sign_average_identity(w, phase, theta, q2, lam):
                           packet=GaussianPacket(0.0, 0.3),
                           centers=np.zeros(9), t=0.0, grid=grid)
     pts = np.array([[theta, q2]])
-    plus = actual_velocity(state, pts, g=1.0, lambda_signed=lam)
-    minus = actual_velocity(state, pts, g=1.0, lambda_signed=-lam)
-    eff = effective_velocity(state, pts, g=1.0)
+    plus = ModeFlow(state, 1.0).actual(pts, state.t, lam)
+    minus = ModeFlow(state, 1.0).actual(pts, state.t, -lam)
+    eff = ModeFlow(state, 1.0).effective(pts, state.t)
     budget = 1e-12 * (np.max(np.abs(plus)) + np.max(np.abs(minus)) + 1.0)
     assert np.max(np.abs(0.5 * (plus + minus) - eff)) <= budget

@@ -5,8 +5,7 @@ from scipy import stats as sps
 
 from joint_oracle import JointAxes, synthesize_joint
 from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
-                         PlaneWaveModes, SpectralState, actual_velocity,
-                         effective_velocity, equivariance_report,
+                         PlaneWaveModes, SpectralState, equivariance_report,
                          integrate_ensemble)
 from stochaction.measurement import _initial_draws
 from stochaction.rng import stream
@@ -51,14 +50,14 @@ class TestVelocities:
     def test_single_mode_velocity(self, grid, basis):
         state = make_state({2: 1.0}, basis, grid)
         pts = np.array([[0.3, 0.0], [2.0, 0.1], [5.0, -0.2]])
-        v = effective_velocity(state, pts, g=1.0)
+        v = ModeFlow(state, 1.0).effective(pts, state.t)
         assert np.allclose(v[:, 1], 2.0, atol=1e-12)   # pointer drifts at g omega
         assert np.allclose(v[:, 0], 0.0, atol=1e-12)   # centered real packet
 
     def test_real_state_has_zero_effective_velocity(self, grid, basis):
         state = make_state({0: 1.0}, basis, grid)
         pts = np.array([[1.0, 0.2]])
-        assert np.allclose(effective_velocity(state, pts, g=1.0), 0.0)
+        assert np.allclose(ModeFlow(state, 1.0).effective(pts, state.t), 0.0)
 
     def test_two_mode_field_against_phase_difference_oracle(self, basis):
         fine = JointAxes(GridSpec(-3.0, 3.0), 2048, 2048)
@@ -77,16 +76,16 @@ class TestVelocities:
         pts = np.stack([np.broadcast_to(fine.theta[50:150, None], (100, 250)),
                         np.broadcast_to(fine.q2[None, 900:1150], (100, 250))],
                        axis=-1)
-        v = effective_velocity(state, pts.reshape(-1, 2), g=1.0).reshape(100, 250, 2)
+        v = ModeFlow(state, 1.0).effective(pts.reshape(-1, 2), state.t).reshape(100, 250, 2)
         assert np.max(np.abs(v[..., 0] - dS_q2[ii])) < 1e-6
         assert np.max(np.abs(v[..., 1] - dS_th[ii])) < 1e-6
 
     def test_sign_average_recovers_effective(self, grid, basis):
         state = make_state({-1: np.sqrt(0.5), 2: np.sqrt(0.5)}, basis, grid)
         pts = np.array([[0.7, 0.05], [4.0, -0.3]])
-        plus = actual_velocity(state, pts, g=1.3, lambda_signed=+1.0)
-        minus = actual_velocity(state, pts, g=1.3, lambda_signed=-1.0)
-        eff = effective_velocity(state, pts, g=1.3)
+        plus = ModeFlow(state, 1.3).actual(pts, state.t, +1.0)
+        minus = ModeFlow(state, 1.3).actual(pts, state.t, -1.0)
+        eff = ModeFlow(state, 1.3).effective(pts, state.t)
         scale = np.max(np.abs(plus)) + np.max(np.abs(eff))
         assert np.max(np.abs(0.5 * (plus + minus) - eff)) < 1e-13 * scale
 
@@ -95,7 +94,7 @@ class TestVelocities:
         state = make_state({0: 1.0}, basis, grid, sigma=sigma)
         q = np.array([0.1, -0.25, 0.4])
         pts = np.stack([np.zeros(3), q], axis=-1)
-        v = actual_velocity(state, pts, g=1.0, lambda_signed=1.0)
+        v = ModeFlow(state, 1.0).actual(pts, state.t, 1.0)
         # (lambda/2) dOmega/Omega = -lambda (q - mu) / (2 sigma^2), feeds theta-dot
         expected = -q / (2 * sigma**2)
         assert np.allclose(v[:, 0], expected, atol=1e-8)
@@ -104,8 +103,8 @@ class TestVelocities:
     def test_vanishing_scale_recovers_effective(self, grid, basis):
         state = make_state({0: np.sqrt(0.5), 1: np.sqrt(0.5)}, basis, grid)
         pts = np.array([[1.0, 0.1]])
-        eff = effective_velocity(state, pts, g=1.0)
-        act = actual_velocity(state, pts, g=1.0, lambda_signed=0.0)
+        eff = ModeFlow(state, 1.0).effective(pts, state.t)
+        act = ModeFlow(state, 1.0).actual(pts, state.t, 0.0)
         assert np.array_equal(act, eff)
 
 

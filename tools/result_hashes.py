@@ -21,7 +21,8 @@ record options compare outcomes rather than bytes:
 
 ``--dump-records DIR`` writes one ``DIR/<kind>.json`` per kind that records
 outcomes: its ``records.jsonl`` rows (the born kinds and the API-level
-``born-position`` and ``born-linear-momentum``), the outcome counts of its
+``born-position``, ``born-linear-momentum`` and ``born-overlap``, whose
+overlapping windows leave some trials ambiguous), the outcome counts of its
 ``summary.json`` and its ``trajectories.csv`` rows.  ``--compare-records DIR``
 compares ``outcome_index`` and ``overflow`` row by row and the counts, prints
 ``max |dq2_final|`` per kind and the largest change in any trajectories.csv
@@ -164,8 +165,25 @@ def born_line(kind: str):
     return [r.to_dict() for r in records]
 
 
+def born_overlap():
+    """Records of a ring run whose packet windows overlap, so some trials are ambiguous.
+
+    The state is prepared with ``enforce_separation=False``; at g = 0.25 the
+    readout windows of neighbouring modes share part of their width.
+    """
+    from stochaction import (EnsembleSpec, GaussianPacket, GridSpec, PhysicalConfig,
+                             prepare_initial_state, run_ensemble)
+
+    config = PhysicalConfig(g=0.25, t_M=1.0, sigma=0.05, sep_factor=8.0)
+    state = prepare_initial_state({-1: 0.6, 0: 0.64, 1: 0.48}, GaussianPacket(0.0, 0.05),
+                                  config, GridSpec(-4.0, 4.0), enforce_separation=False)
+    records, _, _ = run_ensemble(state, config, EnsembleSpec(dt_traj=0.002), 200, seed=5)
+    return [r.to_dict() for r in records]
+
+
 # name -> API run whose result is hashed as canonical JSON
 API_RUNS = {
+    "born-overlap": born_overlap,
     "lambda-sweep-2d": lambda_sweep_2d,
     "classical-limit-2d": classical_limit_2d,
     "cayley-2d": cayley_2d,
