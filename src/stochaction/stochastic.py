@@ -36,13 +36,14 @@ class StochasticParams:
     flip_prob: float = 0.5
 
     def __post_init__(self):
-        if self.lambda_mag <= 0 or self.tau_xi <= 0 or self.dt <= 0:
+        # each test is written so that a NaN fails it
+        if not (self.lambda_mag > 0 and self.tau_xi > 0 and self.dt > 0):
             raise ValueError("lambda_mag, tau_xi and dt must be positive")
-        if self.hierarchy_factor < 10.0:
+        if not self.hierarchy_factor >= 10.0:
             raise ValueError("hierarchy_factor must be at least 10")
-        if self.tau_lambda < self.hierarchy_factor * self.tau_xi:
+        if not self.tau_lambda >= self.hierarchy_factor * self.tau_xi:
             raise ValueError("tau_lambda must dominate tau_xi by the hierarchy factor")
-        if self.tau_xi < self.hierarchy_factor * self.dt:
+        if not self.tau_xi >= self.hierarchy_factor * self.dt:
             raise ValueError("tau_xi must dominate dt by the hierarchy factor")
         if self.sign_law not in ("iid", "telegraph"):
             raise ValueError(f"unknown sign_law {self.sign_law!r}")

@@ -69,14 +69,34 @@ class EnsembleSpec:
                 f"= {stoch.tau_xi / stoch.hierarchy_factor}")
 
 
+def _unit_phase(x: np.ndarray) -> np.ndarray:
+    """``exp(i x)`` from ``t = tan(x / 2)``: ``cos x = r - 1`` and ``sin x = t r``.
+
+    Here ``r = 2 / (1 + t^2)``.  One ``tan``, which numpy vectorizes with
+    SIMD where the CPU has it, replaces float64 ``cos`` and ``sin``, which
+    numpy 2.4 leaves to scalar libm calls on x86-64; each part is within a
+    few units in the last place of theirs.  No float is an odd multiple of
+    ``pi``, so ``t`` stays finite and ``r`` positive.
+    """
+    t = np.multiply(x, 0.5)
+    np.tan(t, out=t)
+    r = t * t
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    z = np.empty(t.shape, dtype=complex)
+    np.subtract(r, 1.0, out=z.real)
+    np.multiply(t, r, out=z.imag)
+    return z
+
+
 class ModeFlow:
     """Closed-form velocity fields of a spectral state.
 
     The coupling swaps the gradient axes: the system coordinate moves with
     the pointer-gradient of the phase and the pointer with the
     system-gradient, each scaled by g.  Only occupied modes enter the sums;
-    ring eigenfunctions come from a single complex exponential through an
-    integer power chain, which is what keeps large ensembles cheap.
+    ring eigenfunctions come from a single unit phase through an integer
+    power chain, which is what keeps large ensembles cheap.
 
     Ring (:class:`AngularBasis`) and plane-wave states only: a position
     state moves under :class:`PointerReadoutFlow`.
@@ -102,14 +122,17 @@ class ModeFlow:
         if self.ring:
             self._l = state.modes.modes[sup].astype(int)
             self._l_abs_max = int(np.max(np.abs(self._l))) if len(self._l) else 0
-            self._scale = 1.0 / np.sqrt(TWO_PI)
+            scale = 1.0 / np.sqrt(TWO_PI)
             self._dfactor = 1j * self._l
         else:
             self._p = state.modes.momenta[sup]
-            self._box_scale = 1.0 / np.sqrt(state.modes.box_length)
+            self._box_scale = scale = 1.0 / np.sqrt(state.modes.box_length)
             self._dfactor = 1j * self._p
         self._pack_norm = (TWO_PI * self.sigma**2) ** -0.25
         self._two_var = 2.0 * self.sigma**2
+        # c'_k = c_k * mode scale * packet norm, and the packet exponent's factor
+        self._packet_coeffs = self.coeffs * (scale * self._pack_norm)
+        self._gauss_rate = -0.5 / self._two_var
         self.ref_peak = self._reference_peak()
         # |u_l| is the same for every ring or plane-wave mode, so a row can be
         # decided from the packets alone (zero-weight plane waves do not count)
@@ -123,20 +146,17 @@ class ModeFlow:
             th = np.linspace(0.0, TWO_PI, 512, endpoint=False)
         else:
             th = self.modes.x_grid
-        u, _ = self._mode_values(th, with_derivatives=False)
-        sys_dens = np.abs(np.tensordot(self.coeffs, u, axes=1)) ** 2
-        return float(sys_dens.max()) * self._pack_norm**2
+        peak = np.abs(np.tensordot(self._packet_coeffs, self._mode_values(th), axes=1)) ** 2
+        return float(peak.max())
 
     def centers(self, t: float) -> np.ndarray:
         return self.centers0 + self.g * self.omegas * (t - self.t0)
 
-    def _mode_values(self, x: np.ndarray, with_derivatives: bool):
-        """Occupied mode values ``u`` (and ``du/dx``), each row written once."""
+    def _mode_values(self, x: np.ndarray) -> np.ndarray:
+        """Occupied mode rows ``exp(i l_k x)`` or ``exp(i p_k x)``, each written once."""
         if self.ring:
             # powers of exp(i x) cover every occupied mode; conjugates give l < 0
-            z = np.empty(x.shape, dtype=complex)
-            np.cos(x, out=z.real)
-            np.sin(x, out=z.imag)
+            z = _unit_phase(x)
             powers = [None, z]
             for _ in range(1, self._l_abs_max):
                 powers.append(powers[-1] * z)
@@ -148,53 +168,47 @@ class ModeFlow:
                     u[k] = powers[l]
                 else:
                     np.conjugate(powers[-l], out=u[k])
-            u *= self._scale
         else:
-            # equally spaced momenta: one exp for the base, one per step of the chain
+            # equally spaced momenta: one phase for the base, one per step of the chain
             p = self._p
             u = np.empty((len(p),) + x.shape, dtype=complex)
-            u[0] = np.exp(1j * p[0] * x)
+            u[0] = _unit_phase(p[0] * x)
             if len(p) > 1:
-                step = np.exp(1j * (p[1] - p[0]) * x)
+                step = _unit_phase((p[1] - p[0]) * x)
                 for k in range(1, len(p)):
                     np.multiply(u[k - 1], step, out=u[k])
-            u *= self._box_scale
-        du = self._dfactor.reshape((-1,) + (1,) * x.ndim) * u if with_derivatives else None
-        return u, du
+        return u
 
-    def _weighted_gaussians(self, q2: np.ndarray, t: float):
-        """``c_k`` times each pointer packet at ``q2``, and ``(mu_k - q2) / (2 sigma^2)``.
+    def _packets(self, x: np.ndarray, q2: np.ndarray, t: float):
+        """Each mode's term ``b_k = c'_k G_k(q2) u_k(x)`` of Psi, and ``mu_k - q2``.
 
-        Built from ``mu_k - q2``: negating both factors of the exponent keeps
-        every bit of the ``q2 - mu_k`` form and saves the negation that the
-        pointer gradient needs.
+        ``G_k(q2) = exp(-(mu_k - q2)^2 / (4 sigma^2))``; its norm sits in ``c'_k``.
         """
-        mu = self.centers(t)
-        mshift = mu.reshape((-1,) + (1,) * q2.ndim) - q2[None, ...]
-        mzq = mshift / self._two_var
-        gauss = -0.5 * mzq
-        gauss *= mshift
+        shape = (-1,) + (1,) * q2.ndim
+        mshift = self.centers(t).reshape(shape) - q2
+        gauss = mshift * mshift
+        gauss *= self._gauss_rate
         np.exp(gauss, out=gauss)
-        gauss *= self._pack_norm
-        return self.coeffs.reshape((-1,) + (1,) * q2.ndim) * gauss, mzq
+        b = self._mode_values(x)
+        b *= self._packet_coeffs.reshape(shape) * gauss
+        return b, mshift
 
     def _terms(self, x: np.ndarray, q2: np.ndarray, t: float):
-        """Psi, its two gradients and the density at arbitrary points."""
-        u, du = self._mode_values(x, with_derivatives=True)
-        cg, mzq = self._weighted_gaussians(q2, t)
-        # operand order as in cg * du: complex products are not bitwise commutative
-        dpsi_x = np.add.reduce(np.multiply(cg, du, out=du), axis=0)
-        psi = np.add.reduce(np.multiply(cg, u, out=u), axis=0)
-        u *= mzq
-        dpsi_q = np.add.reduce(u, axis=0)
-        dens = np.abs(psi) ** 2
-        return psi, dpsi_x, dpsi_q, dens
+        """Psi, its two gradients and the density at arbitrary points.
+
+        ``dPsi/dx = sum (i l_k) b_k`` and ``dPsi/dq2 = sum (mu_k - q2) / (2 sigma^2) b_k``.
+        """
+        b, mshift = self._packets(x, q2, t)
+        psi = np.add.reduce(b, axis=0)
+        dpsi_x = np.add.reduce(self._dfactor.reshape((-1,) + (1,) * x.ndim) * b, axis=0)
+        mshift /= self._two_var
+        b *= mshift
+        dpsi_q = np.add.reduce(b, axis=0)
+        return psi, dpsi_x, dpsi_q, np.abs(psi) ** 2
 
     def density(self, points: np.ndarray, t: float) -> np.ndarray:
-        x, q2 = points[..., 0], points[..., 1]
-        u, _ = self._mode_values(x, with_derivatives=False)
-        cg, _ = self._weighted_gaussians(q2, t)
-        return np.abs(np.add.reduce(np.multiply(cg, u, out=u), axis=0)) ** 2
+        b, _ = self._packets(points[..., 0], points[..., 1], t)
+        return np.abs(np.add.reduce(b, axis=0)) ** 2
 
     def effective(self, points: np.ndarray, t: float, with_density: bool = False):
         """Phase-gradient field; ``with_density`` also returns ``|Psi|^2`` as ``(v, dens)``."""

@@ -658,3 +658,54 @@ def test_fuzzed_physical_and_ensemble_fail_at_parse_or_run(tmp_path, drawn):
     else:
         expected = {0, 3}
     assert cli_main([kind, "--config", str(path)]) in expected
+
+
+@st.composite
+def stochastic_section(draw):
+    """A schema-valid ``stochastic`` section for an actual-velocity born or
+    trajectories run: runnable values with up to two fields drawn from an
+    unusual range (an unknown sign law, a flip probability outside (0, 1],
+    a ``tau_xi``, ``dt`` or ``hierarchy_factor`` that breaks the time-scale
+    hierarchy or the step bound, non-finite numbers).  ``dt_traj`` comes from
+    a short list, so at most 4 trials of at most 200 steps each."""
+    # key -> (usual values, unusual values)
+    fields = {
+        "sign_law": (st.sampled_from(["iid", "telegraph"]),
+                     st.sampled_from(["", "Telegraph", "gaussian"])),
+        "flip_prob": (st.floats(0.01, 1.0), st.sampled_from([0.0, -0.5, 1.5]) | _ANY_FLOAT),
+        "tau_xi": (st.floats(0.1, 0.5), st.floats(-0.1, 0.2) | _ANY_FLOAT),
+        "dt": (st.floats(1e-4, 0.005), st.floats(-0.01, 0.1) | _ANY_FLOAT),
+        "hierarchy_factor": (st.floats(10.0, 20.0), st.floats(0.0, 100.0) | _ANY_FLOAT),
+        "tau_lambda": (st.none(), st.floats(0.0, 100.0) | _ANY_FLOAT),
+    }
+    odd = draw(st.sets(st.sampled_from(sorted(fields)), max_size=2))
+    stochastic = {key: draw(unusual if key in odd else usual)
+                  for key, (usual, unusual) in fields.items()}
+    kind = draw(st.sampled_from(["born", "trajectories"]))
+    ensemble = {"n_trials": draw(st.integers(1, 4)),
+                "dt_traj": draw(st.sampled_from([0.005, 0.01, 0.02])),
+                "n_store": 2, "store_every": 10}
+    return kind, stochastic, ensemble
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=stochastic_section())
+@example(drawn=("trajectories", {"sign_law": "telegraph", "flip_prob": 1.0, "tau_xi": 0.2},
+                {"n_trials": 2, "dt_traj": 0.02, "n_store": 2}))
+def test_fuzzed_stochastic_fail_at_parse_or_run(tmp_path, drawn):
+    # as above, for the sign process of actual-velocity runs; the example sits
+    # on the step bound dt_traj = tau_xi / hierarchy_factor
+    kind, stochastic, ensemble = drawn
+    case = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = case / "config.json"
+    path.write_text(json.dumps({"experiment": kind, "seed": 1, "out_dir": str(case / "out"),
+                                "velocity": "actual", "stochastic": stochastic,
+                                "ensemble": ensemble}))
+    try:
+        parse_config(path.read_text())
+    except ConfigError:
+        expected = {1}
+    else:
+        expected = {0, 3}
+    assert cli_main([kind, "--config", str(path)]) in expected

@@ -59,3 +59,15 @@ def test_out_of_range_seed_rejected(seed):
     gen = stream(1)
     with pytest.raises(ValueError, match="seed out of range"):
         rekey(gen, seed)
+
+
+def test_rekey_draws_equal_new_streams_over_many_keys():
+    # 1,000 keys spread over the whole seed and index ranges
+    r = np.random.default_rng(3)
+    seeds = r.integers(0, SEED_MAX, 1000, dtype=np.uint64, endpoint=True)
+    indices = r.integers(0, INDEX_MAX, 1000, dtype=np.uint64, endpoint=True)
+    purposes = r.choice(PURPOSES, 1000)
+    gen = stream(0)
+    for seed, purpose, index in zip(seeds, purposes, indices):
+        key = int(seed), int(purpose), int(index)
+        assert np.array_equal(draws(rekey(gen, *key)), draws(stream(*key)))

@@ -25,6 +25,9 @@ class TestParams:
         dict(hierarchy_factor=2.0),
         dict(lambda_mag=-1.0),
         dict(sign_law="sticky"),
+        # a NaN compares false against every bound
+        *({key: math.nan} for key in ("lambda_mag", "tau_lambda", "tau_xi", "dt",
+                                      "hierarchy_factor", "flip_prob")),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
