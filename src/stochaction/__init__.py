@@ -20,14 +20,14 @@ from .stochastic import (ActionIncrement, StochasticParams, check_separability,
                          gaussian_log_weight, sample_deviation, sample_sign_path,
                          transition_log_weight)
 from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem,
-                     build_metric_hamiltonian, build_unsymmetrized_hamiltonian,
-                     evolve_grid, quantum_potential, verify_hjm_residual)
+                     build_metric_hamiltonian, evolve_grid, quantum_potential,
+                     verify_hjm_residual)
 from .trajectories import (EnsembleSpec, ModeFlow, equivariance_report,
                            integrate_ensemble)
 from .measurement import (EnsembleStats, MeasurementPipeline, MeasurementRecord,
-                          actual_observable_prior, average_prior, effective_post,
-                          prepare_initial_state, repeat_measurement, run_ensemble,
-                          run_single_event, substitute_observable)
+                          actual_observable_prior, average_prior, prepare_initial_state,
+                          repeat_measurement, run_ensemble, run_single_event,
+                          substitute_observable)
 from .potentials import (LambdaSweep, appendix_velocity, classical_limit_check,
                          run_lambda_sweep, system_from_expressions)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config

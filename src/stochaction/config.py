@@ -15,10 +15,10 @@ from typing import Any
 
 import numpy as np
 
-from .core import GridSpec, InvalidSystemError, PhysicalConfig
+from .core import DomainOverflowError, GridSpec, InvalidSystemError, PhysicalConfig
 from .potentials import appendix_setup
 from .rng import SEED_MAX
-from .spectral import AngularBasis
+from .spectral import AngularBasis, _check_centers_inside
 from .stochastic import StochasticParams
 from .trajectories import EnsembleSpec
 
@@ -293,20 +293,21 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
             if any(abs(int(m)) > l_max for m in state["modes"]):
                 violations.append("state.modes: outside |l| <= l_max")
             else:
-                occupied = [int(m) for m, w in zip(state["modes"], weights) if w > 0]
+                omegas = np.asarray([int(m) for m, w in zip(state["modes"], weights)
+                                     if w > 0], dtype=float)
                 try:
-                    physical.check_separation(np.asarray(occupied, dtype=float))
+                    physical.check_separation(omegas)
                 except InvalidSystemError as exc:
                     violations.append(f"physical.sep_factor: {exc}")
-                drift = max((abs(physical.g) * abs(m) * physical.t_M for m in occupied),
-                            default=0.0)
+                # the run's check on the t_M centers, plus the start center; the
+                # centers move on straight lines, so the two ends bound them at every time
                 center = float(state["packet_center"])
-                margin = 5.0 * physical.sigma
-                if (center + drift > grid.q2_max - margin
-                        or center - drift < grid.q2_min + margin):
-                    violations.append(
-                        "grid.q2_max/q2_min: pointer drift leaves the grid "
-                        f"(max drift {drift:.3g} plus 5 sigma margin)")
+                try:
+                    _check_centers_inside(
+                        np.append(center, center + physical.g * omegas * physical.t_M),
+                        physical.sigma, grid)
+                except DomainOverflowError as exc:
+                    violations.append(f"grid.q2_max/q2_min: {exc}")
     for (section, key), least in _COUNT_MINIMA.items():
         if cfg[section][key] < least:
             violations.append(f"{section}.{key}: must be at least {least}")

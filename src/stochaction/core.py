@@ -55,22 +55,22 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PhysicalConfig:
-    """Measurement-interaction parameters.  hbar is pinned to 1."""
+    """Measurement-interaction parameters, in units with hbar = 1."""
 
     lambda_mag: float = 1.0
     g: float = 1.0
     t_M: float = 1.0
     sigma: float = 0.05
     sep_factor: float = 8.0
-    hbar: float = HBAR
 
     def __post_init__(self):
-        if self.hbar != HBAR:
-            raise InvalidSystemError("hbar is fixed to 1 by the unit convention")
+        # each test is written so that a NaN fails it
         for name in ("lambda_mag", "t_M", "sigma", "sep_factor"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise InvalidSystemError(f"{name} must be positive")
-        if self.sep_factor < 6.0:
+        if not abs(self.g) < np.inf:
+            raise InvalidSystemError("g must be finite")
+        if not self.sep_factor >= 6.0:
             raise InvalidSystemError("sep_factor must be at least 6 for packet non-overlap")
 
     def check_separation(self, omegas) -> None:

@@ -88,8 +88,9 @@ class RunOutput:
 def _environment(threads: int) -> dict:
     """Machine and library versions behind a run's numbers.
 
-    Result bytes rest on the platform's math library (the velocity kernel
-    builds exp(i x) from cos and sin), so a run names where it ran.
+    Result bytes rest on the platform's math library and on numpy's
+    ``tan`` (the velocity kernel builds exp(i x) from one ``tan``), so a run
+    names where it ran.
     ``blas_threads`` is what scipy's OpenBLAS reports outside the Cayley
     solver, which holds it at one thread (None when none is loaded).
     """
@@ -242,12 +243,8 @@ def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
 
 
 def _run_prior_average(cfg: ExperimentConfig, out: RunOutput) -> int:
-    basis = cfg.basis()
-    coeffs = np.zeros(len(basis.modes), dtype=complex)
-    for l, c in cfg.coefficients().items():
-        coeffs[np.flatnonzero(basis.modes == l)[0]] = c
-    result = average_prior(coeffs, basis, cfg["prior"]["n_mc"], cfg["seed"],
-                           lambda_mag=cfg.physical().lambda_mag)
+    result = average_prior(cfg.coefficients(), cfg.basis(), cfg["prior"]["n_mc"],
+                           cfg["seed"], lambda_mag=cfg.physical().lambda_mag)
     z = abs(result["mean"] - result["analytic"]) / max(result["se"], 1e-300)
     summary = {"prior_average": result, "z_score": z}
     status = _declared_checks(cfg, summary, [

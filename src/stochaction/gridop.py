@@ -57,7 +57,7 @@ class CartesianGrid:
         if not (len(self.mins) == len(self.maxs) == len(self.periodic) == d):
             raise InvalidSystemError("grid axis descriptors disagree in length")
         for lo, hi, n in zip(self.mins, self.maxs, self.ns):
-            if hi <= lo or n < 8:
+            if not hi > lo or n < 8:   # written so that a NaN fails it
                 raise InvalidSystemError("each axis needs hi > lo and at least 8 points")
 
     @property
@@ -274,25 +274,6 @@ def build_metric_hamiltonian(system: MetricPotentialSystem, lambda_mag: float,
     aga = 0.5 * np.einsum("...i,...ij,...j->...", a, g, a)
     H = H + sp.diags((aga + v).ravel())
 
-    return GridOperator(matrix=H.tocsr(), grid=grid, lambda_mag=lambda_mag)
-
-
-def build_unsymmetrized_hamiltonian(system: MetricPotentialSystem, lambda_mag: float,
-                                    grid: CartesianGrid) -> GridOperator:
-    """Left-ordered kinetic term ``g(q) p p / 2``; the ordering control.
-
-    For any genuinely position-dependent metric this operator is not
-    Hermitian, which is the point of keeping it around for tests.
-    """
-    coords = grid.coords()
-    g = system.metric_field(coords)
-    v = system.scalar_field(coords)
-    d = grid.dimension
-    H = sp.csr_matrix((grid.size, grid.size), dtype=complex)
-    for i in range(d):
-        lap = _divergence_form(np.ones(grid.shape), grid, i)
-        H = H + (-0.5 * lambda_mag**2) * sp.diags(g[..., i, i].ravel()) @ lap
-    H = H + sp.diags(v.ravel())
     return GridOperator(matrix=H.tocsr(), grid=grid, lambda_mag=lambda_mag)
 
 

@@ -28,7 +28,7 @@ from .core import (HBAR, DegenerateInputError, GridSpec, InvalidSystemError,
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        SpectralState, evolve_measurement_spectral)
 from .stochastic import StochasticParams, sample_sign_path
-from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow,
+from .trajectories import (EPS_NODE_REL, EnsembleSpec, ModeFlow, PointerReadoutFlow,
                            integrate_ensemble, ring_sampler)
 
 # Fixed ensemble chunk size, independent of thread count; results do not
@@ -37,6 +37,8 @@ from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow,
 # and 0.7x in 4096-row ones, where each complex 3-mode temporary (196 KB)
 # pushes the working set out of L2.
 _CHUNK = 2048
+# share of the state's norm a binned readout's window must cover
+_COVERAGE_MIN = 0.999
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,8 @@ class EnsembleStats:
 
     @property
     def standard_errors(self) -> np.ndarray:
-        p = self.reference
+        # a one-mode reference |c|^2 can round to 1 + 4.4e-16 (numpy's complex abs is a hypot)
+        p = np.clip(self.reference, 0.0, 1.0)
         return np.sqrt(p * (1.0 - p) / max(self.n_used, 1))
 
     @property
@@ -156,10 +159,22 @@ class MeasurementPipeline:
     x_bounds: tuple[float, float] | None = None
 
 
-def _check_normalized(vec: np.ndarray) -> None:
+def _coefficient_vector(coeffs, basis: AngularBasis) -> np.ndarray:
+    """Normalized amplitudes over ``basis.modes`` from a {mode number: amplitude}
+    mapping or a full complex vector."""
+    if isinstance(coeffs, dict):
+        vec = np.zeros(len(basis.modes), dtype=complex)
+        for l, c in coeffs.items():
+            matches = np.flatnonzero(basis.modes == l)
+            if len(matches) == 0:
+                raise InvalidSystemError(f"mode {l} outside basis range |l| <= {basis.l_max}")
+            vec[matches[0]] = c
+    else:
+        vec = np.asarray(coeffs, dtype=complex)
     total = float(np.sum(np.abs(vec) ** 2))
     if not abs(total - 1.0) <= 1e-10:
         raise DegenerateInputError(f"coefficients must be normalized: sum |c|^2 = {total!r}")
+    return vec
 
 
 def prepare_initial_state(coeffs, packet: GaussianPacket, config: PhysicalConfig,
@@ -173,16 +188,7 @@ def prepare_initial_state(coeffs, packet: GaussianPacket, config: PhysicalConfig
     unless explicitly disabled for diagnostics.
     """
     basis = basis or AngularBasis()
-    if isinstance(coeffs, dict):
-        vec = np.zeros(len(basis.modes), dtype=complex)
-        for l, c in coeffs.items():
-            matches = np.flatnonzero(basis.modes == l)
-            if len(matches) == 0:
-                raise InvalidSystemError(f"mode {l} outside basis range |l| <= {basis.l_max}")
-            vec[matches[0]] = c
-    else:
-        vec = np.asarray(coeffs, dtype=complex)
-    _check_normalized(vec)
+    vec = _coefficient_vector(coeffs, basis)
     support = np.flatnonzero(np.abs(vec) ** 2 > 1e-14)
     if enforce_separation:
         config.check_separation(basis.omegas[support])
@@ -379,65 +385,52 @@ def run_single_event(prepared, config: PhysicalConfig, spec: EnsembleSpec, seed:
 # observable values before and after a measurement
 # ---------------------------------------------------------------------------
 
-def actual_observable_prior(coeffs: np.ndarray, basis: AngularBasis, theta,
-                            lambda_signed: float, eps_node_rel: float = 1e-12):
-    """Configuration-valued observable before measurement.
+def actual_observable_prior(coeffs: np.ndarray, basis: AngularBasis, theta, lambda_signed):
+    """Configuration-valued observable of the ring state ``coeffs`` at ``theta``.
 
-    For the ring variable this is the phase gradient plus the signed osmotic
-    term of the system wavefunction alone; it varies continuously with theta,
-    unlike the recorded outcomes.
+    The phase gradient plus the osmotic term signed by ``lambda_signed`` (a
+    scalar or one per point), over the occupied modes; raises
+    :class:`DegenerateInputError` at a node.  Before a measurement it varies
+    with theta, unlike the recorded outcomes; after one, the correlated
+    eigenfunction at ``lambda_signed = 0`` gives its eigenvalue everywhere.
     """
+    c = np.asarray(coeffs, dtype=complex)
+    support = np.flatnonzero(np.abs(c) ** 2 > 1e-14)
+    c, l = c[support], basis.modes[support]
     th = np.asarray(theta, dtype=float)
-    u = basis.eigenfunctions(th)
-    l = basis.modes.reshape((-1,) + (1,) * th.ndim)
-    phi = np.tensordot(coeffs, u, axes=1)
-    dphi = np.tensordot(coeffs, 1j * l * u, axes=1)
+    il = 1j * l.reshape((-1,) + (1,) * th.ndim)
+    u = np.exp(il * th)
+    phi = np.tensordot(c, u, axes=1)
+    dphi = np.tensordot(c, il * u, axes=1)
     dens = np.abs(phi) ** 2
-    peak = float(np.max(np.abs(np.tensordot(
-        coeffs, basis.eigenfunctions(np.linspace(0, 2 * np.pi, 1024, endpoint=False)),
-        axes=1)) ** 2))
-    if np.any(dens < eps_node_rel * peak):
+    ring = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
+    peak = float(np.max(np.abs(c @ np.exp(1j * l[:, None] * ring)) ** 2))
+    if np.any(dens < EPS_NODE_REL * peak):
         raise DegenerateInputError("observable evaluated at a node of the wavefunction")
     core = np.conj(phi) * dphi
     return HBAR * np.imag(core) / dens + lambda_signed * np.real(core) / dens
 
 
-def average_prior(coeffs: np.ndarray, basis: AngularBasis, n_mc: int, seed: int,
+def average_prior(coeffs, basis: AngularBasis, n_mc: int, seed: int,
                   lambda_mag: float = 1.0) -> dict:
     """Monte Carlo average of the prior observable over configuration and sign.
 
-    Draws theta from the system density and the hidden sign fairly, then
-    compares with the closed-form expectation sum(omega_l |c_l|^2), which
-    holds for normalized amplitudes only.
+    ``coeffs`` is a {mode number: amplitude} mapping or a full vector, as
+    for :func:`prepare_initial_state`.  Draws theta from the system density
+    and the hidden sign fairly, then compares with the closed-form
+    expectation sum(omega_l |c_l|^2), which holds for normalized amplitudes
+    only.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    _check_normalized(c)
+    c = _coefficient_vector(coeffs, basis)
     support = np.flatnonzero(np.abs(c) ** 2 > 1e-14)
     r = rngmod.stream(seed, rngmod.PRIOR, 0)
     theta = ring_sampler(c[support], basis.modes[support])(n_mc, r)
     signs = r.integers(0, 2, size=n_mc) * 2 - 1
-    l = basis.modes[support].reshape(-1, 1)
-    phi = np.tensordot(c[support], np.exp(1j * l * theta[None, :]), axes=1)
-    dphi = np.tensordot(c[support], 1j * l * np.exp(1j * l * theta[None, :]), axes=1)
-    dens = np.abs(phi) ** 2
-    core = np.conj(phi) * dphi
-    samples = HBAR * np.imag(core) / dens + lambda_mag * signs * np.real(core) / dens
+    samples = actual_observable_prior(c, basis, theta, lambda_mag * signs)
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / np.sqrt(n_mc))
     analytic = float(np.sum(basis.omegas * np.abs(c) ** 2))
     return {"mean": mean, "se": se, "analytic": analytic, "n": n_mc}
-
-
-def effective_post(outcome_index: int, theta_samples, basis: AngularBasis) -> np.ndarray:
-    """Sign-averaged observable right after an event that recorded ``outcome_index``.
-
-    The relevant system wavefunction is the correlated eigenfunction, whose
-    phase gradient is the eigenvalue itself, independent of configuration.
-    """
-    th = np.asarray(theta_samples, dtype=float)
-    if outcome_index not in basis.modes:
-        raise ValueError(f"outcome {outcome_index} outside basis")
-    return np.full(th.shape, HBAR * float(outcome_index))
 
 
 def repeat_measurement(record: MeasurementRecord, state0: SpectralState,
@@ -471,8 +464,7 @@ def _collapsed(state0: SpectralState, outcome_index: int,
 def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
                           window: tuple[float, float], n_bins: int,
                           config: PhysicalConfig, grid: GridSpec,
-                          packet_center: float = 0.0,
-                          coverage_min: float = 0.999) -> MeasurementPipeline:
+                          packet_center: float = 0.0) -> MeasurementPipeline:
     """Rebuild the pipeline for a continuous-spectrum observable.
 
     The readout is discretized into ``n_bins`` bins across ``window`` and the
@@ -483,7 +475,7 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
     expanded over the discrete plane waves of the sampling box, which are
     true eigenfunctions, one drifting packet each.  Discreteness therefore
     enters only through the binned reading, as it should for a continuous
-    spectrum.
+    spectrum.  The window must hold 0.999 of the state's norm.
     """
     if kind == "angular_momentum":
         raise ValueError("use prepare_initial_state for the angular-momentum pipeline")
@@ -513,10 +505,10 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
             if w > 0:
                 table[b, mask] = psi[mask] / np.sqrt(w)
         coverage = float(weights.sum())
-        if coverage < coverage_min:
+        if coverage < _COVERAGE_MIN:
             raise InvalidSystemError(
                 f"observable window covers only {coverage:.4f} of the state "
-                f"(needs {coverage_min}); widen the window")
+                f"(needs {_COVERAGE_MIN}); widen the window")
         coeffs = np.sqrt(weights / coverage).astype(complex)
         modes = LineModes(x, table, bin_centers)
         state0 = SpectralState(coeffs=coeffs, modes=modes, packet=packet,
@@ -532,10 +524,10 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
         p_sorted, c_sorted, w_sorted = p_axis[order], c_all[order], w_all[order]
         in_window = (p_sorted >= lo) & (p_sorted < hi)
         coverage = float(w_sorted[in_window].sum())
-        if coverage < coverage_min:
+        if coverage < _COVERAGE_MIN:
             raise InvalidSystemError(
                 f"observable window covers only {coverage:.4f} of the state "
-                f"(needs {coverage_min}); widen the window")
+                f"(needs {_COVERAGE_MIN}); widen the window")
         keep = in_window & (w_sorted > 1e-12 * w_sorted.max())
         kept_cov = float(w_sorted[keep].sum())
         weights = np.array([w_sorted[in_window & (p_sorted >= edges[b])

@@ -53,13 +53,8 @@ class GaussianPacket:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:   # written so that a NaN fails it
             raise ValueError("sigma must be positive")
-
-    def profile(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        norm = (2.0 * np.pi * self.sigma**2) ** -0.25
-        return norm * np.exp(-((q - self.center) ** 2) / (4.0 * self.sigma**2))
 
 
 class LineModes:
@@ -131,10 +126,6 @@ class SpectralState:
     def omegas(self) -> np.ndarray:
         return self.modes.omegas
 
-    def packet_profile(self, q, mode_index: int) -> np.ndarray:
-        shifted = GaussianPacket(self.centers[mode_index], self.packet.sigma)
-        return shifted.profile(q)
-
     def support_indices(self, tol: float = 1e-14) -> np.ndarray:
         """Modes actually present in the superposition."""
         return np.flatnonzero(np.abs(self.coeffs) ** 2 > tol)
@@ -143,12 +134,12 @@ class SpectralState:
 def _check_centers_inside(centers: np.ndarray, sigma: float, grid: GridSpec) -> None:
     margin = 5.0 * sigma
     lo, hi = grid.q2_min + margin, grid.q2_max - margin
-    bad = (centers < lo) | (centers > hi)
+    bad = ~((centers >= lo) & (centers <= hi))   # a NaN center is outside too
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise DomainOverflowError(
-            f"packet center {centers[idx]:.4g} (mode index {idx}) is within "
-            f"5 sigma of the pointer grid boundary [{grid.q2_min}, {grid.q2_max}]")
+            f"packet center {centers[idx]:.4g} is not 5 sigma inside the pointer grid "
+            f"[{grid.q2_min}, {grid.q2_max}]")
 
 
 def evolve_measurement_spectral(state: SpectralState, delta_t: float, g: float) -> SpectralState:

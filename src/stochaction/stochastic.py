@@ -3,9 +3,9 @@
 The transition weight between infinitesimally close configurations is an
 exponential law in the deviation of the action increment from its stationary
 value, one-sided along the sign of the scale parameter ``lambda``.  The sign
-of ``lambda`` is locked to the sign of the hidden fluctuation ``xi`` and both
-flip on the fastest time scale ``dt``; ``|xi|`` is constant over blocks of
-length ``tau_xi`` and ``|lambda|`` over blocks of length ``tau_lambda``.
+of ``lambda`` is locked to the sign of the hidden fluctuation ``xi``; one
+shared sign holds for one ``dt_traj`` step of a trajectory.  No magnitude of
+``xi`` or ``lambda`` is drawn: ``|lambda|`` is the fixed ``lambda_mag``.
 """
 from __future__ import annotations
 
@@ -19,12 +19,13 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class StochasticParams:
-    """Scales and laws for the sign/magnitude processes.
+    """The sign law, and the time scales it is validated against.
 
-    ``tau_lambda`` may be ``inf`` (fixed magnitude, the default regime).
-    ``sign_law`` is ``"iid"`` (fresh equiprobable sign each dt step) or
-    ``"telegraph"`` (flip with probability ``flip_prob`` per step; 0.5
-    reproduces iid).
+    ``sign_law`` is ``"iid"`` (a fresh equiprobable sign each ``dt_traj``
+    step) or ``"telegraph"`` (flip with probability ``flip_prob`` per step;
+    0.5 reproduces iid).  ``tau_xi``, ``tau_lambda`` (may be ``inf``),
+    ``hierarchy_factor`` and ``dt`` only feed validation: the checks here
+    and the bound ``dt_traj <= tau_xi / hierarchy_factor`` of actual runs.
     """
 
     lambda_mag: float = 1.0
@@ -128,7 +129,7 @@ def sample_deviation(params: StochasticParams, lambda_sign: int, rng: np.random.
 
 
 def sample_sign_path(params: StochasticParams, n_steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Shared sign path of xi and lambda, one entry per dt step."""
+    """Shared sign path of xi and lambda, one entry per ``dt_traj`` step."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if params.sign_law == "iid":

@@ -42,7 +42,7 @@ class EnsembleSpec:
     max_halvings: int = 4
 
     def __post_init__(self):
-        if self.dt_traj <= 0:
+        if not self.dt_traj > 0:   # written so that a NaN fails it
             raise ValueError("dt_traj must be positive")
         if self.integrator not in ("rk4", "explicit-midpoint"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
@@ -210,8 +210,8 @@ class ModeFlow:
         b, _ = self._packets(points[..., 0], points[..., 1], t)
         return np.abs(np.add.reduce(b, axis=0)) ** 2
 
-    def effective(self, points: np.ndarray, t: float, with_density: bool = False):
-        """Phase-gradient field; ``with_density`` also returns ``|Psi|^2`` as ``(v, dens)``."""
+    def _velocity(self, points: np.ndarray, t: float, lam, with_density: bool):
+        """Phase-gradient field, plus the osmotic term scaled by ``lam`` unless it is None."""
         psi, dpsi_x, dpsi_q, dens = self._terms(points[..., 0], points[..., 1], t)
         safe = np.maximum(dens, 1e-300)
         pc = np.conj(psi)
@@ -219,8 +219,16 @@ class ModeFlow:
         for j, dpsi in enumerate((dpsi_q, dpsi_x)):
             np.multiply(pc, dpsi, out=dpsi)
             np.divide(dpsi.imag, safe, out=v[..., j])
+            if lam is not None:
+                osmotic = dpsi.real / safe
+                osmotic *= lam
+                v[..., j] += osmotic
         v *= self.g
         return (v, dens) if with_density else v
+
+    def effective(self, points: np.ndarray, t: float, with_density: bool = False):
+        """Phase-gradient field; ``with_density`` also returns ``|Psi|^2`` as ``(v, dens)``."""
+        return self._velocity(points, t, None, with_density)
 
     def decided(self, points: np.ndarray, dens: np.ndarray, t: float, t_end: float,
                 q2_bounds: tuple[float, float] | None, eps_abs: float):
@@ -259,19 +267,7 @@ class ModeFlow:
         magnitudes (sign path value times lambda_mag).  ``with_density``
         also returns ``|Psi|^2`` as ``(v, dens)``.
         """
-        psi, dpsi_x, dpsi_q, dens = self._terms(points[..., 0], points[..., 1], t)
-        safe = np.maximum(dens, 1e-300)
-        pc = np.conj(psi)
-        lam = np.asarray(lambda_signed)
-        v = np.empty(psi.shape + (2,))
-        for j, dpsi in enumerate((dpsi_q, dpsi_x)):
-            np.multiply(pc, dpsi, out=dpsi)
-            np.divide(dpsi.imag, safe, out=v[..., j])
-            osmotic = dpsi.real / safe
-            osmotic *= lam
-            v[..., j] += osmotic
-        v *= self.g
-        return (v, dens) if with_density else v
+        return self._velocity(points, t, np.asarray(lambda_signed), with_density)
 
 
 class PointerReadoutFlow:

@@ -69,10 +69,19 @@ def norm(field: JointField) -> float:
     return float(np.sum(field.density() * field.quadrature_weights()))
 
 
+def packet_profile(state: SpectralState, q, mode_index: int) -> np.ndarray:
+    """Mode ``mode_index``'s pointer packet, ``(2 pi sigma^2)^(-1/4)
+    exp(-(q - mu)^2 / (4 sigma^2))`` around its center ``mu``."""
+    q = np.asarray(q, dtype=float)
+    sigma = state.packet.sigma
+    norm = (2.0 * np.pi * sigma**2) ** -0.25
+    return norm * np.exp(-((q - state.centers[mode_index]) ** 2) / (4.0 * sigma**2))
+
+
 def synthesize_joint(state: SpectralState, axes: JointAxes) -> JointField:
     """The ring state's closed-form joint wavefunction on the axes."""
     eig = state.modes.eigenfunctions(axes.theta)              # (M, n_theta)
-    packs = np.stack([state.packet_profile(axes.q2, m)        # (M, n_q2+1)
+    packs = np.stack([packet_profile(state, axes.q2, m)       # (M, n_q2+1)
                       for m in range(len(state.coeffs))])
     return JointField(np.einsum("m,mt,mq->tq", state.coeffs, eig, packs), axes)
 
@@ -81,7 +90,7 @@ def pointer_marginal_density(state: SpectralState, q) -> np.ndarray:
     """Closed-form pointer density: ring modes are orthonormal, so the cross
     terms vanish under the theta integral."""
     q = np.asarray(q, dtype=float)
-    return sum(w * np.abs(state.packet_profile(q, m)) ** 2
+    return sum(w * np.abs(packet_profile(state, q, m)) ** 2
                for m, w in enumerate(np.abs(state.coeffs) ** 2))
 
 

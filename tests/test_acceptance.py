@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from ordering_oracle import build_unsymmetrized_hamiltonian
 from stochaction import (ActionIncrement, AngularBasis, CartesianGrid,
                          GaussianPacket, GridSpec, MetricPotentialSystem,
                          PhysicalConfig, StochasticParams, actual_observable_prior,
-                         average_prior, build_metric_hamiltonian,
-                         build_unsymmetrized_hamiltonian, check_separability,
-                         classical_limit_check, effective_post, equivariance_report,
+                         average_prior, build_metric_hamiltonian, check_separability,
+                         classical_limit_check, equivariance_report,
                          evolve_grid, gaussian_log_weight, integrate_ensemble,
                          prepare_initial_state, repeat_measurement, run_ensemble,
                          run_single_event, sample_deviation, verify_hjm_residual)
@@ -141,8 +141,11 @@ def test_criterion_06_effective_post_and_repeatability(born_run):
     state, records, _, _ = born_run
     outcomes = sorted({r.outcome_index for r in records if r.outcome_index is not None})
     thetas = np.linspace(0.0, 2 * np.pi, 17)
+    # the post-measurement value: the observable of the collapsed state at lambda 0
     post_ok = all(
-        np.max(np.abs(effective_post(l, thetas, BASIS) - float(l))) < 1e-10
+        np.max(np.abs(actual_observable_prior(
+            prepare_initial_state({l: 1.0}, PACKET, CONFIG, GRID, BASIS).coeffs,
+            BASIS, thetas, 0.0) - float(l))) < 1e-10
         for l in outcomes)
 
     spec1 = EnsembleSpec(dt_traj=1e-3)

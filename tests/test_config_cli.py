@@ -113,6 +113,22 @@ class TestParseConfig:
             parse_config(json.dumps(bad))
         assert any("q2_max" in v for v in err.value.violations)
 
+    def test_pointer_rule_is_signed(self, tmp_path):
+        # from -3.2 the mode-0 packet stays put and the mode-1 packet moves up
+        # to -2.2 at t_M: both stay 5 sigma inside the grid, so the run goes ahead
+        edge = {"state": {"modes": [0, 1], "weights": [0.5, 0.5], "packet_center": -3.2},
+                "ensemble": {"n_trials": 200, "dt_traj": 0.01}}
+        path, _ = make_config(tmp_path, edge)
+        parse_config(path.read_text())
+        assert cli_main(["born", "--config", str(path)]) == 0
+        # mirrored, the mode-1 packet ends at 4.2, past 4 - 5 sigma
+        edge["state"]["packet_center"] = 3.2
+        path, _ = make_config(tmp_path, edge)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path.read_text())
+        assert any(v.startswith("grid.q2_max/q2_min") for v in err.value.violations)
+        assert cli_main(["born", "--config", str(path)]) == 1
+
     def test_unknown_experiment_kind(self):
         bad = dict(MINIMAL_BORN, experiment="teleport")
         with pytest.raises(ConfigError):
@@ -582,6 +598,11 @@ def grid_and_state(draw):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(sections=grid_and_state())
+# one-mode states whose |c|^2 rounds to 1 + 4.4e-16
+@example(sections=({"q2_min": -4.0, "q2_max": 4.0},
+                   {"modes": [0], "weights": [1.0], "phases": [0.5650869536481924]}))
+@example(sections=({"q2_min": -4.0, "q2_max": 4.0},
+                   {"modes": [0], "weights": [1.0], "phases": [3.348872692004718e+16]}))
 def test_fuzzed_grid_and_state_fail_at_parse_or_run(tmp_path, sections):
     # a config parse_config accepts runs (exit 0) or fails its checks (exit 3);
     # one it rejects exits 1; none exits 2 or raises

@@ -44,6 +44,15 @@ class TestPhysicalConfig:
         with pytest.raises(InvalidSystemError):
             PhysicalConfig(sep_factor=2.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(lambda_mag=0.0), dict(t_M=-1.0), dict(sigma=0.0), dict(g=float("inf")),
+        *[{name: float("nan")} for name in ("lambda_mag", "g", "t_M", "sigma", "sep_factor")],
+    ])
+    def test_invalid_rejected(self, kwargs):
+        # each check is written so that a NaN fails it
+        with pytest.raises(InvalidSystemError):
+            PhysicalConfig(**kwargs)
+
     def test_separation_check(self):
         cfg = PhysicalConfig(g=1.0, t_M=1.0, sigma=0.05, sep_factor=8.0)
         cfg.check_separation([-1.0, 0.0, 1.0])

@@ -8,9 +8,10 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
+from ordering_oracle import build_unsymmetrized_hamiltonian
 from stochaction import (CartesianGrid, InvalidSystemError, MetricPotentialSystem,
-                         build_metric_hamiltonian, build_unsymmetrized_hamiltonian,
-                         evolve_grid, quantum_potential, verify_hjm_residual)
+                         build_metric_hamiltonian, evolve_grid, quantum_potential,
+                         verify_hjm_residual)
 from stochaction import gridop
 from stochaction.gridop import NumericalError, _derivative, _divergence_form
 
@@ -86,6 +87,14 @@ class TestHamiltonianAssembly:
             1, lambda c: 1.0 + 0.1 * np.sin(c[0]))
         op = build_unsymmetrized_hamiltonian(system, 1.0, grid)
         assert op.hermiticity_defect() > 1e-4
+
+    @pytest.mark.parametrize("mins, maxs, ns", [
+        ((1.0,), (-1.0,), (64,)), ((-1.0,), (1.0,), (4,)),
+        ((float("nan"),), (1.0,), (64,)), ((-1.0, float("nan")), (1.0, 1.0), (16, 16)),
+    ])
+    def test_bad_axes_rejected(self, mins, maxs, ns):
+        with pytest.raises(InvalidSystemError, match="hi > lo"):
+            CartesianGrid(mins, maxs, ns, (False,) * len(ns))
 
     def test_non_positive_metric_rejected(self):
         grid = CartesianGrid((-1.0,), (1.0,), (64,), (False,))

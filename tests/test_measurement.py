@@ -1,14 +1,16 @@
 """Preparation, single events, ensembles, prior/post values, substitution."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochaction import (AngularBasis, DegenerateInputError, DomainOverflowError,
-                         GaussianPacket, GridSpec, InvalidSystemError, PhysicalConfig,
-                         StochasticParams, actual_observable_prior, average_prior, effective_post,
-                         prepare_initial_state, repeat_measurement, run_ensemble,
-                         run_single_event, substitute_observable)
+                         EnsembleStats, GaussianPacket, GridSpec, InvalidSystemError,
+                         PhysicalConfig, StochasticParams, actual_observable_prior,
+                         average_prior, prepare_initial_state, repeat_measurement,
+                         run_ensemble, run_single_event, substitute_observable)
 from stochaction.rng import INITIAL, SIGNS, stream
 from stochaction.stochastic import sample_sign_path
 from stochaction.trajectories import EnsembleSpec
@@ -162,6 +164,15 @@ class TestEnsemble:
                              extras["final_configs"].tobytes()))
         assert all(run == runs[0] for run in runs[1:])
 
+    def test_standard_error_of_reference_rounded_past_one(self):
+        # a phased one-mode amplitude can square to 1 + 4.4e-16 under numpy's abs
+        stats = EnsembleStats(indices=np.array([0]), omegas=np.array([0.0]),
+                              reference=np.array([1.0 + 4.4e-16]), counts=np.array([3]),
+                              n_trials=3, n_ambiguous=0, n_overflow=0)
+        assert stats.reference[0] > 1.0
+        assert stats.standard_errors.tolist() == [0.0]
+        json.dumps(stats.to_dict(), allow_nan=False)
+
     def test_trial_count_must_be_positive(self, grid, basis, config, packet, espec):
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
         with pytest.raises(ValueError, match="n_trials"):
@@ -243,6 +254,12 @@ class TestAveragePrior:
         res = average_prior(c, basis, 50_000, seed=18)
         assert abs(res["mean"]) < 3 * res["se"]
 
+    def test_mapping_equals_vector(self, basis):
+        c = self._coeffs(basis)
+        mapping = {l: c[basis.l_max + l] for l in (-1, 0, 1)}
+        assert (average_prior(mapping, basis, 1000, seed=16)
+                == average_prior(c, basis, 1000, seed=16))
+
     def test_empty_state_raises(self, basis):
         # no occupied mode: the ring sampler has nothing to accept under
         with pytest.raises(DegenerateInputError):
@@ -255,12 +272,19 @@ class TestAveragePrior:
 
 
 class TestEffectivePost:
-    def test_constant_eigenvalue(self, basis):
-        theta = np.linspace(0, 2 * np.pi, 7)
-        assert np.allclose(effective_post(3, theta, basis), 3.0)
-        assert np.allclose(effective_post(0, theta, basis), 0.0)
+    # after an event the system state is the correlated eigenfunction; its
+    # observable at lambda 0 is the post-measurement value
+    @staticmethod
+    def _post(l, theta, basis, grid, config, packet):
+        collapsed = prepare_initial_state({l: 1.0}, packet, config, grid, basis)
+        return actual_observable_prior(collapsed.coeffs, basis, theta, 0.0)
 
-    def test_against_grid_operator_oracle(self, basis):
+    def test_constant_eigenvalue(self, basis, grid, config, packet):
+        theta = np.linspace(0, 2 * np.pi, 7)
+        assert np.allclose(self._post(3, theta, basis, grid, config, packet), 3.0)
+        assert np.allclose(self._post(0, theta, basis, grid, config, packet), 0.0)
+
+    def test_against_grid_operator_oracle(self, basis, grid, config, packet):
         # Re(phi* L phi)/|phi|^2 with the spectral derivative on the ring
         l, n_theta = 3, 128
         dtheta = 2 * np.pi / n_theta
@@ -269,12 +293,12 @@ class TestEffectivePost:
         k = 2 * np.pi * np.fft.fftfreq(n_theta, d=dtheta)
         lphi = np.fft.ifft(k * np.fft.fft(phi))       # -i d/dtheta in k space
         oracle = np.real(np.conj(phi) * lphi) / np.abs(phi) ** 2
-        vals = effective_post(l, theta, basis)
+        vals = self._post(l, theta, basis, grid, config, packet)
         assert np.max(np.abs(vals - oracle)) < 1e-10
 
-    def test_outside_basis_rejected(self, basis):
+    def test_outside_basis_rejected(self, basis, grid, config, packet):
         with pytest.raises(ValueError):
-            effective_post(99, np.array([0.0]), basis)
+            self._post(99, np.array([0.0]), basis, grid, config, packet)
 
 
 class TestRepeatability:

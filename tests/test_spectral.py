@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from joint_oracle import JointAxes, norm, pointer_marginal_density, synthesize_joint
+from joint_oracle import (JointAxes, norm, packet_profile, pointer_marginal_density,
+                          synthesize_joint)
 from stochaction import (AngularBasis, DomainOverflowError, GaussianPacket,
                          GridSpec, PlaneWaveModes, SpectralState,
                          evolve_measurement_spectral)
@@ -81,6 +82,11 @@ class TestSpectralEvolution:
         with pytest.raises(DomainOverflowError):
             evolve_measurement_spectral(state, 1.0, 1.0)  # center 8 > 3 - 5 sigma
 
+    def test_nan_center_overflows(self, grid, basis):
+        state = make_state({1: 1.0}, basis, grid, mu0=float("nan"))
+        with pytest.raises(DomainOverflowError, match="nan"):
+            evolve_measurement_spectral(state, 1.0, 1.0)
+
 
 class TestSynthesis:
     def test_single_mode_factorizes(self, grid, axes, basis):
@@ -105,7 +111,7 @@ class TestSynthesis:
         eig = basis.eigenfunctions(axes.theta)
         incoherent = np.zeros_like(dens)
         for l, wgt in ((-1, 0.5), (1, 0.5)):
-            pk = out.packet_profile(axes.q2, basis.l_max + l)
+            pk = packet_profile(out, axes.q2, basis.l_max + l)
             incoherent += wgt * np.abs(eig[basis.l_max + l][:, None]) ** 2 * pk**2
         peak = dens.max()
         assert np.max(np.abs(dens - incoherent)) < 1e-8 * peak
@@ -120,7 +126,7 @@ class TestSynthesis:
         for l, amp in ((-1, np.sqrt(0.4)), (2, np.sqrt(0.6))):
             idx = basis.l_max + l
             section = (eig[idx].conj() * axes.theta_weights) @ joint.amplitudes
-            shifted = amp * out.packet_profile(axes.q2, idx)
+            shifted = amp * packet_profile(out, axes.q2, idx)
             assert np.max(np.abs(section - shifted)) < 1e-12
 
     def test_marginals_match_synthesis(self, grid, axes, basis):
@@ -152,6 +158,11 @@ class TestPlaneWaveModes:
 
 
 class TestStateValidation:
+    @pytest.mark.parametrize("sigma", [0.0, -0.05, float("nan")])
+    def test_packet_width_must_be_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianPacket(0.0, sigma)
+
     def test_unnormalized_coefficients_rejected(self, grid, basis):
         c = np.zeros(len(basis.modes), dtype=complex)
         c[basis.l_max] = 0.9

@@ -316,6 +316,11 @@ class TestKernelOracle:
 
 
 class TestIntegration:
+    @pytest.mark.parametrize("dt_traj", [0.0, -1e-3, float("nan")])
+    def test_step_must_be_positive(self, dt_traj):
+        with pytest.raises(ValueError, match="dt_traj"):
+            EnsembleSpec(dt_traj=dt_traj)
+
     def test_zero_field_stays_put(self, grid, basis):
         state = make_state({0: 1.0}, basis, grid)   # real: zero effective field
         flow = ModeFlow(state, g=1.0)

@@ -49,6 +49,9 @@ BASE = {
 }
 TRAJ = {"n_trials": 100, "dt_traj": 0.002, "n_store": 5, "store_every": 50}
 WIDE_STATE = {"modes": [-3, -1, 1, 3], "weights": [0.1, 0.4, 0.3, 0.2]}
+# packets that start near the lower pointer edge and only move up: the
+# pointer-domain rule is signed, so this state parses and runs
+EDGE_STATE = {"modes": [0, 1], "weights": [0.5, 0.5], "packet_center": -3.2}
 APPENDIX = {"scalar": "0.5*q^2", "n_steps": 100, "record_every": 10,
             "residual_check": True, "initial_center": 1.0,
             "save_wavefunctions": True}
@@ -70,6 +73,7 @@ SWEEP = {"deltas": [0.0, 0.25], "n_steps": 100, "record_every": 50,
 CONFIGS = {
     "born-effective": ("born", {"equivariance": {"enabled": True}}),
     "born-actual": ("born", {"velocity": "actual"}),
+    "born-edge": ("born", {"state": EDGE_STATE}),
     "trajectories-effective": ("trajectories", {"ensemble": TRAJ,
                                                 "equivariance": {"enabled": True}}),
     "trajectories-actual": ("trajectories", {"ensemble": TRAJ, "velocity": "actual"}),
