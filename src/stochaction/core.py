@@ -66,8 +66,8 @@ class PhysicalConfig:
     def __post_init__(self):
         # each test is written so that a NaN fails it
         for name in ("lambda_mag", "t_M", "sigma", "sep_factor"):
-            if not getattr(self, name) > 0:
-                raise InvalidSystemError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidSystemError(f"{name} must be positive and finite")
         if not abs(self.g) < np.inf:
             raise InvalidSystemError("g must be finite")
         if not self.sep_factor >= 6.0:

@@ -278,12 +278,15 @@ def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> int:
 
 
 def _ensemble_counters(*extras) -> dict:
-    """Counters of the trajectory ensembles behind one run, summed over them."""
+    """Counters of the trajectory ensembles behind one run, summed over them;
+    ``chunk_rows`` is the largest chunk's row count."""
     decided_at = np.concatenate([e["decided_at"] for e in extras])
     decided = decided_at[~np.isnan(decided_at)]
     return {"n_trials": len(decided_at), "n_decided": len(decided),
             "mean_decision_time": float(decided.mean()) if len(decided) else None,
-            "n_node_clamped": sum(int(np.count_nonzero(e["node_clamped"])) for e in extras)}
+            "n_node_clamped": sum(int(np.count_nonzero(e["node_clamped"])) for e in extras),
+            "chunks": sum(e["chunks"] for e in extras),
+            "chunk_rows": max(e["chunk_rows"] for e in extras)}
 
 
 def _grid_health(op, norms) -> dict:

@@ -31,12 +31,12 @@ from .stochastic import StochasticParams, sample_sign_path
 from .trajectories import (EPS_NODE_REL, EnsembleSpec, ModeFlow, PointerReadoutFlow,
                            integrate_ensemble, ring_sampler)
 
-# Fixed ensemble chunk size, independent of thread count; results do not
-# depend on it.  On a 2-vCPU machine with a 2 MB L2, a 3-mode Born ensemble
-# of 4096 trials ran 1.2x faster in 2048-row chunks than in 1024-row ones,
-# and 0.7x in 4096-row ones, where each complex 3-mode temporary (196 KB)
-# pushes the working set out of L2.
-_CHUNK = 2048
+# Mode rows x trial rows of one ensemble chunk at most (_chunk_rows), so each
+# complex per-mode temporary stays at or under 256 KB.  Every kernel call and
+# RK4 step costs about 40 numpy calls whatever its row count, so fewer chunks
+# run faster until that temporary outgrows L2: on a 2-vCPU machine with 2 MB
+# of L2 per core, runs slowed once it passed about 450 KB.
+_MODE_ROWS = 2**14
 # share of the state's norm a binned readout's window must cover
 _COVERAGE_MIN = 0.999
 
@@ -278,37 +278,55 @@ def _sign_paths(seed: int, trials: np.ndarray, n_steps: int, stoch: StochasticPa
     return paths
 
 
-def _run_chunk(pipe: MeasurementPipeline, config: PhysicalConfig, spec: EnsembleSpec,
-               seed: int, trials: np.ndarray, n_steps: int,
-               stoch: StochasticParams | None, snapshot_steps: tuple[int, ...]) -> dict:
-    """Integrate one chunk; ``stoch`` is None in effective runs.
+def _chunk_rows(n_trials: int, threads: int, n_modes: int) -> int:
+    """Trials per ensemble chunk for a flow that evaluates ``n_modes`` mode rows.
+
+    At most ``min(ceil(n_trials / threads), max(1, _MODE_ROWS // n_modes))``,
+    so every worker gets a chunk and no chunk outgrows the budget; the trials
+    are then spread evenly over the chunks that cap makes, so no short tail
+    chunk pays for a full run of steps.
+    """
+    cap = min(-(-n_trials // max(threads, 1)), max(1, _MODE_ROWS // n_modes))
+    n_chunks = -(-n_trials // cap)
+    return -(-n_trials // n_chunks)
+
+
+def _run_chunk(pipe: MeasurementPipeline, flow: ModeFlow | PointerReadoutFlow,
+               config: PhysicalConfig, spec: EnsembleSpec, seed: int, trials: np.ndarray,
+               n_steps: int, stoch: StochasticParams | None,
+               snapshot_steps: tuple[int, ...]) -> dict:
+    """Integrate one chunk under the shared, read-only ``flow``; ``stoch`` is None
+    in effective runs.
 
     Returns ``integrate_ensemble``'s dict plus ``initial_configs`` and each
     trial's first sign ``signs0``.
     """
     state0 = pipe.state0
-    flow = (PointerReadoutFlow(config.g) if isinstance(state0.modes, LineModes)
-            else ModeFlow(state0, config.g))
     # one generator per chunk, re-keyed to every per-trial stream it draws from
     gen = rngmod.stream(seed)
     q0 = _initial_draws(state0, seed, trials, gen)
-    # an effective run still carries the hidden sign at t = 0, a path's first entry
-    actual = stoch is not None
-    paths = _sign_paths(seed, trials, n_steps if actual else 1,
-                        stoch if actual else StochasticParams(), gen)
+    if stoch is None:
+        # an effective run still carries the hidden sign at t = 0: the first
+        # draw of the trial's sign stream, as any sign path's first entry
+        paths = None
+        signs0 = np.array([rngmod.rekey(gen, seed, rngmod.SIGNS, int(trial)).integers(0, 2)
+                           for trial in trials]) * 2 - 1
+    else:
+        paths = _sign_paths(seed, trials, n_steps, stoch, gen)
+        signs0 = paths[:, 0]
     result = integrate_ensemble(
-        flow, q0, spec, t0=state0.t, duration=config.t_M,
-        sign_paths=paths if actual else None, lambda_mag=config.lambda_mag,
-        q2_bounds=(state0.grid.q2_min, state0.grid.q2_max),
+        flow, q0, spec, t0=state0.t, duration=config.t_M, sign_paths=paths,
+        lambda_mag=config.lambda_mag, q2_bounds=(state0.grid.q2_min, state0.grid.q2_max),
         x_bounds=pipe.x_bounds, snapshot_steps=snapshot_steps)
-    return dict(result, initial_configs=q0, signs0=paths[:, 0])
+    return dict(result, initial_configs=q0, signs0=signs0)
 
 
 def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: EnsembleSpec,
                 seed: int, trials: np.ndarray, velocity: str,
                 stoch: StochasticParams | None, threads: int,
                 snapshot_steps: tuple[int, ...]):
-    """Validate, integrate ``trials`` in fixed chunks, and record one event each."""
+    """Validate, integrate ``trials`` in chunks (:func:`_chunk_rows`), and record
+    one event each."""
     if velocity not in ("effective", "actual"):
         raise ValueError(f"unknown velocity source {velocity!r}")
     if velocity == "actual":
@@ -322,8 +340,14 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
     # no packet center may drift off the pointer grid; checked before any work
     evolve_measurement_spectral(state0, config.t_M, config.g)
 
-    chunks = [trials[k:k + _CHUNK] for k in range(0, len(trials), _CHUNK)]
-    work = partial(_run_chunk, pipe, config, spec, seed, n_steps=n_steps, stoch=stoch,
+    if isinstance(state0.modes, LineModes):
+        flow, n_modes = PointerReadoutFlow(config.g), 1
+    else:
+        flow = ModeFlow(state0, config.g)
+        n_modes = len(flow.coeffs)
+    rows = _chunk_rows(len(trials), threads, n_modes)
+    chunks = [trials[k:k + rows] for k in range(0, len(trials), rows)]
+    work = partial(_run_chunk, pipe, flow, config, spec, seed, n_steps=n_steps, stoch=stoch,
                    snapshot_steps=snapshot_steps)
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -352,7 +376,8 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
         n_overflow=int(overflow.sum()))
     extras = {"snapshots": {s * spec.dt_traj + state0.t: snaps[s] for s in snaps},
               "node_clamped": run["node_clamped"], "decided_at": run["decided_at"],
-              "final_configs": final, "initial_configs": q0}
+              "final_configs": final, "initial_configs": q0,
+              "chunks": len(chunks), "chunk_rows": rows}
     return records, stats, extras
 
 
@@ -363,8 +388,9 @@ def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, n_trials:
     """Seeded batch of measurement events.
 
     Returns ``(records, stats, extras)`` where extras carries trajectory
-    snapshots for equivariance diagnostics.  Trials are integrated in fixed
-    chunks whose results are identical at any thread count.
+    snapshots for equivariance diagnostics.  Trials are integrated in
+    chunks sized by :func:`_chunk_rows`; results are identical at any
+    chunking and thread count.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")

@@ -53,7 +53,10 @@ class GaussianPacket:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:   # written so that a NaN fails it
+        # each test is written so that a NaN fails it
+        if not abs(self.center) < np.inf:
+            raise ValueError("center must be finite")
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
 

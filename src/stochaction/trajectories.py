@@ -42,8 +42,15 @@ class EnsembleSpec:
     max_halvings: int = 4
 
     def __post_init__(self):
-        if not self.dt_traj > 0:   # written so that a NaN fails it
+        # each test is written so that a NaN fails it
+        if not self.dt_traj > 0:
             raise ValueError("dt_traj must be positive")
+        if not 0 < self.eps_node_rel < np.inf:
+            raise ValueError("eps_node_rel must be positive and finite")
+        if (isinstance(self.max_halvings, bool)
+                or not isinstance(self.max_halvings, (int, np.integer))
+                or self.max_halvings < 0):
+            raise ValueError("max_halvings must be an integer at least 0")
         if self.integrator not in ("rk4", "explicit-midpoint"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.node_policy not in ("reject-resample", "clamp"):

@@ -529,8 +529,9 @@ class TestCli:
         assert cli_main([experiment, "--config", str(path)]) == 0
         block = json.loads((Path(data["out_dir"]) / "manifest.json").read_text())["ensemble"]
         assert set(block) == {"n_trials", "n_decided", "mean_decision_time",
-                              "n_node_clamped"}
+                              "n_node_clamped", "chunks", "chunk_rows"}
         assert block["n_trials"] == n_trials
+        assert 1 <= block["chunks"] <= n_trials and 1 <= block["chunk_rows"] <= n_trials
         assert 0 <= block["n_decided"] <= n_trials
         assert 0 <= block["n_node_clamped"] <= n_trials
         if data.get("velocity") == "actual":
@@ -540,6 +541,15 @@ class TestCli:
             # the README 3-mode state separates well before t_M
             assert block["n_decided"] > n_trials // 2
             assert 0.0 <= block["mean_decision_time"] < 1.0
+
+    def test_manifest_records_chunking(self, tmp_path):
+        # the benchmark's canonical Born run: 3 modes, 4096 trials, 1 thread
+        path, data = make_config(tmp_path, experiment="born", threads=1, overrides={
+            "ensemble": {"n_trials": 4096, "dt_traj": 0.001},
+            "state": {"modes": [-1, 0, 1], "weights": [0.5, 0.3, 0.2]}})
+        assert cli_main(["born", "--config", str(path)]) == 0
+        block = json.loads((Path(data["out_dir"]) / "manifest.json").read_text())["ensemble"]
+        assert (block["chunks"], block["chunk_rows"]) == (1, 4096)
 
 
 class TestDeterminism:

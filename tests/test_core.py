@@ -47,6 +47,7 @@ class TestPhysicalConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(lambda_mag=0.0), dict(t_M=-1.0), dict(sigma=0.0), dict(g=float("inf")),
         *[{name: float("nan")} for name in ("lambda_mag", "g", "t_M", "sigma", "sep_factor")],
+        *[{name: float("inf")} for name in ("lambda_mag", "t_M", "sigma", "sep_factor")],
     ])
     def test_invalid_rejected(self, kwargs):
         # each check is written so that a NaN fails it

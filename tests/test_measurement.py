@@ -153,9 +153,12 @@ class TestEnsemble:
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
         spec = EnsembleSpec(dt_traj=5e-3)
         stoch = StochasticParams(tau_xi=0.05) if velocity == "actual" else None
+        real_rule = meas._chunk_rows
         runs = []
-        for chunk in (128, 1000, 2048):
-            monkeypatch.setattr(meas, "_CHUNK", chunk)
+        # fixed row counts, then the rule's own
+        for chunk in (128, 1000, 2048, None):
+            monkeypatch.setattr(meas, "_chunk_rows", real_rule if chunk is None
+                                else lambda n_trials, threads, n_modes, rows=chunk: rows)
             for threads in (1, 4):
                 records, _, extras = run_ensemble(state, config, spec, n_trials, seed=29,
                                                   velocity=velocity, stoch=stoch,
@@ -163,6 +166,33 @@ class TestEnsemble:
                 runs.append(([r.to_dict() for r in records],
                              extras["final_configs"].tobytes()))
         assert all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.parametrize("n_modes", [1, 3, 7, 48])
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("n_trials", [1, 1500, 4096])
+    def test_chunk_rule(self, n_modes, threads, n_trials):
+        import stochaction.measurement as meas
+        rows = meas._chunk_rows(n_trials, threads, n_modes)
+        n_chunks = -(-n_trials // rows)
+        assert 1 <= rows <= n_trials
+        # within the mode-row budget (a one-row chunk is always allowed) ...
+        assert rows * n_modes <= meas._MODE_ROWS or rows == 1
+        # ... one chunk per worker at least, and rows spread evenly: the last
+        # chunk is short by fewer rows than there are chunks
+        assert rows <= -(-n_trials // threads)
+        if threads > 1 and n_trials >= 2:
+            assert n_chunks >= 2
+        assert n_trials - (n_chunks - 1) * rows > rows - n_chunks
+
+    @pytest.mark.parametrize("n_modes, threads, expected", [
+        (3, 1, (4096, 1)),      # the README Born state on one worker
+        (7, 2, (2048, 2)),      # seven modes on two workers
+        (48, 1, (316, 13)),     # at most 16384 // 48 = 341 rows, spread over 13 chunks
+    ])
+    def test_chunk_rule_on_4096_trials(self, n_modes, threads, expected):
+        import stochaction.measurement as meas
+        rows = meas._chunk_rows(4096, threads, n_modes)
+        assert (rows, -(-4096 // rows)) == expected
 
     def test_standard_error_of_reference_rounded_past_one(self):
         # a phased one-mode amplitude can square to 1 + 4.4e-16 under numpy's abs
@@ -552,6 +582,11 @@ class TestDrawOracle:
         trials = np.arange(40)
         if velocity == "effective":
             want0 = [int(stream(34, SIGNS, t).integers(0, 2) * 2 - 1) for t in trials]
+            # the first entry of a sign path under either law, as drawn before
+            for law in ("iid", "telegraph"):
+                assert want0 == [int(sample_sign_path(StochasticParams(sign_law=law), 1,
+                                                      stream(34, SIGNS, t))[0])
+                                 for t in trials]
         else:
             want0 = [int(sample_sign_path(stoch, 100, stream(34, SIGNS, t))[0])
                      for t in trials]

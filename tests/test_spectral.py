@@ -1,4 +1,6 @@
 """Angular basis, exact measurement propagation, checked on a joint grid."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,9 @@ class TestSpectralEvolution:
             evolve_measurement_spectral(state, 1.0, 1.0)  # center 8 > 3 - 5 sigma
 
     def test_nan_center_overflows(self, grid, basis):
-        state = make_state({1: 1.0}, basis, grid, mu0=float("nan"))
+        # the packet rejects a NaN center, but the state's centers may still carry one
+        state = replace(make_state({1: 1.0}, basis, grid),
+                        centers=np.full(len(basis.modes), float("nan")))
         with pytest.raises(DomainOverflowError, match="nan"):
             evolve_measurement_spectral(state, 1.0, 1.0)
 
@@ -162,6 +166,11 @@ class TestStateValidation:
     def test_packet_width_must_be_positive(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
             GaussianPacket(0.0, sigma)
+
+    @pytest.mark.parametrize("center", [float("nan"), float("inf"), float("-inf")])
+    def test_packet_center_must_be_finite(self, center):
+        with pytest.raises(ValueError, match="center"):
+            GaussianPacket(center, 0.05)
 
     def test_unnormalized_coefficients_rejected(self, grid, basis):
         c = np.zeros(len(basis.modes), dtype=complex)

@@ -321,6 +321,18 @@ class TestIntegration:
         with pytest.raises(ValueError, match="dt_traj"):
             EnsembleSpec(dt_traj=dt_traj)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        *[(dict(eps_node_rel=v), "eps_node_rel")
+          for v in (0.0, -1e-12, float("nan"), float("inf"))],
+        *[(dict(max_halvings=v), "max_halvings") for v in (-1, 2.0, True, None)],
+    ])
+    def test_node_safeguards_validated(self, kwargs, name):
+        # a NaN eps_node_rel would make every node test False
+        with pytest.raises(ValueError, match=name):
+            EnsembleSpec(**kwargs)
+        EnsembleSpec(eps_node_rel=1e-9, max_halvings=0)
+        EnsembleSpec(max_halvings=np.int64(3))
+
     def test_zero_field_stays_put(self, grid, basis):
         state = make_state({0: 1.0}, basis, grid)   # real: zero effective field
         flow = ModeFlow(state, g=1.0)
