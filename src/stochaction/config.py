@@ -68,6 +68,7 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
     "ensemble": {
         "n_trials": ((int,), 1000),
         "dt_traj": ((float, int), 0.001),
+        # only "rk4" parses; the key stays while benchmark configs still set it
         "integrator": ((str,), "rk4"),
         "node_policy": ((str,), "reject-resample"),
         "fail_on_overflow": ((bool,), False),
@@ -171,7 +172,7 @@ class ExperimentConfig:
     def ensemble(self) -> EnsembleSpec:
         e = self.raw["ensemble"]
         return EnsembleSpec(dt_traj=float(e["dt_traj"]),
-                            integrator=e["integrator"], node_policy=e["node_policy"])
+                            node_policy=e["node_policy"])
 
     def basis(self) -> AngularBasis:
         return AngularBasis(self.raw["state"]["l_max"])
@@ -237,6 +238,8 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
         violations.append("format: must be csv or json")
     if cfg.get("velocity") not in ("effective", "actual"):
         violations.append("velocity: must be effective or actual")
+    if cfg["ensemble"]["integrator"] != "rk4":
+        violations.append("ensemble.integrator: must be rk4")
     if cfg.get("threads", 1) < 1:
         violations.append("threads: must be at least 1")
     # repeatability draws its follow-up ensemble at seed + 1

@@ -27,9 +27,8 @@ from .config import ExperimentConfig
 from .core import DomainOverflowError, field_to_binary, field_to_csv
 from .gridop import (blas_threads, build_metric_hamiltonian, evolve_grid,
                      verify_hjm_residual)
-from .measurement import (_collapsed, _sign_paths, average_prior, prepare_initial_state,
-                          run_ensemble)
-from .potentials import LambdaSweep, appendix_setup, run_lambda_sweep
+from .measurement import _collapsed, average_prior, prepare_initial_state, run_ensemble
+from .potentials import LambdaSweep, _observables, appendix_setup, run_lambda_sweep
 from .rng import GENERIC, stream
 from .spectral import GaussianPacket
 from .stochastic import (ActionIncrement, check_separability, gaussian_log_weight,
@@ -212,16 +211,14 @@ def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
                                                tuple(steps))
     # snapshot times ascend with their steps
     snaps = dict(zip(steps, sorted(extras["snapshots"].items())))
-    signs = np.ones((n_store, n_steps), dtype=np.int8)
-    if cfg["velocity"] == "actual":
-        signs = _sign_paths(cfg["seed"], np.arange(n_store), n_steps, cfg.stochastic(),
-                            stream(cfg["seed"]))
+    # the sign each trial holds at each snapshot, one column per step
+    signs = dict(zip(steps, extras["snapshot_signs"].T))
     rows = []
     for trial in range(n_store):
         for k in stored:
             t, pts = snaps[k]
             rows.append([trial, _float(t), _float(np.mod(pts[trial, 0], 2 * np.pi)),
-                         _float(pts[trial, 1]), int(signs[trial, min(k, n_steps - 1)])])
+                         _float(pts[trial, 1]), int(signs[k][trial])])
     out.add_text("trajectories.csv",
                  _csv(rows, ["trial", "t", "theta1", "q2", "lambda_sign"]))
 
@@ -302,15 +299,12 @@ def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
     op = build_metric_hamiltonian(system, lam, grid)
     final, history = evolve_grid(psi0, op, float(app["dt"]), app["n_steps"],
                                  record_every=app["record_every"])
-    x = grid.axis(0)
+    names = ["norm", "position", "position_sq"]
     rows = []
     for t, snap in history:
-        dens = np.abs(snap) ** 2
-        total = dens.sum() * grid.cell_volume
-        mean = float(np.sum(x * dens) * grid.cell_volume / total)
-        sq = float(np.sum(x**2 * dens) * grid.cell_volume / total)
-        rows.append([_float(t), _float(total), mean, sq])
-    out.add_text("observables.csv", _csv(rows, ["t", "norm", "position", "position_sq"]))
+        obs = _observables(snap, psi0, op, grid)
+        rows.append([_float(t)] + [obs[k] for k in names])
+    out.add_text("observables.csv", _csv(rows, ["t"] + names))
     out.telemetry["grid"] = [_grid_health(op, [row[1] for row in rows])]
     summary = {"final_norm": _float(grid.norm2(final)), "n_steps": app["n_steps"],
                "lambda_mag": lam}
@@ -318,6 +312,7 @@ def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
         res = verify_hjm_residual(history, system, grid, lam)
         summary["hjm_residuals"] = res
     if app["save_wavefunctions"]:
+        x = grid.axis(0)
         out.add_text("psi_final.csv", field_to_csv(final, [x], ["q"]))
         out.add_bytes("psi_final.wfsn", field_to_binary(final, [x]))
     out.add_json("summary.json", summary)

@@ -298,8 +298,9 @@ def _run_chunk(pipe: MeasurementPipeline, flow: ModeFlow | PointerReadoutFlow,
     """Integrate one chunk under the shared, read-only ``flow``; ``stoch`` is None
     in effective runs.
 
-    Returns ``integrate_ensemble``'s dict plus ``initial_configs`` and each
-    trial's first sign ``signs0``.
+    Returns ``integrate_ensemble``'s dict plus ``initial_configs``, each
+    trial's first sign ``signs0`` and ``snapshot_signs``, the sign it holds at
+    each of ``snapshot_steps`` (ones in effective runs).
     """
     state0 = pipe.state0
     # one generator per chunk, re-keyed to every per-trial stream it draws from
@@ -311,14 +312,16 @@ def _run_chunk(pipe: MeasurementPipeline, flow: ModeFlow | PointerReadoutFlow,
         paths = None
         signs0 = np.array([rngmod.rekey(gen, seed, rngmod.SIGNS, int(trial)).integers(0, 2)
                            for trial in trials]) * 2 - 1
+        held = np.ones((len(trials), len(snapshot_steps)), dtype=np.int8)
     else:
         paths = _sign_paths(seed, trials, n_steps, stoch, gen)
         signs0 = paths[:, 0]
+        held = paths[:, [min(s, n_steps - 1) for s in snapshot_steps]]
     result = integrate_ensemble(
         flow, q0, spec, t0=state0.t, duration=config.t_M, sign_paths=paths,
         lambda_mag=config.lambda_mag, q2_bounds=(state0.grid.q2_min, state0.grid.q2_max),
         x_bounds=pipe.x_bounds, snapshot_steps=snapshot_steps)
-    return dict(result, initial_configs=q0, signs0=signs0)
+    return dict(result, initial_configs=q0, signs0=signs0, snapshot_signs=held)
 
 
 def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: EnsembleSpec,
@@ -356,7 +359,7 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
         parts = [work(chunk) for chunk in chunks]
     run = {key: np.concatenate([p[key] for p in parts])
            for key in ("configs", "overflow", "node_clamped", "decided_at",
-                       "initial_configs", "signs0")}
+                       "initial_configs", "signs0", "snapshot_signs")}
     snaps = {s: np.concatenate([p["snapshots"][s] for p in parts]) for s in snapshot_steps}
 
     q0, final, overflow = run["initial_configs"], run["configs"], run["overflow"]
@@ -377,6 +380,7 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
     extras = {"snapshots": {s * spec.dt_traj + state0.t: snaps[s] for s in snaps},
               "node_clamped": run["node_clamped"], "decided_at": run["decided_at"],
               "final_configs": final, "initial_configs": q0,
+              "snapshot_signs": run["snapshot_signs"],
               "chunks": len(chunks), "chunk_rows": rows}
     return records, stats, extras
 

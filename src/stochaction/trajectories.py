@@ -25,6 +25,8 @@ from .spectral import (AngularBasis, PlaneWaveModes, SpectralState,
 TWO_PI = 2.0 * np.pi
 #: relative density threshold below which a point counts as a node
 EPS_NODE_REL = 1e-12
+#: depth of the step-halving tree that resolves a node landing under reject-resample
+MAX_HALVINGS = 4
 # A decided row's neglected packets sit below DECIDE_EPS of its own amplitude
 # (rounding level); live rows are tested every DECIDE_EVERY steps.
 DECIDE_EPS = 2.0 ** -53
@@ -36,23 +38,12 @@ class EnsembleSpec:
     """Numerical knobs for trajectory ensembles."""
 
     dt_traj: float = 1e-3
-    integrator: str = "rk4"
     node_policy: str = "reject-resample"
-    eps_node_rel: float = EPS_NODE_REL
-    max_halvings: int = 4
 
     def __post_init__(self):
-        # each test is written so that a NaN fails it
+        # written so that a NaN fails it
         if not self.dt_traj > 0:
             raise ValueError("dt_traj must be positive")
-        if not 0 < self.eps_node_rel < np.inf:
-            raise ValueError("eps_node_rel must be positive and finite")
-        if (isinstance(self.max_halvings, bool)
-                or not isinstance(self.max_halvings, (int, np.integer))
-                or self.max_halvings < 0):
-            raise ValueError("max_halvings must be an integer at least 0")
-        if self.integrator not in ("rk4", "explicit-midpoint"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.node_policy not in ("reject-resample", "clamp"):
             raise ValueError(f"unknown node_policy {self.node_policy!r}")
 
@@ -351,37 +342,26 @@ def _stage_velocity(flow, x, t, lam, with_density: bool = False):
     return flow.actual(x, t, lam, with_density=with_density)
 
 
-def _step(flow, x, t, dt, lam, scheme: str, k1: np.ndarray | None = None) -> np.ndarray:
-    """One explicit step; ``k1`` is the field at ``(x, t)`` when already known."""
+def _step(flow, x, t, dt, lam, k1: np.ndarray | None = None) -> np.ndarray:
+    """One RK4 step; ``k1`` is the field at ``(x, t)`` when already known."""
     if k1 is None:
         k1 = _stage_velocity(flow, x, t, lam)
-    if scheme == "rk4":
-        k2 = _stage_velocity(flow, x + 0.5 * dt * k1, t + 0.5 * dt, lam)
-        k3 = _stage_velocity(flow, x + 0.5 * dt * k2, t + 0.5 * dt, lam)
-        k4 = _stage_velocity(flow, x + dt * k3, t + dt, lam)
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     k2 = _stage_velocity(flow, x + 0.5 * dt * k1, t + 0.5 * dt, lam)
-    return x + dt * k2
+    k3 = _stage_velocity(flow, x + 0.5 * dt * k2, t + 0.5 * dt, lam)
+    k4 = _stage_velocity(flow, x + dt * k3, t + dt, lam)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _resolve_step(flow, x, t, dt, lam, scheme, eps_abs, halvings):
+def _resolve_step(flow, x, t, dt, lam, eps_abs, halvings):
     """One accepted step under reject-resample: halve on node landings."""
-    prop = _step(flow, x, t, dt, lam, scheme)
+    prop = _step(flow, x, t, dt, lam)
     if flow.density(prop, t + dt) >= eps_abs:
         return prop, False
     if halvings <= 0:
         return x, True
-    mid, c1 = _resolve_step(flow, x, t, 0.5 * dt, lam, scheme, eps_abs, halvings - 1)
-    end, c2 = _resolve_step(flow, mid, t + 0.5 * dt, 0.5 * dt, lam, scheme, eps_abs,
-                            halvings - 1)
+    mid, c1 = _resolve_step(flow, x, t, 0.5 * dt, lam, eps_abs, halvings - 1)
+    end, c2 = _resolve_step(flow, mid, t + 0.5 * dt, 0.5 * dt, lam, eps_abs, halvings - 1)
     return end, (c1 or c2)
-
-
-def _place_finished(out: np.ndarray, finished: list, step: int, dt: float) -> None:
-    """Write every decided row at ``step`` on its line ``x + (0, g omega_k (t - t_k))``."""
-    for rows, x, speed, k in finished:
-        out[rows] = x
-        out[rows, 1] += speed * ((step - k) * dt)
 
 
 def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, duration: float,
@@ -389,7 +369,7 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
                        q2_bounds: tuple[float, float] | None = None,
                        x_bounds: tuple[float, float] | None = None,
                        snapshot_steps: tuple[int, ...] = ()) -> dict:
-    """Fixed-step integration of a batch of trajectories.
+    """Fixed-step RK4 integration of a batch of trajectories.
 
     ``sign_paths`` (n, n_steps) switches the osmotic term per step; omit it
     for effective-velocity runs.  Trials whose pointer leaves ``q2_bounds``
@@ -399,9 +379,10 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     never) and any requested intermediate snapshots.
 
     Each step evaluates the field once per stage: one evaluation at the
-    landing point gives both the node check (``|Psi|^2``) and the next
-    step's first stage (first-same-as-last).  Rows whose landing is then
-    replaced by the node policy get that first stage evaluated again.
+    landing point gives both the node check (``|Psi|^2`` below
+    ``EPS_NODE_REL`` of the flow's peak) and the next step's first stage
+    (first-same-as-last).  Rows whose landing is then replaced by the node
+    policy get that first stage evaluated again.
 
     In an effective run of a flow that offers ``decided`` (a
     :class:`ModeFlow`), every ``DECIDE_EVERY`` steps the rows
@@ -411,20 +392,28 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     n_steps = spec.n_steps(duration)
     dt = spec.dt_traj
     t_end = t0 + n_steps * dt
-    configs = np.array(q0, dtype=float)
-    n = configs.shape[0]
+    x = np.array(q0, dtype=float)
+    n = x.shape[0]
     overflow = np.zeros(n, dtype=bool)
     node_clamped = np.zeros(n, dtype=bool)
     decided_at = np.full(n, np.nan)
-    finished = []                # (rows, config, pointer speed, step) per decision
     decide = getattr(flow, "decided", None) if sign_paths is None else None
-    eps_abs = spec.eps_node_rel * flow.ref_peak
-    snapshots: dict[int, np.ndarray] = {}
-    if 0 in snapshot_steps:
-        snapshots[0] = configs.copy()
+    eps_abs = EPS_NODE_REL * flow.ref_peak
+    live = np.arange(n)          # rows still integrating, at configs x
+    # (rows, config, pointer speed, step) of each batch that left the working set:
+    # decided rows go on at g omega_k, overflowed rows stay frozen at speed 0
+    retired = []
 
-    live = np.arange(n)          # rows still integrating; frozen rows stay in configs
-    x = configs.copy()
+    def _frame(step: int) -> np.ndarray:
+        """Every row's configuration at ``step``, retired ones on ``x + (0, speed (t - t_k))``."""
+        out = np.empty((n, 2))
+        out[live] = x
+        for rows, xr, speed, k in retired:
+            out[rows] = xr
+            out[rows, 1] += speed * ((step - k) * dt)
+        return out
+
+    snapshots: dict[int, np.ndarray] = {0: _frame(0)} if 0 in snapshot_steps else {}
     lam = None if sign_paths is None else lambda_mag * sign_paths[:, 0]
     v, dens = _stage_velocity(flow, x, t0, lam, with_density=True)
     for k in range(n_steps):
@@ -432,14 +421,14 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
         if decide is not None and k % DECIDE_EVERY == 0:
             done, speed = decide(x, dens, t, t_end, q2_bounds, eps_abs)
             if np.any(done):
-                finished.append((live[done], x[done], speed[done], k))
+                retired.append((live[done], x[done], speed[done], k))
                 decided_at[live[done]] = t
                 keep = ~done
                 live, x, v, dens = live[keep], x[keep], v[keep], dens[keep]
             if len(live) == 0:
                 break
         t_next = t0 + (k + 1) * dt
-        prop = _step(flow, x, t, dt, lam, spec.integrator, v)
+        prop = _step(flow, x, t, dt, lam, v)
         # after the last step only the landing density is used
         lam_next = (None if sign_paths is None or k + 1 == n_steps
                     else lambda_mag * sign_paths[live, k + 1])
@@ -448,9 +437,8 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
         if spec.node_policy == "reject-resample" and np.any(bad):
             for i in np.flatnonzero(bad):
                 li = None if lam is None else lam[i]
-                fixed, clamped = _resolve_step(flow, x[i:i + 1], t, dt, li,
-                                               spec.integrator, eps_abs,
-                                               spec.max_halvings)
+                fixed, clamped = _resolve_step(flow, x[i:i + 1], t, dt, li, eps_abs,
+                                               MAX_HALVINGS)
                 prop[i] = fixed[0]
                 node_clamped[live[i]] |= clamped
         elif np.any(bad):
@@ -462,7 +450,7 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
         if x_bounds is not None:
             newly |= (prop[:, 0] < x_bounds[0]) | (prop[:, 0] > x_bounds[1])
         if np.any(newly):
-            configs[live[newly]] = x[newly]
+            retired.append((live[newly], x[newly], 0.0, k))
             overflow[live[newly]] = True
             keep = ~newly
             live, prop, bad, v_next, landing = (live[keep], prop[keep], bad[keep],
@@ -477,19 +465,13 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
                                           None if lam_next is None else lam_next[bad])
         v, lam = v_next, lam_next
         if (k + 1) in snapshot_steps:
-            snap = configs.copy()
-            snap[live] = x
-            _place_finished(snap, finished, k + 1, dt)
-            snapshots[k + 1] = snap
+            snapshots[k + 1] = _frame(k + 1)
 
-    configs[live] = x
     # every row decided early: the later snapshots are the finished lines
     for s in snapshot_steps:
         if s not in snapshots and 0 < s <= n_steps:
-            snapshots[s] = configs.copy()
-            _place_finished(snapshots[s], finished, s, dt)
-    _place_finished(configs, finished, n_steps, dt)
-    return {"configs": configs, "overflow": overflow, "node_clamped": node_clamped,
+            snapshots[s] = _frame(s)
+    return {"configs": _frame(n_steps), "overflow": overflow, "node_clamped": node_clamped,
             "decided_at": decided_at, "snapshots": snapshots, "n_steps": n_steps}
 
 

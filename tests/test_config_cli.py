@@ -220,6 +220,31 @@ class TestExperiments:
         assert lines[0] == "trial,t,theta1,q2,lambda_sign"
         assert len(lines) == 1 + 5 * 11   # 5 trials, 500 steps stored every 50
 
+    def test_trajectory_signs_drawn_once_per_trial(self, tmp_path, monkeypatch):
+        # the lambda_sign column reads the paths the ensemble drew; no trial's is drawn twice
+        import stochaction.measurement as measurement
+        from stochaction.rng import SIGNS, stream
+        real = measurement.sample_sign_path
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(measurement, "sample_sign_path", counting)
+        path, data = make_config(tmp_path, overrides={
+            "ensemble": {"n_trials": 100, "dt_traj": 0.002, "n_store": 5, "store_every": 50},
+            "stochastic": {"tau_xi": 0.02, "sign_law": "telegraph", "flip_prob": 0.1}},
+            experiment="trajectories", velocity="actual")
+        cfg = parse_config(path.read_text())
+        assert run_experiment(cfg) == 0
+        assert len(calls) == 100
+        lines = (Path(data["out_dir"]) / "trajectories.csv").read_text().splitlines()
+        for row in (line.split(",") for line in lines[1:]):
+            trial, step = int(row[0]), round(float(row[1]) / 0.002)
+            want = real(cfg.stochastic(), 500, stream(42, SIGNS, trial))
+            assert int(row[4]) == want[min(step, 499)]
+
     @pytest.mark.parametrize("velocity", ["effective", "actual"])
     def test_trajectory_rows_end_at_recorded_configs(self, tmp_path, monkeypatch,
                                                      velocity):
@@ -308,6 +333,12 @@ class TestCli:
         path, _ = make_config(tmp_path, overrides={"physical": {"sigma": 0.5}})
         assert cli_main(["born", "--config", str(path)]) == 1
         assert "sep_factor" in capsys.readouterr().err
+
+    def test_integrator_other_than_rk4_exit_one(self, tmp_path, capsys):
+        path, _ = make_config(tmp_path,
+                              overrides={"ensemble": {"integrator": "explicit-midpoint"}})
+        assert cli_main(["born", "--config", str(path)]) == 1
+        assert "ensemble.integrator" in capsys.readouterr().err
 
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         path, _ = make_config(tmp_path)

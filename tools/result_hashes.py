@@ -185,8 +185,43 @@ def born_overlap():
     return [r.to_dict() for r in records]
 
 
+def node_policy():
+    """Rows on the README 3-mode state under both node policies, both velocities.
+
+    Two rows start in the far pointer tail, where ``|Psi|^2`` is below
+    ``EPS_NODE_REL`` of the peak, so their landings trip the node check;
+    one row leaves the pointer bounds.  20 steps each; the result is every
+    run's ``configs``, ``overflow`` and ``node_clamped``.  Kept this small
+    because a stuck row under reject-resample runs the whole halving tree
+    on every step.
+    """
+    import numpy as np
+    from stochaction import (EnsembleSpec, GaussianPacket, GridSpec, PhysicalConfig,
+                             integrate_ensemble, prepare_initial_state)
+    from stochaction.rng import stream
+    from stochaction.trajectories import ModeFlow
+
+    config = PhysicalConfig()
+    state = prepare_initial_state({-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
+                                  GaussianPacket(0.0, config.sigma), config, GridSpec(-4.0, 4.0))
+    flow = ModeFlow(state, config.g)
+    q2 = [0.0, 0.03, -0.05, 0.3, -0.3, 0.34, 0.37, 0.39]
+    q0 = np.stack([np.linspace(0.0, 2 * np.pi, len(q2), endpoint=False), q2], axis=-1)
+    signs = (stream(5).integers(0, 2, size=(len(q2), 20)) * 2 - 1).astype(np.int8)
+    out = {}
+    for policy in ("reject-resample", "clamp"):
+        for velocity, paths in (("effective", None), ("actual", signs)):
+            run = integrate_ensemble(flow, q0, EnsembleSpec(dt_traj=0.002, node_policy=policy),
+                                     0.0, 0.04, sign_paths=paths,
+                                     lambda_mag=config.lambda_mag, q2_bounds=(-0.32, 0.45))
+            out[f"{policy} {velocity}"] = {key: run[key].tolist() for key in
+                                           ("configs", "overflow", "node_clamped")}
+    return out
+
+
 # name -> API run whose result is hashed as canonical JSON
 API_RUNS = {
+    "node-policy": node_policy,
     "born-overlap": born_overlap,
     "lambda-sweep-2d": lambda_sweep_2d,
     "classical-limit-2d": classical_limit_2d,
