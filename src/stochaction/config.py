@@ -68,7 +68,8 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
     "ensemble": {
         "n_trials": ((int,), 1000),
         "dt_traj": ((float, int), 0.001),
-        # only "rk4" parses; the key stays while benchmark configs still set it
+        # each parses at its one value only; the keys stay while benchmark
+        # configs still set them
         "integrator": ((str,), "rk4"),
         "node_policy": ((str,), "reject-resample"),
         "fail_on_overflow": ((bool,), False),
@@ -170,9 +171,7 @@ class ExperimentConfig:
             flip_prob=float(s["flip_prob"]))
 
     def ensemble(self) -> EnsembleSpec:
-        e = self.raw["ensemble"]
-        return EnsembleSpec(dt_traj=float(e["dt_traj"]),
-                            node_policy=e["node_policy"])
+        return EnsembleSpec(dt_traj=float(self.raw["ensemble"]["dt_traj"]))
 
     def basis(self) -> AngularBasis:
         return AngularBasis(self.raw["state"]["l_max"])
@@ -238,8 +237,9 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
         violations.append("format: must be csv or json")
     if cfg.get("velocity") not in ("effective", "actual"):
         violations.append("velocity: must be effective or actual")
-    if cfg["ensemble"]["integrator"] != "rk4":
-        violations.append("ensemble.integrator: must be rk4")
+    for key, only in (("integrator", "rk4"), ("node_policy", "reject-resample")):
+        if cfg["ensemble"][key] != only:
+            violations.append(f"ensemble.{key}: must be {only}")
     if cfg.get("threads", 1) < 1:
         violations.append("threads: must be at least 1")
     # repeatability draws its follow-up ensemble at seed + 1

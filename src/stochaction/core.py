@@ -14,6 +14,9 @@ from io import BytesIO
 import numpy as np
 
 HBAR = 1.0
+#: a point is a node of a wavefunction when its density is below this
+#: fraction of the peak density
+EPS_NODE_REL = 1e-12
 
 
 class DegenerateInputError(ValueError):

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import InvalidSystemError, NumericalError
+from .core import EPS_NODE_REL, InvalidSystemError, NumericalError
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,7 +429,7 @@ def interior_mask(grid: CartesianGrid, margin: int) -> np.ndarray:
 
 
 def quantum_potential(R: np.ndarray, system: MetricPotentialSystem, grid: CartesianGrid,
-                      lambda_mag: float, eps_node_rel: float = 1e-12):
+                      lambda_mag: float):
     """Curvature term of the modified Hamilton-Jacobi balance.
 
     Returns ``(Q, valid_mask)`` with
@@ -456,7 +456,7 @@ def quantum_potential(R: np.ndarray, system: MetricPotentialSystem, grid: Cartes
             ddR += gij * dij
             div_term += _d1_4(gij, grid.spacing(i), i) * dR[j]
     peak = float((R**2).max())
-    valid = (R**2 > eps_node_rel * peak) & interior_mask(grid, 4)
+    valid = (R**2 > EPS_NODE_REL * peak) & interior_mask(grid, 4)
     safe_R = np.where(valid, R, 1.0)
     Q = -(lambda_mag**2 / 2.0) * (ddR + div_term) / safe_R
     Q[~valid] = 0.0

@@ -20,16 +20,16 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc
 
 from . import rng as rngmod
-from .core import (HBAR, DegenerateInputError, GridSpec, InvalidSystemError,
-                   PhysicalConfig)
+from .core import (EPS_NODE_REL, HBAR, DegenerateInputError, GridSpec,
+                   InvalidSystemError, PhysicalConfig)
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        SpectralState, evolve_measurement_spectral)
 from .stochastic import StochasticParams, sample_sign_path
-from .trajectories import (EPS_NODE_REL, EnsembleSpec, ModeFlow, PointerReadoutFlow,
-                           integrate_ensemble, ring_sampler)
+from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow, integrate_ensemble,
+                           ring_sampler)
 
 # Mode rows x trial rows of one ensemble chunk at most (_chunk_rows), so each
 # complex per-mode temporary stays at or under 256 KB.  Every kernel call and
@@ -107,7 +107,7 @@ class EnsembleStats:
     @property
     def chi2_p(self) -> float:
         df = int(np.count_nonzero(self.reference > 0)) - 1
-        return float(sps.chi2.sf(self.chi2, df=max(df, 1)))
+        return float(chdtrc(max(df, 1), self.chi2))
 
     @property
     def ambiguous_rate(self) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InvalidSystemError
+from .core import EPS_NODE_REL, InvalidSystemError
 from .expressions import compile_expression
 from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem, _d1_4,
                      _validate_metric, build_metric_hamiltonian, evolve_grid,
@@ -109,8 +109,7 @@ def appendix_setup(app: dict):
 
 
 def appendix_velocity(psi: np.ndarray, system: MetricPotentialSystem,
-                      grid: CartesianGrid, lambda_signed: float,
-                      eps_node_rel: float = 1e-12):
+                      grid: CartesianGrid, lambda_signed: float):
     """Velocity field ``v^i = g^{ij} (d_j S + (lambda/2) d_j Omega / Omega - a_j)``.
 
     Evaluated on the grid with 4th-order differences; returns the field and
@@ -125,7 +124,7 @@ def appendix_velocity(psi: np.ndarray, system: MetricPotentialSystem,
     d = grid.dimension
     dens = np.abs(psi) ** 2
     safe = np.maximum(dens, 1e-300)
-    valid = (dens > eps_node_rel * dens.max()) & interior_mask(grid, 2)
+    valid = (dens > EPS_NODE_REL * dens.max()) & interior_mask(grid, 2)
     grads = []
     for j in range(d):
         dpsi = _d1_4(psi, grid.spacing(j), j)
@@ -207,8 +206,7 @@ def run_lambda_sweep(system: MetricPotentialSystem, psi0: np.ndarray,
 
 
 def classical_limit_check(system: MetricPotentialSystem, psi: np.ndarray,
-                          grid: CartesianGrid, lambdas: tuple[float, ...],
-                          eps_node_rel: float = 1e-12) -> dict:
+                          grid: CartesianGrid, lambdas: tuple[float, ...]) -> dict:
     """Scale behavior of the curvature term and the velocity field.
 
     The curvature term carries an exact ``lambda^2`` prefactor, so halving
@@ -220,11 +218,11 @@ def classical_limit_check(system: MetricPotentialSystem, psi: np.ndarray,
     R = np.abs(psi)
     dens = R**2
     entries = []
-    classical, valid0 = appendix_velocity(psi, system, grid, 0.0, eps_node_rel)
+    classical, valid0 = appendix_velocity(psi, system, grid, 0.0)
     for lam in sorted(lambdas, reverse=True):
-        Q, q_valid = quantum_potential(R, system, grid, lam, eps_node_rel)
+        Q, q_valid = quantum_potential(R, system, grid, lam)
         q_norm = float(np.sqrt(np.mean(Q[q_valid] ** 2)))
-        vel, v_valid = appendix_velocity(psi, system, grid, lam, eps_node_rel)
+        vel, v_valid = appendix_velocity(psi, system, grid, lam)
         mask = v_valid & valid0
         w = dens[mask] / dens[mask].sum()
         diff2 = np.sum((vel[mask] - classical[mask]) ** 2, axis=-1)

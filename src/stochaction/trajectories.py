@@ -17,16 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 from scipy import stats
+from scipy.special import chdtrc, erf
 
-from .core import DegenerateInputError
+from .core import EPS_NODE_REL, DegenerateInputError
 from .spectral import (AngularBasis, PlaneWaveModes, SpectralState,
                        evolve_measurement_spectral, system_marginal_density)
 
 TWO_PI = 2.0 * np.pi
-#: relative density threshold below which a point counts as a node
-EPS_NODE_REL = 1e-12
-#: depth of the step-halving tree that resolves a node landing under reject-resample
-MAX_HALVINGS = 4
 # A decided row's neglected packets sit below DECIDE_EPS of its own amplitude
 # (rounding level); live rows are tested every DECIDE_EVERY steps.
 DECIDE_EPS = 2.0 ** -53
@@ -35,17 +32,14 @@ DECIDE_EVERY = 10
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Numerical knobs for trajectory ensembles."""
+    """The step of trajectory ensembles, their one numerical knob."""
 
     dt_traj: float = 1e-3
-    node_policy: str = "reject-resample"
 
     def __post_init__(self):
         # written so that a NaN fails it
         if not self.dt_traj > 0:
             raise ValueError("dt_traj must be positive")
-        if self.node_policy not in ("reject-resample", "clamp"):
-            raise ValueError(f"unknown node_policy {self.node_policy!r}")
 
     def n_steps(self, duration: float) -> int:
         """Steps of ``dt_traj`` in ``duration``, which must be a positive whole number.
@@ -342,26 +336,12 @@ def _stage_velocity(flow, x, t, lam, with_density: bool = False):
     return flow.actual(x, t, lam, with_density=with_density)
 
 
-def _step(flow, x, t, dt, lam, k1: np.ndarray | None = None) -> np.ndarray:
-    """One RK4 step; ``k1`` is the field at ``(x, t)`` when already known."""
-    if k1 is None:
-        k1 = _stage_velocity(flow, x, t, lam)
+def _step(flow, x, t, dt, lam, k1: np.ndarray) -> np.ndarray:
+    """One RK4 step; ``k1`` is the field at ``(x, t)``."""
     k2 = _stage_velocity(flow, x + 0.5 * dt * k1, t + 0.5 * dt, lam)
     k3 = _stage_velocity(flow, x + 0.5 * dt * k2, t + 0.5 * dt, lam)
     k4 = _stage_velocity(flow, x + dt * k3, t + dt, lam)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _resolve_step(flow, x, t, dt, lam, eps_abs, halvings):
-    """One accepted step under reject-resample: halve on node landings."""
-    prop = _step(flow, x, t, dt, lam)
-    if flow.density(prop, t + dt) >= eps_abs:
-        return prop, False
-    if halvings <= 0:
-        return x, True
-    mid, c1 = _resolve_step(flow, x, t, 0.5 * dt, lam, eps_abs, halvings - 1)
-    end, c2 = _resolve_step(flow, mid, t + 0.5 * dt, 0.5 * dt, lam, eps_abs, halvings - 1)
-    return end, (c1 or c2)
 
 
 def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, duration: float,
@@ -379,10 +359,11 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     never) and any requested intermediate snapshots.
 
     Each step evaluates the field once per stage: one evaluation at the
-    landing point gives both the node check (``|Psi|^2`` below
-    ``EPS_NODE_REL`` of the flow's peak) and the next step's first stage
-    (first-same-as-last).  Rows whose landing is then replaced by the node
-    policy get that first stage evaluated again.
+    landing point gives both the node check and the next step's first stage
+    (first-same-as-last).  A landing is a node when its ``|Psi|^2`` is below
+    ``EPS_NODE_REL`` of the flow's peak, where the velocity is undefined; the
+    row then holds at its start of the step, is flagged in ``node_clamped``
+    and gets its first stage evaluated again there.
 
     In an effective run of a flow that offers ``decided`` (a
     :class:`ModeFlow`), every ``DECIDE_EVERY`` steps the rows
@@ -434,14 +415,7 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
                     else lambda_mag * sign_paths[live, k + 1])
         v_next, landing = _stage_velocity(flow, prop, t_next, lam_next, with_density=True)
         bad = landing < eps_abs
-        if spec.node_policy == "reject-resample" and np.any(bad):
-            for i in np.flatnonzero(bad):
-                li = None if lam is None else lam[i]
-                fixed, clamped = _resolve_step(flow, x[i:i + 1], t, dt, li, eps_abs,
-                                               MAX_HALVINGS)
-                prop[i] = fixed[0]
-                node_clamped[live[i]] |= clamped
-        elif np.any(bad):
+        if np.any(bad):
             prop[bad] = x[bad]
             node_clamped[live[bad]] = True
         newly = np.zeros(len(live), dtype=bool)
@@ -458,7 +432,7 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
             if lam_next is not None:
                 lam_next = lam_next[keep]
         x = prop
-        # a replaced landing has no density yet; such rows wait for the next test
+        # a held row has no density yet; such rows wait for the next test
         dens = np.where(bad, 0.0, landing)
         if np.any(bad) and k + 1 < n_steps:
             v_next[bad] = _stage_velocity(flow, x[bad], t_next,
@@ -489,14 +463,12 @@ def _chi2_equal_mass(samples: np.ndarray, edges: np.ndarray) -> tuple[float, flo
     counts, _ = np.histogram(samples, bins=edges)
     expected = len(samples) / (len(edges) - 1)
     stat = float(np.sum((counts - expected) ** 2 / expected))
-    p = float(stats.chi2.sf(stat, df=len(edges) - 2))
+    p = float(chdtrc(len(edges) - 2, stat))
     return stat, p
 
 
 def marginal_cdfs(state: SpectralState, n_fine: int = 8192):
     """Analytic-through-quadrature CDFs of both marginals of ``|Psi(t)|^2``."""
-    from scipy.special import erf
-
     weights = np.abs(state.coeffs) ** 2
     mus = state.centers
     sig = state.packet.sigma

@@ -202,7 +202,7 @@ def test_criterion_08_equivariance(born_run):
     n_biased = 4000
     biased = np.stack([r.uniform(0, 2 * np.pi, n_biased),
                        r.uniform(-0.6, 0.6, n_biased)], axis=-1)
-    spec = EnsembleSpec(dt_traj=1e-3, node_policy="clamp")
+    spec = EnsembleSpec(dt_traj=1e-3)
     out = integrate_ensemble(flow, biased, spec, 0.0, 1.0, snapshot_steps=(1000,))
     rep_b = equivariance_report({1.0: out["snapshots"][1000]}, state, CONFIG.g,
                                 n_bins=50)

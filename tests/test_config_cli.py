@@ -340,6 +340,11 @@ class TestCli:
         assert cli_main(["born", "--config", str(path)]) == 1
         assert "ensemble.integrator" in capsys.readouterr().err
 
+    def test_node_policy_other_than_default_exit_one(self, tmp_path, capsys):
+        path, _ = make_config(tmp_path, overrides={"ensemble": {"node_policy": "clamp"}})
+        assert cli_main(["born", "--config", str(path)]) == 1
+        assert "ensemble.node_policy" in capsys.readouterr().err
+
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         path, _ = make_config(tmp_path)
         assert cli_main(["repeatability", "--config", str(path)]) == 1

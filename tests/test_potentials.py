@@ -213,6 +213,5 @@ class TestClassicalLimit:
         psi = (x * np.exp(-x**2 / 2)).astype(complex)   # node at the origin
         psi /= np.sqrt(grid.norm2(psi))
         system = MetricPotentialSystem(1)
-        report = classical_limit_check(system, psi, grid, lambdas=(1.0, 0.5),
-                                       eps_node_rel=1e-6)
+        report = classical_limit_check(system, psi, grid, lambdas=(1.0, 0.5))
         assert report["halving_ratios"][0] == pytest.approx(0.25, rel=0.01)

@@ -10,9 +10,9 @@ from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
 from stochaction import trajectories
 from stochaction.measurement import _initial_draws
 from stochaction.rng import stream
-from stochaction.trajectories import (DECIDE_EPS, EPS_NODE_REL, MAX_HALVINGS, EnsembleSpec,
-                                      ModeFlow, _resolve_step, _stage_velocity, _step,
-                                      _unit_phase, ring_sampler)
+from stochaction.core import EPS_NODE_REL
+from stochaction.trajectories import (DECIDE_EPS, EnsembleSpec, ModeFlow, _stage_velocity,
+                                      _step, _unit_phase, ring_sampler)
 
 
 @pytest.fixture
@@ -387,7 +387,7 @@ class TestIntegration:
         state = make_state({-1: np.sqrt(0.5), 1: np.sqrt(0.5)}, basis, grid,
                            sigma=0.05)
         flow = ModeFlow(state, g=1.0)
-        spec = EnsembleSpec(dt_traj=1e-3, node_policy="reject-resample")
+        spec = EnsembleSpec(dt_traj=1e-3)
         r = stream(31)
         theta = ring_sampler(state.coeffs, state.modes.modes)(128, r)
         q2 = r.normal(0.0, 0.05, 128)
@@ -448,16 +448,8 @@ def oracle_integrate(flow, q0, spec, t0, n_steps, sign_paths, lambda_mag, q2_bou
         prop = oracle_step(flow, x, t, spec.dt_traj, lam)
         bad = flow.density(prop, t + spec.dt_traj) < eps_abs
         landings += int(np.count_nonzero(bad & ~overflow))
-        if spec.node_policy == "reject-resample":
-            for i in np.flatnonzero(bad):
-                fixed, c = _resolve_step(flow, x[i:i + 1], t, spec.dt_traj,
-                                         None if lam is None else lam[i],
-                                         eps_abs, MAX_HALVINGS)
-                prop[i] = fixed[0]
-                clamped[i] |= c
-        else:
-            prop[bad] = x[bad]
-            clamped |= bad
+        prop[bad] = x[bad]
+        clamped |= bad
         if q2_bounds is not None:
             out = (prop[:, 1] < q2_bounds[0]) | (prop[:, 1] > q2_bounds[1])
             overflow |= out & ~overflow
@@ -469,13 +461,12 @@ def oracle_integrate(flow, q0, spec, t0, n_steps, sign_paths, lambda_mag, q2_bou
 class TestStepLoop:
     """The loop evaluates each stage once and drops frozen trials."""
 
-    @pytest.mark.parametrize("node_policy", ["reject-resample", "clamp"])
     @pytest.mark.parametrize("velocity", ["effective", "actual"])
-    def test_matches_reference_loop(self, grid, basis, node_policy, velocity, monkeypatch):
+    def test_matches_reference_loop(self, grid, basis, velocity, monkeypatch):
         state = make_state({-1: np.sqrt(0.5), 1: np.sqrt(0.5)}, basis, grid)
         flow = ModeFlow(state, g=1.0)
-        spec = EnsembleSpec(dt_traj=1e-2, node_policy=node_policy)
-        # a threshold this high makes the node policy fire within 30 steps
+        spec = EnsembleSpec(dt_traj=1e-2)
+        # a threshold this high makes the node rule fire within 30 steps
         monkeypatch.setattr(trajectories, "EPS_NODE_REL", 1e-2)
         r = stream(41)
         n, n_steps = 96, 30
@@ -488,7 +479,7 @@ class TestStepLoop:
             flow, q0, spec, 0.0, n_steps, signs, 1.0, bounds)
         got = integrate_ensemble(flow, q0, spec, 0.0, n_steps * spec.dt_traj,
                                  sign_paths=signs, lambda_mag=1.0, q2_bounds=bounds)
-        assert landings > 0                      # the node policy fired
+        assert landings > 0                      # the node rule fired
         assert 0 < w_over.sum() < n              # some trials froze, not all
         assert np.array_equal(got["configs"], want)
         assert np.array_equal(got["overflow"], w_over)
@@ -505,6 +496,36 @@ class TestStepLoop:
         kinds = [kind for kind, _ in flow.calls]
         assert kinds.count("velocity") == 4 * n_steps + 1
         assert kinds.count("density") == 0
+
+    def test_node_landing_holds_the_row(self, grid, basis):
+        # row 1 starts 9 sigma ahead of the packet, where |Psi|^2 is below the node
+        # threshold, and holds there until the packet, moving at g omega = 2, arrives
+        state = make_state({2: 1.0}, basis, grid, sigma=0.05)
+        flow = RecordingFlow(ModeFlow(state, g=1.0))
+        q0 = np.array([[0.3, 0.01], [1.0, 0.45]])
+        spec = EnsembleSpec()
+        n_steps = 60
+        out = integrate_ensemble(flow, q0, spec, 0.0, n_steps * spec.dt_traj,
+                                 q2_bounds=(grid.q2_min, grid.q2_max),
+                                 snapshot_steps=tuple(range(n_steps + 1)))
+        eps = EPS_NODE_REL * flow.ref_peak
+        assert flow.flow.density(q0[1:], 0.0)[0] < eps
+        path = np.array([out["snapshots"][k][1] for k in range(n_steps + 1)])
+        held = np.all(path == q0[1], axis=1)
+        n_held = int(np.argmin(held)) - 1          # steps taken before it first moves
+        assert 0 < n_held < n_steps - 1
+        assert np.all(held[:n_held + 1]) and not np.any(held[n_held + 1:])
+        # it moves on the first step whose landing is no longer a node
+        landing = path[n_held + 1]
+        assert flow.flow.density(landing[None], (n_held + 1) * spec.dt_traj)[0] >= eps
+        assert flow.flow.density(landing[None], n_held * spec.dt_traj)[0] < eps
+        assert out["node_clamped"].tolist() == [False, True]
+        assert not np.any(out["overflow"])
+        # no density calls; each held step re-evaluates the held row's first stage
+        kinds = [kind for kind, _ in flow.calls]
+        assert kinds.count("density") == 0
+        assert flow.calls.count(("velocity", 1)) == n_held
+        assert kinds.count("velocity") == 4 * n_steps + 1 + n_held
 
     def test_frozen_trial_leaves_working_set(self, grid, basis):
         # trial 0 starts near the upper bound and rides the packet out early
@@ -556,14 +577,7 @@ def parent_integrate(flow, q0, spec, t0, duration, sign_paths=None, lambda_mag=0
                     else lambda_mag * sign_paths[live, k + 1])
         v_next, landing = _stage_velocity(flow, prop, t_next, lam_next, with_density=True)
         bad = landing < eps_abs
-        if spec.node_policy == "reject-resample" and np.any(bad):
-            for i in np.flatnonzero(bad):
-                li = None if lam is None else lam[i]
-                fixed, clamped = _resolve_step(flow, x[i:i + 1], t, dt, li, eps_abs,
-                                               MAX_HALVINGS)
-                prop[i] = fixed[0]
-                node_clamped[live[i]] |= clamped
-        elif np.any(bad):
+        if np.any(bad):
             prop[bad] = x[bad]
             node_clamped[live[bad]] = True
         newly = np.zeros(len(live), dtype=bool)
@@ -788,7 +802,7 @@ class TestEquivariance:
             theta = ring_sampler(state.coeffs, state.modes.modes)(n, r)
             q2 = r.normal(state.packet.center, state.packet.sigma, n)
             q0 = np.stack([theta, q2], axis=-1)
-        spec = EnsembleSpec(dt_traj=2e-3, node_policy="clamp")
+        spec = EnsembleSpec(dt_traj=2e-3)
         steps = int(round(t_end / spec.dt_traj))
         out = integrate_ensemble(flow, q0, spec, 0.0, t_end,
                                  snapshot_steps=(steps,))

@@ -77,8 +77,6 @@ CONFIGS = {
     "trajectories-effective": ("trajectories", {"ensemble": TRAJ,
                                                 "equivariance": {"enabled": True}}),
     "trajectories-actual": ("trajectories", {"ensemble": TRAJ, "velocity": "actual"}),
-    "trajectories-clamp": ("trajectories", {
-        "ensemble": dict(TRAJ, node_policy="clamp"), "velocity": "actual"}),
     "trajectories-wide-effective": ("trajectories", {"ensemble": TRAJ,
                                                      "state": WIDE_STATE}),
     "trajectories-wide-actual": ("trajectories", {"ensemble": TRAJ, "state": WIDE_STATE,
@@ -186,14 +184,12 @@ def born_overlap():
 
 
 def node_policy():
-    """Rows on the README 3-mode state under both node policies, both velocities.
+    """Rows on the README 3-mode state under the node rule, both velocities.
 
     Two rows start in the far pointer tail, where ``|Psi|^2`` is below
-    ``EPS_NODE_REL`` of the peak, so their landings trip the node check;
-    one row leaves the pointer bounds.  20 steps each; the result is every
-    run's ``configs``, ``overflow`` and ``node_clamped``.  Kept this small
-    because a stuck row under reject-resample runs the whole halving tree
-    on every step.
+    ``EPS_NODE_REL`` of the peak, so their landings trip the node check and
+    hold them; one row leaves the pointer bounds.  20 steps each; the result
+    is each run's ``configs``, ``overflow`` and ``node_clamped``.
     """
     import numpy as np
     from stochaction import (EnsembleSpec, GaussianPacket, GridSpec, PhysicalConfig,
@@ -209,13 +205,12 @@ def node_policy():
     q0 = np.stack([np.linspace(0.0, 2 * np.pi, len(q2), endpoint=False), q2], axis=-1)
     signs = (stream(5).integers(0, 2, size=(len(q2), 20)) * 2 - 1).astype(np.int8)
     out = {}
-    for policy in ("reject-resample", "clamp"):
-        for velocity, paths in (("effective", None), ("actual", signs)):
-            run = integrate_ensemble(flow, q0, EnsembleSpec(dt_traj=0.002, node_policy=policy),
-                                     0.0, 0.04, sign_paths=paths,
-                                     lambda_mag=config.lambda_mag, q2_bounds=(-0.32, 0.45))
-            out[f"{policy} {velocity}"] = {key: run[key].tolist() for key in
-                                           ("configs", "overflow", "node_clamped")}
+    for velocity, paths in (("effective", None), ("actual", signs)):
+        run = integrate_ensemble(flow, q0, EnsembleSpec(dt_traj=0.002), 0.0, 0.04,
+                                 sign_paths=paths, lambda_mag=config.lambda_mag,
+                                 q2_bounds=(-0.32, 0.45))
+        out[velocity] = {key: run[key].tolist() for key in
+                         ("configs", "overflow", "node_clamped")}
     return out
 
 
