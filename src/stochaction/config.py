@@ -16,9 +16,10 @@ from typing import Any
 import numpy as np
 
 from .core import DomainOverflowError, GridSpec, InvalidSystemError, PhysicalConfig
+from .measurement import prepare_initial_state
 from .potentials import appendix_setup
 from .rng import SEED_MAX
-from .spectral import AngularBasis, _check_centers_inside
+from .spectral import AngularBasis, GaussianPacket, evolve_measurement_spectral
 from .stochastic import StochasticParams
 from .trajectories import EnsembleSpec
 
@@ -291,26 +292,23 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
             total = weights.sum()
         if np.any(weights < 0) or not 0 < total < math.inf:
             violations.append("state.weights: must be non-negative with a positive, finite total")
-        else:
-            l_max = state["l_max"]
-            if any(abs(int(m)) > l_max for m in state["modes"]):
-                violations.append("state.modes: outside |l| <= l_max")
-            else:
-                omegas = np.asarray([int(m) for m, w in zip(state["modes"], weights)
-                                     if w > 0], dtype=float)
-                try:
-                    physical.check_separation(omegas)
-                except InvalidSystemError as exc:
-                    violations.append(f"physical.sep_factor: {exc}")
-                # the run's check on the t_M centers, plus the start center; the
-                # centers move on straight lines, so the two ends bound them at every time
-                center = float(state["packet_center"])
-                try:
-                    _check_centers_inside(
-                        np.append(center, center + physical.g * omegas * physical.t_M),
-                        physical.sigma, grid)
-                except DomainOverflowError as exc:
-                    violations.append(f"grid.q2_max/q2_min: {exc}")
+        elif any(abs(int(m)) > state["l_max"] for m in state["modes"]):
+            violations.append("state.modes: outside |l| <= l_max")
+        elif state["l_max"] >= 1:   # a smaller l_max fails its count minimum below
+            # the run's own checks on the state it prepares: packet separation
+            # over the occupied modes, their centers inside the grid from 0 to t_M
+            args = (view.coefficients(), GaussianPacket(float(state["packet_center"]),
+                                                        physical.sigma),
+                    physical, grid, view.basis())
+            try:
+                prepared = prepare_initial_state(*args)
+            except InvalidSystemError as exc:
+                violations.append(f"physical.sep_factor: {exc}")
+                prepared = prepare_initial_state(*args, enforce_separation=False)
+            try:
+                evolve_measurement_spectral(prepared, physical.t_M, physical.g)
+            except DomainOverflowError as exc:
+                violations.append(f"grid.q2_max/q2_min: {exc}")
     for (section, key), least in _COUNT_MINIMA.items():
         if cfg[section][key] < least:
             violations.append(f"{section}.{key}: must be at least {least}")

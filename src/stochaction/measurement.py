@@ -26,7 +26,7 @@ from . import rng as rngmod
 from .core import (EPS_NODE_REL, HBAR, DegenerateInputError, GridSpec,
                    InvalidSystemError, PhysicalConfig)
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
-                       SpectralState, evolve_measurement_spectral)
+                       SpectralState, evolve_measurement_spectral, occupied)
 from .stochastic import StochasticParams, sample_sign_path
 from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow, integrate_ensemble,
                            ring_sampler)
@@ -189,9 +189,8 @@ def prepare_initial_state(coeffs, packet: GaussianPacket, config: PhysicalConfig
     """
     basis = basis or AngularBasis()
     vec = _coefficient_vector(coeffs, basis)
-    support = np.flatnonzero(np.abs(vec) ** 2 > 1e-14)
     if enforce_separation:
-        config.check_separation(basis.omegas[support])
+        config.check_separation(basis.omegas[occupied(vec)])
     centers = np.full(len(vec), packet.center)
     return SpectralState(coeffs=vec, modes=basis, packet=packet, centers=centers,
                          t=0.0, grid=grid)
@@ -215,8 +214,8 @@ def _readout(pipe: MeasurementPipeline, q2: np.ndarray, config: PhysicalConfig) 
     """Category of each pointer landing ``q2`` at t_M, or -1 where none is named."""
     state0 = pipe.state0
     if pipe.outcome_edges is None:
-        sup = state0.support_indices()
-        centers = state0.centers[sup] + config.g * state0.omegas[sup] * config.t_M
+        state_M = evolve_measurement_spectral(state0, config.t_M, config.g)
+        centers = state_M.centers[state_M.support_indices()]
         inside = np.abs(q2[:, None] - centers) < config.sep_factor * config.sigma / 2.0
         return np.where(inside.sum(axis=1) == 1, inside.argmax(axis=1), -1)
     edges = pipe.outcome_edges
@@ -425,7 +424,7 @@ def actual_observable_prior(coeffs: np.ndarray, basis: AngularBasis, theta, lamb
     eigenfunction at ``lambda_signed = 0`` gives its eigenvalue everywhere.
     """
     c = np.asarray(coeffs, dtype=complex)
-    support = np.flatnonzero(np.abs(c) ** 2 > 1e-14)
+    support = occupied(c)
     c, l = c[support], basis.modes[support]
     th = np.asarray(theta, dtype=float)
     il = 1j * l.reshape((-1,) + (1,) * th.ndim)
@@ -452,7 +451,7 @@ def average_prior(coeffs, basis: AngularBasis, n_mc: int, seed: int,
     only.
     """
     c = _coefficient_vector(coeffs, basis)
-    support = np.flatnonzero(np.abs(c) ** 2 > 1e-14)
+    support = occupied(c)
     r = rngmod.stream(seed, rngmod.PRIOR, 0)
     theta = ring_sampler(c[support], basis.modes[support])(n_mc, r)
     signs = r.integers(0, 2, size=n_mc) * 2 - 1
@@ -530,19 +529,9 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
         weights = np.zeros(n_bins)
         for b in range(n_bins):
             mask = (x >= edges[b]) & (x < edges[b + 1])
-            w = float(np.sum(np.abs(psi[mask]) ** 2) * h)
-            weights[b] = w
+            weights[b] = w = float(np.sum(np.abs(psi[mask]) ** 2) * h)
             if w > 0:
                 table[b, mask] = psi[mask] / np.sqrt(w)
-        coverage = float(weights.sum())
-        if coverage < _COVERAGE_MIN:
-            raise InvalidSystemError(
-                f"observable window covers only {coverage:.4f} of the state "
-                f"(needs {_COVERAGE_MIN}); widen the window")
-        coeffs = np.sqrt(weights / coverage).astype(complex)
-        modes = LineModes(x, table, bin_centers)
-        state0 = SpectralState(coeffs=coeffs, modes=modes, packet=packet,
-                               centers=np.full(n_bins, packet_center), t=0.0, grid=grid)
     else:
         spect = np.fft.fft(psi)
         p_axis = 2.0 * np.pi * np.fft.fftfreq(len(x), d=h)
@@ -553,26 +542,30 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
         order = np.argsort(p_axis)
         p_sorted, c_sorted, w_sorted = p_axis[order], c_all[order], w_all[order]
         in_window = (p_sorted >= lo) & (p_sorted < hi)
-        coverage = float(w_sorted[in_window].sum())
-        if coverage < _COVERAGE_MIN:
-            raise InvalidSystemError(
-                f"observable window covers only {coverage:.4f} of the state "
-                f"(needs {_COVERAGE_MIN}); widen the window")
+        weights = np.array([w_sorted[in_window & (p_sorted >= edges[b])
+                                     & (p_sorted < edges[b + 1])].sum()
+                            for b in range(n_bins)])
+    coverage = float(weights.sum())
+    if coverage < _COVERAGE_MIN:
+        raise InvalidSystemError(
+            f"observable window covers only {coverage:.4f} of the state "
+            f"(needs {_COVERAGE_MIN}); widen the window")
+    # the outcome reference is the state's distribution over the window's bins
+    weights /= coverage
+
+    if kind == "position":
+        modes, coeffs = LineModes(x, table, bin_centers), np.sqrt(weights).astype(complex)
+    else:
         keep = in_window & (w_sorted > 1e-12 * w_sorted.max())
         kept_cov = float(w_sorted[keep].sum())
-        weights = np.array([w_sorted[in_window & (p_sorted >= edges[b])
-                                     & (p_sorted < edges[b + 1])].sum() / coverage
-                            for b in range(n_bins)])
         # carry a contiguous momentum range so the mode table stays equally spaced
         kept_idx = np.flatnonzero(keep)
         k0, k1 = int(kept_idx[0]), int(kept_idx[-1])
-        p_full = p_sorted[k0:k1 + 1]
-        c_full = np.zeros(len(p_full), dtype=complex)
-        c_full[kept_idx - k0] = c_sorted[keep] / np.sqrt(kept_cov)
-        modes = PlaneWaveModes(p_full, box, x)
-        state0 = SpectralState(coeffs=c_full, modes=modes, packet=packet,
-                               centers=np.full(len(p_full), packet_center),
-                               t=0.0, grid=grid)
+        modes = PlaneWaveModes(p_sorted[k0:k1 + 1], box, x)
+        coeffs = np.zeros(k1 + 1 - k0, dtype=complex)
+        coeffs[kept_idx - k0] = c_sorted[keep] / np.sqrt(kept_cov)
+    state0 = SpectralState(coeffs=coeffs, modes=modes, packet=packet,
+                           centers=np.full(len(coeffs), packet_center), t=0.0, grid=grid)
 
     return MeasurementPipeline(
         state0=state0, outcome_indices=np.arange(n_bins), outcome_values=bin_centers,

@@ -129,38 +129,44 @@ class SpectralState:
     def omegas(self) -> np.ndarray:
         return self.modes.omegas
 
-    def support_indices(self, tol: float = 1e-14) -> np.ndarray:
-        """Modes actually present in the superposition."""
-        return np.flatnonzero(np.abs(self.coeffs) ** 2 > tol)
+    def support_indices(self) -> np.ndarray:
+        """Modes actually present in the superposition (:func:`occupied`)."""
+        return occupied(self.coeffs)
 
 
-def _check_centers_inside(centers: np.ndarray, sigma: float, grid: GridSpec) -> None:
-    margin = 5.0 * sigma
-    lo, hi = grid.q2_min + margin, grid.q2_max - margin
-    bad = ~((centers >= lo) & (centers <= hi))   # a NaN center is outside too
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad)[0])
-        raise DomainOverflowError(
-            f"packet center {centers[idx]:.4g} is not 5 sigma inside the pointer grid "
-            f"[{grid.q2_min}, {grid.q2_max}]")
+def occupied(coeffs) -> np.ndarray:
+    """Indices of the occupied modes of a normalized coefficient vector: |c|^2 > 1e-14."""
+    return np.flatnonzero(np.abs(np.asarray(coeffs)) ** 2 > 1e-14)
 
 
 def evolve_measurement_spectral(state: SpectralState, delta_t: float, g: float) -> SpectralState:
-    """Advance the exact solution: centers shift by ``g * omega * delta_t``."""
+    """Advance the exact solution: centers shift by ``g * omega * delta_t``.
+
+    Raises :class:`DomainOverflowError` unless every occupied center is 5 sigma
+    inside the pointer grid at both ends of the step, and so, on its straight
+    line, at every time between.
+    """
     centers = state.centers + g * state.omegas * delta_t
-    _check_centers_inside(centers[state.support_indices()], state.packet.sigma, state.grid)
+    sup = state.support_indices()
+    ends = np.concatenate((state.centers[sup], centers[sup]))
+    margin, grid = 5.0 * state.packet.sigma, state.grid
+    inside = (ends >= grid.q2_min + margin) & (ends <= grid.q2_max - margin)
+    if not inside.all():   # a NaN center is outside too
+        raise DomainOverflowError(
+            f"packet center {ends[~inside][0]:.4g} is not 5 sigma inside the pointer grid "
+            f"[{grid.q2_min}, {grid.q2_max}]")
     return replace(state, centers=centers, t=state.t + delta_t)
 
 
 def system_marginal_density(state: SpectralState, theta) -> np.ndarray:
-    """Exact ring-angle density including packet-overlap interference."""
+    """Exact ring-angle density over the occupied modes, with packet-overlap interference."""
     th = np.asarray(theta, dtype=float)
     sig2 = state.packet.sigma ** 2
     eig = state.modes.eigenfunctions(th)
     dens = np.zeros_like(th)
-    M = len(state.coeffs)
-    for a in range(M):
-        for b in range(M):
+    sup = state.support_indices()
+    for a in sup:
+        for b in sup:
             overlap = np.exp(-((state.centers[a] - state.centers[b]) ** 2) / (8.0 * sig2))
             term = (state.coeffs[a] * np.conj(state.coeffs[b]) * eig[a] * np.conj(eig[b])
                     * overlap)

@@ -9,8 +9,9 @@ Two velocity sources exist for the pair (system coordinate, pointer):
 
 For a spectral state both are evaluated in closed form (mode sums), so no
 interpolation error enters the ensemble statistics.  Ensembles integrate
-vectorized over trials in fixed chunks; per-trial randomness comes from
-counter-based streams, which keeps runs bit-reproducible at any thread count.
+vectorized over trials in chunks sized by ``measurement._chunk_rows``;
+per-trial randomness comes from counter-based streams, which keeps runs
+bit-reproducible at any chunking and thread count.
 """
 from __future__ import annotations
 
@@ -100,7 +101,6 @@ class ModeFlow:
             raise TypeError(f"ModeFlow takes ring or plane-wave states, not "
                             f"{type(state.modes).__name__}; position states move "
                             "under PointerReadoutFlow")
-        self.state = state
         self.g = g
         self.sigma = state.packet.sigma
         self.t0 = state.t
@@ -468,9 +468,10 @@ def _chi2_equal_mass(samples: np.ndarray, edges: np.ndarray) -> tuple[float, flo
 
 
 def marginal_cdfs(state: SpectralState, n_fine: int = 8192):
-    """Analytic-through-quadrature CDFs of both marginals of ``|Psi(t)|^2``."""
-    weights = np.abs(state.coeffs) ** 2
-    mus = state.centers
+    """Quadrature CDFs of both marginals of ``|Psi(t)|^2``, over the occupied modes."""
+    sup = state.support_indices()
+    weights = np.abs(state.coeffs[sup]) ** 2
+    mus = state.centers[sup]
     sig = state.packet.sigma
 
     def cdf_q2(q):
@@ -502,8 +503,7 @@ def equivariance_report(snapshots: dict[float, np.ndarray], state0: SpectralStat
         raise NotImplementedError("equivariance diagnostics assume the ring system")
     report = {}
     for t, pts in sorted(snapshots.items()):
-        state_t = evolve_measurement_spectral(state0, t - state0.t, g) if t != state0.t \
-            else state0
+        state_t = evolve_measurement_spectral(state0, t - state0.t, g)
         cdf_theta, cdf_q2, (th_grid, th_cdf) = marginal_cdfs(state_t)
 
         theta = np.mod(pts[:, 0], TWO_PI)
@@ -512,8 +512,9 @@ def equivariance_report(snapshots: dict[float, np.ndarray], state0: SpectralStat
         edges_th = _equal_mass_edges(th_grid, th_cdf, n_bins)
         chi_th, p_th = _chi2_equal_mass(theta, edges_th)
 
-        qlo = state_t.centers.min() - 8.0 * state_t.packet.sigma
-        qhi = state_t.centers.max() + 8.0 * state_t.packet.sigma
+        mus = state_t.centers[state_t.support_indices()]
+        qlo = mus.min() - 8.0 * state_t.packet.sigma
+        qhi = mus.max() + 8.0 * state_t.packet.sigma
         qs = np.linspace(qlo, qhi, 8192)
         cq = cdf_q2(qs)
         edges_q = _equal_mass_edges(qs, cq, n_bins)

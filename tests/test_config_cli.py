@@ -129,6 +129,25 @@ class TestParseConfig:
         assert any(v.startswith("grid.q2_max/q2_min") for v in err.value.violations)
         assert cli_main(["born", "--config", str(path)]) == 1
 
+    def test_sub_threshold_weight_is_unoccupied(self, tmp_path):
+        # a weight-1e-20 mode has |c|^2 below the occupied threshold: it drags no
+        # packet, so it cannot overlap the mode-0 ... 1 gap at sigma 0.2
+        sub = {"physical": {"sigma": 0.2},
+               "state": {"modes": [-1, 1, 0], "weights": [0.5, 0.5, 1e-20]}}
+        path, _ = make_config(tmp_path, sub)
+        parse_config(path.read_text())
+        assert cli_main(["born", "--config", str(path)]) in (0, 3)
+
+    def test_both_state_checks_reported(self):
+        # overlapping packets that also leave the grid name both paths
+        bad = json.loads(json.dumps(MINIMAL_BORN))
+        bad["grid"].update(q2_min=-1.0, q2_max=1.0)
+        bad["physical"] = {"sigma": 0.2}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(bad))
+        paths = [v.split(":")[0] for v in err.value.violations]
+        assert paths == ["physical.sep_factor", "grid.q2_max/q2_min"]
+
     def test_unknown_experiment_kind(self):
         bad = dict(MINIMAL_BORN, experiment="teleport")
         with pytest.raises(ConfigError):
@@ -481,6 +500,19 @@ class TestCli:
             files.append(json.loads((out / "manifest.json").read_text())["files"])
         assert files[0] == files[1]
 
+    def test_l_max_only_bounds_modes(self, tmp_path):
+        # no dynamics or diagnostic reads the unoccupied basis modes: a Born run
+        # with equivariance on writes the same bytes at l_max 2 and 8
+        files = []
+        for l_max in (2, 8):
+            out = tmp_path / f"l_max-{l_max}"
+            path, _ = make_config(tmp_path, overrides={
+                "state": {"l_max": l_max}, "equivariance": {"enabled": True},
+                "ensemble": {"n_trials": 2000, "dt_traj": 0.01}}, seed=7)
+            assert cli_main(["born", "--config", str(path), "--out", str(out)]) == 0
+            files.append(json.loads((out / "manifest.json").read_text())["files"])
+        assert files[0] == files[1]
+
     @pytest.mark.parametrize("state, message", [
         ({"modes": [0, "1"]}, "state.modes: every entry must be a number"),
         ({"weights": [0.5, None, 0.2]}, "state.weights: every entry must be a number"),
@@ -490,8 +522,9 @@ class TestCli:
         ({"weights": [1e308, 1e308, 0.0]}, "state.weights: must be non-negative"),
         ({"weights": [0.5, float("nan"), 0.2]}, "state.weights[1]: must be a finite number"),
         ({"packet_center": float("inf")}, "state.packet_center: must be a finite number"),
+        ({"modes": [0], "weights": [1.0], "l_max": 0}, "state.l_max: must be at least 1"),
     ], ids=["mode-text", "weight-null", "phase-bool", "mode-fraction", "mode-repeated",
-            "weight-total-overflow", "weight-nan", "center-infinite"])
+            "weight-total-overflow", "weight-nan", "center-infinite", "l_max-zero"])
     def test_unrunnable_state_rejected_at_parse(self, tmp_path, capsys, state, message):
         path, data = make_config(tmp_path, overrides={"state": state})
         assert cli_main(["born", "--config", str(path)]) == 1
@@ -691,8 +724,8 @@ def physical_and_ensemble(draw):
     ensemble = {
         "n_trials": draw(st.integers(1, 4)),
         "dt_traj": draw(st.sampled_from([1.0, 0.5, 0.25, 0.1, 0.01])),
-        "integrator": draw(st.sampled_from(["rk4", "explicit-midpoint"])),
-        "node_policy": draw(st.sampled_from(["reject-resample", "clamp"])),
+        # integrator and node_policy parse at one value only (their own exit-1
+        # tests cover the others), so they keep their defaults here
         "fail_on_overflow": False,   # its exit 2 is opt-in
     }
     kind = draw(st.sampled_from(["born", "trajectories", "repeatability"]))
@@ -709,8 +742,8 @@ def physical_and_ensemble(draw):
 @example(drawn=("repeatability", "actual", {"g": -1.0, "sigma": 0.01, "sep_factor": 6.0},
                 {"dt_traj": 0.5, "n_trials": 1}))
 def test_fuzzed_physical_and_ensemble_fail_at_parse_or_run(tmp_path, drawn):
-    # as above, for the sections that set the step count, the coupling and the
-    # integrator of the trajectory kinds
+    # as above, for the sections that set the step count and the coupling of
+    # the trajectory kinds
     kind, velocity, physical, ensemble = drawn
     case = Path(tempfile.mkdtemp(dir=tmp_path))
     path = case / "config.json"

@@ -447,6 +447,17 @@ class TestSubstituteObservable:
                            np.imag(np.conj(psi_v) * dx_v) / dens], axis=-1)
         assert np.max(np.abs(got - oracle)) < 1e-9
 
+    @pytest.mark.parametrize("kind, window, n_bins", [
+        ("position", (-4.0, 4.0), 8), ("linear_momentum", (-4.0, 6.0), 10)])
+    def test_outcome_reference_is_normalized(self, kind, window, n_bins):
+        # the window covers 0.99994 of the position state; the reference is the
+        # state's distribution over the bins, so it sums to 1 in both kinds
+        config = PhysicalConfig(sigma=0.02, sep_factor=8.0, g=1.0, t_M=1.0)
+        x, psi = self._line_state(momentum=1.0)
+        pipe = substitute_observable(kind, psi, x, window=window, n_bins=n_bins,
+                                     config=config, grid=GridSpec(-8, 8))
+        assert abs(pipe.outcome_reference.sum() - 1.0) <= 1e-15
+
     def test_window_coverage_guard(self, grid, config):
         x, psi = self._line_state(width=1.0)
         with pytest.raises(InvalidSystemError):

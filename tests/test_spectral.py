@@ -84,6 +84,15 @@ class TestSpectralEvolution:
         with pytest.raises(DomainOverflowError):
             evolve_measurement_spectral(state, 1.0, 1.0)  # center 8 > 3 - 5 sigma
 
+    def test_start_center_outside_margin_overflows(self, grid, basis):
+        # the start of the interval is checked too: a packet at 2.9 is inside
+        # the grid but not 5 sigma inside it, whatever its drift
+        state = make_state({-1: np.sqrt(0.5), 1: np.sqrt(0.5)}, basis, grid, mu0=2.9)
+        with pytest.raises(DomainOverflowError, match="2.9"):
+            evolve_measurement_spectral(state, 1.0, -1.0)
+        with pytest.raises(DomainOverflowError, match="2.9"):
+            evolve_measurement_spectral(state, 0.0, 1.0)
+
     def test_nan_center_overflows(self, grid, basis):
         # the packet rejects a NaN center, but the state's centers may still carry one
         state = replace(make_state({1: 1.0}, basis, grid),
@@ -144,6 +153,32 @@ class TestSynthesis:
                            atol=1e-9)
         assert np.allclose(th_marg, pointer_marginal_density(out, axes.q2),
                            atol=1e-9)
+
+
+def all_pairs_marginal(state, theta):
+    """The ring density summed over every pair of basis modes, occupied or not."""
+    eig = state.modes.eigenfunctions(theta)
+    dens = np.zeros_like(theta)
+    for a in range(len(state.coeffs)):
+        for b in range(len(state.coeffs)):
+            overlap = np.exp(-((state.centers[a] - state.centers[b]) ** 2)
+                             / (8.0 * state.packet.sigma ** 2))
+            dens += (state.coeffs[a] * np.conj(state.coeffs[b]) * eig[a] * np.conj(eig[b])
+                     * overlap).real
+    return dens
+
+
+@pytest.mark.parametrize("coeff_map", [
+    {-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
+    {-3: np.sqrt(0.1), -1: np.sqrt(0.4), 1: np.sqrt(0.3), 3: np.sqrt(0.2)},
+    {0: np.sqrt(0.7), 2: 1j * np.sqrt(0.3)},
+])
+@pytest.mark.parametrize("t", [0.0, 0.02, 0.5])
+def test_marginal_density_skips_only_zero_terms(grid, axes, basis, coeff_map, t):
+    # unoccupied modes add exact zeros, so the occupied pairs give the same bits
+    state = evolve_measurement_spectral(make_state(coeff_map, basis, grid), t, 1.0)
+    got = system_marginal_density(state, axes.theta)
+    assert np.array_equal(got, all_pairs_marginal(state, axes.theta))
 
 
 class TestPlaneWaveModes:
