@@ -1,7 +1,11 @@
 """Experiment configuration: schema, validation, round-trip serialization.
 
-Configs are JSON with one nested section per engine.  Validation reports
-every violation with its path; cross-section invariants (packet separation,
+Configs are JSON with one nested section per engine.  The grid bounds and
+the ``physical``, ``stochastic`` and ``ensemble.dt_traj`` keys are the
+fields of ``GridSpec``, ``PhysicalConfig``, ``StochasticParams`` and
+``EnsembleSpec``: their types and defaults are read from the dataclasses,
+and each section's view is its dataclass.  Validation reports every
+violation with its path; cross-section invariants (packet separation,
 time-scale hierarchy, grid headroom) are checked at load time so a bad run
 fails before any work happens.
 """
@@ -10,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -35,6 +39,18 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in violations))
 
 
+# the typed views: each section's dataclass, whose fields give keys, JSON
+# types and defaults (the section's other keys are stated in _SCHEMA)
+_VIEWS = {"grid": GridSpec, "physical": PhysicalConfig, "stochastic": StochasticParams,
+          "ensemble": EnsembleSpec}
+# JSON types of a dataclass field's annotation
+_JSON_TYPES = {"float": (float, int), "str": (str,)}
+
+
+def _fields(cls, skip: tuple[str, ...] = ()) -> dict:
+    return {f.name: (_JSON_TYPES[f.type], f.default) for f in fields(cls) if f.name not in skip}
+
+
 # schema: section -> key -> (type tuple, default)
 _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
     "": {
@@ -45,30 +61,14 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
         "format": ((str,), "csv"),
         "velocity": ((str,), "effective"),
     },
-    "grid": {
-        "n_theta": ((int,), 128),
-        "q2_min": ((float, int), -4.0),
-        "q2_max": ((float, int), 4.0),
-        "n_q2": ((int,), 1024),
-    },
-    "physical": {
-        "lambda_mag": ((float, int), 1.0),
-        "g": ((float, int), 1.0),
-        "t_M": ((float, int), 1.0),
-        "sigma": ((float, int), 0.05),
-        "sep_factor": ((float, int), 8.0),
-    },
-    "stochastic": {
-        "tau_lambda": ((float, int, type(None)), None),
-        "tau_xi": ((float, int), 0.01),
-        "dt": ((float, int), 0.001),
-        "hierarchy_factor": ((float, int), 10.0),
-        "sign_law": ((str,), "iid"),
-        "flip_prob": ((float, int), 0.5),
-    },
+    "grid": {"n_theta": ((int,), 128), **_fields(GridSpec), "n_q2": ((int,), 1024)},
+    "physical": _fields(PhysicalConfig),
+    # lambda_mag is physical.lambda_mag; a null tau_lambda is inf
+    "stochastic": {**_fields(StochasticParams, skip=("lambda_mag",)),
+                   "tau_lambda": ((float, int, type(None)), None)},
     "ensemble": {
         "n_trials": ((int,), 1000),
-        "dt_traj": ((float, int), 0.001),
+        **_fields(EnsembleSpec),
         # each parses at its one value only; the keys stay while benchmark
         # configs still set them
         "integrator": ((str,), "rk4"),
@@ -126,13 +126,16 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
 
 # smallest value each count key can run with: a chi-squared needs two
 # bins, a sample standard deviation or a lag-1 product two samples, the
-# angular basis one mode pair; the two grid counts are read by no run and
-# are only range-checked
+# angular basis one mode pair, a trajectory table a stride of a step (and
+# it may store no trial); the two grid counts are read by no run and are
+# only range-checked
 _COUNT_MINIMA = {
     ("grid", "n_theta"): 8,
     ("grid", "n_q2"): 32,
     ("state", "l_max"): 1,
     ("ensemble", "n_trials"): 1,
+    ("ensemble", "n_store"): 0,
+    ("ensemble", "store_every"): 1,
     ("repeat", "n_repeats"): 1,
     ("equivariance", "n_bins"): 2,
     ("prior", "n_mc"): 2,
@@ -152,27 +155,28 @@ class ExperimentConfig:
 
     # typed views onto the engine parameter sections -----------------------
 
+    def _view(self, section: str):
+        """``section`` as its ``_VIEWS`` dataclass, float fields as floats."""
+        values = dict(self.raw[section])
+        if section == "stochastic":
+            values["lambda_mag"] = self.raw["physical"]["lambda_mag"]
+            if values["tau_lambda"] is None:
+                values["tau_lambda"] = math.inf
+        cls = _VIEWS[section]
+        return cls(**{f.name: float(values[f.name]) if f.type == "float" else values[f.name]
+                      for f in fields(cls)})
+
     def grid(self) -> GridSpec:
-        g = self.raw["grid"]
-        return GridSpec(float(g["q2_min"]), float(g["q2_max"]))
+        return self._view("grid")
 
     def physical(self) -> PhysicalConfig:
-        p = self.raw["physical"]
-        return PhysicalConfig(lambda_mag=float(p["lambda_mag"]), g=float(p["g"]),
-                              t_M=float(p["t_M"]), sigma=float(p["sigma"]),
-                              sep_factor=float(p["sep_factor"]))
+        return self._view("physical")
 
     def stochastic(self) -> StochasticParams:
-        s = self.raw["stochastic"]
-        tau_lambda = math.inf if s["tau_lambda"] is None else float(s["tau_lambda"])
-        return StochasticParams(
-            lambda_mag=float(self.raw["physical"]["lambda_mag"]),
-            tau_lambda=tau_lambda, tau_xi=float(s["tau_xi"]), dt=float(s["dt"]),
-            hierarchy_factor=float(s["hierarchy_factor"]), sign_law=s["sign_law"],
-            flip_prob=float(s["flip_prob"]))
+        return self._view("stochastic")
 
     def ensemble(self) -> EnsembleSpec:
-        return EnsembleSpec(dt_traj=float(self.raw["ensemble"]["dt_traj"]))
+        return self._view("ensemble")
 
     def basis(self) -> AngularBasis:
         return AngularBasis(self.raw["state"]["l_max"])
@@ -251,26 +255,13 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
         return
 
     view = ExperimentConfig(cfg)
-    try:
-        grid = view.grid()
-    except InvalidSystemError as exc:
-        violations.append(f"grid: {exc}")
-        grid = None
-    try:
-        physical = view.physical()
-    except InvalidSystemError as exc:
-        violations.append(f"physical: {exc}")
-        physical = None
-    try:
-        stochastic = view.stochastic()
-    except ValueError as exc:
-        violations.append(f"stochastic: {exc}")
-        stochastic = None
-    try:
-        ensemble = view.ensemble()
-    except ValueError as exc:
-        violations.append(f"ensemble: {exc}")
-        ensemble = None
+    views = {}
+    for section in _VIEWS:
+        try:
+            views[section] = view._view(section)
+        except ValueError as exc:   # InvalidSystemError included
+            violations.append(f"{section}: {exc}")
+    grid, physical, stochastic, ensemble = map(views.get, _VIEWS)
 
     state = cfg["state"]
     not_numbers = [f"state.{key}: every entry must be a number"

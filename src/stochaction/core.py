@@ -48,8 +48,8 @@ class GridSpec:
     sigma inside it and a trajectory that leaves it overflows.
     """
 
-    q2_min: float
-    q2_max: float
+    q2_min: float = -4.0
+    q2_max: float = 4.0
 
     def __post_init__(self):
         if not self.q2_max > self.q2_min:

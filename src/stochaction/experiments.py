@@ -204,7 +204,7 @@ def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
 def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
     n_steps = cfg.ensemble().n_steps(cfg.physical().t_M)
     n_store = min(cfg["ensemble"]["n_store"], cfg["ensemble"]["n_trials"])
-    stored = range(0, n_steps + 1, max(1, cfg["ensemble"]["store_every"]))
+    stored = range(0, n_steps + 1, cfg["ensemble"]["store_every"])
     steps = sorted(set(stored) | {n_steps})
 
     state0, _, stats, extras = _configured_run(cfg, out, cfg["ensemble"]["n_trials"],

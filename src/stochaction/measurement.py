@@ -15,6 +15,7 @@ spectrum.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -327,8 +328,8 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
                 seed: int, trials: np.ndarray, velocity: str,
                 stoch: StochasticParams | None, threads: int,
                 snapshot_steps: tuple[int, ...]):
-    """Validate, integrate ``trials`` in chunks (:func:`_chunk_rows`), and record
-    one event each."""
+    """Validate, integrate ``trials`` in chunks (:func:`_chunk_rows`) on at most
+    ``os.cpu_count()`` workers, and record one event each."""
     if velocity not in ("effective", "actual"):
         raise ValueError(f"unknown velocity source {velocity!r}")
     if velocity == "actual":
@@ -347,12 +348,14 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
     else:
         flow = ModeFlow(state0, config.g)
         n_modes = len(flow.coeffs)
-    rows = _chunk_rows(len(trials), threads, n_modes)
+    # workers beyond the CPU count would only cut the rows finer
+    workers = min(threads, os.cpu_count() or 1)
+    rows = _chunk_rows(len(trials), workers, n_modes)
     chunks = [trials[k:k + rows] for k in range(0, len(trials), rows)]
     work = partial(_run_chunk, pipe, flow, config, spec, seed, n_steps=n_steps, stoch=stoch,
                    snapshot_steps=snapshot_steps)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, chunks))
     else:
         parts = [work(chunk) for chunk in chunks]

@@ -1,7 +1,9 @@
 """Config validation, experiment runners, CLI exit codes, determinism."""
 import json
+import math
 import os
 import tempfile
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from joint_oracle import field_from_binary
-from stochaction import ConfigError, gridop, parse_config, run_experiment, serialize_config
+from stochaction import (ConfigError, EnsembleSpec, GridSpec, PhysicalConfig, StochasticParams,
+                         gridop, parse_config, run_experiment, serialize_config)
 from stochaction.cli import main as cli_main
 
 MINIMAL_BORN = {
@@ -43,6 +46,22 @@ class TestParseConfig:
         assert cfg["threads"] == 1
         assert cfg["physical"]["sigma"] == 0.05
         assert (cfg.grid().q2_min, cfg.grid().q2_max) == (-4.0, 4.0)
+        # the engine dataclasses state the defaults and name the keys
+        bare = parse_config(json.dumps({"experiment": "born"}))
+        views = (bare.grid(), bare.physical(), bare.stochastic(), bare.ensemble())
+        defaults = (GridSpec(), PhysicalConfig(), StochasticParams(tau_lambda=math.inf),
+                    EnsembleSpec())
+        assert list(map(astuple, views)) == list(map(astuple, defaults))   # GridSpec has eq=False
+        assert list(cfg["physical"]) == [f.name for f in fields(PhysicalConfig)]
+        assert list(cfg["stochastic"]) == [f.name for f in fields(StochasticParams)
+                                           if f.name != "lambda_mag"]
+        # integer-valued numbers give float fields
+        ints = parse_config(json.dumps({"experiment": "born", "physical": {"g": 1},
+                                        "stochastic": {"tau_xi": 1}}))
+        for view in (ints.physical(), ints.stochastic()):
+            assert all(type(getattr(view, f.name)) is float
+                       for f in fields(view) if f.type == "float")
+        assert (ints.physical().g, ints.stochastic().tau_xi) == (1.0, 1.0)
 
     def test_round_trip(self):
         cfg = parse_config(json.dumps(MINIMAL_BORN))
@@ -477,6 +496,10 @@ class TestCli:
         ("born", "grid", "n_theta", 7),      # inert, but range-checked
         ("born", "grid", "n_q2", 31),
         ("born", "state", "l_max", 0),
+        # a trajectory table stores its trials every store_every >= 1 steps
+        ("trajectories", "ensemble", "store_every", 0),
+        ("trajectories", "ensemble", "store_every", -5),
+        ("trajectories", "ensemble", "n_store", -1),
     ])
     def test_too_small_sample_count_rejected_at_parse(self, tmp_path, capsys, experiment,
                                                       section, key, value):
@@ -802,6 +825,56 @@ def test_fuzzed_stochastic_fail_at_parse_or_run(tmp_path, drawn):
     path.write_text(json.dumps({"experiment": kind, "seed": 1, "out_dir": str(case / "out"),
                                 "velocity": "actual", "stochastic": stochastic,
                                 "ensemble": ensemble}))
+    try:
+        parse_config(path.read_text())
+    except ConfigError:
+        expected = {1}
+    else:
+        expected = {0, 3}
+    assert cli_main([kind, "--config", str(path)]) in expected
+
+
+@st.composite
+def checks_prior_and_repeat(draw):
+    """Schema-valid ``checks``, ``prior`` and ``repeat`` sections and a kind that
+    reads them: runnable values with up to two fields drawn from an unusual
+    range (a count below its minimum, a threshold or tolerance that is
+    negative, zero, above one or not finite, checks switched off).  At most
+    64 draws or samples and 4 repeats of 100 steps."""
+    # (section, key) -> (usual values, unusual values)
+    fields = {
+        ("checks", "chi2_p_min"): (st.floats(0.0, 0.05), st.floats(-1.0, 2.0) | _ANY_FLOAT),
+        ("checks", "max_ambiguous_rate"): (st.floats(1e-3, 0.5),
+                                           st.floats(-1.0, 2.0) | _ANY_FLOAT),
+        ("checks", "freq_within_3sigma"): (st.booleans(), st.booleans()),
+        ("checks", "mean_abs_dev_rtol"): (st.floats(0.05, 1.0),
+                                          st.floats(-1.0, 1e3) | _ANY_FLOAT),
+        ("checks", "n_draws"): (st.integers(2, 64), st.integers(-1, 1)),
+        ("checks", "enabled"): (st.booleans(), st.just(False)),
+        ("prior", "n_mc"): (st.integers(2, 64), st.integers(-1, 1)),
+        ("prior", "z_max"): (st.floats(1.0, 10.0), st.floats(-1.0, 1.0) | _ANY_FLOAT),
+        ("repeat", "n_repeats"): (st.integers(1, 4), st.integers(-1, 0)),
+    }
+    odd = draw(st.sets(st.sampled_from(sorted(fields)), max_size=2))
+    sections = {"checks": {}, "prior": {}, "repeat": {}}
+    for (section, key), (usual, unusual) in fields.items():
+        sections[section][key] = draw(unusual if (section, key) in odd else usual)
+    kind = draw(st.sampled_from(["born", "prior-average", "repeatability",
+                                 "stochastic-check"]))
+    return kind, sections
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=checks_prior_and_repeat())
+def test_fuzzed_checks_prior_and_repeat_fail_at_parse_or_run(tmp_path, drawn):
+    # as above, for the sections that size the Monte Carlo samples and repeats
+    # and set the declared checks' thresholds
+    kind, sections = drawn
+    case = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = case / "config.json"
+    path.write_text(json.dumps({"experiment": kind, "seed": 1, "out_dir": str(case / "out"),
+                                "ensemble": {"n_trials": 3, "dt_traj": 0.01}, **sections}))
     try:
         parse_config(path.read_text())
     except ConfigError:

@@ -167,6 +167,17 @@ class TestEnsemble:
                              extras["final_configs"].tobytes()))
         assert all(run == runs[0] for run in runs[1:])
 
+    def test_workers_capped_at_cpu_count(self, grid, basis, config, packet, monkeypatch):
+        # more threads than CPUs would only cut the trials into more, shorter chunks
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        spec = EnsembleSpec(dt_traj=5e-3)
+        runs = {threads: run_ensemble(state, config, spec, 64, seed=30, threads=threads)
+                for threads in (1, 8)}
+        assert runs[8][2]["chunks"] == 2
+        assert [r.to_dict() for r in runs[8][0]] == [r.to_dict() for r in runs[1][0]]
+        assert runs[8][2]["final_configs"].tobytes() == runs[1][2]["final_configs"].tobytes()
+
     @pytest.mark.parametrize("n_modes", [1, 3, 7, 48])
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("n_trials", [1, 1500, 4096])

@@ -3,9 +3,12 @@
 Runs each config below through ``run_experiment``, plus the API-level runs
 the CLI cannot reach, and prints ``{kind: {file: sha256}}`` as JSON: the
 manifest's ``files`` map for a config, the hash of the result's canonical
-JSON for an API run.  To check that a change kept the result bytes for a
-fixed (config, seed), save the hashes of one checkout and compare the other
-against them:
+JSON for an API run.  Each config kind also has a ``config.json`` entry:
+the hash of ``serialize_config(parse_config(...))``, the bytes
+``--echo-config`` prints, so a comparison also checks that every default
+and parsed value keeps its echo.  To check that a change kept the result
+bytes for a fixed (config, seed), save the hashes of one checkout and
+compare the other against them:
 
     python3 tools/result_hashes.py > hashes.json              # in the parent
     python3 tools/result_hashes.py --compare hashes.json      # in the change
@@ -247,17 +250,21 @@ def outcome_data(out_dir: Path) -> dict:
 
 def result_hashes() -> tuple[dict, dict]:
     """``{kind: {file: sha256}}`` and ``{kind: outcome data}`` of every run."""
-    from stochaction import parse_config, run_experiment
+    from stochaction import parse_config, run_experiment, serialize_config
     from stochaction.experiments import canonical_json
 
     hashes, outcomes = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (kind, overrides) in CONFIGS.items():
-            data = dict(BASE, experiment=kind, out_dir=str(Path(tmp) / name))
+            data = dict(BASE, experiment=kind, out_dir=name)
             data.update(overrides)
+            # the echo names out_dir, so it is hashed with the kind's name there
+            echo = serialize_config(parse_config(json.dumps(data))).encode()
+            data["out_dir"] = str(Path(tmp) / name)
             run_experiment(parse_config(json.dumps(data)))
             manifest = json.loads((Path(tmp) / name / "manifest.json").read_text())
-            hashes[name] = manifest["files"]
+            hashes[name] = {**manifest["files"],
+                            "config.json": hashlib.sha256(echo).hexdigest()}
             if found := outcome_data(Path(tmp) / name):
                 outcomes[name] = found
     for name, run in API_RUNS.items():
