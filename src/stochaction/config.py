@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import DomainOverflowError, GridSpec, InvalidSystemError, PhysicalConfig
 from .measurement import prepare_initial_state
-from .potentials import appendix_setup
+from .potentials import APPENDIX_MAGNITUDE_MAX, appendix_setup
 from .rng import SEED_MAX
 from .spectral import AngularBasis, GaussianPacket, evolve_measurement_spectral
 from .stochastic import StochasticParams
@@ -144,6 +144,10 @@ _COUNT_MINIMA = {
     ("appendix", "n_steps"): 1,
     ("appendix", "record_every"): 1,
 }
+
+# thresholds of the declared checks that only a positive value lets a run pass
+_POSITIVE_THRESHOLDS = (("checks", "max_ambiguous_rate"), ("checks", "mean_abs_dev_rtol"),
+                        ("prior", "z_max"))
 
 
 @dataclass(frozen=True)
@@ -303,6 +307,13 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
     for (section, key), least in _COUNT_MINIMA.items():
         if cfg[section][key] < least:
             violations.append(f"{section}.{key}: must be at least {least}")
+    # declared-check thresholds no run could pass: a p-value never exceeds 1,
+    # and a rate, deviation or z-score is never below 0
+    if not cfg["checks"]["chi2_p_min"] < 1:
+        violations.append("checks.chi2_p_min: must be below 1")
+    for section, key in _POSITIVE_THRESHOLDS:
+        if not cfg[section][key] > 0:
+            violations.append(f"{section}.{key}: must be positive")
     # only actual-velocity runs draw sign paths
     if stochastic and ensemble and cfg["velocity"] == "actual":
         try:
@@ -317,6 +328,10 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
     app = cfg["appendix"]
     if app["dimension"] != 1:
         violations.append("appendix.dimension: only 1-D appendix runs are implemented")
+    for key in ("x_min", "x_max", "initial_center", "initial_width", "initial_momentum", "dt"):
+        if not abs(app[key]) <= APPENDIX_MAGNITUDE_MAX:
+            violations.append(f"appendix.{key}: must be at most "
+                              f"{APPENDIX_MAGNITUDE_MAX:g} in magnitude")
     if app["x_max"] <= app["x_min"]:
         violations.append("appendix.x_max: must exceed appendix.x_min")
     if app["dt"] <= 0:
@@ -339,6 +354,9 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
     elif any(d <= -1 for d in deltas):
         violations.append("appendix.deltas: every entry must exceed -1 "
                           "(the scale lambda_mag * (1 + delta) must be positive)")
+    elif not all(abs(d) <= APPENDIX_MAGNITUDE_MAX for d in deltas):
+        violations.append(f"appendix.deltas: every entry must be at most "
+                          f"{APPENDIX_MAGNITUDE_MAX:g} in magnitude")
     elif 0.0 not in deltas:
         violations.append("appendix.deltas: must include the 0 reference entry")
 

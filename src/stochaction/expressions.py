@@ -67,6 +67,8 @@ def _evaluate(node, env):
 
 def compile_expression(text: str, names: tuple[str, ...]):
     """Compile to a callable taking coordinate arrays in ``names`` order."""
+    if not isinstance(text, str):
+        raise ExpressionError(f"expected an expression string, got {type(text).__name__}")
     # Python would end at a line break, skip a '#' comment and NFKC-fold names.
     src = " ".join(text.split()).replace("^", "**")
     if not (src.isascii() and src.isprintable()) or "#" in src:

@@ -157,7 +157,6 @@ class MeasurementPipeline:
     outcome_values: np.ndarray   # recorded eigenvalue per category
     outcome_reference: np.ndarray  # squared-coefficient weight per category
     outcome_edges: np.ndarray | None = None  # bin edges, observable units
-    x_bounds: tuple[float, float] | None = None
 
 
 def _coefficient_vector(coeffs, basis: AngularBasis) -> np.ndarray:
@@ -320,7 +319,7 @@ def _run_chunk(pipe: MeasurementPipeline, flow: ModeFlow | PointerReadoutFlow,
     result = integrate_ensemble(
         flow, q0, spec, t0=state0.t, duration=config.t_M, sign_paths=paths,
         lambda_mag=config.lambda_mag, q2_bounds=(state0.grid.q2_min, state0.grid.q2_max),
-        x_bounds=pipe.x_bounds, snapshot_steps=snapshot_steps)
+        snapshot_steps=snapshot_steps)
     return dict(result, initial_configs=q0, signs0=signs0, snapshot_signs=held)
 
 
@@ -572,5 +571,4 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
 
     return MeasurementPipeline(
         state0=state0, outcome_indices=np.arange(n_bins), outcome_values=bin_centers,
-        outcome_reference=weights, outcome_edges=edges,
-        x_bounds=(float(x[0]), float(x[-1])))
+        outcome_reference=weights, outcome_edges=edges)

@@ -20,6 +20,11 @@ from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem, _d1_4,
                      interior_mask, quantum_potential)
 
 _COORD_NAMES = {1: ("q",), 2: ("x", "y")}
+# largest magnitude an appendix section may give a coordinate, a packet
+# parameter, the step, a delta, a field value or the inverse grid spacing:
+# the Hamiltonian, the observables and the residuals multiply a few of them
+# and square the result, which then stays finite
+APPENDIX_MAGNITUDE_MAX = 1e50
 
 
 def system_from_expressions(dimension: int, metric=None, vector=None, scalar=None
@@ -81,17 +86,23 @@ def appendix_setup(app: dict):
     d = app["dimension"]
     grid = CartesianGrid((float(app["x_min"]),), (float(app["x_max"]),),
                          (app["n_points"],), (app["periodic"],))
+    if not grid.spacing(0) * APPENDIX_MAGNITUDE_MAX >= 1.0:
+        raise InvalidSystemError(f"appendix.x_max: the grid spacing must be at least "
+                                 f"{1 / APPENDIX_MAGNITUDE_MAX:g}")
     coords = grid.coords()
     parts = {}
     for key in ("metric", "vector", "scalar"):
         try:
             part = system_from_expressions(d, **{key: app[key]})
-            _validate_metric(part.metric_field(coords), d)
-            part.vector_field(coords)
-            part.scalar_field(coords)
+            values = [part.metric_field(coords), part.vector_field(coords),
+                      part.scalar_field(coords)]
+            _validate_metric(values[0], d)
         except (ValueError, IndexError, ArithmeticError, TypeError) as exc:
             # float arithmetic fails on constant parts: 0^-1, 10^400, (-8)^0.5
             raise InvalidSystemError(f"appendix.{key}: {exc}") from exc
+        if not all(np.all(np.abs(v) <= APPENDIX_MAGNITUDE_MAX) for v in values):
+            raise InvalidSystemError(f"appendix.{key}: values on the grid must be at most "
+                                     f"{APPENDIX_MAGNITUDE_MAX:g} in magnitude")
         parts[key] = part
     system = MetricPotentialSystem(d, parts["metric"].metric,
                                    parts["vector"].vector_potential,

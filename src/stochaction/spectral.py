@@ -82,8 +82,11 @@ class PlaneWaveModes:
 
     These are exact eigenfunctions of the momentum coupling, so the spectral
     solution with one packet per retained wavenumber is exact; the discrete
-    outcome only appears when the readout is binned.  ``x_grid`` is kept for
-    initial-density sampling and trajectory bounds.
+    outcome only appears when the readout is binned.  The spacing times ``L``
+    must be a multiple of 2 pi: only then are the modes orthonormal under
+    the ``1/sqrt(L)`` normalization and the density periodic on the box, so
+    the system coordinate needs no bounds.  ``x_grid`` is kept for
+    initial-density sampling only.
     """
 
     def __init__(self, momenta: np.ndarray, box_length: float, x_grid: np.ndarray):
@@ -92,6 +95,10 @@ class PlaneWaveModes:
             dp = np.diff(p)
             if not np.allclose(dp, dp[0], rtol=0, atol=1e-12 * abs(dp[0])):
                 raise ValueError("plane-wave momenta must be equally spaced")
+            turns = abs(dp[0]) * box_length / (2 * np.pi)
+            if not (turns >= 0.5 and abs(turns - round(turns)) <= 1e-9 * turns):
+                raise ValueError("plane-wave spacing times box_length must be a "
+                                 "multiple of 2 pi")
         self.momenta = p
         self.omegas = p
         self.box_length = float(box_length)

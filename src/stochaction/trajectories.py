@@ -347,16 +347,17 @@ def _step(flow, x, t, dt, lam, k1: np.ndarray) -> np.ndarray:
 def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, duration: float,
                        sign_paths: np.ndarray | None = None, lambda_mag: float = 0.0,
                        q2_bounds: tuple[float, float] | None = None,
-                       x_bounds: tuple[float, float] | None = None,
                        snapshot_steps: tuple[int, ...] = ()) -> dict:
     """Fixed-step RK4 integration of a batch of trajectories.
 
     ``sign_paths`` (n, n_steps) switches the osmotic term per step; omit it
     for effective-velocity runs.  Trials whose pointer leaves ``q2_bounds``
-    (or whose system coordinate leaves ``x_bounds``) freeze at their last
-    configuration, are flagged, and drop out of the working set.  Returns
-    final configs, per-trial flags, the time each trial was decided (NaN if
-    never) and any requested intermediate snapshots.
+    freeze at their last configuration, are flagged, and drop out of the
+    working set.  The system coordinate has no bounds: the ring angle and
+    the box plane waves are periodic, and a position readout's coordinate
+    never moves.  Returns final configs, per-trial flags, the time each
+    trial was decided (NaN if never) and any requested intermediate
+    snapshots.
 
     Each step evaluates the field once per stage: one evaluation at the
     landing point gives both the node check and the next step's first stage
@@ -421,8 +422,6 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
         newly = np.zeros(len(live), dtype=bool)
         if q2_bounds is not None:
             newly |= (prop[:, 1] < q2_bounds[0]) | (prop[:, 1] > q2_bounds[1])
-        if x_bounds is not None:
-            newly |= (prop[:, 0] < x_bounds[0]) | (prop[:, 0] > x_bounds[1])
         if np.any(newly):
             retired.append((live[newly], x[newly], 0.0, k))
             overflow[live[newly]] = True

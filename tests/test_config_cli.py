@@ -388,9 +388,30 @@ class TestCli:
         assert cli_main(["repeatability", "--config", str(path)]) == 1
 
     def test_checks_failure_exit_three(self, tmp_path):
+        # a floor that parses (below 1) but that this seed's p does not reach
         path, _ = make_config(tmp_path, overrides={
-            "checks": {"chi2_p_min": 1.0}})   # impossible floor
+            "checks": {"chi2_p_min": 1.0 - 1e-12}})
         assert cli_main(["born", "--config", str(path)]) == 3
+
+    @pytest.mark.parametrize("kind, overrides, key", [
+        ("born", {"checks": {"chi2_p_min": 1.5}}, "checks.chi2_p_min"),
+        ("born", {"checks": {"chi2_p_min": 1}}, "checks.chi2_p_min"),
+        ("born", {"checks": {"max_ambiguous_rate": 0}}, "checks.max_ambiguous_rate"),
+        ("prior-average", {"prior": {"z_max": -1}}, "prior.z_max"),
+        ("stochastic-check", {"checks": {"mean_abs_dev_rtol": -1}},
+         "checks.mean_abs_dev_rtol"),
+    ])
+    def test_threshold_no_run_can_pass_exit_one(self, tmp_path, capsys, kind, overrides,
+                                                key):
+        # rejected at parse, before any work, naming the key
+        small = {"ensemble": {"n_trials": 50}, "prior": {"n_mc": 100},
+                 "checks": {"n_draws": 100}}
+        path, _ = make_config(tmp_path, experiment=kind, overrides={
+            section: {**small.get(section, {}), **overrides.get(section, {})}
+            for section in small.keys() | overrides.keys()})
+        assert cli_main([kind, "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exit_one(self, tmp_path):
         assert cli_main(["born", "--config", str(tmp_path / "nope.json")]) == 1
@@ -875,6 +896,74 @@ def test_fuzzed_checks_prior_and_repeat_fail_at_parse_or_run(tmp_path, drawn):
     path = case / "config.json"
     path.write_text(json.dumps({"experiment": kind, "seed": 1, "out_dir": str(case / "out"),
                                 "ensemble": {"n_trials": 3, "dt_traj": 0.01}, **sections}))
+    try:
+        parse_config(path.read_text())
+    except ConfigError:
+        expected = {1}
+    else:
+        expected = {0, 3}
+    assert cli_main([kind, "--config", str(path)]) in expected
+
+
+@st.composite
+def appendix_section(draw):
+    """A schema-valid ``appendix`` section and a grid kind: runnable values
+    with up to two fields drawn from an unusual range (an inverted or
+    non-finite interval, a count below its minimum, field expressions that
+    do not compile, are not positive or overflow, a packet off the grid or
+    of zero width, a non-positive or huge step, deltas without the 0 entry
+    or at -1, a residual check without three snapshots).  At most 48 points
+    and 12 steps."""
+    fields = {
+        "dimension": (st.just(1), st.sampled_from([0, 2, 3])),
+        "x_min": (st.floats(-8.0, -4.0), st.floats(-1.0, 10.0) | _ANY_FLOAT),
+        "x_max": (st.floats(4.0, 8.0), st.floats(-10.0, 1.0) | _ANY_FLOAT),
+        "n_points": (st.integers(16, 48), st.integers(-1, 15)),
+        "periodic": (st.booleans(), st.booleans()),
+        "metric": (st.sampled_from([None, "1+0.2*sin(q)^2", {"g11": "2-exp(-q^2)"}]),
+                   st.sampled_from(["q", "0", "-1", "", "1+", "1/q", "q^0.5", "10^400",
+                                    {"g22": "1"}, {"g1": "1"}, {"g11": 2}])),
+        "vector": (st.sampled_from([None, ["0.3*cos(q)"]]),
+                   st.sampled_from([[], ["q", "1"], ["x"], [1], ["0^-1"]])),
+        "scalar": (st.sampled_from([None, "0.5*q^2", "0.1*cos(q)"]),
+                   st.sampled_from(["", "qq", "sin(", "(-8)^0.5", "exp(q^3)",
+                                    "1e300*q^2", "0^-1"])),
+        "initial_center": (st.floats(-1.0, 1.0), st.floats(-100.0, 100.0) | _ANY_FLOAT),
+        "initial_width": (st.floats(0.5, 2.0),
+                          st.sampled_from([0.0, -1.0, 1e-300]) | _ANY_FLOAT),
+        "initial_momentum": (st.floats(-2.0, 2.0), st.floats(-1e6, 1e6) | _ANY_FLOAT),
+        "dt": (st.sampled_from([0.002, 0.01]), st.floats(-0.01, 1e3) | _ANY_FLOAT),
+        "n_steps": (st.integers(1, 12), st.integers(-1, 0)),
+        "record_every": (st.integers(1, 6), st.integers(-1, 0) | st.integers(7, 40)),
+        "deltas": (st.sampled_from([[0.0], [0.0, 0.25], [-0.1, 0.0, 0.1]]),
+                   st.lists(st.floats(-2.0, 2.0) | _ANY_FLOAT | st.text(max_size=2),
+                            max_size=3)),
+        "residual_check": (st.booleans(), st.just(True)),
+        "save_wavefunctions": (st.booleans(), st.booleans()),
+    }
+    odd = draw(st.sets(st.sampled_from(sorted(fields)), max_size=2))
+    appendix = {key: draw(unusual if key in odd else usual)
+                for key, (usual, unusual) in fields.items()}
+    return draw(st.sampled_from(["appendix", "lambda-sweep"])), appendix
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=appendix_section())
+# a number where an expression belongs, and magnitudes whose products or
+# squares overflow float64 in the run
+@example(drawn=("appendix", {"vector": [1], "n_points": 16, "n_steps": 1}))
+@example(drawn=("appendix", {"scalar": "1e300*q^2", "n_points": 16, "n_steps": 2,
+                             "record_every": 1, "residual_check": True}))
+@example(drawn=("lambda-sweep", {"deltas": [0.0, 1e300], "n_points": 16, "n_steps": 2,
+                                 "record_every": 1}))
+def test_fuzzed_appendix_fail_at_parse_or_run(tmp_path, drawn):
+    # as above, for the grid kinds' section: grid, fields, packet and steps
+    kind, appendix = drawn
+    case = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = case / "config.json"
+    path.write_text(json.dumps({"experiment": kind, "seed": 1, "out_dir": str(case / "out"),
+                                "appendix": appendix}))
     try:
         parse_config(path.read_text())
     except ConfigError:

@@ -495,9 +495,9 @@ def _recording_splu(seen):
         def __init__(self, lu):
             self.lu = lu
 
-        def solve(self, rhs):
+        def solve(self, rhs, trans="N"):
             seen.append(("solve", gridop.blas_threads()))
-            return self.lu.solve(rhs)
+            return self.lu.solve(rhs, trans=trans)
 
     def wrapped(A, **kwargs):
         seen.append(("splu", gridop.blas_threads()))

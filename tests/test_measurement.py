@@ -469,6 +469,27 @@ class TestSubstituteObservable:
                                      config=config, grid=GridSpec(-8, 8))
         assert abs(pipe.outcome_reference.sum() - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("kind", ["position", "linear_momentum"])
+    def test_no_overflow_from_draws_in_the_outer_half_cells(self, kind):
+        # initial x is drawn anywhere in the cells around the grid points,
+        # x[0] - h/2 to x[-1] + h/2; the system coordinate has no bounds, so
+        # a draw in an outer half-cell is an ordinary trial
+        x = np.linspace(-1.0, 1.0, 64, endpoint=False)
+        if kind == "position":
+            psi = np.full(64, np.sqrt(0.5), dtype=complex)
+            config, window, dt = PhysicalConfig(sigma=0.05), (-1.0 - 1e-9, 1.0), 2e-3
+        else:
+            psi = (np.exp(1j * np.pi * x) + np.exp(-1j * np.pi * x)
+                   + 0.7 * np.exp(3j * np.pi * x))
+            psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
+            config, window, dt = PhysicalConfig(g=0.1, sep_factor=6.0), (-12.0, 12.0), 1e-3
+        pipe = substitute_observable(kind, psi, x, window=window, n_bins=4,
+                                     config=config, grid=GridSpec(-4.0, 4.0))
+        recs, stats, _ = run_ensemble(pipe, config, EnsembleSpec(dt_traj=dt), 600, seed=3)
+        outer = [r for r in recs if not x[0] <= r.theta_initial <= x[-1]]
+        assert outer, "no draw fell in an outer half-cell"
+        assert stats.n_overflow == 0
+
     def test_window_coverage_guard(self, grid, config):
         x, psi = self._line_state(width=1.0)
         with pytest.raises(InvalidSystemError):

@@ -195,6 +195,13 @@ class TestPlaneWaveModes:
         with pytest.raises(ValueError):
             PlaneWaveModes(np.array([0.0, 0.5, 1.5]), 10.0, np.linspace(0, 1, 8))
 
+    @pytest.mark.parametrize("box", [16.0, np.pi, float("nan")])
+    def test_box_off_the_spacing_period_rejected(self, box):
+        # spacing 1: the 1/sqrt(L) modes are orthonormal only on L = 2 pi k
+        with pytest.raises(ValueError, match="multiple of 2 pi"):
+            PlaneWaveModes(np.array([-1.5, -0.5, 0.5]), box, np.linspace(-8, 8, 16))
+        PlaneWaveModes(np.array([-1.5, -0.5, 0.5]), 4 * np.pi, np.linspace(-8, 8, 16))
+
 
 class TestStateValidation:
     @pytest.mark.parametrize("sigma", [0.0, -0.05, float("nan")])

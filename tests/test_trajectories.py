@@ -214,12 +214,13 @@ def oracle_actual(flow, points, t, lambda_signed):
 
 
 def plane_wave_state(grid):
-    # equally spaced momenta with a zero-weight interior mode
-    x = np.linspace(-8.0, 8.0, 257)
+    # equally spaced momenta with a zero-weight interior mode, on a box of
+    # length 4 pi that holds two periods of the spacing-1 density
+    x = np.linspace(-2 * np.pi, 2 * np.pi, 256, endpoint=False)
     p = np.array([-1.5, -0.5, 0.5, 1.5, 2.5])
     c = np.array([0.3, 0.6, 0.0, 0.5j, -0.4 + 0.2j])
     return SpectralState(coeffs=c / np.linalg.norm(c),
-                         modes=PlaneWaveModes(p, 16.0, x),
+                         modes=PlaneWaveModes(p, 4 * np.pi, x),
                          packet=GaussianPacket(0.0, 0.05),
                          centers=np.full(len(p), 0.02), t=0.0, grid=grid)
 
@@ -553,7 +554,7 @@ class TestStepLoop:
 
 
 def parent_integrate(flow, q0, spec, t0, duration, sign_paths=None, lambda_mag=0.0,
-                     q2_bounds=None, x_bounds=None, snapshot_steps=()):
+                     q2_bounds=None, snapshot_steps=()):
     """The integration loop before decided trials: every live row steps until the end."""
     n_steps = int(round(duration / spec.dt_traj))
     dt = spec.dt_traj
@@ -583,8 +584,6 @@ def parent_integrate(flow, q0, spec, t0, duration, sign_paths=None, lambda_mag=0
         newly = np.zeros(len(live), dtype=bool)
         if q2_bounds is not None:
             newly |= (prop[:, 1] < q2_bounds[0]) | (prop[:, 1] > q2_bounds[1])
-        if x_bounds is not None:
-            newly |= (prop[:, 0] < x_bounds[0]) | (prop[:, 0] > x_bounds[1])
         if np.any(newly):
             configs[live[newly]] = x[newly]
             overflow[live[newly]] = True
@@ -627,18 +626,17 @@ class TestDecidedTrials:
 
     @pytest.mark.parametrize("name", ["three", "seven", "plane"])
     def test_same_outcomes_as_parent_loop(self, grid, basis, name):
-        state, x_bounds = {
-            "three": (make_state({-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
-                                 basis, grid, sigma=0.05), None),
-            "seven": (seven_mode_state(basis, grid), None),
-            "plane": (plane_wave_state(grid), (-8.0, 8.0)),
+        state = {
+            "three": make_state({-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
+                                basis, grid, sigma=0.05),
+            "seven": seven_mode_state(basis, grid),
+            "plane": plane_wave_state(grid),
         }[name]
         flow = ModeFlow(state, g=1.0)
         q0 = _initial_draws(state, 11, np.arange(256), stream(11))
         spec = EnsembleSpec(dt_traj=2e-3)
         steps = (0, 250, 500)
-        kw = dict(q2_bounds=(grid.q2_min, grid.q2_max), x_bounds=x_bounds,
-                  snapshot_steps=steps)
+        kw = dict(q2_bounds=(grid.q2_min, grid.q2_max), snapshot_steps=steps)
         want = parent_integrate(flow, q0, spec, 0.0, 1.0, **kw)
         got = integrate_ensemble(flow, q0, spec, 0.0, 1.0, **kw)
         decided = ~np.isnan(got["decided_at"])

@@ -23,14 +23,20 @@ record options compare outcomes rather than bytes:
     python3 tools/result_hashes.py --compare-records recs              # change
 
 ``--dump-records DIR`` writes one ``DIR/<kind>.json`` per kind that records
-outcomes: its ``records.jsonl`` rows (the born kinds and the API-level
-``born-position``, ``born-linear-momentum`` and ``born-overlap``, whose
-overlapping windows leave some trials ambiguous), the outcome counts of its
-``summary.json`` and its ``trajectories.csv`` rows.  ``--compare-records DIR``
-compares ``outcome_index`` and ``overflow`` row by row and the counts, prints
-``max |dq2_final|`` per kind and the largest change in any trajectories.csv
-cell, and exits 1 on any outcome difference.  Both options may be combined
-with ``--compare``; the exit status is 1 if any comparison fails.
+outcomes or numbers: its ``records.jsonl`` rows (the born kinds and the
+API-level ``born-position``, ``born-linear-momentum`` and ``born-overlap``,
+whose overlapping windows leave some trials ambiguous), the outcome counts of
+its ``summary.json``, its ``trajectories.csv`` rows, and the numbers of the
+grid kinds' ``observables.csv``, ``sweep.csv`` and ``psi_final.csv`` and of
+every API kind's ``result.json``.
+``--compare-records DIR`` compares ``outcome_index`` and ``overflow`` row by
+row and the counts, prints ``max |dq2_final|`` per kind, the largest change
+in any trajectories.csv cell and the largest absolute change in each kind's
+numbers, then the largest number change over all kinds.  It exits 1 on an
+outcome difference or a file whose count of numbers differs; changed numbers
+alone do not fail it, so it measures a declared last-bit change.  Both
+options may be combined with ``--compare``; the exit status is 1 if any
+comparison fails.
 
 The package is imported from the ``src`` directory next to this script.
 """
@@ -217,6 +223,10 @@ def node_policy():
     return out
 
 
+# the config kinds that step a grid, and the result files whose numbers they dump
+GRID_KINDS = ("appendix", "lambda-sweep")
+GRID_FILES = ("observables.csv", "sweep.csv", "psi_final.csv")
+
 # name -> API run whose result is hashed as canonical JSON
 API_RUNS = {
     "node-policy": node_policy,
@@ -229,8 +239,25 @@ API_RUNS = {
 }
 
 
-def outcome_data(out_dir: Path) -> dict:
-    """What one run's result files say about its trials' outcomes."""
+def csv_numbers(text: str) -> list[float]:
+    """Every cell below the header of a numeric CSV, row by row."""
+    return [float(c) for line in text.splitlines()[1:] for c in line.split(",")]
+
+
+def json_numbers(obj) -> list[float]:
+    """Every number in a JSON value, keys in sorted order, booleans left out."""
+    if isinstance(obj, dict):
+        return [x for key in sorted(obj) for x in json_numbers(obj[key])]
+    if isinstance(obj, list):
+        return [x for item in obj for x in json_numbers(item)]
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return [float(obj)]
+    return []
+
+
+def outcome_data(out_dir: Path, grid: bool = False) -> dict:
+    """What one run's result files say about its trials' outcomes, plus the
+    numbers of its grid result files when ``grid`` is set."""
     data = {}
     records = out_dir / "records.jsonl"
     if records.exists():
@@ -245,6 +272,10 @@ def outcome_data(out_dir: Path) -> dict:
     if trajectories.exists():
         data["trajectories"] = [[float(c) for c in line.split(",")]
                                 for line in trajectories.read_text().splitlines()[1:]]
+    if grid:
+        data["numbers"] = {
+            name: csv_numbers(path.read_text())
+            for name in GRID_FILES if (path := out_dir / name).exists()}
     return data
 
 
@@ -265,20 +296,23 @@ def result_hashes() -> tuple[dict, dict]:
             manifest = json.loads((Path(tmp) / name / "manifest.json").read_text())
             hashes[name] = {**manifest["files"],
                             "config.json": hashlib.sha256(echo).hexdigest()}
-            if found := outcome_data(Path(tmp) / name):
+            if found := outcome_data(Path(tmp) / name, grid=kind in GRID_KINDS):
                 outcomes[name] = found
     for name, run in API_RUNS.items():
         result = run()
-        blob = canonical_json(result).encode()
-        hashes[name] = {"result.json": hashlib.sha256(blob).hexdigest()}
+        blob = canonical_json(result)
+        hashes[name] = {"result.json": hashlib.sha256(blob.encode()).hexdigest()}
+        outcomes[name] = {"numbers": {"result.json": json_numbers(json.loads(blob))}}
         if name.startswith("born-"):
-            outcomes[name] = {"records": result}
+            outcomes[name]["records"] = result
     return hashes, outcomes
 
 
 def record_differences(expected: dict, actual: dict) -> tuple[list[str], list[str]]:
-    """Outcome differences per kind, and one report line per kind compared."""
+    """Outcome differences per kind, and one report line per kind compared
+    plus a last line with the largest number change over all kinds."""
     diffs, report = [], []
+    largest = (0.0, "no numbers compared")
     for kind in sorted(set(expected) | set(actual)):
         if kind not in expected or kind not in actual:
             diffs.append(f"{kind}: outcomes on one side only")
@@ -306,7 +340,20 @@ def record_differences(expected: dict, actual: dict) -> tuple[list[str], list[st
         elif w_tr:
             cell = max(abs(x - y) for a, b in zip(w_tr, g_tr) for x, y in zip(a, b))
             parts.append(f"max |d| in trajectories.csv {cell:.3g}")
+        w_num, g_num = want.get("numbers", {}), got.get("numbers", {})
+        changes = {}
+        for name in sorted(set(w_num) | set(g_num)):
+            a, b = w_num.get(name), g_num.get(name)
+            if a is None or b is None or len(a) != len(b):
+                diffs.append(f"{kind}: numbers of {name} differ in count")
+            else:
+                changes[name] = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+        if changes:
+            name = max(changes, key=changes.get)
+            parts.append(f"max |d| in numbers {changes[name]:.3g} ({name})")
+            largest = max(largest, (changes[name], f"{kind} {name}"))
         report.append(f"{kind}: {', '.join(parts)}")
+    report.append(f"largest number change: {largest[0]:.3g} ({largest[1]})")
     return diffs, report
 
 
@@ -343,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         diffs, report = record_differences(saved, outcomes)
         for line in report + [f"differs: {d}" for d in diffs]:
             print(line)
-        print(f"{len(diffs)} outcome differences in {len(report)} kinds")
+        print(f"{len(diffs)} outcome differences in {len(report) - 1} kinds")
         status = 1 if diffs else status
     if args.compare is not None:
         diff = differences(json.loads(Path(args.compare).read_text()), hashes)
