@@ -308,9 +308,9 @@ def result_hashes() -> tuple[dict, dict]:
     return hashes, outcomes
 
 
-def record_differences(expected: dict, actual: dict) -> tuple[list[str], list[str]]:
-    """Outcome differences per kind, and one report line per kind compared
-    plus a last line with the largest number change over all kinds."""
+def record_differences(expected: dict, actual: dict) -> tuple[list[str], list[str], str]:
+    """Outcome differences per kind, one report line per kind compared, and
+    a line naming the largest number change over all kinds."""
     diffs, report = [], []
     largest = (0.0, "no numbers compared")
     for kind in sorted(set(expected) | set(actual)):
@@ -353,8 +353,7 @@ def record_differences(expected: dict, actual: dict) -> tuple[list[str], list[st
             parts.append(f"max |d| in numbers {changes[name]:.3g} ({name})")
             largest = max(largest, (changes[name], f"{kind} {name}"))
         report.append(f"{kind}: {', '.join(parts)}")
-    report.append(f"largest number change: {largest[0]:.3g} ({largest[1]})")
-    return diffs, report
+    return diffs, report, f"largest number change: {largest[0]:.3g} ({largest[1]})"
 
 
 def differences(expected: dict, actual: dict) -> list[tuple[str, str]]:
@@ -387,10 +386,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.compare_records is not None:
         saved = {path.stem: json.loads(path.read_text())
                  for path in sorted(Path(args.compare_records).glob("*.json"))}
-        diffs, report = record_differences(saved, outcomes)
-        for line in report + [f"differs: {d}" for d in diffs]:
+        diffs, report, largest = record_differences(saved, outcomes)
+        for line in report + [largest] + [f"differs: {d}" for d in diffs]:
             print(line)
-        print(f"{len(diffs)} outcome differences in {len(report) - 1} kinds")
+        print(f"{len(diffs)} outcome differences in {len(report)} kinds")
         status = 1 if diffs else status
     if args.compare is not None:
         diff = differences(json.loads(Path(args.compare).read_text()), hashes)
