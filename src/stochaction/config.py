@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import DomainOverflowError, GridSpec, InvalidSystemError, PhysicalConfig
 from .measurement import prepare_initial_state
-from .potentials import APPENDIX_MAGNITUDE_MAX, appendix_setup
+from .potentials import APPENDIX_MAGNITUDE_MAX, LambdaSweep, appendix_setup
 from .rng import SEED_MAX
 from .spectral import AngularBasis, GaussianPacket, evolve_measurement_spectral
 from .stochastic import StochasticParams
@@ -359,6 +359,14 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
                           f"{APPENDIX_MAGNITUDE_MAX:g} in magnitude")
     elif 0.0 not in deltas:
         violations.append("appendix.deltas: must include the 0 reference entry")
+    elif physical and cfg["experiment"] in ("appendix", "lambda-sweep"):
+        # a grid run builds its operator at every scale lambda_mag * (1 + delta);
+        # an appendix run at delta 0 alone
+        sweep = deltas if cfg["experiment"] == "lambda-sweep" else [0.0]
+        if not all(lam <= APPENDIX_MAGNITUDE_MAX for lam in
+                   LambdaSweep(tuple(map(float, sweep)), base=physical.lambda_mag).lambdas):
+            violations.append(f"physical.lambda_mag: every scale lambda_mag * (1 + delta) "
+                              f"must be at most {APPENDIX_MAGNITUDE_MAX:g}")
 
 
 def parse_config(text: str) -> ExperimentConfig:

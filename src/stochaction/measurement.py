@@ -29,8 +29,8 @@ from .core import (EPS_NODE_REL, HBAR, DegenerateInputError, GridSpec,
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        SpectralState, evolve_measurement_spectral, occupied)
 from .stochastic import StochasticParams, sample_sign_path
-from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow, integrate_ensemble,
-                           ring_sampler)
+from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow, RingSampler,
+                           integrate_ensemble)
 
 # Mode rows x trial rows of one ensemble chunk at most (_chunk_rows), so each
 # complex per-mode temporary stays at or under 256 KB.  Every kernel call and
@@ -38,6 +38,9 @@ from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow, integrate
 # run faster until that temporary outgrows L2: on a 2-vCPU machine with 2 MB
 # of L2 per core, runs slowed once it passed about 450 KB.
 _MODE_ROWS = 2**14
+# trials whose initial draws are decided at once, which bounds the
+# (trials x round) temporaries
+_DRAW_BLOCK = 256
 # share of the state's norm a binned readout's window must cover
 _COVERAGE_MIN = 0.999
 
@@ -224,13 +227,12 @@ def _readout(pipe: MeasurementPipeline, q2: np.ndarray, config: PhysicalConfig) 
     return np.where(inside, np.searchsorted(edges, value, side="right") - 1, -1)
 
 
-def _sample_line(density: np.ndarray, points: np.ndarray, n: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from a 1-D tabulated density (piecewise constant cells)."""
+def _sample_line(density: np.ndarray, points: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF map of uniforms ``u`` onto a 1-D tabulated density (piecewise constant cells)."""
     h = points[1] - points[0]
     masses = density * h
     cdf = np.cumsum(masses)
-    u = rng.random(n) * cdf[-1]
+    u = u * cdf[-1]
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(points) - 1)
     prev = np.where(idx > 0, cdf[idx - 1], 0.0)
     frac = np.clip((u - prev) / np.maximum(masses[idx], 1e-300), 0.0, 1.0)
@@ -242,28 +244,44 @@ def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray,
     """Per-trial product-form draws from |Psi(0)|^2, one counter stream each.
 
     ``gen`` is re-keyed to each trial's ``INITIAL`` stream, which gives the
-    system coordinate and then one pointer normal.  On the ring the
-    coordinate comes from one :func:`ring_sampler` over the occupied modes,
-    set up once per chunk, on a line from the inverse CDF of the tabulated
-    density.  A trial's draws depend on its stream alone, so no chunking can
-    change them.
+    uniforms of the system coordinate and then one pointer normal.  On the
+    ring they are the trial's first :class:`RingSampler` round
+    (``2 round_size(1)`` uniforms), on a line one uniform for the inverse
+    CDF of the tabulated density.  The uniforms are mapped, and the ring
+    rounds decided, ``_DRAW_BLOCK`` trials at a time; a trial whose first
+    round accepts nothing is re-keyed and drawn by the sampler's rounds,
+    which repeat that round and go on.  A trial's draws depend on its
+    stream alone, so no chunking can change them.
     """
     if isinstance(state0.modes, AngularBasis):
         sup = state0.support_indices()
-        draw = partial(ring_sampler(state0.coeffs[sup], state0.modes.modes[sup]),
-                       1, gen)
+        sampler = RingSampler(state0.coeffs[sup], state0.modes.modes[sup])
+        width = 2 * sampler.round_size(1)
     else:
         xg = state0.modes.x_grid
         table = (state0.modes.values(xg) if isinstance(state0.modes, PlaneWaveModes)
                  else state0.modes.table)
         dens = np.abs(np.tensordot(state0.coeffs, table, axes=1)) ** 2
-        draw = partial(_sample_line, dens, xg, 1, gen)
+        sampler, width = None, 1
     out = np.empty((len(trials), 2))
+    raw = np.empty((min(len(trials), _DRAW_BLOCK), width))
     center, sigma = state0.centers[0], state0.packet.sigma
-    for k, trial in enumerate(trials):
-        rngmod.rekey(gen, seed, rngmod.INITIAL, int(trial))
-        out[k, 0] = draw()[0]
-        out[k, 1] = gen.normal(center, sigma)
+    for start in range(0, len(trials), _DRAW_BLOCK):
+        block = trials[start:start + _DRAW_BLOCK].tolist()
+        rows, u = out[start:start + len(block)], raw[:len(block)]
+        for k, trial in enumerate(block):
+            rngmod.rekey(gen, seed, rngmod.INITIAL, trial)
+            gen.random(out=u[k])
+            rows[k, 1] = gen.normal(center, sigma)
+        if sampler is None:
+            rows[:, 0] = _sample_line(dens, xg, u[:, 0])
+            continue
+        theta, ok = sampler.accept(u)
+        rows[:, 0] = theta[np.arange(len(block)), ok.argmax(axis=1)]
+        for k in np.flatnonzero(~ok.any(axis=1)):
+            rngmod.rekey(gen, seed, rngmod.INITIAL, block[k])
+            rows[k, 0] = sampler(1, gen)[0]
+            rows[k, 1] = gen.normal(center, sigma)
     return out
 
 
@@ -455,7 +473,7 @@ def average_prior(coeffs, basis: AngularBasis, n_mc: int, seed: int,
     c = _coefficient_vector(coeffs, basis)
     support = occupied(c)
     r = rngmod.stream(seed, rngmod.PRIOR, 0)
-    theta = ring_sampler(c[support], basis.modes[support])(n_mc, r)
+    theta = RingSampler(c[support], basis.modes[support])(n_mc, r)
     signs = r.integers(0, 2, size=n_mc) * 2 - 1
     samples = actual_observable_prior(c, basis, theta, lambda_mag * signs)
     mean = float(np.mean(samples))

@@ -89,7 +89,12 @@ class ModeFlow:
     the pointer-gradient of the phase and the pointer with the
     system-gradient, each scaled by g.  Only occupied modes enter the sums;
     ring eigenfunctions come from a single unit phase through an integer
-    power chain, which is what keeps large ensembles cheap.
+    power chain, which is what keeps large ensembles cheap.  Each mode row
+    goes straight from the chain into its term, and every product with a
+    per-mode constant is taken row by row with a scalar operand: no
+    ``(K, n)`` mode table is written, and numpy's slower broadcast loop for
+    a ``(K, 1)`` factor is never taken.  The operations and their order are
+    those of the broadcast form, so the bits are too.
 
     Ring (:class:`AngularBasis`) and plane-wave states only: a position
     state moves under :class:`PointerReadoutFlow`.
@@ -138,38 +143,39 @@ class ModeFlow:
             th = np.linspace(0.0, TWO_PI, 512, endpoint=False)
         else:
             th = self.modes.x_grid
-        peak = np.abs(np.tensordot(self._packet_coeffs, self._mode_values(th), axes=1)) ** 2
+        u = np.empty((len(self.coeffs),) + th.shape, dtype=complex)
+        for k, row in enumerate(self._mode_rows(th)):
+            u[k] = 1.0 if row is None else row
+        peak = np.abs(np.tensordot(self._packet_coeffs, u, axes=1)) ** 2
         return float(peak.max())
 
     def centers(self, t: float) -> np.ndarray:
         return self.centers0 + self.g * self.omegas * (t - self.t0)
 
-    def _mode_values(self, x: np.ndarray) -> np.ndarray:
-        """Occupied mode rows ``exp(i l_k x)`` or ``exp(i p_k x)``, each written once."""
+    def _mode_rows(self, x: np.ndarray):
+        """Each occupied mode row ``exp(i l_k x)`` or ``exp(i p_k x)`` in k order.
+
+        ``None`` stands for the row of ones (``l = 0``).  A plane-wave row is
+        the running product of the chain, valid only until the next is drawn.
+        """
         if self.ring:
             # powers of exp(i x) cover every occupied mode; conjugates give l < 0
             z = _unit_phase(x)
             powers = [None, z]
             for _ in range(1, self._l_abs_max):
                 powers.append(powers[-1] * z)
-            u = np.empty((len(self._l),) + x.shape, dtype=complex)
-            for k, l in enumerate(self._l):
-                if l == 0:
-                    u[k] = 1.0
-                elif l > 0:
-                    u[k] = powers[l]
-                else:
-                    np.conjugate(powers[-l], out=u[k])
+            for l in self._l:
+                yield powers[l] if l >= 0 else np.conjugate(powers[-l])
         else:
             # equally spaced momenta: one phase for the base, one per step of the chain
             p = self._p
-            u = np.empty((len(p),) + x.shape, dtype=complex)
-            u[0] = _unit_phase(p[0] * x)
+            u = _unit_phase(p[0] * x)
+            yield u
             if len(p) > 1:
                 step = _unit_phase((p[1] - p[0]) * x)
-                for k in range(1, len(p)):
-                    np.multiply(u[k - 1], step, out=u[k])
-        return u
+                for _ in range(1, len(p)):
+                    np.multiply(u, step, out=u)
+                    yield u
 
     def _packets(self, x: np.ndarray, q2: np.ndarray, t: float):
         """Each mode's term ``b_k = c'_k G_k(q2) u_k(x)`` of Psi, and ``mu_k - q2``.
@@ -181,18 +187,26 @@ class ModeFlow:
         gauss = mshift * mshift
         gauss *= self._gauss_rate
         np.exp(gauss, out=gauss)
-        b = self._mode_values(x)
-        b *= self._packet_coeffs.reshape(shape) * gauss
+        b = np.empty(gauss.shape, dtype=complex)
+        for k, row in enumerate(self._mode_rows(x)):
+            np.multiply(self._packet_coeffs[k], gauss[k], out=b[k])
+            if row is not None:
+                np.multiply(row, b[k], out=b[k])
         return b, mshift
 
     def _terms(self, x: np.ndarray, q2: np.ndarray, t: float):
         """Psi, its two gradients and the density at arbitrary points.
 
-        ``dPsi/dx = sum (i l_k) b_k`` and ``dPsi/dq2 = sum (mu_k - q2) / (2 sigma^2) b_k``.
+        ``dPsi/dx = sum (i l_k) b_k`` and ``dPsi/dq2 = sum (mu_k - q2) / (2 sigma^2) b_k``,
+        each summed in k order as ``np.add.reduce`` sums over the mode axis.
         """
         b, mshift = self._packets(x, q2, t)
         psi = np.add.reduce(b, axis=0)
-        dpsi_x = np.add.reduce(self._dfactor.reshape((-1,) + (1,) * x.ndim) * b, axis=0)
+        dpsi_x = self._dfactor[0] * b[0]
+        term = np.empty_like(dpsi_x)
+        for k in range(1, len(b)):
+            np.multiply(self._dfactor[k], b[k], out=term)
+            dpsi_x += term
         mshift /= self._two_var
         b *= mshift
         dpsi_q = np.add.reduce(b, axis=0)
@@ -293,37 +307,56 @@ def _ring_envelope(c: np.ndarray) -> float:
     return float(np.abs(c).sum()) ** 2 / TWO_PI
 
 
-def ring_sampler(c: np.ndarray, l: np.ndarray):
-    """``draw(n, rng)``: exact draws from ``|sum_k c_k exp(i l_k theta)|^2 / 2 pi``.
+class RingSampler:
+    """Exact draws from ``|sum_k c_k exp(i l_k theta)|^2 / 2 pi``: ``sampler(n, rng)``.
 
     ``c`` holds the occupied coefficients and ``l`` their mode numbers.
     Rejection under the constant envelope :func:`_ring_envelope`, which
-    touches the density for in-phase states.  Each round draws ``m`` angles
-    and then ``m`` heights and keeps the accepted angles in draw order.  The
-    set-up is done once here, so per-trial draws pay only for the rounds.
-    An envelope that is not positive and finite (no occupied mode, or a NaN
-    amplitude) would never accept, so it raises before any draw.
+    touches the density for in-phase states.  A round for ``n`` draws takes
+    ``m = round_size(n)`` uniforms for the angles and then ``m`` for the
+    heights, and keeps the accepted angles in draw order.  ``accept`` decides
+    rounds from their raw uniforms, so a caller may draw the first rounds of
+    many trials and decide them at once; it sums the modes row by row, so
+    no BLAS call (and no second BLAS thread) enters a draw.  An envelope
+    that is not positive and finite (no occupied mode, or a NaN amplitude)
+    would never accept, so it raises before any draw.
     """
-    c = np.asarray(c, dtype=complex)
-    il = 1j * np.asarray(l).reshape(-1, 1)
-    bound = _ring_envelope(c)
-    if not (np.isfinite(bound) and bound > 0):
-        raise DegenerateInputError(f"ring density has no positive finite bound ({bound!r})")
 
-    def draw(n: int, rng: np.random.Generator) -> np.ndarray:
+    def __init__(self, c: np.ndarray, l: np.ndarray):
+        self.c = np.asarray(c, dtype=complex)
+        self.il = 1j * np.asarray(l)
+        self.bound = _ring_envelope(self.c)
+        if not (np.isfinite(self.bound) and self.bound > 0):
+            raise DegenerateInputError(
+                f"ring density has no positive finite bound ({self.bound!r})")
+
+    def round_size(self, n: int) -> int:
+        """Angles in a round that still owes ``n`` draws."""
+        return int(2.5 * n * self.bound * TWO_PI) + 16
+
+    def accept(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Angles and acceptance of rounds given as rows ``[angle uniforms, height uniforms]``.
+
+        ``2 pi u`` and ``bound u`` are what ``uniform(0, 2 pi)`` and
+        ``uniform(0, bound)`` return for the same ``u``.
+        """
+        m = raw.shape[-1] // 2
+        theta = raw[..., :m] * TWO_PI
+        psi = self.c[0] * np.exp(self.il[0] * theta)
+        for ck, ilk in zip(self.c[1:], self.il[1:]):
+            psi += ck * np.exp(ilk * theta)
+        return theta, raw[..., m:] * self.bound < np.abs(psi) ** 2 / TWO_PI
+
+    def __call__(self, n: int, rng: np.random.Generator) -> np.ndarray:
         out = np.empty(n)
         filled = 0
         while filled < n:
-            m = int(2.5 * (n - filled) * bound * TWO_PI) + 16
-            theta = rng.uniform(0.0, TWO_PI, size=m)
-            u = rng.uniform(0.0, bound, size=m)
-            acc = theta[u < np.abs(c @ np.exp(il * theta)) ** 2 / TWO_PI]
+            theta, ok = self.accept(rng.random(2 * self.round_size(n - filled)))
+            acc = theta[ok]
             take = min(len(acc), n - filled)
             out[filled:filled + take] = acc[:take]
             filled += take
         return out
-
-    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +370,26 @@ def _stage_velocity(flow, x, t, lam, with_density: bool = False):
 
 
 def _step(flow, x, t, dt, lam, k1: np.ndarray) -> np.ndarray:
-    """One RK4 step; ``k1`` is the field at ``(x, t)``."""
-    k2 = _stage_velocity(flow, x + 0.5 * dt * k1, t + 0.5 * dt, lam)
-    k3 = _stage_velocity(flow, x + 0.5 * dt * k2, t + 0.5 * dt, lam)
-    k4 = _stage_velocity(flow, x + dt * k3, t + dt, lam)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One RK4 step; ``k1`` is the field at ``(x, t)``.
+
+    The sums are formed in place, with the IEEE operations of
+    ``x + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)`` in that order.
+    """
+    def from_x(v, h):
+        y = v * h
+        y += x
+        return y
+
+    half = 0.5 * dt
+    k2 = _stage_velocity(flow, from_x(k1, half), t + half, lam)
+    k3 = _stage_velocity(flow, from_x(k2, half), t + half, lam)
+    k4 = _stage_velocity(flow, from_x(k3, dt), t + dt, lam)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    return from_x(k2, dt / 6.0)
 
 
 def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, duration: float,

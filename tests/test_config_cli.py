@@ -473,6 +473,34 @@ class TestCli:
         assert path in capsys.readouterr().err
         assert not Path(data["out_dir"]).exists()
 
+    @pytest.mark.parametrize("experiment, lambda_mag, deltas", [
+        ("appendix", 1e200, [0.0]),
+        ("appendix", 1e200, [0.0, -0.5]),   # an appendix run takes delta 0 alone
+        ("lambda-sweep", 1e200, [0.0]),
+        ("lambda-sweep", 1e150, [0.0, 1e5]),   # only the swept scale is too large
+    ])
+    def test_grid_scale_beyond_magnitude_bound_rejected_at_parse(
+            self, tmp_path, capsys, experiment, lambda_mag, deltas):
+        path_cfg, data = make_config(
+            tmp_path, experiment=experiment,
+            overrides={"physical": {"lambda_mag": lambda_mag},
+                       "appendix": {"n_points": 16, "n_steps": 3, "record_every": 1,
+                                    "deltas": deltas}})
+        assert cli_main([experiment, "--config", str(path_cfg)]) == 1
+        assert "physical.lambda_mag" in capsys.readouterr().err
+        assert not Path(data["out_dir"]).exists()
+
+    def test_grid_scale_bound_leaves_other_kinds_alone(self, tmp_path, capsys):
+        # a Born run builds no grid; a sweep scale at the bound still runs
+        path_cfg, _ = make_config(tmp_path, overrides={"physical": {"lambda_mag": 1e200}})
+        assert cli_main(["born", "--config", str(path_cfg), "--echo-config"]) == 0
+        path_cfg, _ = make_config(
+            tmp_path, experiment="lambda-sweep",
+            overrides={"physical": {"lambda_mag": 1e50},
+                       "appendix": {"n_points": 16, "n_steps": 3, "record_every": 1,
+                                    "deltas": [0.0, -0.5]}})
+        assert cli_main(["lambda-sweep", "--config", str(path_cfg), "--echo-config"]) == 0
+
     @pytest.mark.parametrize("experiment, appendix, path", [
         ("appendix", {"scalar": "0.5*qq^2"}, "appendix.scalar"),
         ("lambda-sweep", {"scalar": "sin("}, "appendix.scalar"),

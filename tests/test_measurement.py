@@ -518,9 +518,20 @@ class TestSubstituteObservable:
                                   config=config, grid=grid)
 
 
+def oracle_sample_line(density, points, n, rng):
+    """Reference inverse-CDF draws from a tabulated density (piecewise constant cells)."""
+    h = points[1] - points[0]
+    masses = density * h
+    cdf = np.cumsum(masses)
+    u = rng.random(n) * cdf[-1]
+    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(points) - 1)
+    prev = np.where(idx > 0, cdf[idx - 1], 0.0)
+    frac = np.clip((u - prev) / np.maximum(masses[idx], 1e-300), 0.0, 1.0)
+    return points[idx] + (frac - 0.5) * h
+
+
 def oracle_initial_draws(state0, seed, trials):
     """Reference loop: a new stream per trial, rejection rounds over the occupied modes."""
-    from stochaction.measurement import _sample_line
     from stochaction.spectral import PlaneWaveModes
     out = np.empty((len(trials), 2))
     rounds = np.zeros(len(trials), dtype=int)
@@ -548,7 +559,7 @@ def oracle_initial_draws(state0, seed, trials):
         dens = np.abs(np.tensordot(state0.coeffs, table, axes=1)) ** 2
         for k, trial in enumerate(trials):
             r = stream(seed, INITIAL, int(trial))
-            out[k, 0] = _sample_line(dens, xg, 1, r)[0]
+            out[k, 0] = oracle_sample_line(dens, xg, 1, r)[0]
             out[k, 1] = r.normal(state0.centers[0], state0.packet.sigma)
     return out, rounds
 
@@ -600,6 +611,35 @@ class TestDrawOracle:
             want, rounds = oracle_initial_draws(state, 32, trials)
             assert np.count_nonzero(rounds >= 2) >= 3
             assert np.array_equal(self._draws(state, 32, trials), want)
+
+    def test_partial_blocks(self, grid, basis, config, packet):
+        # chunks that end inside a block of trials decided together, keys out of order
+        from stochaction.measurement import _DRAW_BLOCK
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        keys = stream(36).permutation(3 * _DRAW_BLOCK)
+        for n in (1, _DRAW_BLOCK - 1, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 88):
+            want, _ = oracle_initial_draws(state, 36, keys[:n])
+            assert np.array_equal(self._draws(state, 36, keys[:n]), want)
+
+    def test_missed_first_rounds_are_redrawn(self, grid, basis, config, packet,
+                                             monkeypatch):
+        # 17 in-phase modes: about 3% of the first rounds accept nothing, and
+        # those trials are drawn again by the sampler's own rounds
+        from stochaction import measurement
+        redrawn = []
+
+        class CountingSampler(measurement.RingSampler):
+            def __call__(self, n, rng):
+                redrawn.append(n)
+                return super().__call__(n, rng)
+
+        monkeypatch.setattr(measurement, "RingSampler", CountingSampler)
+        state = prepare_initial_state({l: 1.0 / np.sqrt(17) for l in basis.modes}, packet,
+                                      config, grid, basis, enforce_separation=False)
+        trials = np.arange(600)
+        want, rounds = oracle_initial_draws(state, 37, trials)
+        assert np.array_equal(self._draws(state, 37, trials), want)
+        assert redrawn == [1] * np.count_nonzero(rounds >= 2) and len(redrawn) >= 1
 
     @pytest.mark.parametrize("kind", ["position", "linear_momentum"])
     def test_line_pipelines(self, kind):
@@ -691,19 +731,19 @@ class TestRingSampler:
                              ids=["canonical", "gapped-4"])
     def test_ks_against_exact_cdf(self, coeffs):
         from scipy import stats as sps
-        from stochaction.trajectories import ring_sampler
+        from stochaction.trajectories import RingSampler
         l = np.array(list(coeffs))
         c = np.array(list(coeffs.values()), dtype=complex)
-        draws = ring_sampler(c, l)(100_000, stream(41))
+        draws = RingSampler(c, l)(100_000, stream(41))
         assert sps.kstest(draws, ring_cdf(coeffs)).pvalue > 0.01
 
     @pytest.mark.parametrize("c", [[0.0, 0.0], [np.nan, 0.5], [np.inf, 0.5]],
                              ids=["empty", "nan", "inf"])
     def test_degenerate_envelope_raises_before_drawing(self, c):
-        from stochaction.trajectories import ring_sampler
+        from stochaction.trajectories import RingSampler
         gen = stream(42)
         with pytest.raises(DegenerateInputError, match="positive finite bound"):
-            ring_sampler(np.array(c, dtype=complex), np.array([0, 1]))(3, gen)
+            RingSampler(np.array(c, dtype=complex), np.array([0, 1]))(3, gen)
         assert gen.random() == stream(42).random()   # nothing was drawn
 
     @settings(max_examples=200, deadline=None)

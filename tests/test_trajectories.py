@@ -12,7 +12,7 @@ from stochaction.measurement import _initial_draws
 from stochaction.rng import stream
 from stochaction.core import EPS_NODE_REL
 from stochaction.trajectories import (DECIDE_EPS, EnsembleSpec, ModeFlow, _stage_velocity,
-                                      _step, _unit_phase, ring_sampler)
+                                      _step, _unit_phase, RingSampler)
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ class TestBornSampling:
         c = np.zeros(len(basis.modes), dtype=complex)
         c[basis.l_max] = np.sqrt(0.5)
         c[basis.l_max + 1] = np.sqrt(0.5)
-        draws = ring_sampler(c, basis.modes)(20_000, stream(5))
+        draws = RingSampler(c, basis.modes)(20_000, stream(5))
         # CDF oracle by quadrature of |phi|^2 = (1 + cos theta) / (2 pi)
         th = np.linspace(0, 2 * np.pi, 4001)
         cdf = (th + np.sin(th)) / (2 * np.pi)
@@ -317,6 +317,100 @@ class TestKernelOracle:
             ModeFlow(line_mode_state(grid), g=1.3)
 
 
+class BroadcastModeFlow(ModeFlow):
+    """The kernel with its earlier broadcast products: a ``(K, n)`` mode table,
+    ``c'[:, None] * G`` and ``(i l)[:, None] * b`` reduced over the mode axis."""
+
+    def _reference_peak(self):
+        th = (np.linspace(0.0, 2 * np.pi, 512, endpoint=False) if self.ring
+              else self.modes.x_grid)
+        peak = np.abs(np.tensordot(self._packet_coeffs, self._mode_values(th), axes=1)) ** 2
+        return float(peak.max())
+
+    def _mode_values(self, x):
+        if self.ring:
+            z = _unit_phase(x)
+            powers = [None, z]
+            for _ in range(1, self._l_abs_max):
+                powers.append(powers[-1] * z)
+            u = np.empty((len(self._l),) + x.shape, dtype=complex)
+            for k, l in enumerate(self._l):
+                if l == 0:
+                    u[k] = 1.0
+                elif l > 0:
+                    u[k] = powers[l]
+                else:
+                    np.conjugate(powers[-l], out=u[k])
+        else:
+            p = self._p
+            u = np.empty((len(p),) + x.shape, dtype=complex)
+            u[0] = _unit_phase(p[0] * x)
+            if len(p) > 1:
+                step = _unit_phase((p[1] - p[0]) * x)
+                for k in range(1, len(p)):
+                    np.multiply(u[k - 1], step, out=u[k])
+        return u
+
+    def _packets(self, x, q2, t):
+        shape = (-1,) + (1,) * q2.ndim
+        mshift = self.centers(t).reshape(shape) - q2
+        gauss = mshift * mshift
+        gauss *= self._gauss_rate
+        np.exp(gauss, out=gauss)
+        b = self._mode_values(x)
+        b *= self._packet_coeffs.reshape(shape) * gauss
+        return b, mshift
+
+    def _terms(self, x, q2, t):
+        b, mshift = self._packets(x, q2, t)
+        psi = np.add.reduce(b, axis=0)
+        dpsi_x = np.add.reduce(self._dfactor.reshape((-1,) + (1,) * x.ndim) * b, axis=0)
+        mshift /= self._two_var
+        b *= mshift
+        dpsi_q = np.add.reduce(b, axis=0)
+        return psi, dpsi_x, dpsi_q, np.abs(psi) ** 2
+
+
+class TestKernelBits:
+    """The row-by-row kernel returns the broadcast kernel's bits, far tail included."""
+
+    @staticmethod
+    def _assert_bits(got, want):
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def _check(self, state, seed):
+        flow, ref = ModeFlow(state, g=1.3), BroadcastModeFlow(state, g=1.3)
+        assert flow.ref_peak == ref.ref_peak
+        pts = TestKernelOracle._points(state, 3000, seed)
+        lam_points = 0.8 * (stream(seed + 1).integers(0, 2, len(pts)) * 2 - 1)
+        for t in (state.t, 0.37):
+            want_d = ref.density(pts, t)
+            assert np.count_nonzero(want_d == 0.0) > 0, "no far-tail row"
+            self._assert_bits([flow.density(pts, t)], [want_d])
+            self._assert_bits(flow.effective(pts, t, with_density=True),
+                              ref.effective(pts, t, with_density=True))
+            for lam in (0.7, lam_points):
+                self._assert_bits(flow.actual(pts, t, lam, with_density=True),
+                                  ref.actual(pts, t, lam, with_density=True))
+            grid_pts = pts[:2400].reshape(40, 60, 2)
+            self._assert_bits(flow.effective(grid_pts, t, with_density=True),
+                              ref.effective(grid_pts, t, with_density=True))
+            self._assert_bits(flow.actual(grid_pts, t, 0.7, with_density=True),
+                              ref.actual(grid_pts, t, 0.7, with_density=True))
+
+    @pytest.mark.parametrize("name", sorted(TestKernelOracle.RING_STATES))
+    def test_ring_states(self, grid, basis, name):
+        coeffs = dict(TestKernelOracle.RING_STATES[name])
+        norm = np.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
+        self._check(make_state({l: c / norm for l, c in coeffs.items()}, basis, grid,
+                               sigma=0.05, mu0=0.1), seed=63)
+
+    def test_plane_wave_flow(self, grid):
+        self._check(plane_wave_state(grid), seed=64)
+
+
 class TestIntegration:
     @pytest.mark.parametrize("dt_traj", [0.0, -1e-3, float("nan")])
     def test_step_must_be_positive(self, dt_traj):
@@ -390,7 +484,7 @@ class TestIntegration:
         flow = ModeFlow(state, g=1.0)
         spec = EnsembleSpec(dt_traj=1e-3)
         r = stream(31)
-        theta = ring_sampler(state.coeffs, state.modes.modes)(128, r)
+        theta = RingSampler(state.coeffs, state.modes.modes)(128, r)
         q2 = r.normal(0.0, 0.05, 128)
         q0 = np.stack([theta, q2], axis=-1)
         out = integrate_ensemble(flow, q0, spec, 0.0, 0.5,
@@ -797,7 +891,7 @@ class TestEquivariance:
             q2 = r.uniform(-0.6, 0.6, n)
             q0 = np.stack([theta, q2], axis=-1)
         else:
-            theta = ring_sampler(state.coeffs, state.modes.modes)(n, r)
+            theta = RingSampler(state.coeffs, state.modes.modes)(n, r)
             q2 = r.normal(state.packet.center, state.packet.sigma, n)
             q0 = np.stack([theta, q2], axis=-1)
         spec = EnsembleSpec(dt_traj=2e-3)
@@ -819,7 +913,7 @@ class TestEquivariance:
                            sigma=0.05)
         flow = ModeFlow(state, g=1.0)
         r = stream(22)
-        theta = ring_sampler(state.coeffs, state.modes.modes)(4000, r)
+        theta = RingSampler(state.coeffs, state.modes.modes)(4000, r)
         q2 = r.normal(0.0, 0.05, 4000)
         report = equivariance_report({0.0: np.stack([theta, q2], axis=-1)},
                                      state, g=1.0)

@@ -61,6 +61,9 @@ WIDE_STATE = {"modes": [-3, -1, 1, 3], "weights": [0.1, 0.4, 0.3, 0.2]}
 # packets that start near the lower pointer edge and only move up: the
 # pointer-domain rule is signed, so this state parses and runs
 EDGE_STATE = {"modes": [0, 1], "weights": [0.5, 0.5], "packet_center": -3.2}
+# 17 modes in phase at equal weight: the envelope touches the density peak,
+# so some trials accept nothing in their first ring round and are redrawn
+IN_PHASE_STATE = {"modes": list(range(-8, 9)), "weights": [1.0] * 17}
 APPENDIX = {"scalar": "0.5*q^2", "n_steps": 100, "record_every": 10,
             "residual_check": True, "initial_center": 1.0,
             "save_wavefunctions": True}
@@ -83,6 +86,8 @@ CONFIGS = {
     "born-effective": ("born", {"equivariance": {"enabled": True}}),
     "born-actual": ("born", {"velocity": "actual"}),
     "born-edge": ("born", {"state": EDGE_STATE}),
+    "born-redraw": ("born", {"state": IN_PHASE_STATE,
+                             "grid": {"q2_min": -9.0, "q2_max": 9.0}}),
     "trajectories-effective": ("trajectories", {"ensemble": TRAJ,
                                                 "equivariance": {"enabled": True}}),
     "trajectories-actual": ("trajectories", {"ensemble": TRAJ, "velocity": "actual"}),
