@@ -30,7 +30,7 @@ from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        SpectralState, evolve_measurement_spectral, occupied)
 from .stochastic import StochasticParams, sample_sign_path
 from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow, RingSampler,
-                           integrate_ensemble)
+                           check_snapshot_steps, integrate_ensemble)
 
 # Mode rows x trial rows of one ensemble chunk at most (_chunk_rows), so each
 # complex per-mode temporary stays at or under 256 KB.  Every kernel call and
@@ -357,6 +357,7 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
         stoch = None   # effective runs draw only each trial's first sign
     state0 = pipe.state0
     n_steps = spec.n_steps(config.t_M)
+    check_snapshot_steps(snapshot_steps, n_steps)
     # no packet center may drift off the pointer grid; checked before any work
     evolve_measurement_spectral(state0, config.t_M, config.g)
 
@@ -468,8 +469,10 @@ def average_prior(coeffs, basis: AngularBasis, n_mc: int, seed: int,
     for :func:`prepare_initial_state`.  Draws theta from the system density
     and the hidden sign fairly, then compares with the closed-form
     expectation sum(omega_l |c_l|^2), which holds for normalized amplitudes
-    only.
+    only.  ``n_mc`` must be at least 2, for the standard error.
     """
+    if n_mc < 2:
+        raise ValueError(f"n_mc must be at least 2 for a standard error, not {n_mc!r}")
     c = _coefficient_vector(coeffs, basis)
     support = occupied(c)
     r = rngmod.stream(seed, rngmod.PRIOR, 0)

@@ -237,8 +237,8 @@ class ModeFlow:
         return self._velocity(points, t, None, with_density)
 
     def decided(self, points: np.ndarray, dens: np.ndarray, t: float, t_end: float,
-                q2_bounds: tuple[float, float] | None, eps_abs: float):
-        """Rows of an effective run that stay in one packet until ``t_end``, and their speed.
+                q2_bounds: tuple[float, float], eps_abs: float):
+        """Rows that stay in one packet until ``t_end``, their speed and theta rate.
 
         A row is decided when one occupied packet k dominates at its pointer
         (every other ``|c_j| G_j(q2)`` is below ``DECIDE_EPS |c_k| G_k(q2)``,
@@ -247,8 +247,9 @@ class ModeFlow:
         passes the node check and the straight finish
         ``q2 + g omega_k (t_end - t)`` stays inside ``q2_bounds``.  Along that
         finish the gaps only grow and ``|c_k G_k|`` is constant, so the row
-        moves on the classical line ``q2' = g omega_k`` with its system
-        coordinate fixed.  Returns the mask and ``g omega_k`` per row.
+        moves on the classical line ``q2' = g omega_k`` and its system
+        coordinate at the signed scale (0 in effective runs) times the fixed
+        rate ``g (mu_k - q2) / (2 sigma^2)``.  Returns the mask, speed and rate.
         """
         q2 = points[:, 1]
         occ_speed = self.g * self._occ_omegas
@@ -260,11 +261,10 @@ class ModeFlow:
         other_ok = ((logw - logw[top, rows] < np.log(DECIDE_EPS))
                     & (d * (speed[None, :] - occ_speed[:, None]) > 0))
         other_ok[top, rows] = True
-        done = np.all(other_ok, axis=0) & (dens >= eps_abs)
-        if q2_bounds is not None:
-            end = q2 + speed * (t_end - t)
-            done &= (end >= q2_bounds[0]) & (end <= q2_bounds[1])
-        return done, speed
+        end = q2 + speed * (t_end - t)
+        done = (np.all(other_ok, axis=0) & (dens >= eps_abs)
+                & (end >= q2_bounds[0]) & (end <= q2_bounds[1]))
+        return done, speed, -self.g * d[top, rows] / self._two_var
 
     def actual(self, points: np.ndarray, t: float, lambda_signed, with_density: bool = False):
         """Effective field plus the osmotic term with the given signed scale.
@@ -300,6 +300,13 @@ class PointerReadoutFlow:
 
     def actual(self, points: np.ndarray, t: float, lambda_signed, with_density: bool = False):
         return self.effective(points, t, with_density)
+
+    def decided(self, points: np.ndarray, dens: np.ndarray, t: float, t_end: float,
+                q2_bounds: tuple[float, float], eps_abs: float):
+        """Rows whose line ``q2 + g x (t_end - t)`` stays in bounds; speed ``g x``, rate 0."""
+        speed = self.g * points[:, 0]
+        end = points[:, 1] + speed * (t_end - t)
+        return (end >= q2_bounds[0]) & (end <= q2_bounds[1]), speed, np.zeros(len(speed))
 
 
 def _ring_envelope(c: np.ndarray) -> float:
@@ -369,6 +376,18 @@ def _stage_velocity(flow, x, t, lam, with_density: bool = False):
     return flow.actual(x, t, lam, with_density=with_density)
 
 
+def _keep(keep: np.ndarray, *arrays):
+    """Each array's rows under the mask ``keep``; None (an effective run's scale) stays None."""
+    return [None if a is None else a[keep] for a in arrays]
+
+
+def check_snapshot_steps(snapshot_steps: tuple[int, ...], n_steps: int) -> None:
+    """Raise ValueError unless every snapshot step is an integer in ``[0, n_steps]``."""
+    if bad := [s for s in snapshot_steps
+               if not (isinstance(s, (int, np.integer)) and 0 <= s <= n_steps)]:
+        raise ValueError(f"snapshot step {bad[0]!r} is not a step in [0, n_steps = {n_steps}]")
+
+
 def _step(flow, x, t, dt, lam, k1: np.ndarray) -> np.ndarray:
     """One RK4 step; ``k1`` is the field at ``(x, t)``.
 
@@ -394,7 +413,7 @@ def _step(flow, x, t, dt, lam, k1: np.ndarray) -> np.ndarray:
 
 def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, duration: float,
                        sign_paths: np.ndarray | None = None, lambda_mag: float = 0.0,
-                       q2_bounds: tuple[float, float] | None = None,
+                       q2_bounds: tuple[float, float] = (-np.inf, np.inf),
                        snapshot_steps: tuple[int, ...] = ()) -> dict:
     """Fixed-step RK4 integration of a batch of trajectories.
 
@@ -404,8 +423,8 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     working set.  The system coordinate has no bounds: the ring angle and
     the box plane waves are periodic, and a position readout's coordinate
     never moves.  Returns final configs, per-trial flags, the time each
-    trial was decided (NaN if never) and any requested intermediate
-    snapshots.
+    trial was decided (NaN if never) and the snapshots at the requested
+    steps, integers in ``[0, n_steps]`` (checked before any step).
 
     Each step evaluates the field once per stage: one evaluation at the
     landing point gives both the node check and the next step's first stage
@@ -414,12 +433,13 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     row then holds at its start of the step, is flagged in ``node_clamped``
     and gets its first stage evaluated again there.
 
-    In an effective run of a flow that offers ``decided`` (a
-    :class:`ModeFlow`), every ``DECIDE_EVERY`` steps the rows
-    that have left every packet but one also drop out of the working set;
-    they finish on their classical pointer line.
+    Every ``DECIDE_EVERY`` steps, under either velocity, the rows that the
+    flow's ``decided`` rule passes leave the working set and finish on their
+    pointer line; in actual runs the system coordinate adds its rate times
+    ``lambda_mag dt`` times the row's integer sum of sign entries since then.
     """
     n_steps = spec.n_steps(duration)
+    check_snapshot_steps(snapshot_steps, n_steps)
     dt = spec.dt_traj
     t_end = t0 + n_steps * dt
     x = np.array(q0, dtype=float)
@@ -427,20 +447,20 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     overflow = np.zeros(n, dtype=bool)
     node_clamped = np.zeros(n, dtype=bool)
     decided_at = np.full(n, np.nan)
-    decide = getattr(flow, "decided", None) if sign_paths is None else None
     eps_abs = EPS_NODE_REL * flow.ref_peak
     live = np.arange(n)          # rows still integrating, at configs x
-    # (rows, config, pointer speed, step) of each batch that left the working set:
-    # decided rows go on at g omega_k, overflowed rows stay frozen at speed 0
+    # (rows, config, pointer speed, theta rate, step) of each batch that left the working set
     retired = []
 
     def _frame(step: int) -> np.ndarray:
-        """Every row's configuration at ``step``, retired ones on ``x + (0, speed (t - t_k))``."""
+        """Every row's configuration at ``step``; retired rows move on from their step k."""
         out = np.empty((n, 2))
         out[live] = x
-        for rows, xr, speed, k in retired:
+        for rows, xr, speed, rate, k in retired:
             out[rows] = xr
             out[rows, 1] += speed * ((step - k) * dt)
+            if sign_paths is not None:
+                out[rows, 0] += rate * (lambda_mag * dt) * sign_paths[rows, k:step].sum(axis=1)
         return out
 
     snapshots: dict[int, np.ndarray] = {0: _frame(0)} if 0 in snapshot_steps else {}
@@ -448,13 +468,12 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     v, dens = _stage_velocity(flow, x, t0, lam, with_density=True)
     for k in range(n_steps):
         t = t0 + k * dt
-        if decide is not None and k % DECIDE_EVERY == 0:
-            done, speed = decide(x, dens, t, t_end, q2_bounds, eps_abs)
+        if k % DECIDE_EVERY == 0:
+            done, speed, rate = flow.decided(x, dens, t, t_end, q2_bounds, eps_abs)
             if np.any(done):
-                retired.append((live[done], x[done], speed[done], k))
+                retired.append((live[done], x[done], speed[done], rate[done], k))
                 decided_at[live[done]] = t
-                keep = ~done
-                live, x, v, dens = live[keep], x[keep], v[keep], dens[keep]
+                live, x, v, dens, lam = _keep(~done, live, x, v, dens, lam)
             if len(live) == 0:
                 break
         t_next = t0 + (k + 1) * dt
@@ -467,17 +486,12 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
         if np.any(bad):
             prop[bad] = x[bad]
             node_clamped[live[bad]] = True
-        newly = np.zeros(len(live), dtype=bool)
-        if q2_bounds is not None:
-            newly |= (prop[:, 1] < q2_bounds[0]) | (prop[:, 1] > q2_bounds[1])
+        newly = (prop[:, 1] < q2_bounds[0]) | (prop[:, 1] > q2_bounds[1])
         if np.any(newly):
-            retired.append((live[newly], x[newly], 0.0, k))
+            retired.append((live[newly], x[newly], 0.0, 0.0, k))
             overflow[live[newly]] = True
-            keep = ~newly
-            live, prop, bad, v_next, landing = (live[keep], prop[keep], bad[keep],
-                                                v_next[keep], landing[keep])
-            if lam_next is not None:
-                lam_next = lam_next[keep]
+            live, prop, bad, v_next, landing, lam_next = _keep(
+                ~newly, live, prop, bad, v_next, landing, lam_next)
         x = prop
         # a held row has no density yet; such rows wait for the next test
         dens = np.where(bad, 0.0, landing)
@@ -489,9 +503,7 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
             snapshots[k + 1] = _frame(k + 1)
 
     # every row decided early: the later snapshots are the finished lines
-    for s in snapshot_steps:
-        if s not in snapshots and 0 < s <= n_steps:
-            snapshots[s] = _frame(s)
+    snapshots.update({s: _frame(s) for s in snapshot_steps if s not in snapshots})
     return {"configs": _frame(n_steps), "overflow": overflow, "node_clamped": node_clamped,
             "decided_at": decided_at, "snapshots": snapshots, "n_steps": n_steps}
 

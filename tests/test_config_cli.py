@@ -675,13 +675,9 @@ class TestCli:
         assert 1 <= block["chunks"] <= n_trials and 1 <= block["chunk_rows"] <= n_trials
         assert 0 <= block["n_decided"] <= n_trials
         assert 0 <= block["n_node_clamped"] <= n_trials
-        if data.get("velocity") == "actual":
-            # the osmotic term never lets a trial leave the integrator
-            assert block["n_decided"] == 0 and block["mean_decision_time"] is None
-        else:
-            # the README 3-mode state separates well before t_M
-            assert block["n_decided"] > n_trials // 2
-            assert 0.0 <= block["mean_decision_time"] < 1.0
+        # the README 3-mode state separates well before t_M, under either velocity
+        assert block["n_decided"] > n_trials // 2
+        assert 0.0 <= block["mean_decision_time"] < 1.0
 
     def test_manifest_records_chunking(self, tmp_path):
         # the benchmark's canonical Born run: 3 modes, 4096 trials, 1 thread

@@ -146,6 +146,24 @@ class TestEnsemble:
             run_ensemble(state, config, EnsembleSpec(dt_traj=1e-2), 5, seed=27)
         assert calls == []
 
+    @pytest.mark.parametrize("step", [2000, -5, 2.5])
+    @pytest.mark.parametrize("velocity", ["effective", "actual"])
+    def test_snapshot_step_outside_run_raises_before_drawing(self, grid, basis, config,
+                                                              packet, espec, monkeypatch,
+                                                              step, velocity):
+        # a 1000-step run has snapshots at steps 0 to 1000 only
+        import stochaction.measurement as meas
+        calls = []
+        real = meas._initial_draws
+        monkeypatch.setattr(meas, "_initial_draws",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        stoch = StochasticParams() if velocity == "actual" else None
+        with pytest.raises(ValueError, match=f"snapshot step {step} .*n_steps = 1000"):
+            run_ensemble(state, config, espec, 8, seed=31, velocity=velocity, stoch=stoch,
+                         snapshot_steps=(0, step))
+        assert calls == []
+
     @pytest.mark.parametrize("velocity, n_trials", [("effective", 1500), ("actual", 300)])
     def test_chunking_and_workers_do_not_change_results(self, grid, basis, config, packet,
                                                         monkeypatch, velocity, n_trials):
@@ -300,6 +318,12 @@ class TestAveragePrior:
         mapping = {l: c[basis.l_max + l] for l in (-1, 0, 1)}
         assert (average_prior(mapping, basis, 1000, seed=16)
                 == average_prior(c, basis, 1000, seed=16))
+
+    @pytest.mark.parametrize("n_mc", [1, 0, -3])
+    def test_fewer_than_two_draws_raise(self, basis, n_mc):
+        # one draw has no standard error; it used to come back as nan
+        with pytest.raises(ValueError, match="n_mc"):
+            average_prior(self._coeffs(basis), basis, n_mc, seed=16)
 
     def test_empty_state_raises(self, basis):
         # no occupied mode: the ring sampler has nothing to accept under

@@ -8,11 +8,13 @@ from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
                          PlaneWaveModes, SpectralState, equivariance_report,
                          integrate_ensemble)
 from stochaction import trajectories
-from stochaction.measurement import _initial_draws
+from stochaction.core import PhysicalConfig
+from stochaction.measurement import _initial_draws, _sign_paths, substitute_observable
+from stochaction.stochastic import StochasticParams
 from stochaction.rng import stream
 from stochaction.core import EPS_NODE_REL
-from stochaction.trajectories import (DECIDE_EPS, EnsembleSpec, ModeFlow, _stage_velocity,
-                                      _step, _unit_phase, RingSampler)
+from stochaction.trajectories import (DECIDE_EPS, EnsembleSpec, ModeFlow, PointerReadoutFlow,
+                                      _stage_velocity, _step, _unit_phase, RingSampler)
 
 
 @pytest.fixture
@@ -427,6 +429,14 @@ class TestIntegration:
         for snap in out["snapshots"].values():
             assert np.allclose(snap, q0)
 
+    @pytest.mark.parametrize("step", [51, -1, 2.5])
+    def test_snapshot_step_outside_run_raises_before_stepping(self, grid, basis, step):
+        flow = RecordingFlow(ModeFlow(make_state({0: 1.0}, basis, grid), g=1.0))
+        with pytest.raises(ValueError, match=f"snapshot step {step} .*n_steps = 50"):
+            integrate_ensemble(flow, np.array([[1.0, 0.0]]), EnsembleSpec(dt_traj=0.01),
+                               0.0, 0.5, snapshot_steps=(0, 50, step))
+        assert flow.calls == []
+
     def test_single_mode_pointer_relation(self, grid, basis):
         state = make_state({2: 1.0}, basis, grid, sigma=0.05)
         flow = ModeFlow(state, g=1.0)
@@ -499,7 +509,10 @@ class TestIntegration:
 
 
 class RecordingFlow:
-    """Forwards to a flow and logs ``(kind, rows)`` for every field evaluation."""
+    """Forwards to a flow and logs ``(kind, rows)`` for every field evaluation.
+
+    Its decision rule decides no row, so every live row steps to the end.
+    """
 
     def __init__(self, flow):
         self.flow = flow
@@ -517,6 +530,10 @@ class RecordingFlow:
     def density(self, points, t):
         self.calls.append(("density", len(points)))
         return self.flow.density(points, t)
+
+    def decided(self, points, dens, t, t_end, q2_bounds, eps_abs):
+        none = np.zeros(len(points))
+        return none.astype(bool), none, none
 
 
 def oracle_step(flow, x, t, dt, lam):
@@ -638,7 +655,7 @@ class TestStepLoop:
         assert max(rows[first_drop:]) == len(q0) - 1
         assert full["overflow"].tolist() == [True, False, False, False]
         assert full["configs"][0, 1] <= 0.5
-        # RecordingFlow offers no decision rule: both batches step every live row
+        # RecordingFlow decides no row: both batches step every live row
         rest = integrate_ensemble(RecordingFlow(ModeFlow(state, g=1.0)), q0[1:], spec,
                                   0.0, 0.2, q2_bounds=(-0.5, 0.5), snapshot_steps=steps)
         assert np.array_equal(full["configs"][1:], rest["configs"])
@@ -766,8 +783,8 @@ class TestDecidedTrials:
         for center_minus, q2, want in ((0.5, 0.3, False), (-0.5, -0.3, True)):
             flow = ModeFlow(self._crossing_state(basis, grid, center_minus), g=1.0)
             pts = np.array([[1.0, q2]])
-            done, speed = flow.decided(pts, flow.density(pts, 0.0), 0.0, 1.0,
-                                       (grid.q2_min, grid.q2_max), 1e-300)
+            done, speed, _ = flow.decided(pts, flow.density(pts, 0.0), 0.0, 1.0,
+                                          (grid.q2_min, grid.q2_max), 1e-300)
             assert done.tolist() == [want]
             assert speed[0] == -1.0
         flow = ModeFlow(self._crossing_state(basis, grid, 0.5), g=1.0)
@@ -825,23 +842,118 @@ class TestDecidedTrials:
         assert np.array_equal(out["configs"][:, 1], q0[:, 1] + 2.0 * (1000 * 1e-3))
         assert np.array_equal(out["snapshots"][500][:, 1], q0[:, 1] + 2.0 * (500 * 1e-3))
 
-    def test_actual_velocity_run_is_byte_equal(self, grid, basis):
-        state = make_state({-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
-                           basis, grid, sigma=0.05)
+    @pytest.mark.parametrize("name", ["three", "seven"])
+    @pytest.mark.parametrize("law", ["iid", "telegraph"])
+    def test_actual_run_same_outcomes_as_parent_loop(self, grid, basis, name, law):
+        # decided rows of an actual run finish on their pointer line, with theta
+        # moved by its rate times lambda_mag dt times the row's sign sum
+        state = (seven_mode_state(basis, grid) if name == "seven" else
+                 make_state({-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
+                            basis, grid, sigma=0.05))
         flow = ModeFlow(state, g=1.0)
-        q0 = _initial_draws(state, 12, np.arange(128), stream(12))
-        n_steps = 250
-        signs = (stream(13).integers(0, 2, size=(128, n_steps)) * 2 - 1).astype(np.int8)
-        kw = dict(sign_paths=signs, lambda_mag=1.0, q2_bounds=(grid.q2_min, grid.q2_max),
-                  snapshot_steps=(0, 100, 250))
+        trials = np.arange(256)
+        q0 = _initial_draws(state, 12, trials, stream(12))
+        n_steps = 500
+        stoch = StochasticParams(sign_law=law, flip_prob=0.1 if law == "telegraph" else 0.5)
+        signs = _sign_paths(13, trials, n_steps, stoch, stream(13))
+        steps = (0, 350, 500)
+        kw = dict(sign_paths=signs, lambda_mag=0.8, q2_bounds=(grid.q2_min, grid.q2_max),
+                  snapshot_steps=steps)
         spec = EnsembleSpec(dt_traj=2e-3)
-        want = parent_integrate(flow, q0, spec, 0.0, 0.5, **kw)
-        got = integrate_ensemble(flow, q0, spec, 0.0, 0.5, **kw)
-        assert np.all(np.isnan(got["decided_at"]))
-        for key in ("configs", "overflow", "node_clamped"):
-            assert np.array_equal(got[key], want[key])
-        for k in kw["snapshot_steps"]:
-            assert np.array_equal(got["snapshots"][k], want["snapshots"][k])
+        want = parent_integrate(flow, q0, spec, 0.0, 1.0, **kw)
+        got = integrate_ensemble(flow, q0, spec, 0.0, 1.0, **kw)
+        decided = ~np.isnan(got["decided_at"])
+        assert decided.sum() > len(q0) // 3
+        assert np.array_equal(got["overflow"], want["overflow"])
+        assert np.array_equal(got["node_clamped"], want["node_clamped"])
+        assert np.array_equal(window_outcomes(flow, got["configs"][:, 1], got["overflow"],
+                                              1.0, 0.2),
+                              window_outcomes(flow, want["configs"][:, 1], want["overflow"],
+                                              1.0, 0.2))
+        # theta goes on moving after the decision
+        early = got["decided_at"] < 0.69
+        assert np.any(np.abs(got["configs"][early, 0] - got["snapshots"][350][early, 0]) > 1e-3)
+        assert np.max(np.abs(got["configs"] - want["configs"])) <= 1e-12
+        for k in steps:
+            assert np.max(np.abs(got["snapshots"][k] - want["snapshots"][k])) <= 1e-12
+        # rows undecided at a snapshot are still bit-equal there
+        mid = ~early
+        assert np.array_equal(got["snapshots"][350][mid], want["snapshots"][350][mid])
+
+    def test_position_readout_decides_every_row_that_stays_in_bounds(self):
+        # a flat state across the window; the pointer grid ends inside its last bin
+        config = PhysicalConfig(sigma=0.02, sep_factor=8.0, g=1.0, t_M=1.0)
+        x = np.linspace(-20.0, 20.0, 1024, endpoint=False)
+        psi = np.where(np.abs(x) < 3.9, 1.0, 0.0).astype(complex)
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
+        pipe = substitute_observable("position", psi, x, window=(-4.0, 4.0), n_bins=8,
+                                     config=config, grid=GridSpec(-8.0, 3.75))
+        state = pipe.state0
+        flow = PointerReadoutFlow(config.g)
+        q0 = _initial_draws(state, 14, np.arange(400), stream(14))
+        kw = dict(q2_bounds=(state.grid.q2_min, state.grid.q2_max), snapshot_steps=(0, 250))
+        spec = EnsembleSpec(dt_traj=2e-3)
+        want = parent_integrate(flow, q0, spec, 0.0, 1.0, **kw)
+        got = integrate_ensemble(flow, q0, spec, 0.0, 1.0, **kw)
+        overflow = got["overflow"]
+        assert 0 < overflow.sum() < len(q0) // 10
+        assert np.array_equal(overflow, want["overflow"])
+        assert not np.any(got["node_clamped"]) and not np.any(want["node_clamped"])
+        # a row is decided at t0 exactly when it does not overflow
+        assert np.array_equal(np.isnan(got["decided_at"]), overflow)
+        assert np.all(got["decided_at"][~overflow] == 0.0)
+        assert np.array_equal(got["configs"][overflow], want["configs"][overflow])
+        assert np.array_equal(got["configs"][:, 0], want["configs"][:, 0])
+        assert np.max(np.abs(got["configs"] - want["configs"])) <= 1e-12
+        assert np.max(np.abs(got["snapshots"][250] - want["snapshots"][250])) <= 1e-12
+        bins = [np.searchsorted(pipe.outcome_edges, run["configs"][~overflow, 1])
+                for run in (got, want)]
+        assert np.array_equal(*bins)
+
+    @pytest.mark.parametrize("lam", [0.8, -1.5])
+    def test_actual_velocity_error_within_neglected_mode_bound(self, grid, basis, lam):
+        # the osmotic term adds the real parts of the sums the effective field
+        # takes the imaginary parts of, so each bound gains a factor (1 + |lam|):
+        # |v_q2 - g omega_k| <= (1 + |lam|) g sum rho_j |omega_j - omega_k| / (1 - R)
+        # |v_x - lam rate_k| <= (1 + |lam|) g sum rho_j |mu_j - mu_k| / (2 sigma^2 (1 - R))
+        state = seven_mode_state(basis, grid)
+        flow = ModeFlow(state, g=1.3)
+        t = 0.8
+        r = stream(15)
+        pts = np.stack([r.uniform(0.0, 2 * np.pi, 20000), r.uniform(-3.5, 3.5, 20000)],
+                       axis=-1)
+        mu = flow.centers(t)
+        amp = np.abs(flow.coeffs)[:, None] * np.exp(
+            -(pts[:, 1][None, :] - mu[:, None]) ** 2 / (4 * flow.sigma**2))
+        top = np.argmax(amp, axis=0)
+        rho = amp / amp[top, np.arange(len(pts))]
+        rho[top, np.arange(len(pts))] = 0.0
+        total = rho.sum(axis=0)
+        use = total < 0.5
+        scale = (1 + abs(lam)) * flow.g / (1 - total)
+        bound_q = scale * np.sum(rho * np.abs(flow.omegas[:, None] - flow.omegas[top]), axis=0)
+        bound_x = scale * np.sum(rho * np.abs(mu[:, None] - mu[top]), axis=0) / (
+            2 * flow.sigma**2)
+        rate = flow.g * (mu[top] - pts[:, 1]) / (2 * flow.sigma**2)
+        v = flow.actual(pts, t, lam)
+        err_q = np.abs(v[:, 1] - flow.g * flow.omegas[top])
+        err_x = np.abs(v[:, 0] - lam * rate)
+        slack = 1e-12          # the kernel's own rounding
+        assert np.all(err_q[use] <= bound_q[use] * (1 + 1e-9) + slack)
+        assert np.all(err_x[use] <= bound_x[use] * (1 + 1e-9) + slack)
+        big = use & (bound_q > 1e-8)
+        assert np.max(err_q[big] / bound_q[big]) > 0.3
+        assert np.max(err_x[big] / bound_x[big]) > 0.3
+        # at decision time both errors are rounding, and decided() gives the rate
+        done, speed, got_rate = flow.decided(pts, flow.density(pts, t), t, 1.0,
+                                             (-np.inf, np.inf), 0.0)
+        assert done.sum() > 1000
+        assert np.all(total[done] < len(mu) * DECIDE_EPS)
+        assert np.all(bound_q[done] <= 1e-13) and np.all(bound_x[done] <= 1e-11)
+        assert np.all(err_q[done] <= bound_q[done] + slack)
+        assert np.all(err_x[done] <= bound_x[done] + slack)
+        assert np.array_equal(speed[done], flow.g * flow.omegas[top[done]])
+        assert np.allclose(got_rate[done], rate[done], rtol=1e-12, atol=1e-12)
 
     def test_velocity_error_within_neglected_mode_bound(self, grid, basis):
         # with rho_j = |c_j G_j| / |c_k G_k| and R = sum rho_j < 1 for the

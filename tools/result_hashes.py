@@ -24,11 +24,11 @@ record options compare outcomes rather than bytes:
 
 ``--dump-records DIR`` writes one ``DIR/<kind>.json`` per kind that records
 outcomes or numbers: its ``records.jsonl`` rows (the born kinds and the
-API-level ``born-position``, ``born-linear-momentum`` and ``born-overlap``,
-whose overlapping windows leave some trials ambiguous), the outcome counts of
-its ``summary.json``, its ``trajectories.csv`` rows, and the numbers of the
-grid kinds' ``observables.csv``, ``sweep.csv`` and ``psi_final.csv`` and of
-every API kind's ``result.json``.
+API-level ``born-position``, ``born-position-edge``, ``born-linear-momentum``
+and ``born-overlap``, whose overlapping windows leave some trials ambiguous),
+the outcome counts of its ``summary.json``, its ``trajectories.csv`` rows,
+and the numbers of the grid kinds' ``observables.csv``, ``sweep.csv`` and
+``psi_final.csv`` and of every API kind's ``result.json``.
 ``--compare-records DIR`` compares ``outcome_index`` and ``overflow`` row by
 row and the counts, prints ``max |dq2_final|`` per kind, the largest change
 in any trajectories.csv cell and the largest absolute change in each kind's
@@ -95,6 +95,11 @@ CONFIGS = {
                                                      "state": WIDE_STATE}),
     "trajectories-wide-actual": ("trajectories", {"ensemble": TRAJ, "state": WIDE_STATE,
                                                   "velocity": "actual"}),
+    # telegraph signs hold for 10 steps on average: long runs of one sign in
+    # the theta finish of decided trials
+    "trajectories-telegraph": ("trajectories", {
+        "ensemble": TRAJ, "state": WIDE_STATE, "velocity": "actual",
+        "stochastic": {"tau_xi": 0.02, "sign_law": "telegraph", "flip_prob": 0.1}}),
     "prior-average": ("prior-average", {"prior": {"n_mc": 20000}}),
     "repeatability": ("repeatability", {"repeat": {"n_repeats": 50}}),
     "appendix": ("appendix", {"appendix": APPENDIX}),
@@ -164,19 +169,24 @@ def cayley_2d():
     return {"real": out.real.ravel().tolist(), "imag": out.imag.ravel().tolist()}
 
 
-def born_line(kind: str):
-    """Records of a binned position or linear-momentum readout of a line state."""
+def born_line(kind: str, edge: bool = False):
+    """Records of a binned position or linear-momentum readout of a line state.
+
+    ``edge`` takes a state of constant density on ``|x| < 3.9`` and a
+    pointer grid that ends at 3.75, inside the window's last bin, so the
+    trials whose pointer line leaves the grid overflow.
+    """
     import numpy as np
     from stochaction import (EnsembleSpec, GridSpec, PhysicalConfig, run_ensemble,
                              substitute_observable)
 
     config = PhysicalConfig(sigma=0.02, sep_factor=8.0, g=1.0, t_M=1.0)
     x = np.linspace(-20.0, 20.0, 1024, endpoint=False)
-    psi = np.exp(-x**2 / 4 + 1j * x)
+    psi = np.where(np.abs(x) < 3.9, 1.0 + 0j, 0.0) if edge else np.exp(-x**2 / 4 + 1j * x)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
     window, n_bins = ((-4.0, 4.0), 8) if kind == "position" else ((-4.0, 6.0), 10)
     pipe = substitute_observable(kind, psi, x, window=window, n_bins=n_bins,
-                                 config=config, grid=GridSpec(-8.0, 8.0))
+                                 config=config, grid=GridSpec(-8.0, 3.75 if edge else 8.0))
     records, _, _ = run_ensemble(pipe, config, EnsembleSpec(dt_traj=0.002), 200, seed=5)
     return [r.to_dict() for r in records]
 
@@ -240,6 +250,7 @@ API_RUNS = {
     "classical-limit-2d": classical_limit_2d,
     "cayley-2d": cayley_2d,
     "born-position": lambda: born_line("position"),
+    "born-position-edge": lambda: born_line("position", edge=True),
     "born-linear-momentum": lambda: born_line("linear_momentum"),
 }
 
