@@ -28,7 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None,
                        help="override ensemble.n_trials")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker thread count")
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker processes, at most the CPU count (a lambda sweep "
+                            "uses one per scale, up to the CPU count, whatever this says)")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="tabular output format")
         p.add_argument("--echo-config", action="store_true",

@@ -357,6 +357,8 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
     elif not all(abs(d) <= APPENDIX_MAGNITUDE_MAX for d in deltas):
         violations.append(f"appendix.deltas: every entry must be at most "
                           f"{APPENDIX_MAGNITUDE_MAX:g} in magnitude")
+    elif len(set(deltas)) != len(deltas):
+        violations.append("appendix.deltas: every entry must be distinct (0 and -0 are equal)")
     elif 0.0 not in deltas:
         violations.append("appendix.deltas: must include the 0 reference entry")
     elif physical and cfg["experiment"] in ("appendix", "lambda-sweep"):

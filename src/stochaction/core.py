@@ -7,7 +7,10 @@ multiples of hbar.
 """
 from __future__ import annotations
 
+import multiprocessing
+import os
 import struct
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from io import BytesIO
 
@@ -86,6 +89,57 @@ class PhysicalConfig:
             raise InvalidSystemError(
                 f"pointer packets overlap: |g|*t_M*gap = {abs(self.g) * self.t_M * gap:.4g} "
                 f"< sep_factor*sigma = {self.sep_factor * self.sigma:.4g}")
+
+
+# ---------------------------------------------------------------------------
+# forked worker processes
+# ---------------------------------------------------------------------------
+
+def fork_workers(requested: int, n_tasks: int) -> int:
+    """Processes :func:`fork_map` runs ``n_tasks`` tasks on.
+
+    ``requested`` capped by the task count and ``os.cpu_count()``, and 1
+    where the platform has no ``fork`` start method.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return max(1, min(requested, n_tasks, os.cpu_count() or 1))
+
+
+# the task of a forked worker, set once in that worker by its initializer
+_fork_task = None
+
+
+def _set_fork_task(fn) -> None:
+    global _fork_task
+    _fork_task = fn
+
+
+def _run_fork_task(i: int):
+    return _fork_task(i)
+
+
+def fork_map(fn, n: int, workers: int) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, on :func:`fork_workers` forked processes.
+
+    ``fn`` reaches the workers through the fork, so it and everything it
+    reads (flows, systems, compiled field expressions) are never pickled;
+    only the indices go out and the results come back.  A worker's
+    exception is raised here with its type, message and attributes.  Every
+    worker has exited and been reaped when this returns or raises, so its
+    CPU time counts among the caller's reaped children.  With one worker
+    the tasks run in this process, in order.
+    """
+    workers = fork_workers(workers, n)
+    if workers == 1:
+        return [fn(i) for i in range(n)]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_fork_task, initargs=(fn,))
+    try:
+        return list(pool.map(_run_fork_task, range(n)))
+    finally:
+        # on an error the tasks not yet started are dropped; the joins still wait
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

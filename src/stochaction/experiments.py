@@ -5,9 +5,11 @@ config, the package version, the seed, per-file content hashes, the wall
 time, the environment (cpu count, requested threads, OpenBLAS threads,
 library versions), for trajectory runs an ``ensemble`` block of run
 counters (trials, decided trials and their mean decision time, node-clamped
-trials) and, for grid runs, a ``grid`` block with each Cayley operator's
-Hermiticity defect and worst snapshot norm drift.
-Result files are byte-identical across repeat runs and across thread counts
+trials, chunks, rows per chunk and worker processes used) and, for grid
+runs, a ``grid`` block with each Cayley operator's Hermiticity defect and
+worst snapshot norm drift (lambda sweeps add ``grid_workers``, the worker
+processes used).
+Result files are byte-identical across repeat runs and across worker counts
 for a fixed (config, seed); the manifest is excluded from that contract
 because it records the wall time, but its file-hash map is itself
 deterministic.
@@ -28,7 +30,7 @@ from .core import DomainOverflowError, field_to_binary, field_to_csv
 from .gridop import (blas_threads, build_metric_hamiltonian, evolve_grid,
                      verify_hjm_residual)
 from .measurement import _collapsed, average_prior, prepare_initial_state, run_ensemble
-from .potentials import LambdaSweep, _observables, appendix_setup, run_lambda_sweep
+from .potentials import LambdaSweep, _observables, _sweep, appendix_setup
 from .rng import GENERIC, stream
 from .spectral import GaussianPacket
 from .stochastic import (ActionIncrement, check_separability, gaussian_log_weight,
@@ -283,12 +285,13 @@ def _ensemble_counters(*extras) -> dict:
             "mean_decision_time": float(decided.mean()) if len(decided) else None,
             "n_node_clamped": sum(int(np.count_nonzero(e["node_clamped"])) for e in extras),
             "chunks": sum(e["chunks"] for e in extras),
-            "chunk_rows": max(e["chunk_rows"] for e in extras)}
+            "chunk_rows": max(e["chunk_rows"] for e in extras),
+            "workers": max(e["workers"] for e in extras)}
 
 
-def _grid_health(op, norms) -> dict:
+def _grid_health(lambda_mag: float, defect: float, norms) -> dict:
     """Solver health of one Cayley run: Hermiticity defect and worst norm drift."""
-    return {"lambda_mag": op.lambda_mag, "hermiticity_defect": op.hermiticity_defect(),
+    return {"lambda_mag": lambda_mag, "hermiticity_defect": defect,
             "max_norm_error": max(abs(n - 1.0) for n in norms)}
 
 
@@ -305,7 +308,8 @@ def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
         obs = _observables(snap, psi0, op, grid)
         rows.append([_float(t)] + [obs[k] for k in names])
     out.add_text("observables.csv", _csv(rows, ["t"] + names))
-    out.telemetry["grid"] = [_grid_health(op, [row[1] for row in rows])]
+    out.telemetry["grid"] = [_grid_health(lam, op.hermiticity_defect(),
+                                          [row[1] for row in rows])]
     summary = {"final_norm": _float(grid.norm2(final)), "n_steps": app["n_steps"],
                "lambda_mag": lam}
     if app["residual_check"]:
@@ -324,8 +328,8 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> int:
     grid, system, psi0 = appendix_setup(app)
     sweep = LambdaSweep(deltas=tuple(float(d) for d in app["deltas"]),
                         base=cfg.physical().lambda_mag)
-    results = run_lambda_sweep(system, psi0, grid, sweep, float(app["dt"]),
-                               app["n_steps"], app["record_every"])
+    results, defects, workers = _sweep(system, psi0, grid, sweep, float(app["dt"]),
+                                       app["n_steps"], app["record_every"])
     rows = []
     obs_names = None
     for delta in sorted(results):
@@ -336,10 +340,12 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> int:
             rows.append([_float(delta), _float(entry["lambda"]), _float(row["t"])]
                         + [_float(row[k]) for k in obs_names])
     out.add_text("sweep.csv", _csv(rows, ["delta", "lambda", "t"] + obs_names))
+    defects = dict(zip(sweep.deltas, defects))
     out.telemetry["grid"] = [
-        _grid_health(build_metric_hamiltonian(system, results[d]["lambda"], grid),
+        _grid_health(results[d]["lambda"], defects[d],
                      [row["norm"] for row in results[d]["series"]])
         for d in sorted(results)]
+    out.telemetry["grid_workers"] = workers
     summary = {
         "deviations": {repr(d): results[d]["max_deviation_from_reference"]
                        for d in sorted(results)},

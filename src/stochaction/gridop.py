@@ -278,8 +278,19 @@ def build_metric_hamiltonian(system: MetricPotentialSystem, lambda_mag: float,
     return GridOperator(matrix=H.tocsr(), grid=grid, lambda_mag=lambda_mag)
 
 
-_BLAS_LOCK = threading.Lock()
-_blas = {"depth": 0, "saved": None}
+def _fresh_blas_state() -> None:
+    """An unheld lock and a zero depth for :func:`_one_blas_thread`.
+
+    Run again in every forked child: a thread of the parent that held the
+    lock at the fork does not exist there, and would never release it.
+    """
+    global _BLAS_LOCK, _blas
+    _BLAS_LOCK = threading.Lock()
+    _blas = {"depth": 0, "saved": None}
+
+
+_fresh_blas_state()
+os.register_at_fork(after_in_child=_fresh_blas_state)
 
 
 @functools.cache

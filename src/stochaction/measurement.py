@@ -16,7 +16,6 @@ spectrum.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -25,7 +24,7 @@ from scipy.special import chdtrc
 
 from . import rng as rngmod
 from .core import (EPS_NODE_REL, HBAR, DegenerateInputError, GridSpec,
-                   InvalidSystemError, PhysicalConfig)
+                   InvalidSystemError, PhysicalConfig, fork_map, fork_workers)
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        SpectralState, evolve_measurement_spectral, occupied)
 from .stochastic import StochasticParams, sample_sign_path
@@ -346,7 +345,11 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
                 stoch: StochasticParams | None, threads: int,
                 snapshot_steps: tuple[int, ...]):
     """Validate, integrate ``trials`` in chunks (:func:`_chunk_rows`) on at most
-    ``os.cpu_count()`` workers, and record one event each."""
+    ``os.cpu_count()`` forked worker processes, and record one event each.
+
+    Each worker inherits the flow through the fork and is sent only the
+    index of its chunk.
+    """
     if velocity not in ("effective", "actual"):
         raise ValueError(f"unknown velocity source {velocity!r}")
     if velocity == "actual":
@@ -372,11 +375,7 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
     chunks = [trials[k:k + rows] for k in range(0, len(trials), rows)]
     work = partial(_run_chunk, pipe, flow, config, spec, seed, n_steps=n_steps, stoch=stoch,
                    snapshot_steps=snapshot_steps)
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, chunks))
-    else:
-        parts = [work(chunk) for chunk in chunks]
+    parts = fork_map(lambda i: work(chunks[i]), len(chunks), workers)
     run = {key: np.concatenate([p[key] for p in parts])
            for key in ("configs", "overflow", "node_clamped", "decided_at",
                        "initial_configs", "signs0", "snapshot_signs")}
@@ -401,7 +400,8 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
               "node_clamped": run["node_clamped"], "decided_at": run["decided_at"],
               "final_configs": final, "initial_configs": q0,
               "snapshot_signs": run["snapshot_signs"],
-              "chunks": len(chunks), "chunk_rows": rows}
+              "chunks": len(chunks), "chunk_rows": rows,
+              "workers": fork_workers(workers, len(chunks))}
     return records, stats, extras
 
 
@@ -413,8 +413,8 @@ def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, n_trials:
 
     Returns ``(records, stats, extras)`` where extras carries trajectory
     snapshots for equivariance diagnostics.  Trials are integrated in
-    chunks sized by :func:`_chunk_rows`; results are identical at any
-    chunking and thread count.
+    chunks sized by :func:`_chunk_rows`, on up to ``threads`` worker
+    processes; results are identical at any chunking and worker count.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")

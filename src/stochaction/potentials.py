@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_NODE_REL, InvalidSystemError
+from .core import EPS_NODE_REL, InvalidSystemError, fork_map, fork_workers
 from .expressions import compile_expression
 from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem, _d1_4,
                      _validate_metric, build_metric_hamiltonian, evolve_grid,
@@ -158,7 +158,7 @@ def appendix_velocity(psi: np.ndarray, system: MetricPotentialSystem,
 
 @dataclass(frozen=True)
 class LambdaSweep:
-    """Relative scale offsets to probe; 0 is the quantum reference point."""
+    """Relative scale offsets to probe, each once; 0 is the quantum reference point."""
 
     deltas: tuple[float, ...] = (0.0,)
     base: float = 1.0
@@ -166,6 +166,9 @@ class LambdaSweep:
     def __post_init__(self):
         if 0.0 not in self.deltas:
             raise ValueError("the sweep must contain the delta = 0 reference")
+        # a repeated delta would run again and overwrite its own entry; 0.0 == -0.0
+        if len(set(self.deltas)) != len(self.deltas):
+            raise ValueError(f"the sweep's deltas must be distinct: {self.deltas!r}")
 
     @property
     def lambdas(self) -> tuple[float, ...]:
@@ -198,14 +201,31 @@ def run_lambda_sweep(system: MetricPotentialSystem, psi0: np.ndarray,
     Output maps each delta to a time series of the observables in
     ``OBSERVABLE_MENU`` plus the running deviation from the delta = 0 entry.
     The delta = 0 run uses the same code path as any other, so it doubles as
-    the quantum reference.
+    the quantum reference.  Each scale is one task of :func:`fork_map`, on
+    up to ``os.cpu_count()`` worker processes, with the same numbers at any
+    worker count.
     """
-    results = {}
-    for delta, lam in zip(sweep.deltas, sweep.lambdas):
-        op = build_metric_hamiltonian(system, lam, grid)
+    return _sweep(system, psi0, grid, sweep, dt, n_steps, record_every)[0]
+
+
+def _sweep(system: MetricPotentialSystem, psi0: np.ndarray, grid: CartesianGrid,
+           sweep: LambdaSweep, dt: float, n_steps: int, record_every: int
+           ) -> tuple[dict, list[float], int]:
+    """:func:`run_lambda_sweep`'s result, each scale's Hermiticity defect and
+    the number of worker processes."""
+    lambdas = sweep.lambdas
+
+    def scale(i):
+        # operator, factor and steps stay in the worker; rows and defect come back
+        op = build_metric_hamiltonian(system, lambdas[i], grid)
         _, history = evolve_grid(psi0, op, dt, n_steps, record_every=record_every)
         rows = [{"t": float(t), **_observables(snap, psi0, op, grid)} for t, snap in history]
-        results[delta] = {"lambda": lam, "series": rows}
+        return rows, op.hermiticity_defect()
+
+    n = len(lambdas)
+    runs = fork_map(scale, n, n)   # one process per scale, up to the CPU count
+    results = {delta: {"lambda": lam, "series": rows}
+               for delta, lam, (rows, _) in zip(sweep.deltas, lambdas, runs)}
 
     reference = results[0.0]["series"]
     for delta, entry in results.items():
@@ -213,7 +233,7 @@ def run_lambda_sweep(system: MetricPotentialSystem, psi0: np.ndarray,
         for row, ref in zip(entry["series"], reference):
             devs.append(max(abs(row[k] - ref[k]) for k in OBSERVABLE_MENU))
         entry["max_deviation_from_reference"] = float(np.max(devs))
-    return results
+    return results, [defect for _, defect in runs], fork_workers(n, n)
 
 
 def classical_limit_check(system: MetricPotentialSystem, psi: np.ndarray,

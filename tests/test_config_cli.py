@@ -345,6 +345,9 @@ class TestExperiments:
                                           "summary.json"}
         entries = manifest["grid"]
         assert [e["lambda_mag"] for e in entries] == ([1.0] if appendix else [1.0, 1.25])
+        # one worker process per scale, up to the CPU count
+        assert manifest.get("grid_workers") == (None if appendix
+                                                else min(2, os.cpu_count() or 1))
         for entry in entries:
             assert entry["hermiticity_defect"] == 0.0
             assert 0.0 <= entry["max_norm_error"] < 1e-12
@@ -464,6 +467,8 @@ class TestCli:
         ("lambda-sweep", {"deltas": [0.0, "0.1"]}, "appendix.deltas"),
         ("appendix", {"residual_check": True, "n_steps": 100, "record_every": 51},
          "appendix.residual_check"),
+        ("lambda-sweep", {"deltas": [0.0, 0.1, 0.1, -0.0]}, "appendix.deltas"),
+        ("appendix", {"deltas": [0.0, -0.0]}, "appendix.deltas"),
     ])
     def test_unrunnable_appendix_rejected_at_parse(self, tmp_path, capsys, experiment,
                                                    appendix, path):
@@ -636,6 +641,9 @@ class TestCli:
         assert set(env) == {"cpu_count", "threads", "blas_threads", "numpy", "scipy",
                             "python", "machine"}
         assert env["threads"] == 3
+        # the requested count, capped by the CPUs and the chunks
+        block = manifest["ensemble"]
+        assert block["workers"] == min(3, os.cpu_count() or 1, block["chunks"])
         assert env["cpu_count"] == os.cpu_count()
         assert env["numpy"] == np.__version__
         assert set(manifest["files"]) == {"records.jsonl", "summary.json",
@@ -670,7 +678,8 @@ class TestCli:
         assert cli_main([experiment, "--config", str(path)]) == 0
         block = json.loads((Path(data["out_dir"]) / "manifest.json").read_text())["ensemble"]
         assert set(block) == {"n_trials", "n_decided", "mean_decision_time",
-                              "n_node_clamped", "chunks", "chunk_rows"}
+                              "n_node_clamped", "chunks", "chunk_rows", "workers"}
+        assert block["workers"] == 1
         assert block["n_trials"] == n_trials
         assert 1 <= block["chunks"] <= n_trials and 1 <= block["chunk_rows"] <= n_trials
         assert 0 <= block["n_decided"] <= n_trials

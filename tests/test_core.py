@@ -1,10 +1,13 @@
-"""The pointer domain, physical parameters and snapshot export."""
+"""The pointer domain, physical parameters, forked workers and snapshot export."""
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from joint_oracle import JointAxes, field_from_binary
-from stochaction import GridSpec, InvalidSystemError, PhysicalConfig
-from stochaction.core import field_to_binary, field_to_csv
+from stochaction import DomainOverflowError, GridSpec, InvalidSystemError, PhysicalConfig
+from stochaction.core import field_to_binary, field_to_csv, fork_map, fork_workers
 
 
 @pytest.fixture
@@ -79,3 +82,41 @@ class TestSnapshotExport:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             field_from_binary(b"nope" + b"\x00" * 64)
+
+
+class TestForkMap:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # the pool runs whatever the host's CPU count
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+
+    def test_results_in_index_order_from_at_most_two_workers(self):
+        out = fork_map(lambda i: (i * i, os.getpid()), 7, 8)
+        assert [sq for sq, _ in out] == [i * i for i in range(7)]
+        pids = {pid for _, pid in out}
+        assert os.getpid() not in pids and 1 <= len(pids) <= 2
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_or_one_task_runs_in_process(self):
+        assert fork_map(lambda i: (i, os.getpid()), 3, 1) == [(i, os.getpid()) for i in range(3)]
+        assert fork_map(lambda i: os.getpid(), 1, 2) == [os.getpid()]
+        assert fork_map(lambda i: i, 0, 2) == []
+
+    def test_worker_count_capped_by_cpus_and_tasks(self, monkeypatch):
+        assert [fork_workers(8, 5), fork_workers(8, 1), fork_workers(1, 5),
+                fork_workers(2, 0)] == [2, 1, 1, 1]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert fork_workers(2, 5) == 1
+        assert fork_map(lambda i: os.getpid(), 2, 2) == [os.getpid()] * 2
+
+    def test_worker_error_keeps_type_message_and_attributes(self):
+        def task(i):
+            if i == 3:
+                raise DomainOverflowError("trial 3 left the pointer grid", trial=3)
+            return i
+
+        with pytest.raises(DomainOverflowError) as info:
+            fork_map(task, 6, 2)
+        assert str(info.value) == "trial 3 left the pointer grid"
+        assert info.value.trial == 3
+        assert multiprocessing.active_children() == []

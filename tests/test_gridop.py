@@ -13,6 +13,7 @@ from stochaction import (CartesianGrid, InvalidSystemError, MetricPotentialSyste
                          build_metric_hamiltonian, evolve_grid, quantum_potential,
                          verify_hjm_residual)
 from stochaction import gridop
+from stochaction.core import fork_map
 from stochaction.gridop import NumericalError, _derivative, _divergence_form
 
 
@@ -569,3 +570,11 @@ class TestOneBlasThread:
         assert {count for _, count in seen} == {1}
         assert gridop.blas_threads() == most
         assert gridop._blas["depth"] == 0
+
+
+def test_forked_child_starts_with_an_unheld_blas_lock(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    # held as if by another thread at the fork, which the child would not have
+    with gridop._BLAS_LOCK:
+        seen = fork_map(lambda i: (gridop._BLAS_LOCK.locked(), gridop._blas["depth"]), 2, 2)
+    assert seen == [(False, 0), (False, 0)]

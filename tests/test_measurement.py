@@ -1,5 +1,6 @@
 """Preparation, single events, ensembles, prior/post values, substitution."""
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -192,7 +193,9 @@ class TestEnsemble:
         spec = EnsembleSpec(dt_traj=5e-3)
         runs = {threads: run_ensemble(state, config, spec, 64, seed=30, threads=threads)
                 for threads in (1, 8)}
-        assert runs[8][2]["chunks"] == 2
+        assert multiprocessing.active_children() == []
+        assert (runs[8][2]["chunks"], runs[8][2]["workers"]) == (2, 2)
+        assert runs[1][2]["workers"] == 1
         assert [r.to_dict() for r in runs[8][0]] == [r.to_dict() for r in runs[1][0]]
         assert runs[8][2]["final_configs"].tobytes() == runs[1][2]["final_configs"].tobytes()
 

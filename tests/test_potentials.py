@@ -1,12 +1,15 @@
 """Expression grammar, appendix velocities, scale sweeps, classical limit."""
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from stochaction import (CartesianGrid, InvalidSystemError, LambdaSweep,
-                         MetricPotentialSystem, appendix_velocity,
+                         MetricPotentialSystem, NumericalError, appendix_velocity,
                          build_metric_hamiltonian, classical_limit_check,
                          evolve_grid, run_lambda_sweep, system_from_expressions)
 from stochaction.expressions import ExpressionError, compile_expression
+from stochaction.potentials import _sweep
 
 
 class TestExpressionGrammar:
@@ -140,6 +143,12 @@ class TestLambdaSweep:
         with pytest.raises(ValueError):
             LambdaSweep(deltas=(0.1, 0.2))
 
+    @pytest.mark.parametrize("deltas", [(0.0, 0.1, 0.1), (0.0, -0.0), (0.0, 0.1, 0.1, -0.0)])
+    def test_repeated_delta_rejected(self, deltas):
+        # each would run again and overwrite its own entry
+        with pytest.raises(ValueError, match="distinct"):
+            LambdaSweep(deltas=deltas)
+
     def test_reference_deviation_is_exactly_zero(self):
         grid = CartesianGrid((-20.0,), (20.0,), (256,), (False,))
         system = MetricPotentialSystem(1)
@@ -190,6 +199,47 @@ class TestLambdaSweep:
         x = grid.axis(0)
         mean = float(np.sum(x * dens) * grid.cell_volume / total)
         assert res[0.0]["series"][-1]["position"] == mean
+
+
+class TestSweepWorkers:
+    """Each scale is one task of a forked pool, with the in-process numbers."""
+
+    @staticmethod
+    def _case():
+        system = system_from_expressions(2, metric={"g11": "1+0.2*exp(-(x^2+y^2)/8)",
+                                                    "g22": "1+0.2*exp(-(x^2+y^2)/8)",
+                                                    "g12": "0.05*exp(-(x^2+y^2)/8)"},
+                                         vector=["-0.5*y", "0.5*x"], scalar="0.5*(x^2+y^2)")
+        grid = CartesianGrid((-5.0, -5.0), (5.0, 5.0), (24, 24), (False, False))
+        x, y = grid.coords()
+        psi = np.exp(-((x - 1.0) ** 2 + y**2) / 4 + 0.5j * y)
+        return system, grid, psi / np.sqrt(grid.norm2(psi))
+
+    def test_pool_gives_the_in_process_floats(self, monkeypatch):
+        system, grid, psi = self._case()
+        sweep = LambdaSweep(deltas=(-0.1, 0.0, 0.1, 0.2))
+        runs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr("os.cpu_count", lambda: cpus)
+            runs[cpus] = _sweep(system, psi, grid, sweep, 0.01, 12, 4)
+            assert multiprocessing.active_children() == []
+        assert [runs[cpus][2] for cpus in (1, 2)] == [1, 2]
+        assert runs[2][:2] == runs[1][:2]
+        assert runs[2][0] == run_lambda_sweep(system, psi, grid, sweep, 0.01, 12, 4)
+        assert runs[2][1] == [build_metric_hamiltonian(system, lam, grid).hermiticity_defect()
+                              for lam in sweep.lambdas]
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        system, grid, psi = self._case()
+        sweep = LambdaSweep(deltas=(-0.1, 0.0, 0.1))
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr("os.cpu_count", lambda: cpus)
+            with pytest.raises(NumericalError, match="non-finite field after step 1") as info:
+                run_lambda_sweep(system, np.full_like(psi, np.nan), grid, sweep, 0.01, 4, 2)
+            messages.append(str(info.value))
+            assert multiprocessing.active_children() == []
+        assert messages[0] == messages[1]
 
 
 class TestClassicalLimit:
