@@ -150,19 +150,19 @@ _MAGIC = b"WFSN"
 _VERSION = 1
 
 
+def csv_text(rows, header: list[str]) -> str:
+    """Comma-separated ``rows`` under ``header``: floats by ``repr``, other cells by ``str``."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def field_to_csv(amplitudes: np.ndarray, axis_points: list[np.ndarray],
                  axis_names: list[str]) -> str:
     """One row per grid point: coordinate columns, then Re and Im."""
-    coords = np.meshgrid(*axis_points, indexing="ij")
-    header = ",".join(list(axis_names) + ["re", "im"])
-    lines = [header]
-    flat = [c.ravel() for c in coords]
-    re = amplitudes.real.ravel()
-    im = amplitudes.imag.ravel()
-    for i in range(re.size):
-        cols = [repr(float(c[i])) for c in flat] + [repr(float(re[i])), repr(float(im[i]))]
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
+    coords = [c.ravel().tolist() for c in np.meshgrid(*axis_points, indexing="ij")]
+    rows = zip(*coords, amplitudes.real.ravel().tolist(), amplitudes.imag.ravel().tolist())
+    return csv_text(rows, list(axis_names) + ["re", "im"])
 
 
 def field_to_binary(amplitudes: np.ndarray, axis_points: list[np.ndarray]) -> bytes:

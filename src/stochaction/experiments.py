@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .core import DomainOverflowError, field_to_binary, field_to_csv
+from .core import DomainOverflowError, csv_text, field_to_binary, field_to_csv
 from .gridop import (blas_threads, build_metric_hamiltonian, evolve_grid,
                      verify_hjm_residual)
 from .measurement import _collapsed, average_prior, prepare_initial_state, run_ensemble
@@ -118,25 +118,12 @@ def _declared_checks(cfg: ExperimentConfig, summary: dict,
     return EXIT_OK if passed else EXIT_CHECKS
 
 
-def _csv(rows: list[list], header: list[str]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for c in row:
-            if isinstance(c, float):
-                cells.append(repr(c))
-            else:
-                cells.append(str(c))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # experiment kinds
 # ---------------------------------------------------------------------------
 
 def _configured_run(cfg: ExperimentConfig, out: RunOutput, n_trials: int,
-                    snapshot_steps: tuple[int, ...]):
+                    snapshot_steps: tuple[int, ...] = ()):
     """The configured state and ``n_trials`` of its ensemble; counters go to the manifest.
 
     Returns ``(state0, records, stats, extras)``.
@@ -154,18 +141,18 @@ def _configured_run(cfg: ExperimentConfig, out: RunOutput, n_trials: int,
 
 
 def _equivariance(cfg: ExperimentConfig, summary: dict, state0, extras: dict) -> None:
-    """Equivariance of the run's last snapshot (at t_M), put in ``summary`` if enabled."""
+    """Equivariance of the run's final configurations (at t_M), put in ``summary`` if enabled."""
     if cfg["equivariance"]["enabled"]:
-        report = equivariance_report(dict([max(extras["snapshots"].items())]), state0,
+        espec = cfg.ensemble()
+        # the key a snapshot at the last step has: steps * dt_traj + t0
+        t_end = espec.n_steps(cfg.physical().t_M) * espec.dt_traj + state0.t
+        report = equivariance_report({t_end: extras["final_configs"]}, state0,
                                      cfg.physical().g, n_bins=cfg["equivariance"]["n_bins"])
         summary["equivariance"] = {repr(t): r for t, r in report.items()}
 
 
 def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
-    n_steps = cfg.ensemble().n_steps(cfg.physical().t_M)
-    state0, records, stats, extras = _configured_run(
-        cfg, out, cfg["ensemble"]["n_trials"],
-        (n_steps,) if cfg["equivariance"]["enabled"] else ())
+    state0, records, stats, extras = _configured_run(cfg, out, cfg["ensemble"]["n_trials"])
 
     if cfg["ensemble"]["fail_on_overflow"]:
         for rec in records:
@@ -181,7 +168,7 @@ def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
                                          stats.standard_errors)]
     header = ["outcome_index", "omega", "count", "frequency", "reference", "se"]
     if cfg["format"] == "csv":
-        out.add_text("frequencies.csv", _csv(rows, header))
+        out.add_text("frequencies.csv", csv_text(rows, header))
     else:
         out.add_json("frequencies.json", [dict(zip(header, r)) for r in rows])
 
@@ -222,7 +209,7 @@ def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
             rows.append([trial, _float(t), _float(np.mod(pts[trial, 0], 2 * np.pi)),
                          _float(pts[trial, 1]), int(signs[k][trial])])
     out.add_text("trajectories.csv",
-                 _csv(rows, ["trial", "t", "theta1", "q2", "lambda_sign"]))
+                 csv_text(rows, ["trial", "t", "theta1", "q2", "lambda_sign"]))
 
     final = extras["final_configs"]
     hist_theta, edges_theta = np.histogram(np.mod(final[:, 0], 2 * np.pi), bins=36,
@@ -255,7 +242,7 @@ def _run_prior_average(cfg: ExperimentConfig, out: RunOutput) -> int:
 
 def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> int:
     # trial 0 of the seed's ensemble, as run_single_event draws it
-    state0, (first,), _, first_extras = _configured_run(cfg, out, 1, ())
+    state0, (first,), _, first_extras = _configured_run(cfg, out, 1)
     n_rep = cfg["repeat"]["n_repeats"]
     summary = {"first_outcome": first.outcome_index, "n_repeats": n_rep}
     if first.outcome_index is None:
@@ -307,7 +294,7 @@ def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
     for t, snap in history:
         obs = _observables(snap, psi0, op, grid)
         rows.append([_float(t)] + [obs[k] for k in names])
-    out.add_text("observables.csv", _csv(rows, ["t"] + names))
+    out.add_text("observables.csv", csv_text(rows, ["t"] + names))
     out.telemetry["grid"] = [_grid_health(lam, op.hermiticity_defect(),
                                           [row[1] for row in rows])]
     summary = {"final_norm": _float(grid.norm2(final)), "n_steps": app["n_steps"],
@@ -339,7 +326,7 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> int:
                 obs_names = [k for k in row if k != "t"]
             rows.append([_float(delta), _float(entry["lambda"]), _float(row["t"])]
                         + [_float(row[k]) for k in obs_names])
-    out.add_text("sweep.csv", _csv(rows, ["delta", "lambda", "t"] + obs_names))
+    out.add_text("sweep.csv", csv_text(rows, ["delta", "lambda", "t"] + obs_names))
     defects = dict(zip(sweep.deltas, defects))
     out.telemetry["grid"] = [
         _grid_health(results[d]["lambda"], defects[d],

@@ -238,8 +238,8 @@ def build_metric_hamiltonian(system: MetricPotentialSystem, lambda_mag: float,
     symmetric or antisymmetric factors in a self-adjoint combination, so no
     symmetrization fix-up is applied afterwards.
     """
-    if lambda_mag <= 0:
-        raise ValueError("lambda_mag must be positive")
+    if not 0 < lambda_mag < np.inf:   # written so that a NaN fails it
+        raise ValueError(f"lambda_mag must be positive and finite, not {lambda_mag!r}")
     if system.dimension != grid.dimension:
         raise InvalidSystemError("system and grid dimensions disagree")
     d = grid.dimension
@@ -388,8 +388,8 @@ def evolve_grid(psi: np.ndarray, op: GridOperator, dt: float, n_steps: int,
     some entries of L and U differently (grids from about 64x64), so one
     thread makes the results the same on any core count.
     """
-    if dt <= 0 or n_steps < 1:
-        raise ValueError("need dt > 0 and n_steps >= 1")
+    if not (0 < dt < np.inf and n_steps >= 1):   # written so that a NaN dt fails it
+        raise ValueError(f"need a finite dt > 0 and n_steps >= 1, not {dt!r} and {n_steps!r}")
     shape = psi.shape
     vec = np.asarray(psi, dtype=complex).ravel()
     z = 0.5j * dt / op.lambda_mag

@@ -109,13 +109,15 @@ def appendix_setup(app: dict):
                                    parts["scalar"].scalar_potential)
     x = grid.axis(0)
     width = float(app["initial_width"])
-    psi0 = np.exp(-((x - float(app["initial_center"])) ** 2) / (4.0 * width**2)
-                  + 1j * float(app["initial_momentum"]) * x)
+    # a width whose square underflows gives 0/0 and x/0 here; the norm test rejects it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        psi0 = np.exp(-((x - float(app["initial_center"])) ** 2) / (4.0 * width**2)
+                      + 1j * float(app["initial_momentum"]) * x)
     norm2 = grid.norm2(psi0)
     if not (np.isfinite(norm2) and norm2 > 0):
         raise InvalidSystemError(
-            f"appendix.initial_center: the initial packet has discrete norm {norm2!r} "
-            "on the grid; it must lie on the grid")
+            f"appendix.initial_center/initial_width: the initial packet has discrete norm "
+            f"{norm2!r} on the grid; it must overlap the grid's points")
     return grid, system, psi0 / np.sqrt(norm2)
 
 
@@ -164,6 +166,12 @@ class LambdaSweep:
     base: float = 1.0
 
     def __post_init__(self):
+        # written so that a NaN fails them, before any worker starts
+        if not 0.0 < self.base < np.inf:
+            raise ValueError(f"the sweep's base must be positive and finite: {self.base!r}")
+        if not all(-1.0 < d and lam < np.inf for d, lam in zip(self.deltas, self.lambdas)):
+            raise ValueError(f"the sweep's deltas must be finite and above -1, with finite "
+                             f"scales base * (1 + delta): {self.deltas!r}")
         if 0.0 not in self.deltas:
             raise ValueError("the sweep must contain the delta = 0 reference")
         # a repeated delta would run again and overwrite its own entry; 0.0 == -0.0

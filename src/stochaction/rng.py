@@ -2,7 +2,7 @@
 
 Every consumer of randomness derives its own Philox stream from
 ``(seed, purpose, index)``, so results never depend on scheduling order or
-thread count.  ``purpose`` separates the independent uses of a trial's
+worker count.  ``purpose`` separates the independent uses of a trial's
 randomness (initial draw, sign path, ...).
 
 A Philox stream is a pure function of its key and counter, so one generator

@@ -11,7 +11,7 @@ For a spectral state both are evaluated in closed form (mode sums), so no
 interpolation error enters the ensemble statistics.  Ensembles integrate
 vectorized over trials in chunks sized by ``measurement._chunk_rows``;
 per-trial randomness comes from counter-based streams, which keeps runs
-bit-reproducible at any chunking and thread count.
+bit-reproducible at any chunking and worker count.
 """
 from __future__ import annotations
 
@@ -512,22 +512,17 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
 # equivariance diagnostics
 # ---------------------------------------------------------------------------
 
-def _equal_mass_edges(cdf_x: np.ndarray, cdf_y: np.ndarray, n_bins: int) -> np.ndarray:
-    targets = np.linspace(0.0, 1.0, n_bins + 1)[1:-1] * cdf_y[-1]
-    inner = np.interp(targets, cdf_y, cdf_x)
-    return np.concatenate(([cdf_x[0]], inner, [cdf_x[-1]]))
+# trapezoid nodes of the theta marginal's CDF table over [0, 2 pi]
+N_THETA_QUAD = 8192
 
 
-def _chi2_equal_mass(samples: np.ndarray, edges: np.ndarray) -> tuple[float, float]:
-    counts, _ = np.histogram(samples, bins=edges)
-    expected = len(samples) / (len(edges) - 1)
-    stat = float(np.sum((counts - expected) ** 2 / expected))
-    p = float(chdtrc(len(edges) - 2, stat))
-    return stat, p
+def marginal_cdfs(state: SpectralState):
+    """CDFs of both marginals of ``|Psi(t)|^2``, over the occupied modes.
 
-
-def marginal_cdfs(state: SpectralState, n_fine: int = 8192):
-    """Quadrature CDFs of both marginals of ``|Psi(t)|^2``, over the occupied modes."""
+    The q2 CDF is closed-form, a weighted sum of Gaussian CDFs; only the
+    theta CDF is a quadrature, the trapezoid table of the system marginal
+    on ``N_THETA_QUAD`` intervals, interpolated linearly.
+    """
     sup = state.support_indices()
     weights = np.abs(state.coeffs[sup]) ** 2
     mus = state.centers[sup]
@@ -538,7 +533,7 @@ def marginal_cdfs(state: SpectralState, n_fine: int = 8192):
         z = (q[..., None] - mus) / (np.sqrt(2.0) * sig)
         return np.sum(weights * 0.5 * (1.0 + erf(z)), axis=-1)
 
-    th = np.linspace(0.0, TWO_PI, n_fine + 1)
+    th = np.linspace(0.0, TWO_PI, N_THETA_QUAD + 1)
     dens_th = system_marginal_density(state, th)
     cdf_th_vals = np.concatenate(([0.0], np.cumsum(0.5 * (dens_th[1:] + dens_th[:-1])
                                                    * np.diff(th))))
@@ -547,7 +542,7 @@ def marginal_cdfs(state: SpectralState, n_fine: int = 8192):
     def cdf_theta(x):
         return np.interp(np.mod(np.asarray(x, dtype=float), TWO_PI), th, cdf_th_vals)
 
-    return cdf_theta, cdf_q2, (th, cdf_th_vals)
+    return cdf_theta, cdf_q2
 
 
 def equivariance_report(snapshots: dict[float, np.ndarray], state0: SpectralState,
@@ -555,38 +550,24 @@ def equivariance_report(snapshots: dict[float, np.ndarray], state0: SpectralStat
     """Binned chi-squared and KS comparisons against the evolved marginals.
 
     ``snapshots`` maps times to (n, 2) configuration arrays drawn from the
-    ensemble.  Bins are equal-mass under the reference marginal, so every
-    bin has the same expected count.
+    ensemble.  Each sample goes through its marginal's reference CDF, so
+    ``n_bins`` equal bins of [0, 1] are the equal-mass bins (the probability
+    integral transform) and every bin has the same expected count; a CDF
+    value rounded above 1 counts in the last bin.  The same CDF drives KS.
     """
     if not isinstance(state0.modes, AngularBasis):
         raise NotImplementedError("equivariance diagnostics assume the ring system")
     report = {}
     for t, pts in sorted(snapshots.items()):
         state_t = evolve_measurement_spectral(state0, t - state0.t, g)
-        cdf_theta, cdf_q2, (th_grid, th_cdf) = marginal_cdfs(state_t)
-
-        theta = np.mod(pts[:, 0], TWO_PI)
-        q2 = pts[:, 1]
-
-        edges_th = _equal_mass_edges(th_grid, th_cdf, n_bins)
-        chi_th, p_th = _chi2_equal_mass(theta, edges_th)
-
-        mus = state_t.centers[state_t.support_indices()]
-        qlo = mus.min() - 8.0 * state_t.packet.sigma
-        qhi = mus.max() + 8.0 * state_t.packet.sigma
-        qs = np.linspace(qlo, qhi, 8192)
-        cq = cdf_q2(qs)
-        edges_q = _equal_mass_edges(qs, cq, n_bins)
-        edges_q[0], edges_q[-1] = -np.inf, np.inf
-        chi_q, p_q = _chi2_equal_mass(q2, edges_q)
-
-        ks_th = stats.kstest(theta, cdf_theta)
-        ks_q = stats.kstest(q2, cdf_q2)
-        report[t] = {
-            "theta": {"chi2": chi_th, "chi2_p": p_th, "ks": float(ks_th.statistic),
-                      "ks_p": float(ks_th.pvalue)},
-            "q2": {"chi2": chi_q, "chi2_p": p_q, "ks": float(ks_q.statistic),
-                   "ks_p": float(ks_q.pvalue)},
-            "n": int(len(pts)),
-        }
+        report[t] = {"n": int(len(pts))}
+        samples = (np.mod(pts[:, 0], TWO_PI), pts[:, 1])
+        for name, x, cdf in zip(("theta", "q2"), samples, marginal_cdfs(state_t)):
+            bins = np.minimum((cdf(x) * n_bins).astype(np.intp), n_bins - 1)
+            expected = len(x) / n_bins
+            chi2 = float(np.sum((np.bincount(bins, minlength=n_bins) - expected) ** 2
+                                / expected))
+            ks = stats.kstest(x, cdf)
+            report[t][name] = {"chi2": chi2, "chi2_p": float(chdtrc(n_bins - 1, chi2)),
+                               "ks": float(ks.statistic), "ks_p": float(ks.pvalue)}
     return report

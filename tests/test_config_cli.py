@@ -506,6 +506,8 @@ class TestCli:
                                     "deltas": [0.0, -0.5]}})
         assert cli_main(["lambda-sweep", "--config", str(path_cfg), "--echo-config"]) == 0
 
+    # numpy warnings are errors: a rejected field or packet must not leak one to stderr
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("experiment, appendix, path", [
         ("appendix", {"scalar": "0.5*qq^2"}, "appendix.scalar"),
         ("lambda-sweep", {"scalar": "sin("}, "appendix.scalar"),
@@ -515,8 +517,12 @@ class TestCli:
         ("appendix", {"scalar": "0^-1"}, "appendix.scalar"),       # ZeroDivisionError
         ("lambda-sweep", {"scalar": "10^400"}, "appendix.scalar"),  # OverflowError
         ("appendix", {"scalar": "(-8)^0.5"}, "appendix.scalar"),   # complex: TypeError
+        # the width's square is 0 in float, so the packet's exponent is x/0 or 0/0
+        ("appendix", {"initial_width": 1e-200}, "appendix.initial_center/initial_width"),
+        ("lambda-sweep", {"initial_width": 5e-324}, "appendix.initial_center/initial_width"),
     ], ids=["unknown-name", "syntax", "metric-not-positive", "vector-length",
-            "packet-off-grid", "zero-division", "overflow", "complex-power"])
+            "packet-off-grid", "zero-division", "overflow", "complex-power",
+            "width-squared-underflows", "width-subnormal"])
     def test_bad_appendix_field_rejected_at_parse(self, tmp_path, capsys, experiment,
                                                   appendix, path):
         path_cfg, data = make_config(tmp_path, overrides={"appendix": appendix},

@@ -7,7 +7,8 @@ import pytest
 
 from joint_oracle import JointAxes, field_from_binary
 from stochaction import DomainOverflowError, GridSpec, InvalidSystemError, PhysicalConfig
-from stochaction.core import field_to_binary, field_to_csv, fork_map, fork_workers
+from stochaction.core import (csv_text, field_to_binary, field_to_csv, fork_map,
+                              fork_workers)
 
 
 @pytest.fixture
@@ -78,6 +79,16 @@ class TestSnapshotExport:
         lines = field_to_csv(amp, [axes.theta], ["theta"]).strip().split("\n")
         assert lines[0] == "theta,re,im"
         assert len(lines) == 1 + 128
+
+    def test_csv_rows_are_the_shared_writer_rows(self):
+        # a 2-D field in C order: first axis slowest, floats by repr
+        amp = np.array([[1.0 + 0.5j, 0.0 - 0.25j], [0.1 + 0j, 2.0 - 1.0j]])
+        text = field_to_csv(amp, [np.array([0.0, 0.5]), np.array([-1.0, 1.0])], ["x", "y"])
+        rows = [[0.0, -1.0, 1.0, 0.5], [0.0, 1.0, 0.0, -0.25],
+                [0.5, -1.0, 0.1, 0.0], [0.5, 1.0, 2.0, -1.0]]
+        assert text == csv_text(rows, ["x", "y", "re", "im"])
+        assert text.splitlines()[3] == "0.5,-1.0,0.1,0.0"
+        assert csv_text([[1, 0.1, "a"]], ["n", "f", "s"]) == "n,f,s\n1,0.1,a\n"
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):

@@ -97,6 +97,11 @@ class TestHamiltonianAssembly:
         with pytest.raises(InvalidSystemError, match="hi > lo"):
             CartesianGrid(mins, maxs, ns, (False,) * len(ns))
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_scale_rejected(self, line_grid, lam):
+        with pytest.raises(ValueError, match="lambda_mag must be positive and finite"):
+            build_metric_hamiltonian(harmonic_system(), lam, line_grid)
+
     def test_non_positive_metric_rejected(self):
         grid = CartesianGrid((-1.0,), (1.0,), (64,), (False,))
         system = MetricPotentialSystem.isotropic(1, lambda c: c[0])  # changes sign
@@ -178,6 +183,12 @@ class TestEvolveGrid:
         op = build_metric_hamiltonian(harmonic_system(), 1.0, line_grid)
         with pytest.raises(ValueError):
             evolve_grid(np.ones(512, dtype=complex), op, -0.1, 10)
+
+    @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf])
+    def test_non_finite_or_zero_step_rejected(self, line_grid, dt):
+        op = build_metric_hamiltonian(harmonic_system(), 1.0, line_grid)
+        with pytest.raises(ValueError, match="finite dt > 0"):
+            evolve_grid(np.ones(512, dtype=complex), op, dt, 10)
 
 
 class TestQuantumPotential:

@@ -149,6 +149,17 @@ class TestLambdaSweep:
         with pytest.raises(ValueError, match="distinct"):
             LambdaSweep(deltas=deltas)
 
+    @pytest.mark.parametrize("deltas, base", [
+        ((0.0, np.nan), 1.0), ((0.0, -2.0), 1.0), ((0.0, -1.0), 1.0), ((0.0, np.inf), 1.0),
+        ((0.0, 1.0), 1e308), ((0.0,), 0.0), ((0.0,), -1.0), ((0.0,), np.nan), ((0.0,), np.inf)])
+    def test_bad_scales_rejected_before_any_work(self, deltas, base, monkeypatch):
+        # a NaN delta used to fail in the factorization and -2 in a worker
+        monkeypatch.setattr("stochaction.potentials.fork_map", None)
+        with pytest.raises(ValueError, match="the sweep's"):
+            run_lambda_sweep(MetricPotentialSystem(1), np.ones(8, dtype=complex),
+                             CartesianGrid((0.0,), (1.0,), (8,), (False,)),
+                             LambdaSweep(deltas=deltas, base=base), 0.1, 1, 1)
+
     def test_reference_deviation_is_exactly_zero(self):
         grid = CartesianGrid((-20.0,), (20.0,), (256,), (False,))
         system = MetricPotentialSystem(1)

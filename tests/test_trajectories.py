@@ -1038,3 +1038,15 @@ class TestEquivariance:
         snap = self._ensemble(state, 4000, 23, 1.0, biased=True)
         report = equivariance_report({1.0: snap}, state, g=1.0, n_bins=50)
         assert report[1.0]["q2"]["chi2_p"] < 1e-4
+
+    def test_cdf_rounded_above_one_counts_in_the_last_bin(self, grid, basis):
+        # these shares sum to 1 + 2^-52 in the q2 CDF's float sum, so far
+        # above every packet the CDF reads just above 1
+        shares = [0.23619722766245624, 0.05327423434077773, 0.41429547275183026,
+                  0.20329423210298425, 0.09293883314195156]
+        state = make_state(dict(enumerate(np.sqrt(shares))), basis, grid, sigma=0.05)
+        assert trajectories.marginal_cdfs(state)[1](50.0) > 1.0
+        pts = np.column_stack([np.zeros(100), np.full(100, 50.0)])
+        report = equivariance_report({0.0: pts}, state, g=1.0, n_bins=10)
+        # all 100 samples in one of 10 bins: chi2 = 100 * (10 - 1)
+        assert report[0.0]["q2"]["chi2"] == 900.0

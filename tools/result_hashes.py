@@ -38,6 +38,14 @@ alone do not fail it, so it measures a declared last-bit change.  Both
 options may be combined with ``--compare``; the exit status is 1 if any
 comparison fails.
 
+``--pin FILE`` writes the compact reference that Tier-1 compares every run
+with (``tests/test_pinned_outcomes.py``): per kind, the outcome vector and
+the overflowed and ambiguous trials of its records, its outcome counts and
+every number and flag of its ``summary.json`` by path.  A change that
+alters outcomes on purpose rewrites the file from its own checkout:
+
+    python3 tools/result_hashes.py --pin tests/data/pinned_outcomes.json
+
 The package is imported from the ``src`` directory next to this script.
 """
 from __future__ import annotations
@@ -260,15 +268,15 @@ def csv_numbers(text: str) -> list[float]:
     return [float(c) for line in text.splitlines()[1:] for c in line.split(",")]
 
 
-def json_numbers(obj) -> list[float]:
-    """Every number in a JSON value, keys in sorted order, booleans left out."""
+def flat_values(obj, path: str = "") -> dict:
+    """Every number and boolean in a JSON value, by its ``/``-joined path of keys and indices."""
     if isinstance(obj, dict):
-        return [x for key in sorted(obj) for x in json_numbers(obj[key])]
-    if isinstance(obj, list):
-        return [x for item in obj for x in json_numbers(item)]
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return [float(obj)]
-    return []
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return {path: obj} if isinstance(obj, (bool, int, float)) else {}
+    return {k: v for key, item in items for k, v in flat_values(item, f"{path}/{key}").items()}
 
 
 def outcome_data(out_dir: Path, grid: bool = False) -> dict:
@@ -295,12 +303,13 @@ def outcome_data(out_dir: Path, grid: bool = False) -> dict:
     return data
 
 
-def result_hashes() -> tuple[dict, dict]:
-    """``{kind: {file: sha256}}`` and ``{kind: outcome data}`` of every run."""
+def result_hashes() -> tuple[dict, dict, dict]:
+    """``{kind: {file: sha256}}``, ``{kind: outcome data}`` and
+    ``{kind: summary.json}`` (config kinds) of every run."""
     from stochaction import parse_config, run_experiment, serialize_config
     from stochaction.experiments import canonical_json
 
-    hashes, outcomes = {}, {}
+    hashes, outcomes, summaries = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (kind, overrides) in CONFIGS.items():
             data = dict(BASE, experiment=kind, out_dir=name)
@@ -312,16 +321,78 @@ def result_hashes() -> tuple[dict, dict]:
             manifest = json.loads((Path(tmp) / name / "manifest.json").read_text())
             hashes[name] = {**manifest["files"],
                             "config.json": hashlib.sha256(echo).hexdigest()}
+            summaries[name] = json.loads((Path(tmp) / name / "summary.json").read_text())
             if found := outcome_data(Path(tmp) / name, grid=kind in GRID_KINDS):
                 outcomes[name] = found
     for name, run in API_RUNS.items():
         result = run()
         blob = canonical_json(result)
         hashes[name] = {"result.json": hashlib.sha256(blob.encode()).hexdigest()}
-        outcomes[name] = {"numbers": {"result.json": json_numbers(json.loads(blob))}}
+        # canonical JSON sorts its keys, so the numbers come in sorted key order
+        numbers = [float(v) for v in flat_values(json.loads(blob)).values()
+                   if not isinstance(v, bool)]
+        outcomes[name] = {"numbers": {"result.json": numbers}}
         if name.startswith("born-"):
             outcomes[name]["records"] = result
-    return hashes, outcomes
+    return hashes, outcomes, summaries
+
+
+# relative tolerance of the pinned summary numbers: far above a last-bit
+# change, far below any change of the physics
+PIN_RTOL = 1e-9
+
+
+def pinned(outcomes: dict, summaries: dict) -> dict:
+    """The compact reference of every kind that records outcomes or a summary."""
+    pins = {}
+    for kind in sorted(set(outcomes) | set(summaries)):
+        data, pin = outcomes.get(kind, {}), {}
+        if records := data.get("records"):
+            pin["outcomes"] = [r["outcome_index"] for r in records]
+            for flag in ("overflow", "ambiguous"):
+                pin[flag] = [r["trial"] for r in records if r[flag]]
+        if "counts" in data:
+            pin["counts"] = data["counts"]
+        if kind in summaries:
+            pin["summary"] = flat_values(summaries[kind])
+        if pin:
+            pins[kind] = pin
+    return pins
+
+
+def pin_differences(expected: dict, actual: dict) -> list[str]:
+    """What differs between two references: outcomes, flags, counts, the set
+    of summary paths and booleans exactly, summary numbers beyond ``PIN_RTOL``."""
+    diffs = []
+    for kind in sorted(set(expected) | set(actual)):
+        want, got = expected.get(kind), actual.get(kind)
+        if want is None or got is None:
+            diffs.append(f"{kind}: on one side only")
+            continue
+        diffs += [f"{kind}: {key} differs" for key in sorted(set(want) | set(got))
+                  if key != "summary" and want.get(key) != got.get(key)]
+        w_sum, g_sum = want.get("summary", {}), got.get("summary", {})
+        diffs += [f"{kind}: summary {path} {w_sum.get(path)!r} -> {g_sum.get(path)!r}"
+                  for path in sorted(set(w_sum) | set(g_sum))
+                  if not _pin_close(w_sum.get(path), g_sum.get(path))]
+    return diffs
+
+
+def _pin_close(a, b) -> bool:
+    """Numbers within ``PIN_RTOL`` of each other; a flag or a missing value only equals itself."""
+    if a is None or b is None or isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return abs(a - b) <= PIN_RTOL * max(abs(a), abs(b))
+
+
+def pin_text(pins: dict) -> str:
+    """The reference as JSON text, one line per kind and field."""
+    kinds = []
+    for kind, pin in sorted(pins.items()):
+        fields = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+                            for key, value in sorted(pin.items()))
+        kinds.append(f"{json.dumps(kind)}: {{\n{fields}\n}}")
+    return "{\n" + ",\n".join(kinds) + "\n}\n"
 
 
 def record_differences(expected: dict, actual: dict) -> tuple[list[str], list[str], str]:
@@ -390,10 +461,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="write each kind's outcomes to DIR/<kind>.json")
     parser.add_argument("--compare-records", metavar="DIR",
                         help="outcomes dumped from another checkout to compare against")
+    parser.add_argument("--pin", metavar="FILE",
+                        help="write the compact outcome reference that Tier-1 compares with")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    hashes, outcomes = result_hashes()
+    hashes, outcomes, summaries = result_hashes()
     status = 0
+    if args.pin is not None:
+        Path(args.pin).write_text(pin_text(pinned(outcomes, summaries)))
     if args.dump_records is not None:
         out = Path(args.dump_records)
         out.mkdir(parents=True, exist_ok=True)
@@ -414,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         n_files = sum(len(files) for files in hashes.values())
         print(f"{len(diff)} differing of {n_files} files in {len(hashes)} kinds")
         status = 1 if diff else status
-    if args.compare is None and args.compare_records is None:
+    if args.compare is None and args.compare_records is None and args.pin is None:
         print(json.dumps(hashes, indent=2, sort_keys=True))
     return status
 
