@@ -94,8 +94,12 @@ def appendix_setup(app: dict):
     for key in ("metric", "vector", "scalar"):
         try:
             part = system_from_expressions(d, **{key: app[key]})
-            values = [part.metric_field(coords), part.vector_field(coords),
-                      part.scalar_field(coords)]
+            # a field outside its domain on the grid (q^0.5 at q < 0) is NaN there
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                values = [part.metric_field(coords), part.vector_field(coords),
+                          part.scalar_field(coords)]
+            if not all(np.all(np.isfinite(v)) for v in values):
+                raise ValueError("values on the grid must be finite")
             _validate_metric(values[0], d)
         except (ValueError, IndexError, ArithmeticError, TypeError) as exc:
             # float arithmetic fails on constant parts: 0^-1, 10^400, (-8)^0.5

@@ -82,19 +82,28 @@ def _unit_phase(x: np.ndarray) -> np.ndarray:
     return z
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """``|z|^2`` as ``re^2 + im^2``, the one expression of every ``ModeFlow`` density."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _weighted_sum(b: np.ndarray, terms) -> np.ndarray:
+    """``sum_k a_k b_k`` over the ``(k, a_k)`` in ``terms``, added row by row in k order."""
+    out = b[terms[0][0]] * terms[0][1] if terms else np.zeros(b.shape[1:], dtype=complex)
+    tmp = np.empty_like(out)
+    for k, a in terms[1:]:
+        out += np.multiply(b[k], a, out=tmp)
+    return out
+
+
 class ModeFlow:
     """Closed-form velocity fields of a spectral state.
 
-    The coupling swaps the gradient axes: the system coordinate moves with
-    the pointer-gradient of the phase and the pointer with the
-    system-gradient, each scaled by g.  Only occupied modes enter the sums;
-    ring eigenfunctions come from a single unit phase through an integer
-    power chain, which is what keeps large ensembles cheap.  Each mode row
-    goes straight from the chain into its term, and every product with a
-    per-mode constant is taken row by row with a scalar operand: no
-    ``(K, n)`` mode table is written, and numpy's slower broadcast loop for
-    a ``(K, 1)`` factor is never taken.  The operations and their order are
-    those of the broadcast form, so the bits are too.
+    The coupling swaps the gradient axes: the system coordinate moves with the
+    pointer-gradient of the phase and the pointer with the system-gradient, each
+    scaled by g.  Only occupied modes enter the sums; ring eigenfunctions come from
+    one unit phase through an integer power chain.  Each packet moves linearly in
+    its mode number, so one mode-weighted sum gives both gradients (:meth:`_velocity`).
 
     Ring (:class:`AngularBasis`) and plane-wave states only: a position
     state moves under :class:`PointerReadoutFlow`.
@@ -119,35 +128,33 @@ class ModeFlow:
         if self.ring:
             self._l = state.modes.modes[sup].astype(int)
             self._l_abs_max = int(np.max(np.abs(self._l))) if len(self._l) else 0
-            scale = 1.0 / np.sqrt(TWO_PI)
-            self._dfactor = 1j * self._l
+            scale, w = 1.0 / np.sqrt(TWO_PI), self._l.astype(float)
         else:
-            self._p = state.modes.momenta[sup]
+            self._p = w = state.modes.momenta[sup]
             self._box_scale = scale = 1.0 / np.sqrt(state.modes.box_length)
-            self._dfactor = 1j * self._p
+        # dPsi/dx weighs b_k by i w_k and the packet drift by omega_k = HBAR w_k
+        assert np.array_equal(self.omegas, w), "one mode-weighted sum needs HBAR = 1"
         self._pack_norm = (TWO_PI * self.sigma**2) ** -0.25
         self._two_var = 2.0 * self.sigma**2
         # c'_k = c_k * mode scale * packet norm, and the packet exponent's factor
         self._packet_coeffs = self.coeffs * (scale * self._pack_norm)
         self._gauss_rate = -0.5 / self._two_var
+        # the nonzero weights of W and E; E is empty unless packets start apart
+        occ = np.flatnonzero(self.coeffs != 0)
+        self._mu_ref = self.centers0[occ[0]]
+        eps = (self.centers0 - self._mu_ref) / self._two_var
+        self._w_terms, self._eps_terms = ([(k, a[k]) for k in occ if a[k] != 0] for a in (w, eps))
         self.ref_peak = self._reference_peak()
         # |u_l| is the same for every ring or plane-wave mode, so a row can be
         # decided from the packets alone (zero-weight plane waves do not count)
-        occ = np.flatnonzero(self.coeffs != 0)
         self._occ_log_amp = np.log(np.abs(self.coeffs[occ]))
         self._occ_omegas = self.omegas[occ]
         self._occ_centers0 = self.centers0[occ]
 
     def _reference_peak(self) -> float:
-        if self.ring:
-            th = np.linspace(0.0, TWO_PI, 512, endpoint=False)
-        else:
-            th = self.modes.x_grid
-        u = np.empty((len(self.coeffs),) + th.shape, dtype=complex)
-        for k, row in enumerate(self._mode_rows(th)):
-            u[k] = 1.0 if row is None else row
-        peak = np.abs(np.tensordot(self._packet_coeffs, u, axes=1)) ** 2
-        return float(peak.max())
+        th = np.linspace(0.0, TWO_PI, 512, endpoint=False) if self.ring else self.modes.x_grid
+        u = [np.ones(th.shape) if row is None else row.copy() for row in self._mode_rows(th)]
+        return float((np.abs(np.tensordot(self._packet_coeffs, u, axes=1)) ** 2).max())
 
     def centers(self, t: float) -> np.ndarray:
         return self.centers0 + self.g * self.omegas * (t - self.t0)
@@ -177,14 +184,14 @@ class ModeFlow:
                     np.multiply(u, step, out=u)
                     yield u
 
-    def _packets(self, x: np.ndarray, q2: np.ndarray, t: float):
-        """Each mode's term ``b_k = c'_k G_k(q2) u_k(x)`` of Psi, and ``mu_k - q2``.
+    def _packets(self, x: np.ndarray, q2: np.ndarray, t: float) -> np.ndarray:
+        """The ``(K, ...)`` table of each mode's term ``b_k = c'_k G_k(q2) u_k(x)`` of Psi.
 
-        ``G_k(q2) = exp(-(mu_k - q2)^2 / (4 sigma^2))``; its norm sits in ``c'_k``.
+        ``G_k(q2) = exp(-(mu_k - q2)^2 / (4 sigma^2))``, its norm in ``c'_k``.  Each
+        per-mode constant multiplies its row as a scalar, not as a ``(K, 1)`` broadcast.
         """
-        shape = (-1,) + (1,) * q2.ndim
-        mshift = self.centers(t).reshape(shape) - q2
-        gauss = mshift * mshift
+        gauss = self.centers(t).reshape((-1,) + (1,) * q2.ndim) - q2
+        gauss *= gauss
         gauss *= self._gauss_rate
         np.exp(gauss, out=gauss)
         b = np.empty(gauss.shape, dtype=complex)
@@ -192,44 +199,37 @@ class ModeFlow:
             np.multiply(self._packet_coeffs[k], gauss[k], out=b[k])
             if row is not None:
                 np.multiply(row, b[k], out=b[k])
-        return b, mshift
-
-    def _terms(self, x: np.ndarray, q2: np.ndarray, t: float):
-        """Psi, its two gradients and the density at arbitrary points.
-
-        ``dPsi/dx = sum (i l_k) b_k`` and ``dPsi/dq2 = sum (mu_k - q2) / (2 sigma^2) b_k``,
-        each summed in k order as ``np.add.reduce`` sums over the mode axis.
-        """
-        b, mshift = self._packets(x, q2, t)
-        psi = np.add.reduce(b, axis=0)
-        dpsi_x = self._dfactor[0] * b[0]
-        term = np.empty_like(dpsi_x)
-        for k in range(1, len(b)):
-            np.multiply(self._dfactor[k], b[k], out=term)
-            dpsi_x += term
-        mshift /= self._two_var
-        b *= mshift
-        dpsi_q = np.add.reduce(b, axis=0)
-        return psi, dpsi_x, dpsi_q, np.abs(psi) ** 2
+        return b
 
     def density(self, points: np.ndarray, t: float) -> np.ndarray:
-        b, _ = self._packets(points[..., 0], points[..., 1], t)
-        return np.abs(np.add.reduce(b, axis=0)) ** 2
+        return _abs2(np.add.reduce(self._packets(points[..., 0], points[..., 1], t), axis=0))
 
     def _velocity(self, points: np.ndarray, t: float, lam, with_density: bool):
-        """Phase-gradient field, plus the osmotic term scaled by ``lam`` unless it is None."""
-        psi, dpsi_x, dpsi_q, dens = self._terms(points[..., 0], points[..., 1], t)
-        safe = np.maximum(dens, 1e-300)
-        pc = np.conj(psi)
-        v = np.empty(psi.shape + (2,))
-        for j, dpsi in enumerate((dpsi_q, dpsi_x)):
-            np.multiply(pc, dpsi, out=dpsi)
-            np.divide(dpsi.imag, safe, out=v[..., j])
-            if lam is not None:
-                osmotic = dpsi.real / safe
-                osmotic *= lam
-                v[..., j] += osmotic
-        v *= self.g
+        """Phase-gradient field, plus the osmotic term scaled by ``lam`` unless it is None.
+
+        ``mu_k(t) = mu_ref + 2 sigma^2 eps_k + g w_k (t - t0)``, so with ``W = sum w_k b_k``,
+        ``E = sum eps_k b_k``, ``s0 = (mu_ref - q2) / (2 sigma^2)`` and ``beta = g (t - t0)
+        / (2 sigma^2)``: ``dPsi/dx = i W`` and ``dPsi/dq2 = s0 Psi + beta W + E``.  With
+        ``P = conj(Psi) W`` the phase gradients times ``|Psi|^2`` are ``beta Im P +
+        Im conj(Psi) E`` and ``Re P``; the osmotic ones ``s0 |Psi|^2 + beta Re P +
+        Re conj(Psi) E`` and ``-Im P``.
+        """
+        b = self._packets(points[..., 0], points[..., 1], t)
+        pc = np.conjugate(np.add.reduce(b, axis=0))
+        dens = _abs2(pc)
+        pw = pc * _weighted_sum(b, self._w_terms)
+        pe = pc * _weighted_sum(b, self._eps_terms) if self._eps_terms else None
+        beta = self.g * (t - self.t0) / self._two_var
+        v = np.empty(dens.shape + (2,))
+        np.multiply(pw.imag, beta, out=v[..., 0])
+        if pe is not None:
+            v[..., 0] += pe.imag
+        if lam is not None:
+            osmotic = (self._mu_ref - points[..., 1]) * dens / self._two_var + beta * pw.real
+            v[..., 0] += lam * (osmotic if pe is None else osmotic + pe.real)
+        gain = self.g / np.maximum(dens, 1e-300)
+        v[..., 0] *= gain
+        np.multiply(pw.real if lam is None else pw.real - lam * pw.imag, gain, out=v[..., 1])
         return (v, dens) if with_density else v
 
     def effective(self, points: np.ndarray, t: float, with_density: bool = False):

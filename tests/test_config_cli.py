@@ -520,9 +520,15 @@ class TestCli:
         # the width's square is 0 in float, so the packet's exponent is x/0 or 0/0
         ("appendix", {"initial_width": 1e-200}, "appendix.initial_center/initial_width"),
         ("lambda-sweep", {"initial_width": 5e-324}, "appendix.initial_center/initial_width"),
+        # NaN on the grid's negative half, named before the metric and magnitude rules
+        ("appendix", {"metric": "q^0.5"}, "appendix.metric: values on the grid must be finite"),
+        ("lambda-sweep", {"scalar": "q^0.5"},
+         "appendix.scalar: values on the grid must be finite"),
+        ("appendix", {"vector": ["q^0.5"]}, "appendix.vector: values on the grid must be finite"),
     ], ids=["unknown-name", "syntax", "metric-not-positive", "vector-length",
             "packet-off-grid", "zero-division", "overflow", "complex-power",
-            "width-squared-underflows", "width-subnormal"])
+            "width-squared-underflows", "width-subnormal", "metric-not-finite",
+            "scalar-not-finite", "vector-not-finite"])
     def test_bad_appendix_field_rejected_at_parse(self, tmp_path, capsys, experiment,
                                                   appendix, path):
         path_cfg, data = make_config(tmp_path, overrides={"appendix": appendix},

@@ -1,4 +1,6 @@
 """Velocity fields, Born sampling, integration, equivariance."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -309,6 +311,18 @@ class TestKernelOracle:
         flow = self._check(state, seed=61)
         assert flow.ring and len(flow._l) == sum(c != 0 for c in coeffs.values())
 
+    @staticmethod
+    def apart_state(basis, grid):
+        # packets placed apart by hand, so the kernel's E sum is not empty
+        state = make_state({-2: 0.6, 0: 0.48j, 1: 0.64}, basis, grid, sigma=0.05, mu0=0.1)
+        offsets = {-2: 0.04, 0: -0.03, 1: 0.02}
+        return replace(state, centers=state.centers + np.array(
+            [offsets.get(l, 0.0) for l in basis.modes]))
+
+    def test_packets_starting_apart(self, grid, basis):
+        flow = self._check(self.apart_state(basis, grid), seed=65)
+        assert [k for k, _ in flow._eps_terms] == [1, 2]
+
     def test_plane_wave_flow(self, grid):
         flow = self._check(plane_wave_state(grid), seed=62)
         assert not flow.ring and len(flow._p) == 5
@@ -320,8 +334,11 @@ class TestKernelOracle:
 
 
 class BroadcastModeFlow(ModeFlow):
-    """The kernel with its earlier broadcast products: a ``(K, n)`` mode table,
-    ``c'[:, None] * G`` and ``(i l)[:, None] * b`` reduced over the mode axis."""
+    """The kernel in broadcast form: a ``(K, n)`` mode table, ``c'[:, None] * G``,
+    ``Psi`` by ``np.add.reduce`` over the mode axis, and ``W = sum w_k b_k`` and
+    ``E = sum eps_k b_k`` as the last row of ``np.add.accumulate`` over ``(K, 1)``
+    weights times the table.  ``accumulate`` starts from the first row, as the
+    kernel does; ``reduce`` starts from +0, which makes a sum of -0 terms +0."""
 
     def _reference_peak(self):
         th = (np.linspace(0.0, 2 * np.pi, 512, endpoint=False) if self.ring
@@ -355,22 +372,39 @@ class BroadcastModeFlow(ModeFlow):
 
     def _packets(self, x, q2, t):
         shape = (-1,) + (1,) * q2.ndim
-        mshift = self.centers(t).reshape(shape) - q2
-        gauss = mshift * mshift
+        gauss = self.centers(t).reshape(shape) - q2
+        gauss *= gauss
         gauss *= self._gauss_rate
         np.exp(gauss, out=gauss)
         b = self._mode_values(x)
         b *= self._packet_coeffs.reshape(shape) * gauss
-        return b, mshift
+        return b
 
-    def _terms(self, x, q2, t):
-        b, mshift = self._packets(x, q2, t)
-        psi = np.add.reduce(b, axis=0)
-        dpsi_x = np.add.reduce(self._dfactor.reshape((-1,) + (1,) * x.ndim) * b, axis=0)
-        mshift /= self._two_var
-        b *= mshift
-        dpsi_q = np.add.reduce(b, axis=0)
-        return psi, dpsi_x, dpsi_q, np.abs(psi) ** 2
+    @staticmethod
+    def _reduce(b, terms):
+        if not terms:
+            return np.zeros(b.shape[1:], dtype=complex)
+        rows, weights = map(list, zip(*terms))
+        table = np.reshape(weights, (-1,) + (1,) * (b.ndim - 1)) * b[rows]
+        return np.add.accumulate(table, axis=0)[-1]
+
+    def _velocity(self, points, t, lam, with_density):
+        b = self._packets(points[..., 0], points[..., 1], t)
+        pc = np.conj(np.add.reduce(b, axis=0))
+        dens = pc.real * pc.real + pc.imag * pc.imag
+        pw = pc * self._reduce(b, self._w_terms)
+        pe = pc * self._reduce(b, self._eps_terms) if self._eps_terms else None
+        beta = self.g * (t - self.t0) / self._two_var
+        vx = pw.imag * beta
+        if pe is not None:
+            vx += pe.imag
+        if lam is not None:
+            osmotic = (self._mu_ref - points[..., 1]) * dens / self._two_var + beta * pw.real
+            vx += lam * (osmotic if pe is None else osmotic + pe.real)
+        gain = self.g / np.maximum(dens, 1e-300)
+        vq = pw.real if lam is None else pw.real - lam * pw.imag
+        v = np.stack([vx * gain, vq * gain], axis=-1)
+        return (v, dens) if with_density else v
 
 
 class TestKernelBits:
@@ -391,6 +425,8 @@ class TestKernelBits:
             want_d = ref.density(pts, t)
             assert np.count_nonzero(want_d == 0.0) > 0, "no far-tail row"
             self._assert_bits([flow.density(pts, t)], [want_d])
+            # the field's density is density()'s, bit for bit
+            self._assert_bits([flow.effective(pts, t, with_density=True)[1]], [want_d])
             self._assert_bits(flow.effective(pts, t, with_density=True),
                               ref.effective(pts, t, with_density=True))
             for lam in (0.7, lam_points):
@@ -408,6 +444,9 @@ class TestKernelBits:
         norm = np.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
         self._check(make_state({l: c / norm for l, c in coeffs.items()}, basis, grid,
                                sigma=0.05, mu0=0.1), seed=63)
+
+    def test_packets_starting_apart(self, grid, basis):
+        self._check(TestKernelOracle.apart_state(basis, grid), seed=66)
 
     def test_plane_wave_flow(self, grid):
         self._check(plane_wave_state(grid), seed=64)
