@@ -195,14 +195,13 @@ def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
     n_steps = cfg.ensemble().n_steps(cfg.physical().t_M)
     n_store = min(cfg["ensemble"]["n_store"], cfg["ensemble"]["n_trials"])
     stored = range(0, n_steps + 1, cfg["ensemble"]["store_every"])
-    steps = sorted(set(stored) | {n_steps})
 
     state0, _, stats, extras = _configured_run(cfg, out, cfg["ensemble"]["n_trials"],
-                                               tuple(steps))
+                                               tuple(stored))
     # snapshot times ascend with their steps
-    snaps = dict(zip(steps, sorted(extras["snapshots"].items())))
+    snaps = dict(zip(stored, sorted(extras["snapshots"].items())))
     # the sign each trial holds at each snapshot, one column per step
-    signs = dict(zip(steps, extras["snapshot_signs"].T))
+    signs = dict(zip(stored, extras["snapshot_signs"].T))
     rows = []
     for trial in range(n_store):
         for k in stored:

@@ -165,17 +165,26 @@ def evolve_measurement_spectral(state: SpectralState, delta_t: float, g: float) 
     return replace(state, centers=centers, t=state.t + delta_t)
 
 
+def ring_fourier(state: SpectralState) -> tuple[float, np.ndarray, np.ndarray]:
+    """Fourier form ``(W, d, A)`` of the ring marginal of ``|Psi|^2`` over the occupied modes.
+
+    ``rho(theta) = (W + 2 Re sum_d A_d e^{i d theta}) / 2 pi`` with ``W = sum |c_a|^2``
+    and, for each frequency ``d > 0`` present,
+    ``A_d = sum_{l_a - l_b = d} c_a conj(c_b) exp(-(mu_a - mu_b)^2 / 8 sigma^2)``:
+    the packet overlap weights each cross term.
+    """
+    sup = state.support_indices()
+    c, mu, l = state.coeffs[sup], state.centers[sup], state.modes.modes[sup]
+    a, b = np.nonzero(l[:, None] > l[None, :])
+    terms = c[a] * np.conj(c[b]) * np.exp(-((mu[a] - mu[b]) ** 2)
+                                          / (8.0 * state.packet.sigma ** 2))
+    d, slot = np.unique(l[a] - l[b], return_inverse=True)
+    amps = np.bincount(slot, terms.real) + 1j * np.bincount(slot, terms.imag)
+    return float(np.sum(np.abs(c) ** 2)), d, amps
+
+
 def system_marginal_density(state: SpectralState, theta) -> np.ndarray:
     """Exact ring-angle density over the occupied modes, with packet-overlap interference."""
-    th = np.asarray(theta, dtype=float)
-    sig2 = state.packet.sigma ** 2
-    eig = state.modes.eigenfunctions(th)
-    dens = np.zeros_like(th)
-    sup = state.support_indices()
-    for a in sup:
-        for b in sup:
-            overlap = np.exp(-((state.centers[a] - state.centers[b]) ** 2) / (8.0 * sig2))
-            term = (state.coeffs[a] * np.conj(state.coeffs[b]) * eig[a] * np.conj(eig[b])
-                    * overlap)
-            dens += term.real
-    return dens
+    w, d, amps = ring_fourier(state)
+    waves = (amps * np.exp(1j * d * np.asarray(theta, dtype=float)[..., None])).real
+    return (w + 2.0 * np.sum(waves, axis=-1)) / (2.0 * np.pi)

@@ -22,7 +22,7 @@ from scipy.special import chdtrc, erf
 
 from .core import EPS_NODE_REL, DegenerateInputError
 from .spectral import (AngularBasis, PlaneWaveModes, SpectralState,
-                       evolve_measurement_spectral, system_marginal_density)
+                       evolve_measurement_spectral, ring_fourier)
 
 TWO_PI = 2.0 * np.pi
 # A decided row's neglected packets sit below DECIDE_EPS of its own amplitude
@@ -512,35 +512,26 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
 # equivariance diagnostics
 # ---------------------------------------------------------------------------
 
-# trapezoid nodes of the theta marginal's CDF table over [0, 2 pi]
-N_THETA_QUAD = 8192
-
-
 def marginal_cdfs(state: SpectralState):
-    """CDFs of both marginals of ``|Psi(t)|^2``, over the occupied modes.
+    """CDFs of both marginals of ``|Psi(t)|^2``, over the occupied modes, in closed form.
 
-    The q2 CDF is closed-form, a weighted sum of Gaussian CDFs; only the
-    theta CDF is a quadrature, the trapezoid table of the system marginal
-    on ``N_THETA_QUAD`` intervals, interpolated linearly.
+    The q2 CDF is a weighted sum of Gaussian CDFs.  The theta CDF integrates
+    the ring marginal's Fourier series (:func:`~stochaction.spectral.ring_fourier`)
+    term by term: ``F = (W theta + 2 Re sum_d A_d (e^{i d theta} - 1) / (i d)) / (2 pi W)``.
     """
     sup = state.support_indices()
-    weights = np.abs(state.coeffs[sup]) ** 2
-    mus = state.centers[sup]
-    sig = state.packet.sigma
+    weights, mus = np.abs(state.coeffs[sup]) ** 2, state.centers[sup]
+    scale = np.sqrt(2.0) * state.packet.sigma
+    w, d, amps = ring_fourier(state)
 
     def cdf_q2(q):
-        q = np.asarray(q, dtype=float)
-        z = (q[..., None] - mus) / (np.sqrt(2.0) * sig)
+        z = (np.asarray(q, dtype=float)[..., None] - mus) / scale
         return np.sum(weights * 0.5 * (1.0 + erf(z)), axis=-1)
 
-    th = np.linspace(0.0, TWO_PI, N_THETA_QUAD + 1)
-    dens_th = system_marginal_density(state, th)
-    cdf_th_vals = np.concatenate(([0.0], np.cumsum(0.5 * (dens_th[1:] + dens_th[:-1])
-                                                   * np.diff(th))))
-    cdf_th_vals /= cdf_th_vals[-1]
-
     def cdf_theta(x):
-        return np.interp(np.mod(np.asarray(x, dtype=float), TWO_PI), th, cdf_th_vals)
+        th = np.mod(np.asarray(x, dtype=float), TWO_PI)
+        waves = (amps * (np.exp(1j * d * th[..., None]) - 1.0) / (1j * d)).real
+        return (w * th + 2.0 * np.sum(waves, axis=-1)) / (TWO_PI * w)
 
     return cdf_theta, cdf_q2
 

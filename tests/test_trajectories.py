@@ -4,16 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.integrate import quad
 
 from joint_oracle import JointAxes, synthesize_joint
 from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
                          PlaneWaveModes, SpectralState, equivariance_report,
-                         integrate_ensemble)
+                         evolve_measurement_spectral, integrate_ensemble)
 from stochaction import trajectories
 from stochaction.core import PhysicalConfig
 from stochaction.measurement import _initial_draws, _sign_paths, substitute_observable
 from stochaction.stochastic import StochasticParams
 from stochaction.rng import stream
+from stochaction.spectral import system_marginal_density
 from stochaction.core import EPS_NODE_REL
 from stochaction.trajectories import (DECIDE_EPS, EnsembleSpec, ModeFlow, PointerReadoutFlow,
                                       _stage_velocity, _step, _unit_phase, RingSampler)
@@ -1089,3 +1091,31 @@ class TestEquivariance:
         report = equivariance_report({0.0: pts}, state, g=1.0, n_bins=10)
         # all 100 samples in one of 10 bins: chi2 = 100 * (10 - 1)
         assert report[0.0]["q2"]["chi2"] == 900.0
+
+    @pytest.mark.parametrize("t", [0.0, 0.05])
+    def test_theta_cdf_is_the_integral_of_the_density(self, grid, basis, t):
+        # phased packets that overlap at t = 0.05: every cross term counts
+        state = make_state({-3: 0.5, -1: 0.5j, 2: 0.5, 3: -0.5}, basis, grid, sigma=0.05)
+        state = evolve_measurement_spectral(state, t, 1.0)
+        cdf_theta = trajectories.marginal_cdfs(state)[0]
+        for th in np.linspace(0.1, 6.2, 13):
+            want, _ = quad(lambda v: system_marginal_density(state, v), 0.0, th,
+                           epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert abs(cdf_theta(th) - want) < 1e-13
+        assert cdf_theta(0.0) == 0.0
+        assert abs(cdf_theta(np.nextafter(2 * np.pi, 0.0)) - 1.0) < 1e-15
+
+    def test_single_mode_theta_cdf_is_uniform(self, grid, basis):
+        state = make_state({2: 1j}, basis, grid, sigma=0.05)
+        th = np.linspace(0.0, 2 * np.pi, 9)[:-1]
+        assert np.array_equal(trajectories.marginal_cdfs(state)[0](th), th / (2 * np.pi))
+
+    def test_cdf_rounded_below_zero_counts_in_the_first_bin(self, grid, basis):
+        # the density has a node at theta = 0, so just above it the theta CDF
+        # is far below its rounding error and some values come out negative
+        state = make_state({-1: 0.5, 0: -0.5j, 1: -0.5, 2: 0.5j}, basis, grid, sigma=0.05)
+        theta = np.geomspace(1e-12, 1e-7, 100)
+        assert trajectories.marginal_cdfs(state)[0](theta).min() < 0.0
+        pts = np.column_stack([theta, np.zeros(100)])
+        report = equivariance_report({0.0: pts}, state, g=1.0, n_bins=10)
+        assert report[0.0]["theta"]["chi2"] == 900.0

@@ -26,9 +26,12 @@ record options compare outcomes rather than bytes:
 outcomes or numbers: its ``records.jsonl`` rows (the born kinds and the
 API-level ``born-position``, ``born-position-edge``, ``born-linear-momentum``
 and ``born-overlap``, whose overlapping windows leave some trials ambiguous),
-the outcome counts of its ``summary.json``, its ``trajectories.csv`` rows,
-and the numbers of the grid kinds' ``observables.csv``, ``sweep.csv`` and
-``psi_final.csv`` and of every API kind's ``result.json``.
+the outcome counts and every number of its ``summary.json``, its
+``trajectories.csv`` rows, and the numbers of the grid kinds'
+``observables.csv``, ``sweep.csv`` and ``psi_final.csv`` and of every API
+kind's ``result.json``.  A dump is compared only with a dump of the same
+version of this tool: to compare with another checkout, run this script
+against that checkout's ``src``.
 ``--compare-records DIR`` compares ``outcome_index`` and ``overflow`` row by
 row and the counts, prints ``max |dq2_final|`` per kind, the largest change
 in any trajectories.csv cell and the largest absolute change in each kind's
@@ -108,6 +111,12 @@ CONFIGS = {
     "trajectories-telegraph": ("trajectories", {
         "ensemble": TRAJ, "state": WIDE_STATE, "velocity": "actual",
         "stochastic": {"tau_xi": 0.02, "sign_law": "telegraph", "flip_prob": 0.1}}),
+    # packets near the widest the separation rule allows (sigma <= 1/6 at
+    # sep_factor 6): neighbours still overlap by exp(-1 / (8 * 0.16^2)) ~ 0.008
+    # at t_M, so the theta marginal's cross terms enter the equivariance numbers
+    "trajectories-overlap": ("trajectories", {
+        "ensemble": TRAJ, "physical": {"sigma": 0.16, "sep_factor": 6.0},
+        "equivariance": {"enabled": True}}),
     "prior-average": ("prior-average", {"prior": {"n_mc": 20000}}),
     "repeatability": ("repeatability", {"repeat": {"n_repeats": 50}}),
     "appendix": ("appendix", {"appendix": APPENDIX}),
@@ -281,7 +290,8 @@ def flat_values(obj, path: str = "") -> dict:
 
 def outcome_data(out_dir: Path, grid: bool = False) -> dict:
     """What one run's result files say about its trials' outcomes, plus the
-    numbers of its grid result files when ``grid`` is set."""
+    numbers of its ``summary.json`` and, when ``grid`` is set, of its grid
+    result files."""
     data = {}
     records = out_dir / "records.jsonl"
     if records.exists():
@@ -296,10 +306,12 @@ def outcome_data(out_dir: Path, grid: bool = False) -> dict:
     if trajectories.exists():
         data["trajectories"] = [[float(c) for c in line.split(",")]
                                 for line in trajectories.read_text().splitlines()[1:]]
+    data["numbers"] = {"summary.json": [float(v) for v in flat_values(summary).values()
+                                        if not isinstance(v, bool)]}
     if grid:
-        data["numbers"] = {
+        data["numbers"].update({
             name: csv_numbers(path.read_text())
-            for name in GRID_FILES if (path := out_dir / name).exists()}
+            for name in GRID_FILES if (path := out_dir / name).exists()})
     return data
 
 
@@ -322,8 +334,7 @@ def result_hashes() -> tuple[dict, dict, dict]:
             hashes[name] = {**manifest["files"],
                             "config.json": hashlib.sha256(echo).hexdigest()}
             summaries[name] = json.loads((Path(tmp) / name / "summary.json").read_text())
-            if found := outcome_data(Path(tmp) / name, grid=kind in GRID_KINDS):
-                outcomes[name] = found
+            outcomes[name] = outcome_data(Path(tmp) / name, grid=kind in GRID_KINDS)
     for name, run in API_RUNS.items():
         result = run()
         blob = canonical_json(result)
