@@ -30,7 +30,7 @@ from .core import DomainOverflowError, csv_text, field_to_binary, field_to_csv
 from .gridop import (blas_threads, build_metric_hamiltonian, evolve_grid,
                      verify_hjm_residual)
 from .measurement import _collapsed, average_prior, prepare_initial_state, run_ensemble
-from .potentials import LambdaSweep, _observables, _sweep, appendix_setup
+from .potentials import OBSERVABLE_MENU, LambdaSweep, _observables, _sweep, appendix_setup
 from .rng import GENERIC, stream
 from .spectral import GaussianPacket
 from .stochastic import (ActionIncrement, check_separability, gaussian_log_weight,
@@ -317,16 +317,10 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> int:
                         base=cfg.physical().lambda_mag)
     results, defects, workers = _sweep(system, psi0, grid, sweep, float(app["dt"]),
                                        app["n_steps"], app["record_every"])
-    rows = []
-    obs_names = None
-    for delta in sorted(results):
-        entry = results[delta]
-        for row in entry["series"]:
-            if obs_names is None:
-                obs_names = [k for k in row if k != "t"]
-            rows.append([_float(delta), _float(entry["lambda"]), _float(row["t"])]
-                        + [_float(row[k]) for k in obs_names])
-    out.add_text("sweep.csv", csv_text(rows, ["delta", "lambda", "t"] + obs_names))
+    rows = [[_float(delta), _float(results[delta]["lambda"]), _float(row["t"])]
+            + [_float(row[k]) for k in OBSERVABLE_MENU]
+            for delta in sorted(results) for row in results[delta]["series"]]
+    out.add_text("sweep.csv", csv_text(rows, ["delta", "lambda", "t", *OBSERVABLE_MENU]))
     defects = dict(zip(sweep.deltas, defects))
     out.telemetry["grid"] = [
         _grid_health(results[d]["lambda"], defects[d],

@@ -28,15 +28,10 @@ from .core import (EPS_NODE_REL, HBAR, DegenerateInputError, GridSpec,
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        SpectralState, evolve_measurement_spectral, occupied)
 from .stochastic import StochasticParams, sample_sign_path
-from .trajectories import (EnsembleSpec, ModeFlow, PointerReadoutFlow, RingSampler,
-                           check_snapshot_steps, integrate_ensemble)
+from .trajectories import (_MODE_ROWS, EnsembleSpec, ModeFlow, PointerReadoutFlow,
+                           RingSampler, _ring_rows, _ring_sum, check_snapshot_steps,
+                           integrate_ensemble)
 
-# Mode rows x trial rows of one ensemble chunk at most (_chunk_rows), so each
-# complex per-mode temporary stays at or under 256 KB.  Every kernel call and
-# RK4 step costs about 40 numpy calls whatever its row count, so fewer chunks
-# run faster until that temporary outgrows L2: on a 2-vCPU machine with 2 MB
-# of L2 per core, runs slowed once it passed about 450 KB.
-_MODE_ROWS = 2**14
 # trials whose initial draws are decided at once, which bounds the
 # (trials x round) temporaries
 _DRAW_BLOCK = 256
@@ -239,18 +234,21 @@ def _sample_line(density: np.ndarray, points: np.ndarray, u: np.ndarray) -> np.n
 
 
 def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray,
-                   gen: np.random.Generator) -> np.ndarray:
-    """Per-trial product-form draws from |Psi(0)|^2, one counter stream each.
+                   gen: np.random.Generator, stoch: StochasticParams | None,
+                   n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial draws from |Psi(0)|^2 and of the hidden sign, one visit per trial.
 
     ``gen`` is re-keyed to each trial's ``INITIAL`` stream, which gives the
-    uniforms of the system coordinate and then one pointer normal.  On the
-    ring they are the trial's first :class:`RingSampler` round
-    (``2 round_size(1)`` uniforms), on a line one uniform for the inverse
-    CDF of the tabulated density.  The uniforms are mapped, and the ring
-    rounds decided, ``_DRAW_BLOCK`` trials at a time; a trial whose first
-    round accepts nothing is re-keyed and drawn by the sampler's rounds,
-    which repeat that round and go on.  A trial's draws depend on its
-    stream alone, so no chunking can change them.
+    uniforms of the system coordinate and then one pointer normal, then to
+    its ``SIGNS`` stream, which gives the ``(n, n_steps)`` int8 sign paths
+    under ``stoch``, or the ``(n, 1)`` first signs of effective runs
+    (``stoch`` None).  On the ring the uniforms are the trial's first
+    :class:`RingSampler` round (``2 round_size(1)`` uniforms), on a line
+    one uniform for the inverse CDF of the tabulated density.  The uniforms
+    are mapped, and the ring rounds decided, ``_DRAW_BLOCK`` trials at a
+    time; a trial whose first round accepts nothing is re-keyed and drawn
+    by the sampler's rounds, which repeat that round and go on.  A trial's
+    draws depend on its streams alone, so no chunking can change them.
     """
     if isinstance(state0.modes, AngularBasis):
         sup = state0.support_indices()
@@ -263,6 +261,7 @@ def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray,
         dens = np.abs(np.tensordot(state0.coeffs, table, axes=1)) ** 2
         sampler, width = None, 1
     out = np.empty((len(trials), 2))
+    signs = np.empty((len(trials), 1 if stoch is None else n_steps), dtype=np.int8)
     raw = np.empty((min(len(trials), _DRAW_BLOCK), width))
     center, sigma = state0.centers[0], state0.packet.sigma
     for start in range(0, len(trials), _DRAW_BLOCK):
@@ -272,6 +271,9 @@ def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray,
             rngmod.rekey(gen, seed, rngmod.INITIAL, trial)
             gen.random(out=u[k])
             rows[k, 1] = gen.normal(center, sigma)
+            rngmod.rekey(gen, seed, rngmod.SIGNS, trial)
+            signs[start + k] = (gen.integers(0, 2) * 2 - 1 if stoch is None
+                                else sample_sign_path(stoch, n_steps, gen))
         if sampler is None:
             rows[:, 0] = _sample_line(dens, xg, u[:, 0])
             continue
@@ -281,17 +283,7 @@ def _initial_draws(state0: SpectralState, seed: int, trials: np.ndarray,
             rngmod.rekey(gen, seed, rngmod.INITIAL, block[k])
             rows[k, 0] = sampler(1, gen)[0]
             rows[k, 1] = gen.normal(center, sigma)
-    return out
-
-
-def _sign_paths(seed: int, trials: np.ndarray, n_steps: int, stoch: StochasticParams,
-                gen: np.random.Generator) -> np.ndarray:
-    """Each trial's sign path from its own stream (``gen`` is re-keyed per trial)."""
-    paths = np.empty((len(trials), n_steps), dtype=np.int8)
-    for k, trial in enumerate(trials):
-        paths[k] = sample_sign_path(stoch, n_steps,
-                                    rngmod.rekey(gen, seed, rngmod.SIGNS, int(trial)))
-    return paths
+    return out, signs
 
 
 def _chunk_rows(n_trials: int, threads: int, n_modes: int) -> int:
@@ -319,25 +311,17 @@ def _run_chunk(pipe: MeasurementPipeline, flow: ModeFlow | PointerReadoutFlow,
     each of ``snapshot_steps`` (ones in effective runs).
     """
     state0 = pipe.state0
-    # one generator per chunk, re-keyed to every per-trial stream it draws from
-    gen = rngmod.stream(seed)
-    q0 = _initial_draws(state0, seed, trials, gen)
-    if stoch is None:
-        # an effective run still carries the hidden sign at t = 0: the first
-        # draw of the trial's sign stream, as any sign path's first entry
-        paths = None
-        signs0 = np.array([rngmod.rekey(gen, seed, rngmod.SIGNS, int(trial)).integers(0, 2)
-                           for trial in trials]) * 2 - 1
-        held = np.ones((len(trials), len(snapshot_steps)), dtype=np.int8)
-    else:
-        paths = _sign_paths(seed, trials, n_steps, stoch, gen)
-        signs0 = paths[:, 0]
-        held = paths[:, [min(s, n_steps - 1) for s in snapshot_steps]]
+    # one generator per chunk, re-keyed to every per-trial stream it draws from;
+    # an effective run still carries the hidden sign at t = 0, its one column
+    q0, signs = _initial_draws(state0, seed, trials, rngmod.stream(seed), stoch, n_steps)
+    paths = None if stoch is None else signs
+    held = (np.ones((len(trials), len(snapshot_steps)), dtype=np.int8) if stoch is None
+            else signs[:, [min(s, n_steps - 1) for s in snapshot_steps]])
     result = integrate_ensemble(
         flow, q0, spec, t0=state0.t, duration=config.t_M, sign_paths=paths,
         lambda_mag=config.lambda_mag, q2_bounds=(state0.grid.q2_min, state0.grid.q2_max),
         snapshot_steps=snapshot_steps)
-    return dict(result, initial_configs=q0, signs0=signs0, snapshot_signs=held)
+    return dict(result, initial_configs=q0, signs0=signs[:, 0], snapshot_signs=held)
 
 
 def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: EnsembleSpec,
@@ -448,13 +432,12 @@ def actual_observable_prior(coeffs: np.ndarray, basis: AngularBasis, theta, lamb
     support = occupied(c)
     c, l = c[support], basis.modes[support]
     th = np.asarray(theta, dtype=float)
-    il = 1j * l.reshape((-1,) + (1,) * th.ndim)
-    u = np.exp(il * th)
-    phi = np.tensordot(c, u, axes=1)
-    dphi = np.tensordot(c, il * u, axes=1)
+    rows = _ring_rows(l, th.reshape(-1))
+    phi = _ring_sum(c, rows, th.size).reshape(th.shape)
+    dphi = _ring_sum(c * (1j * l), rows, th.size).reshape(th.shape)
     dens = np.abs(phi) ** 2
     ring = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
-    peak = float(np.max(np.abs(c @ np.exp(1j * l[:, None] * ring)) ** 2))
+    peak = float(np.max(np.abs(_ring_sum(c, _ring_rows(l, ring), ring.shape)) ** 2))
     if np.any(dens < EPS_NODE_REL * peak):
         raise DegenerateInputError("observable evaluated at a node of the wavefunction")
     core = np.conj(phi) * dphi

@@ -38,12 +38,6 @@ class AngularBasis:
     def omegas(self) -> np.ndarray:
         return HBAR * self.modes.astype(float)
 
-    def eigenfunctions(self, theta) -> np.ndarray:
-        """Values of every mode at ``theta``; shape (n_modes,) + theta.shape."""
-        th = np.asarray(theta, dtype=float)
-        l = self.modes.reshape((-1,) + (1,) * th.ndim)
-        return np.exp(1j * l * th) / np.sqrt(2.0 * np.pi)
-
 
 @dataclass(frozen=True)
 class GaussianPacket:
@@ -181,10 +175,3 @@ def ring_fourier(state: SpectralState) -> tuple[float, np.ndarray, np.ndarray]:
     d, slot = np.unique(l[a] - l[b], return_inverse=True)
     amps = np.bincount(slot, terms.real) + 1j * np.bincount(slot, terms.imag)
     return float(np.sum(np.abs(c) ** 2)), d, amps
-
-
-def system_marginal_density(state: SpectralState, theta) -> np.ndarray:
-    """Exact ring-angle density over the occupied modes, with packet-overlap interference."""
-    w, d, amps = ring_fourier(state)
-    waves = (amps * np.exp(1j * d * np.asarray(theta, dtype=float)[..., None])).real
-    return (w + 2.0 * np.sum(waves, axis=-1)) / (2.0 * np.pi)

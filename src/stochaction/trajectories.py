@@ -29,6 +29,12 @@ TWO_PI = 2.0 * np.pi
 # (rounding level); live rows are tested every DECIDE_EVERY steps.
 DECIDE_EPS = 2.0 ** -53
 DECIDE_EVERY = 10
+# Mode rows x trial rows of an ensemble chunk (measurement._chunk_rows) or of a
+# block of equivariance CDF values at most, so each complex per-mode temporary
+# stays at or under 256 KB.  A kernel call or RK4 step costs about 40 numpy calls
+# whatever its row count, so fewer chunks run faster until that temporary
+# outgrows L2: with 2 MB of L2 per core, runs slowed once it passed about 450 KB.
+_MODE_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,28 @@ def _unit_phase(x: np.ndarray) -> np.ndarray:
     return z
 
 
+def _ring_rows(l, theta: np.ndarray) -> list:
+    """Each ring row ``exp(i l_k theta)`` for the mode numbers ``l``, in k order.
+
+    One :func:`_unit_phase` and its integer powers; conjugates give ``l < 0``
+    and ``None`` stands for the row of ones (``l = 0``).  Equal mode numbers
+    share one row, so the rows are read-only.
+    """
+    z = _unit_phase(theta)
+    powers = [None, z]
+    for _ in range(1, int(np.abs(l).max(initial=0))):
+        powers.append(powers[-1] * z)
+    return [powers[k] if k >= 0 else np.conjugate(powers[-k]) for k in l]
+
+
+def _ring_sum(a, rows: list, shape) -> np.ndarray:
+    """``sum_k a_k rows_k`` over :func:`_ring_rows`, added in k order."""
+    out = np.zeros(shape, dtype=complex)
+    for ak, row in zip(a, rows):
+        out += ak if row is None else ak * row
+    return out
+
+
 def _abs2(z: np.ndarray) -> np.ndarray:
     """``|z|^2`` as ``re^2 + im^2``, the one expression of every ``ModeFlow`` density."""
     return z.real * z.real + z.imag * z.imag
@@ -101,9 +129,9 @@ class ModeFlow:
 
     The coupling swaps the gradient axes: the system coordinate moves with the
     pointer-gradient of the phase and the pointer with the system-gradient, each
-    scaled by g.  Only occupied modes enter the sums; ring eigenfunctions come from
-    one unit phase through an integer power chain.  Each packet moves linearly in
-    its mode number, so one mode-weighted sum gives both gradients (:meth:`_velocity`).
+    scaled by g.  Only occupied modes enter the sums; ring eigenfunctions are the
+    shared :func:`_ring_rows`.  Each packet moves linearly in its mode number, so
+    one mode-weighted sum gives both gradients (:meth:`_velocity`).
 
     Ring (:class:`AngularBasis`) and plane-wave states only: a position
     state moves under :class:`PointerReadoutFlow`.
@@ -127,7 +155,6 @@ class ModeFlow:
         self.centers0 = state.centers[sup]
         if self.ring:
             self._l = state.modes.modes[sup].astype(int)
-            self._l_abs_max = int(np.max(np.abs(self._l))) if len(self._l) else 0
             scale, w = 1.0 / np.sqrt(TWO_PI), self._l.astype(float)
         else:
             self._p = w = state.modes.momenta[sup]
@@ -166,13 +193,7 @@ class ModeFlow:
         the running product of the chain, valid only until the next is drawn.
         """
         if self.ring:
-            # powers of exp(i x) cover every occupied mode; conjugates give l < 0
-            z = _unit_phase(x)
-            powers = [None, z]
-            for _ in range(1, self._l_abs_max):
-                powers.append(powers[-1] * z)
-            for l in self._l:
-                yield powers[l] if l >= 0 else np.conjugate(powers[-l])
+            yield from _ring_rows(self._l, x)
         else:
             # equally spaced momenta: one phase for the base, one per step of the chain
             p = self._p
@@ -323,15 +344,15 @@ class RingSampler:
     ``m = round_size(n)`` uniforms for the angles and then ``m`` for the
     heights, and keeps the accepted angles in draw order.  ``accept`` decides
     rounds from their raw uniforms, so a caller may draw the first rounds of
-    many trials and decide them at once; it sums the modes row by row, so
-    no BLAS call (and no second BLAS thread) enters a draw.  An envelope
-    that is not positive and finite (no occupied mode, or a NaN amplitude)
-    would never accept, so it raises before any draw.
+    many trials and decide them at once; it sums the shared :func:`_ring_rows`
+    in mode order, so no BLAS call (and no second BLAS thread) enters a draw.
+    An envelope that is not positive and finite (no occupied mode, or a NaN
+    amplitude) would never accept, so it raises before any draw.
     """
 
     def __init__(self, c: np.ndarray, l: np.ndarray):
         self.c = np.asarray(c, dtype=complex)
-        self.il = 1j * np.asarray(l)
+        self.l = np.asarray(l)
         self.bound = _ring_envelope(self.c)
         if not (np.isfinite(self.bound) and self.bound > 0):
             raise DegenerateInputError(
@@ -349,9 +370,7 @@ class RingSampler:
         """
         m = raw.shape[-1] // 2
         theta = raw[..., :m] * TWO_PI
-        psi = self.c[0] * np.exp(self.il[0] * theta)
-        for ck, ilk in zip(self.c[1:], self.il[1:]):
-            psi += ck * np.exp(ilk * theta)
+        psi = _ring_sum(self.c, _ring_rows(self.l, theta), theta.shape)
         return theta, raw[..., m:] * self.bound < np.abs(psi) ** 2 / TWO_PI
 
     def __call__(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -525,15 +544,30 @@ def marginal_cdfs(state: SpectralState):
     w, d, amps = ring_fourier(state)
 
     def cdf_q2(q):
-        z = (np.asarray(q, dtype=float)[..., None] - mus) / scale
+        z = (q[:, None] - mus) / scale
         return np.sum(weights * 0.5 * (1.0 + erf(z)), axis=-1)
 
     def cdf_theta(x):
-        th = np.mod(np.asarray(x, dtype=float), TWO_PI)
-        waves = (amps * (np.exp(1j * d * th[..., None]) - 1.0) / (1j * d)).real
+        th = np.mod(x, TWO_PI)
+        waves = (amps * (np.exp(1j * d * th[:, None]) - 1.0) / (1j * d)).real
         return (w * th + 2.0 * np.sum(waves, axis=-1)) / (TWO_PI * w)
 
-    return cdf_theta, cdf_q2
+    return _in_row_blocks(cdf_theta, len(d)), _in_row_blocks(cdf_q2, len(mus))
+
+
+def _in_row_blocks(f, n_terms: int):
+    """``f`` over any array, in 1-D blocks whose ``(points, n_terms)`` tables stay
+    within ``_MODE_ROWS``; each value reduces its own row, so blocks keep its bits."""
+    rows = max(1, _MODE_ROWS // max(n_terms, 1))
+
+    def blocked(x):
+        x = np.asarray(x, dtype=float)
+        flat, out = x.reshape(-1), np.empty(x.size)
+        for start in range(0, x.size, rows):
+            out[start:start + rows] = f(flat[start:start + rows])
+        return out.reshape(x.shape)[()]
+
+    return blocked
 
 
 def equivariance_report(snapshots: dict[float, np.ndarray], state0: SpectralState,

@@ -6,7 +6,9 @@ against a grid picture (phase-gradient velocities, marginals, pointer
 moments) sample it here: ``n_theta`` ring points without a duplicate
 endpoint times ``n_q2 + 1`` pointer points spanning a ``GridSpec``, with
 Riemann weights on the ring and trapezoid weights on the line, against
-which the closed-form marginals are checked.  The WFSN reader inverts
+which the closed-form marginals are checked.  The ring eigenfunctions and
+the ring-angle density are written here too, in libm ``exp``, as
+references for the package's ring rows and CDFs.  The WFSN reader inverts
 ``stochaction.core.field_to_binary``.
 """
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stochaction import GridSpec, SpectralState
+from stochaction import AngularBasis, GridSpec, SpectralState
+from stochaction.spectral import ring_fourier
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +72,20 @@ def norm(field: JointField) -> float:
     return float(np.sum(field.density() * field.quadrature_weights()))
 
 
+def eigenfunctions(basis: AngularBasis, theta) -> np.ndarray:
+    """Values of every mode of ``basis`` at ``theta``; shape (n_modes,) + theta.shape."""
+    th = np.asarray(theta, dtype=float)
+    l = basis.modes.reshape((-1,) + (1,) * th.ndim)
+    return np.exp(1j * l * th) / np.sqrt(2.0 * np.pi)
+
+
+def system_marginal_density(state: SpectralState, theta) -> np.ndarray:
+    """Exact ring-angle density over the occupied modes, with packet-overlap interference."""
+    w, d, amps = ring_fourier(state)
+    waves = (amps * np.exp(1j * d * np.asarray(theta, dtype=float)[..., None])).real
+    return (w + 2.0 * np.sum(waves, axis=-1)) / (2.0 * np.pi)
+
+
 def packet_profile(state: SpectralState, q, mode_index: int) -> np.ndarray:
     """Mode ``mode_index``'s pointer packet, ``(2 pi sigma^2)^(-1/4)
     exp(-(q - mu)^2 / (4 sigma^2))`` around its center ``mu``."""
@@ -80,7 +97,7 @@ def packet_profile(state: SpectralState, q, mode_index: int) -> np.ndarray:
 
 def synthesize_joint(state: SpectralState, axes: JointAxes) -> JointField:
     """The ring state's closed-form joint wavefunction on the axes."""
-    eig = state.modes.eigenfunctions(axes.theta)              # (M, n_theta)
+    eig = eigenfunctions(state.modes, axes.theta)             # (M, n_theta)
     packs = np.stack([packet_profile(state, axes.q2, m)       # (M, n_q2+1)
                       for m in range(len(state.coeffs))])
     return JointField(np.einsum("m,mt,mq->tq", state.coeffs, eig, packs), axes)

@@ -618,7 +618,7 @@ class TestDrawOracle:
     @staticmethod
     def _draws(state0, seed, trials):
         from stochaction.measurement import _initial_draws
-        return _initial_draws(state0, seed, trials, stream(seed))
+        return _initial_draws(state0, seed, trials, stream(seed), None, 1)[0]
 
     def test_canonical_state(self, grid, basis, config, packet):
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
@@ -683,7 +683,7 @@ class TestDrawOracle:
 
     @pytest.mark.parametrize("velocity", ["effective", "actual"])
     def test_signs_equal_fresh_streams(self, grid, basis, config, packet, velocity):
-        from stochaction.measurement import _sign_paths
+        from stochaction.measurement import _initial_draws
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
         spec = EnsembleSpec(dt_traj=1e-2)
         stoch = StochasticParams(tau_xi=0.1, sign_law="telegraph", flip_prob=0.3)
@@ -701,7 +701,7 @@ class TestDrawOracle:
             want0 = [int(sample_sign_path(stoch, 100, stream(34, SIGNS, t))[0])
                      for t in trials]
         assert [r.lambda_sign0 for r in records] == want0
-        paths = _sign_paths(34, trials[::-1], 100, stoch, stream(0))
+        paths = _initial_draws(state, 34, trials[::-1], stream(0), stoch, 100)[1]
         want = np.stack([sample_sign_path(stoch, 100, stream(34, SIGNS, t))
                          for t in trials[::-1]])
         assert np.array_equal(paths, want)

@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from joint_oracle import (JointAxes, norm, packet_profile, pointer_marginal_density,
-                          synthesize_joint)
+from joint_oracle import (JointAxes, eigenfunctions, norm, packet_profile,
+                          pointer_marginal_density, synthesize_joint,
+                          system_marginal_density)
 from stochaction import (AngularBasis, DomainOverflowError, GaussianPacket,
                          GridSpec, PlaneWaveModes, SpectralState,
                          evolve_measurement_spectral)
-from stochaction.spectral import system_marginal_density
 
 
 @pytest.fixture
@@ -38,7 +38,7 @@ def make_state(coeff_map, basis, grid, sigma=0.05, mu0=0.0):
 
 class TestAngularBasis:
     def test_orthonormal_on_grid(self, axes, basis):
-        eig = basis.eigenfunctions(axes.theta)
+        eig = eigenfunctions(basis, axes.theta)
         gram = (eig.conj() * axes.theta_weights) @ eig.T
         assert np.max(np.abs(gram - np.eye(len(basis.modes)))) < 1e-10
 
@@ -121,7 +121,7 @@ class TestSynthesis:
         joint = synthesize_joint(out, axes)
         dens = joint.density()
         # oracle: incoherent sum of the per-mode products
-        eig = basis.eigenfunctions(axes.theta)
+        eig = eigenfunctions(basis, axes.theta)
         incoherent = np.zeros_like(dens)
         for l, wgt in ((-1, 0.5), (1, 0.5)):
             pk = packet_profile(out, axes.q2, basis.l_max + l)
@@ -135,7 +135,7 @@ class TestSynthesis:
         state = make_state({-1: np.sqrt(0.4), 2: np.sqrt(0.6)}, basis, grid)
         out = evolve_measurement_spectral(state, 0.4, 1.0)
         joint = synthesize_joint(out, axes)
-        eig = basis.eigenfunctions(axes.theta)
+        eig = eigenfunctions(basis, axes.theta)
         for l, amp in ((-1, np.sqrt(0.4)), (2, np.sqrt(0.6))):
             idx = basis.l_max + l
             section = (eig[idx].conj() * axes.theta_weights) @ joint.amplitudes
@@ -157,7 +157,7 @@ class TestSynthesis:
 
 def all_pairs_marginal(state, theta):
     """The ring density summed over every pair of basis modes, occupied or not."""
-    eig = state.modes.eigenfunctions(theta)
+    eig = eigenfunctions(state.modes, theta)
     dens = np.zeros_like(theta)
     for a in range(len(state.coeffs)):
         for b in range(len(state.coeffs)):

@@ -6,19 +6,19 @@ import pytest
 from scipy import stats as sps
 from scipy.integrate import quad
 
-from joint_oracle import JointAxes, synthesize_joint
+from joint_oracle import JointAxes, synthesize_joint, system_marginal_density
 from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
                          PlaneWaveModes, SpectralState, equivariance_report,
                          evolve_measurement_spectral, integrate_ensemble)
 from stochaction import trajectories
 from stochaction.core import PhysicalConfig
-from stochaction.measurement import _initial_draws, _sign_paths, substitute_observable
+from stochaction.measurement import _initial_draws, substitute_observable
 from stochaction.stochastic import StochasticParams
 from stochaction.rng import stream
-from stochaction.spectral import system_marginal_density
 from stochaction.core import EPS_NODE_REL
 from stochaction.trajectories import (DECIDE_EPS, EnsembleSpec, ModeFlow, PointerReadoutFlow,
-                                      _stage_velocity, _step, _unit_phase, RingSampler)
+                                      _ring_rows, _stage_velocity, _step, _unit_phase,
+                                      RingSampler)
 
 
 @pytest.fixture
@@ -143,6 +143,16 @@ class TestUnitPhase:
         assert np.array_equal(_unit_phase(x[::3]), whole[::3])
         square = x[:4096].reshape(64, 64)
         assert np.array_equal(_unit_phase(square), whole[:4096].reshape(64, 64))
+
+    def test_ring_rows_within_rounding_of_libm(self):
+        # the rows that ModeFlow, RingSampler and the prior observable all sum
+        theta = stream(72).uniform(0.0, 2 * np.pi, 10_000)
+        l = np.arange(-8, 9)
+        rows = _ring_rows(l, theta)
+        assert len(rows) == len(l) and rows[8] is None
+        err = max(np.max(np.abs(row - np.exp(1j * k * theta)))
+                  for k, row in zip(l, rows) if row is not None)
+        assert err <= 1e-14
 
 
 def oracle_mode_values(flow, x, with_derivatives):
@@ -352,7 +362,7 @@ class BroadcastModeFlow(ModeFlow):
         if self.ring:
             z = _unit_phase(x)
             powers = [None, z]
-            for _ in range(1, self._l_abs_max):
+            for _ in range(1, int(np.max(np.abs(self._l)))):
                 powers.append(powers[-1] * z)
             u = np.empty((len(self._l),) + x.shape, dtype=complex)
             for k, l in enumerate(self._l):
@@ -785,7 +795,7 @@ class TestDecidedTrials:
             "plane": plane_wave_state(grid),
         }[name]
         flow = ModeFlow(state, g=1.0)
-        q0 = _initial_draws(state, 11, np.arange(256), stream(11))
+        q0 = _initial_draws(state, 11, np.arange(256), stream(11), None, 1)[0]
         spec = EnsembleSpec(dt_traj=2e-3)
         steps = (0, 250, 500)
         kw = dict(q2_bounds=(grid.q2_min, grid.q2_max), snapshot_steps=steps)
@@ -893,10 +903,10 @@ class TestDecidedTrials:
                             basis, grid, sigma=0.05))
         flow = ModeFlow(state, g=1.0)
         trials = np.arange(256)
-        q0 = _initial_draws(state, 12, trials, stream(12))
+        q0 = _initial_draws(state, 12, trials, stream(12), None, 1)[0]
         n_steps = 500
         stoch = StochasticParams(sign_law=law, flip_prob=0.1 if law == "telegraph" else 0.5)
-        signs = _sign_paths(13, trials, n_steps, stoch, stream(13))
+        signs = _initial_draws(state, 13, trials, stream(13), stoch, n_steps)[1]
         steps = (0, 350, 500)
         kw = dict(sign_paths=signs, lambda_mag=0.8, q2_bounds=(grid.q2_min, grid.q2_max),
                   snapshot_steps=steps)
@@ -931,7 +941,7 @@ class TestDecidedTrials:
                                      config=config, grid=GridSpec(-8.0, 3.75))
         state = pipe.state0
         flow = PointerReadoutFlow(config.g)
-        q0 = _initial_draws(state, 14, np.arange(400), stream(14))
+        q0 = _initial_draws(state, 14, np.arange(400), stream(14), None, 1)[0]
         kw = dict(q2_bounds=(state.grid.q2_min, state.grid.q2_max), snapshot_steps=(0, 250))
         spec = EnsembleSpec(dt_traj=2e-3)
         want = parent_integrate(flow, q0, spec, 0.0, 1.0, **kw)
@@ -1109,6 +1119,37 @@ class TestEquivariance:
         state = make_state({2: 1j}, basis, grid, sigma=0.05)
         th = np.linspace(0.0, 2 * np.pi, 9)[:-1]
         assert np.array_equal(trajectories.marginal_cdfs(state)[0](th), th / (2 * np.pi))
+
+    @pytest.mark.parametrize("in_phase", [False, True])
+    def test_cdf_values_do_not_depend_on_their_block(self, grid, basis, in_phase):
+        state = make_state({l: 1 / np.sqrt(17) for l in basis.modes} if in_phase else
+                           {-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
+                           basis, grid, sigma=0.05)
+        r = stream(73)
+        samples = (r.uniform(0.0, 2 * np.pi, 20_000), r.normal(0.0, 0.05, 20_000))
+        for x, cdf in zip(samples, trajectories.marginal_cdfs(state)):
+            whole = cdf(x)
+            for a, b in ((0, 1), (5, 1030), (963, 4099), (19_990, 20_000)):
+                assert np.array_equal(cdf(x[a:b]), whole[a:b])
+            assert np.array_equal(cdf(x.reshape(100, 200)), whole.reshape(100, 200))
+
+    def test_report_memory_does_not_grow_with_modes(self, grid, basis):
+        # the CDFs take their samples in row blocks, so 17 modes cost no more than 3
+        import tracemalloc
+        r = stream(74)
+        pts = np.column_stack([r.uniform(0.0, 2 * np.pi, 10**5), r.normal(0.0, 0.05, 10**5)])
+        peaks = []
+        for coeffs in ({-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
+                       {l: 1 / np.sqrt(17) for l in basis.modes}):
+            state = make_state(coeffs, basis, grid, sigma=0.05)
+            tracemalloc.start()
+            try:
+                equivariance_report({0.1: pts}, state, g=1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8e6
+        assert abs(peaks[1] - peaks[0]) <= 1e6
 
     def test_cdf_rounded_below_zero_counts_in_the_first_bin(self, grid, basis):
         # the density has a node at theta = 0, so just above it the theta CDF

@@ -118,6 +118,13 @@ CONFIGS = {
         "ensemble": TRAJ, "physical": {"sigma": 0.16, "sep_factor": 6.0},
         "equivariance": {"enabled": True}}),
     "prior-average": ("prior-average", {"prior": {"n_mc": 20000}}),
+    # gapped modes up to |l| = 5 with unequal phases: the prior observable's
+    # ring sums reach powers and conjugates that the in-phase |l| <= 1 state
+    # does not; the grid is widened so that the l = 5 packet stays on it
+    "prior-average-gapped": ("prior-average", {
+        "state": {"modes": [-3, -1, 2, 5], "weights": [1.0, 1.0, 1.0, 1.0],
+                  "phases": [0.0, 1.0, 2.0, 0.7]},
+        "grid": {"q2_min": -9.0, "q2_max": 9.0}, "prior": {"n_mc": 20000}}),
     "repeatability": ("repeatability", {"repeat": {"n_repeats": 50}}),
     "appendix": ("appendix", {"appendix": APPENDIX}),
     "appendix-periodic": ("appendix", {"appendix": APPENDIX_PERIODIC}),
