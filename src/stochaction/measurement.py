@@ -15,7 +15,6 @@ spectrum.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -29,8 +28,8 @@ from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        SpectralState, evolve_measurement_spectral, occupied)
 from .stochastic import StochasticParams, sample_sign_path
 from .trajectories import (_MODE_ROWS, EnsembleSpec, ModeFlow, PointerReadoutFlow,
-                           RingSampler, _ring_rows, _ring_sum, check_snapshot_steps,
-                           integrate_ensemble)
+                           RingSampler, _ring_peak, _ring_rows, _ring_sum,
+                           check_snapshot_steps, integrate_ensemble)
 
 # trials whose initial draws are decided at once, which bounds the
 # (trials x round) temporaries
@@ -328,8 +327,9 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
                 seed: int, trials: np.ndarray, velocity: str,
                 stoch: StochasticParams | None, threads: int,
                 snapshot_steps: tuple[int, ...]):
-    """Validate, integrate ``trials`` in chunks (:func:`_chunk_rows`) on at most
-    ``os.cpu_count()`` forked worker processes, and record one event each.
+    """Validate, integrate ``trials`` in chunks (:func:`_chunk_rows`) on the
+    :func:`~stochaction.core.fork_workers` forked worker processes, and record
+    one event each.
 
     Each worker inherits the flow through the fork and is sent only the
     index of its chunk.
@@ -353,8 +353,9 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
     else:
         flow = ModeFlow(state0, config.g)
         n_modes = len(flow.coeffs)
-    # workers beyond the CPU count would only cut the rows finer
-    workers = min(threads, os.cpu_count() or 1)
+    # workers that cannot start (beyond the CPU count or without fork) would
+    # only cut the rows finer
+    workers = fork_workers(threads, len(trials))
     rows = _chunk_rows(len(trials), workers, n_modes)
     chunks = [trials[k:k + rows] for k in range(0, len(trials), rows)]
     work = partial(_run_chunk, pipe, flow, config, spec, seed, n_steps=n_steps, stoch=stoch,
@@ -385,7 +386,7 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
               "final_configs": final, "initial_configs": q0,
               "snapshot_signs": run["snapshot_signs"],
               "chunks": len(chunks), "chunk_rows": rows,
-              "workers": fork_workers(workers, len(chunks))}
+              "workers": min(workers, len(chunks))}
     return records, stats, extras
 
 
@@ -436,9 +437,7 @@ def actual_observable_prior(coeffs: np.ndarray, basis: AngularBasis, theta, lamb
     phi = _ring_sum(c, rows, th.size).reshape(th.shape)
     dphi = _ring_sum(c * (1j * l), rows, th.size).reshape(th.shape)
     dens = np.abs(phi) ** 2
-    ring = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
-    peak = float(np.max(np.abs(_ring_sum(c, _ring_rows(l, ring), ring.shape)) ** 2))
-    if np.any(dens < EPS_NODE_REL * peak):
+    if np.any(dens < EPS_NODE_REL * _ring_peak(c, l)):
         raise DegenerateInputError("observable evaluated at a node of the wavefunction")
     core = np.conj(phi) * dphi
     return HBAR * np.imag(core) / dens + lambda_signed * np.real(core) / dens
@@ -523,8 +522,11 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
     if not abs(total - 1.0) <= 1e-8:
         raise DegenerateInputError(f"system state is not normalized: {total!r}")
     lo, hi = window
-    if hi <= lo:
-        raise ValueError("empty observable window")
+    # written so that a NaN fails it
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"observable window {window!r} is not a finite lo < hi")
+    if not (isinstance(n_bins, (int, np.integer)) and n_bins >= 1):
+        raise ValueError(f"n_bins must be a positive integer, not {n_bins!r}")
     edges = np.linspace(lo, hi, n_bins + 1)
     bin_centers = 0.5 * (edges[:-1] + edges[1:])
     config.check_separation(bin_centers)  # bins must be pointer-resolvable

@@ -124,86 +124,66 @@ def _weighted_sum(b: np.ndarray, terms) -> np.ndarray:
     return out
 
 
+def _ring_peak(a, n) -> float:
+    """The largest ``|sum_k a_k exp(i n_k theta)|^2`` over 1024 ring angles."""
+    ring = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    return float(np.max(np.abs(_ring_sum(a, _ring_rows(n, ring), ring.shape)) ** 2))
+
+
 class ModeFlow:
     """Closed-form velocity fields of a spectral state.
 
     The coupling swaps the gradient axes: the system coordinate moves with the
     pointer-gradient of the phase and the pointer with the system-gradient, each
-    scaled by g.  Only occupied modes enter the sums; ring eigenfunctions are the
-    shared :func:`_ring_rows`.  Each packet moves linearly in its mode number, so
-    one mode-weighted sum gives both gradients (:meth:`_velocity`).
+    scaled by g.  Only occupied modes enter the sums.  Every mode row is a
+    :func:`_ring_rows` power ``exp(i n_k kappa x)``: on the ring ``n_k = l_k``
+    and ``kappa = 1``; a plane wave ``p_k`` on a ladder of spacing ``kappa``
+    takes ``n_k = (p_k - p_0) / kappa`` from the first occupied momentum
+    ``p_0``.  Their common factor ``exp(i p_0 x)`` is left out, since
+    ``|Psi|^2``, ``conj(Psi) W`` and ``conj(Psi) E`` pair Psi with its
+    conjugate.  Each packet moves linearly in its wavenumber, so one
+    mode-weighted sum gives both gradients (:meth:`_velocity`).
 
     Ring (:class:`AngularBasis`) and plane-wave states only: a position
     state moves under :class:`PointerReadoutFlow`.
     """
 
     def __init__(self, state: SpectralState, g: float):
-        self.ring = isinstance(state.modes, AngularBasis)
-        if not (self.ring or isinstance(state.modes, PlaneWaveModes)):
+        modes, sup = state.modes, state.support_indices()
+        if isinstance(modes, AngularBasis):
+            w, base, self._kappa, box = modes.modes[sup].astype(float), 0.0, 1.0, TWO_PI
+        elif isinstance(modes, PlaneWaveModes):
+            p = modes.momenta
+            w, box = p[sup], modes.box_length
+            base, self._kappa = w[0], (p[1] - p[0] if len(p) > 1 else 1.0)
+        else:
             raise TypeError(f"ModeFlow takes ring or plane-wave states, not "
-                            f"{type(state.modes).__name__}; position states move "
+                            f"{type(modes).__name__}; position states move "
                             "under PointerReadoutFlow")
         self.g = g
         self.sigma = state.packet.sigma
         self.t0 = state.t
-        self.modes = state.modes
-        # the plane-wave power chain needs the full equally spaced ladder, so
-        # zero-weight interior modes must stay in place there
-        sup = state.support_indices() if self.ring else np.arange(len(state.coeffs))
         self.coeffs = state.coeffs[sup]
         self.omegas = state.omegas[sup]
         self.centers0 = state.centers[sup]
-        if self.ring:
-            self._l = state.modes.modes[sup].astype(int)
-            scale, w = 1.0 / np.sqrt(TWO_PI), self._l.astype(float)
-        else:
-            self._p = w = state.modes.momenta[sup]
-            self._box_scale = scale = 1.0 / np.sqrt(state.modes.box_length)
+        self._n = np.rint((w - base) / self._kappa).astype(int)
         # dPsi/dx weighs b_k by i w_k and the packet drift by omega_k = HBAR w_k
         assert np.array_equal(self.omegas, w), "one mode-weighted sum needs HBAR = 1"
         self._pack_norm = (TWO_PI * self.sigma**2) ** -0.25
         self._two_var = 2.0 * self.sigma**2
         # c'_k = c_k * mode scale * packet norm, and the packet exponent's factor
-        self._packet_coeffs = self.coeffs * (scale * self._pack_norm)
+        self._packet_coeffs = self.coeffs * (1.0 / np.sqrt(box) * self._pack_norm)
         self._gauss_rate = -0.5 / self._two_var
         # the nonzero weights of W and E; E is empty unless packets start apart
-        occ = np.flatnonzero(self.coeffs != 0)
-        self._mu_ref = self.centers0[occ[0]]
+        self._mu_ref = self.centers0[0]
         eps = (self.centers0 - self._mu_ref) / self._two_var
-        self._w_terms, self._eps_terms = ([(k, a[k]) for k in occ if a[k] != 0] for a in (w, eps))
-        self.ref_peak = self._reference_peak()
-        # |u_l| is the same for every ring or plane-wave mode, so a row can be
-        # decided from the packets alone (zero-weight plane waves do not count)
-        self._occ_log_amp = np.log(np.abs(self.coeffs[occ]))
-        self._occ_omegas = self.omegas[occ]
-        self._occ_centers0 = self.centers0[occ]
-
-    def _reference_peak(self) -> float:
-        th = np.linspace(0.0, TWO_PI, 512, endpoint=False) if self.ring else self.modes.x_grid
-        u = [np.ones(th.shape) if row is None else row.copy() for row in self._mode_rows(th)]
-        return float((np.abs(np.tensordot(self._packet_coeffs, u, axes=1)) ** 2).max())
+        self._w_terms, self._eps_terms = ([(k, a[k]) for k in range(len(a)) if a[k] != 0]
+                                          for a in (w, eps))
+        # rows are 2 pi periodic in kappa x, and a plane-wave box holds whole periods
+        self.ref_peak = _ring_peak(self._packet_coeffs, self._n)
 
     def centers(self, t: float) -> np.ndarray:
         return self.centers0 + self.g * self.omegas * (t - self.t0)
-
-    def _mode_rows(self, x: np.ndarray):
-        """Each occupied mode row ``exp(i l_k x)`` or ``exp(i p_k x)`` in k order.
-
-        ``None`` stands for the row of ones (``l = 0``).  A plane-wave row is
-        the running product of the chain, valid only until the next is drawn.
-        """
-        if self.ring:
-            yield from _ring_rows(self._l, x)
-        else:
-            # equally spaced momenta: one phase for the base, one per step of the chain
-            p = self._p
-            u = _unit_phase(p[0] * x)
-            yield u
-            if len(p) > 1:
-                step = _unit_phase((p[1] - p[0]) * x)
-                for _ in range(1, len(p)):
-                    np.multiply(u, step, out=u)
-                    yield u
 
     def _packets(self, x: np.ndarray, q2: np.ndarray, t: float) -> np.ndarray:
         """The ``(K, ...)`` table of each mode's term ``b_k = c'_k G_k(q2) u_k(x)`` of Psi.
@@ -216,7 +196,7 @@ class ModeFlow:
         gauss *= self._gauss_rate
         np.exp(gauss, out=gauss)
         b = np.empty(gauss.shape, dtype=complex)
-        for k, row in enumerate(self._mode_rows(x)):
+        for k, row in enumerate(_ring_rows(self._n, self._kappa * x)):
             np.multiply(self._packet_coeffs[k], gauss[k], out=b[k])
             if row is not None:
                 np.multiply(row, b[k], out=b[k])
@@ -273,14 +253,14 @@ class ModeFlow:
         rate ``g (mu_k - q2) / (2 sigma^2)``.  Returns the mask, speed and rate.
         """
         q2 = points[:, 1]
-        occ_speed = self.g * self._occ_omegas
-        d = q2[None, :] - (self._occ_centers0 + occ_speed * (t - self.t0))[:, None]
-        logw = self._occ_log_amp[:, None] - d * d / (2.0 * self._two_var)
+        speeds = self.g * self.omegas
+        d = q2[None, :] - self.centers(t)[:, None]
+        logw = np.log(np.abs(self.coeffs))[:, None] - d * d / (2.0 * self._two_var)
         top = np.argmax(logw, axis=0)
         rows = np.arange(len(q2))
-        speed = occ_speed[top]
+        speed = speeds[top]
         other_ok = ((logw - logw[top, rows] < np.log(DECIDE_EPS))
-                    & (d * (speed[None, :] - occ_speed[:, None]) > 0))
+                    & (d * (speed[None, :] - speeds[:, None]) > 0))
         other_ok[top, rows] = True
         end = q2 + speed * (t_end - t)
         done = (np.all(other_ok, axis=0) & (dens >= eps_abs)

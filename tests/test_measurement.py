@@ -1,6 +1,7 @@
 """Preparation, single events, ensembles, prior/post values, substitution."""
 import json
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,17 @@ class TestEnsemble:
         assert runs[1][2]["workers"] == 1
         assert [r.to_dict() for r in runs[8][0]] == [r.to_dict() for r in runs[1][0]]
         assert runs[8][2]["final_configs"].tobytes() == runs[1][2]["final_configs"].tobytes()
+
+    def test_no_chunks_for_workers_that_cannot_fork(self, grid, basis, config, packet,
+                                                   monkeypatch):
+        # without a fork start method every chunk runs in this process, so the
+        # trials are not cut for workers that never start
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        _, _, extras = run_ensemble(state, config, EnsembleSpec(dt_traj=5e-3), 64, seed=30,
+                                    threads=4)
+        assert (extras["chunks"], extras["workers"]) == (1, 1)
 
     @pytest.mark.parametrize("n_modes", [1, 3, 7, 48])
     @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -537,6 +549,26 @@ class TestSubstituteObservable:
         with pytest.raises(DegenerateInputError, match="not normalized"):
             substitute_observable(kind, psi, x, window=(-4.0, 4.0), n_bins=8,
                                   config=config, grid=grid)
+
+    @pytest.mark.parametrize("kind", ["position", "linear_momentum"])
+    @pytest.mark.parametrize("window, n_bins, message", [
+        ((-4.0, 4.0), 0, "n_bins must be"), ((-4.0, 4.0), -1, "n_bins must be"),
+        ((float("nan"), 4.0), 8, "window .* is not a finite"),
+        ((-4.0, float("inf")), 8, "window .* is not a finite"),
+        ((4.0, -4.0), 8, "window .* is not a finite")])
+    def test_bad_bins_or_window_rejected_before_any_work(self, grid, config, monkeypatch,
+                                                         kind, window, n_bins, message):
+        x, psi = self._line_state()
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("the state was transformed before the check")
+
+        monkeypatch.setattr(np.fft, "fft", no_transform)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                substitute_observable(kind, psi, x, window=window, n_bins=n_bins,
+                                      config=config, grid=grid)
 
     def test_unknown_kind_rejected(self, grid, config):
         x, psi = self._line_state()

@@ -155,29 +155,28 @@ class TestUnitPhase:
         assert err <= 1e-14
 
 
-def oracle_mode_values(flow, x, with_derivatives):
-    """Reference mode table: complex exp, power chain from ones, per-mode copies."""
-    if flow.ring:
+def oracle_mode_values(state, x, with_derivatives):
+    """Reference table of the occupied modes: ring rows as a power chain of complex
+    exp from ones, plane waves as libm ``exp(i p x)`` base phase included.  The
+    plane-wave phase ``p x`` is formed in extended precision: at ``p x ~ 800``
+    its float64 rounding alone would move a row by 6e-14."""
+    sup = state.support_indices()
+    shape = (-1,) + (1,) * x.ndim
+    if isinstance(state.modes, AngularBasis):
+        w = state.modes.modes[sup]
         z = np.exp(1j * x)
-        l_abs_max = int(np.max(np.abs(flow._l))) if len(flow._l) else 0
         powers = [np.ones_like(z)]
-        for _ in range(l_abs_max):
+        for _ in range(int(np.max(np.abs(w)))):
             powers.append(powers[-1] * z)
-        u = np.empty((len(flow._l),) + x.shape, dtype=complex)
-        for k, l in enumerate(flow._l):
+        u = np.empty((len(w),) + x.shape, dtype=complex)
+        for k, l in enumerate(w):
             u[k] = powers[abs(l)] if l >= 0 else np.conj(powers[abs(l)])
         u *= 1.0 / np.sqrt(2 * np.pi)
-        du = (1j * flow._l.reshape((-1,) + (1,) * x.ndim)) * u if with_derivatives else None
-        return u, du
-    p = flow._p
-    u = np.empty((len(p),) + x.shape, dtype=complex)
-    u[0] = np.exp(1j * p[0] * x)
-    if len(p) > 1:
-        step = np.exp(1j * (p[1] - p[0]) * x)
-        for k in range(1, len(p)):
-            u[k] = u[k - 1] * step
-    u *= flow._box_scale
-    du = (1j * p.reshape((-1,) + (1,) * x.ndim)) * u if with_derivatives else None
+    else:
+        w = state.modes.momenta[sup]
+        phase = w.reshape(shape).astype(np.longdouble) * x
+        u = np.exp(1j * phase).astype(complex) / np.sqrt(state.modes.box_length)
+    du = (1j * w.reshape(shape)) * u if with_derivatives else None
     return u, du
 
 
@@ -189,8 +188,8 @@ def oracle_gaussians(flow, q2, t):
     return gauss, zq
 
 
-def oracle_terms(flow, x, q2, t):
-    u, du = oracle_mode_values(flow, x, True)
+def oracle_terms(flow, state, x, q2, t):
+    u, du = oracle_mode_values(state, x, True)
     gauss, zq = oracle_gaussians(flow, q2, t)
     cg = flow.coeffs.reshape((-1,) + (1,) * x.ndim) * gauss
     cgu = cg * u
@@ -200,24 +199,24 @@ def oracle_terms(flow, x, q2, t):
     return psi, dpsi_x, dpsi_q, np.abs(psi) ** 2
 
 
-def oracle_density(flow, points, t):
+def oracle_density(flow, state, points, t):
     x, q2 = points[..., 0], points[..., 1]
-    u, _ = oracle_mode_values(flow, x, False)
+    u, _ = oracle_mode_values(state, x, False)
     gauss, _ = oracle_gaussians(flow, q2, t)
     cg = flow.coeffs.reshape((-1,) + (1,) * x.ndim) * gauss
     return np.abs(np.sum(cg * u, axis=0)) ** 2
 
 
-def oracle_effective(flow, points, t):
-    psi, dpsi_x, dpsi_q, dens = oracle_terms(flow, points[..., 0], points[..., 1], t)
+def oracle_effective(flow, state, points, t):
+    psi, dpsi_x, dpsi_q, dens = oracle_terms(flow, state, points[..., 0], points[..., 1], t)
     safe = np.maximum(dens, 1e-300)
     grad_s_x = np.imag(np.conj(psi) * dpsi_x) / safe
     grad_s_q = np.imag(np.conj(psi) * dpsi_q) / safe
     return flow.g * np.stack([grad_s_q, grad_s_x], axis=-1), dens
 
 
-def oracle_actual(flow, points, t, lambda_signed):
-    psi, dpsi_x, dpsi_q, dens = oracle_terms(flow, points[..., 0], points[..., 1], t)
+def oracle_actual(flow, state, points, t, lambda_signed):
+    psi, dpsi_x, dpsi_q, dens = oracle_terms(flow, state, points[..., 0], points[..., 1], t)
     safe = np.maximum(dens, 1e-300)
     pc = np.conj(psi)
     grad_s_x = np.imag(pc * dpsi_x) / safe
@@ -229,11 +228,11 @@ def oracle_actual(flow, points, t, lambda_signed):
     return v, dens
 
 
-def plane_wave_state(grid):
-    # equally spaced momenta with a zero-weight interior mode, on a box of
-    # length 4 pi that holds two periods of the spacing-1 density
+def plane_wave_state(grid, base=0.0):
+    # equally spaced momenta around ``base`` with a zero-weight interior mode, on
+    # a box of length 4 pi that holds two periods of the spacing-1 density
     x = np.linspace(-2 * np.pi, 2 * np.pi, 256, endpoint=False)
-    p = np.array([-1.5, -0.5, 0.5, 1.5, 2.5])
+    p = base + np.array([-1.5, -0.5, 0.5, 1.5, 2.5])
     c = np.array([0.3, 0.6, 0.0, 0.5j, -0.4 + 0.2j])
     return SpectralState(coeffs=c / np.linalg.norm(c),
                          modes=PlaneWaveModes(p, 4 * np.pi, x),
@@ -296,19 +295,19 @@ class TestKernelOracle:
         pts = self._points(state, 3000, seed)
         lam_points = 0.8 * (stream(seed + 1).integers(0, 2, len(pts)) * 2 - 1)
         for t in (state.t, 0.37):
-            want_v, want_d = oracle_effective(flow, pts, t)
+            want_v, want_d = oracle_effective(flow, state, pts, t)
             got_v, got_d = flow.effective(pts, t, with_density=True)
             self._assert_near(flow, got_v, got_d, want_v, want_d)
-            dens, want_dens = flow.density(pts, t), oracle_density(flow, pts, t)
+            dens, want_dens = flow.density(pts, t), oracle_density(flow, state, pts, t)
             assert np.all(np.abs(dens - want_dens) <= 1e-14 * flow.ref_peak)
             assert np.all(dens[want_dens == 0.0] == 0.0)
             for lam in (0.7, lam_points):
-                want_a, want_ad = oracle_actual(flow, pts, t, lam)
+                want_a, want_ad = oracle_actual(flow, state, pts, t, lam)
                 got_a, got_ad = flow.actual(pts, t, lam, with_density=True)
                 self._assert_near(flow, got_a, got_ad, want_a, want_ad)
             # any leading shape
             grid_pts = pts[:2400].reshape(40, 60, 2)
-            want_g, want_gd = oracle_effective(flow, grid_pts, t)
+            want_g, want_gd = oracle_effective(flow, state, grid_pts, t)
             got_g, got_gd = flow.effective(grid_pts, t, with_density=True)
             self._assert_near(flow, got_g, got_gd, want_g, want_gd)
         assert np.count_nonzero(want_d == 0.0) > 0, "the 1e-300 guard was not exercised"
@@ -321,7 +320,7 @@ class TestKernelOracle:
         state = make_state({l: c / norm for l, c in coeffs.items()}, basis, grid,
                            sigma=0.05, mu0=0.1)
         flow = self._check(state, seed=61)
-        assert flow.ring and len(flow._l) == sum(c != 0 for c in coeffs.values())
+        assert len(flow.coeffs) == sum(c != 0 for c in coeffs.values())
 
     @staticmethod
     def apart_state(basis, grid):
@@ -337,7 +336,13 @@ class TestKernelOracle:
 
     def test_plane_wave_flow(self, grid):
         flow = self._check(plane_wave_state(grid), seed=62)
-        assert not flow.ring and len(flow._p) == 5
+        # the zero-weight plane wave adds no row
+        assert len(flow.coeffs) == 4
+
+    def test_plane_wave_flow_far_from_zero_momentum(self, grid):
+        # base momentum near 40: the rows leave out exp(i p_0 x), the oracle keeps it
+        flow = self._check(plane_wave_state(grid, base=40.0), seed=62)
+        assert len(flow.coeffs) == 4
 
     def test_line_mode_state_rejected(self, grid):
         # position states move under PointerReadoutFlow; ModeFlow has no line kernel
@@ -349,37 +354,29 @@ class BroadcastModeFlow(ModeFlow):
     """The kernel in broadcast form: a ``(K, n)`` mode table, ``c'[:, None] * G``,
     ``Psi`` by ``np.add.reduce`` over the mode axis, and ``W = sum w_k b_k`` and
     ``E = sum eps_k b_k`` as the last row of ``np.add.accumulate`` over ``(K, 1)``
-    weights times the table.  ``accumulate`` starts from the first row, as the
+    weights times the table, and ``ref_peak`` from the same accumulate over the
+    table on 1024 ring angles.  ``accumulate`` starts from the first row, as the
     kernel does; ``reduce`` starts from +0, which makes a sum of -0 terms +0."""
 
-    def _reference_peak(self):
-        th = (np.linspace(0.0, 2 * np.pi, 512, endpoint=False) if self.ring
-              else self.modes.x_grid)
-        peak = np.abs(np.tensordot(self._packet_coeffs, self._mode_values(th), axes=1)) ** 2
-        return float(peak.max())
+    def __init__(self, state, g):
+        super().__init__(state, g)
+        th = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
+        table = self._packet_coeffs[:, None] * self._mode_values(th)
+        self.ref_peak = float(np.max(np.abs(np.add.accumulate(table, axis=0)[-1]) ** 2))
 
-    def _mode_values(self, x):
-        if self.ring:
-            z = _unit_phase(x)
-            powers = [None, z]
-            for _ in range(1, int(np.max(np.abs(self._l)))):
-                powers.append(powers[-1] * z)
-            u = np.empty((len(self._l),) + x.shape, dtype=complex)
-            for k, l in enumerate(self._l):
-                if l == 0:
-                    u[k] = 1.0
-                elif l > 0:
-                    u[k] = powers[l]
-                else:
-                    np.conjugate(powers[-l], out=u[k])
-        else:
-            p = self._p
-            u = np.empty((len(p),) + x.shape, dtype=complex)
-            u[0] = _unit_phase(p[0] * x)
-            if len(p) > 1:
-                step = _unit_phase((p[1] - p[0]) * x)
-                for k in range(1, len(p)):
-                    np.multiply(u[k - 1], step, out=u[k])
+    def _mode_values(self, theta):
+        z = _unit_phase(theta)
+        powers = [None, z]
+        for _ in range(1, int(np.max(np.abs(self._n)))):
+            powers.append(powers[-1] * z)
+        u = np.empty((len(self._n),) + theta.shape, dtype=complex)
+        for k, n in enumerate(self._n):
+            if n == 0:
+                u[k] = 1.0
+            elif n > 0:
+                u[k] = powers[n]
+            else:
+                np.conjugate(powers[-n], out=u[k])
         return u
 
     def _packets(self, x, q2, t):
@@ -388,7 +385,7 @@ class BroadcastModeFlow(ModeFlow):
         gauss *= gauss
         gauss *= self._gauss_rate
         np.exp(gauss, out=gauss)
-        b = self._mode_values(x)
+        b = self._mode_values(self._kappa * x)
         b *= self._packet_coeffs.reshape(shape) * gauss
         return b
 
@@ -462,6 +459,9 @@ class TestKernelBits:
 
     def test_plane_wave_flow(self, grid):
         self._check(plane_wave_state(grid), seed=64)
+
+    def test_plane_wave_flow_far_from_zero_momentum(self, grid):
+        self._check(plane_wave_state(grid, base=40.0), seed=64)
 
 
 class TestIntegration:

@@ -24,13 +24,13 @@ record options compare outcomes rather than bytes:
 
 ``--dump-records DIR`` writes one ``DIR/<kind>.json`` per kind that records
 outcomes or numbers: its ``records.jsonl`` rows (the born kinds and the
-API-level ``born-position``, ``born-position-edge``, ``born-linear-momentum``
-and ``born-overlap``, whose overlapping windows leave some trials ambiguous),
-the outcome counts and every number of its ``summary.json``, its
-``trajectories.csv`` rows, and the numbers of the grid kinds'
-``observables.csv``, ``sweep.csv`` and ``psi_final.csv`` and of every API
-kind's ``result.json``.  A dump is compared only with a dump of the same
-version of this tool: to compare with another checkout, run this script
+API-level ``born-position``, ``born-position-edge``, ``born-linear-momentum``,
+``born-linear-momentum-offset`` and ``born-overlap``, whose overlapping
+windows leave some trials ambiguous), the outcome counts and every number of
+its ``summary.json``, its ``trajectories.csv`` rows, and the numbers of the
+grid kinds' ``observables.csv``, ``sweep.csv`` and ``psi_final.csv`` and of
+every API kind's ``result.json``.  A dump is compared only with a dump of the
+same version of this tool: to compare with another checkout, run this script
 against that checkout's ``src``.
 ``--compare-records DIR`` compares ``outcome_index`` and ``overflow`` row by
 row and the counts, prints ``max |dq2_final|`` per kind, the largest change
@@ -193,12 +193,15 @@ def cayley_2d():
     return {"real": out.real.ravel().tolist(), "imag": out.imag.ravel().tolist()}
 
 
-def born_line(kind: str, edge: bool = False):
+def born_line(kind: str, edge: bool = False, offset: bool = False):
     """Records of a binned position or linear-momentum readout of a line state.
 
     ``edge`` takes a state of constant density on ``|x| < 3.9`` and a
     pointer grid that ends at 3.75, inside the window's last bin, so the
-    trials whose pointer line leaves the grid overflow.
+    trials whose pointer line leaves the grid overflow.  ``offset`` moves the
+    momentum state to base momentum 12, window (7, 17) and pointer grid
+    (-1, 19): the plane waves' common phase ``exp(i p_0 x)`` is then far from
+    1 along every trajectory.
     """
     import numpy as np
     from stochaction import (EnsembleSpec, GridSpec, PhysicalConfig, run_ensemble,
@@ -206,11 +209,13 @@ def born_line(kind: str, edge: bool = False):
 
     config = PhysicalConfig(sigma=0.02, sep_factor=8.0, g=1.0, t_M=1.0)
     x = np.linspace(-20.0, 20.0, 1024, endpoint=False)
-    psi = np.where(np.abs(x) < 3.9, 1.0 + 0j, 0.0) if edge else np.exp(-x**2 / 4 + 1j * x)
+    p0 = 12.0 if offset else 1.0
+    psi = np.where(np.abs(x) < 3.9, 1.0 + 0j, 0.0) if edge else np.exp(-x**2 / 4 + 1j * p0 * x)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
-    window, n_bins = ((-4.0, 4.0), 8) if kind == "position" else ((-4.0, 6.0), 10)
+    window, n_bins = ((-4.0, 4.0), 8) if kind == "position" else ((p0 - 5.0, p0 + 5.0), 10)
+    grid = GridSpec(-1.0, 19.0) if offset else GridSpec(-8.0, 3.75 if edge else 8.0)
     pipe = substitute_observable(kind, psi, x, window=window, n_bins=n_bins,
-                                 config=config, grid=GridSpec(-8.0, 3.75 if edge else 8.0))
+                                 config=config, grid=grid)
     records, _, _ = run_ensemble(pipe, config, EnsembleSpec(dt_traj=0.002), 200, seed=5)
     return [r.to_dict() for r in records]
 
@@ -276,6 +281,7 @@ API_RUNS = {
     "born-position": lambda: born_line("position"),
     "born-position-edge": lambda: born_line("position", edge=True),
     "born-linear-momentum": lambda: born_line("linear_momentum"),
+    "born-linear-momentum-offset": lambda: born_line("linear_momentum", offset=True),
 }
 
 
