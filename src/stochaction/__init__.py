@@ -12,7 +12,7 @@ parameter for precision sweeps around the quantum point.
 
 __version__ = "0.1.0"
 
-from .core import (HBAR, DegenerateInputError, DomainOverflowError, GridSpec,
+from .core import (HBAR, DegenerateInputError, DomainOverflowError, FieldErrors, GridSpec,
                    InvalidSystemError, NumericalError, PhysicalConfig)
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        SpectralState, evolve_measurement_spectral)
@@ -24,11 +24,11 @@ from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem,
                      verify_hjm_residual)
 from .trajectories import (EnsembleSpec, ModeFlow, equivariance_report,
                            integrate_ensemble)
-from .measurement import (EnsembleStats, MeasurementPipeline, MeasurementRecord,
+from .measurement import (EnsembleStats, MeasurementPipeline, MeasurementRecord, StateSpec,
                           actual_observable_prior, average_prior, prepare_initial_state,
                           repeat_measurement, run_ensemble, run_single_event,
                           substitute_observable)
-from .potentials import (LambdaSweep, appendix_velocity, classical_limit_check,
+from .potentials import (AppendixSpec, LambdaSweep, appendix_velocity, classical_limit_check,
                          run_lambda_sweep, system_from_expressions)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .experiments import run_experiment

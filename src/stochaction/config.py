@@ -1,29 +1,30 @@
 """Experiment configuration: schema, validation, round-trip serialization.
 
 Configs are JSON with one nested section per engine.  The grid bounds and
-the ``physical``, ``stochastic`` and ``ensemble.dt_traj`` keys are the
-fields of ``GridSpec``, ``PhysicalConfig``, ``StochasticParams`` and
-``EnsembleSpec``: their types and defaults are read from the dataclasses,
-and each section's view is its dataclass.  Validation reports every
-violation with its path; cross-section invariants (packet separation,
-time-scale hierarchy, grid headroom) are checked at load time so a bad run
-fails before any work happens.
+the ``physical``, ``stochastic``, ``ensemble.dt_traj``, ``state`` and
+``appendix`` keys are the fields of ``GridSpec``, ``PhysicalConfig``,
+``StochasticParams``, ``EnsembleSpec``, ``StateSpec`` and ``AppendixSpec``:
+their types and defaults are read from the dataclasses, each section's
+rules are stated once in its dataclass, and each section's view is its
+dataclass.  Validation reports every violation with its path;
+cross-section invariants (packet separation, time-scale hierarchy, grid
+headroom, step count, grid-run scales) are checked at load time so a bad
+run fails before any work happens.
 """
 from __future__ import annotations
 
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
-import numpy as np
-
-from .core import DomainOverflowError, GridSpec, InvalidSystemError, PhysicalConfig
-from .measurement import prepare_initial_state
-from .potentials import APPENDIX_MAGNITUDE_MAX, LambdaSweep, appendix_setup
+from .core import (DomainOverflowError, FieldErrors, GridSpec, InvalidSystemError,
+                   PhysicalConfig, _is_number)
+from .measurement import StateSpec
+from .potentials import APPENDIX_MAGNITUDE_MAX, AppendixSpec, LambdaSweep
 from .rng import SEED_MAX
-from .spectral import AngularBasis, GaussianPacket, evolve_measurement_spectral
+from .spectral import AngularBasis, evolve_measurement_spectral
 from .stochastic import StochasticParams
 from .trajectories import EnsembleSpec
 
@@ -42,13 +43,16 @@ class ConfigError(ValueError):
 # the typed views: each section's dataclass, whose fields give keys, JSON
 # types and defaults (the section's other keys are stated in _SCHEMA)
 _VIEWS = {"grid": GridSpec, "physical": PhysicalConfig, "stochastic": StochasticParams,
-          "ensemble": EnsembleSpec}
-# JSON types of a dataclass field's annotation
-_JSON_TYPES = {"float": (float, int), "str": (str,)}
+          "ensemble": EnsembleSpec, "state": StateSpec, "appendix": AppendixSpec}
+# JSON types of each name in a dataclass field's annotation
+_JSON_TYPES = {"float": (float, int), "int": (int,), "bool": (bool,), "str": (str,),
+               "list": (list,), "dict": (dict,), "None": (type(None),)}
 
 
 def _fields(cls, skip: tuple[str, ...] = ()) -> dict:
-    return {f.name: (_JSON_TYPES[f.type], f.default) for f in fields(cls) if f.name not in skip}
+    return {f.name: (tuple(t for name in f.type.split(" | ") for t in _JSON_TYPES[name]),
+                     f.default_factory() if f.default is MISSING else f.default)
+            for f in fields(cls) if f.name not in skip}
 
 
 # schema: section -> key -> (type tuple, default)
@@ -77,13 +81,7 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
         "n_store": ((int,), 20),
         "store_every": ((int,), 10),
     },
-    "state": {
-        "modes": ((list,), [-1, 0, 1]),
-        "weights": ((list,), [0.5, 0.3, 0.2]),
-        "phases": ((list, type(None)), None),
-        "l_max": ((int,), 8),
-        "packet_center": ((float, int), 0.0),
-    },
+    "state": _fields(StateSpec),
     "prior": {
         "n_mc": ((int,), 100000),
         "z_max": ((float, int), 4.0),
@@ -91,25 +89,7 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
     "repeat": {
         "n_repeats": ((int,), 1000),
     },
-    "appendix": {
-        "dimension": ((int,), 1),
-        "x_min": ((float, int), -8.0),
-        "x_max": ((float, int), 8.0),
-        "n_points": ((int,), 512),
-        "periodic": ((bool,), False),
-        "metric": ((str, dict, type(None)), None),
-        "vector": ((list, type(None)), None),
-        "scalar": ((str, type(None)), None),
-        "initial_center": ((float, int), 0.0),
-        "initial_width": ((float, int), 1.0),
-        "initial_momentum": ((float, int), 0.0),
-        "dt": ((float, int), 0.002),
-        "n_steps": ((int,), 500),
-        "record_every": ((int,), 50),
-        "deltas": ((list,), [0.0]),
-        "residual_check": ((bool,), False),
-        "save_wavefunctions": ((bool,), False),
-    },
+    "appendix": _fields(AppendixSpec),
     "checks": {
         "chi2_p_min": ((float, int), 0.01),
         "max_ambiguous_rate": ((float, int), 1e-3),
@@ -124,15 +104,13 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
     },
 }
 
-# smallest value each count key can run with: a chi-squared needs two
-# bins, a sample standard deviation or a lag-1 product two samples, the
-# angular basis one mode pair, a trajectory table a stride of a step (and
-# it may store no trial); the two grid counts are read by no run and are
-# only range-checked
+# smallest value each count key outside the views can run with: a
+# chi-squared needs two bins, a sample standard deviation or a lag-1 product
+# two samples, a trajectory table a stride of a step (and it may store no
+# trial); the two grid counts are read by no run and are only range-checked
 _COUNT_MINIMA = {
     ("grid", "n_theta"): 8,
     ("grid", "n_q2"): 32,
-    ("state", "l_max"): 1,
     ("ensemble", "n_trials"): 1,
     ("ensemble", "n_store"): 0,
     ("ensemble", "store_every"): 1,
@@ -140,9 +118,6 @@ _COUNT_MINIMA = {
     ("equivariance", "n_bins"): 2,
     ("prior", "n_mc"): 2,
     ("checks", "n_draws"): 2,
-    ("appendix", "n_points"): 8,
-    ("appendix", "n_steps"): 1,
-    ("appendix", "record_every"): 1,
 }
 
 # thresholds of the declared checks that only a positive value lets a run pass
@@ -182,20 +157,17 @@ class ExperimentConfig:
     def ensemble(self) -> EnsembleSpec:
         return self._view("ensemble")
 
+    def state(self) -> StateSpec:
+        return self._view("state")
+
+    def appendix(self) -> AppendixSpec:
+        return self._view("appendix")
+
     def basis(self) -> AngularBasis:
-        return AngularBasis(self.raw["state"]["l_max"])
+        return self.state().basis()
 
     def coefficients(self) -> dict[int, complex]:
-        s = self.raw["state"]
-        weights = np.asarray(s["weights"], dtype=float)
-        weights = weights / weights.sum()
-        phases = s["phases"] or [0.0] * len(weights)
-        return {int(m): np.sqrt(w) * np.exp(1j * float(ph))
-                for m, w, ph in zip(s["modes"], weights, phases)}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return self.state().coefficients()
 
 
 def _out_of_range(value, path: str = ""):
@@ -263,47 +235,24 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
     for section in _VIEWS:
         try:
             views[section] = view._view(section)
+        except FieldErrors as exc:
+            violations += [f"{section}.{key}: {message}" for key, message in exc.errors]
         except ValueError as exc:   # InvalidSystemError included
             violations.append(f"{section}: {exc}")
-    grid, physical, stochastic, ensemble = map(views.get, _VIEWS)
+    grid, physical, stochastic, ensemble, state, appendix = map(views.get, _VIEWS)
 
-    state = cfg["state"]
-    not_numbers = [f"state.{key}: every entry must be a number"
-                   for key in ("modes", "weights", "phases")
-                   if not all(map(_is_number, state[key] or []))]
-    if not_numbers:
-        violations += not_numbers
-    elif not all(float(m).is_integer() for m in state["modes"]):
-        violations.append("state.modes: every entry must be an integer")
-    elif len(set(state["modes"])) != len(state["modes"]):
-        violations.append("state.modes: must be distinct")
-    elif len(state["modes"]) != len(state["weights"]):
-        violations.append("state.weights: must match state.modes in length")
-    elif state["phases"] is not None and len(state["phases"]) != len(state["modes"]):
-        violations.append("state.phases: must match state.modes in length")
-    elif physical and grid:
-        weights = np.asarray(state["weights"], dtype=float)
-        with np.errstate(over="ignore"):
-            total = weights.sum()
-        if np.any(weights < 0) or not 0 < total < math.inf:
-            violations.append("state.weights: must be non-negative with a positive, finite total")
-        elif any(abs(int(m)) > state["l_max"] for m in state["modes"]):
-            violations.append("state.modes: outside |l| <= l_max")
-        elif state["l_max"] >= 1:   # a smaller l_max fails its count minimum below
-            # the run's own checks on the state it prepares: packet separation
-            # over the occupied modes, their centers inside the grid from 0 to t_M
-            args = (view.coefficients(), GaussianPacket(float(state["packet_center"]),
-                                                        physical.sigma),
-                    physical, grid, view.basis())
-            try:
-                prepared = prepare_initial_state(*args)
-            except InvalidSystemError as exc:
-                violations.append(f"physical.sep_factor: {exc}")
-                prepared = prepare_initial_state(*args, enforce_separation=False)
-            try:
-                evolve_measurement_spectral(prepared, physical.t_M, physical.g)
-            except DomainOverflowError as exc:
-                violations.append(f"grid.q2_max/q2_min: {exc}")
+    if state and physical and grid:
+        # the run's own checks on the state it prepares: packet separation
+        # over the occupied modes, their centers inside the grid from 0 to t_M
+        try:
+            prepared = state.prepare(physical, grid)
+        except InvalidSystemError as exc:
+            violations.append(f"physical.sep_factor: {exc}")
+            prepared = state.prepare(physical, grid, enforce_separation=False)
+        try:
+            evolve_measurement_spectral(prepared, physical.t_M, physical.g)
+        except DomainOverflowError as exc:
+            violations.append(f"grid.q2_max/q2_min: {exc}")
     for (section, key), least in _COUNT_MINIMA.items():
         if cfg[section][key] < least:
             violations.append(f"{section}.{key}: must be at least {least}")
@@ -325,48 +274,13 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
             ensemble.n_steps(physical.t_M)
         except ValueError as exc:
             violations.append(f"ensemble.dt_traj: {exc}")
-    app = cfg["appendix"]
-    if app["dimension"] != 1:
-        violations.append("appendix.dimension: only 1-D appendix runs are implemented")
-    for key in ("x_min", "x_max", "initial_center", "initial_width", "initial_momentum", "dt"):
-        if not abs(app[key]) <= APPENDIX_MAGNITUDE_MAX:
-            violations.append(f"appendix.{key}: must be at most "
-                              f"{APPENDIX_MAGNITUDE_MAX:g} in magnitude")
-    if app["x_max"] <= app["x_min"]:
-        violations.append("appendix.x_max: must exceed appendix.x_min")
-    if app["dt"] <= 0:
-        violations.append("appendix.dt: must be positive")
-    if app["initial_width"] <= 0:
-        violations.append("appendix.initial_width: must be positive")
-    if (app["residual_check"] and app["record_every"] >= 1
-            and app["n_steps"] // app["record_every"] < 2):
-        violations.append("appendix.residual_check: needs at least three snapshots "
-                          "(n_steps // record_every >= 2)")
-    # fields and packet on the configured grid, once the grid itself is valid
-    if not any(v.startswith("appendix.") for v in violations):
-        try:
-            appendix_setup(app)
-        except InvalidSystemError as exc:
-            violations.append(str(exc))
-    deltas = app["deltas"]
-    if not all(map(_is_number, deltas)):
-        violations.append("appendix.deltas: every entry must be a number")
-    elif any(d <= -1 for d in deltas):
-        violations.append("appendix.deltas: every entry must exceed -1 "
-                          "(the scale lambda_mag * (1 + delta) must be positive)")
-    elif not all(abs(d) <= APPENDIX_MAGNITUDE_MAX for d in deltas):
-        violations.append(f"appendix.deltas: every entry must be at most "
-                          f"{APPENDIX_MAGNITUDE_MAX:g} in magnitude")
-    elif len(set(deltas)) != len(deltas):
-        violations.append("appendix.deltas: every entry must be distinct (0 and -0 are equal)")
-    elif 0.0 not in deltas:
-        violations.append("appendix.deltas: must include the 0 reference entry")
-    elif physical and cfg["experiment"] in ("appendix", "lambda-sweep"):
+    if physical and appendix and cfg["experiment"] in ("appendix", "lambda-sweep"):
         # a grid run builds its operator at every scale lambda_mag * (1 + delta);
         # an appendix run at delta 0 alone
-        sweep = deltas if cfg["experiment"] == "lambda-sweep" else [0.0]
-        if not all(lam <= APPENDIX_MAGNITUDE_MAX for lam in
-                   LambdaSweep(tuple(map(float, sweep)), base=physical.lambda_mag).lambdas):
+        sweep = appendix.sweep if cfg["experiment"] == "lambda-sweep" else LambdaSweep
+        try:
+            sweep(base=physical.lambda_mag)
+        except ValueError:
             violations.append(f"physical.lambda_mag: every scale lambda_mag * (1 + delta) "
                               f"must be at most {APPENDIX_MAGNITUDE_MAX:g}")
 

@@ -38,6 +38,19 @@ class InvalidSystemError(ValueError):
     """Ill-posed physical setup (non-positive metric, bad packet layout, ...)."""
 
 
+class FieldErrors(InvalidSystemError):
+    """Every rule a dataclass's fields break, as ``(field, message)`` pairs."""
+
+    def __init__(self, errors: list[tuple[str, str]]):
+        super().__init__("; ".join(f"{name}: {message}" for name, message in errors))
+        self.errors = errors
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class NumericalError(RuntimeError):
     """A solver produced non-finite values; diagnostics in ``args[0]``."""
 

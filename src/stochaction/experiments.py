@@ -29,10 +29,9 @@ from .config import ExperimentConfig
 from .core import DomainOverflowError, csv_text, field_to_binary, field_to_csv
 from .gridop import (blas_threads, build_metric_hamiltonian, evolve_grid,
                      verify_hjm_residual)
-from .measurement import _collapsed, average_prior, prepare_initial_state, run_ensemble
-from .potentials import OBSERVABLE_MENU, LambdaSweep, _observables, _sweep, appendix_setup
+from .measurement import _collapsed, average_prior, run_ensemble
+from .potentials import OBSERVABLE_MENU, _observables, _sweep, appendix_setup
 from .rng import GENERIC, stream
-from .spectral import GaussianPacket
 from .stochastic import (ActionIncrement, check_separability, gaussian_log_weight,
                          sample_deviation, sample_sign_path)
 from .trajectories import equivariance_report
@@ -129,9 +128,7 @@ def _configured_run(cfg: ExperimentConfig, out: RunOutput, n_trials: int,
     Returns ``(state0, records, stats, extras)``.
     """
     physical, espec = cfg.physical(), cfg.ensemble()
-    packet = GaussianPacket(float(cfg["state"]["packet_center"]), physical.sigma)
-    state0 = prepare_initial_state(cfg.coefficients(), packet, physical, cfg.grid(),
-                                   cfg.basis())
+    state0 = cfg.state().prepare(physical, cfg.grid())
     records, stats, extras = run_ensemble(
         state0, physical, espec, n_trials, cfg["seed"], velocity=cfg["velocity"],
         stoch=cfg.stochastic() if cfg["velocity"] == "actual" else None,
@@ -283,12 +280,11 @@ def _grid_health(lambda_mag: float, defect: float, norms) -> dict:
 
 
 def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
-    app = cfg["appendix"]
+    app = cfg.appendix()
     grid, system, psi0 = appendix_setup(app)
     lam = cfg.physical().lambda_mag
     op = build_metric_hamiltonian(system, lam, grid)
-    final, history = evolve_grid(psi0, op, float(app["dt"]), app["n_steps"],
-                                 record_every=app["record_every"])
+    final, history = evolve_grid(psi0, op, app.dt, app.n_steps, record_every=app.record_every)
     names = ["norm", "position", "position_sq"]
     rows = []
     for t, snap in history:
@@ -297,12 +293,12 @@ def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
     out.add_text("observables.csv", csv_text(rows, ["t"] + names))
     out.telemetry["grid"] = [_grid_health(lam, op.hermiticity_defect(),
                                           [row[1] for row in rows])]
-    summary = {"final_norm": _float(grid.norm2(final)), "n_steps": app["n_steps"],
+    summary = {"final_norm": _float(grid.norm2(final)), "n_steps": app.n_steps,
                "lambda_mag": lam}
-    if app["residual_check"]:
+    if app.residual_check:
         res = verify_hjm_residual(history, system, grid, lam)
         summary["hjm_residuals"] = res
-    if app["save_wavefunctions"]:
+    if app.save_wavefunctions:
         x = grid.axis(0)
         out.add_text("psi_final.csv", field_to_csv(final, [x], ["q"]))
         out.add_bytes("psi_final.wfsn", field_to_binary(final, [x]))
@@ -311,12 +307,11 @@ def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
 
 
 def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> int:
-    app = cfg["appendix"]
+    app = cfg.appendix()
     grid, system, psi0 = appendix_setup(app)
-    sweep = LambdaSweep(deltas=tuple(float(d) for d in app["deltas"]),
-                        base=cfg.physical().lambda_mag)
-    results, defects, workers = _sweep(system, psi0, grid, sweep, float(app["dt"]),
-                                       app["n_steps"], app["record_every"])
+    sweep = app.sweep(cfg.physical().lambda_mag)
+    results, defects, workers = _sweep(system, psi0, grid, sweep, app.dt, app.n_steps,
+                                       app.record_every)
     rows = [[_float(delta), _float(results[delta]["lambda"]), _float(row["t"])]
             + [_float(row[k]) for k in OBSERVABLE_MENU]
             for delta in sorted(results) for row in results[delta]["series"]]

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import EPS_NODE_REL, InvalidSystemError, NumericalError
+from .core import EPS_NODE_REL, FieldErrors, InvalidSystemError, NumericalError
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +57,13 @@ class CartesianGrid:
             raise InvalidSystemError("only 1-D and 2-D grids are supported")
         if not (len(self.mins) == len(self.maxs) == len(self.periodic) == d):
             raise InvalidSystemError("grid axis descriptors disagree in length")
-        for lo, hi, n in zip(self.mins, self.maxs, self.ns):
-            if not hi > lo or n < 8:   # written so that a NaN fails it
-                raise InvalidSystemError("each axis needs hi > lo and at least 8 points")
+        # written so that a NaN fails it
+        spans = all(hi > lo for lo, hi in zip(self.mins, self.maxs))
+        errors = [(name, message) for name, message, ok in (
+            ("maxs", "each axis needs hi > lo", spans),
+            ("ns", "each axis needs at least 8 points", min(self.ns) >= 8)) if not ok]
+        if errors:
+            raise FieldErrors(errors)
 
     @property
     def dimension(self) -> int:

@@ -15,15 +15,15 @@ spectrum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 from scipy.special import chdtrc
 
 from . import rng as rngmod
-from .core import (EPS_NODE_REL, HBAR, DegenerateInputError, GridSpec,
-                   InvalidSystemError, PhysicalConfig, fork_map, fork_workers)
+from .core import (EPS_NODE_REL, HBAR, DegenerateInputError, FieldErrors, GridSpec,
+                   InvalidSystemError, PhysicalConfig, _is_number, fork_map, fork_workers)
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        SpectralState, evolve_measurement_spectral, occupied)
 from .stochastic import StochasticParams, sample_sign_path
@@ -155,16 +155,21 @@ class MeasurementPipeline:
     outcome_edges: np.ndarray | None = None  # bin edges, observable units
 
 
+def _outside_ring(modes, l_max: int) -> str | None:
+    """Why the mode numbers ``modes`` are not all in the ring basis ``|l| <= l_max``."""
+    outside = [l for l in modes if not (abs(l) <= l_max and l == int(l))]
+    return f"mode {outside[0]} outside basis range |l| <= {l_max}" if outside else None
+
+
 def _coefficient_vector(coeffs, basis: AngularBasis) -> np.ndarray:
     """Normalized amplitudes over ``basis.modes`` from a {mode number: amplitude}
     mapping or a full complex vector."""
     if isinstance(coeffs, dict):
+        if outside := _outside_ring(coeffs, basis.l_max):
+            raise InvalidSystemError(outside)
         vec = np.zeros(len(basis.modes), dtype=complex)
         for l, c in coeffs.items():
-            matches = np.flatnonzero(basis.modes == l)
-            if len(matches) == 0:
-                raise InvalidSystemError(f"mode {l} outside basis range |l| <= {basis.l_max}")
-            vec[matches[0]] = c
+            vec[int(l) + basis.l_max] = c
     else:
         vec = np.asarray(coeffs, dtype=complex)
     total = float(np.sum(np.abs(vec) ** 2))
@@ -190,6 +195,62 @@ def prepare_initial_state(coeffs, packet: GaussianPacket, config: PhysicalConfig
     centers = np.full(len(vec), packet.center)
     return SpectralState(coeffs=vec, modes=basis, packet=packet, centers=centers,
                          t=0.0, grid=grid)
+
+
+@dataclass(frozen=True)
+class StateSpec:
+    """The ``state`` section: ``c_l = sqrt(w_l / sum w) exp(i phase_l)`` over the
+    listed modes on the ring basis ``|l| <= l_max``, and the packets' start.
+    Construction raises :class:`FieldErrors` naming each field that breaks a rule."""
+
+    modes: list = field(default_factory=lambda: [-1, 0, 1])
+    weights: list = field(default_factory=lambda: [0.5, 0.3, 0.2])
+    phases: list | None = None
+    l_max: int = 8
+    packet_center: float = 0.0
+
+    def __post_init__(self):
+        modes, weights, phases = self.modes, self.weights, self.phases
+        errors = [(key, "every entry must be a number") for key, entries in
+                  (("modes", modes), ("weights", weights), ("phases", phases or []))
+                  if not all(map(_is_number, entries))]
+        if not errors:
+            with np.errstate(over="ignore"):
+                total = np.sum(weights, dtype=float)
+            outside = _outside_ring(modes, self.l_max)
+            # the first broken rule only: each presumes the ones before it
+            errors += [(key, message) for key, message, ok in (
+                ("modes", "every entry must be an integer",
+                 all(float(m).is_integer() for m in modes)),
+                ("modes", "must be distinct", len(set(modes)) == len(modes)),
+                ("weights", "must match the modes in length", len(weights) == len(modes)),
+                ("phases", "must match the modes in length",
+                 phases is None or len(phases) == len(modes)),
+                ("weights", "must be non-negative with a positive, finite total",
+                 min(weights, default=0) >= 0 and 0 < total < np.inf),
+                ("modes", outside, outside is None)) if not ok][:1]
+        try:
+            self.basis()
+        except FieldErrors as exc:
+            errors += exc.errors
+        if errors:
+            raise FieldErrors(errors)
+
+    def basis(self) -> AngularBasis:
+        return AngularBasis(self.l_max)
+
+    def coefficients(self) -> dict[int, complex]:
+        weights = np.asarray(self.weights, dtype=float)
+        weights = weights / weights.sum()
+        phases = self.phases or [0.0] * len(weights)
+        return {int(m): np.sqrt(w) * np.exp(1j * float(ph))
+                for m, w, ph in zip(self.modes, weights, phases)}
+
+    def prepare(self, config: PhysicalConfig, grid: GridSpec,
+                enforce_separation: bool = True) -> SpectralState:
+        return prepare_initial_state(self.coefficients(),
+                                     GaussianPacket(self.packet_center, config.sigma),
+                                     config, grid, self.basis(), enforce_separation)
 
 
 def _resolve_pipeline(prepared) -> MeasurementPipeline:
@@ -433,7 +494,7 @@ def actual_observable_prior(coeffs: np.ndarray, basis: AngularBasis, theta, lamb
     support = occupied(c)
     c, l = c[support], basis.modes[support]
     th = np.asarray(theta, dtype=float)
-    rows = _ring_rows(l, th.reshape(-1))
+    rows = dict(_ring_rows(l, th.reshape(-1)))
     phi = _ring_sum(c, rows, th.size).reshape(th.shape)
     dphi = _ring_sum(c * (1j * l), rows, th.size).reshape(th.shape)
     dens = np.abs(phi) ** 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_NODE_REL, InvalidSystemError, fork_map, fork_workers
+from .core import EPS_NODE_REL, FieldErrors, _is_number, fork_map, fork_workers
 from .expressions import compile_expression
 from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem, _d1_4,
                      _validate_metric, build_metric_hamiltonian, evolve_grid,
@@ -21,9 +21,9 @@ from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem, _d1_4,
 
 _COORD_NAMES = {1: ("q",), 2: ("x", "y")}
 # largest magnitude an appendix section may give a coordinate, a packet
-# parameter, the step, a delta, a field value or the inverse grid spacing:
-# the Hamiltonian, the observables and the residuals multiply a few of them
-# and square the result, which then stays finite
+# parameter, the step, a field value or the inverse grid spacing, and a
+# sweep its scales: the Hamiltonian, the observables and the residuals
+# multiply a few of them and square the result, which then stays finite
 APPENDIX_MAGNITUDE_MAX = 1e50
 
 
@@ -75,25 +75,88 @@ def system_from_expressions(dimension: int, metric=None, vector=None, scalar=Non
     return MetricPotentialSystem(dimension, metric_fn, vector_fn, scalar_fn)
 
 
-def appendix_setup(app: dict):
-    """Grid, field system and unit-norm initial packet of an ``appendix`` config section.
+@dataclass(frozen=True)
+class AppendixSpec:
+    """The ``appendix`` section: fields in ``q`` on ``n_points`` points of ``[x_min, x_max]``,
+    a Gaussian start, its Cayley steps and the sweep's deltas.  Construction runs
+    :func:`appendix_setup`, so a section that could not run fails before any step."""
+
+    dimension: int = 1
+    x_min: float = -8.0
+    x_max: float = 8.0
+    n_points: int = 512
+    periodic: bool = False
+    metric: str | dict | None = None
+    vector: list | None = None
+    scalar: str | None = None
+    initial_center: float = 0.0
+    initial_width: float = 1.0
+    initial_momentum: float = 0.0
+    dt: float = 0.002
+    n_steps: int = 500
+    record_every: int = 50
+    deltas: list = field(default_factory=lambda: [0.0])
+    residual_check: bool = False
+    save_wavefunctions: bool = False
+
+    def __post_init__(self):
+        errors = [(key, message) for key, message, broken in (
+            ("dimension", "only 1-D appendix runs are implemented", self.dimension != 1),
+            *((key, f"must be at most {APPENDIX_MAGNITUDE_MAX:g} in magnitude",
+               not abs(getattr(self, key)) <= APPENDIX_MAGNITUDE_MAX)
+              for key in ("x_min", "x_max", "initial_center", "initial_width",
+                          "initial_momentum", "dt")),
+            ("dt", "must be positive", not self.dt > 0),
+            ("initial_width", "must be positive", not self.initial_width > 0),
+            ("n_steps", "must be at least 1", self.n_steps < 1),
+            ("record_every", "must be at least 1", self.record_every < 1),
+            ("residual_check", "needs at least three snapshots (n_steps // record_every >= 2)",
+             self.residual_check and self.record_every >= 1
+             and self.n_steps // self.record_every < 2)) if broken]
+        try:
+            self.grid()
+        except FieldErrors as exc:
+            errors += [({"maxs": "x_max", "ns": "n_points"}[name], message)
+                       for name, message in exc.errors]
+        if not errors:   # fields and packet on the grid, once every other key is valid
+            try:
+                appendix_setup(self)
+            except FieldErrors as exc:
+                errors += exc.errors
+        if not all(map(_is_number, self.deltas)):
+            errors.append(("deltas", "every entry must be a number"))
+        else:
+            try:
+                self.sweep(1.0)
+            except ValueError as exc:
+                errors.append(("deltas", str(exc)))
+        if errors:
+            raise FieldErrors(errors)
+
+    def grid(self) -> CartesianGrid:
+        return CartesianGrid((self.x_min,), (self.x_max,), (self.n_points,), (self.periodic,))
+
+    def sweep(self, base: float) -> LambdaSweep:
+        return LambdaSweep(tuple(map(float, self.deltas)), base)
+
+
+def appendix_setup(spec: AppendixSpec):
+    """Grid, field system and unit-norm initial packet of an appendix section.
 
     Each field is compiled and evaluated on the grid, and the packet's
-    discrete norm must be positive and finite, so every defect of the
-    section raises :class:`InvalidSystemError` naming its key before any
-    step is taken.
+    discrete norm must be positive and finite, so every defect raises
+    :class:`FieldErrors` naming its field before any step is taken.
     """
-    d = app["dimension"]
-    grid = CartesianGrid((float(app["x_min"]),), (float(app["x_max"]),),
-                         (app["n_points"],), (app["periodic"],))
+    d = spec.dimension
+    grid = spec.grid()
     if not grid.spacing(0) * APPENDIX_MAGNITUDE_MAX >= 1.0:
-        raise InvalidSystemError(f"appendix.x_max: the grid spacing must be at least "
-                                 f"{1 / APPENDIX_MAGNITUDE_MAX:g}")
+        raise FieldErrors([("x_max", f"the grid spacing must be at least "
+                                     f"{1 / APPENDIX_MAGNITUDE_MAX:g}")])
     coords = grid.coords()
     parts = {}
     for key in ("metric", "vector", "scalar"):
         try:
-            part = system_from_expressions(d, **{key: app[key]})
+            part = system_from_expressions(d, **{key: getattr(spec, key)})
             # a field outside its domain on the grid (q^0.5 at q < 0) is NaN there
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 values = [part.metric_field(coords), part.vector_field(coords),
@@ -103,25 +166,25 @@ def appendix_setup(app: dict):
             _validate_metric(values[0], d)
         except (ValueError, IndexError, ArithmeticError, TypeError) as exc:
             # float arithmetic fails on constant parts: 0^-1, 10^400, (-8)^0.5
-            raise InvalidSystemError(f"appendix.{key}: {exc}") from exc
+            raise FieldErrors([(key, str(exc))]) from exc
         if not all(np.all(np.abs(v) <= APPENDIX_MAGNITUDE_MAX) for v in values):
-            raise InvalidSystemError(f"appendix.{key}: values on the grid must be at most "
-                                     f"{APPENDIX_MAGNITUDE_MAX:g} in magnitude")
+            raise FieldErrors([(key, f"values on the grid must be at most "
+                                     f"{APPENDIX_MAGNITUDE_MAX:g} in magnitude")])
         parts[key] = part
     system = MetricPotentialSystem(d, parts["metric"].metric,
                                    parts["vector"].vector_potential,
                                    parts["scalar"].scalar_potential)
     x = grid.axis(0)
-    width = float(app["initial_width"])
+    width = spec.initial_width
     # a width whose square underflows gives 0/0 and x/0 here; the norm test rejects it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        psi0 = np.exp(-((x - float(app["initial_center"])) ** 2) / (4.0 * width**2)
-                      + 1j * float(app["initial_momentum"]) * x)
+        psi0 = np.exp(-((x - spec.initial_center) ** 2) / (4.0 * width**2)
+                      + 1j * spec.initial_momentum * x)
     norm2 = grid.norm2(psi0)
     if not (np.isfinite(norm2) and norm2 > 0):
-        raise InvalidSystemError(
-            f"appendix.initial_center/initial_width: the initial packet has discrete norm "
-            f"{norm2!r} on the grid; it must overlap the grid's points")
+        raise FieldErrors([("initial_center/initial_width",
+                            f"the initial packet has discrete norm {norm2!r} on the grid; "
+                            "it must overlap the grid's points")])
     return grid, system, psi0 / np.sqrt(norm2)
 
 
@@ -173,9 +236,11 @@ class LambdaSweep:
         # written so that a NaN fails them, before any worker starts
         if not 0.0 < self.base < np.inf:
             raise ValueError(f"the sweep's base must be positive and finite: {self.base!r}")
-        if not all(-1.0 < d and lam < np.inf for d, lam in zip(self.deltas, self.lambdas)):
-            raise ValueError(f"the sweep's deltas must be finite and above -1, with finite "
-                             f"scales base * (1 + delta): {self.deltas!r}")
+        if not all(-1.0 < d and lam <= APPENDIX_MAGNITUDE_MAX
+                   for d, lam in zip(self.deltas, self.lambdas)):
+            raise ValueError(f"the sweep's deltas must be above -1, with scales "
+                             f"base * (1 + delta) at most {APPENDIX_MAGNITUDE_MAX:g}: "
+                             f"{self.deltas!r}")
         if 0.0 not in self.deltas:
             raise ValueError("the sweep must contain the delta = 0 reference")
         # a repeated delta would run again and overwrite its own entry; 0.0 == -0.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HBAR, DomainOverflowError, GridSpec
+from .core import HBAR, DomainOverflowError, FieldErrors, GridSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +28,7 @@ class AngularBasis:
 
     def __post_init__(self):
         if self.l_max < 1:
-            raise ValueError("l_max must be positive")
+            raise FieldErrors([("l_max", "must be at least 1")])
 
     @property
     def modes(self) -> np.ndarray:

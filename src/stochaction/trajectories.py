@@ -88,25 +88,30 @@ def _unit_phase(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _ring_rows(l, theta: np.ndarray) -> list:
-    """Each ring row ``exp(i l_k theta)`` for the mode numbers ``l``, in k order.
+def _ring_rows(l, theta: np.ndarray):
+    """Each ring row ``exp(i l_k theta)`` as ``(k, row)``, in order of ``|l_k|``.
 
-    One :func:`_unit_phase` and its integer powers; conjugates give ``l < 0``
-    and ``None`` stands for the row of ones (``l = 0``).  Equal mode numbers
-    share one row, so the rows are read-only.
+    One :func:`_unit_phase` and one running integer power of it, a product
+    per rung, so a caller that uses each row as it comes holds a few rows at
+    once, not one per rung.  Conjugates give ``l < 0`` and ``None`` stands
+    for the row of ones (``l = 0``).  Equal ``|l_k|`` share one power, so
+    the rows are read-only.
     """
     z = _unit_phase(theta)
-    powers = [None, z]
-    for _ in range(1, int(np.abs(l).max(initial=0))):
-        powers.append(powers[-1] * z)
-    return [powers[k] if k >= 0 else np.conjugate(powers[-k]) for k in l]
+    power, rung = None, 0
+    for k in np.argsort(np.abs(l), kind="stable"):
+        while rung < abs(l[k]):
+            power = z if power is None else power * z
+            rung += 1
+        yield k, None if l[k] == 0 else power if l[k] > 0 else np.conjugate(power)
 
 
-def _ring_sum(a, rows: list, shape) -> np.ndarray:
-    """``sum_k a_k rows_k`` over :func:`_ring_rows`, added in k order."""
+def _ring_sum(a, rows, shape) -> np.ndarray:
+    """``sum_k a_k rows_k`` over the ``(k, row)`` pairs of :func:`_ring_rows`, added in k order."""
+    rows = dict(rows)
     out = np.zeros(shape, dtype=complex)
-    for ak, row in zip(a, rows):
-        out += ak if row is None else ak * row
+    for k, ak in enumerate(a):
+        out += ak if rows[k] is None else ak * rows[k]
     return out
 
 
@@ -189,14 +194,15 @@ class ModeFlow:
         """The ``(K, ...)`` table of each mode's term ``b_k = c'_k G_k(q2) u_k(x)`` of Psi.
 
         ``G_k(q2) = exp(-(mu_k - q2)^2 / (4 sigma^2))``, its norm in ``c'_k``.  Each
-        per-mode constant multiplies its row as a scalar, not as a ``(K, 1)`` broadcast.
+        per-mode constant multiplies its row as a scalar, not as a ``(K, 1)`` broadcast,
+        and each mode row enters its term as :func:`_ring_rows` yields it.
         """
         gauss = self.centers(t).reshape((-1,) + (1,) * q2.ndim) - q2
         gauss *= gauss
         gauss *= self._gauss_rate
         np.exp(gauss, out=gauss)
         b = np.empty(gauss.shape, dtype=complex)
-        for k, row in enumerate(_ring_rows(self._n, self._kappa * x)):
+        for k, row in _ring_rows(self._n, self._kappa * x):
             np.multiply(self._packet_coeffs[k], gauss[k], out=b[k])
             if row is not None:
                 np.multiply(row, b[k], out=b[k])

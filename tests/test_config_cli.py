@@ -12,9 +12,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from joint_oracle import field_from_binary
-from stochaction import (ConfigError, EnsembleSpec, GridSpec, PhysicalConfig, StochasticParams,
-                         gridop, parse_config, run_experiment, serialize_config)
+from stochaction import (AppendixSpec, ConfigError, EnsembleSpec, GridSpec, PhysicalConfig,
+                         StateSpec, StochasticParams, gridop, parse_config, run_experiment,
+                         serialize_config)
 from stochaction.cli import main as cli_main
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 MINIMAL_BORN = {
     "experiment": "born",
@@ -52,7 +55,10 @@ class TestParseConfig:
         defaults = (GridSpec(), PhysicalConfig(), StochasticParams(tau_lambda=math.inf),
                     EnsembleSpec())
         assert list(map(astuple, views)) == list(map(astuple, defaults))   # GridSpec has eq=False
+        assert (bare.state(), bare.appendix()) == (StateSpec(), AppendixSpec())
         assert list(cfg["physical"]) == [f.name for f in fields(PhysicalConfig)]
+        assert list(bare["state"]) == [f.name for f in fields(StateSpec)]
+        assert list(bare["appendix"]) == [f.name for f in fields(AppendixSpec)]
         assert list(cfg["stochastic"]) == [f.name for f in fields(StochasticParams)
                                            if f.name != "lambda_mag"]
         # integer-valued numbers give float fields
@@ -166,6 +172,26 @@ class TestParseConfig:
             parse_config(json.dumps(bad))
         paths = [v.split(":")[0] for v in err.value.violations]
         assert paths == ["physical.sep_factor", "grid.q2_max/q2_min"]
+
+    @pytest.mark.parametrize("kind, section, values, paths", [
+        ("lambda-sweep", "appendix", {"n_points": 4, "x_max": -9.0, "dt": 0, "n_steps": 0,
+                                      "deltas": [0.0, 0.0]},
+         ["appendix.deltas", "appendix.dt", "appendix.n_points", "appendix.n_steps",
+          "appendix.x_max"]),
+        ("appendix", "appendix", {"scalar": "qq", "deltas": ["0"]},
+         ["appendix.deltas", "appendix.scalar"]),
+        ("born", "state", {"l_max": 0}, ["state.l_max", "state.modes"]),
+        ("born", "state", {"modes": [0, "1"], "phases": [None, 0.0, 0.0]},
+         ["state.modes", "state.phases"]),
+    ])
+    def test_each_bad_key_of_a_section_reported(self, kind, section, values, paths):
+        # a spec names every key that breaks a rule, each under its own path
+        bad = json.loads(json.dumps(MINIMAL_BORN))
+        bad["experiment"] = kind
+        bad.setdefault(section, {}).update(values)
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(bad))
+        assert sorted({v.split(":")[0] for v in err.value.violations}) == paths
 
     def test_unknown_experiment_kind(self):
         bad = dict(MINIMAL_BORN, experiment="teleport")
@@ -366,6 +392,19 @@ class TestExperiments:
 
 
 class TestCli:
+    def test_examples_parse_and_the_readme_command_runs(self, tmp_path):
+        # every shipped config parses, and the README's first command runs on
+        # the Born example; its declared checks decide between 0 and 3
+        examples = sorted(EXAMPLES.glob("*.json"))
+        assert EXAMPLES / "born.json" in examples
+        for path in examples:
+            parse_config(path.read_text())
+        out = tmp_path / "results"
+        status = cli_main(["born", "--config", str(EXAMPLES / "born.json"), "--seed", "42",
+                           "--trials", "64", "--out", str(out)])
+        assert status in (0, 3)
+        assert len((out / "records.jsonl").read_text().splitlines()) == 64
+
     def test_run_and_exit_zero(self, tmp_path, capsys):
         path, data = make_config(tmp_path)
         assert cli_main(["born", "--config", str(path)]) == 0
@@ -483,6 +522,7 @@ class TestCli:
         ("appendix", 1e200, [0.0, -0.5]),   # an appendix run takes delta 0 alone
         ("lambda-sweep", 1e200, [0.0]),
         ("lambda-sweep", 1e150, [0.0, 1e5]),   # only the swept scale is too large
+        ("lambda-sweep", 1e300, [0.0, 1e50]),   # a scale beyond float64
     ])
     def test_grid_scale_beyond_magnitude_bound_rejected_at_parse(
             self, tmp_path, capsys, experiment, lambda_mag, deltas):

@@ -9,7 +9,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from ordering_oracle import build_unsymmetrized_hamiltonian
-from stochaction import (CartesianGrid, InvalidSystemError, MetricPotentialSystem,
+from stochaction import (CartesianGrid, FieldErrors, InvalidSystemError, MetricPotentialSystem,
                          build_metric_hamiltonian, evolve_grid, quantum_potential,
                          verify_hjm_residual)
 from stochaction import gridop
@@ -89,13 +89,18 @@ class TestHamiltonianAssembly:
         op = build_unsymmetrized_hamiltonian(system, 1.0, grid)
         assert op.hermiticity_defect() > 1e-4
 
-    @pytest.mark.parametrize("mins, maxs, ns", [
-        ((1.0,), (-1.0,), (64,)), ((-1.0,), (1.0,), (4,)),
-        ((float("nan"),), (1.0,), (64,)), ((-1.0, float("nan")), (1.0, 1.0), (16, 16)),
+    @pytest.mark.parametrize("mins, maxs, ns, fields", [
+        ((1.0,), (-1.0,), (64,), ["maxs"]), ((-1.0,), (1.0,), (4,), ["ns"]),
+        ((1.0,), (-1.0,), (4,), ["maxs", "ns"]),
+        ((float("nan"),), (1.0,), (64,), ["maxs"]),
+        ((-1.0, float("nan")), (1.0, 1.0), (16, 16), ["maxs"]),
     ])
-    def test_bad_axes_rejected(self, mins, maxs, ns):
-        with pytest.raises(InvalidSystemError, match="hi > lo"):
+    def test_bad_axes_rejected(self, mins, maxs, ns, fields):
+        # each broken rule is named by its field
+        messages = {"maxs": "each axis needs hi > lo", "ns": "each axis needs at least 8 points"}
+        with pytest.raises(FieldErrors) as err:
             CartesianGrid(mins, maxs, ns, (False,) * len(ns))
+        assert err.value.errors == [(name, messages[name]) for name in fields]
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
     def test_bad_scale_rejected(self, line_grid, lam):

@@ -1,9 +1,10 @@
 """Every kind of ``tools/result_hashes.py``, run in-process, against a committed reference.
 
-Outcomes, flags and counts must match exactly and every ``summary.json``
-number within the tool's ``PIN_RTOL``.  The tool names the kinds, so a kind
-added there is pinned here too.  A change that alters outcomes on purpose
-rewrites ``data/pinned_outcomes.json`` with the tool's ``--pin`` option.
+Outcomes, flags, counts and each config kind's ``config.json`` echo hash
+must match exactly and every ``summary.json`` number within the tool's
+``PIN_RTOL``.  The tool names the kinds, so a kind added there is pinned
+here too.  A change that alters outcomes or echoes on purpose rewrites
+``data/pinned_outcomes.json`` with the tool's ``--pin`` option.
 """
 import importlib.util
 import json
@@ -23,8 +24,9 @@ def _tool():
 
 def test_outcomes_match_pinned_reference():
     tool = _tool()
-    _, outcomes, summaries = tool.result_hashes()
-    pins = tool.pinned(outcomes, summaries)
+    hashes, outcomes, summaries = tool.result_hashes()
+    pins = tool.pinned(outcomes, summaries, hashes)
+    assert all("config" in pins[kind] for kind in tool.CONFIGS)
     assert set(tool.CONFIGS) <= set(pins)
     assert tool.pin_differences(json.loads(REFERENCE.read_text()), pins) == []
 

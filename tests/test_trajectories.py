@@ -1,4 +1,5 @@
 """Velocity fields, Born sampling, integration, equivariance."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -148,11 +149,39 @@ class TestUnitPhase:
         # the rows that ModeFlow, RingSampler and the prior observable all sum
         theta = stream(72).uniform(0.0, 2 * np.pi, 10_000)
         l = np.arange(-8, 9)
-        rows = _ring_rows(l, theta)
-        assert len(rows) == len(l) and rows[8] is None
-        err = max(np.max(np.abs(row - np.exp(1j * k * theta)))
-                  for k, row in zip(l, rows) if row is not None)
+        order = [k for k, _ in _ring_rows(l, theta)]
+        assert sorted(order) == list(range(len(l)))
+        assert np.all(np.diff(np.abs(l[order])) >= 0)   # one running power, rung by rung
+        rows = dict(_ring_rows(l, theta))
+        assert rows[8] is None
+        err = max(np.max(np.abs(row - np.exp(1j * l[k] * theta)))
+                  for k, row in rows.items() if row is not None)
         assert err <= 1e-14
+
+    def test_mode_rows_leave_few_buffers_alive(self):
+        # the 48-mode plane-wave ladder of a linear-momentum readout: a call on
+        # 2048 points holds its (K, n) packet and Gaussian tables and a few rows,
+        # not one row per rung
+        config = PhysicalConfig(sigma=0.02, sep_factor=8.0, g=1.0, t_M=1.0)
+        x = np.linspace(-20.0, 20.0, 1024, endpoint=False)
+        psi = np.exp(-x**2 / 4 + 1j * x)
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
+        pipe = substitute_observable("linear_momentum", psi, x, window=(-4.0, 6.0), n_bins=10,
+                                     config=config, grid=GridSpec(-8.0, 8.0))
+        flow = ModeFlow(pipe.state0, config.g)
+        n_modes, n = len(flow.coeffs), 2048
+        assert n_modes == 48
+        r = stream(3)
+        points = np.stack([r.uniform(-20.0, 20.0, n), r.uniform(-1.0, 1.0, n)], axis=-1)
+        flow.effective(points, 0.3)
+        tracemalloc.start()
+        try:
+            flow.effective(points, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = n_modes * n * (16 + 8)   # complex packet terms, float Gaussians
+        assert peak <= tables + 8 * n * 16
 
 
 def oracle_mode_values(state, x, with_derivatives):

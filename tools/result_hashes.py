@@ -41,11 +41,24 @@ alone do not fail it, so it measures a declared last-bit change.  Both
 options may be combined with ``--compare``; the exit status is 1 if any
 comparison fails.
 
+``--against REV`` does both comparisons in one call, between the package at
+a git revision and the working tree:
+
+    python3 tools/result_hashes.py --against HEAD
+
+It extracts ``src/`` at REV with ``git archive`` into a temporary directory
+and runs this script's kinds once on that package and once on the working
+tree's, each in its own interpreter with its own ``PYTHONPATH``.  It prints
+the ``--compare`` and ``--compare-records`` reports and names every kind
+that only one side ran (a kind the other side's package cannot run fails
+there), and exits 1 if any file, outcome or kind differs.
+
 ``--pin FILE`` writes the compact reference that Tier-1 compares every run
 with (``tests/test_pinned_outcomes.py``): per kind, the outcome vector and
-the overflowed and ambiguous trials of its records, its outcome counts and
-every number and flag of its ``summary.json`` by path.  A change that
-alters outcomes on purpose rewrites the file from its own checkout:
+the overflowed and ambiguous trials of its records, its outcome counts,
+every number and flag of its ``summary.json`` by path and, for a config
+kind, the hash of its ``config.json`` echo.  A change that alters outcomes
+or echoes on purpose rewrites the file from its own checkout:
 
     python3 tools/result_hashes.py --pin tests/data/pinned_outcomes.json
 
@@ -56,9 +69,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = {
     "seed": 5,
@@ -328,27 +345,31 @@ def outcome_data(out_dir: Path, grid: bool = False) -> dict:
     return data
 
 
-def result_hashes() -> tuple[dict, dict, dict]:
+def result_hashes(failed: dict | None = None) -> tuple[dict, dict, dict]:
     """``{kind: {file: sha256}}``, ``{kind: outcome data}`` and
-    ``{kind: summary.json}`` (config kinds) of every run."""
+    ``{kind: summary.json}`` (config kinds) of every run.
+
+    A kind that raises stops the call or, when ``failed`` is a dict, is
+    left out of the results and recorded there as ``{kind: error}``.
+    """
     from stochaction import parse_config, run_experiment, serialize_config
     from stochaction.experiments import canonical_json
 
     hashes, outcomes, summaries = {}, {}, {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, (kind, overrides) in CONFIGS.items():
-            data = dict(BASE, experiment=kind, out_dir=name)
-            data.update(overrides)
-            # the echo names out_dir, so it is hashed with the kind's name there
-            echo = serialize_config(parse_config(json.dumps(data))).encode()
-            data["out_dir"] = str(Path(tmp) / name)
-            run_experiment(parse_config(json.dumps(data)))
-            manifest = json.loads((Path(tmp) / name / "manifest.json").read_text())
-            hashes[name] = {**manifest["files"],
-                            "config.json": hashlib.sha256(echo).hexdigest()}
-            summaries[name] = json.loads((Path(tmp) / name / "summary.json").read_text())
-            outcomes[name] = outcome_data(Path(tmp) / name, grid=kind in GRID_KINDS)
-    for name, run in API_RUNS.items():
+
+    def config_run(name: str, kind: str, overrides: dict, tmp: Path):
+        data = dict(BASE, experiment=kind, out_dir=name)
+        data.update(overrides)
+        # the echo names out_dir, so it is hashed with the kind's name there
+        echo = serialize_config(parse_config(json.dumps(data))).encode()
+        data["out_dir"] = str(tmp / name)
+        run_experiment(parse_config(json.dumps(data)))
+        manifest = json.loads((tmp / name / "manifest.json").read_text())
+        hashes[name] = {**manifest["files"], "config.json": hashlib.sha256(echo).hexdigest()}
+        summaries[name] = json.loads((tmp / name / "summary.json").read_text())
+        outcomes[name] = outcome_data(tmp / name, grid=kind in GRID_KINDS)
+
+    def api_run(name: str, run):
         result = run()
         blob = canonical_json(result)
         hashes[name] = {"result.json": hashlib.sha256(blob.encode()).hexdigest()}
@@ -358,6 +379,22 @@ def result_hashes() -> tuple[dict, dict, dict]:
         outcomes[name] = {"numbers": {"result.json": numbers}}
         if name.startswith("born-"):
             outcomes[name]["records"] = result
+
+    def attempt(name: str, run, *args):
+        try:
+            run(name, *args)
+        except Exception as exc:  # noqa: BLE001 - the other side's package may lack the kind
+            if failed is None:
+                raise
+            failed[name] = f"{type(exc).__name__}: {exc}"
+            for results in (hashes, outcomes, summaries):
+                results.pop(name, None)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (kind, overrides) in CONFIGS.items():
+            attempt(name, config_run, kind, overrides, Path(tmp))
+    for name, run in API_RUNS.items():
+        attempt(name, api_run, run)
     return hashes, outcomes, summaries
 
 
@@ -366,11 +403,13 @@ def result_hashes() -> tuple[dict, dict, dict]:
 PIN_RTOL = 1e-9
 
 
-def pinned(outcomes: dict, summaries: dict) -> dict:
+def pinned(outcomes: dict, summaries: dict, hashes: dict) -> dict:
     """The compact reference of every kind that records outcomes or a summary."""
     pins = {}
     for kind in sorted(set(outcomes) | set(summaries)):
         data, pin = outcomes.get(kind, {}), {}
+        if "config.json" in hashes.get(kind, {}):
+            pin["config"] = hashes[kind]["config.json"]
         if records := data.get("records"):
             pin["outcomes"] = [r["outcome_index"] for r in records]
             for flag in ("overflow", "ambiguous"):
@@ -477,6 +516,76 @@ def differences(expected: dict, actual: dict) -> list[tuple[str, str]]:
     return out
 
 
+def write_records(out: Path, outcomes: dict) -> None:
+    """One ``out/<kind>.json`` of outcome data per kind."""
+    out.mkdir(parents=True, exist_ok=True)
+    for kind, data in outcomes.items():
+        (out / f"{kind}.json").write_text(json.dumps(data, sort_keys=True) + "\n")
+
+
+def read_records(out: Path) -> dict:
+    return {path.stem: json.loads(path.read_text()) for path in sorted(out.glob("*.json"))}
+
+
+def report_records(expected: dict, outcomes: dict) -> int:
+    """Print the outcome comparison; 1 if any outcome differs, else 0."""
+    diffs, report, largest = record_differences(expected, outcomes)
+    for line in report + [largest] + [f"differs: {d}" for d in diffs]:
+        print(line)
+    print(f"{len(diffs)} outcome differences in {len(report)} kinds")
+    return 1 if diffs else 0
+
+
+def report_hashes(expected: dict, hashes: dict) -> int:
+    """Print the result-file comparison; 1 if any file differs, else 0."""
+    diff = differences(expected, hashes)
+    for kind, name in diff:
+        print(f"differs: {kind} {name}")
+    n_files = sum(len(files) for files in hashes.values())
+    print(f"{len(diff)} differing of {n_files} files in {len(hashes)} kinds")
+    return 1 if diff else 0
+
+
+def save(out: str) -> None:
+    """Run every kind, tolerating failures, into ``out``: ``hashes.json``,
+    ``failed.json`` and one ``records/<kind>.json`` per kind."""
+    failed = {}
+    hashes, outcomes, _ = result_hashes(failed)
+    write_records(Path(out) / "records", outcomes)
+    (Path(out) / "hashes.json").write_text(json.dumps(hashes, sort_keys=True))
+    (Path(out) / "failed.json").write_text(json.dumps(failed, sort_keys=True))
+
+
+def run_side(src: Path, out: Path) -> tuple[dict, dict, dict]:
+    """Hashes, outcomes and failed kinds of this script's kinds on the package
+    in ``src``, run by a fresh interpreter whose ``PYTHONPATH`` is ``src``."""
+    out.mkdir(parents=True)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import result_hashes as tool; tool.save(sys.argv[2])")
+    subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(out)],
+                   env=dict(os.environ, PYTHONPATH=str(src)), cwd=out, check=True)
+    return (json.loads((out / "hashes.json").read_text()), read_records(out / "records"),
+            json.loads((out / "failed.json").read_text()))
+
+
+def against(rev: str) -> int:
+    """Compare the package's ``src/`` at git revision ``rev`` with the working
+    tree's; 1 if any file, outcome or kind differs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        sides = {rev: run_side(Path(tmp) / "src", Path(tmp) / "rev-out"),
+                 "the working tree": run_side(ROOT / "src", Path(tmp) / "work-out")}
+    (want, want_rec, _), (got, got_rec, _) = sides.values()
+    # a kind one side did not run differs in both reports
+    status = report_records(want_rec, got_rec) | report_hashes(want, got)
+    for kind in sorted(set(want) ^ set(got)):
+        ran, other = (rev, "the working tree") if kind in want else ("the working tree", rev)
+        print(f"only {ran} ran {kind}: {sides[other][2].get(kind, 'not a kind there')}")
+    return status
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", metavar="FILE",
@@ -487,32 +596,23 @@ def main(argv: list[str] | None = None) -> int:
                         help="outcomes dumped from another checkout to compare against")
     parser.add_argument("--pin", metavar="FILE",
                         help="write the compact outcome reference that Tier-1 compares with")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare files and outcomes of src/ at a git revision with "
+                             "the working tree's")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    if args.against is not None:
+        return against(args.against)
+    sys.path.insert(0, str(ROOT / "src"))
     hashes, outcomes, summaries = result_hashes()
     status = 0
     if args.pin is not None:
-        Path(args.pin).write_text(pin_text(pinned(outcomes, summaries)))
+        Path(args.pin).write_text(pin_text(pinned(outcomes, summaries, hashes)))
     if args.dump_records is not None:
-        out = Path(args.dump_records)
-        out.mkdir(parents=True, exist_ok=True)
-        for kind, data in outcomes.items():
-            (out / f"{kind}.json").write_text(json.dumps(data, sort_keys=True) + "\n")
+        write_records(Path(args.dump_records), outcomes)
     if args.compare_records is not None:
-        saved = {path.stem: json.loads(path.read_text())
-                 for path in sorted(Path(args.compare_records).glob("*.json"))}
-        diffs, report, largest = record_differences(saved, outcomes)
-        for line in report + [largest] + [f"differs: {d}" for d in diffs]:
-            print(line)
-        print(f"{len(diffs)} outcome differences in {len(report)} kinds")
-        status = 1 if diffs else status
+        status |= report_records(read_records(Path(args.compare_records)), outcomes)
     if args.compare is not None:
-        diff = differences(json.loads(Path(args.compare).read_text()), hashes)
-        for kind, name in diff:
-            print(f"differs: {kind} {name}")
-        n_files = sum(len(files) for files in hashes.values())
-        print(f"{len(diff)} differing of {n_files} files in {len(hashes)} kinds")
-        status = 1 if diff else status
+        status |= report_hashes(json.loads(Path(args.compare).read_text()), hashes)
     if args.compare is None and args.compare_records is None and args.pin is None:
         print(json.dumps(hashes, indent=2, sort_keys=True))
     return status
