@@ -6,10 +6,12 @@ the ``physical``, ``stochastic``, ``ensemble.dt_traj``, ``state`` and
 ``StochasticParams``, ``EnsembleSpec``, ``StateSpec`` and ``AppendixSpec``:
 their types and defaults are read from the dataclasses, each section's
 rules are stated once in its dataclass, and each section's view is its
-dataclass.  Validation reports every violation with its path;
-cross-section invariants (packet separation, time-scale hierarchy, grid
-headroom, step count, grid-run scales) are checked at load time so a bad
-run fails before any work happens.
+dataclass; an engine call's rule on a plain argument (the velocity names,
+the least trial, draw and bin counts) is its engine module's, called here.
+Validation reports every violation with its path; cross-section invariants
+(packet separation, time-scale hierarchy, grid headroom, step count,
+grid-run scales) are checked at load time so a bad run fails before any
+work happens.
 """
 from __future__ import annotations
 
@@ -20,13 +22,13 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 from .core import (DomainOverflowError, FieldErrors, GridSpec, InvalidSystemError,
-                   PhysicalConfig, _is_number)
-from .measurement import StateSpec
+                   PhysicalConfig, _is_number, field_errors, require_count)
+from .measurement import N_MC_MIN, N_TRIALS_MIN, StateSpec, check_velocity
 from .potentials import APPENDIX_MAGNITUDE_MAX, AppendixSpec, LambdaSweep
 from .rng import SEED_MAX
 from .spectral import AngularBasis, evolve_measurement_spectral
 from .stochastic import StochasticParams
-from .trajectories import EnsembleSpec
+from .trajectories import N_BINS_MIN, EnsembleSpec
 
 EXPERIMENT_KINDS = ("born", "trajectories", "prior-average", "repeatability",
                     "appendix", "lambda-sweep", "stochastic-check")
@@ -104,19 +106,19 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
     },
 }
 
-# smallest value each count key outside the views can run with: a
-# chi-squared needs two bins, a sample standard deviation or a lag-1 product
-# two samples, a trajectory table a stride of a step (and it may store no
-# trial); the two grid counts are read by no run and are only range-checked
+# smallest value each count key outside the views can run with: the engine
+# calls' own minima, a lag-1 product two samples, a trajectory table a stride
+# of a step (and it may store no trial); the two grid counts are read by no
+# run and are only range-checked
 _COUNT_MINIMA = {
     ("grid", "n_theta"): 8,
     ("grid", "n_q2"): 32,
-    ("ensemble", "n_trials"): 1,
+    ("ensemble", "n_trials"): N_TRIALS_MIN,
     ("ensemble", "n_store"): 0,
     ("ensemble", "store_every"): 1,
     ("repeat", "n_repeats"): 1,
-    ("equivariance", "n_bins"): 2,
-    ("prior", "n_mc"): 2,
+    ("equivariance", "n_bins"): N_BINS_MIN,
+    ("prior", "n_mc"): N_MC_MIN,
     ("checks", "n_draws"): 2,
 }
 
@@ -216,8 +218,8 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
         violations.append(f"experiment: must be one of {EXPERIMENT_KINDS}")
     if cfg.get("format") not in ("csv", "json"):
         violations.append("format: must be csv or json")
-    if cfg.get("velocity") not in ("effective", "actual"):
-        violations.append("velocity: must be effective or actual")
+    violations += [f"{key}: {message}"
+                   for key, message in field_errors(check_velocity, cfg.get("velocity"))]
     for key, only in (("integrator", "rk4"), ("node_policy", "reject-resample")):
         if cfg["ensemble"][key] != only:
             violations.append(f"ensemble.{key}: must be {only}")
@@ -254,8 +256,8 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
         except DomainOverflowError as exc:
             violations.append(f"grid.q2_max/q2_min: {exc}")
     for (section, key), least in _COUNT_MINIMA.items():
-        if cfg[section][key] < least:
-            violations.append(f"{section}.{key}: must be at least {least}")
+        violations += [f"{section}.{name}: {message}" for name, message in
+                       field_errors(require_count, key, cfg[section][key], least)]
     # declared-check thresholds no run could pass: a p-value never exceeds 1,
     # and a rate, deviation or z-score is never below 0
     if not cfg["checks"]["chi2_p_min"] < 1:
@@ -265,15 +267,11 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
             violations.append(f"{section}.{key}: must be positive")
     # only actual-velocity runs draw sign paths
     if stochastic and ensemble and cfg["velocity"] == "actual":
-        try:
-            ensemble.validate_against(stochastic)
-        except ValueError as exc:
-            violations.append(f"ensemble.dt_traj: {exc}")
+        violations += [f"ensemble.{key}: {message}" for key, message in
+                       field_errors(ensemble.validate_against, stochastic, name="dt_traj")]
     if physical and ensemble:
-        try:
-            ensemble.n_steps(physical.t_M)
-        except ValueError as exc:
-            violations.append(f"ensemble.dt_traj: {exc}")
+        violations += [f"ensemble.{key}: {message}" for key, message in
+                       field_errors(ensemble.n_steps, physical.t_M, name="dt_traj")]
     if physical and appendix and cfg["experiment"] in ("appendix", "lambda-sweep"):
         # a grid run builds its operator at every scale lambda_mag * (1 + delta);
         # an appendix run at delta 0 alone

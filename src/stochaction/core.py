@@ -39,11 +39,35 @@ class InvalidSystemError(ValueError):
 
 
 class FieldErrors(InvalidSystemError):
-    """Every rule a dataclass's fields break, as ``(field, message)`` pairs."""
+    """Every rule a dataclass's fields or a call's arguments break, as ``(name, message)`` pairs."""
 
     def __init__(self, errors: list[tuple[str, str]]):
         super().__init__("; ".join(f"{name}: {message}" for name, message in errors))
         self.errors = errors
+
+    def __reduce__(self):
+        # rebuilt from its pairs, so it comes back whole from a fork_map worker
+        return FieldErrors, (self.errors,)
+
+
+def field_errors(rule, *args, name: str | None = None) -> list[tuple[str, str]]:
+    """The ``(name, message)`` pairs of the :class:`FieldErrors` that ``rule(*args)``
+    raises, ``[]`` if it passes; given ``name``, another ValueError is one pair under it."""
+    try:
+        rule(*args)
+    except FieldErrors as exc:
+        return exc.errors
+    except ValueError as exc:
+        if name is None:
+            raise
+        return [(name, str(exc))]
+    return []
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Raise :class:`FieldErrors` naming ``name`` unless ``value`` is an integer ``>= least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise FieldErrors([(name, f"must be an integer at least {least}, not {value!r}")])
 
 
 def _is_number(value) -> bool:

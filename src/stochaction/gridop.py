@@ -35,7 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import EPS_NODE_REL, FieldErrors, InvalidSystemError, NumericalError
+from .core import (EPS_NODE_REL, FieldErrors, InvalidSystemError, NumericalError,
+                   field_errors, require_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,6 +362,18 @@ def _one_blas_thread():
                 put(_blas["saved"])
 
 
+def check_schedule(dt: float, n_steps: int, record_every: int | None = None) -> None:
+    """:func:`evolve_grid`'s schedule: a finite ``dt > 0``, and ``n_steps`` and, unless None,
+    ``record_every`` integers ``>= 1``; raises :class:`FieldErrors` naming each that breaks it."""
+    # written so that a NaN dt fails it
+    errors = [] if 0 < dt < np.inf else [("dt", f"must be a finite dt > 0, not {dt!r}")]
+    errors += field_errors(require_count, "n_steps", n_steps, 1)
+    if record_every is not None:
+        errors += field_errors(require_count, "record_every", record_every, 1)
+    if errors:
+        raise FieldErrors(errors)
+
+
 def evolve_grid(psi: np.ndarray, op: GridOperator, dt: float, n_steps: int,
                 record_every: int | None = None):
     """Cayley-stepped evolution of ``i lambda dpsi/dt = H psi``.
@@ -392,8 +405,7 @@ def evolve_grid(psi: np.ndarray, op: GridOperator, dt: float, n_steps: int,
     some entries of L and U differently (grids from about 64x64), so one
     thread makes the results the same on any core count.
     """
-    if not (0 < dt < np.inf and n_steps >= 1):   # written so that a NaN dt fails it
-        raise ValueError(f"need a finite dt > 0 and n_steps >= 1, not {dt!r} and {n_steps!r}")
+    check_schedule(dt, n_steps, record_every)
     shape = psi.shape
     vec = np.asarray(psi, dtype=complex).ravel()
     z = 0.5j * dt / op.lambda_mag
@@ -490,6 +502,12 @@ def quantum_potential(R: np.ndarray, system: MetricPotentialSystem, grid: Cartes
 _BULK_THRESHOLD = 1e-6
 
 
+def check_residual_snapshots(n_snapshots: int) -> None:
+    """:func:`verify_hjm_residual`'s rule: three snapshots, for a centered time difference."""
+    if n_snapshots < 3:
+        raise ValueError(f"needs at least three snapshots, not {n_snapshots}")
+
+
 def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
                         system: MetricPotentialSystem, grid: CartesianGrid,
                         lambda_mag: float, include_quantum_term: bool = True) -> dict:
@@ -504,14 +522,12 @@ def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
     Hamilton-Jacobi balance; the residual then jumps by orders of magnitude,
     which makes a convenient ablation control.
     """
-    if len(history) < 3:
-        raise ValueError("need at least three snapshots")
+    check_residual_snapshots(len(history))
     coords = grid.coords()
     g = system.metric_field(coords)
     a = system.vector_field(coords)
     v = system.scalar_field(coords)
     d = grid.dimension
-    times = [t for t, _ in history]
     cont_rms, hj_rms, used_times = [], [], []
 
     for k in range(1, len(history) - 1):

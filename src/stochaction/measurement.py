@@ -23,9 +23,10 @@ from scipy.special import chdtrc
 
 from . import rng as rngmod
 from .core import (EPS_NODE_REL, HBAR, DegenerateInputError, FieldErrors, GridSpec,
-                   InvalidSystemError, PhysicalConfig, _is_number, fork_map, fork_workers)
+                   InvalidSystemError, PhysicalConfig, _is_number, field_errors, fork_map,
+                   fork_workers, require_count)
 from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
-                       SpectralState, evolve_measurement_spectral, occupied)
+                       SpectralState, evolve_measurement_spectral, normalized, occupied)
 from .stochastic import StochasticParams, sample_sign_path
 from .trajectories import (_MODE_ROWS, EnsembleSpec, ModeFlow, PointerReadoutFlow,
                            RingSampler, _ring_peak, _ring_rows, _ring_sum,
@@ -36,6 +37,16 @@ from .trajectories import (_MODE_ROWS, EnsembleSpec, ModeFlow, PointerReadoutFlo
 _DRAW_BLOCK = 256
 # share of the state's norm a binned readout's window must cover
 _COVERAGE_MIN = 0.999
+# the fewest trials of a run, and of prior draws (a standard deviation needs two)
+N_TRIALS_MIN, N_MC_MIN = 1, 2
+# the two velocity sources of a run (see :mod:`stochaction.trajectories`)
+VELOCITIES = ("effective", "actual")
+
+
+def check_velocity(velocity: str) -> None:
+    """Raise :class:`FieldErrors` naming ``velocity`` unless it is one of ``VELOCITIES``."""
+    if velocity not in VELOCITIES:
+        raise FieldErrors([("velocity", f"must be {' or '.join(VELOCITIES)}")])
 
 
 @dataclass(frozen=True)
@@ -170,12 +181,8 @@ def _coefficient_vector(coeffs, basis: AngularBasis) -> np.ndarray:
         vec = np.zeros(len(basis.modes), dtype=complex)
         for l, c in coeffs.items():
             vec[int(l) + basis.l_max] = c
-    else:
-        vec = np.asarray(coeffs, dtype=complex)
-    total = float(np.sum(np.abs(vec) ** 2))
-    if not abs(total - 1.0) <= 1e-10:
-        raise DegenerateInputError(f"coefficients must be normalized: sum |c|^2 = {total!r}")
-    return vec
+        coeffs = vec
+    return normalized(coeffs)
 
 
 def prepare_initial_state(coeffs, packet: GaussianPacket, config: PhysicalConfig,
@@ -229,10 +236,7 @@ class StateSpec:
                 ("weights", "must be non-negative with a positive, finite total",
                  min(weights, default=0) >= 0 and 0 < total < np.inf),
                 ("modes", outside, outside is None)) if not ok][:1]
-        try:
-            self.basis()
-        except FieldErrors as exc:
-            errors += exc.errors
+        errors += field_errors(self.basis)
         if errors:
             raise FieldErrors(errors)
 
@@ -395,8 +399,7 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
     Each worker inherits the flow through the fork and is sent only the
     index of its chunk.
     """
-    if velocity not in ("effective", "actual"):
-        raise ValueError(f"unknown velocity source {velocity!r}")
+    check_velocity(velocity)
     if velocity == "actual":
         if stoch is None:
             raise ValueError("actual-velocity runs need StochasticParams")
@@ -462,8 +465,7 @@ def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, n_trials:
     chunks sized by :func:`_chunk_rows`, on up to ``threads`` worker
     processes; results are identical at any chunking and worker count.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    require_count("n_trials", n_trials, N_TRIALS_MIN)
     return _run_events(_resolve_pipeline(prepared), config, spec, seed,
                        np.arange(n_trials), velocity, stoch, threads, snapshot_steps)
 
@@ -512,10 +514,9 @@ def average_prior(coeffs, basis: AngularBasis, n_mc: int, seed: int,
     for :func:`prepare_initial_state`.  Draws theta from the system density
     and the hidden sign fairly, then compares with the closed-form
     expectation sum(omega_l |c_l|^2), which holds for normalized amplitudes
-    only.  ``n_mc`` must be at least 2, for the standard error.
+    only.  ``n_mc`` must be at least ``N_MC_MIN``, for the standard error.
     """
-    if n_mc < 2:
-        raise ValueError(f"n_mc must be at least 2 for a standard error, not {n_mc!r}")
+    require_count("n_mc", n_mc, N_MC_MIN)
     c = _coefficient_vector(coeffs, basis)
     support = occupied(c)
     r = rngmod.stream(seed, rngmod.PRIOR, 0)

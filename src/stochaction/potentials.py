@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_NODE_REL, FieldErrors, _is_number, fork_map, fork_workers
+from .core import EPS_NODE_REL, FieldErrors, _is_number, field_errors, fork_map, fork_workers
 from .expressions import compile_expression
 from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem, _d1_4,
-                     _validate_metric, build_metric_hamiltonian, evolve_grid,
-                     interior_mask, quantum_potential)
+                     _validate_metric, build_metric_hamiltonian, check_residual_snapshots,
+                     check_schedule, evolve_grid, interior_mask, quantum_potential)
 
 _COORD_NAMES = {1: ("q",), 2: ("x", "y")}
 # largest magnitude an appendix section may give a coordinate, a packet
@@ -106,30 +106,19 @@ class AppendixSpec:
                not abs(getattr(self, key)) <= APPENDIX_MAGNITUDE_MAX)
               for key in ("x_min", "x_max", "initial_center", "initial_width",
                           "initial_momentum", "dt")),
-            ("dt", "must be positive", not self.dt > 0),
-            ("initial_width", "must be positive", not self.initial_width > 0),
-            ("n_steps", "must be at least 1", self.n_steps < 1),
-            ("record_every", "must be at least 1", self.record_every < 1),
-            ("residual_check", "needs at least three snapshots (n_steps // record_every >= 2)",
-             self.residual_check and self.record_every >= 1
-             and self.n_steps // self.record_every < 2)) if broken]
-        try:
-            self.grid()
-        except FieldErrors as exc:
-            errors += [({"maxs": "x_max", "ns": "n_points"}[name], message)
-                       for name, message in exc.errors]
+            ("initial_width", "must be positive", not self.initial_width > 0)) if broken]
+        errors += field_errors(check_schedule, self.dt, self.n_steps, self.record_every)
+        if self.residual_check and self.record_every >= 1:
+            errors += field_errors(check_residual_snapshots,
+                                   1 + self.n_steps // self.record_every, name="residual_check")
+        errors += [({"maxs": "x_max", "ns": "n_points"}[name], message)
+                   for name, message in field_errors(self.grid)]
         if not errors:   # fields and packet on the grid, once every other key is valid
-            try:
-                appendix_setup(self)
-            except FieldErrors as exc:
-                errors += exc.errors
+            errors += field_errors(appendix_setup, self)
         if not all(map(_is_number, self.deltas)):
             errors.append(("deltas", "every entry must be a number"))
         else:
-            try:
-                self.sweep(1.0)
-            except ValueError as exc:
-                errors.append(("deltas", str(exc)))
+            errors += field_errors(self.sweep, 1.0, name="deltas")
         if errors:
             raise FieldErrors(errors)
 

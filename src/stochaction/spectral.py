@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HBAR, DomainOverflowError, FieldErrors, GridSpec
+from .core import HBAR, DegenerateInputError, DomainOverflowError, FieldErrors, GridSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +120,7 @@ class SpectralState:
         mu = np.asarray(self.centers, dtype=float)
         if c.shape != self.modes.omegas.shape or mu.shape != c.shape:
             raise ValueError("coefficients, omegas and centers must share a shape")
-        total = float(np.sum(np.abs(c) ** 2))
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"coefficients are not normalized: sum |c|^2 = {total!r}")
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", normalized(c))
         object.__setattr__(self, "centers", mu)
 
     @property
@@ -133,6 +130,16 @@ class SpectralState:
     def support_indices(self) -> np.ndarray:
         """Modes actually present in the superposition (:func:`occupied`)."""
         return occupied(self.coeffs)
+
+
+def normalized(coeffs) -> np.ndarray:
+    """``coeffs`` as a complex vector; raises :class:`DegenerateInputError` unless
+    ``sum |c|^2`` is within 1e-10 of 1, as Born weights need."""
+    c = np.asarray(coeffs, dtype=complex)
+    total = float(np.sum(np.abs(c) ** 2))
+    if not abs(total - 1.0) <= 1e-10:   # written so that a NaN total fails it
+        raise DegenerateInputError(f"coefficients are not normalized: sum |c|^2 = {total!r}")
+    return c
 
 
 def occupied(coeffs) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import chdtrc, erf
 
-from .core import EPS_NODE_REL, DegenerateInputError
+from .core import EPS_NODE_REL, DegenerateInputError, require_count
 from .spectral import (AngularBasis, PlaneWaveModes, SpectralState,
                        evolve_measurement_spectral, ring_fourier)
 
@@ -35,6 +35,8 @@ DECIDE_EVERY = 10
 # whatever its row count, so fewer chunks run faster until that temporary
 # outgrows L2: with 2 MB of L2 per core, runs slowed once it passed about 450 KB.
 _MODE_ROWS = 2**14
+# the fewest equivariance bins: a chi-squared with one bin has no degree of freedom
+N_BINS_MIN = 2
 
 
 @dataclass(frozen=True)
@@ -566,6 +568,7 @@ def equivariance_report(snapshots: dict[float, np.ndarray], state0: SpectralStat
     integral transform) and every bin has the same expected count; a CDF
     value rounded above 1 counts in the last bin.  The same CDF drives KS.
     """
+    require_count("n_bins", n_bins, N_BINS_MIN)
     if not isinstance(state0.modes, AngularBasis):
         raise NotImplementedError("equivariance diagnostics assume the ring system")
     report = {}

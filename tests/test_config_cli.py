@@ -5,6 +5,7 @@ import os
 import tempfile
 from dataclasses import astuple, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +13,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from joint_oracle import field_from_binary
-from stochaction import (AppendixSpec, ConfigError, EnsembleSpec, GridSpec, PhysicalConfig,
-                         StateSpec, StochasticParams, gridop, parse_config, run_experiment,
-                         serialize_config)
+from stochaction import (AngularBasis, AppendixSpec, CartesianGrid, ConfigError,
+                         DegenerateInputError, EnsembleSpec, FieldErrors, GaussianPacket,
+                         GridSpec, LambdaSweep, MetricPotentialSystem, PhysicalConfig,
+                         SpectralState, StateSpec, StochasticParams, average_prior,
+                         build_metric_hamiltonian, equivariance_report, evolve_grid, gridop,
+                         parse_config, prepare_initial_state, run_ensemble, run_experiment,
+                         run_lambda_sweep, run_single_event, serialize_config,
+                         verify_hjm_residual)
 from stochaction.cli import main as cli_main
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -27,6 +33,57 @@ MINIMAL_BORN = {
     "stochastic": {"tau_xi": 0.02},
     "state": {"modes": [-1, 0, 1], "weights": [0.5, 0.3, 0.2]},
 }
+
+
+# each parameter rule an engine module owns: (experiment, overrides breaking
+# it, the violation's path, the engine calls given the same value)
+ENGINE_RULES = {
+    "normalization": ("born", {"state": {"weights": [0.0, 0.0, 0.0]}}, "state.weights", [
+        lambda e: SpectralState(np.zeros(17), AngularBasis(), GaussianPacket(0.0, 0.05),
+                                np.zeros(17), 0.0, GridSpec()),
+        lambda e: prepare_initial_state({0: 0.0}, GaussianPacket(0.0, 0.05), e.physical,
+                                        GridSpec()),
+        lambda e: average_prior({0: 0.0}, AngularBasis(), 10, seed=0)]),
+    "schedule-dt": ("appendix", {"appendix": {"dt": 0}}, "appendix.dt", [
+        lambda e: evolve_grid(e.psi, e.op, 0.0, 10)]),
+    "schedule-n_steps": ("lambda-sweep", {"appendix": {"n_steps": 0}}, "appendix.n_steps", [
+        lambda e: evolve_grid(e.psi, e.op, 0.01, 0)]),
+    "schedule-record_every": ("appendix", {"appendix": {"record_every": 0}},
+                              "appendix.record_every", [
+        lambda e: evolve_grid(e.psi, e.op, 0.01, 10, record_every=0),
+        lambda e: run_lambda_sweep(e.system, e.psi, e.grid, LambdaSweep(), 0.01, 10, 0)]),
+    "residual-snapshots": ("appendix", {"appendix": {"residual_check": True, "n_steps": 100,
+                                                     "record_every": 51}},
+                           "appendix.residual_check", [
+        lambda e: verify_hjm_residual(evolve_grid(e.psi, e.op, 0.01, 100, 51)[1], e.system,
+                                      e.grid, 1.0)]),
+    "prior-draws": ("prior-average", {"prior": {"n_mc": 1}}, "prior.n_mc", [
+        lambda e: average_prior({0: 1.0}, AngularBasis(), 1, seed=0)]),
+    "trials": ("born", {"ensemble": {"n_trials": 0}}, "ensemble.n_trials", [
+        lambda e: run_ensemble(e.state, e.physical, EnsembleSpec(0.01), 0, seed=0)]),
+    "equivariance-bins": ("born", {"equivariance": {"n_bins": 1, "enabled": True}},
+                          "equivariance.n_bins", [
+        lambda e: equivariance_report({0.0: np.zeros((4, 2))}, e.state, 1.0, n_bins=1)]),
+    "velocity": ("born", {"velocity": "drift"}, "velocity", [
+        lambda e: run_ensemble(e.state, e.physical, EnsembleSpec(0.01), 1, seed=0,
+                               velocity="drift"),
+        lambda e: run_single_event(e.state, e.physical, EnsembleSpec(0.01), seed=0,
+                                   velocity="drift")]),
+}
+
+
+@pytest.fixture(scope="module")
+def engines():
+    """A ring state and a small grid run for the ``ENGINE_RULES`` calls."""
+    physical = PhysicalConfig()
+    grid = CartesianGrid((-4.0,), (4.0,), (16,), (False,))
+    system = MetricPotentialSystem(1)
+    psi = np.full(16, 1.0 + 0j) / np.sqrt(grid.norm2(np.ones(16)))
+    return SimpleNamespace(
+        physical=physical, grid=grid, system=system, psi=psi,
+        op=build_metric_hamiltonian(system, 1.0, grid),
+        state=prepare_initial_state({0: np.sqrt(0.5), 1: np.sqrt(0.5)},
+                                    GaussianPacket(0.0, physical.sigma), physical, GridSpec()))
 
 
 def make_config(tmp_path, overrides=None, **top):
@@ -616,6 +673,36 @@ class TestCli:
         assert cli_main([experiment, "--config", str(path)]) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (Path(data["out_dir"]) / "error.json").exists()
+
+    @pytest.mark.parametrize("rule", list(ENGINE_RULES))
+    def test_engine_rule_fails_at_parse_and_in_the_engine_alike(self, tmp_path, capsys,
+                                                                engines, rule):
+        # each rule is stated once, in the engine module that enforces it: the
+        # config names the key and every engine entry raises the same text
+        experiment, overrides, path, calls = ENGINE_RULES[rule]
+        cfg_path, data = make_config(tmp_path, overrides=overrides, experiment=experiment)
+        assert cli_main([experiment, "--config", str(cfg_path)]) == 1
+        lines = [line.strip()[2:] for line in capsys.readouterr().err.splitlines()
+                 if line.strip().startswith(f"- {path}: ")]
+        assert len(lines) == 1 and not Path(data["out_dir"]).exists()
+        messages, types = set(), set()
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call(engines)
+            types.add(info.type)
+            if isinstance(info.value, FieldErrors):
+                assert [name for name, _ in info.value.errors] == [path.split(".")[-1]]
+                messages.add(info.value.errors[0][1])
+            else:
+                messages.add(str(info.value))
+        assert len(messages) == 1
+        if rule == "normalization":
+            # the config normalizes its weights, so a state reaches the rule only
+            # through StateSpec's positive total
+            assert types == {DegenerateInputError}
+            assert messages.pop().startswith("coefficients are not normalized")
+        else:
+            assert lines == [f"{path}: {messages.pop()}"]
 
     def test_grid_counts_are_inert(self, tmp_path):
         # only the pointer bounds act; the ring and line counts change no byte

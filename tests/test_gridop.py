@@ -195,6 +195,26 @@ class TestEvolveGrid:
         with pytest.raises(ValueError, match="finite dt > 0"):
             evolve_grid(np.ones(512, dtype=complex), op, dt, 10)
 
+    @pytest.mark.parametrize("n_steps, record_every, name", [
+        (10, -1, "record_every"), (10, -3, "record_every"), (10, 2.5, "record_every"),
+        (10, 0, "record_every"), (2.5, None, "n_steps"), (0, 5, "n_steps")])
+    def test_bad_count_rejected_naming_the_argument(self, line_grid, n_steps, record_every,
+                                                    name):
+        # record_every -1 and -3 used to record every |r|-th step, 2.5 only
+        # step 5, 0 to drop the history and change the return type, and
+        # n_steps 2.5 to fail in range()
+        op = build_metric_hamiltonian(harmonic_system(), 1.0, line_grid)
+        value = n_steps if name == "n_steps" else record_every
+        with pytest.raises(ValueError) as info:
+            evolve_grid(np.ones(512, dtype=complex), op, 0.01, n_steps, record_every=record_every)
+        assert info.value.errors == [(name, f"must be an integer at least 1, not {value!r}")]
+
+    def test_every_broken_count_named(self, line_grid):
+        op = build_metric_hamiltonian(harmonic_system(), 1.0, line_grid)
+        with pytest.raises(FieldErrors) as info:
+            evolve_grid(np.ones(512, dtype=complex), op, np.nan, 0, record_every=-1)
+        assert [name for name, _ in info.value.errors] == ["dt", "n_steps", "record_every"]
+
 
 class TestQuantumPotential:
     def test_constant_amplitude_gives_zero(self):

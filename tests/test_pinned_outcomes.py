@@ -56,3 +56,11 @@ def test_pin_differences_sees_each_kind_of_change():
     assert summary_edited("/ok", False) != []
     assert summary_edited("/extra", 0.0) == ["born: summary /extra None -> 0.0"]
     assert tool.pin_differences(want, {}) == ["born: on one side only"]
+
+
+def test_parse_corpus_holds_only_configs_rejected_at_parse():
+    # --against compares how both sides reject these; each must fail at parse
+    # time (exit 1) with at least one violation path
+    outcomes = _tool().parse_outcomes()
+    assert len(outcomes) == len(_tool().parse_corpus())
+    assert {name: out for name, out in outcomes.items() if out[0] != 1 or not out[1]} == {}

@@ -4,7 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from stochaction import (CartesianGrid, InvalidSystemError, LambdaSweep,
+from stochaction import (CartesianGrid, FieldErrors, InvalidSystemError, LambdaSweep,
                          MetricPotentialSystem, NumericalError, appendix_velocity,
                          build_metric_hamiltonian, classical_limit_check,
                          evolve_grid, run_lambda_sweep, system_from_expressions)
@@ -251,6 +251,18 @@ class TestSweepWorkers:
             messages.append(str(info.value))
             assert multiprocessing.active_children() == []
         assert messages[0] == messages[1]
+
+    def test_bad_schedule_reaches_the_caller_whole(self, monkeypatch):
+        # the sweep passes record_every to evolve_grid, whose FieldErrors come
+        # back from a worker with their pairs; record_every 0 used to drop the
+        # history and fail to unpack it
+        system, grid, psi = self._case()
+        for cpus in (1, 2):
+            monkeypatch.setattr("os.cpu_count", lambda: cpus)
+            with pytest.raises(FieldErrors) as info:
+                run_lambda_sweep(system, psi, grid, LambdaSweep(deltas=(0.0, 0.1)), 0.01, 4, 0)
+            assert info.value.errors == [("record_every", "must be an integer at least 1, not 0")]
+            assert multiprocessing.active_children() == []
 
 
 class TestClassicalLimit:

@@ -1119,6 +1119,16 @@ class TestEquivariance:
         report = equivariance_report({1.0: snap}, state, g=1.0, n_bins=50)
         assert report[1.0]["q2"]["chi2_p"] < 1e-4
 
+    @pytest.mark.parametrize("n_bins", [1, 0, -2])
+    def test_fewer_than_two_bins_rejected(self, grid, basis, n_bins):
+        # one bin used to give chi2_p NaN, 0 a ZeroDivisionError and -2 numpy's
+        # minlength error
+        state = make_state({0: np.sqrt(0.7), 1: np.sqrt(0.3)}, basis, grid, sigma=0.05)
+        pts = np.zeros((10, 2))
+        with pytest.raises(ValueError) as info:
+            equivariance_report({0.0: pts}, state, g=1.0, n_bins=n_bins)
+        assert info.value.errors == [("n_bins", f"must be an integer at least 2, not {n_bins}")]
+
     def test_cdf_rounded_above_one_counts_in_the_last_bin(self, grid, basis):
         # these shares sum to 1 + 2^-52 in the q2 CDF's float sum, so far
         # above every packet the CDF reads just above 1

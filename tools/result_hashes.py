@@ -51,7 +51,11 @@ and runs this script's kinds once on that package and once on the working
 tree's, each in its own interpreter with its own ``PYTHONPATH``.  It prints
 the ``--compare`` and ``--compare-records`` reports and names every kind
 that only one side ran (a kind the other side's package cannot run fails
-there), and exits 1 if any file, outcome or kind differs.
+there).  Each side also parses the invalid configs of ``parse_corpus()``:
+every config kind with one key per engine-owned parameter rule broken, and
+the exit-1 parametrized cases of ``tests/test_config_cli.py``; the report
+names each config whose exit code or sorted violation paths differ.  It
+exits 1 if any file, outcome, kind or parse differs.
 
 ``--pin FILE`` writes the compact reference that Tier-1 compares every run
 with (``tests/test_pinned_outcomes.py``): per kind, the outcome vector and
@@ -149,6 +153,122 @@ CONFIGS = {
     "lambda-sweep": ("lambda-sweep", {"appendix": SWEEP}),
     "stochastic-check": ("stochastic-check", {"checks": {"n_draws": 100000}}),
 }
+
+
+# one key per parameter rule an engine module owns, each breaking it; the
+# config normalizes the state's weights, so the normalization rule is
+# reached through a zero total
+RULE_BREAKS = {
+    "weights-zero": {"state": {"weights": [0.0, 0.0, 0.0]}},
+    "dt-zero": {"appendix": {"dt": 0}},
+    "n_steps-zero": {"appendix": {"n_steps": 0}},
+    "record_every-zero": {"appendix": {"record_every": 0}},
+    "residual-two-snapshots": {"appendix": {"residual_check": True, "n_steps": 100,
+                                            "record_every": 51}},
+    "n_mc-one": {"prior": {"n_mc": 1}},
+    "n_trials-zero": {"ensemble": {"n_trials": 0}},
+    "n_bins-one": {"equivariance": {"n_bins": 1}},
+    "velocity-unknown": {"velocity": "drift"},
+}
+
+_GRID_RUN = {"n_points": 16, "n_steps": 3, "record_every": 1}
+# the exit-1 cases of the parametrized tests of tests/test_config_cli.py, as
+# (experiment kind, sections overriding BASE), one list per test
+TEST_CASES = {
+    "each_bad_key_of_a_section_reported": [
+        ("lambda-sweep", {"appendix": {"n_points": 4, "x_max": -9.0, "dt": 0, "n_steps": 0,
+                                       "deltas": [0.0, 0.0]}}),
+        ("appendix", {"appendix": {"scalar": "qq", "deltas": ["0"]}}),
+        ("born", {"state": {"l_max": 0}}),
+        ("born", {"state": {"modes": [0, "1"], "phases": [None, 0.0, 0.0]}})],
+    "threshold_no_run_can_pass_exit_one": [
+        ("born", {"checks": {"chi2_p_min": 1.5}}), ("born", {"checks": {"chi2_p_min": 1}}),
+        ("born", {"checks": {"max_ambiguous_rate": 0}}),
+        ("prior-average", {"prior": {"z_max": -1}}),
+        ("stochastic-check", {"checks": {"mean_abs_dev_rtol": -1}})],
+    "unrunnable_appendix_rejected_at_parse": [(kind, {"appendix": appendix}) for kind, appendix in (
+        ("appendix", {"n_steps": 0}), ("lambda-sweep", {"dt": 0}),
+        ("appendix", {"record_every": 0}), ("lambda-sweep", {"record_every": -5}),
+        ("appendix", {"n_points": 4}), ("lambda-sweep", {"x_min": 2.0, "x_max": 2.0}),
+        ("appendix", {"initial_width": 0}), ("lambda-sweep", {"deltas": [0.0, -1.0]}),
+        ("lambda-sweep", {"deltas": [0.0, "0.1"]}),
+        ("appendix", {"residual_check": True, "n_steps": 100, "record_every": 51}),
+        ("lambda-sweep", {"deltas": [0.0, 0.1, 0.1, -0.0]}),
+        ("appendix", {"deltas": [0.0, -0.0]}))],
+    "grid_scale_beyond_magnitude_bound_rejected_at_parse": [
+        (kind, {"physical": {"lambda_mag": lam}, "appendix": {**_GRID_RUN, "deltas": deltas}})
+        for kind, lam, deltas in (("appendix", 1e200, [0.0]), ("appendix", 1e200, [0.0, -0.5]),
+                                  ("lambda-sweep", 1e200, [0.0]),
+                                  ("lambda-sweep", 1e150, [0.0, 1e5]),
+                                  ("lambda-sweep", 1e300, [0.0, 1e50]))],
+    "bad_appendix_field_rejected_at_parse": [(kind, {"appendix": appendix}) for kind, appendix in (
+        ("appendix", {"scalar": "0.5*qq^2"}), ("lambda-sweep", {"scalar": "sin("}),
+        ("appendix", {"metric": "q"}), ("lambda-sweep", {"vector": ["q", "1"]}),
+        ("appendix", {"initial_center": 100}), ("appendix", {"scalar": "0^-1"}),
+        ("lambda-sweep", {"scalar": "10^400"}), ("appendix", {"scalar": "(-8)^0.5"}),
+        ("appendix", {"initial_width": 1e-200}), ("lambda-sweep", {"initial_width": 5e-324}),
+        ("appendix", {"metric": "q^0.5"}), ("lambda-sweep", {"scalar": "q^0.5"}),
+        ("appendix", {"vector": ["q^0.5"]}))],
+    "arithmetic_failure_named_in_grammar_terms": [
+        (kind, {"appendix": {"scalar": scalar}}) for kind, scalar in (
+            ("lambda-sweep", "10^400"), ("appendix", "(-8)^0.5"), ("appendix", "0^-1"),
+            ("lambda-sweep", "q + 1/0"))],
+    "too_small_sample_count_rejected_at_parse": [
+        ("born", {"equivariance": {"n_bins": 1, "enabled": True}}),
+        ("prior-average", {"prior": {"n_mc": 1}}), ("repeatability", {"repeat": {"n_repeats": 0}}),
+        ("stochastic-check", {"checks": {"n_draws": 1}}), ("born", {"grid": {"n_theta": 7}}),
+        ("born", {"grid": {"n_q2": 31}}), ("born", {"state": {"l_max": 0}}),
+        ("trajectories", {"ensemble": {"store_every": 0}}),
+        ("trajectories", {"ensemble": {"store_every": -5}}),
+        ("trajectories", {"ensemble": {"n_store": -1}})],
+    "unrunnable_state_rejected_at_parse": [("born", {"state": state}) for state in (
+        {"modes": [0, "1"]}, {"weights": [0.5, None, 0.2]}, {"phases": [0.0, True, 0.0]},
+        {"modes": [-1, 0.5, 1]}, {"modes": [1, 0, 1.0]}, {"weights": [1e308, 1e308, 0.0]},
+        {"weights": [0.5, float("nan"), 0.2]}, {"packet_center": float("inf")},
+        {"modes": [0], "weights": [1.0], "l_max": 0})],
+    "out_of_range_seed_rejected_at_parse": [
+        ("born", {"seed": -1}), ("born", {"seed": 2**64}), ("repeatability", {"seed": 2**64 - 1})],
+}
+
+
+def _config(kind: str, overrides: dict, *merged: dict) -> dict:
+    """BASE as a ``kind`` run with the sections of ``overrides`` in place of its
+    own, as ``CONFIGS`` gives them, then each of ``merged``'s sections merged in."""
+    data = dict(BASE, experiment=kind, **overrides)
+    for sections in merged:
+        for key, value in sections.items():
+            data[key] = {**data.get(key, {}), **value} if isinstance(value, dict) else value
+    return data
+
+
+def parse_corpus() -> dict:
+    """``{name: config}`` of the invalid configs: each config kind with each
+    ``RULE_BREAKS`` key, and each ``TEST_CASES`` case."""
+    corpus = {f"{name}/{rule}": _config(kind, overrides, broken)
+              for name, (kind, overrides) in CONFIGS.items()
+              for rule, broken in RULE_BREAKS.items()}
+    corpus.update({f"{test}[{i}]": _config(kind, {}, overrides)
+                   for test, cases in TEST_CASES.items()
+                   for i, (kind, overrides) in enumerate(cases)})
+    return corpus
+
+
+def parse_outcomes() -> dict:
+    """``{name: [exit code, sorted violation paths]}`` of ``parse_corpus()`` as the
+    CLI parses it: 0 if the config parses, 1 with its violations' paths if it is
+    rejected, and the exception's type name for anything else."""
+    from stochaction import ConfigError, parse_config
+
+    out = {}
+    for name, data in parse_corpus().items():
+        try:
+            parse_config(json.dumps(data))
+            out[name] = [0, []]
+        except ConfigError as exc:
+            out[name] = [1, sorted(v.split(": ", 1)[0] for v in exc.violations)]
+        except Exception as exc:  # noqa: BLE001 - the CLI would stop with a traceback
+            out[name] = [type(exc).__name__, []]
+    return out
 
 
 def mixed_2d():
@@ -358,8 +478,7 @@ def result_hashes(failed: dict | None = None) -> tuple[dict, dict, dict]:
     hashes, outcomes, summaries = {}, {}, {}
 
     def config_run(name: str, kind: str, overrides: dict, tmp: Path):
-        data = dict(BASE, experiment=kind, out_dir=name)
-        data.update(overrides)
+        data = dict(_config(kind, overrides), out_dir=name)
         # the echo names out_dir, so it is hashed with the kind's name there
         echo = serialize_config(parse_config(json.dumps(data))).encode()
         data["out_dir"] = str(tmp / name)
@@ -546,40 +665,53 @@ def report_hashes(expected: dict, hashes: dict) -> int:
     return 1 if diff else 0
 
 
+def report_parses(expected: dict, parses: dict) -> int:
+    """Print the parse comparison; 1 if any exit code or violation path set differs, else 0."""
+    diff = [name for name in sorted(set(expected) | set(parses))
+            if expected.get(name) != parses.get(name)]
+    for name in diff:
+        print(f"parse differs: {name} {expected.get(name)} -> {parses.get(name)}")
+    print(f"{len(diff)} parse differences in {len(parses)} invalid configs")
+    return 1 if diff else 0
+
+
 def save(out: str) -> None:
     """Run every kind, tolerating failures, into ``out``: ``hashes.json``,
-    ``failed.json`` and one ``records/<kind>.json`` per kind."""
+    ``failed.json``, one ``records/<kind>.json`` per kind and ``parses.json``."""
     failed = {}
     hashes, outcomes, _ = result_hashes(failed)
     write_records(Path(out) / "records", outcomes)
-    (Path(out) / "hashes.json").write_text(json.dumps(hashes, sort_keys=True))
-    (Path(out) / "failed.json").write_text(json.dumps(failed, sort_keys=True))
+    for name, data in (("hashes", hashes), ("failed", failed), ("parses", parse_outcomes())):
+        (Path(out) / f"{name}.json").write_text(json.dumps(data, sort_keys=True))
 
 
-def run_side(src: Path, out: Path) -> tuple[dict, dict, dict]:
-    """Hashes, outcomes and failed kinds of this script's kinds on the package
-    in ``src``, run by a fresh interpreter whose ``PYTHONPATH`` is ``src``."""
+def run_side(src: Path, out: Path) -> tuple[dict, dict, dict, dict]:
+    """Hashes, outcomes, failed kinds and parse outcomes of this script's kinds and
+    corpus on the package in ``src``, run by a fresh interpreter whose
+    ``PYTHONPATH`` is ``src``."""
     out.mkdir(parents=True)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import result_hashes as tool; tool.save(sys.argv[2])")
     subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(out)],
                    env=dict(os.environ, PYTHONPATH=str(src)), cwd=out, check=True)
     return (json.loads((out / "hashes.json").read_text()), read_records(out / "records"),
-            json.loads((out / "failed.json").read_text()))
+            json.loads((out / "failed.json").read_text()),
+            json.loads((out / "parses.json").read_text()))
 
 
 def against(rev: str) -> int:
     """Compare the package's ``src/`` at git revision ``rev`` with the working
-    tree's; 1 if any file, outcome or kind differs."""
+    tree's; 1 if any file, outcome, kind or parse differs."""
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         sides = {rev: run_side(Path(tmp) / "src", Path(tmp) / "rev-out"),
                  "the working tree": run_side(ROOT / "src", Path(tmp) / "work-out")}
-    (want, want_rec, _), (got, got_rec, _) = sides.values()
+    (want, want_rec, _, want_parse), (got, got_rec, _, got_parse) = sides.values()
     # a kind one side did not run differs in both reports
-    status = report_records(want_rec, got_rec) | report_hashes(want, got)
+    status = (report_records(want_rec, got_rec) | report_hashes(want, got)
+              | report_parses(want_parse, got_parse))
     for kind in sorted(set(want) ^ set(got)):
         ran, other = (rev, "the working tree") if kind in want else ("the working tree", rev)
         print(f"only {ran} ran {kind}: {sides[other][2].get(kind, 'not a kind there')}")
