@@ -157,9 +157,7 @@ def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
                 raise DomainOverflowError(
                     f"trial {rec.trial_seed} left the pointer grid", trial=rec.trial_seed)
 
-    # json.dumps(r, sort_keys=True) would build a new encoder for every record
-    encode = json.JSONEncoder(sort_keys=True).encode
-    out.add_text("records.jsonl", "".join(encode(r.to_dict()) + "\n" for r in records))
+    out.add_text("records.jsonl", "".join(r.json_line() for r in records))
     rows = [[int(i), _float(w), int(c), _float(f), _float(p), _float(se)]
             for i, w, c, f, p, se in zip(stats.indices, stats.omegas, stats.counts,
                                          stats.frequencies, stats.reference,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import chdtrc
@@ -29,7 +30,7 @@ from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        SpectralState, evolve_measurement_spectral, normalized, occupied)
 from .stochastic import StochasticParams, sample_sign_path
 from .trajectories import (_MODE_ROWS, EnsembleSpec, ModeFlow, PointerReadoutFlow,
-                           RingSampler, _ring_peak, _ring_rows, _ring_sum,
+                           RingSampler, _ring_peak, _ring_plan, _ring_rows, _ring_sum,
                            check_snapshot_steps, integrate_ensemble)
 
 # trials whose initial draws are decided at once, which bounds the
@@ -49,6 +50,19 @@ def check_velocity(velocity: str) -> None:
         raise FieldErrors([("velocity", f"must be {' or '.join(VELOCITIES)}")])
 
 
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _json_scalar(value) -> str:
+    """``value`` (None, a bool, an int or a float) as ``json.dumps`` writes it."""
+    if value is None or value is True or value is False:
+        return _JSON_WORDS[value]
+    if isinstance(value, float):
+        return ("NaN" if value != value else "Infinity" if value == np.inf
+                else "-Infinity" if value == -np.inf else float.__repr__(value))
+    return int.__repr__(value)
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One trial: initial configuration, pointer landing, inferred outcome."""
@@ -63,18 +77,23 @@ class MeasurementRecord:
     ambiguous: bool = False
     overflow: bool = False
 
+    # (key, field) of every written value, in the order of to_dict()
+    _KEYS = (("trial", "trial_seed"), ("outcome_index", "outcome_index"), ("omega", "omega"),
+             ("q2_initial", "q2_initial"), ("q2_final", "q2_final"),
+             ("theta_initial", "theta_initial"), ("lambda_sign0", "lambda_sign0"),
+             ("ambiguous", "ambiguous"), ("overflow", "overflow"))
+    # json.dumps(sort_keys=True)'s key order and separators, a slot per value
+    _LINE = "{" + ", ".join(f'"{key}": %s' for key, _ in sorted(_KEYS)) + "}\n"
+    _line_values = attrgetter(*(name for _, name in sorted(_KEYS)))
+
     def to_dict(self) -> dict:
-        return {
-            "trial": self.trial_seed,
-            "outcome_index": self.outcome_index,
-            "omega": self.omega,
-            "q2_initial": self.q2_initial,
-            "q2_final": self.q2_final,
-            "theta_initial": self.theta_initial,
-            "lambda_sign0": self.lambda_sign0,
-            "ambiguous": self.ambiguous,
-            "overflow": self.overflow,
-        }
+        return {key: getattr(self, name) for key, name in self._KEYS}
+
+    def json_line(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True) + "\\n"``, without an encoder."""
+        # a finite float, the common value, goes straight to float.__repr__
+        return self._LINE % tuple([float.__repr__(v) if type(v) is float and v - v == 0.0
+                                   else _json_scalar(v) for v in self._line_values(self)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,12 +452,13 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
     q0, final, overflow = run["initial_configs"], run["configs"], run["overflow"]
     hit = np.where(overflow, -1, _readout(pipe, final[:, 1], config))
     ambiguous = (hit < 0) & ~overflow
-    records = [MeasurementRecord(
-        None if h < 0 else int(pipe.outcome_indices[h]),
-        None if h < 0 else float(pipe.outcome_values[h]),
-        q0[i, 1], final[i, 1], q0[i, 0], int(run["signs0"][i]), int(trial),
-        ambiguous=bool(ambiguous[i]), overflow=bool(overflow[i]))
-        for i, (h, trial) in enumerate(zip(hit.tolist(), trials))]
+    # Python scalars from .tolist() columns: the same JSON as numpy's, built faster
+    indices, values = (np.asarray(a).tolist() for a in (pipe.outcome_indices,
+                                                         pipe.outcome_values))
+    columns = (hit, q0[:, 1], final[:, 1], q0[:, 0], run["signs0"], trials, ambiguous, overflow)
+    records = [MeasurementRecord(None if h < 0 else indices[h], None if h < 0 else values[h],
+                                 *row, ambiguous=amb, overflow=over)
+               for h, *row, amb, over in zip(*(c.tolist() for c in columns))]
     stats = EnsembleStats(
         indices=np.asarray(pipe.outcome_indices), omegas=np.asarray(pipe.outcome_values),
         reference=np.asarray(pipe.outcome_reference),
@@ -496,7 +516,7 @@ def actual_observable_prior(coeffs: np.ndarray, basis: AngularBasis, theta, lamb
     support = occupied(c)
     c, l = c[support], basis.modes[support]
     th = np.asarray(theta, dtype=float)
-    rows = dict(_ring_rows(l, th.reshape(-1)))
+    rows = dict(_ring_rows(_ring_plan(l), th.reshape(-1)))
     phi = _ring_sum(c, rows, th.size).reshape(th.shape)
     dphi = _ring_sum(c * (1j * l), rows, th.size).reshape(th.shape)
     dens = np.abs(phi) ** 2
@@ -587,8 +607,7 @@ def substitute_observable(kind: str, system_psi: np.ndarray, x_grid: np.ndarray,
     # written so that a NaN fails it
     if not -np.inf < lo < hi < np.inf:
         raise ValueError(f"observable window {window!r} is not a finite lo < hi")
-    if not (isinstance(n_bins, (int, np.integer)) and n_bins >= 1):
-        raise ValueError(f"n_bins must be a positive integer, not {n_bins!r}")
+    require_count("n_bins", n_bins, 1)
     edges = np.linspace(lo, hi, n_bins + 1)
     bin_centers = 0.5 * (edges[:-1] + edges[1:])
     config.check_separation(bin_centers)  # bins must be pointer-resolvable

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_NODE_REL, FieldErrors, _is_number, field_errors, fork_map, fork_workers
+from .core import (EPS_NODE_REL, FieldErrors, _is_number, field_errors, fork_map, fork_workers,
+                   require_count)
 from .expressions import compile_expression
 from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem, _d1_4,
                      _validate_metric, build_metric_hamiltonian, check_residual_snapshots,
@@ -279,6 +280,9 @@ def _sweep(system: MetricPotentialSystem, psi0: np.ndarray, grid: CartesianGrid,
            ) -> tuple[dict, list[float], int]:
     """:func:`run_lambda_sweep`'s result, each scale's Hermiticity defect and
     the number of worker processes."""
+    # checked here, not once per forked scale; the sweep compares snapshots
+    check_schedule(dt, n_steps, record_every)
+    require_count("record_every", record_every, 1)
     lambdas = sweep.lambdas
 
     def scale(i):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HBAR, DegenerateInputError, DomainOverflowError, FieldErrors, GridSpec
+from .core import HBAR, DegenerateInputError, DomainOverflowError, GridSpec, require_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,8 +27,7 @@ class AngularBasis:
     l_max: int = 8
 
     def __post_init__(self):
-        if self.l_max < 1:
-            raise FieldErrors([("l_max", "must be at least 1")])
+        require_count("l_max", self.l_max, 1)
 
     @property
     def modes(self) -> np.ndarray:

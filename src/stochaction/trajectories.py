@@ -90,22 +90,36 @@ def _unit_phase(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _ring_rows(l, theta: np.ndarray):
-    """Each ring row ``exp(i l_k theta)`` as ``(k, row)``, in order of ``|l_k|``.
+def _ring_plan(n) -> list[tuple[int, int, int]]:
+    """The walk of :func:`_ring_rows` over the mode numbers ``n``: ``(k, rungs, sign)``.
+
+    Modes come in stable order of ``|n_k|``; ``rungs`` is how many more
+    products by the unit phase reach ``|n_k|`` and ``sign`` is that of
+    ``n_k``.  A flow or sampler builds it once, not on every call.
+    """
+    plan, rung = [], 0
+    for k in np.argsort(np.abs(n), kind="stable"):
+        nk = int(n[k])
+        plan.append((int(k), abs(nk) - rung, (nk > 0) - (nk < 0)))
+        rung = abs(nk)
+    return plan
+
+
+def _ring_rows(plan, theta: np.ndarray):
+    """Each ring row ``exp(i n_k theta)`` as ``(k, row)``, along a :func:`_ring_plan`.
 
     One :func:`_unit_phase` and one running integer power of it, a product
     per rung, so a caller that uses each row as it comes holds a few rows at
-    once, not one per rung.  Conjugates give ``l < 0`` and ``None`` stands
-    for the row of ones (``l = 0``).  Equal ``|l_k|`` share one power, so
+    once, not one per rung.  Conjugates give ``n < 0`` and ``None`` stands
+    for the row of ones (``n = 0``).  Equal ``|n_k|`` share one power, so
     the rows are read-only.
     """
     z = _unit_phase(theta)
-    power, rung = None, 0
-    for k in np.argsort(np.abs(l), kind="stable"):
-        while rung < abs(l[k]):
+    power = None
+    for k, rungs, sign in plan:
+        for _ in range(rungs):
             power = z if power is None else power * z
-            rung += 1
-        yield k, None if l[k] == 0 else power if l[k] > 0 else np.conjugate(power)
+        yield k, None if sign == 0 else power if sign > 0 else np.conjugate(power)
 
 
 def _ring_sum(a, rows, shape) -> np.ndarray:
@@ -119,7 +133,9 @@ def _ring_sum(a, rows, shape) -> np.ndarray:
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     """``|z|^2`` as ``re^2 + im^2``, the one expression of every ``ModeFlow`` density."""
-    return z.real * z.real + z.imag * z.imag
+    out = z.real * z.real
+    out += z.imag * z.imag
+    return out
 
 
 def _weighted_sum(b: np.ndarray, terms) -> np.ndarray:
@@ -134,7 +150,7 @@ def _weighted_sum(b: np.ndarray, terms) -> np.ndarray:
 def _ring_peak(a, n) -> float:
     """The largest ``|sum_k a_k exp(i n_k theta)|^2`` over 1024 ring angles."""
     ring = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
-    return float(np.max(np.abs(_ring_sum(a, _ring_rows(n, ring), ring.shape)) ** 2))
+    return float(np.max(np.abs(_ring_sum(a, _ring_rows(_ring_plan(n), ring), ring.shape)) ** 2))
 
 
 class ModeFlow:
@@ -174,6 +190,7 @@ class ModeFlow:
         self.omegas = state.omegas[sup]
         self.centers0 = state.centers[sup]
         self._n = np.rint((w - base) / self._kappa).astype(int)
+        self._plan = _ring_plan(self._n)
         # dPsi/dx weighs b_k by i w_k and the packet drift by omega_k = HBAR w_k
         assert np.array_equal(self.omegas, w), "one mode-weighted sum needs HBAR = 1"
         self._pack_norm = (TWO_PI * self.sigma**2) ** -0.25
@@ -186,11 +203,15 @@ class ModeFlow:
         eps = (self.centers0 - self._mu_ref) / self._two_var
         self._w_terms, self._eps_terms = ([(k, a[k]) for k in range(len(a)) if a[k] != 0]
                                           for a in (w, eps))
+        # what every call reads: pointer speeds g omega_k, their columns, log |c_k|
+        self._speeds = self.g * self.omegas
+        self._speed_col, self._center_col = self._speeds[:, None], self.centers0[:, None]
+        self._log_c = np.log(np.abs(self.coeffs))[:, None]
         # rows are 2 pi periodic in kappa x, and a plane-wave box holds whole periods
         self.ref_peak = _ring_peak(self._packet_coeffs, self._n)
 
     def centers(self, t: float) -> np.ndarray:
-        return self.centers0 + self.g * self.omegas * (t - self.t0)
+        return self.centers0 + self._speeds * (t - self.t0)
 
     def _packets(self, x: np.ndarray, q2: np.ndarray, t: float) -> np.ndarray:
         """The ``(K, ...)`` table of each mode's term ``b_k = c'_k G_k(q2) u_k(x)`` of Psi.
@@ -199,12 +220,13 @@ class ModeFlow:
         per-mode constant multiplies its row as a scalar, not as a ``(K, 1)`` broadcast,
         and each mode row enters its term as :func:`_ring_rows` yields it.
         """
-        gauss = self.centers(t).reshape((-1,) + (1,) * q2.ndim) - q2
+        gauss = np.subtract.outer(self.centers(t), q2)
         gauss *= gauss
         gauss *= self._gauss_rate
         np.exp(gauss, out=gauss)
         b = np.empty(gauss.shape, dtype=complex)
-        for k, row in _ring_rows(self._n, self._kappa * x):
+        # a ring flow's kappa is 1, and 1.0 * x is x
+        for k, row in _ring_rows(self._plan, x if self._kappa == 1.0 else self._kappa * x):
             np.multiply(self._packet_coeffs[k], gauss[k], out=b[k])
             if row is not None:
                 np.multiply(row, b[k], out=b[k])
@@ -224,9 +246,11 @@ class ModeFlow:
         Re conj(Psi) E`` and ``-Im P``.
         """
         b = self._packets(points[..., 0], points[..., 1], t)
-        pc = np.conjugate(np.add.reduce(b, axis=0))
+        pc = np.add.reduce(b, axis=0)
+        np.conjugate(pc, out=pc)
         dens = _abs2(pc)
-        pw = pc * _weighted_sum(b, self._w_terms)
+        pw = _weighted_sum(b, self._w_terms)
+        np.multiply(pc, pw, out=pw)
         pe = pc * _weighted_sum(b, self._eps_terms) if self._eps_terms else None
         beta = self.g * (t - self.t0) / self._two_var
         v = np.empty(dens.shape + (2,))
@@ -236,7 +260,8 @@ class ModeFlow:
         if lam is not None:
             osmotic = (self._mu_ref - points[..., 1]) * dens / self._two_var + beta * pw.real
             v[..., 0] += lam * (osmotic if pe is None else osmotic + pe.real)
-        gain = self.g / np.maximum(dens, 1e-300)
+        gain = np.maximum(dens, 1e-300)
+        np.divide(self.g, gain, out=gain)
         v[..., 0] *= gain
         np.multiply(pw.real if lam is None else pw.real - lam * pw.imag, gain, out=v[..., 1])
         return (v, dens) if with_density else v
@@ -261,14 +286,13 @@ class ModeFlow:
         rate ``g (mu_k - q2) / (2 sigma^2)``.  Returns the mask, speed and rate.
         """
         q2 = points[:, 1]
-        speeds = self.g * self.omegas
-        d = q2[None, :] - self.centers(t)[:, None]
-        logw = np.log(np.abs(self.coeffs))[:, None] - d * d / (2.0 * self._two_var)
+        d = q2 - (self._center_col + self._speed_col * (t - self.t0))
+        logw = self._log_c - d * d / (2.0 * self._two_var)
         top = np.argmax(logw, axis=0)
         rows = np.arange(len(q2))
-        speed = speeds[top]
+        speed = self._speeds[top]
         other_ok = ((logw - logw[top, rows] < np.log(DECIDE_EPS))
-                    & (d * (speed[None, :] - speeds[:, None]) > 0))
+                    & (d * (speed - self._speed_col) > 0))
         other_ok[top, rows] = True
         end = q2 + speed * (t_end - t)
         done = (np.all(other_ok, axis=0) & (dens >= eps_abs)
@@ -341,6 +365,7 @@ class RingSampler:
     def __init__(self, c: np.ndarray, l: np.ndarray):
         self.c = np.asarray(c, dtype=complex)
         self.l = np.asarray(l)
+        self._plan = _ring_plan(self.l)
         self.bound = _ring_envelope(self.c)
         if not (np.isfinite(self.bound) and self.bound > 0):
             raise DegenerateInputError(
@@ -358,7 +383,7 @@ class RingSampler:
         """
         m = raw.shape[-1] // 2
         theta = raw[..., :m] * TWO_PI
-        psi = _ring_sum(self.c, _ring_rows(self.l, theta), theta.shape)
+        psi = _ring_sum(self.c, _ring_rows(self._plan, theta), theta.shape)
         return theta, raw[..., m:] * self.bound < np.abs(psi) ** 2 / TWO_PI
 
     def __call__(self, n: int, rng: np.random.Generator) -> np.ndarray:

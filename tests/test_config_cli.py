@@ -738,7 +738,8 @@ class TestCli:
         ({"weights": [1e308, 1e308, 0.0]}, "state.weights: must be non-negative"),
         ({"weights": [0.5, float("nan"), 0.2]}, "state.weights[1]: must be a finite number"),
         ({"packet_center": float("inf")}, "state.packet_center: must be a finite number"),
-        ({"modes": [0], "weights": [1.0], "l_max": 0}, "state.l_max: must be at least 1"),
+        ({"modes": [0], "weights": [1.0], "l_max": 0},
+         "state.l_max: must be an integer at least 1, not 0"),
     ], ids=["mode-text", "weight-null", "phase-bool", "mode-fraction", "mode-repeated",
             "weight-total-overflow", "weight-nan", "center-infinite", "l_max-zero"])
     def test_unrunnable_state_rejected_at_parse(self, tmp_path, capsys, state, message):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from joint_oracle import JointAxes, field_from_binary
-from stochaction import DomainOverflowError, GridSpec, InvalidSystemError, PhysicalConfig
+from stochaction import (DomainOverflowError, FieldErrors, GridSpec, InvalidSystemError,
+                         PhysicalConfig)
 from stochaction.core import (csv_text, field_to_binary, field_to_csv, fork_map,
                               fork_workers)
 
@@ -130,4 +131,19 @@ class TestForkMap:
             fork_map(task, 6, 2)
         assert str(info.value) == "trial 3 left the pointer grid"
         assert info.value.trial == 3
+        assert multiprocessing.active_children() == []
+
+    def test_worker_field_errors_keep_their_pairs(self):
+        # FieldErrors.__reduce__ rebuilds the error from its (name, message) pairs
+        errors = [("n_steps", "must be an integer at least 1, not 0"), ("dt", "must be finite")]
+
+        def task(i):
+            if i == 1:
+                raise FieldErrors(errors)
+            return i
+
+        with pytest.raises(FieldErrors) as info:
+            fork_map(task, 2, 2)
+        assert info.value.errors == errors
+        assert str(info.value) == str(FieldErrors(errors))
         assert multiprocessing.active_children() == []

@@ -417,6 +417,34 @@ class TestRepeatability:
             repeat_measurement(bad, state, config, espec, seed=0)
 
 
+class TestRecordLine:
+    """``json_line`` writes the bytes of ``json.dumps(to_dict(), sort_keys=True)``."""
+
+    @staticmethod
+    def _dumped(record):
+        return json.dumps(record.to_dict(), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("fields", [
+        dict(outcome_index=None, omega=None, ambiguous=True),
+        dict(outcome_index=None, omega=None, overflow=True),
+        dict(q2_initial=-0.0, q2_final=5e-324, theta_initial=1e300, lambda_sign0=-1),
+        dict(omega=float("nan"), q2_initial=float("inf"), q2_final=float("-inf")),
+        dict(omega=np.float64(-1.0), q2_initial=np.float64(0.1), q2_final=np.float64(-0.0),
+             theta_initial=np.float64(np.inf), trial_seed=2**63 + 1),
+    ], ids=["ambiguous", "overflow", "float-extremes", "non-finite", "numpy-floats"])
+    def test_line_is_the_sorted_dump(self, fields):
+        from stochaction import MeasurementRecord
+        record = MeasurementRecord(**{**dict(outcome_index=2, omega=1.0, q2_initial=0.25,
+                                             q2_final=1.0 / 3.0, theta_initial=6.0,
+                                             lambda_sign0=1, trial_seed=7), **fields})
+        assert record.json_line() == self._dumped(record)
+
+    def test_run_records_write_their_dumped_lines(self, grid, basis, config, packet):
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        records, _, _ = run_ensemble(state, config, EnsembleSpec(dt_traj=5e-3), 64, seed=31)
+        assert [r.json_line() for r in records] == [self._dumped(r) for r in records]
+
+
 class TestSubstituteObservable:
     def _line_state(self, center=0.0, width=1.0, momentum=0.0, n=1024, L=40.0):
         x = np.linspace(-L / 2, L / 2, n, endpoint=False)
@@ -552,7 +580,9 @@ class TestSubstituteObservable:
 
     @pytest.mark.parametrize("kind", ["position", "linear_momentum"])
     @pytest.mark.parametrize("window, n_bins, message", [
-        ((-4.0, 4.0), 0, "n_bins must be"), ((-4.0, 4.0), -1, "n_bins must be"),
+        ((-4.0, 4.0), 0, "n_bins: must be an integer at least 1, not 0"),
+        ((-4.0, 4.0), -1, "n_bins: must be an integer at least 1, not -1"),
+        ((-4.0, 4.0), 2.5, "n_bins: must be an integer at least 1, not 2.5"),
         ((float("nan"), 4.0), 8, "window .* is not a finite"),
         ((-4.0, float("inf")), 8, "window .* is not a finite"),
         ((4.0, -4.0), 8, "window .* is not a finite")])

@@ -253,9 +253,9 @@ class TestSweepWorkers:
         assert messages[0] == messages[1]
 
     def test_bad_schedule_reaches_the_caller_whole(self, monkeypatch):
-        # the sweep passes record_every to evolve_grid, whose FieldErrors come
-        # back from a worker with their pairs; record_every 0 used to drop the
-        # history and fail to unpack it
+        # the sweep checks evolve_grid's schedule before it forks, so the caller
+        # gets its FieldErrors whole at any CPU count; record_every 0 used to
+        # drop the history and fail to unpack it
         system, grid, psi = self._case()
         for cpus in (1, 2):
             monkeypatch.setattr("os.cpu_count", lambda: cpus)
@@ -263,6 +263,21 @@ class TestSweepWorkers:
                 run_lambda_sweep(system, psi, grid, LambdaSweep(deltas=(0.0, 0.1)), 0.01, 4, 0)
             assert info.value.errors == [("record_every", "must be an integer at least 1, not 0")]
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("record_every", [0, None])
+    def test_schedule_checked_before_any_worker(self, monkeypatch, record_every):
+        # each scale's worker used to meet the rule, and None failed there to unpack
+        # the history the sweep needs
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr("stochaction.potentials.fork_map", no_fork)
+        with pytest.raises(FieldErrors) as info:
+            run_lambda_sweep(MetricPotentialSystem(1), np.ones(16, dtype=complex),
+                             CartesianGrid((0.0,), (1.0,), (16,), (False,)), LambdaSweep(),
+                             0.01, 10, record_every)
+        assert info.value.errors == [
+            ("record_every", f"must be an integer at least 1, not {record_every!r}")]
 
 
 class TestClassicalLimit:

@@ -7,7 +7,7 @@ import pytest
 from joint_oracle import (JointAxes, eigenfunctions, norm, packet_profile,
                           pointer_marginal_density, synthesize_joint,
                           system_marginal_density)
-from stochaction import (AngularBasis, DomainOverflowError, GaussianPacket,
+from stochaction import (AngularBasis, DomainOverflowError, FieldErrors, GaussianPacket,
                          GridSpec, PlaneWaveModes, SpectralState,
                          evolve_measurement_spectral)
 
@@ -49,6 +49,13 @@ class TestAngularBasis:
             k = np.fft.fftfreq(len(axes.theta), d=axes.dtheta) * 2 * np.pi
             dphi = np.fft.ifft(1j * k * np.fft.fft(phi))
             assert np.allclose(dphi, 1j * l * phi, atol=1e-10)
+
+    @pytest.mark.parametrize("l_max", [2.5, 0, -1])
+    def test_l_max_is_a_count(self, l_max):
+        # 2.5 would give the half-integer modes -2.5 ... 2.5
+        with pytest.raises(FieldErrors) as info:
+            AngularBasis(l_max)
+        assert info.value.errors == [("l_max", f"must be an integer at least 1, not {l_max!r}")]
 
 
 class TestSpectralEvolution:

@@ -18,7 +18,7 @@ from stochaction.stochastic import StochasticParams
 from stochaction.rng import stream
 from stochaction.core import EPS_NODE_REL
 from stochaction.trajectories import (DECIDE_EPS, EnsembleSpec, ModeFlow, PointerReadoutFlow,
-                                      _ring_rows, _stage_velocity, _step, _unit_phase,
+                                      _ring_plan, _ring_rows, _stage_velocity, _step, _unit_phase,
                                       RingSampler)
 
 
@@ -149,10 +149,10 @@ class TestUnitPhase:
         # the rows that ModeFlow, RingSampler and the prior observable all sum
         theta = stream(72).uniform(0.0, 2 * np.pi, 10_000)
         l = np.arange(-8, 9)
-        order = [k for k, _ in _ring_rows(l, theta)]
+        order = [k for k, _ in _ring_rows(_ring_plan(l), theta)]
         assert sorted(order) == list(range(len(l)))
         assert np.all(np.diff(np.abs(l[order])) >= 0)   # one running power, rung by rung
-        rows = dict(_ring_rows(l, theta))
+        rows = dict(_ring_rows(_ring_plan(l), theta))
         assert rows[8] is None
         err = max(np.max(np.abs(row - np.exp(1j * l[k] * theta)))
                   for k, row in rows.items() if row is not None)
@@ -491,6 +491,40 @@ class TestKernelBits:
 
     def test_plane_wave_flow_far_from_zero_momentum(self, grid):
         self._check(plane_wave_state(grid, base=40.0), seed=64)
+
+    def test_ring_modes_sharing_and_skipping_rungs(self, grid, basis):
+        # -3 and 3 share a power, no mode sits on rung 1, and -1 comes before 2
+        coeffs = {-3: 0.3, -1: 0.5j, 0: 0.4, 2: -0.5, 3: 0.2 + 0.4j}
+        norm = np.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
+        self._check(make_state({l: c / norm for l, c in coeffs.items()}, basis, grid,
+                               sigma=0.05, mu0=0.1), seed=67)
+
+    def test_plane_wave_ladder_with_a_gap(self, grid):
+        # seven rungs, three unoccupied: the occupied modes sit on rungs 0, 1, 4 and 6
+        x = np.linspace(-2 * np.pi, 2 * np.pi, 256, endpoint=False)
+        p = 3.0 + np.arange(-1.5, 5.0)
+        c = np.array([0.3, 0.6, 0.0, 0.0, 0.5j, 0.0, -0.4 + 0.2j])
+        self._check(SpectralState(coeffs=c / np.linalg.norm(c),
+                                  modes=PlaneWaveModes(p, 4 * np.pi, x),
+                                  packet=GaussianPacket(0.0, 0.05),
+                                  centers=np.full(len(p), 0.02), t=0.0, grid=grid), seed=68)
+
+    @pytest.mark.parametrize("state", ["ring", "plane-wave"])
+    def test_calls_reuse_the_flow_plan(self, grid, basis, monkeypatch, state):
+        # the mode plan is built with the flow; a field call sorts nothing
+        state = (make_state({-1: 0.6, 0: 0.64, 2: 0.48}, basis, grid) if state == "ring"
+                 else plane_wave_state(grid))
+        flow = ModeFlow(state, g=1.3)
+        sorts, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(a) or argsort(*a, **k))
+        pts = TestKernelOracle._points(state, 64, 69)
+        for points in (pts, pts.reshape(8, 8, 2)):
+            flow.effective(points, 0.37)
+            flow.effective(points, 0.37, with_density=True)
+            flow.actual(points, 0.37, 0.7, with_density=True)
+        assert sorts == []
+        ModeFlow(state, g=1.3)
+        assert sorts, "the counter missed the construction's sort"
 
 
 class TestIntegration:
