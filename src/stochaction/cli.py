@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from .config import EXPERIMENT_KINDS, ConfigError, parse_config, serialize_config
-from .experiments import EXIT_CONFIG, EXIT_RUNTIME, canonical_json, run_experiment
+from .core import canonical_json
+from .experiments import EXIT_CONFIG, EXIT_RUNTIME, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,8 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None,
                        help="worker processes, at most the CPU count (a lambda sweep "
                             "uses one per scale, up to the CPU count, whatever this says)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="tabular output format")
         p.add_argument("--echo-config", action="store_true",
                        help="print the validated config and exit")
     return parser
@@ -40,6 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(text: str, args) -> str:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        return text   # parse_config names a top level or ensemble that is not an object
     if args.command != "run":
         declared = data.get("experiment")
         if declared is not None and declared != args.command:
@@ -52,10 +53,8 @@ def _apply_overrides(text: str, args) -> str:
         data["out_dir"] = args.out
     if args.threads is not None:
         data["threads"] = args.threads
-    if args.format is not None:
-        data["format"] = args.format
-    if args.trials is not None:
-        data.setdefault("ensemble", {})["n_trials"] = args.trials
+    if args.trials is not None and isinstance(data.setdefault("ensemble", {}), dict):
+        data["ensemble"]["n_trials"] = args.trials
     return json.dumps(data)
 
 

@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 from .core import (DomainOverflowError, FieldErrors, GridSpec, InvalidSystemError,
-                   PhysicalConfig, _is_number, field_errors, require_count)
+                   PhysicalConfig, _is_number, canonical_json, field_errors, require_count)
 from .measurement import N_MC_MIN, N_TRIALS_MIN, StateSpec, check_velocity
 from .potentials import APPENDIX_MAGNITUDE_MAX, AppendixSpec, LambdaSweep
 from .rng import SEED_MAX
@@ -64,7 +64,6 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
         "seed": ((int,), 0),
         "out_dir": ((str,), "out"),
         "threads": ((int,), 1),
-        "format": ((str,), "csv"),
         "velocity": ((str,), "effective"),
     },
     "grid": {"n_theta": ((int,), 128), **_fields(GridSpec), "n_q2": ((int,), 1024)},
@@ -216,8 +215,6 @@ def _check_types(data: dict, violations: list[str]) -> dict:
 def _check_invariants(cfg: dict, violations: list[str]) -> None:
     if cfg.get("experiment") not in EXPERIMENT_KINDS:
         violations.append(f"experiment: must be one of {EXPERIMENT_KINDS}")
-    if cfg.get("format") not in ("csv", "json"):
-        violations.append("format: must be csv or json")
     violations += [f"{key}: {message}"
                    for key, message in field_errors(check_velocity, cfg.get("velocity"))]
     for key, only in (("integrator", "rk4"), ("node_policy", "reject-resample")):
@@ -303,4 +300,4 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON with every default made explicit; parse round-trips."""
-    return json.dumps(cfg.raw, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return canonical_json(cfg.raw)

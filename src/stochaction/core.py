@@ -7,6 +7,7 @@ multiples of hbar.
 """
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import struct
@@ -180,11 +181,16 @@ def fork_map(fn, n: int, workers: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# field snapshot export (CSV and a compact little-endian binary dump)
+# file text: canonical JSON, CSV and a compact little-endian field dump
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"WFSN"
 _VERSION = 1
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys, two-space indent, no NaN or infinity: every JSON file a run writes."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def csv_text(rows, header: list[str]) -> str:

@@ -17,7 +17,6 @@ deterministic.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from pathlib import Path
@@ -26,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .core import DomainOverflowError, csv_text, field_to_binary, field_to_csv
+from .core import (DomainOverflowError, canonical_json, csv_text, field_to_binary,
+                   field_to_csv)
 from .gridop import (blas_threads, build_metric_hamiltonian, evolve_grid,
                      verify_hjm_residual)
 from .measurement import _collapsed, average_prior, run_ensemble
@@ -40,14 +40,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_CHECKS = 3
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _float(x) -> float:
-    return float(np.asarray(x).item())
 
 
 class RunOutput:
@@ -158,17 +150,11 @@ def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
                     f"trial {rec.trial_seed} left the pointer grid", trial=rec.trial_seed)
 
     out.add_text("records.jsonl", "".join(r.json_line() for r in records))
-    rows = [[int(i), _float(w), int(c), _float(f), _float(p), _float(se)]
-            for i, w, c, f, p, se in zip(stats.indices, stats.omegas, stats.counts,
-                                         stats.frequencies, stats.reference,
-                                         stats.standard_errors)]
-    header = ["outcome_index", "omega", "count", "frequency", "reference", "se"]
-    if cfg["format"] == "csv":
-        out.add_text("frequencies.csv", csv_text(rows, header))
-    else:
-        out.add_json("frequencies.json", [dict(zip(header, r)) for r in rows])
-
     summary = {"stats": stats.to_dict()}
+    table = [summary["stats"][key] for key in ("indices", "omegas", "counts", "frequencies",
+                                               "reference", "standard_errors")]
+    out.add_text("frequencies.csv", csv_text(zip(*table), ["outcome_index", "omega", "count",
+                                                           "frequency", "reference", "se"]))
     ck = cfg["checks"]
     items = [
         ("ambiguous_rate", stats.ambiguous_rate < ck["max_ambiguous_rate"],
@@ -201,8 +187,8 @@ def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
     for trial in range(n_store):
         for k in stored:
             t, pts = snaps[k]
-            rows.append([trial, _float(t), _float(np.mod(pts[trial, 0], 2 * np.pi)),
-                         _float(pts[trial, 1]), int(signs[k][trial])])
+            rows.append([trial, float(t), float(np.mod(pts[trial, 0], 2 * np.pi)),
+                         float(pts[trial, 1]), int(signs[k][trial])])
     out.add_text("trajectories.csv",
                  csv_text(rows, ["trial", "t", "theta1", "q2", "lambda_sign"]))
 
@@ -287,11 +273,11 @@ def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
     rows = []
     for t, snap in history:
         obs = _observables(snap, psi0, op, grid)
-        rows.append([_float(t)] + [obs[k] for k in names])
+        rows.append([float(t)] + [obs[k] for k in names])
     out.add_text("observables.csv", csv_text(rows, ["t"] + names))
     out.telemetry["grid"] = [_grid_health(lam, op.hermiticity_defect(),
                                           [row[1] for row in rows])]
-    summary = {"final_norm": _float(grid.norm2(final)), "n_steps": app.n_steps,
+    summary = {"final_norm": float(grid.norm2(final)), "n_steps": app.n_steps,
                "lambda_mag": lam}
     if app.residual_check:
         res = verify_hjm_residual(history, system, grid, lam)
@@ -310,8 +296,8 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> int:
     sweep = app.sweep(cfg.physical().lambda_mag)
     results, defects, workers = _sweep(system, psi0, grid, sweep, app.dt, app.n_steps,
                                        app.record_every)
-    rows = [[_float(delta), _float(results[delta]["lambda"]), _float(row["t"])]
-            + [_float(row[k]) for k in OBSERVABLE_MENU]
+    rows = [[float(delta), float(results[delta]["lambda"]), float(row["t"])]
+            + [float(row[k]) for k in OBSERVABLE_MENU]
             for delta in sorted(results) for row in results[delta]["series"]]
     out.add_text("sweep.csv", csv_text(rows, ["delta", "lambda", "t", *OBSERVABLE_MENU]))
     defects = dict(zip(sweep.deltas, defects))

@@ -250,6 +250,22 @@ class TestParseConfig:
             parse_config(json.dumps(bad))
         assert sorted({v.split(":")[0] for v in err.value.violations}) == paths
 
+    def test_experiment_required(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("{}")
+        assert err.value.violations == ["experiment: required"]
+
+    @pytest.mark.parametrize("text, violation", [
+        ('{"experiment": "born",', "json: "),
+        ("[1, 2]", "top level: expected an object"),
+        ('"born"', "top level: expected an object"),
+    ], ids=["invalid-json", "list", "string"])
+    def test_text_that_is_not_a_config_object_rejected(self, text, violation):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(violation)
+
     def test_unknown_experiment_kind(self):
         bad = dict(MINIMAL_BORN, experiment="teleport")
         with pytest.raises(ConfigError):
@@ -514,6 +530,55 @@ class TestCli:
 
     def test_missing_config_exit_one(self, tmp_path):
         assert cli_main(["born", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def test_invalid_json_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"experiment": "born",')
+        assert cli_main(["born", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("invalid JSON: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, trials, violation", [
+        ("[1, 2]", None, "top level: expected an object"),
+        ('"born"', None, "top level: expected an object"),
+        ("NaN", None, "top level: expected an object"),
+        ('{"experiment": "born", "ensemble": [1]}', "64", "ensemble: expected an object"),
+        ('{"experiment": "born", "ensemble": "x"}', "64", "ensemble: expected an object"),
+    ], ids=["list", "string", "nan", "ensemble-list", "ensemble-string"])
+    def test_config_that_is_not_an_object_exit_one(self, tmp_path, capsys, text, trials,
+                                                    violation):
+        # the overrides leave it for the parser to name: cli_main returns
+        # rather than raising (a traceback from the command line)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        argv = ["born", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert cli_main(argv + (["--trials", trials] if trials else [])) == 1
+        err = capsys.readouterr().err
+        assert f"- {violation}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, overrides, violation", [
+        ("born", {"ensemble": [1]}, "ensemble: expected an object"),
+        ("born", {"threads": 0}, "threads: must be at least 1"),
+        ("appendix", {"appendix": {"x_min": 0, "x_max": 1e-48}},
+         "appendix.x_max: the grid spacing must be at least 1e-50"),
+    ])
+    def test_shape_and_bound_rules_rejected_at_parse(self, tmp_path, capsys, experiment,
+                                                     overrides, violation):
+        path, data = make_config(tmp_path, overrides=overrides, experiment=experiment)
+        assert cli_main([experiment, "--config", str(path)]) == 1
+        assert f"- {violation}" in capsys.readouterr().err
+        assert not Path(data["out_dir"]).exists()
+
+    def test_format_is_not_an_option(self, tmp_path, capsys):
+        # a Born run writes one frequency table, frequencies.csv
+        path, _ = make_config(tmp_path, format="csv")
+        assert cli_main(["born", "--config", str(path)]) == 1
+        assert "- format: unknown key" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["born", "--config", str(path), "--format", "csv"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_echo_config(self, tmp_path, capsys):
         path, _ = make_config(tmp_path)

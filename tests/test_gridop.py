@@ -102,6 +102,46 @@ class TestHamiltonianAssembly:
             CartesianGrid(mins, maxs, ns, (False,) * len(ns))
         assert err.value.errors == [(name, messages[name]) for name in fields]
 
+    @pytest.mark.parametrize("mins, maxs, ns, periodic, message", [
+        ((0.0,) * 3, (1.0,) * 3, (8,) * 3, (False,) * 3, "only 1-D and 2-D grids"),
+        ((0.0, 0.0), (1.0,), (8, 8), (False, False), "axis descriptors disagree"),
+        ((0.0,), (1.0,), (8,), (False, False), "axis descriptors disagree"),
+    ])
+    def test_grid_shape_rejected(self, mins, maxs, ns, periodic, message):
+        with pytest.raises(InvalidSystemError, match=message):
+            CartesianGrid(mins, maxs, ns, periodic)
+
+    @pytest.mark.parametrize("field, message", [
+        ("metric", "metric field has shape"),
+        ("vector_potential", "vector potential field shape mismatch"),
+        ("scalar_potential", "scalar potential field shape mismatch"),
+    ])
+    def test_field_of_the_wrong_shape_rejected(self, line_grid, field, message):
+        # one value too few on the grid
+        system = MetricPotentialSystem(1, **{field: lambda c: np.ones(c[0].shape[0] - 1)})
+        with pytest.raises(InvalidSystemError, match=message):
+            build_metric_hamiltonian(system, 1.0, line_grid)
+
+    @pytest.mark.parametrize("off_diagonal, message", [
+        ((0.1, -0.1), "metric must be symmetric"),
+        ((2.0, 2.0), "metric must be positive-definite"),     # det 1 - 4 < 0
+    ], ids=["asymmetric", "indefinite"])
+    def test_bad_2d_metric_rejected(self, off_diagonal, message):
+        grid = CartesianGrid((-1.0, -1.0), (1.0, 1.0), (8, 8), (False, False))
+
+        def metric(coords):
+            out = np.zeros(coords[0].shape + (2, 2))
+            out[..., 0, 0] = out[..., 1, 1] = 1.0
+            out[..., 0, 1], out[..., 1, 0] = off_diagonal
+            return out
+
+        with pytest.raises(InvalidSystemError, match=message):
+            build_metric_hamiltonian(MetricPotentialSystem(2, metric), 1.0, grid)
+
+    def test_system_and_grid_dimensions_must_agree(self, line_grid):
+        with pytest.raises(InvalidSystemError, match="system and grid dimensions disagree"):
+            build_metric_hamiltonian(wavy_2d_system(), 1.0, line_grid)
+
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
     def test_bad_scale_rejected(self, line_grid, lam):
         with pytest.raises(ValueError, match="lambda_mag must be positive and finite"):

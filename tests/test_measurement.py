@@ -247,6 +247,17 @@ class TestEnsemble:
         assert stats.standard_errors.tolist() == [0.0]
         json.dumps(stats.to_dict(), allow_nan=False)
 
+    def test_count_in_a_zero_weight_category_has_infinite_chi2(self):
+        stats = EnsembleStats(indices=np.array([0, 1]), omegas=np.array([0.0, 1.0]),
+                              reference=np.array([1.0, 0.0]), counts=np.array([3, 1]),
+                              n_trials=4, n_ambiguous=0, n_overflow=0)
+        assert (stats.chi2, stats.chi2_p) == (float("inf"), 0.0)
+
+    def test_actual_velocity_needs_stochastic_params(self, grid, basis, config, packet, espec):
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        with pytest.raises(ValueError, match="actual-velocity runs need StochasticParams"):
+            run_ensemble(state, config, espec, 4, seed=0, velocity="actual")
+
     def test_trial_count_must_be_positive(self, grid, basis, config, packet, espec):
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
         with pytest.raises(ValueError, match="n_trials"):
@@ -605,6 +616,32 @@ class TestSubstituteObservable:
         with pytest.raises(ValueError):
             substitute_observable("energy", psi, x, window=(-1, 1), n_bins=4,
                                   config=config, grid=grid)
+
+    def test_angular_momentum_is_not_a_substitute(self, grid, config):
+        x, psi = self._line_state()
+        with pytest.raises(ValueError, match="use prepare_initial_state"):
+            substitute_observable("angular_momentum", psi, x, window=(-1, 1), n_bins=4,
+                                  config=config, grid=grid)
+
+    @pytest.mark.parametrize("kind, window", [("position", (-0.5, 0.5)),
+                                              ("linear_momentum", (-0.1, 0.1))])
+    def test_window_short_of_the_norm_rejected(self, grid, config, kind, window):
+        # one bin, so no separation rule applies: the coverage rule alone rejects it
+        x, psi = self._line_state(width=1.0)
+        with pytest.raises(InvalidSystemError, match="observable window covers only"):
+            substitute_observable(kind, psi, x, window=window, n_bins=1, config=config,
+                                  grid=grid)
+
+    def test_plane_wave_state_is_not_repeated(self, grid, espec):
+        # the repetition protocol collapses onto a ring eigenstate
+        from stochaction import MeasurementRecord
+        config = PhysicalConfig(sigma=0.02, sep_factor=8.0, g=1.0, t_M=1.0)
+        x, psi = self._line_state(width=8.0, momentum=1.5, L=80.0, n=2048)
+        pipe = substitute_observable("linear_momentum", psi, x, window=(-4.0, 6.0),
+                                     n_bins=10, config=config, grid=GridSpec(-8, 8))
+        first = MeasurementRecord(0, 1.5, 0.0, 1.5, 0.0, 1, 0)
+        with pytest.raises(NotImplementedError, match="defined for the ring system"):
+            repeat_measurement(first, pipe.state0, config, espec, seed=0)
 
 
 def oracle_sample_line(density, points, n, rng):

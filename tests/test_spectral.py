@@ -8,7 +8,7 @@ from joint_oracle import (JointAxes, eigenfunctions, norm, packet_profile,
                           pointer_marginal_density, synthesize_joint,
                           system_marginal_density)
 from stochaction import (AngularBasis, DomainOverflowError, FieldErrors, GaussianPacket,
-                         GridSpec, PlaneWaveModes, SpectralState,
+                         GridSpec, LineModes, PlaneWaveModes, SpectralState,
                          evolve_measurement_spectral)
 
 
@@ -212,6 +212,22 @@ class TestPlaneWaveModes:
 
 
 class TestStateValidation:
+    def test_line_mode_table_shape_checked(self):
+        x = np.linspace(-1.0, 1.0, 16)
+        with pytest.raises(ValueError, match="mode table shape mismatch"):
+            LineModes(x, np.ones((2, 15), dtype=complex), np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError, match="mode table shape mismatch"):
+            LineModes(x, np.ones((2, 16), dtype=complex), np.array([0.0]))
+
+    @pytest.mark.parametrize("n_coeffs, n_centers", [(16, 17), (17, 16)])
+    def test_coefficients_and_centers_share_the_mode_shape(self, grid, basis, n_coeffs,
+                                                           n_centers):
+        c = np.zeros(n_coeffs, dtype=complex)
+        c[0] = 1.0
+        with pytest.raises(ValueError, match="must share a shape"):
+            SpectralState(coeffs=c, modes=basis, packet=GaussianPacket(0.0, 0.05),
+                          centers=np.zeros(n_centers), t=0.0, grid=grid)
+
     @pytest.mark.parametrize("sigma", [0.0, -0.05, float("nan")])
     def test_packet_width_must_be_positive(self, sigma):
         with pytest.raises(ValueError, match="sigma"):

@@ -73,6 +73,10 @@ class TestTransitionWeight:
         with pytest.raises(ValueError):
             transition_log_weight(ActionIncrement.from_deviation(0.1), 0.0)
 
+    def test_gaussian_control_zero_scale_rejected(self):
+        with pytest.raises(ValueError, match="lambda_signed must be nonzero"):
+            gaussian_log_weight(ActionIncrement.from_deviation(0.1), 0.0)
+
 
 class TestSampler:
     def test_mean_matches_half_scale(self, params):
@@ -133,6 +137,12 @@ class TestSignPath:
     def test_values_are_signs(self, params):
         path = sample_sign_path(params, 1000, stream(11))
         assert set(np.unique(path)) <= {-1, 1}
+
+    @pytest.mark.parametrize("sign_law", ["iid", "telegraph"])
+    def test_empty_path_rejected(self, sign_law):
+        p = StochasticParams(sign_law=sign_law, flip_prob=0.05)
+        with pytest.raises(ValueError, match="n_steps must be at least 1"):
+            sample_sign_path(p, 0, stream(12))
 
 
 class TestSeparability:

@@ -1126,6 +1126,10 @@ class TestEquivariance:
                                  snapshot_steps=(steps,))
         return out["snapshots"][steps]
 
+    def test_plane_wave_state_rejected(self, grid):
+        with pytest.raises(NotImplementedError, match="assume the ring system"):
+            equivariance_report({0.0: np.zeros((4, 2))}, plane_wave_state(grid), g=1.0)
+
     def test_born_ensemble_stays_born(self, grid, basis):
         state = make_state({-1: np.sqrt(0.5), 0: np.sqrt(0.3), 1: np.sqrt(0.2)},
                            basis, grid, sigma=0.05)

@@ -228,6 +228,9 @@ TEST_CASES = {
         {"modes": [0], "weights": [1.0], "l_max": 0})],
     "out_of_range_seed_rejected_at_parse": [
         ("born", {"seed": -1}), ("born", {"seed": 2**64}), ("repeatability", {"seed": 2**64 - 1})],
+    "shape_and_bound_rules_rejected_at_parse": [
+        ("born", {"ensemble": [1]}), ("born", {"threads": 0}),
+        ("appendix", {"appendix": {"x_min": 0, "x_max": 1e-48}})],
 }
 
 
