@@ -252,6 +252,7 @@ def _ensemble_counters(*extras) -> dict:
     return {"n_trials": len(decided_at), "n_decided": len(decided),
             "mean_decision_time": float(decided.mean()) if len(decided) else None,
             "n_node_clamped": sum(int(np.count_nonzero(e["node_clamped"])) for e in extras),
+            "node_held_steps": sum(e["node_held_steps"] for e in extras),
             "chunks": sum(e["chunks"] for e in extras),
             "chunk_rows": max(e["chunk_rows"] for e in extras),
             "workers": max(e["workers"] for e in extras)}

@@ -466,7 +466,9 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
         n_trials=len(trials), n_ambiguous=int(ambiguous.sum()),
         n_overflow=int(overflow.sum()))
     extras = {"snapshots": {s * spec.dt_traj + state0.t: snaps[s] for s in snaps},
-              "node_clamped": run["node_clamped"], "decided_at": run["decided_at"],
+              "node_clamped": run["node_clamped"],
+              "node_held_steps": sum(p["node_held_steps"] for p in parts),
+              "decided_at": run["decided_at"],
               "final_configs": final, "initial_configs": q0,
               "snapshot_signs": run["snapshot_signs"],
               "chunks": len(chunks), "chunk_rows": rows,

@@ -147,6 +147,12 @@ def _weighted_sum(b: np.ndarray, terms) -> np.ndarray:
     return out
 
 
+def _component_major(shape: tuple[int, ...]) -> np.ndarray:
+    """An empty ``shape + (2,)`` array whose components ``[..., 0]`` and ``[..., 1]``
+    are each one contiguous block: the reversed view of ``(2,) + shape[::-1]``."""
+    return np.empty((2,) + shape[::-1]).T
+
+
 def _ring_peak(a, n) -> float:
     """The largest ``|sum_k a_k exp(i n_k theta)|^2`` over 1024 ring angles."""
     ring = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
@@ -253,7 +259,7 @@ class ModeFlow:
         np.multiply(pc, pw, out=pw)
         pe = pc * _weighted_sum(b, self._eps_terms) if self._eps_terms else None
         beta = self.g * (t - self.t0) / self._two_var
-        v = np.empty(dens.shape + (2,))
+        v = _component_major(dens.shape)
         np.multiply(pw.imag, beta, out=v[..., 0])
         if pe is not None:
             v[..., 0] += pe.imag
@@ -327,7 +333,8 @@ class PointerReadoutFlow:
         return np.full(points.shape[:-1], self.ref_peak)
 
     def effective(self, points: np.ndarray, t: float, with_density: bool = False):
-        out = np.zeros_like(points)
+        out = _component_major(points.shape[:-1])
+        out[..., 0] = 0.0
         out[..., 1] = self.g * points[..., 0]
         return (out, self.density(points, t)) if with_density else out
 
@@ -409,8 +416,14 @@ def _stage_velocity(flow, x, t, lam, with_density: bool = False):
 
 
 def _keep(keep: np.ndarray, *arrays):
-    """Each array's rows under the mask ``keep``; None (an effective run's scale) stays None."""
-    return [None if a is None else a[keep] for a in arrays]
+    """Each array's rows under the mask ``keep``; None (an effective run's scale) stays None.
+
+    A 2-D array is the ``(n, 2)`` view of ``(2, n)`` rows, and ``np.compress``
+    along those rows keeps it one: a mask on the view returns a row-major copy,
+    and a mask on the rows a column-major one.
+    """
+    return [None if a is None else a[keep] if a.ndim == 1 else np.compress(keep, a.T, axis=1).T
+            for a in arrays]
 
 
 def check_snapshot_steps(snapshot_steps: tuple[int, ...], n_steps: int) -> None:
@@ -463,24 +476,36 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     (first-same-as-last).  A landing is a node when its ``|Psi|^2`` is below
     ``EPS_NODE_REL`` of the flow's peak, where the velocity is undefined; the
     row then holds at its start of the step, is flagged in ``node_clamped``
-    and gets its first stage evaluated again there.
+    and gets its first stage evaluated again there; ``node_held_steps``
+    counts these row-steps.
 
     Every ``DECIDE_EVERY`` steps, under either velocity, the rows that the
     flow's ``decided`` rule passes leave the working set and finish on their
     pointer line; in actual runs the system coordinate adds its rate times
     ``lambda_mag dt`` times the row's integer sum of sign entries since then.
+
+    ``q0`` must be a finite ``(n, 2)`` array (ValueError otherwise, before any
+    step).  The working configurations, stage points and velocities are
+    ``(n, 2)`` views of component-major ``(2, n)`` rows, so each coordinate the
+    field reads and each velocity component it writes is contiguous.
     """
+    q0 = np.asarray(q0, dtype=float)
+    if q0.ndim != 2 or q0.shape[1] != 2:
+        raise ValueError(f"q0 must be an (n, 2) array of configurations, not shape {q0.shape}")
+    if not np.isfinite(q0).all():
+        raise ValueError(f"q0 row {int(np.argmin(np.isfinite(q0).all(axis=1)))} is not finite")
     n_steps = spec.n_steps(duration)
     check_snapshot_steps(snapshot_steps, n_steps)
     dt = spec.dt_traj
     t_end = t0 + n_steps * dt
-    x = np.array(q0, dtype=float)
+    x = np.array(q0.T, order="C").T
     n = x.shape[0]
     overflow = np.zeros(n, dtype=bool)
     node_clamped = np.zeros(n, dtype=bool)
     decided_at = np.full(n, np.nan)
     eps_abs = EPS_NODE_REL * flow.ref_peak
     live = np.arange(n)          # rows still integrating, at configs x
+    held_steps = 0
     # (rows, config, pointer speed, theta rate, step) of each batch that left the working set
     retired = []
 
@@ -515,21 +540,26 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
                     else lambda_mag * sign_paths[live, k + 1])
         v_next, landing = _stage_velocity(flow, prop, t_next, lam_next, with_density=True)
         bad = landing < eps_abs
-        if np.any(bad):
+        held = bad.any()
+        if held:
             prop[bad] = x[bad]
             node_clamped[live[bad]] = True
+            held_steps += int(np.count_nonzero(bad))
         newly = (prop[:, 1] < q2_bounds[0]) | (prop[:, 1] > q2_bounds[1])
         if np.any(newly):
             retired.append((live[newly], x[newly], 0.0, 0.0, k))
             overflow[live[newly]] = True
             live, prop, bad, v_next, landing, lam_next = _keep(
                 ~newly, live, prop, bad, v_next, landing, lam_next)
-        x = prop
-        # a held row has no density yet; such rows wait for the next test
-        dens = np.where(bad, 0.0, landing)
-        if np.any(bad) and k + 1 < n_steps:
-            v_next[bad] = _stage_velocity(flow, x[bad], t_next,
-                                          None if lam_next is None else lam_next[bad])
+            # only a row held at a q0 outside the bounds leaves with them
+            held = held and bad.any()
+        x, dens = prop, landing
+        if held:
+            # a held row has no density yet; such rows wait for the next test
+            dens = np.where(bad, 0.0, landing)
+            if k + 1 < n_steps:
+                x_held, lam_held = _keep(bad, x, lam_next)
+                v_next[bad] = _stage_velocity(flow, x_held, t_next, lam_held)
         v, lam = v_next, lam_next
         if (k + 1) in snapshot_steps:
             snapshots[k + 1] = _frame(k + 1)
@@ -537,7 +567,8 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     # every row decided early: the later snapshots are the finished lines
     snapshots.update({s: _frame(s) for s in snapshot_steps if s not in snapshots})
     return {"configs": _frame(n_steps), "overflow": overflow, "node_clamped": node_clamped,
-            "decided_at": decided_at, "snapshots": snapshots, "n_steps": n_steps}
+            "node_held_steps": held_steps, "decided_at": decided_at, "snapshots": snapshots,
+            "n_steps": n_steps}
 
 
 # ---------------------------------------------------------------------------

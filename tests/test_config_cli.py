@@ -20,7 +20,7 @@ from stochaction import (AngularBasis, AppendixSpec, CartesianGrid, ConfigError,
                          build_metric_hamiltonian, equivariance_report, evolve_grid, gridop,
                          parse_config, prepare_initial_state, run_ensemble, run_experiment,
                          run_lambda_sweep, run_single_event, serialize_config,
-                         verify_hjm_residual)
+                         trajectories, verify_hjm_residual)
 from stochaction.cli import main as cli_main
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -883,15 +883,37 @@ class TestCli:
         assert cli_main([experiment, "--config", str(path)]) == 0
         block = json.loads((Path(data["out_dir"]) / "manifest.json").read_text())["ensemble"]
         assert set(block) == {"n_trials", "n_decided", "mean_decision_time",
-                              "n_node_clamped", "chunks", "chunk_rows", "workers"}
+                              "n_node_clamped", "node_held_steps", "chunks", "chunk_rows",
+                              "workers"}
         assert block["workers"] == 1
         assert block["n_trials"] == n_trials
         assert 1 <= block["chunks"] <= n_trials and 1 <= block["chunk_rows"] <= n_trials
         assert 0 <= block["n_decided"] <= n_trials
         assert 0 <= block["n_node_clamped"] <= n_trials
+        # a held row-step for each step a trial waited at a node
+        assert (block["node_held_steps"] == 0) == (block["n_node_clamped"] == 0)
+        assert block["node_held_steps"] >= block["n_node_clamped"]
         # the README 3-mode state separates well before t_M, under either velocity
         assert block["n_decided"] > n_trials // 2
         assert 0.0 <= block["mean_decision_time"] < 1.0
+
+    @pytest.mark.parametrize("velocity", ["effective", "actual"])
+    def test_manifest_counts_held_steps_at_any_worker_count(self, tmp_path, monkeypatch,
+                                                            velocity):
+        # a node threshold this high holds Born-drawn rows in the packet tails
+        monkeypatch.setattr(trajectories, "EPS_NODE_REL", 1e-2)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        blocks = {}
+        for threads in (1, 2):
+            (tmp_path / str(threads)).mkdir()
+            path, data = make_config(tmp_path / str(threads), overrides={"velocity": velocity})
+            cli_main(["born", "--config", str(path), "--threads", str(threads)])
+            blocks[threads] = json.loads(
+                (Path(data["out_dir"]) / "manifest.json").read_text())["ensemble"]
+        assert (blocks[1]["workers"], blocks[2]["workers"]) == (1, 2)
+        assert blocks[1]["n_node_clamped"] == blocks[2]["n_node_clamped"] > 0
+        assert blocks[1]["node_held_steps"] == blocks[2]["node_held_steps"]
+        assert blocks[1]["node_held_steps"] >= blocks[1]["n_node_clamped"]
 
     def test_manifest_records_chunking(self, tmp_path):
         # the benchmark's canonical Born run: 3 modes, 4096 trials, 1 thread

@@ -568,11 +568,14 @@ class TestSubstituteObservable:
         assert outer, "no draw fell in an outer half-cell"
         assert stats.n_overflow == 0
 
-    def test_window_coverage_guard(self, grid, config):
+    def test_window_coverage_guard(self, grid):
+        # sigma 0.02 keeps 4 bins of (-0.5, 0.5) apart (|g| t_M gap 0.25 >= 8 sigma),
+        # so the window's coverage, not the separation rule, rejects it
+        narrow = PhysicalConfig(lambda_mag=1.0, g=1.0, t_M=1.0, sigma=0.02, sep_factor=8.0)
         x, psi = self._line_state(width=1.0)
-        with pytest.raises(InvalidSystemError):
+        with pytest.raises(InvalidSystemError, match="observable window covers only"):
             substitute_observable("position", psi, x, window=(-0.5, 0.5),
-                                  n_bins=4, config=config, grid=grid)
+                                  n_bins=4, config=narrow, grid=grid)
 
     def test_unresolvable_bins_rejected(self, grid):
         wide = PhysicalConfig(sigma=0.2, sep_factor=8.0, g=1.0, t_M=1.0)

@@ -1,6 +1,8 @@
 """Velocity fields, Born sampling, integration, equivariance."""
+import importlib.util
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy import stats as sps
 from scipy.integrate import quad
 
 from joint_oracle import JointAxes, synthesize_joint, system_marginal_density
+import stochaction
 from stochaction import (AngularBasis, GaussianPacket, GridSpec, LineModes,
                          PlaneWaveModes, SpectralState, equivariance_report,
                          evolve_measurement_spectral, integrate_ensemble)
@@ -527,6 +530,82 @@ class TestKernelBits:
         assert sorts, "the counter missed the construction's sort"
 
 
+class ColumnsFlow(ModeFlow):
+    """Logs whether both coordinate columns are contiguous at every field or decision call."""
+
+    def _velocity(self, points, t, lam, with_density):
+        self.log.append(points[..., 0].flags.c_contiguous and points[..., 1].flags.c_contiguous)
+        return super()._velocity(points, t, lam, with_density)
+
+    def decided(self, points, *args):
+        self.log.append(points[:, 0].flags.c_contiguous and points[:, 1].flags.c_contiguous)
+        return super().decided(points, *args)
+
+
+class TestLayout:
+    """Component-major rows and row-major points give the same bits."""
+
+    @pytest.mark.parametrize("state", ["ring", "plane-wave"])
+    def test_kernel_reads_rows_and_points_alike(self, grid, basis, state):
+        state = (make_state(TestKernelOracle.RING_STATES["three"], basis, grid, sigma=0.05,
+                            mu0=0.1) if state == "ring" else plane_wave_state(grid))
+        flow = ModeFlow(state, g=1.3)
+        pts = TestKernelOracle._points(state, 3000, 70)
+        rows = np.ascontiguousarray(pts.T)         # (2, n), each coordinate contiguous
+        lam_points = 0.8 * (stream(71).integers(0, 2, len(pts)) * 2 - 1)
+        same_bits = TestKernelBits._assert_bits
+        for t in (state.t, 0.37):
+            same_bits([flow.density(rows.T, t)], [flow.density(pts, t)])
+            same_bits(flow.effective(rows.T, t, with_density=True),
+                      flow.effective(pts, t, with_density=True))
+            for lam in (0.7, lam_points):
+                same_bits(flow.actual(rows.T, t, lam, with_density=True),
+                          flow.actual(pts, t, lam, with_density=True))
+
+    def test_velocity_components_are_contiguous(self, grid, basis):
+        state = make_state(TestKernelOracle.RING_STATES["three"], basis, grid, sigma=0.05)
+        flow = ModeFlow(state, g=1.3)
+        pts = TestKernelOracle._points(state, 64, 72)
+        rows = np.ascontiguousarray(pts.T)
+        for v in (flow.effective(pts, 0.37), flow.effective(pts, 0.37, with_density=True)[0],
+                  flow.actual(pts, 0.37, 0.7), flow.effective(rows.T, 0.37),
+                  PointerReadoutFlow(1.3).effective(pts, 0.37)):
+            assert v.shape == pts.shape
+            assert v[:, 0].flags.c_contiguous and v[:, 1].flags.c_contiguous
+
+    @pytest.mark.parametrize("velocity", ["effective", "actual"])
+    def test_integration_ignores_the_layout_of_q0(self, grid, basis, velocity, monkeypatch):
+        # node holds (the threshold of TestStepLoop), overflows below and decided
+        # rows above all occur
+        monkeypatch.setattr(trajectories, "EPS_NODE_REL", 1e-2)
+        state = make_state({-1: np.sqrt(0.5), 1: np.sqrt(0.5)}, basis, grid, sigma=0.05)
+        flow = ColumnsFlow(state, g=1.0)
+        r = stream(73)
+        n, n_steps = 96, 120
+        q0 = np.stack([r.uniform(0.0, 2 * np.pi, n), r.uniform(-0.45, 0.45, n)], axis=-1)
+        signs = (None if velocity == "effective"
+                 else (r.integers(0, 2, size=(n, n_steps)) * 2 - 1).astype(np.int8))
+        strided = np.zeros((2 * n, 4))
+        strided[::2, 1::2] = q0
+        flow.log = []
+        runs = [integrate_ensemble(flow, q, EnsembleSpec(dt_traj=5e-3), 0.0, n_steps * 5e-3,
+                                   sign_paths=signs, lambda_mag=1.0, q2_bounds=(-0.5, 0.9),
+                                   snapshot_steps=(0, 7, 30, n_steps))
+                for q in (q0, np.asfortranarray(q0), strided[::2, 1::2])]
+        # the integrator hands the flow contiguous coordinates, retirements and holds included
+        assert flow.log and all(flow.log)
+        want = runs[0]
+        assert want["overflow"].any() and want["node_clamped"].any()
+        assert not np.all(np.isnan(want["decided_at"]))
+        same_bits = TestKernelBits._assert_bits
+        for got in runs[1:]:
+            same_bits([got["configs"], got["decided_at"], *got["snapshots"].values()],
+                      [want["configs"], want["decided_at"], *want["snapshots"].values()])
+            assert np.array_equal(got["overflow"], want["overflow"])
+            assert np.array_equal(got["node_clamped"], want["node_clamped"])
+            assert got["node_held_steps"] == want["node_held_steps"]
+
+
 class TestIntegration:
     @pytest.mark.parametrize("dt_traj", [0.0, -1e-3, float("nan")])
     def test_step_must_be_positive(self, dt_traj):
@@ -549,6 +628,17 @@ class TestIntegration:
         with pytest.raises(ValueError, match=f"snapshot step {step} .*n_steps = 50"):
             integrate_ensemble(flow, np.array([[1.0, 0.0]]), EnsembleSpec(dt_traj=0.01),
                                0.0, 0.5, snapshot_steps=(0, 50, step))
+        assert flow.calls == []
+
+    @pytest.mark.parametrize("q0, match", [
+        (np.array([1.0, 0.0]), r"q0 must be an \(n, 2\) array .*shape \(2,\)"),
+        (np.zeros((3, 3)), r"q0 must be an \(n, 2\) array .*shape \(3, 3\)"),
+        (np.array([[1.0, 0.0], [2.0, np.nan]]), "q0 row 1 is not finite"),
+    ], ids=["one-dimensional", "three-columns", "nan-row"])
+    def test_q0_must_be_finite_rows_before_stepping(self, grid, basis, q0, match):
+        flow = RecordingFlow(ModeFlow(make_state({0: 1.0}, basis, grid), g=1.0))
+        with pytest.raises(ValueError, match=match):
+            integrate_ensemble(flow, q0, EnsembleSpec(dt_traj=0.01), 0.0, 0.5)
         assert flow.calls == []
 
     def test_single_mode_pointer_relation(self, grid, basis):
@@ -752,6 +842,53 @@ class TestStepLoop:
         assert kinds.count("density") == 0
         assert flow.calls.count(("velocity", 1)) == n_held
         assert kinds.count("velocity") == 4 * n_steps + 1 + n_held
+
+    def test_held_steps_count_each_held_row_step(self, grid, basis):
+        # the held row of the test above, twice (a one-mode density ignores theta):
+        # one count per row and step waited at its start
+        state = make_state({2: 1.0}, basis, grid, sigma=0.05)
+        q0 = np.array([[0.3, 0.01], [1.0, 0.45], [2.0, 0.45]])
+        spec = EnsembleSpec()
+        n_steps = 60
+        out = integrate_ensemble(ModeFlow(state, g=1.0), q0, spec, 0.0, n_steps * spec.dt_traj,
+                                 q2_bounds=(grid.q2_min, grid.q2_max),
+                                 snapshot_steps=tuple(range(n_steps + 1)))
+        path = np.array([out["snapshots"][k][1] for k in range(n_steps + 1)])
+        n_held = int(np.argmin(np.all(path == q0[1], axis=1))) - 1
+        assert n_held > 0
+        assert np.array_equal(out["snapshots"][n_held][2], q0[2])
+        assert out["node_held_steps"] == 2 * n_held
+        # no row on a node, no count
+        free = integrate_ensemble(ModeFlow(state, g=1.0), q0[:1], spec, 0.0,
+                                  n_steps * spec.dt_traj, q2_bounds=(grid.q2_min, grid.q2_max))
+        assert not np.any(free["node_clamped"]) and free["node_held_steps"] == 0
+
+    def test_row_held_outside_the_bounds_leaves_at_once(self, grid, basis):
+        # row 1 starts beyond the upper bound in the far tail: its first landing is a
+        # node, so it holds at q0, overflows there and is never evaluated again
+        state = make_state({2: 1.0}, basis, grid, sigma=0.05)
+        flow = RecordingFlow(ModeFlow(state, g=1.0))
+        q0 = np.array([[0.3, 0.01], [1.0, 0.6]])
+        out = integrate_ensemble(flow, q0, EnsembleSpec(), 0.0, 0.01, q2_bounds=(-0.5, 0.5))
+        assert out["overflow"].tolist() == out["node_clamped"].tolist() == [False, True]
+        assert out["node_held_steps"] == 1
+        assert np.array_equal(out["configs"][1], q0[1])
+        assert min(rows for _, rows in flow.calls) == 1
+
+    def test_node_policy_rows_count_held_steps(self, monkeypatch):
+        # the node-policy kind of tools/result_hashes.py, both velocities
+        path = Path(__file__).resolve().parents[1] / "tools" / "result_hashes.py"
+        spec = importlib.util.spec_from_file_location("result_hashes", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        runs = []
+        monkeypatch.setattr(stochaction, "integrate_ensemble",
+                            lambda *a, **k: runs.append(integrate_ensemble(*a, **k)) or runs[-1])
+        tool.node_policy()
+        assert len(runs) == 2
+        for run in runs:
+            clamped = int(np.count_nonzero(run["node_clamped"]))
+            assert clamped > 0 and run["node_held_steps"] >= clamped
 
     def test_frozen_trial_leaves_working_set(self, grid, basis):
         # trial 0 starts near the upper bound and rides the packet out early

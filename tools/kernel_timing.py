@@ -1,0 +1,151 @@
+"""Per-call time of the Born velocity kernel, optionally against a git revision.
+
+Times ``ModeFlow.effective(points, t, with_density=True)``, the call an RK4
+stage makes, on the 3-mode state of ``examples/born.json`` at 64, 1024 and
+4096 rows.  The rows sample that state's joint density at ``t = 0.3 t_M``:
+ring angles uniform, pointers from the Gaussian mixture of the moving packets.
+They are laid out as the package's own ``integrate_ensemble`` hands points to
+the flow (row-major, or the ``(n, 2)`` view of component-major rows), which a
+one-step probe run finds out.  Each measurement runs in a fresh interpreter
+and reports, per row count, the median over repeats of the mean time per call:
+
+    python3 tools/kernel_timing.py                  # the working tree alone
+    python3 tools/kernel_timing.py --against HEAD   # working tree and HEAD
+
+``--against REV`` extracts ``src/`` at REV with ``git archive`` into a
+temporary directory, as ``tools/result_hashes.py --against`` does, and
+alternates fresh interpreters on the working tree and on REV (the side that
+runs first flips every round).  It prints each side's median over the rounds
+and the ratio REV / working tree, which is above 1 where the working tree is
+faster.  No tracer wraps the calls, so this is the kernel-layer figure
+without perfbench's span overhead.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+ROWS = (64, 1024, 4096)
+ROUNDS = 5
+REPEATS = 7
+# calls per repeat: about 10 ms of kernel time at a few tens of ns per row
+CALL_ROWS = 2**18
+
+
+def integrator_layout(flow, t: float) -> bool:
+    """Whether ``integrate_ensemble`` hands ``flow`` points whose columns are contiguous."""
+    import numpy as np
+    from stochaction.trajectories import EnsembleSpec, integrate_ensemble
+
+    seen = []
+
+    class Probe:
+        ref_peak = flow.ref_peak
+
+        def effective(self, points, t, with_density=False):
+            seen.append(points[:, 0].flags.c_contiguous)
+            return flow.effective(points, t, with_density=with_density)
+
+        def decided(self, *args):
+            return flow.decided(*args)
+
+    q0 = np.stack([np.linspace(0.0, 6.0, 8), flow.centers(t)[0] + np.zeros(8)], axis=-1)
+    integrate_ensemble(Probe(), q0, EnsembleSpec(dt_traj=1e-3), t, 1e-3)
+    return all(seen)
+
+
+def measure() -> dict:
+    """Median microseconds per kernel call at each of ``ROWS``, on the package imported,
+    and ``"rows"``: whether the points were component-major rows."""
+    import timeit
+
+    import numpy as np
+    from stochaction import parse_config
+    from stochaction.rng import stream
+    from stochaction.trajectories import ModeFlow
+
+    cfg = parse_config((ROOT / "examples" / "born.json").read_text())
+    physical = cfg.physical()
+    flow = ModeFlow(cfg.state().prepare(physical, cfg.grid()), physical.g)
+    t = flow.t0 + 0.3 * physical.t_M
+    weights = np.abs(flow.coeffs) ** 2
+    rows = integrator_layout(flow, t)
+    r = stream(7)
+    out = {"rows": rows}
+    for n in ROWS:
+        packet = r.choice(len(weights), size=n, p=weights / weights.sum())
+        points = np.stack([r.uniform(0.0, 2 * np.pi, n),
+                           flow.centers(t)[packet] + flow.sigma * r.normal(size=n)], axis=-1)
+        if rows:
+            points = np.ascontiguousarray(points.T).T
+        number = max(1, CALL_ROWS // n)
+        call = lambda: flow.effective(points, t, with_density=True)  # noqa: E731
+        call()
+        times = timeit.repeat(call, number=number, repeat=REPEATS)
+        out[n] = 1e6 * statistics.median(times) / number
+    return out
+
+
+def run_side(src: Path) -> dict:
+    """:func:`measure` in a fresh interpreter whose ``PYTHONPATH`` is ``src``."""
+    code = ("import sys, json; sys.path.insert(0, sys.argv[1]); "
+            "import kernel_timing as tool; print(json.dumps(tool.measure()))")
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+                              env=dict(os.environ, PYTHONPATH=str(src)), cwd=cwd,
+                              capture_output=True, text=True, check=True)
+    out = json.loads(done.stdout)
+    return {"rows": out.pop("rows"), **{int(n): us for n, us in out.items()}}
+
+
+def report(sides: dict[str, list[dict]]) -> None:
+    """Each side's median over its rounds per row count, and REV / working tree."""
+    names = list(sides)
+    medians = {name: {n: statistics.median(run[n] for run in runs) for n in ROWS}
+               for name, runs in sides.items()}
+    print("ModeFlow.effective(..., with_density=True), examples/born.json state, "
+          f"t = 0.3 t_M; median us per call over {len(sides[names[0]])} fresh interpreters")
+    for name, runs in sides.items():
+        layout = "component-major rows" if runs[0]["rows"] else "row-major (n, 2)"
+        print(f"  {name}: points laid out as its integrator passes them, {layout}")
+    header = f"{'rows':>6}" + "".join(f"{name:>20}" for name in names)
+    print(header + (f"{names[1] + ' / ' + names[0]:>28}" if len(names) == 2 else ""))
+    for n in ROWS:
+        line = f"{n:>6}" + "".join(f"{medians[name][n]:>20.1f}" for name in names)
+        if len(names) == 2:
+            line += f"{medians[names[1]][n] / medians[names[0]][n]:>28.3f}"
+        print(line)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also time src/ at this git revision, alternating with the "
+                             "working tree")
+    args = parser.parse_args(argv)
+    tree = "working tree"
+    if args.against is None:
+        report({tree: [run_side(ROOT / "src") for _ in range(ROUNDS)]})
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
+                                  args.against, "src"], capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        srcs = {tree: ROOT / "src", args.against: Path(tmp) / "src"}
+        sides = {name: [] for name in srcs}
+        for k in range(ROUNDS):
+            for name in (list(srcs) if k % 2 == 0 else list(srcs)[::-1]):
+                sides[name].append(run_side(srcs[name]))
+    report(sides)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
