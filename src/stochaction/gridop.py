@@ -500,12 +500,22 @@ def quantum_potential(R: np.ndarray, system: MetricPotentialSystem, grid: Cartes
 
 # residuals are taken where the density exceeds this fraction of its peak
 _BULK_THRESHOLD = 1e-6
+# and this many layers in from each non-periodic edge, past the 4th-order stencils
+_RESIDUAL_MARGIN = 4
 
 
 def check_residual_snapshots(n_snapshots: int) -> None:
     """:func:`verify_hjm_residual`'s rule: three snapshots, for a centered time difference."""
     if n_snapshots < 3:
         raise ValueError(f"needs at least three snapshots, not {n_snapshots}")
+
+
+def check_residual_grid(grid: CartesianGrid) -> None:
+    """:func:`verify_hjm_residual`'s rule: a point past the margin on each closed axis."""
+    for n, periodic in zip(grid.ns, grid.periodic):
+        if not periodic and n <= 2 * _RESIDUAL_MARGIN:
+            raise ValueError(f"needs more than {2 * _RESIDUAL_MARGIN} points on a non-periodic "
+                             f"axis, not {n}")
 
 
 def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
@@ -523,6 +533,7 @@ def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
     which makes a convenient ablation control.
     """
     check_residual_snapshots(len(history))
+    check_residual_grid(grid)
     coords = grid.coords()
     g = system.metric_field(coords)
     a = system.vector_field(coords)
@@ -538,7 +549,7 @@ def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
         dens = np.abs(psi_now) ** 2
         R = np.abs(psi_now)
         peak = dens.max()
-        valid = (dens > _BULK_THRESHOLD * peak) & interior_mask(grid, 4)
+        valid = (dens > _BULK_THRESHOLD * peak) & interior_mask(grid, _RESIDUAL_MARGIN)
         safe = np.maximum(dens, 1e-300)
 
         # time derivatives: density directly, phase via the branch-free ratio

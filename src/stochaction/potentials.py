@@ -17,8 +17,9 @@ from .core import (EPS_NODE_REL, FieldErrors, _is_number, field_errors, fork_map
                    require_count)
 from .expressions import compile_expression
 from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem, _d1_4,
-                     _validate_metric, build_metric_hamiltonian, check_residual_snapshots,
-                     check_schedule, evolve_grid, interior_mask, quantum_potential)
+                     _validate_metric, build_metric_hamiltonian, check_residual_grid,
+                     check_residual_snapshots, check_schedule, evolve_grid, interior_mask,
+                     quantum_potential)
 
 _COORD_NAMES = {1: ("q",), 2: ("x", "y")}
 # largest magnitude an appendix section may give a coordinate, a packet
@@ -112,8 +113,11 @@ class AppendixSpec:
         if self.residual_check and self.record_every >= 1:
             errors += field_errors(check_residual_snapshots,
                                    1 + self.n_steps // self.record_every, name="residual_check")
+        grid_errors = field_errors(self.grid)
         errors += [({"maxs": "x_max", "ns": "n_points"}[name], message)
-                   for name, message in field_errors(self.grid)]
+                   for name, message in grid_errors]
+        if self.residual_check and not grid_errors:
+            errors += field_errors(check_residual_grid, self.grid(), name="residual_check")
         if not errors:   # fields and packet on the grid, once every other key is valid
             errors += field_errors(appendix_setup, self)
         if not all(map(_is_number, self.deltas)):

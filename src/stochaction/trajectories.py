@@ -63,11 +63,12 @@ class EnsembleSpec:
         return int(round(steps))
 
     def validate_against(self, stoch) -> None:
-        """Integration steps may not outpace the sign-block scale (actual-velocity runs)."""
-        if self.dt_traj > stoch.tau_xi / stoch.hierarchy_factor + 1e-15:
-            raise ValueError(
-                f"dt_traj = {self.dt_traj} exceeds tau_xi / hierarchy_factor "
-                f"= {stoch.tau_xi / stoch.hierarchy_factor}")
+        """Integration steps may not outpace the sign-block scale (actual-velocity runs),
+        to 4 ulp of the quotient: 0.21 / 10 is 0.020999999999999998, not 0.021."""
+        bound = stoch.tau_xi / stoch.hierarchy_factor
+        if self.dt_traj > bound + 4 * np.spacing(bound):
+            raise ValueError(f"dt_traj = {self.dt_traj} exceeds tau_xi / hierarchy_factor "
+                             f"= {bound}")
 
 
 def _unit_phase(x: np.ndarray) -> np.ndarray:

@@ -13,6 +13,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from joint_oracle import field_from_binary
+from parse_cases import (ARITHMETIC_FAILURES, BAD_APPENDIX_FIELDS, BAD_SECTION_KEYS,
+                         ENGINE_RULES, GRID_RUN, GRID_SCALES_TOO_LARGE, OUT_OF_RANGE_SEEDS,
+                         SHAPE_AND_BOUND_RULES, TOO_SMALL_COUNTS, UNPASSABLE_THRESHOLDS,
+                         UNRUNNABLE_APPENDIX, UNRUNNABLE_STATES)
 from stochaction import (AngularBasis, AppendixSpec, CartesianGrid, ConfigError,
                          DegenerateInputError, EnsembleSpec, FieldErrors, GaussianPacket,
                          GridSpec, LambdaSweep, MetricPotentialSystem, PhysicalConfig,
@@ -35,46 +39,41 @@ MINIMAL_BORN = {
 }
 
 
-# each parameter rule an engine module owns: (experiment, overrides breaking
-# it, the violation's path, the engine calls given the same value)
-ENGINE_RULES = {
-    "normalization": ("born", {"state": {"weights": [0.0, 0.0, 0.0]}}, "state.weights", [
+# the engine calls given the value that breaks each rule of ENGINE_RULES
+ENGINE_CALLS = {
+    "normalization": [
         lambda e: SpectralState(np.zeros(17), AngularBasis(), GaussianPacket(0.0, 0.05),
                                 np.zeros(17), 0.0, GridSpec()),
         lambda e: prepare_initial_state({0: 0.0}, GaussianPacket(0.0, 0.05), e.physical,
                                         GridSpec()),
-        lambda e: average_prior({0: 0.0}, AngularBasis(), 10, seed=0)]),
-    "schedule-dt": ("appendix", {"appendix": {"dt": 0}}, "appendix.dt", [
-        lambda e: evolve_grid(e.psi, e.op, 0.0, 10)]),
-    "schedule-n_steps": ("lambda-sweep", {"appendix": {"n_steps": 0}}, "appendix.n_steps", [
-        lambda e: evolve_grid(e.psi, e.op, 0.01, 0)]),
-    "schedule-record_every": ("appendix", {"appendix": {"record_every": 0}},
-                              "appendix.record_every", [
+        lambda e: average_prior({0: 0.0}, AngularBasis(), 10, seed=0)],
+    "schedule-dt": [lambda e: evolve_grid(e.psi, e.op, 0.0, 10)],
+    "schedule-n_steps": [lambda e: evolve_grid(e.psi, e.op, 0.01, 0)],
+    "schedule-record_every": [
         lambda e: evolve_grid(e.psi, e.op, 0.01, 10, record_every=0),
-        lambda e: run_lambda_sweep(e.system, e.psi, e.grid, LambdaSweep(), 0.01, 10, 0)]),
-    "residual-snapshots": ("appendix", {"appendix": {"residual_check": True, "n_steps": 100,
-                                                     "record_every": 51}},
-                           "appendix.residual_check", [
+        lambda e: run_lambda_sweep(e.system, e.psi, e.grid, LambdaSweep(), 0.01, 10, 0)],
+    "residual-snapshots": [
         lambda e: verify_hjm_residual(evolve_grid(e.psi, e.op, 0.01, 100, 51)[1], e.system,
-                                      e.grid, 1.0)]),
-    "prior-draws": ("prior-average", {"prior": {"n_mc": 1}}, "prior.n_mc", [
-        lambda e: average_prior({0: 1.0}, AngularBasis(), 1, seed=0)]),
-    "trials": ("born", {"ensemble": {"n_trials": 0}}, "ensemble.n_trials", [
-        lambda e: run_ensemble(e.state, e.physical, EnsembleSpec(0.01), 0, seed=0)]),
-    "equivariance-bins": ("born", {"equivariance": {"n_bins": 1, "enabled": True}},
-                          "equivariance.n_bins", [
-        lambda e: equivariance_report({0.0: np.zeros((4, 2))}, e.state, 1.0, n_bins=1)]),
-    "velocity": ("born", {"velocity": "drift"}, "velocity", [
+                                      e.grid, 1.0)],
+    "residual-interior": [
+        lambda e: verify_hjm_residual([(0.0, np.ones(8, complex))] * 3, e.system,
+                                      CartesianGrid((-4.0,), (4.0,), (8,), (False,)), 1.0)],
+    "prior-draws": [lambda e: average_prior({0: 1.0}, AngularBasis(), 1, seed=0)],
+    "trials": [lambda e: run_ensemble(e.state, e.physical, EnsembleSpec(0.01), 0, seed=0)],
+    "equivariance-bins": [
+        lambda e: equivariance_report({0.0: np.zeros((4, 2))}, e.state, 1.0, n_bins=1)],
+    "velocity": [
         lambda e: run_ensemble(e.state, e.physical, EnsembleSpec(0.01), 1, seed=0,
                                velocity="drift"),
         lambda e: run_single_event(e.state, e.physical, EnsembleSpec(0.01), seed=0,
-                                   velocity="drift")]),
+                                   velocity="drift")],
 }
+assert ENGINE_CALLS.keys() == ENGINE_RULES.keys()
 
 
 @pytest.fixture(scope="module")
 def engines():
-    """A ring state and a small grid run for the ``ENGINE_RULES`` calls."""
+    """A ring state and a small grid run for the ``ENGINE_CALLS``."""
     physical = PhysicalConfig()
     grid = CartesianGrid((-4.0,), (4.0,), (16,), (False,))
     system = MetricPotentialSystem(1)
@@ -230,17 +229,7 @@ class TestParseConfig:
         paths = [v.split(":")[0] for v in err.value.violations]
         assert paths == ["physical.sep_factor", "grid.q2_max/q2_min"]
 
-    @pytest.mark.parametrize("kind, section, values, paths", [
-        ("lambda-sweep", "appendix", {"n_points": 4, "x_max": -9.0, "dt": 0, "n_steps": 0,
-                                      "deltas": [0.0, 0.0]},
-         ["appendix.deltas", "appendix.dt", "appendix.n_points", "appendix.n_steps",
-          "appendix.x_max"]),
-        ("appendix", "appendix", {"scalar": "qq", "deltas": ["0"]},
-         ["appendix.deltas", "appendix.scalar"]),
-        ("born", "state", {"l_max": 0}, ["state.l_max", "state.modes"]),
-        ("born", "state", {"modes": [0, "1"], "phases": [None, 0.0, 0.0]},
-         ["state.modes", "state.phases"]),
-    ])
+    @pytest.mark.parametrize("kind, section, values, paths", BAD_SECTION_KEYS)
     def test_each_bad_key_of_a_section_reported(self, kind, section, values, paths):
         # a spec names every key that breaks a rule, each under its own path
         bad = json.loads(json.dumps(MINIMAL_BORN))
@@ -508,14 +497,7 @@ class TestCli:
             "checks": {"chi2_p_min": 1.0 - 1e-12}})
         assert cli_main(["born", "--config", str(path)]) == 3
 
-    @pytest.mark.parametrize("kind, overrides, key", [
-        ("born", {"checks": {"chi2_p_min": 1.5}}, "checks.chi2_p_min"),
-        ("born", {"checks": {"chi2_p_min": 1}}, "checks.chi2_p_min"),
-        ("born", {"checks": {"max_ambiguous_rate": 0}}, "checks.max_ambiguous_rate"),
-        ("prior-average", {"prior": {"z_max": -1}}, "prior.z_max"),
-        ("stochastic-check", {"checks": {"mean_abs_dev_rtol": -1}},
-         "checks.mean_abs_dev_rtol"),
-    ])
+    @pytest.mark.parametrize("kind, overrides, key", UNPASSABLE_THRESHOLDS)
     def test_threshold_no_run_can_pass_exit_one(self, tmp_path, capsys, kind, overrides,
                                                 key):
         # rejected at parse, before any work, naming the key
@@ -557,18 +539,22 @@ class TestCli:
         assert f"- {violation}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("experiment, overrides, violation", [
-        ("born", {"ensemble": [1]}, "ensemble: expected an object"),
-        ("born", {"threads": 0}, "threads: must be at least 1"),
-        ("appendix", {"appendix": {"x_min": 0, "x_max": 1e-48}},
-         "appendix.x_max: the grid spacing must be at least 1e-50"),
-    ])
+    @pytest.mark.parametrize("experiment, overrides, violation", SHAPE_AND_BOUND_RULES)
     def test_shape_and_bound_rules_rejected_at_parse(self, tmp_path, capsys, experiment,
                                                      overrides, violation):
         path, data = make_config(tmp_path, overrides=overrides, experiment=experiment)
         assert cli_main([experiment, "--config", str(path)]) == 1
         assert f"- {violation}" in capsys.readouterr().err
         assert not Path(data["out_dir"]).exists()
+
+    def test_step_bound_holds_to_a_few_ulp(self):
+        # the quotient may round below the decimal it stands for: 0.21 / 10 is
+        # 0.020999999999999998, while 0.03 / 10 is 0.003
+        for tau_xi, dt_traj in ((0.03, 0.003), (0.21, 0.021)):
+            cfg = parse_config(json.dumps({
+                "experiment": "born", "velocity": "actual", "stochastic": {"tau_xi": tau_xi},
+                "physical": {"t_M": 2.1}, "ensemble": {"dt_traj": dt_traj}}))
+            assert cfg.ensemble().dt_traj == dt_traj
 
     def test_format_is_not_an_option(self, tmp_path, capsys):
         # a Born run writes one frequency table, frequencies.csv
@@ -616,21 +602,7 @@ class TestCli:
         assert "appendix.dimension" in capsys.readouterr().err
         assert not (Path(data["out_dir"]) / "error.json").exists()
 
-    @pytest.mark.parametrize("experiment, appendix, path", [
-        ("appendix", {"n_steps": 0}, "appendix.n_steps"),
-        ("lambda-sweep", {"dt": 0}, "appendix.dt"),
-        ("appendix", {"record_every": 0}, "appendix.record_every"),
-        ("lambda-sweep", {"record_every": -5}, "appendix.record_every"),
-        ("appendix", {"n_points": 4}, "appendix.n_points"),
-        ("lambda-sweep", {"x_min": 2.0, "x_max": 2.0}, "appendix.x_max"),
-        ("appendix", {"initial_width": 0}, "appendix.initial_width"),
-        ("lambda-sweep", {"deltas": [0.0, -1.0]}, "appendix.deltas"),
-        ("lambda-sweep", {"deltas": [0.0, "0.1"]}, "appendix.deltas"),
-        ("appendix", {"residual_check": True, "n_steps": 100, "record_every": 51},
-         "appendix.residual_check"),
-        ("lambda-sweep", {"deltas": [0.0, 0.1, 0.1, -0.0]}, "appendix.deltas"),
-        ("appendix", {"deltas": [0.0, -0.0]}, "appendix.deltas"),
-    ])
+    @pytest.mark.parametrize("experiment, appendix, path", UNRUNNABLE_APPENDIX)
     def test_unrunnable_appendix_rejected_at_parse(self, tmp_path, capsys, experiment,
                                                    appendix, path):
         path_cfg, data = make_config(tmp_path, overrides={"appendix": appendix},
@@ -639,20 +611,13 @@ class TestCli:
         assert path in capsys.readouterr().err
         assert not Path(data["out_dir"]).exists()
 
-    @pytest.mark.parametrize("experiment, lambda_mag, deltas", [
-        ("appendix", 1e200, [0.0]),
-        ("appendix", 1e200, [0.0, -0.5]),   # an appendix run takes delta 0 alone
-        ("lambda-sweep", 1e200, [0.0]),
-        ("lambda-sweep", 1e150, [0.0, 1e5]),   # only the swept scale is too large
-        ("lambda-sweep", 1e300, [0.0, 1e50]),   # a scale beyond float64
-    ])
+    @pytest.mark.parametrize("experiment, lambda_mag, deltas", GRID_SCALES_TOO_LARGE)
     def test_grid_scale_beyond_magnitude_bound_rejected_at_parse(
             self, tmp_path, capsys, experiment, lambda_mag, deltas):
         path_cfg, data = make_config(
             tmp_path, experiment=experiment,
             overrides={"physical": {"lambda_mag": lambda_mag},
-                       "appendix": {"n_points": 16, "n_steps": 3, "record_every": 1,
-                                    "deltas": deltas}})
+                       "appendix": {**GRID_RUN, "deltas": deltas}})
         assert cli_main([experiment, "--config", str(path_cfg)]) == 1
         assert "physical.lambda_mag" in capsys.readouterr().err
         assert not Path(data["out_dir"]).exists()
@@ -664,33 +629,13 @@ class TestCli:
         path_cfg, _ = make_config(
             tmp_path, experiment="lambda-sweep",
             overrides={"physical": {"lambda_mag": 1e50},
-                       "appendix": {"n_points": 16, "n_steps": 3, "record_every": 1,
-                                    "deltas": [0.0, -0.5]}})
+                       "appendix": {**GRID_RUN, "deltas": [0.0, -0.5]}})
         assert cli_main(["lambda-sweep", "--config", str(path_cfg), "--echo-config"]) == 0
 
     # numpy warnings are errors: a rejected field or packet must not leak one to stderr
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("experiment, appendix, path", [
-        ("appendix", {"scalar": "0.5*qq^2"}, "appendix.scalar"),
-        ("lambda-sweep", {"scalar": "sin("}, "appendix.scalar"),
-        ("appendix", {"metric": "q"}, "appendix.metric"),   # not positive for q <= 0
-        ("lambda-sweep", {"vector": ["q", "1"]}, "appendix.vector"),
-        ("appendix", {"initial_center": 100}, "appendix.initial_center"),  # zero norm
-        ("appendix", {"scalar": "0^-1"}, "appendix.scalar"),       # ZeroDivisionError
-        ("lambda-sweep", {"scalar": "10^400"}, "appendix.scalar"),  # OverflowError
-        ("appendix", {"scalar": "(-8)^0.5"}, "appendix.scalar"),   # complex: TypeError
-        # the width's square is 0 in float, so the packet's exponent is x/0 or 0/0
-        ("appendix", {"initial_width": 1e-200}, "appendix.initial_center/initial_width"),
-        ("lambda-sweep", {"initial_width": 5e-324}, "appendix.initial_center/initial_width"),
-        # NaN on the grid's negative half, named before the metric and magnitude rules
-        ("appendix", {"metric": "q^0.5"}, "appendix.metric: values on the grid must be finite"),
-        ("lambda-sweep", {"scalar": "q^0.5"},
-         "appendix.scalar: values on the grid must be finite"),
-        ("appendix", {"vector": ["q^0.5"]}, "appendix.vector: values on the grid must be finite"),
-    ], ids=["unknown-name", "syntax", "metric-not-positive", "vector-length",
-            "packet-off-grid", "zero-division", "overflow", "complex-power",
-            "width-squared-underflows", "width-subnormal", "metric-not-finite",
-            "scalar-not-finite", "vector-not-finite"])
+    @pytest.mark.parametrize("experiment, appendix, path", list(BAD_APPENDIX_FIELDS.values()),
+                             ids=list(BAD_APPENDIX_FIELDS))
     def test_bad_appendix_field_rejected_at_parse(self, tmp_path, capsys, experiment,
                                                   appendix, path):
         path_cfg, data = make_config(tmp_path, overrides={"appendix": appendix},
@@ -699,13 +644,8 @@ class TestCli:
         assert path in capsys.readouterr().err
         assert not (Path(data["out_dir"]) / "error.json").exists()
 
-    @pytest.mark.parametrize("experiment, scalar, message", [
-        ("lambda-sweep", "10^400", "appendix.scalar: overflow in '^'"),
-        ("appendix", "(-8)^0.5",
-         "appendix.scalar: fractional power of a negative base in '^'"),
-        ("appendix", "0^-1", "appendix.scalar: zero to a negative power in '^'"),
-        ("lambda-sweep", "q + 1/0", "appendix.scalar: division by zero in '/'"),
-    ], ids=["overflow", "complex-power", "zero-power", "zero-division"])
+    @pytest.mark.parametrize("experiment, scalar, message", list(ARITHMETIC_FAILURES.values()),
+                             ids=list(ARITHMETIC_FAILURES))
     def test_arithmetic_failure_named_in_grammar_terms(self, tmp_path, capsys, experiment,
                                                        scalar, message):
         path_cfg, data = make_config(tmp_path, overrides={"appendix": {"scalar": scalar}},
@@ -716,19 +656,7 @@ class TestCli:
         assert "Numerical result" not in err and "not 'complex'" not in err
         assert not (Path(data["out_dir"]) / "error.json").exists()
 
-    @pytest.mark.parametrize("experiment, section, key, value", [
-        ("born", "equivariance", "n_bins", 1),
-        ("prior-average", "prior", "n_mc", 1),
-        ("repeatability", "repeat", "n_repeats", 0),
-        ("stochastic-check", "checks", "n_draws", 1),
-        ("born", "grid", "n_theta", 7),      # inert, but range-checked
-        ("born", "grid", "n_q2", 31),
-        ("born", "state", "l_max", 0),
-        # a trajectory table stores its trials every store_every >= 1 steps
-        ("trajectories", "ensemble", "store_every", 0),
-        ("trajectories", "ensemble", "store_every", -5),
-        ("trajectories", "ensemble", "n_store", -1),
-    ])
+    @pytest.mark.parametrize("experiment, section, key, value", TOO_SMALL_COUNTS)
     def test_too_small_sample_count_rejected_at_parse(self, tmp_path, capsys, experiment,
                                                       section, key, value):
         overrides = {section: {key: value}}
@@ -744,14 +672,14 @@ class TestCli:
                                                                 engines, rule):
         # each rule is stated once, in the engine module that enforces it: the
         # config names the key and every engine entry raises the same text
-        experiment, overrides, path, calls = ENGINE_RULES[rule]
+        experiment, overrides, path = ENGINE_RULES[rule]
         cfg_path, data = make_config(tmp_path, overrides=overrides, experiment=experiment)
         assert cli_main([experiment, "--config", str(cfg_path)]) == 1
         lines = [line.strip()[2:] for line in capsys.readouterr().err.splitlines()
                  if line.strip().startswith(f"- {path}: ")]
         assert len(lines) == 1 and not Path(data["out_dir"]).exists()
         messages, types = set(), set()
-        for call in calls:
+        for call in ENGINE_CALLS[rule]:
             with pytest.raises(ValueError) as info:
                 call(engines)
             types.add(info.type)
@@ -794,30 +722,15 @@ class TestCli:
             files.append(json.loads((out / "manifest.json").read_text())["files"])
         assert files[0] == files[1]
 
-    @pytest.mark.parametrize("state, message", [
-        ({"modes": [0, "1"]}, "state.modes: every entry must be a number"),
-        ({"weights": [0.5, None, 0.2]}, "state.weights: every entry must be a number"),
-        ({"phases": [0.0, True, 0.0]}, "state.phases: every entry must be a number"),
-        ({"modes": [-1, 0.5, 1]}, "state.modes: every entry must be an integer"),
-        ({"modes": [1, 0, 1.0]}, "state.modes: must be distinct"),
-        ({"weights": [1e308, 1e308, 0.0]}, "state.weights: must be non-negative"),
-        ({"weights": [0.5, float("nan"), 0.2]}, "state.weights[1]: must be a finite number"),
-        ({"packet_center": float("inf")}, "state.packet_center: must be a finite number"),
-        ({"modes": [0], "weights": [1.0], "l_max": 0},
-         "state.l_max: must be an integer at least 1, not 0"),
-    ], ids=["mode-text", "weight-null", "phase-bool", "mode-fraction", "mode-repeated",
-            "weight-total-overflow", "weight-nan", "center-infinite", "l_max-zero"])
+    @pytest.mark.parametrize("state, message", list(UNRUNNABLE_STATES.values()),
+                             ids=list(UNRUNNABLE_STATES))
     def test_unrunnable_state_rejected_at_parse(self, tmp_path, capsys, state, message):
         path, data = make_config(tmp_path, overrides={"state": state})
         assert cli_main(["born", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
         assert not Path(data["out_dir"]).exists()
 
-    @pytest.mark.parametrize("experiment, seed", [
-        ("born", -1),
-        ("born", 2**64),
-        ("repeatability", 2**64 - 1),     # its repeats are drawn at seed + 1
-    ])
+    @pytest.mark.parametrize("experiment, seed", OUT_OF_RANGE_SEEDS)
     def test_out_of_range_seed_rejected_at_parse(self, tmp_path, capsys, experiment, seed):
         path, data = make_config(tmp_path, experiment=experiment, seed=seed)
         assert cli_main([experiment, "--config", str(path)]) == 1
@@ -1217,6 +1130,9 @@ def appendix_section(draw):
                              "record_every": 1, "residual_check": True}))
 @example(drawn=("lambda-sweep", {"deltas": [0.0, 1e300], "n_points": 16, "n_steps": 2,
                                  "record_every": 1}))
+# a closed 8-point grid, which leaves the residuals no point past the stencil margin
+@example(drawn=("appendix", {"n_points": 8, "scalar": "0.5*q^2", "n_steps": 20,
+                             "record_every": 5, "residual_check": True}))
 def test_fuzzed_appendix_fail_at_parse_or_run(tmp_path, drawn):
     # as above, for the grid kinds' section: grid, fields, packet and steps
     kind, appendix = drawn

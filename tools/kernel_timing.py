@@ -13,25 +13,26 @@ and reports, per row count, the median over repeats of the mean time per call:
     python3 tools/kernel_timing.py --against HEAD   # working tree and HEAD
 
 ``--against REV`` extracts ``src/`` at REV with ``git archive`` into a
-temporary directory, as ``tools/result_hashes.py --against`` does, and
-alternates fresh interpreters on the working tree and on REV (the side that
-runs first flips every round).  It prints each side's median over the rounds
-and the ratio REV / working tree, which is above 1 where the working tree is
-faster.  No tracer wraps the calls, so this is the kernel-layer figure
-without perfbench's span overhead.
+temporary directory through ``tools/revision.py``, as
+``tools/result_hashes.py --against`` does (a revision git cannot archive
+exits 2 with git's message), and alternates fresh interpreters on the
+working tree and on REV (the side that runs first flips every round).  It
+prints each side's median over the rounds and the ratio REV / working tree,
+which is above 1 where the working tree is faster.  No tracer wraps the
+calls, so this is the kernel-layer figure without perfbench's span
+overhead.
 """
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))   # also when loaded by path
+from revision import ROOT, fresh_json, src_at  # noqa: E402
+
 ROWS = (64, 1024, 4096)
 ROUNDS = 5
 REPEATS = 7
@@ -95,13 +96,7 @@ def measure() -> dict:
 
 def run_side(src: Path) -> dict:
     """:func:`measure` in a fresh interpreter whose ``PYTHONPATH`` is ``src``."""
-    code = ("import sys, json; sys.path.insert(0, sys.argv[1]); "
-            "import kernel_timing as tool; print(json.dumps(tool.measure()))")
-    with tempfile.TemporaryDirectory() as cwd:
-        done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
-                              env=dict(os.environ, PYTHONPATH=str(src)), cwd=cwd,
-                              capture_output=True, text=True, check=True)
-    out = json.loads(done.stdout)
+    out = fresh_json(src, "kernel_timing", "measure")
     return {"rows": out.pop("rows"), **{int(n): us for n, us in out.items()}}
 
 
@@ -135,10 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         report({tree: [run_side(ROOT / "src") for _ in range(ROUNDS)]})
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
-                                  args.against, "src"], capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        srcs = {tree: ROOT / "src", args.against: Path(tmp) / "src"}
+        srcs = {tree: ROOT / "src", args.against: src_at(args.against, Path(tmp))}
         sides = {name: [] for name in srcs}
         for k in range(ROUNDS):
             for name in (list(srcs) if k % 2 == 0 else list(srcs)[::-1]):

@@ -1,61 +1,42 @@
-"""Result-file hashes of one small run per experiment kind.
+"""Result-file hashes and outcomes of one small run per experiment kind.
 
 Runs each config below through ``run_experiment``, plus the API-level runs
-the CLI cannot reach, and prints ``{kind: {file: sha256}}`` as JSON: the
-manifest's ``files`` map for a config, the hash of the result's canonical
-JSON for an API run.  Each config kind also has a ``config.json`` entry:
-the hash of ``serialize_config(parse_config(...))``, the bytes
-``--echo-config`` prints, so a comparison also checks that every default
-and parsed value keeps its echo.  To check that a change kept the result
-bytes for a fixed (config, seed), save the hashes of one checkout and
-compare the other against them:
-
-    python3 tools/result_hashes.py > hashes.json              # in the parent
-    python3 tools/result_hashes.py --compare hashes.json      # in the change
-
-``--compare`` prints every (kind, file) whose hash differs or that exists on
-one side only, and exits 1 if there is any, 0 if all match.
-
-A change that declares new last bits must still keep every outcome.  The
-record options compare outcomes rather than bytes:
-
-    python3 tools/result_hashes.py --dump-records recs > hashes.json   # parent
-    python3 tools/result_hashes.py --compare-records recs              # change
-
-``--dump-records DIR`` writes one ``DIR/<kind>.json`` per kind that records
-outcomes or numbers: its ``records.jsonl`` rows (the born kinds and the
-API-level ``born-position``, ``born-position-edge``, ``born-linear-momentum``,
+the CLI cannot reach.  Per kind it takes the hashes of its result files
+(the manifest's ``files`` map for a config, the hash of the result's
+canonical JSON for an API run) and its outcome data: the ``records.jsonl``
+rows (the born kinds and the API-level ``born-position``,
+``born-position-edge``, ``born-linear-momentum``,
 ``born-linear-momentum-offset`` and ``born-overlap``, whose overlapping
-windows leave some trials ambiguous), the outcome counts and every number of
-its ``summary.json``, its ``trajectories.csv`` rows, and the numbers of the
-grid kinds' ``observables.csv``, ``sweep.csv`` and ``psi_final.csv`` and of
-every API kind's ``result.json``.  A dump is compared only with a dump of the
-same version of this tool: to compare with another checkout, run this script
-against that checkout's ``src``.
-``--compare-records DIR`` compares ``outcome_index`` and ``overflow`` row by
-row and the counts, prints ``max |dq2_final|`` per kind, the largest change
-in any trajectories.csv cell and the largest absolute change in each kind's
-numbers, then the largest number change over all kinds.  It exits 1 on an
-outcome difference or a file whose count of numbers differs; changed numbers
-alone do not fail it, so it measures a declared last-bit change.  Both
-options may be combined with ``--compare``; the exit status is 1 if any
-comparison fails.
+windows leave some trials ambiguous), the outcome counts and every number
+of its ``summary.json``, its ``trajectories.csv`` rows, and the numbers of
+the grid kinds' ``observables.csv``, ``sweep.csv`` and ``psi_final.csv`` and
+of every API kind's ``result.json``.  Each config kind also has a
+``config.json`` hash: that of ``serialize_config(parse_config(...))``, the
+bytes ``--echo-config`` prints, so every default and parsed value keeps its
+echo.  One of two modes is required.
 
-``--against REV`` does both comparisons in one call, between the package at
-a git revision and the working tree:
+``--against REV`` compares the package's ``src/`` at a git revision with
+the working tree's:
 
     python3 tools/result_hashes.py --against HEAD
 
 It extracts ``src/`` at REV with ``git archive`` into a temporary directory
-and runs this script's kinds once on that package and once on the working
-tree's, each in its own interpreter with its own ``PYTHONPATH``.  It prints
-the ``--compare`` and ``--compare-records`` reports and names every kind
-that only one side ran (a kind the other side's package cannot run fails
-there).  Each side also parses the invalid configs of ``parse_corpus()``:
-every config kind with one key per engine-owned parameter rule broken, and
-the exit-1 parametrized cases of ``tests/test_config_cli.py``; the report
-names each config whose exit code or sorted violation paths differ.  It
-exits 1 if any file, outcome, kind or parse differs.
+(an unknown revision exits 2 with git's message) and runs this script's
+kinds once on that package and once on the working tree's, each in a fresh
+interpreter with its own ``PYTHONPATH`` that prints one JSON result.  The
+report prints, per kind, whether the outcome counts match, ``max
+|dq2_final|``, the largest change in any trajectories.csv cell and in each
+kind's numbers, then the largest number change over all kinds; then every
+(kind, file) whose hash differs or that one side only has, and names every
+kind that only one side ran (a kind the other side's package cannot run
+fails there).  Each side also parses the invalid configs of
+``parse_corpus()``: every config kind with each engine-owned parameter rule
+broken, and every exit-1 case of ``tests/test_config_cli.py``, both read
+from ``tests/parse_cases.py``; the report names each config whose exit code
+or sorted violation paths differ.  It exits 1 on any outcome difference, a
+file whose count of numbers differs, or a differing file, kind or parse.
+Changed numbers alone do not fail it, so it measures a declared last-bit
+change.
 
 ``--pin FILE`` writes the compact reference that Tier-1 compares every run
 with (``tests/test_pinned_outcomes.py``): per kind, the outcome vector and
@@ -66,20 +47,20 @@ or echoes on purpose rewrites the file from its own checkout:
 
     python3 tools/result_hashes.py --pin tests/data/pinned_outcomes.json
 
-The package is imported from the ``src`` directory next to this script.
+``--pin`` imports the package from the ``src`` directory next to this script.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))   # also when loaded by path
+from revision import ROOT, fresh_json, src_at  # noqa: E402
 
 BASE = {
     "seed": 5,
@@ -155,85 +136,6 @@ CONFIGS = {
 }
 
 
-# one key per parameter rule an engine module owns, each breaking it; the
-# config normalizes the state's weights, so the normalization rule is
-# reached through a zero total
-RULE_BREAKS = {
-    "weights-zero": {"state": {"weights": [0.0, 0.0, 0.0]}},
-    "dt-zero": {"appendix": {"dt": 0}},
-    "n_steps-zero": {"appendix": {"n_steps": 0}},
-    "record_every-zero": {"appendix": {"record_every": 0}},
-    "residual-two-snapshots": {"appendix": {"residual_check": True, "n_steps": 100,
-                                            "record_every": 51}},
-    "n_mc-one": {"prior": {"n_mc": 1}},
-    "n_trials-zero": {"ensemble": {"n_trials": 0}},
-    "n_bins-one": {"equivariance": {"n_bins": 1}},
-    "velocity-unknown": {"velocity": "drift"},
-}
-
-_GRID_RUN = {"n_points": 16, "n_steps": 3, "record_every": 1}
-# the exit-1 cases of the parametrized tests of tests/test_config_cli.py, as
-# (experiment kind, sections overriding BASE), one list per test
-TEST_CASES = {
-    "each_bad_key_of_a_section_reported": [
-        ("lambda-sweep", {"appendix": {"n_points": 4, "x_max": -9.0, "dt": 0, "n_steps": 0,
-                                       "deltas": [0.0, 0.0]}}),
-        ("appendix", {"appendix": {"scalar": "qq", "deltas": ["0"]}}),
-        ("born", {"state": {"l_max": 0}}),
-        ("born", {"state": {"modes": [0, "1"], "phases": [None, 0.0, 0.0]}})],
-    "threshold_no_run_can_pass_exit_one": [
-        ("born", {"checks": {"chi2_p_min": 1.5}}), ("born", {"checks": {"chi2_p_min": 1}}),
-        ("born", {"checks": {"max_ambiguous_rate": 0}}),
-        ("prior-average", {"prior": {"z_max": -1}}),
-        ("stochastic-check", {"checks": {"mean_abs_dev_rtol": -1}})],
-    "unrunnable_appendix_rejected_at_parse": [(kind, {"appendix": appendix}) for kind, appendix in (
-        ("appendix", {"n_steps": 0}), ("lambda-sweep", {"dt": 0}),
-        ("appendix", {"record_every": 0}), ("lambda-sweep", {"record_every": -5}),
-        ("appendix", {"n_points": 4}), ("lambda-sweep", {"x_min": 2.0, "x_max": 2.0}),
-        ("appendix", {"initial_width": 0}), ("lambda-sweep", {"deltas": [0.0, -1.0]}),
-        ("lambda-sweep", {"deltas": [0.0, "0.1"]}),
-        ("appendix", {"residual_check": True, "n_steps": 100, "record_every": 51}),
-        ("lambda-sweep", {"deltas": [0.0, 0.1, 0.1, -0.0]}),
-        ("appendix", {"deltas": [0.0, -0.0]}))],
-    "grid_scale_beyond_magnitude_bound_rejected_at_parse": [
-        (kind, {"physical": {"lambda_mag": lam}, "appendix": {**_GRID_RUN, "deltas": deltas}})
-        for kind, lam, deltas in (("appendix", 1e200, [0.0]), ("appendix", 1e200, [0.0, -0.5]),
-                                  ("lambda-sweep", 1e200, [0.0]),
-                                  ("lambda-sweep", 1e150, [0.0, 1e5]),
-                                  ("lambda-sweep", 1e300, [0.0, 1e50]))],
-    "bad_appendix_field_rejected_at_parse": [(kind, {"appendix": appendix}) for kind, appendix in (
-        ("appendix", {"scalar": "0.5*qq^2"}), ("lambda-sweep", {"scalar": "sin("}),
-        ("appendix", {"metric": "q"}), ("lambda-sweep", {"vector": ["q", "1"]}),
-        ("appendix", {"initial_center": 100}), ("appendix", {"scalar": "0^-1"}),
-        ("lambda-sweep", {"scalar": "10^400"}), ("appendix", {"scalar": "(-8)^0.5"}),
-        ("appendix", {"initial_width": 1e-200}), ("lambda-sweep", {"initial_width": 5e-324}),
-        ("appendix", {"metric": "q^0.5"}), ("lambda-sweep", {"scalar": "q^0.5"}),
-        ("appendix", {"vector": ["q^0.5"]}))],
-    "arithmetic_failure_named_in_grammar_terms": [
-        (kind, {"appendix": {"scalar": scalar}}) for kind, scalar in (
-            ("lambda-sweep", "10^400"), ("appendix", "(-8)^0.5"), ("appendix", "0^-1"),
-            ("lambda-sweep", "q + 1/0"))],
-    "too_small_sample_count_rejected_at_parse": [
-        ("born", {"equivariance": {"n_bins": 1, "enabled": True}}),
-        ("prior-average", {"prior": {"n_mc": 1}}), ("repeatability", {"repeat": {"n_repeats": 0}}),
-        ("stochastic-check", {"checks": {"n_draws": 1}}), ("born", {"grid": {"n_theta": 7}}),
-        ("born", {"grid": {"n_q2": 31}}), ("born", {"state": {"l_max": 0}}),
-        ("trajectories", {"ensemble": {"store_every": 0}}),
-        ("trajectories", {"ensemble": {"store_every": -5}}),
-        ("trajectories", {"ensemble": {"n_store": -1}})],
-    "unrunnable_state_rejected_at_parse": [("born", {"state": state}) for state in (
-        {"modes": [0, "1"]}, {"weights": [0.5, None, 0.2]}, {"phases": [0.0, True, 0.0]},
-        {"modes": [-1, 0.5, 1]}, {"modes": [1, 0, 1.0]}, {"weights": [1e308, 1e308, 0.0]},
-        {"weights": [0.5, float("nan"), 0.2]}, {"packet_center": float("inf")},
-        {"modes": [0], "weights": [1.0], "l_max": 0})],
-    "out_of_range_seed_rejected_at_parse": [
-        ("born", {"seed": -1}), ("born", {"seed": 2**64}), ("repeatability", {"seed": 2**64 - 1})],
-    "shape_and_bound_rules_rejected_at_parse": [
-        ("born", {"ensemble": [1]}), ("born", {"threads": 0}),
-        ("appendix", {"appendix": {"x_min": 0, "x_max": 1e-48}})],
-}
-
-
 def _config(kind: str, overrides: dict, *merged: dict) -> dict:
     """BASE as a ``kind`` run with the sections of ``overrides`` in place of its
     own, as ``CONFIGS`` gives them, then each of ``merged``'s sections merged in."""
@@ -246,13 +148,46 @@ def _config(kind: str, overrides: dict, *merged: dict) -> dict:
 
 def parse_corpus() -> dict:
     """``{name: config}`` of the invalid configs: each config kind with each
-    ``RULE_BREAKS`` key, and each ``TEST_CASES`` case."""
+    ``ENGINE_RULES`` break, and each exit-1 case, of ``tests/parse_cases.py``."""
+    spec = importlib.util.spec_from_file_location("parse_cases",
+                                                  ROOT / "tests" / "parse_cases.py")
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    # each test's rows, and its row as (experiment kind, sections merged into BASE)
+    tests = {
+        "each_bad_key_of_a_section_reported": (
+            cases.BAD_SECTION_KEYS, lambda kind, section, values, _: (kind, {section: values})),
+        "threshold_no_run_can_pass_exit_one": (
+            cases.UNPASSABLE_THRESHOLDS, lambda kind, overrides, _: (kind, overrides)),
+        "unrunnable_appendix_rejected_at_parse": (
+            cases.UNRUNNABLE_APPENDIX, lambda kind, appendix, _: (kind, {"appendix": appendix})),
+        "grid_scale_beyond_magnitude_bound_rejected_at_parse": (
+            cases.GRID_SCALES_TOO_LARGE, lambda kind, lam, deltas: (kind, {
+                "physical": {"lambda_mag": lam},
+                "appendix": {**cases.GRID_RUN, "deltas": deltas}})),
+        "bad_appendix_field_rejected_at_parse": (
+            cases.BAD_APPENDIX_FIELDS, lambda kind, appendix, _: (kind, {"appendix": appendix})),
+        "arithmetic_failure_named_in_grammar_terms": (
+            cases.ARITHMETIC_FAILURES,
+            lambda kind, scalar, _: (kind, {"appendix": {"scalar": scalar}})),
+        # the test enables the equivariance section whose bins it breaks
+        "too_small_sample_count_rejected_at_parse": (
+            cases.TOO_SMALL_COUNTS, lambda kind, section, key, value: (kind, {section: {
+                key: value, **({"enabled": True} if section == "equivariance" else {})}})),
+        "unrunnable_state_rejected_at_parse": (
+            cases.UNRUNNABLE_STATES, lambda state, _: ("born", {"state": state})),
+        "out_of_range_seed_rejected_at_parse": (
+            cases.OUT_OF_RANGE_SEEDS, lambda kind, seed: (kind, {"seed": seed})),
+        "shape_and_bound_rules_rejected_at_parse": (
+            cases.SHAPE_AND_BOUND_RULES, lambda kind, overrides, _: (kind, overrides)),
+    }
     corpus = {f"{name}/{rule}": _config(kind, overrides, broken)
               for name, (kind, overrides) in CONFIGS.items()
-              for rule, broken in RULE_BREAKS.items()}
-    corpus.update({f"{test}[{i}]": _config(kind, {}, overrides)
-                   for test, cases in TEST_CASES.items()
-                   for i, (kind, overrides) in enumerate(cases)})
+              for rule, (_, broken, _) in cases.ENGINE_RULES.items()}
+    for test, (rows, case) in tests.items():
+        for key, row in (rows.items() if isinstance(rows, dict) else enumerate(rows)):
+            kind, overrides = case(*row)
+            corpus[f"{test}[{key}]"] = _config(kind, {}, overrides)
     return corpus
 
 
@@ -638,17 +573,6 @@ def differences(expected: dict, actual: dict) -> list[tuple[str, str]]:
     return out
 
 
-def write_records(out: Path, outcomes: dict) -> None:
-    """One ``out/<kind>.json`` of outcome data per kind."""
-    out.mkdir(parents=True, exist_ok=True)
-    for kind, data in outcomes.items():
-        (out / f"{kind}.json").write_text(json.dumps(data, sort_keys=True) + "\n")
-
-
-def read_records(out: Path) -> dict:
-    return {path.stem: json.loads(path.read_text()) for path in sorted(out.glob("*.json"))}
-
-
 def report_records(expected: dict, outcomes: dict) -> int:
     """Print the outcome comparison; 1 if any outcome differs, else 0."""
     diffs, report, largest = record_differences(expected, outcomes)
@@ -678,79 +602,47 @@ def report_parses(expected: dict, parses: dict) -> int:
     return 1 if diff else 0
 
 
-def save(out: str) -> None:
-    """Run every kind, tolerating failures, into ``out``: ``hashes.json``,
-    ``failed.json``, one ``records/<kind>.json`` per kind and ``parses.json``."""
+def side() -> dict:
+    """Every kind, tolerating failures, and the corpus's parses: ``hashes``,
+    ``outcomes``, ``failed`` (``{kind: error}``) and ``parses``."""
     failed = {}
     hashes, outcomes, _ = result_hashes(failed)
-    write_records(Path(out) / "records", outcomes)
-    for name, data in (("hashes", hashes), ("failed", failed), ("parses", parse_outcomes())):
-        (Path(out) / f"{name}.json").write_text(json.dumps(data, sort_keys=True))
-
-
-def run_side(src: Path, out: Path) -> tuple[dict, dict, dict, dict]:
-    """Hashes, outcomes, failed kinds and parse outcomes of this script's kinds and
-    corpus on the package in ``src``, run by a fresh interpreter whose
-    ``PYTHONPATH`` is ``src``."""
-    out.mkdir(parents=True)
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import result_hashes as tool; tool.save(sys.argv[2])")
-    subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(out)],
-                   env=dict(os.environ, PYTHONPATH=str(src)), cwd=out, check=True)
-    return (json.loads((out / "hashes.json").read_text()), read_records(out / "records"),
-            json.loads((out / "failed.json").read_text()),
-            json.loads((out / "parses.json").read_text()))
+    return {"hashes": hashes, "outcomes": outcomes, "failed": failed,
+            "parses": parse_outcomes()}
 
 
 def against(rev: str) -> int:
     """Compare the package's ``src/`` at git revision ``rev`` with the working
     tree's; 1 if any file, outcome, kind or parse differs."""
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        sides = {rev: run_side(Path(tmp) / "src", Path(tmp) / "rev-out"),
-                 "the working tree": run_side(ROOT / "src", Path(tmp) / "work-out")}
-    (want, want_rec, _, want_parse), (got, got_rec, _, got_parse) = sides.values()
+        sides = {rev: fresh_json(src_at(rev, Path(tmp)), "result_hashes", "side"),
+                 "the working tree": fresh_json(ROOT / "src", "result_hashes", "side")}
+    want, got = sides.values()
     # a kind one side did not run differs in both reports
-    status = (report_records(want_rec, got_rec) | report_hashes(want, got)
-              | report_parses(want_parse, got_parse))
-    for kind in sorted(set(want) ^ set(got)):
-        ran, other = (rev, "the working tree") if kind in want else ("the working tree", rev)
-        print(f"only {ran} ran {kind}: {sides[other][2].get(kind, 'not a kind there')}")
+    status = (report_records(want["outcomes"], got["outcomes"])
+              | report_hashes(want["hashes"], got["hashes"])
+              | report_parses(want["parses"], got["parses"]))
+    for kind in sorted(set(want["hashes"]) ^ set(got["hashes"])):
+        ran, other = list(sides) if kind in want["hashes"] else list(sides)[::-1]
+        print(f"only {ran} ran {kind}: {sides[other]['failed'].get(kind, 'not a kind there')}")
     return status
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--compare", metavar="FILE",
-                        help="hashes saved from another checkout to compare against")
-    parser.add_argument("--dump-records", metavar="DIR",
-                        help="write each kind's outcomes to DIR/<kind>.json")
-    parser.add_argument("--compare-records", metavar="DIR",
-                        help="outcomes dumped from another checkout to compare against")
-    parser.add_argument("--pin", metavar="FILE",
-                        help="write the compact outcome reference that Tier-1 compares with")
-    parser.add_argument("--against", metavar="REV",
-                        help="compare files and outcomes of src/ at a git revision with "
-                             "the working tree's")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--against", metavar="REV",
+                      help="compare files, outcomes and parses of src/ at a git revision "
+                           "with the working tree's")
+    mode.add_argument("--pin", metavar="FILE",
+                      help="write the compact outcome reference that Tier-1 compares with")
     args = parser.parse_args(argv)
     if args.against is not None:
         return against(args.against)
     sys.path.insert(0, str(ROOT / "src"))
     hashes, outcomes, summaries = result_hashes()
-    status = 0
-    if args.pin is not None:
-        Path(args.pin).write_text(pin_text(pinned(outcomes, summaries, hashes)))
-    if args.dump_records is not None:
-        write_records(Path(args.dump_records), outcomes)
-    if args.compare_records is not None:
-        status |= report_records(read_records(Path(args.compare_records)), outcomes)
-    if args.compare is not None:
-        status |= report_hashes(json.loads(Path(args.compare).read_text()), hashes)
-    if args.compare is None and args.compare_records is None and args.pin is None:
-        print(json.dumps(hashes, indent=2, sort_keys=True))
-    return status
+    Path(args.pin).write_text(pin_text(pinned(outcomes, summaries, hashes)))
+    return 0
 
 
 if __name__ == "__main__":
