@@ -10,16 +10,15 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from io import BytesIO
 
 import numpy as np
 
 HBAR = 1.0
 #: a point is a node of a wavefunction when its density is below this
-#: fraction of the peak density
+#: fraction of a reference peak: a grid field's largest density, or for a
+#: mode sum the bound ``(sum |c_k|)^2`` (``trajectories._ring_peak_bound``)
 EPS_NODE_REL = 1e-12
 
 
@@ -181,12 +180,8 @@ def fork_map(fn, n: int, workers: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# file text: canonical JSON, CSV and a compact little-endian field dump
+# file text: canonical JSON and CSV
 # ---------------------------------------------------------------------------
-
-_MAGIC = b"WFSN"
-_VERSION = 1
-
 
 def canonical_json(obj) -> str:
     """Sorted keys, two-space indent, no NaN or infinity: every JSON file a run writes."""
@@ -206,22 +201,3 @@ def field_to_csv(amplitudes: np.ndarray, axis_points: list[np.ndarray],
     coords = [c.ravel().tolist() for c in np.meshgrid(*axis_points, indexing="ij")]
     rows = zip(*coords, amplitudes.real.ravel().tolist(), amplitudes.imag.ravel().tolist())
     return csv_text(rows, list(axis_names) + ["re", "im"])
-
-
-def field_to_binary(amplitudes: np.ndarray, axis_points: list[np.ndarray]) -> bytes:
-    """Little-endian dump.
-
-    Layout: magic ``WFSN`` (4 bytes), uint32 version, uint32 ndim, then per
-    axis a uint64 point count with float64 first and last coordinates, then
-    for every grid point in C order interleaved float64 (Re, Im).
-    """
-    buf = BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<II", _VERSION, len(axis_points)))
-    for pts in axis_points:
-        buf.write(struct.pack("<Qdd", len(pts), float(pts[0]), float(pts[-1])))
-    inter = np.empty(amplitudes.size * 2, dtype="<f8")
-    inter[0::2] = amplitudes.real.ravel()
-    inter[1::2] = amplitudes.imag.ravel()
-    buf.write(inter.tobytes())
-    return buf.getvalue()

@@ -1,5 +1,10 @@
 """Batch experiment execution and artifact serialization.
 
+Each experiment kind has one runner, ``_run_<kind>(cfg, out)``.  It adds its
+result files to ``out`` and returns ``(summary, checks)``: the summary dict and
+its declared ``(name, passed, detail)`` checks, or None for a kind that
+declares none.  :func:`run_experiment` alone turns the checks into the exit
+status and a ``checks`` block of the summary, and writes ``summary.json``.
 Every run writes its result files plus ``manifest.json`` carrying the echoed
 config, the package version, the seed, per-file content hashes, the wall
 time, the environment (cpu count, requested threads, OpenBLAS threads,
@@ -25,8 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .core import (DomainOverflowError, canonical_json, csv_text, field_to_binary,
-                   field_to_csv)
+from .core import DomainOverflowError, canonical_json, csv_text, field_to_csv
 from .gridop import (blas_threads, build_metric_hamiltonian, evolve_grid,
                      verify_hjm_residual)
 from .measurement import _collapsed, average_prior, run_ensemble
@@ -40,6 +44,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_CHECKS = 3
+
+# a runner's declared checks, or None, and what it returns
+Checks = list[tuple[str, bool, str]] | None
+Result = tuple[dict, Checks]
 
 
 class RunOutput:
@@ -55,9 +63,6 @@ class RunOutput:
 
     def add_json(self, name: str, obj) -> None:
         self.add_text(name, canonical_json(obj))
-
-    def add_bytes(self, name: str, blob: bytes) -> None:
-        self.files[name] = blob
 
     def write(self, cfg: ExperimentConfig, started: float) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -96,10 +101,9 @@ def _environment(threads: int) -> dict:
             "python": platform.python_version(), "machine": platform.machine()}
 
 
-def _declared_checks(cfg: ExperimentConfig, summary: dict,
-                     checks: list[tuple[str, bool, str]]) -> int:
-    """Exit status of the ``(name, passed, detail)`` checks, put in ``summary`` if enabled."""
-    if not cfg["checks"]["enabled"]:
+def _declared_checks(cfg: ExperimentConfig, summary: dict, checks: Checks) -> int:
+    """Exit status of a runner's checks, put in ``summary`` if any and enabled."""
+    if checks is None or not cfg["checks"]["enabled"]:
         return EXIT_OK
     passed = bool(all(ok for _, ok, _ in checks))
     summary["checks"] = {
@@ -140,7 +144,7 @@ def _equivariance(cfg: ExperimentConfig, summary: dict, state0, extras: dict) ->
         summary["equivariance"] = {repr(t): r for t, r in report.items()}
 
 
-def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
+def _run_born(cfg: ExperimentConfig, out: RunOutput) -> Result:
     state0, records, stats, extras = _configured_run(cfg, out, cfg["ensemble"]["n_trials"])
 
     if cfg["ensemble"]["fail_on_overflow"]:
@@ -166,13 +170,11 @@ def _run_born(cfg: ExperimentConfig, out: RunOutput) -> int:
         dev = np.abs(stats.frequencies - stats.reference)
         ok = bool(np.all(dev <= 3.0 * stats.standard_errors + 1e-15))
         items.append(("freq_within_3sigma", ok, f"max |f - p| = {float(dev.max()):.4g}"))
-    status = _declared_checks(cfg, summary, items)
     _equivariance(cfg, summary, state0, extras)
-    out.add_json("summary.json", summary)
-    return status
+    return summary, items
 
 
-def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
+def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> Result:
     n_steps = cfg.ensemble().n_steps(cfg.physical().t_M)
     n_store = min(cfg["ensemble"]["n_store"], cfg["ensemble"]["n_trials"])
     stored = range(0, n_steps + 1, cfg["ensemble"]["store_every"])
@@ -205,23 +207,19 @@ def _run_trajectories(cfg: ExperimentConfig, out: RunOutput) -> int:
         "stats": stats.to_dict(),
     }
     _equivariance(cfg, summary, state0, extras)
-    out.add_json("summary.json", summary)
-    return EXIT_OK
+    return summary, None
 
 
-def _run_prior_average(cfg: ExperimentConfig, out: RunOutput) -> int:
+def _run_prior_average(cfg: ExperimentConfig, out: RunOutput) -> Result:
     result = average_prior(cfg.coefficients(), cfg.basis(), cfg["prior"]["n_mc"],
                            cfg["seed"], lambda_mag=cfg.physical().lambda_mag)
     z = abs(result["mean"] - result["analytic"]) / max(result["se"], 1e-300)
-    summary = {"prior_average": result, "z_score": z}
-    status = _declared_checks(cfg, summary, [
+    return {"prior_average": result, "z_score": z}, [
         ("mc_matches_analytic", z <= cfg["prior"]["z_max"],
-         f"z = {z:.3f} limit {cfg['prior']['z_max']}")])
-    out.add_json("summary.json", summary)
-    return status
+         f"z = {z:.3f} limit {cfg['prior']['z_max']}")]
 
 
-def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> int:
+def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> Result:
     # trial 0 of the seed's ensemble, as run_single_event draws it
     state0, (first,), _, first_extras = _configured_run(cfg, out, 1)
     n_rep = cfg["repeat"]["n_repeats"]
@@ -238,10 +236,8 @@ def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> int:
         agree = sum(1 for r in records if r.outcome_index == first.outcome_index)
         detail = f"{agree}/{n_rep}"
     summary.update(n_agreeing=agree, agreement=agree / n_rep)
-    status = _declared_checks(cfg, summary, [
-        ("always_same_outcome", agree == n_rep and first.outcome_index is not None, detail)])
-    out.add_json("summary.json", summary)
-    return status
+    return summary, [
+        ("always_same_outcome", agree == n_rep and first.outcome_index is not None, detail)]
 
 
 def _ensemble_counters(*extras) -> dict:
@@ -264,7 +260,7 @@ def _grid_health(lambda_mag: float, defect: float, norms) -> dict:
             "max_norm_error": max(abs(n - 1.0) for n in norms)}
 
 
-def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
+def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> Result:
     app = cfg.appendix()
     grid, system, psi0 = appendix_setup(app)
     lam = cfg.physical().lambda_mag
@@ -281,17 +277,13 @@ def _run_appendix(cfg: ExperimentConfig, out: RunOutput) -> int:
     summary = {"final_norm": float(grid.norm2(final)), "n_steps": app.n_steps,
                "lambda_mag": lam}
     if app.residual_check:
-        res = verify_hjm_residual(history, system, grid, lam)
-        summary["hjm_residuals"] = res
+        summary["hjm_residuals"] = verify_hjm_residual(history, system, grid, lam)
     if app.save_wavefunctions:
-        x = grid.axis(0)
-        out.add_text("psi_final.csv", field_to_csv(final, [x], ["q"]))
-        out.add_bytes("psi_final.wfsn", field_to_binary(final, [x]))
-    out.add_json("summary.json", summary)
-    return EXIT_OK
+        out.add_text("psi_final.csv", field_to_csv(final, [grid.axis(0)], ["q"]))
+    return summary, None
 
 
-def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> int:
+def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> Result:
     app = cfg.appendix()
     grid, system, psi0 = appendix_setup(app)
     sweep = app.sweep(cfg.physical().lambda_mag)
@@ -307,18 +299,13 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> int:
                      [row["norm"] for row in results[d]["series"]])
         for d in sorted(results)]
     out.telemetry["grid_workers"] = workers
-    summary = {
-        "deviations": {repr(d): results[d]["max_deviation_from_reference"]
-                       for d in sorted(results)},
-    }
+    deviations = {repr(d): results[d]["max_deviation_from_reference"] for d in sorted(results)}
     ref_dev = results[0.0]["max_deviation_from_reference"]
-    status = _declared_checks(cfg, summary, [
-        ("reference_zero_deviation", ref_dev == 0.0, f"delta=0 deviation {ref_dev!r}")])
-    out.add_json("summary.json", summary)
-    return status
+    return {"deviations": deviations}, [
+        ("reference_zero_deviation", ref_dev == 0.0, f"delta=0 deviation {ref_dev!r}")]
 
 
-def _run_stochastic_check(cfg: ExperimentConfig, out: RunOutput) -> int:
+def _run_stochastic_check(cfg: ExperimentConfig, out: RunOutput) -> Result:
     params = cfg.stochastic()
     n = cfg["checks"]["n_draws"]
     r = stream(cfg["seed"], GENERIC, 0)
@@ -355,16 +342,14 @@ def _run_stochastic_check(cfg: ExperimentConfig, out: RunOutput) -> int:
         "n_draws": n,
     }
     rtol = cfg["checks"]["mean_abs_dev_rtol"]
-    status = _declared_checks(cfg, summary, [
+    return summary, [
         ("mean_abs_deviation", abs(mean_abs - expected) <= rtol * expected,
          f"{mean_abs:.5f} vs {expected:.5f}"),
         ("sign_lock", sign_locked, "all draws share the scale sign"),
         ("separability", worst < 1e-12, f"max error {worst:.3e}"),
         ("gaussian_control_fails", worst_gauss > 1e-2,
          f"gaussian max error {worst_gauss:.3e}"),
-    ])
-    out.add_json("summary.json", summary)
-    return status
+    ]
 
 
 _RUNNERS = {
@@ -386,6 +371,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     """
     started = time.monotonic()
     out = RunOutput(Path(cfg["out_dir"]))
-    status = _RUNNERS[cfg["experiment"]](cfg, out)
+    summary, checks = _RUNNERS[cfg["experiment"]](cfg, out)
+    status = _declared_checks(cfg, summary, checks)
+    out.add_json("summary.json", summary)
     out.write(cfg, started)
     return status

@@ -531,6 +531,10 @@ def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
     ``include_quantum_term=False`` drops the curvature term from the
     Hamilton-Jacobi balance; the residual then jumps by orders of magnitude,
     which makes a convenient ablation control.
+
+    A snapshot with no point past the margin above ``_BULK_THRESHOLD`` of its
+    peak density reports None for both RMS values; each mean is over the
+    snapshots that have one, and None if none has.
     """
     check_residual_snapshots(len(history))
     check_residual_grid(grid)
@@ -577,11 +581,12 @@ def verify_hjm_residual(history: list[tuple[float, np.ndarray]],
             hj = hj + Q
             valid = valid & q_valid
 
-        cont_rms.append(float(np.sqrt(np.mean(continuity[valid] ** 2))))
-        hj_rms.append(float(np.sqrt(np.mean(hj[valid] ** 2))))
+        cont_rms.append(float(np.sqrt(np.mean(continuity[valid] ** 2))) if valid.any() else None)
+        hj_rms.append(float(np.sqrt(np.mean(hj[valid] ** 2))) if valid.any() else None)
         used_times.append(t_now)
 
+    known = ([v for v in rms if v is not None] for rms in (cont_rms, hj_rms))
+    cont_mean, hj_mean = (float(np.mean(k)) if k else None for k in known)
     return {"times": used_times, "continuity_rms": cont_rms, "hj_rms": hj_rms,
-            "continuity_mean": float(np.mean(cont_rms)),
-            "hj_mean": float(np.mean(hj_rms))}
+            "continuity_mean": cont_mean, "hj_mean": hj_mean}
 

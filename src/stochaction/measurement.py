@@ -30,7 +30,7 @@ from .spectral import (AngularBasis, GaussianPacket, LineModes, PlaneWaveModes,
                        SpectralState, evolve_measurement_spectral, normalized, occupied)
 from .stochastic import StochasticParams, sample_sign_path
 from .trajectories import (_MODE_ROWS, EnsembleSpec, ModeFlow, PointerReadoutFlow,
-                           RingSampler, _ring_peak, _ring_plan, _ring_rows, _ring_sum,
+                           RingSampler, _ring_peak_bound, _ring_plan, _ring_rows, _ring_sum,
                            check_snapshot_steps, integrate_ensemble)
 
 # trials whose initial draws are decided at once, which bounds the
@@ -419,13 +419,20 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
     index of its chunk.
     """
     check_velocity(velocity)
+    state0 = pipe.state0
+    # the separation check, readout windows and osmotic term read the config's scales
+    if state0.packet.sigma != config.sigma:
+        raise InvalidSystemError(f"state packet sigma {state0.packet.sigma!r} is not the "
+                                 f"config's sigma {config.sigma!r}")
     if velocity == "actual":
         if stoch is None:
             raise ValueError("actual-velocity runs need StochasticParams")
+        if stoch.lambda_mag != config.lambda_mag:
+            raise ValueError(f"stochastic lambda_mag {stoch.lambda_mag!r} is not the "
+                             f"config's lambda_mag {config.lambda_mag!r}")
         spec.validate_against(stoch)
     else:
         stoch = None   # effective runs draw only each trial's first sign
-    state0 = pipe.state0
     n_steps = spec.n_steps(config.t_M)
     check_snapshot_steps(snapshot_steps, n_steps)
     # no packet center may drift off the pointer grid; checked before any work
@@ -486,6 +493,8 @@ def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, n_trials:
     snapshots for equivariance diagnostics.  Trials are integrated in
     chunks sized by :func:`_chunk_rows`, on up to ``threads`` worker
     processes; results are identical at any chunking and worker count.
+    The state's packet width must be ``config.sigma`` (InvalidSystemError) and,
+    in actual runs, ``stoch.lambda_mag`` must be ``config.lambda_mag`` (ValueError).
     """
     require_count("n_trials", n_trials, N_TRIALS_MIN)
     return _run_events(_resolve_pipeline(prepared), config, spec, seed,
@@ -522,7 +531,7 @@ def actual_observable_prior(coeffs: np.ndarray, basis: AngularBasis, theta, lamb
     phi = _ring_sum(c, rows, th.size).reshape(th.shape)
     dphi = _ring_sum(c * (1j * l), rows, th.size).reshape(th.shape)
     dens = np.abs(phi) ** 2
-    if np.any(dens < EPS_NODE_REL * _ring_peak(c, l)):
+    if np.any(dens < EPS_NODE_REL * _ring_peak_bound(c)):
         raise DegenerateInputError("observable evaluated at a node of the wavefunction")
     core = np.conj(phi) * dphi
     return HBAR * np.imag(core) / dens + lambda_signed * np.real(core) / dens

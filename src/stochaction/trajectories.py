@@ -154,10 +154,10 @@ def _component_major(shape: tuple[int, ...]) -> np.ndarray:
     return np.empty((2,) + shape[::-1]).T
 
 
-def _ring_peak(a, n) -> float:
-    """The largest ``|sum_k a_k exp(i n_k theta)|^2`` over 1024 ring angles."""
-    ring = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
-    return float(np.max(np.abs(_ring_sum(a, _ring_rows(_ring_plan(n), ring), ring.shape)) ** 2))
+def _ring_peak_bound(a) -> float:
+    """``(sum_k |a_k|)^2``, a bound on ``|sum_k a_k u_k|^2`` for any ``|u_k| <= 1`` by the
+    triangle inequality, reached where every ``a_k u_k`` shares one phase."""
+    return float(np.abs(a).sum()) ** 2
 
 
 class ModeFlow:
@@ -214,8 +214,8 @@ class ModeFlow:
         self._speeds = self.g * self.omegas
         self._speed_col, self._center_col = self._speeds[:, None], self.centers0[:, None]
         self._log_c = np.log(np.abs(self.coeffs))[:, None]
-        # rows are 2 pi periodic in kappa x, and a plane-wave box holds whole periods
-        self.ref_peak = _ring_peak(self._packet_coeffs, self._n)
+        # |Psi|^2 at most (sum |c'_k|)^2: each mode row and packet factor is at most one in modulus
+        self.ref_peak = _ring_peak_bound(self._packet_coeffs)
 
     def centers(self, t: float) -> np.ndarray:
         return self.centers0 + self._speeds * (t - self.t0)
@@ -350,17 +350,12 @@ class PointerReadoutFlow:
         return (end >= q2_bounds[0]) & (end <= q2_bounds[1]), speed, np.zeros(len(speed))
 
 
-def _ring_envelope(c: np.ndarray) -> float:
-    """``(sum |c_k|)^2 / 2 pi``, a bound on the ring density by the triangle inequality."""
-    return float(np.abs(c).sum()) ** 2 / TWO_PI
-
-
 class RingSampler:
     """Exact draws from ``|sum_k c_k exp(i l_k theta)|^2 / 2 pi``: ``sampler(n, rng)``.
 
     ``c`` holds the occupied coefficients and ``l`` their mode numbers.
-    Rejection under the constant envelope :func:`_ring_envelope`, which
-    touches the density for in-phase states.  A round for ``n`` draws takes
+    Rejection under the constant envelope :func:`_ring_peak_bound` over
+    ``2 pi``, which touches the density for in-phase states.  A round for ``n`` draws takes
     ``m = round_size(n)`` uniforms for the angles and then ``m`` for the
     heights, and keeps the accepted angles in draw order.  ``accept`` decides
     rounds from their raw uniforms, so a caller may draw the first rounds of
@@ -374,7 +369,7 @@ class RingSampler:
         self.c = np.asarray(c, dtype=complex)
         self.l = np.asarray(l)
         self._plan = _ring_plan(self.l)
-        self.bound = _ring_envelope(self.c)
+        self.bound = _ring_peak_bound(self.c) / TWO_PI
         if not (np.isfinite(self.bound) and self.bound > 0):
             raise DegenerateInputError(
                 f"ring density has no positive finite bound ({self.bound!r})")
@@ -475,10 +470,10 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
     Each step evaluates the field once per stage: one evaluation at the
     landing point gives both the node check and the next step's first stage
     (first-same-as-last).  A landing is a node when its ``|Psi|^2`` is below
-    ``EPS_NODE_REL`` of the flow's peak, where the velocity is undefined; the
-    row then holds at its start of the step, is flagged in ``node_clamped``
-    and gets its first stage evaluated again there; ``node_held_steps``
-    counts these row-steps.
+    ``EPS_NODE_REL`` of the flow's ``ref_peak``, a bound on its density, where
+    the velocity is undefined; the row then holds at its start of the step, is
+    flagged in ``node_clamped`` and gets its first stage evaluated again
+    there; ``node_held_steps`` counts these row-steps.
 
     Every ``DECIDE_EVERY`` steps, under either velocity, the rows that the
     flow's ``decided`` rule passes leave the working set and finish on their

@@ -8,12 +8,10 @@ endpoint times ``n_q2 + 1`` pointer points spanning a ``GridSpec``, with
 Riemann weights on the ring and trapezoid weights on the line, against
 which the closed-form marginals are checked.  The ring eigenfunctions and
 the ring-angle density are written here too, in libm ``exp``, as
-references for the package's ring rows and CDFs.  The WFSN reader inverts
-``stochaction.core.field_to_binary``.
+references for the package's ring rows and CDFs.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,21 +107,3 @@ def pointer_marginal_density(state: SpectralState, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     return sum(w * np.abs(packet_profile(state, q, m)) ** 2
                for m, w in enumerate(np.abs(state.coeffs) ** 2))
-
-
-def field_from_binary(blob: bytes) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
-    """Read a WFSN dump: (amplitudes, [(points, first, last) per axis])."""
-    if blob[:4] != b"WFSN":
-        raise ValueError("not a WFSN dump")
-    version, ndim = struct.unpack_from("<II", blob, 4)
-    if version != 1:
-        raise ValueError(f"unsupported dump version {version}")
-    off = 12
-    axes = []
-    for _ in range(ndim):
-        n, lo, hi = struct.unpack_from("<Qdd", blob, off)
-        axes.append((int(n), lo, hi))
-        off += 24
-    count = int(np.prod([n for n, _, _ in axes]))
-    inter = np.frombuffer(blob, dtype="<f8", count=2 * count, offset=off)
-    return (inter[0::2] + 1j * inter[1::2]).reshape([n for n, _, _ in axes]), axes

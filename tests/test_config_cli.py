@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import astuple, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from joint_oracle import field_from_binary
 from parse_cases import (ARITHMETIC_FAILURES, BAD_APPENDIX_FIELDS, BAD_SECTION_KEYS,
                          ENGINE_RULES, GRID_RUN, GRID_SCALES_TOO_LARGE, OUT_OF_RANGE_SEEDS,
                          SHAPE_AND_BOUND_RULES, TOO_SMALL_COUNTS, UNPASSABLE_THRESHOLDS,
@@ -26,6 +26,7 @@ from stochaction import (AngularBasis, AppendixSpec, CartesianGrid, ConfigError,
                          run_lambda_sweep, run_single_event, serialize_config,
                          trajectories, verify_hjm_residual)
 from stochaction.cli import main as cli_main
+from stochaction.potentials import appendix_setup
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -269,6 +270,25 @@ class TestParseConfig:
         assert len(err.value.violations) >= 2
 
 
+# a small run of each experiment kind; the Born chi2 floor fails every run
+KIND_RUNS = {
+    "born": {"checks": {"chi2_p_min": 1 - 1e-12}},
+    "trajectories": {"ensemble": {"n_trials": 20, "n_store": 2, "store_every": 100}},
+    "prior-average": {"prior": {"n_mc": 1000}},
+    "repeatability": {"repeat": {"n_repeats": 5}},
+    "appendix": {"appendix": {"n_points": 64, "n_steps": 4, "record_every": 2}},
+    "lambda-sweep": {"appendix": {"n_points": 64, "n_steps": 4, "record_every": 2}},
+    "stochastic-check": {"checks": {"n_draws": 1000}},
+}
+
+
+def read_psi_final(out: Path) -> np.ndarray:
+    """The ``q``, ``re`` and ``im`` columns of a run's ``psi_final.csv``."""
+    lines = (out / "psi_final.csv").read_text().splitlines()
+    assert lines[0] == "q,re,im"
+    return np.array([[float(c) for c in line.split(",")] for line in lines[1:]]).T
+
+
 class TestExperiments:
     def test_born_writes_artifacts_and_passes_checks(self, tmp_path):
         path, data = make_config(tmp_path)
@@ -413,10 +433,58 @@ class TestExperiments:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["final_norm"] == pytest.approx(1.0, abs=1e-10)
         assert summary["hjm_residuals"]["hj_mean"] < 0.1
-        amp, axes = field_from_binary((out / "psi_final.wfsn").read_bytes())
-        assert axes[0][0] == 512
-        assert abs(np.sum(np.abs(amp) ** 2) * (axes[0][2] - axes[0][1]) / 511
-                   - 1.0) < 0.01
+        q, re, im = read_psi_final(out)
+        assert len(q) == 512
+        assert abs(np.sum(re**2 + im**2) * (q[-1] - q[0]) / 511 - 1.0) < 0.01
+        # the CSV is the field's one encoding
+        assert {f.name for f in out.iterdir()} == {"manifest.json", "observables.csv",
+                                                   "psi_final.csv", "summary.json"}
+
+    def test_psi_final_csv_is_the_final_field_bit_for_bit(self, tmp_path):
+        # floats by repr, so the file parses back to the evolved field exactly
+        path, data = make_config(tmp_path, overrides={
+            "appendix": {"scalar": "0.5*q^2", "n_points": 128, "n_steps": 20,
+                         "record_every": 10, "save_wavefunctions": True}},
+            experiment="appendix")
+        cfg = parse_config(path.read_text())
+        assert run_experiment(cfg) == 0
+        app = cfg.appendix()
+        grid, system, psi0 = appendix_setup(app)
+        op = build_metric_hamiltonian(system, cfg.physical().lambda_mag, grid)
+        final, _ = evolve_grid(psi0, op, app.dt, app.n_steps, record_every=app.record_every)
+        q, re, im = read_psi_final(Path(data["out_dir"]))
+        for got, want in ((q, grid.axis(0)), (re, final.real), (im, final.imag)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_residuals_of_a_packet_within_the_margin_are_null(self, tmp_path):
+        # the packet sits within the stencil margin of the closed edge at 8, so no
+        # snapshot has a point to take a residual at
+        path, data = make_config(tmp_path, overrides={
+            "appendix": {"n_points": 32, "initial_center": 7.6, "initial_width": 0.1,
+                         "n_steps": 20, "record_every": 5, "residual_check": True}},
+            experiment="appendix")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(["appendix", "--config", str(path)]) == 0
+        res = json.loads((Path(data["out_dir"]) / "summary.json").read_text())["hjm_residuals"]
+        assert res["continuity_rms"] == res["hj_rms"] == [None, None, None]
+        assert res["continuity_mean"] is None and res["hj_mean"] is None
+
+    @pytest.mark.parametrize("enabled", [False, True], ids=["disabled", "enabled"])
+    @pytest.mark.parametrize("kind", sorted(KIND_RUNS))
+    def test_checks_block_only_for_declared_enabled_checks(self, tmp_path, kind, enabled):
+        overrides = dict(KIND_RUNS[kind])
+        overrides["checks"] = {**overrides.get("checks", {}), "enabled": enabled}
+        path, data = make_config(tmp_path, overrides=overrides, experiment=kind)
+        status = cli_main([kind, "--config", str(path)])
+        summary = json.loads((Path(data["out_dir"]) / "summary.json").read_text())
+        declares = kind not in ("trajectories", "appendix")
+        assert ("checks" in summary) == (enabled and declares)
+        if not (enabled and declares):
+            assert status == 0
+        elif kind == "born":
+            # the chi2 floor no run can pass
+            assert status == 3 and not summary["checks"]["passed"]
 
     @pytest.mark.parametrize("experiment", ["appendix", "lambda-sweep"])
     def test_manifest_records_grid_health(self, tmp_path, experiment):
@@ -1133,6 +1201,9 @@ def appendix_section(draw):
 # a closed 8-point grid, which leaves the residuals no point past the stencil margin
 @example(drawn=("appendix", {"n_points": 8, "scalar": "0.5*q^2", "n_steps": 20,
                              "record_every": 5, "residual_check": True}))
+# a packet that lies within that margin, so no snapshot has a point past it
+@example(drawn=("appendix", {"n_points": 32, "initial_center": 7.6, "initial_width": 0.1,
+                             "n_steps": 20, "record_every": 5, "residual_check": True}))
 def test_fuzzed_appendix_fail_at_parse_or_run(tmp_path, drawn):
     # as above, for the grid kinds' section: grid, fields, packet and steps
     kind, appendix = drawn

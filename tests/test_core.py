@@ -5,11 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from joint_oracle import JointAxes, field_from_binary
+from joint_oracle import JointAxes
 from stochaction import (DomainOverflowError, FieldErrors, GridSpec, InvalidSystemError,
                          PhysicalConfig)
-from stochaction.core import (csv_text, field_to_binary, field_to_csv, fork_map,
-                              fork_workers)
+from stochaction.core import csv_text, field_to_csv, fork_map, fork_workers
 
 
 @pytest.fixture
@@ -69,12 +68,6 @@ class TestPhysicalConfig:
 
 
 class TestSnapshotExport:
-    def test_binary_round_trip(self, axes):
-        amp = np.exp(-axes.q2**2) * np.exp(0.5j * axes.q2)
-        back, spec = field_from_binary(field_to_binary(amp, [axes.q2]))
-        assert np.array_equal(back, amp)
-        assert spec == [(513, -10.0, 10.0)]
-
     def test_csv_shape(self, axes):
         amp = (1 + 0.1 * np.cos(axes.theta)).astype(complex)
         lines = field_to_csv(amp, [axes.theta], ["theta"]).strip().split("\n")
@@ -90,10 +83,6 @@ class TestSnapshotExport:
         assert text == csv_text(rows, ["x", "y", "re", "im"])
         assert text.splitlines()[3] == "0.5,-1.0,0.1,0.0"
         assert csv_text([[1, 0.1, "a"]], ["n", "f", "s"]) == "n,f,s\n1,0.1,a\n"
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            field_from_binary(b"nope" + b"\x00" * 64)
 
 
 class TestForkMap:

@@ -148,6 +148,36 @@ class TestEnsemble:
             run_ensemble(state, config, EnsembleSpec(dt_traj=1e-2), 5, seed=27)
         assert calls == []
 
+    @pytest.mark.parametrize("velocity", ["effective", "actual"])
+    def test_packet_width_other_than_the_configs_raises_before_drawing(
+            self, grid, basis, config, espec, monkeypatch, velocity):
+        # the separation check and the readout windows would use 0.05, the packets 0.3
+        import stochaction.measurement as meas
+        calls = []
+        real = meas._initial_draws
+        monkeypatch.setattr(meas, "_initial_draws",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        state = prepare_initial_state(fixture_coeffs(), GaussianPacket(0.0, 0.3), config,
+                                      grid, basis)
+        stoch = StochasticParams() if velocity == "actual" else None
+        with pytest.raises(InvalidSystemError, match="sigma 0.3 .* sigma 0.05"):
+            run_ensemble(state, config, espec, 8, seed=31, velocity=velocity, stoch=stoch)
+        assert calls == []
+
+    def test_stochastic_scale_other_than_the_configs_raises_before_drawing(
+            self, grid, basis, config, packet, espec, monkeypatch):
+        # the osmotic term is scaled by the config's lambda_mag, so 5.0 would be ignored
+        import stochaction.measurement as meas
+        calls = []
+        real = meas._initial_draws
+        monkeypatch.setattr(meas, "_initial_draws",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        with pytest.raises(ValueError, match="lambda_mag 5.0 .* lambda_mag 1.0"):
+            run_ensemble(state, config, espec, 8, seed=31, velocity="actual",
+                         stoch=StochasticParams(lambda_mag=5.0))
+        assert calls == []
+
     @pytest.mark.parametrize("step", [2000, -5, 2.5])
     @pytest.mark.parametrize("velocity", ["effective", "actual"])
     def test_snapshot_step_outside_run_raises_before_drawing(self, grid, basis, config,
@@ -878,11 +908,11 @@ class TestRingSampler:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_envelope_bounds_density(self, data):
-        from stochaction.trajectories import _ring_envelope
+        from stochaction.trajectories import _ring_peak_bound
         l = np.array(data.draw(st.lists(st.integers(-8, 8), min_size=1, max_size=17,
                                         unique=True)))
         part = st.floats(-1.0, 1.0, allow_subnormal=False)
         c = np.array([complex(data.draw(part), data.draw(part)) for _ in l])
         th = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
         dens = np.abs(c @ np.exp(1j * l[:, None] * th)) ** 2 / (2.0 * np.pi)
-        assert dens.max() <= _ring_envelope(c) * (1.0 + 1e-12)
+        assert dens.max() <= _ring_peak_bound(c) / (2.0 * np.pi) * (1.0 + 1e-12)

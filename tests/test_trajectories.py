@@ -386,15 +386,13 @@ class BroadcastModeFlow(ModeFlow):
     """The kernel in broadcast form: a ``(K, n)`` mode table, ``c'[:, None] * G``,
     ``Psi`` by ``np.add.reduce`` over the mode axis, and ``W = sum w_k b_k`` and
     ``E = sum eps_k b_k`` as the last row of ``np.add.accumulate`` over ``(K, 1)``
-    weights times the table, and ``ref_peak`` from the same accumulate over the
-    table on 1024 ring angles.  ``accumulate`` starts from the first row, as the
-    kernel does; ``reduce`` starts from +0, which makes a sum of -0 terms +0."""
+    weights times the table, and ``ref_peak`` the bound ``(sum |c'_k|)^2``.
+    ``accumulate`` starts from the first row, as the kernel does; ``reduce``
+    starts from +0, which makes a sum of -0 terms +0."""
 
     def __init__(self, state, g):
         super().__init__(state, g)
-        th = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
-        table = self._packet_coeffs[:, None] * self._mode_values(th)
-        self.ref_peak = float(np.max(np.abs(np.add.accumulate(table, axis=0)[-1]) ** 2))
+        self.ref_peak = float(np.sum(np.abs(self._packet_coeffs))) ** 2
 
     def _mode_values(self, theta):
         z = _unit_phase(theta)
@@ -446,6 +444,26 @@ class BroadcastModeFlow(ModeFlow):
         vq = pw.real if lam is None else pw.real - lam * pw.imag
         v = np.stack([vx * gain, vq * gain], axis=-1)
         return (v, dens) if with_density else v
+
+
+class TestRefPeak:
+    """``ModeFlow.ref_peak`` bounds the density, and in-phase states reach it."""
+
+    def test_bound_holds_at_random_points_of_a_phased_state(self, grid, basis):
+        coeffs = {-3: 0.3, -1: 0.5j, 0: 0.4, 2: -0.5, 3: 0.2 + 0.4j}
+        norm = np.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
+        state = make_state({l: c / norm for l, c in coeffs.items()}, basis, grid,
+                           sigma=0.05, mu0=0.1)
+        flow = ModeFlow(state, g=1.3)
+        pts = TestKernelOracle._points(state, 3000, seed=69)
+        pts[::5, 1] = 0.1   # on the packet center at t0
+        for t in (state.t, 0.37):
+            assert np.all(flow.density(pts, t) <= flow.ref_peak)
+
+    def test_in_phase_state_reaches_the_bound(self, grid, basis):
+        state = make_state({-1: 0.6, 0: 0.64, 2: 0.48}, basis, grid, sigma=0.05, mu0=0.1)
+        flow = ModeFlow(state, g=1.3)
+        assert flow.density(np.array([[0.0, 0.1]]), state.t)[0] == flow.ref_peak
 
 
 class TestKernelBits:
