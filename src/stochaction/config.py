@@ -6,8 +6,9 @@ the ``physical``, ``stochastic``, ``ensemble.dt_traj``, ``state`` and
 ``StochasticParams``, ``EnsembleSpec``, ``StateSpec`` and ``AppendixSpec``:
 their types and defaults are read from the dataclasses, each section's
 rules are stated once in its dataclass, and each section's view is its
-dataclass; an engine call's rule on a plain argument (the velocity names,
-the least trial, draw and bin counts) is its engine module's, called here.
+dataclass; an engine call's rule on a plain argument (the least trial,
+draw and bin counts) is its engine module's, called here.  Only the config
+reads the velocity names: an actual run hands the engine ``StochasticParams``.
 Validation reports every violation with its path; cross-section invariants
 (packet separation, time-scale hierarchy, grid headroom, step count,
 grid-run scales) are checked at load time so a bad run fails before any
@@ -23,7 +24,7 @@ from typing import Any
 
 from .core import (DomainOverflowError, FieldErrors, GridSpec, InvalidSystemError,
                    PhysicalConfig, _is_number, canonical_json, field_errors, require_count)
-from .measurement import N_MC_MIN, N_TRIALS_MIN, StateSpec, check_velocity
+from .measurement import N_MC_MIN, N_TRIALS_MIN, StateSpec
 from .potentials import APPENDIX_MAGNITUDE_MAX, AppendixSpec, LambdaSweep
 from .rng import SEED_MAX
 from .spectral import AngularBasis, evolve_measurement_spectral
@@ -32,6 +33,8 @@ from .trajectories import N_BINS_MIN, EnsembleSpec
 
 EXPERIMENT_KINDS = ("born", "trajectories", "prior-average", "repeatability",
                     "appendix", "lambda-sweep", "stochastic-check")
+# the two velocity sources of a run (see :mod:`stochaction.trajectories`)
+VELOCITIES = ("effective", "actual")
 
 
 class ConfigError(ValueError):
@@ -51,10 +54,10 @@ _JSON_TYPES = {"float": (float, int), "int": (int,), "bool": (bool,), "str": (st
                "list": (list,), "dict": (dict,), "None": (type(None),)}
 
 
-def _fields(cls, skip: tuple[str, ...] = ()) -> dict:
+def _fields(cls) -> dict:
     return {f.name: (tuple(t for name in f.type.split(" | ") for t in _JSON_TYPES[name]),
                      f.default_factory() if f.default is MISSING else f.default)
-            for f in fields(cls) if f.name not in skip}
+            for f in fields(cls)}
 
 
 # schema: section -> key -> (type tuple, default)
@@ -68,8 +71,8 @@ _SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
     },
     "grid": {"n_theta": ((int,), 128), **_fields(GridSpec), "n_q2": ((int,), 1024)},
     "physical": _fields(PhysicalConfig),
-    # lambda_mag is physical.lambda_mag; a null tau_lambda is inf
-    "stochastic": {**_fields(StochasticParams, skip=("lambda_mag",)),
+    # a null tau_lambda is inf
+    "stochastic": {**_fields(StochasticParams),
                    "tau_lambda": ((float, int, type(None)), None)},
     "ensemble": {
         "n_trials": ((int,), 1000),
@@ -138,10 +141,8 @@ class ExperimentConfig:
     def _view(self, section: str):
         """``section`` as its ``_VIEWS`` dataclass, float fields as floats."""
         values = dict(self.raw[section])
-        if section == "stochastic":
-            values["lambda_mag"] = self.raw["physical"]["lambda_mag"]
-            if values["tau_lambda"] is None:
-                values["tau_lambda"] = math.inf
+        if section == "stochastic" and values["tau_lambda"] is None:
+            values["tau_lambda"] = math.inf
         cls = _VIEWS[section]
         return cls(**{f.name: float(values[f.name]) if f.type == "float" else values[f.name]
                       for f in fields(cls)})
@@ -215,8 +216,8 @@ def _check_types(data: dict, violations: list[str]) -> dict:
 def _check_invariants(cfg: dict, violations: list[str]) -> None:
     if cfg.get("experiment") not in EXPERIMENT_KINDS:
         violations.append(f"experiment: must be one of {EXPERIMENT_KINDS}")
-    violations += [f"{key}: {message}"
-                   for key, message in field_errors(check_velocity, cfg.get("velocity"))]
+    if cfg.get("velocity") not in VELOCITIES:
+        violations.append(f"velocity: must be {' or '.join(VELOCITIES)}")
     for key, only in (("integrator", "rk4"), ("node_policy", "reject-resample")):
         if cfg["ensemble"][key] != only:
             violations.append(f"ensemble.{key}: must be {only}")

@@ -117,18 +117,30 @@ def _declared_checks(cfg: ExperimentConfig, summary: dict, checks: Checks) -> in
 # experiment kinds
 # ---------------------------------------------------------------------------
 
+def _ensemble(cfg: ExperimentConfig, state0, n_trials: int, seed: int,
+              snapshot_steps: tuple[int, ...] = ()):
+    """``run_ensemble`` of ``state0`` under the config's velocity, threads and
+    ``fail_on_overflow``: the one way a run integrates an ensemble."""
+    records, stats, extras = run_ensemble(
+        state0, cfg.physical(), cfg.ensemble(), n_trials, seed,
+        stoch=cfg.stochastic() if cfg["velocity"] == "actual" else None,
+        threads=cfg["threads"], snapshot_steps=snapshot_steps)
+    if cfg["ensemble"]["fail_on_overflow"]:
+        for rec in records:
+            if rec.overflow:
+                raise DomainOverflowError(
+                    f"trial {rec.trial_seed} left the pointer grid", trial=rec.trial_seed)
+    return records, stats, extras
+
+
 def _configured_run(cfg: ExperimentConfig, out: RunOutput, n_trials: int,
                     snapshot_steps: tuple[int, ...] = ()):
     """The configured state and ``n_trials`` of its ensemble; counters go to the manifest.
 
     Returns ``(state0, records, stats, extras)``.
     """
-    physical, espec = cfg.physical(), cfg.ensemble()
-    state0 = cfg.state().prepare(physical, cfg.grid())
-    records, stats, extras = run_ensemble(
-        state0, physical, espec, n_trials, cfg["seed"], velocity=cfg["velocity"],
-        stoch=cfg.stochastic() if cfg["velocity"] == "actual" else None,
-        threads=cfg["threads"], snapshot_steps=snapshot_steps)
+    state0 = cfg.state().prepare(cfg.physical(), cfg.grid())
+    records, stats, extras = _ensemble(cfg, state0, n_trials, cfg["seed"], snapshot_steps)
     out.telemetry["ensemble"] = _ensemble_counters(extras)
     return state0, records, stats, extras
 
@@ -146,13 +158,6 @@ def _equivariance(cfg: ExperimentConfig, summary: dict, state0, extras: dict) ->
 
 def _run_born(cfg: ExperimentConfig, out: RunOutput) -> Result:
     state0, records, stats, extras = _configured_run(cfg, out, cfg["ensemble"]["n_trials"])
-
-    if cfg["ensemble"]["fail_on_overflow"]:
-        for rec in records:
-            if rec.overflow:
-                raise DomainOverflowError(
-                    f"trial {rec.trial_seed} left the pointer grid", trial=rec.trial_seed)
-
     out.add_text("records.jsonl", "".join(r.json_line() for r in records))
     summary = {"stats": stats.to_dict()}
     table = [summary["stats"][key] for key in ("indices", "omegas", "counts", "frequencies",
@@ -228,10 +233,8 @@ def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> Result:
         # a flagged first event names no eigenstate to repeat
         agree, detail = 0, "first event was flagged; no repeats run"
     else:
-        physical = cfg.physical()
-        records, _, extras = run_ensemble(_collapsed(state0, first.outcome_index, physical),
-                                          physical, cfg.ensemble(), n_rep, cfg["seed"] + 1,
-                                          threads=cfg["threads"])
+        eigenstate = _collapsed(state0, first.outcome_index, cfg.physical())
+        records, _, extras = _ensemble(cfg, eigenstate, n_rep, cfg["seed"] + 1)
         out.telemetry["ensemble"] = _ensemble_counters(first_extras, extras)
         agree = sum(1 for r in records if r.outcome_index == first.outcome_index)
         detail = f"{agree}/{n_rep}"
@@ -306,15 +309,15 @@ def _run_lambda_sweep(cfg: ExperimentConfig, out: RunOutput) -> Result:
 
 
 def _run_stochastic_check(cfg: ExperimentConfig, out: RunOutput) -> Result:
-    params = cfg.stochastic()
+    lam = cfg.physical().lambda_mag
     n = cfg["checks"]["n_draws"]
     r = stream(cfg["seed"], GENERIC, 0)
-    draws = sample_deviation(params, +1, r, size=n)
+    draws = sample_deviation(lam, +1, r, size=n)
     mean_abs = float(np.mean(np.abs(draws)))
     sign_locked = bool(np.all(draws >= 0.0))
-    expected = params.lambda_mag / 2.0
+    expected = lam / 2.0
 
-    path = sample_sign_path(params, n, stream(cfg["seed"], GENERIC, 1))
+    path = sample_sign_path(cfg.stochastic(), n, stream(cfg["seed"], GENERIC, 1))
     sign_mean = float(np.mean(path))
     lag1 = float(np.mean(path[:-1] * path[1:]))
 
@@ -325,9 +328,9 @@ def _run_stochastic_check(cfg: ExperimentConfig, out: RunOutput) -> Result:
         inc1 = ActionIncrement.from_deviation(float(r2.uniform(0.0, 2.0)))
         inc2 = ActionIncrement.from_deviation(float(r2.uniform(0.0, 2.0)))
         th1, th2 = r2.uniform(0.0, 0.5, size=2)
-        lpj, lp1, lp2 = check_separability(inc1, inc2, params.lambda_mag, th1, th2)
+        lpj, lp1, lp2 = check_separability(inc1, inc2, lam, th1, th2)
         worst = max(worst, abs(lpj - lp1 - lp2))
-        gj, g1, g2 = check_separability(inc1, inc2, params.lambda_mag, th1, th2,
+        gj, g1, g2 = check_separability(inc1, inc2, lam, th1, th2,
                                         log_weight=gaussian_log_weight)
         worst_gauss = max(worst_gauss, abs(gj - g1 - g2))
 

@@ -40,14 +40,6 @@ _DRAW_BLOCK = 256
 _COVERAGE_MIN = 0.999
 # the fewest trials of a run, and of prior draws (a standard deviation needs two)
 N_TRIALS_MIN, N_MC_MIN = 1, 2
-# the two velocity sources of a run (see :mod:`stochaction.trajectories`)
-VELOCITIES = ("effective", "actual")
-
-
-def check_velocity(velocity: str) -> None:
-    """Raise :class:`FieldErrors` naming ``velocity`` unless it is one of ``VELOCITIES``."""
-    if velocity not in VELOCITIES:
-        raise FieldErrors([("velocity", f"must be {' or '.join(VELOCITIES)}")])
 
 
 _JSON_WORDS = {None: "null", True: "true", False: "false"}
@@ -408,31 +400,22 @@ def _run_chunk(pipe: MeasurementPipeline, flow: ModeFlow | PointerReadoutFlow,
 
 
 def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: EnsembleSpec,
-                seed: int, trials: np.ndarray, velocity: str,
-                stoch: StochasticParams | None, threads: int,
+                seed: int, trials: np.ndarray, stoch: StochasticParams | None, threads: int,
                 snapshot_steps: tuple[int, ...]):
     """Validate, integrate ``trials`` in chunks (:func:`_chunk_rows`) on the
     :func:`~stochaction.core.fork_workers` forked worker processes, and record
-    one event each.
+    one event each; ``stoch`` makes the run actual-velocity.
 
     Each worker inherits the flow through the fork and is sent only the
     index of its chunk.
     """
-    check_velocity(velocity)
     state0 = pipe.state0
     # the separation check, readout windows and osmotic term read the config's scales
     if state0.packet.sigma != config.sigma:
         raise InvalidSystemError(f"state packet sigma {state0.packet.sigma!r} is not the "
                                  f"config's sigma {config.sigma!r}")
-    if velocity == "actual":
-        if stoch is None:
-            raise ValueError("actual-velocity runs need StochasticParams")
-        if stoch.lambda_mag != config.lambda_mag:
-            raise ValueError(f"stochastic lambda_mag {stoch.lambda_mag!r} is not the "
-                             f"config's lambda_mag {config.lambda_mag!r}")
+    if stoch is not None:
         spec.validate_against(stoch)
-    else:
-        stoch = None   # effective runs draw only each trial's first sign
     n_steps = spec.n_steps(config.t_M)
     check_snapshot_steps(snapshot_steps, n_steps)
     # no packet center may drift off the pointer grid; checked before any work
@@ -484,29 +467,27 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
 
 
 def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, n_trials: int,
-                 seed: int, velocity: str = "effective",
-                 stoch: StochasticParams | None = None, threads: int = 1,
+                 seed: int, stoch: StochasticParams | None = None, threads: int = 1,
                  snapshot_steps: tuple[int, ...] = ()):
     """Seeded batch of measurement events.
 
     Returns ``(records, stats, extras)`` where extras carries trajectory
-    snapshots for equivariance diagnostics.  Trials are integrated in
-    chunks sized by :func:`_chunk_rows`, on up to ``threads`` worker
-    processes; results are identical at any chunking and worker count.
-    The state's packet width must be ``config.sigma`` (InvalidSystemError) and,
-    in actual runs, ``stoch.lambda_mag`` must be ``config.lambda_mag`` (ValueError).
+    snapshots for equivariance diagnostics.  The run is actual-velocity
+    exactly when ``stoch`` is given.  Trials are integrated in chunks sized
+    by :func:`_chunk_rows`, on up to ``threads`` worker processes; results
+    are identical at any chunking and worker count.  The state's packet
+    width must be ``config.sigma`` (InvalidSystemError).
     """
     require_count("n_trials", n_trials, N_TRIALS_MIN)
     return _run_events(_resolve_pipeline(prepared), config, spec, seed,
-                       np.arange(n_trials), velocity, stoch, threads, snapshot_steps)
+                       np.arange(n_trials), stoch, threads, snapshot_steps)
 
 
 def run_single_event(prepared, config: PhysicalConfig, spec: EnsembleSpec, seed: int,
-                     trial: int = 0, velocity: str = "effective",
-                     stoch: StochasticParams | None = None) -> MeasurementRecord:
+                     trial: int = 0, stoch: StochasticParams | None = None) -> MeasurementRecord:
     """One seeded measurement event (trial ``trial`` of the seed's ensemble)."""
     records, _, _ = _run_events(_resolve_pipeline(prepared), config, spec, seed,
-                                np.array([trial]), velocity, stoch, 1, ())
+                                np.array([trial]), stoch, 1, ())
     return records[0]
 
 

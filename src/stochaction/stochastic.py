@@ -5,7 +5,8 @@ exponential law in the deviation of the action increment from its stationary
 value, one-sided along the sign of the scale parameter ``lambda``.  The sign
 of ``lambda`` is locked to the sign of the hidden fluctuation ``xi``; one
 shared sign holds for one ``dt_traj`` step of a trajectory.  No magnitude of
-``xi`` or ``lambda`` is drawn: ``|lambda|`` is the fixed ``lambda_mag``.
+``xi`` or ``lambda`` is drawn: ``|lambda|`` is the fixed ``lambda_mag`` of
+:class:`~stochaction.core.PhysicalConfig`.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ class StochasticParams:
     and the bound ``dt_traj <= tau_xi / hierarchy_factor`` of actual runs.
     """
 
-    lambda_mag: float = 1.0
     tau_lambda: float = math.inf
     tau_xi: float = 0.01
     dt: float = 0.001
@@ -38,8 +38,8 @@ class StochasticParams:
 
     def __post_init__(self):
         # each test is written so that a NaN fails it
-        if not (self.lambda_mag > 0 and self.tau_xi > 0 and self.dt > 0):
-            raise ValueError("lambda_mag, tau_xi and dt must be positive")
+        if not (self.tau_xi > 0 and self.dt > 0):
+            raise ValueError("tau_xi and dt must be positive")
         if not self.hierarchy_factor >= 10.0:
             raise ValueError("hierarchy_factor must be at least 10")
         if not self.tau_lambda >= self.hierarchy_factor * self.tau_xi:
@@ -115,16 +115,18 @@ def gaussian_log_weight(inc: ActionIncrement, lambda_signed: float,
     return -((inc.deviation / lambda_signed) ** 2) - theta_s_dt
 
 
-def sample_deviation(params: StochasticParams, lambda_sign: int, rng: np.random.Generator,
+def sample_deviation(lambda_mag: float, lambda_sign: int, rng: np.random.Generator,
                      size=None):
     """Draw dS - dA from the one-sided exponential law.
 
     The magnitude is exponential with mean ``lambda_mag / 2`` and the sign
     equals ``lambda_sign``.
     """
+    if not lambda_mag > 0:   # a NaN fails it too
+        raise ValueError("lambda_mag must be positive")
     if lambda_sign not in (-1, 1):
         raise ValueError("lambda_sign must be +1 or -1")
-    mag = rng.exponential(scale=params.lambda_mag / 2.0, size=size)
+    mag = rng.exponential(scale=lambda_mag / 2.0, size=size)
     return lambda_sign * mag
 
 

@@ -29,7 +29,6 @@ ENGINE_RULES = {
     "trials": ("born", {"ensemble": {"n_trials": 0}}, "ensemble.n_trials"),
     "equivariance-bins": ("born", {"equivariance": {"n_bins": 1, "enabled": True}},
                           "equivariance.n_bins"),
-    "velocity": ("born", {"velocity": "drift"}, "velocity"),
 }
 
 # (kind, section, values, every broken key's path)
@@ -166,6 +165,7 @@ OUT_OF_RANGE_SEEDS = [
 SHAPE_AND_BOUND_RULES = [
     ("born", {"ensemble": [1]}, "ensemble: expected an object"),
     ("born", {"threads": 0}, "threads: must be at least 1"),
+    ("born", {"velocity": "drift"}, "velocity: must be effective or actual"),
     ("appendix", {"appendix": {"x_min": 0, "x_max": 1e-48}},
      "appendix.x_max: the grid spacing must be at least 1e-50"),
     # 10,000 times tau_xi / hierarchy_factor = 1e-20: the step bound is relative

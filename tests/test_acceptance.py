@@ -13,7 +13,7 @@ from scipy.linalg import eigh
 from ordering_oracle import build_unsymmetrized_hamiltonian
 from stochaction import (ActionIncrement, AngularBasis, CartesianGrid,
                          GaussianPacket, GridSpec, MetricPotentialSystem,
-                         PhysicalConfig, StochasticParams, actual_observable_prior,
+                         PhysicalConfig, actual_observable_prior,
                          average_prior, build_metric_hamiltonian, check_separability,
                          classical_limit_check, equivariance_report,
                          evolve_grid, gaussian_log_weight, integrate_ensemble,
@@ -89,9 +89,8 @@ def test_criterion_02_pointer_classical_relation(eigen_run):
 
 
 def test_criterion_03_mean_deviation():
-    params = StochasticParams(lambda_mag=1.0, tau_xi=0.01, dt=0.001)
-    plus = sample_deviation(params, +1, stream(SEED, index=3), size=1_000_000)
-    minus = sample_deviation(params, -1, stream(SEED, index=4), size=1_000_000)
+    plus = sample_deviation(1.0, +1, stream(SEED, index=3), size=1_000_000)
+    minus = sample_deviation(1.0, -1, stream(SEED, index=4), size=1_000_000)
     mean_abs = float(np.mean(np.abs(plus)))
     report(3, "mean |dS - dA| equals lambda/2 with a locked sign", [
         ("mean within 0.5 +- 0.002", abs(mean_abs - 0.5) <= 0.002),

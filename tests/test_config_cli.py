@@ -23,8 +23,8 @@ from stochaction import (AngularBasis, AppendixSpec, CartesianGrid, ConfigError,
                          SpectralState, StateSpec, StochasticParams, average_prior,
                          build_metric_hamiltonian, equivariance_report, evolve_grid, gridop,
                          parse_config, prepare_initial_state, run_ensemble, run_experiment,
-                         run_lambda_sweep, run_single_event, serialize_config,
-                         trajectories, verify_hjm_residual)
+                         run_lambda_sweep, serialize_config, trajectories,
+                         verify_hjm_residual)
 from stochaction.cli import main as cli_main
 from stochaction.potentials import appendix_setup
 
@@ -63,11 +63,6 @@ ENGINE_CALLS = {
     "trials": [lambda e: run_ensemble(e.state, e.physical, EnsembleSpec(0.01), 0, seed=0)],
     "equivariance-bins": [
         lambda e: equivariance_report({0.0: np.zeros((4, 2))}, e.state, 1.0, n_bins=1)],
-    "velocity": [
-        lambda e: run_ensemble(e.state, e.physical, EnsembleSpec(0.01), 1, seed=0,
-                               velocity="drift"),
-        lambda e: run_single_event(e.state, e.physical, EnsembleSpec(0.01), seed=0,
-                                   velocity="drift")],
 }
 assert ENGINE_CALLS.keys() == ENGINE_RULES.keys()
 
@@ -116,8 +111,7 @@ class TestParseConfig:
         assert list(cfg["physical"]) == [f.name for f in fields(PhysicalConfig)]
         assert list(bare["state"]) == [f.name for f in fields(StateSpec)]
         assert list(bare["appendix"]) == [f.name for f in fields(AppendixSpec)]
-        assert list(cfg["stochastic"]) == [f.name for f in fields(StochasticParams)
-                                           if f.name != "lambda_mag"]
+        assert list(cfg["stochastic"]) == [f.name for f in fields(StochasticParams)]
         # integer-valued numbers give float fields
         ints = parse_config(json.dumps({"experiment": "born", "physical": {"g": 1},
                                         "stochastic": {"tau_xi": 1}}))
@@ -125,6 +119,13 @@ class TestParseConfig:
             assert all(type(getattr(view, f.name)) is float
                        for f in fields(view) if f.type == "float")
         assert (ints.physical().g, ints.stochastic().tau_xi) == (1.0, 1.0)
+
+    def test_action_scale_rule_reported_once(self):
+        # |lambda| is physical.lambda_mag alone; the stochastic view has no copy to check
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps({"experiment": "stochastic-check",
+                                     "physical": {"lambda_mag": 0}}))
+        assert info.value.violations == ["physical: lambda_mag must be positive and finite"]
 
     def test_round_trip(self):
         cfg = parse_config(json.dumps(MINIMAL_BORN))
@@ -355,6 +356,19 @@ class TestExperiments:
         assert summary["first_outcome"] is None and summary["n_agreeing"] == 0
         (item,) = summary["checks"]["items"]
         assert not item["passed"] and "flagged" in item["detail"]
+
+    def test_actual_repeats_draw_their_own_sign_paths(self, tmp_path, monkeypatch):
+        # the repeats run on the configured velocity too: one path per event
+        import stochaction.measurement as measurement
+        real = measurement.sample_sign_path
+        calls = []
+        monkeypatch.setattr(measurement, "sample_sign_path",
+                            lambda *args: calls.append(args) or real(*args))
+        path, data = make_config(tmp_path, overrides={"repeat": {"n_repeats": 50}},
+                                 experiment="repeatability", velocity="actual", seed=3)
+        assert run_experiment(parse_config(path.read_text())) == 0
+        summary = json.loads((Path(data["out_dir"]) / "summary.json").read_text())
+        assert len(calls) == 1 + 50 and summary["agreement"] == 1.0
 
     def test_trajectories_experiment(self, tmp_path):
         path, data = make_config(tmp_path, overrides={
@@ -641,9 +655,11 @@ class TestCli:
         assert echoed["experiment"] == "born"
         assert echoed["physical"]["sigma"] == 0.05
 
-    def test_runtime_overflow_writes_error_json(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("experiment", ["born", "repeatability"])
+    def test_runtime_overflow_writes_error_json(self, tmp_path, monkeypatch, experiment):
         # escapes are tail events, so inject one to exercise the error path:
-        # fail_on_overflow must surface the trial in the error artifact
+        # fail_on_overflow must surface the trial in the error artifact (for
+        # repeatability, repeat 3: its first event is a single trial)
         import stochaction.measurement as meas
         real = meas.integrate_ensemble
 
@@ -655,13 +671,27 @@ class TestCli:
 
         monkeypatch.setattr(meas, "integrate_ensemble", leaky)
         path, data = make_config(tmp_path, overrides={
-            "ensemble": {"n_trials": 50, "dt_traj": 0.002,
-                         "fail_on_overflow": True}})
-        status = cli_main(["born", "--config", str(path)])
+            "ensemble": {"n_trials": 50, "dt_traj": 0.002, "fail_on_overflow": True},
+            "repeat": {"n_repeats": 50}}, experiment=experiment)
+        status = cli_main([experiment, "--config", str(path)])
         assert status == 2
         err = json.loads((Path(data["out_dir"]) / "error.json").read_text())
         assert err["error"] == "DomainOverflowError"
         assert err["trial"] == 3
+
+    @pytest.mark.parametrize("experiment", ["born", "trajectories"])
+    def test_fail_on_overflow_holds_for_every_ensemble_kind(self, tmp_path, experiment):
+        # coarse actual-velocity steps carry trial 71 of seed 1 off this pointer grid
+        data = {"experiment": experiment, "seed": 1, "velocity": "actual",
+                "physical": {"g": -1.0, "sigma": 0.01, "sep_factor": 6.0},
+                "stochastic": {"tau_xi": 100.0},
+                "ensemble": {"dt_traj": 0.5, "n_trials": 200, "fail_on_overflow": True},
+                "grid": {"q2_min": -1.051, "q2_max": 1.051}, "out_dir": str(tmp_path / "out")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli_main([experiment, "--config", str(path)]) == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert (err["error"], err["trial"]) == ("DomainOverflowError", 71)
 
     def test_two_dimensional_appendix_rejected_at_parse(self, tmp_path, capsys):
         path, data = make_config(tmp_path, overrides={"appendix": {"dimension": 2}},

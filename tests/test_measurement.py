@@ -161,21 +161,7 @@ class TestEnsemble:
                                       grid, basis)
         stoch = StochasticParams() if velocity == "actual" else None
         with pytest.raises(InvalidSystemError, match="sigma 0.3 .* sigma 0.05"):
-            run_ensemble(state, config, espec, 8, seed=31, velocity=velocity, stoch=stoch)
-        assert calls == []
-
-    def test_stochastic_scale_other_than_the_configs_raises_before_drawing(
-            self, grid, basis, config, packet, espec, monkeypatch):
-        # the osmotic term is scaled by the config's lambda_mag, so 5.0 would be ignored
-        import stochaction.measurement as meas
-        calls = []
-        real = meas._initial_draws
-        monkeypatch.setattr(meas, "_initial_draws",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
-        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
-        with pytest.raises(ValueError, match="lambda_mag 5.0 .* lambda_mag 1.0"):
-            run_ensemble(state, config, espec, 8, seed=31, velocity="actual",
-                         stoch=StochasticParams(lambda_mag=5.0))
+            run_ensemble(state, config, espec, 8, seed=31, stoch=stoch)
         assert calls == []
 
     @pytest.mark.parametrize("step", [2000, -5, 2.5])
@@ -192,7 +178,7 @@ class TestEnsemble:
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
         stoch = StochasticParams() if velocity == "actual" else None
         with pytest.raises(ValueError, match=f"snapshot step {step} .*n_steps = 1000"):
-            run_ensemble(state, config, espec, 8, seed=31, velocity=velocity, stoch=stoch,
+            run_ensemble(state, config, espec, 8, seed=31, stoch=stoch,
                          snapshot_steps=(0, step))
         assert calls == []
 
@@ -211,8 +197,7 @@ class TestEnsemble:
                                 else lambda n_trials, threads, n_modes, rows=chunk: rows)
             for threads in (1, 4):
                 records, _, extras = run_ensemble(state, config, spec, n_trials, seed=29,
-                                                  velocity=velocity, stoch=stoch,
-                                                  threads=threads)
+                                                  stoch=stoch, threads=threads)
                 runs.append(([r.to_dict() for r in records],
                              extras["final_configs"].tobytes()))
         assert all(run == runs[0] for run in runs[1:])
@@ -282,11 +267,6 @@ class TestEnsemble:
                               reference=np.array([1.0, 0.0]), counts=np.array([3, 1]),
                               n_trials=4, n_ambiguous=0, n_overflow=0)
         assert (stats.chi2, stats.chi2_p) == (float("inf"), 0.0)
-
-    def test_actual_velocity_needs_stochastic_params(self, grid, basis, config, packet, espec):
-        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
-        with pytest.raises(ValueError, match="actual-velocity runs need StochasticParams"):
-            run_ensemble(state, config, espec, 4, seed=0, velocity="actual")
 
     def test_trial_count_must_be_positive(self, grid, basis, config, packet, espec):
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
@@ -819,7 +799,7 @@ class TestDrawOracle:
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
         spec = EnsembleSpec(dt_traj=1e-2)
         stoch = StochasticParams(tau_xi=0.1, sign_law="telegraph", flip_prob=0.3)
-        records, _, _ = run_ensemble(state, config, spec, 40, seed=34, velocity=velocity,
+        records, _, _ = run_ensemble(state, config, spec, 40, seed=34,
                                      stoch=stoch if velocity == "actual" else None)
         trials = np.arange(40)
         if velocity == "effective":

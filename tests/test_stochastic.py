@@ -12,7 +12,7 @@ from stochaction.rng import stream
 
 @pytest.fixture
 def params():
-    return StochasticParams(lambda_mag=1.0, tau_xi=0.01, dt=0.001)
+    return StochasticParams(tau_xi=0.01, dt=0.001)
 
 
 class TestParams:
@@ -23,11 +23,10 @@ class TestParams:
         dict(tau_lambda=0.05, tau_xi=0.01, dt=0.001),   # tau_lambda too close
         dict(tau_xi=0.005, dt=0.001),                   # tau_xi too close to dt
         dict(hierarchy_factor=2.0),
-        dict(lambda_mag=-1.0),
         dict(sign_law="sticky"),
         # a NaN compares false against every bound
-        *({key: math.nan} for key in ("lambda_mag", "tau_lambda", "tau_xi", "dt",
-                                      "hierarchy_factor", "flip_prob")),
+        *({key: math.nan} for key in ("tau_lambda", "tau_xi", "dt", "hierarchy_factor",
+                                      "flip_prob")),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -79,22 +78,22 @@ class TestTransitionWeight:
 
 
 class TestSampler:
-    def test_mean_matches_half_scale(self, params):
+    def test_mean_matches_half_scale(self):
         r = stream(3)
-        draws = sample_deviation(params, +1, r, size=200_000)
+        draws = sample_deviation(1.0, +1, r, size=200_000)
         assert np.mean(np.abs(draws)) == pytest.approx(0.5, abs=0.005)
 
-    def test_one_sidedness(self, params):
+    def test_one_sidedness(self):
         r = stream(4)
-        assert np.all(sample_deviation(params, +1, r, size=10_000) >= 0)
-        assert np.all(sample_deviation(params, -1, r, size=10_000) <= 0)
+        assert np.all(sample_deviation(1.0, +1, r, size=10_000) >= 0)
+        assert np.all(sample_deviation(1.0, -1, r, size=10_000) <= 0)
 
-    def test_variance_against_mc_oracle(self, params):
+    def test_variance_against_mc_oracle(self):
         # oracle: brute-force moments of the one-sided law
         r = stream(5)
-        draws = np.abs(sample_deviation(params, +1, r, size=400_000))
+        draws = np.abs(sample_deviation(1.0, +1, r, size=400_000))
         var = np.var(draws)
-        expected = (params.lambda_mag / 2.0) ** 2
+        expected = (1.0 / 2.0) ** 2
         se = np.std((draws - draws.mean()) ** 2) / np.sqrt(len(draws))
         assert abs(var - expected) < 3 * se
 
@@ -102,15 +101,19 @@ class TestSampler:
         eps = 0.05
         fractions = []
         for lam in (1.0, 0.1, 0.01):
-            p = StochasticParams(lambda_mag=lam, tau_xi=0.01, dt=0.001)
-            draws = np.abs(sample_deviation(p, +1, stream(6), size=100_000))
+            draws = np.abs(sample_deviation(lam, +1, stream(6), size=100_000))
             fractions.append(np.mean(draws > eps))
         assert fractions[0] > fractions[1] > fractions[2]
         assert fractions[2] < 1e-3
 
-    def test_bad_sign_rejected(self, params):
+    def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
-            sample_deviation(params, 0, stream(0))
+            sample_deviation(1.0, 0, stream(0))
+
+    @pytest.mark.parametrize("lambda_mag", [0.0, -1.0, math.nan])
+    def test_nonpositive_scale_rejected(self, lambda_mag):
+        with pytest.raises(ValueError, match="lambda_mag must be positive"):
+            sample_deviation(lambda_mag, +1, stream(0))
 
 
 class TestSignPath:

@@ -1,6 +1,7 @@
 """The evidence tools' comparison reports, modes and revision extractor, on hand-made inputs."""
 import importlib.util
 import json
+import math
 import subprocess
 from pathlib import Path
 
@@ -106,6 +107,25 @@ def test_extractor_gives_the_revision_tree(tmp_path):
                                 "HEAD:src/stochaction/__init__.py"],
                                capture_output=True, check=True).stdout
     assert (src / "stochaction" / "__init__.py").read_bytes() == committed
+
+
+def test_kernel_timing_measures_every_row_count_on_component_major_rows(monkeypatch):
+    from stochaction.trajectories import ModeFlow
+    tool = _load("kernel_timing")
+    monkeypatch.setattr(tool, "REPEATS", 2)
+    monkeypatch.setattr(tool, "CALL_ROWS", 64)
+    real = ModeFlow.effective
+    contiguous = []
+
+    def spy(self, points, *args, **kwargs):
+        contiguous.append(points[:, 0].flags.c_contiguous and points[:, 1].flags.c_contiguous)
+        return real(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(ModeFlow, "effective", spy)
+    out = tool.measure()
+    assert sorted(out) == sorted(tool.ROWS)
+    assert all(math.isfinite(us) and us > 0 for us in out.values())
+    assert contiguous and all(contiguous)
 
 
 @pytest.mark.parametrize("tool", ["result_hashes", "kernel_timing"])

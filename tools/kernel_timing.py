@@ -4,10 +4,10 @@ Times ``ModeFlow.effective(points, t, with_density=True)``, the call an RK4
 stage makes, on the 3-mode state of ``examples/born.json`` at 64, 1024 and
 4096 rows.  The rows sample that state's joint density at ``t = 0.3 t_M``:
 ring angles uniform, pointers from the Gaussian mixture of the moving packets.
-They are laid out as the package's own ``integrate_ensemble`` hands points to
-the flow (row-major, or the ``(n, 2)`` view of component-major rows), which a
-one-step probe run finds out.  Each measurement runs in a fresh interpreter
-and reports, per row count, the median over repeats of the mean time per call:
+They are laid out as ``integrate_ensemble`` hands points to the flow: the
+``(n, 2)`` view of component-major rows.  Each measurement runs in a fresh
+interpreter and reports, per row count, the median over repeats of the mean
+time per call:
 
     python3 tools/kernel_timing.py                  # the working tree alone
     python3 tools/kernel_timing.py --against HEAD   # working tree and HEAD
@@ -40,31 +40,8 @@ REPEATS = 7
 CALL_ROWS = 2**18
 
 
-def integrator_layout(flow, t: float) -> bool:
-    """Whether ``integrate_ensemble`` hands ``flow`` points whose columns are contiguous."""
-    import numpy as np
-    from stochaction.trajectories import EnsembleSpec, integrate_ensemble
-
-    seen = []
-
-    class Probe:
-        ref_peak = flow.ref_peak
-
-        def effective(self, points, t, with_density=False):
-            seen.append(points[:, 0].flags.c_contiguous)
-            return flow.effective(points, t, with_density=with_density)
-
-        def decided(self, *args):
-            return flow.decided(*args)
-
-    q0 = np.stack([np.linspace(0.0, 6.0, 8), flow.centers(t)[0] + np.zeros(8)], axis=-1)
-    integrate_ensemble(Probe(), q0, EnsembleSpec(dt_traj=1e-3), t, 1e-3)
-    return all(seen)
-
-
 def measure() -> dict:
-    """Median microseconds per kernel call at each of ``ROWS``, on the package imported,
-    and ``"rows"``: whether the points were component-major rows."""
+    """Median microseconds per kernel call at each of ``ROWS``, on the package imported."""
     import timeit
 
     import numpy as np
@@ -77,15 +54,13 @@ def measure() -> dict:
     flow = ModeFlow(cfg.state().prepare(physical, cfg.grid()), physical.g)
     t = flow.t0 + 0.3 * physical.t_M
     weights = np.abs(flow.coeffs) ** 2
-    rows = integrator_layout(flow, t)
     r = stream(7)
-    out = {"rows": rows}
+    out = {}
     for n in ROWS:
         packet = r.choice(len(weights), size=n, p=weights / weights.sum())
         points = np.stack([r.uniform(0.0, 2 * np.pi, n),
                            flow.centers(t)[packet] + flow.sigma * r.normal(size=n)], axis=-1)
-        if rows:
-            points = np.ascontiguousarray(points.T).T
+        points = np.ascontiguousarray(points.T).T
         number = max(1, CALL_ROWS // n)
         call = lambda: flow.effective(points, t, with_density=True)  # noqa: E731
         call()
@@ -96,8 +71,7 @@ def measure() -> dict:
 
 def run_side(src: Path) -> dict:
     """:func:`measure` in a fresh interpreter whose ``PYTHONPATH`` is ``src``."""
-    out = fresh_json(src, "kernel_timing", "measure")
-    return {"rows": out.pop("rows"), **{int(n): us for n, us in out.items()}}
+    return {int(n): us for n, us in fresh_json(src, "kernel_timing", "measure").items()}
 
 
 def report(sides: dict[str, list[dict]]) -> None:
@@ -107,9 +81,6 @@ def report(sides: dict[str, list[dict]]) -> None:
                for name, runs in sides.items()}
     print("ModeFlow.effective(..., with_density=True), examples/born.json state, "
           f"t = 0.3 t_M; median us per call over {len(sides[names[0]])} fresh interpreters")
-    for name, runs in sides.items():
-        layout = "component-major rows" if runs[0]["rows"] else "row-major (n, 2)"
-        print(f"  {name}: points laid out as its integrator passes them, {layout}")
     header = f"{'rows':>6}" + "".join(f"{name:>20}" for name in names)
     print(header + (f"{names[1] + ' / ' + names[0]:>28}" if len(names) == 2 else ""))
     for n in ROWS:
