@@ -38,9 +38,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(text: str, args) -> str:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        data = None
     if not isinstance(data, dict):
-        return text   # parse_config names a top level or ensemble that is not an object
+        return text   # parse_config names invalid JSON and a top level that is no object
     if args.command != "run":
         declared = data.get("experiment")
         if declared is not None and declared != args.command:
@@ -69,9 +72,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(_apply_overrides(text, args))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"invalid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.echo_config:
         print(serialize_config(cfg), end="")

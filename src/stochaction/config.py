@@ -223,10 +223,8 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
             violations.append(f"ensemble.{key}: must be {only}")
     if cfg.get("threads", 1) < 1:
         violations.append("threads: must be at least 1")
-    # repeatability draws its follow-up ensemble at seed + 1
-    seed_max = SEED_MAX - 1 if cfg.get("experiment") == "repeatability" else SEED_MAX
-    if not 0 <= cfg["seed"] <= seed_max:
-        violations.append(f"seed: must be in [0, {seed_max}]")
+    if not 0 <= cfg["seed"] <= SEED_MAX:
+        violations.append(f"seed: must be in [0, {SEED_MAX}]")
     if violations:
         return
 

@@ -117,30 +117,29 @@ def _declared_checks(cfg: ExperimentConfig, summary: dict, checks: Checks) -> in
 # experiment kinds
 # ---------------------------------------------------------------------------
 
-def _ensemble(cfg: ExperimentConfig, state0, n_trials: int, seed: int,
+def _ensemble(cfg: ExperimentConfig, state0, trials: int | range,
               snapshot_steps: tuple[int, ...] = ()):
-    """``run_ensemble`` of ``state0`` under the config's velocity, threads and
-    ``fail_on_overflow``: the one way a run integrates an ensemble."""
+    """``run_ensemble`` of ``state0``'s ``trials`` at the configured seed, under
+    the config's velocity, threads and ``fail_on_overflow``: the one way a run
+    integrates an ensemble."""
     records, stats, extras = run_ensemble(
-        state0, cfg.physical(), cfg.ensemble(), n_trials, seed,
+        state0, cfg.physical(), cfg.ensemble(), trials, cfg["seed"],
         stoch=cfg.stochastic() if cfg["velocity"] == "actual" else None,
         threads=cfg["threads"], snapshot_steps=snapshot_steps)
-    if cfg["ensemble"]["fail_on_overflow"]:
-        for rec in records:
-            if rec.overflow:
-                raise DomainOverflowError(
-                    f"trial {rec.trial_seed} left the pointer grid", trial=rec.trial_seed)
+    if stats.n_overflow and cfg["ensemble"]["fail_on_overflow"]:
+        trial = next(r.trial for r in records if r.overflow)
+        raise DomainOverflowError(f"trial {trial} left the pointer grid", trial=trial)
     return records, stats, extras
 
 
-def _configured_run(cfg: ExperimentConfig, out: RunOutput, n_trials: int,
+def _configured_run(cfg: ExperimentConfig, out: RunOutput, trials: int | range,
                     snapshot_steps: tuple[int, ...] = ()):
-    """The configured state and ``n_trials`` of its ensemble; counters go to the manifest.
+    """The configured state and the ``trials`` of its ensemble; counters go to the manifest.
 
     Returns ``(state0, records, stats, extras)``.
     """
     state0 = cfg.state().prepare(cfg.physical(), cfg.grid())
-    records, stats, extras = _ensemble(cfg, state0, n_trials, cfg["seed"], snapshot_steps)
+    records, stats, extras = _ensemble(cfg, state0, trials, snapshot_steps)
     out.telemetry["ensemble"] = _ensemble_counters(extras)
     return state0, records, stats, extras
 
@@ -225,8 +224,8 @@ def _run_prior_average(cfg: ExperimentConfig, out: RunOutput) -> Result:
 
 
 def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> Result:
-    # trial 0 of the seed's ensemble, as run_single_event draws it
-    state0, (first,), _, first_extras = _configured_run(cfg, out, 1)
+    # trial 0 of the seed's ensemble is the first event, trials 1..n_repeats its repeats
+    state0, (first,), _, first_extras = _configured_run(cfg, out, range(1))
     n_rep = cfg["repeat"]["n_repeats"]
     summary = {"first_outcome": first.outcome_index, "n_repeats": n_rep}
     if first.outcome_index is None:
@@ -234,7 +233,7 @@ def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> Result:
         agree, detail = 0, "first event was flagged; no repeats run"
     else:
         eigenstate = _collapsed(state0, first.outcome_index, cfg.physical())
-        records, _, extras = _ensemble(cfg, eigenstate, n_rep, cfg["seed"] + 1)
+        records, _, extras = _ensemble(cfg, eigenstate, range(1, n_rep + 1))
         out.telemetry["ensemble"] = _ensemble_counters(first_extras, extras)
         agree = sum(1 for r in records if r.outcome_index == first.outcome_index)
         detail = f"{agree}/{n_rep}"

@@ -65,21 +65,19 @@ class MeasurementRecord:
     q2_final: float
     theta_initial: float
     lambda_sign0: int
-    trial_seed: int
+    trial: int
     ambiguous: bool = False
     overflow: bool = False
 
-    # (key, field) of every written value, in the order of to_dict()
-    _KEYS = (("trial", "trial_seed"), ("outcome_index", "outcome_index"), ("omega", "omega"),
-             ("q2_initial", "q2_initial"), ("q2_final", "q2_final"),
-             ("theta_initial", "theta_initial"), ("lambda_sign0", "lambda_sign0"),
-             ("ambiguous", "ambiguous"), ("overflow", "overflow"))
+    # every written field, in the order of to_dict()
+    _KEYS = ("trial", "outcome_index", "omega", "q2_initial", "q2_final", "theta_initial",
+             "lambda_sign0", "ambiguous", "overflow")
     # json.dumps(sort_keys=True)'s key order and separators, a slot per value
-    _LINE = "{" + ", ".join(f'"{key}": %s' for key, _ in sorted(_KEYS)) + "}\n"
-    _line_values = attrgetter(*(name for _, name in sorted(_KEYS)))
+    _LINE = "{" + ", ".join(f'"{key}": %s' for key in sorted(_KEYS)) + "}\n"
+    _line_values = attrgetter(*sorted(_KEYS))
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, name) for key, name in self._KEYS}
+        return {key: getattr(self, key) for key in self._KEYS}
 
     def json_line(self) -> str:
         """``json.dumps(self.to_dict(), sort_keys=True) + "\\n"``, without an encoder."""
@@ -466,29 +464,32 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
     return records, stats, extras
 
 
-def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, n_trials: int,
+def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, trials: int | range,
                  seed: int, stoch: StochasticParams | None = None, threads: int = 1,
                  snapshot_steps: tuple[int, ...] = ()):
-    """Seeded batch of measurement events.
+    """Seeded batch of measurement events: the ``trials`` of the seed's ensemble,
+    a count n (trials 0..n-1) or a non-empty range of non-negative indices.
 
-    Returns ``(records, stats, extras)`` where extras carries trajectory
-    snapshots for equivariance diagnostics.  The run is actual-velocity
-    exactly when ``stoch`` is given.  Trials are integrated in chunks sized
-    by :func:`_chunk_rows`, on up to ``threads`` worker processes; results
-    are identical at any chunking and worker count.  The state's packet
-    width must be ``config.sigma`` (InvalidSystemError).
+    A trial's event depends on ``(seed, trial)`` alone.  Returns ``(records,
+    stats, extras)``; extras carries trajectory snapshots for equivariance
+    diagnostics.  ``stoch`` makes the run actual-velocity.  Trials are
+    integrated in chunks (:func:`_chunk_rows`) on up to ``threads`` worker
+    processes, with the same results at any chunking and worker count.  The
+    state's packet width must be ``config.sigma`` (InvalidSystemError).
     """
-    require_count("n_trials", n_trials, N_TRIALS_MIN)
+    if not isinstance(trials, range):
+        require_count("n_trials", trials, N_TRIALS_MIN)
+        trials = range(trials)
+    elif not (trials and min(trials[0], trials[-1]) >= 0):
+        raise ValueError(f"trials {trials!r} names no trial or a negative one")
     return _run_events(_resolve_pipeline(prepared), config, spec, seed,
-                       np.arange(n_trials), stoch, threads, snapshot_steps)
+                       np.asarray(trials), stoch, threads, snapshot_steps)
 
 
 def run_single_event(prepared, config: PhysicalConfig, spec: EnsembleSpec, seed: int,
                      trial: int = 0, stoch: StochasticParams | None = None) -> MeasurementRecord:
-    """One seeded measurement event (trial ``trial`` of the seed's ensemble)."""
-    records, _, _ = _run_events(_resolve_pipeline(prepared), config, spec, seed,
-                                np.array([trial]), stoch, 1, ())
-    return records[0]
+    """One seeded measurement event: trial ``trial`` of the seed's ensemble."""
+    return run_ensemble(prepared, config, spec, range(trial, trial + 1), seed, stoch)[0][0]
 
 
 # ---------------------------------------------------------------------------

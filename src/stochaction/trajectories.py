@@ -527,8 +527,9 @@ def integrate_ensemble(flow, q0: np.ndarray, spec: EnsembleSpec, t0: float, dura
                 retired.append((live[done], x[done], speed[done], rate[done], k))
                 decided_at[live[done]] = t
                 live, x, v, dens, lam = _keep(~done, live, x, v, dens, lam)
-            if len(live) == 0:
-                break
+        # the last rows left, decided here or out of bounds on the step before
+        if len(live) == 0:
+            break
         t_next = t0 + (k + 1) * dt
         prop = _step(flow, x, t, dt, lam, v)
         # after the last step only the landing density is used

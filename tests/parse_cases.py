@@ -158,7 +158,6 @@ UNRUNNABLE_STATES = {
 OUT_OF_RANGE_SEEDS = [
     ("born", -1),
     ("born", 2**64),
-    ("repeatability", 2**64 - 1),     # its repeats are drawn at seed + 1
 ]
 
 # (experiment, overrides, violation)

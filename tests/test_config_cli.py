@@ -370,6 +370,20 @@ class TestExperiments:
         summary = json.loads((Path(data["out_dir"]) / "summary.json").read_text())
         assert len(calls) == 1 + 50 and summary["agreement"] == 1.0
 
+    @pytest.mark.parametrize("velocity", ["effective", "actual"])
+    def test_repeats_are_trials_one_to_n_of_the_configured_seed(self, tmp_path, monkeypatch,
+                                                                 velocity):
+        import stochaction.experiments as experiments
+        real = experiments.run_ensemble
+        calls = []
+        monkeypatch.setattr(experiments, "run_ensemble",
+                            lambda *args, **kwargs: calls.append(args[3:5])
+                            or real(*args, **kwargs))
+        path, _ = make_config(tmp_path, overrides={"repeat": {"n_repeats": 7}},
+                              experiment="repeatability", velocity=velocity, seed=3)
+        assert run_experiment(parse_config(path.read_text())) == 0
+        assert calls == [(range(0, 1), 3), (range(1, 8), 3)]
+
     def test_trajectories_experiment(self, tmp_path):
         path, data = make_config(tmp_path, overrides={
             "ensemble": {"n_trials": 100, "dt_traj": 0.002, "n_store": 5,
@@ -599,7 +613,10 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_text('{"experiment": "born",')
         assert cli_main(["born", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith("invalid JSON: ")
+        err = capsys.readouterr().err
+        # parse_config names it, once
+        assert err.startswith("invalid configuration:\n  - json: Expecting ")
+        assert err.count("json:") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, trials, violation", [
@@ -655,11 +672,13 @@ class TestCli:
         assert echoed["experiment"] == "born"
         assert echoed["physical"]["sigma"] == 0.05
 
-    @pytest.mark.parametrize("experiment", ["born", "repeatability"])
-    def test_runtime_overflow_writes_error_json(self, tmp_path, monkeypatch, experiment):
+    @pytest.mark.parametrize("experiment, trial", [("born", 3), ("repeatability", 4)],
+                             ids=["born", "repeatability"])
+    def test_runtime_overflow_writes_error_json(self, tmp_path, monkeypatch, experiment,
+                                                trial):
         # escapes are tail events, so inject one to exercise the error path:
         # fail_on_overflow must surface the trial in the error artifact (for
-        # repeatability, repeat 3: its first event is a single trial)
+        # repeatability, repeat 3: trial 0 is the first event, a chunk of its own)
         import stochaction.measurement as meas
         real = meas.integrate_ensemble
 
@@ -677,7 +696,7 @@ class TestCli:
         assert status == 2
         err = json.loads((Path(data["out_dir"]) / "error.json").read_text())
         assert err["error"] == "DomainOverflowError"
-        assert err["trial"] == 3
+        assert err["trial"] == trial
 
     @pytest.mark.parametrize("experiment", ["born", "trajectories"])
     def test_fail_on_overflow_holds_for_every_ensemble_kind(self, tmp_path, experiment):
@@ -837,6 +856,14 @@ class TestCli:
 
     def test_largest_seed_accepted(self):
         assert parse_config(json.dumps(dict(MINIMAL_BORN, seed=2**64 - 1)))["seed"] == 2**64 - 1
+
+    def test_largest_seed_runs_a_repeatability_experiment(self, tmp_path):
+        # its repeats are trials of the configured seed, so no kind stops short of SEED_MAX
+        path, data = make_config(tmp_path, overrides={"repeat": {"n_repeats": 5}},
+                                 experiment="repeatability", seed=2**64 - 1)
+        assert cli_main(["repeatability", "--config", str(path)]) == 0
+        summary = json.loads((Path(data["out_dir"]) / "summary.json").read_text())
+        assert summary["agreement"] == 1.0
 
     def test_seed_and_trials_overrides(self, tmp_path):
         path, data = make_config(tmp_path)

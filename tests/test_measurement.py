@@ -202,6 +202,26 @@ class TestEnsemble:
                              extras["final_configs"].tobytes()))
         assert all(run == runs[0] for run in runs[1:])
 
+    @pytest.mark.parametrize("velocity", ["effective", "actual"])
+    def test_trial_range_runs_those_trials_of_the_seeds_ensemble(self, grid, basis, config,
+                                                                 packet, velocity):
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        spec = EnsembleSpec(dt_traj=5e-3)
+        stoch = StochasticParams(tau_xi=0.05) if velocity == "actual" else None
+        every, _, _ = run_ensemble(state, config, spec, 8, seed=32, stoch=stoch)
+        some, stats, _ = run_ensemble(state, config, spec, range(3, 6), seed=32, stoch=stoch)
+        assert [r.json_line() for r in some] == [r.json_line() for r in every[3:6]]
+        assert [r.trial for r in some] == [3, 4, 5] and stats.n_trials == 3
+        single = run_single_event(state, config, spec, seed=32, trial=4, stoch=stoch)
+        assert single.json_line() == every[4].json_line()
+
+    @pytest.mark.parametrize("trials", [range(0), range(2, 2), range(-1, 2)])
+    def test_empty_or_negative_trial_range_rejected(self, grid, basis, config, packet,
+                                                    trials):
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        with pytest.raises(ValueError, match="names no trial or a negative one"):
+            run_ensemble(state, config, EnsembleSpec(dt_traj=5e-3), trials, seed=32)
+
     def test_workers_capped_at_cpu_count(self, grid, basis, config, packet, monkeypatch):
         # more threads than CPUs would only cut the trials into more, shorter chunks
         monkeypatch.setattr("os.cpu_count", lambda: 2)
@@ -451,13 +471,13 @@ class TestRecordLine:
         dict(q2_initial=-0.0, q2_final=5e-324, theta_initial=1e300, lambda_sign0=-1),
         dict(omega=float("nan"), q2_initial=float("inf"), q2_final=float("-inf")),
         dict(omega=np.float64(-1.0), q2_initial=np.float64(0.1), q2_final=np.float64(-0.0),
-             theta_initial=np.float64(np.inf), trial_seed=2**63 + 1),
+             theta_initial=np.float64(np.inf), trial=2**63 + 1),
     ], ids=["ambiguous", "overflow", "float-extremes", "non-finite", "numpy-floats"])
     def test_line_is_the_sorted_dump(self, fields):
         from stochaction import MeasurementRecord
         record = MeasurementRecord(**{**dict(outcome_index=2, omega=1.0, q2_initial=0.25,
                                              q2_final=1.0 / 3.0, theta_initial=6.0,
-                                             lambda_sign0=1, trial_seed=7), **fields})
+                                             lambda_sign0=1, trial=7), **fields})
         assert record.json_line() == self._dumped(record)
 
     def test_run_records_write_their_dumped_lines(self, grid, basis, config, packet):

@@ -1,8 +1,10 @@
-"""The evidence tools' comparison reports, modes and revision extractor, on hand-made inputs."""
+"""The evidence tools' comparison reports, modes and revision extractor, on hand-made
+inputs, and the package entry points the benchmark tracer wraps."""
 import importlib.util
 import json
 import math
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,3 +137,39 @@ def test_unknown_revision_exits_two_with_gits_message(tool, capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "no-such-revision" in err and "Traceback" not in err
+
+
+def _package_bindings() -> dict:
+    """``{(module name or class, attribute): value}`` of every loaded package module and
+    of every package class they hold."""
+    modules = {name: module for name, module in sys.modules.items()
+               if module is not None and name.split(".")[0] == "stochaction"}
+    bindings = {(name, attr): value for name, module in modules.items()
+                for attr, value in vars(module).items()}
+    classes = {value for (_, _), value in bindings.items()
+               if isinstance(value, type) and value.__module__.startswith("stochaction")}
+    bindings.update({(cls, attr): value for cls in classes for attr, value in vars(cls).items()})
+    return bindings
+
+
+def test_benchmark_tracer_finds_its_targets_and_restores_them():
+    # perfbench/tracing.py wraps package functions and methods by name, so a
+    # rename in the package fails here, not first in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from stochaction import (cli, config, experiments, expressions, gridop,  # noqa: F401
+                             measurement, potentials, rng, spectral, stochastic, trajectories)
+    before = _package_bindings()
+    uninstall = tracing.instrument(tracing.Tracer())
+    try:
+        during = _package_bindings()
+    finally:
+        uninstall()
+    wrapped = {key for key, value in before.items() if during[key] is not value}
+    assert {("stochaction.measurement", "run_ensemble"), ("stochaction.experiments",
+            "run_ensemble"), (trajectories.ModeFlow, "effective"),
+            ("stochaction.gridop", "splu")} <= wrapped
+    after = _package_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

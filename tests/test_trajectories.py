@@ -893,6 +893,21 @@ class TestStepLoop:
         assert np.array_equal(out["configs"][1], q0[1])
         assert min(rows for _, rows in flow.calls) == 1
 
+    def test_loop_stops_once_the_last_rows_overflow(self, grid, basis):
+        # every row leaves the bounds on step 0: the field is evaluated at the
+        # start and four times in that step, and never on zero rows
+        state = make_state({2: 1.0}, basis, grid, sigma=0.05)
+        flow = RecordingFlow(ModeFlow(state, g=1.0))
+        q0 = np.array([[0.3, 0.0], [1.0, 2e-5], [2.0, -2e-5]])
+        out = integrate_ensemble(flow, q0, EnsembleSpec(dt_traj=1e-3), 0.0, 0.05,
+                                 q2_bounds=(-1e-4, 1e-4), snapshot_steps=(0, 1, 50))
+        assert out["overflow"].all()
+        assert [rows for kind, rows in flow.calls if kind == "velocity"] == [3] * 5
+        # an overflowed row freezes at its last configuration
+        for k in (0, 1, 50):
+            assert np.array_equal(out["snapshots"][k], q0)
+        assert np.array_equal(out["configs"], q0)
+
     def test_node_policy_rows_count_held_steps(self, monkeypatch):
         # the node-policy kind of tools/result_hashes.py, both velocities
         path = Path(__file__).resolve().parents[1] / "tools" / "result_hashes.py"

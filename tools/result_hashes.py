@@ -128,6 +128,8 @@ CONFIGS = {
                   "phases": [0.0, 1.0, 2.0, 0.7]},
         "grid": {"q2_min": -9.0, "q2_max": 9.0}, "prior": {"n_mc": 20000}}),
     "repeatability": ("repeatability", {"repeat": {"n_repeats": 50}}),
+    "repeatability-actual": ("repeatability", {"repeat": {"n_repeats": 50},
+                                               "velocity": "actual"}),
     "appendix": ("appendix", {"appendix": APPENDIX}),
     "appendix-periodic": ("appendix", {"appendix": APPENDIX_PERIODIC}),
     "appendix-grammar": ("appendix", {"appendix": APPENDIX_GRAMMAR}),
