@@ -25,9 +25,8 @@ from .gridop import (CartesianGrid, GridOperator, MetricPotentialSystem,
 from .trajectories import (EnsembleSpec, ModeFlow, equivariance_report,
                            integrate_ensemble)
 from .measurement import (EnsembleStats, MeasurementPipeline, MeasurementRecord, StateSpec,
-                          actual_observable_prior, average_prior, prepare_initial_state,
-                          repeat_measurement, run_ensemble, run_single_event,
-                          substitute_observable)
+                          actual_observable_prior, average_prior, correlated_eigenstate,
+                          prepare_initial_state, run_ensemble, substitute_observable)
 from .potentials import (AppendixSpec, LambdaSweep, appendix_velocity, classical_limit_check,
                          run_lambda_sweep, system_from_expressions)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config

@@ -3,7 +3,7 @@
 One subcommand per experiment kind plus a generic ``run``.  Exit codes:
 0 success, 1 configuration error, 2 runtime error, 3 declared checks failed.
 Runtime errors additionally leave a structured ``error.json`` in the output
-directory.
+directory, when it could be made.
 """
 from __future__ import annotations
 
@@ -80,11 +80,12 @@ def main(argv: list[str] | None = None) -> int:
         return run_experiment(cfg)
     except Exception as exc:  # noqa: BLE001 - boundary turns faults into artifacts
         out_dir = Path(cfg["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "trial", None) is not None:
             payload["trial"] = exc.trial
-        (out_dir / "error.json").write_text(canonical_json(payload))
+        # the run made its output directory first; one it could not make gets no file
+        if out_dir.is_dir():
+            (out_dir / "error.json").write_text(canonical_json(payload))
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

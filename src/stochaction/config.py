@@ -26,7 +26,7 @@ from .core import (DomainOverflowError, FieldErrors, GridSpec, InvalidSystemErro
                    PhysicalConfig, _is_number, canonical_json, field_errors, require_count)
 from .measurement import N_MC_MIN, N_TRIALS_MIN, StateSpec
 from .potentials import APPENDIX_MAGNITUDE_MAX, AppendixSpec, LambdaSweep
-from .rng import SEED_MAX
+from .rng import INDEX_MAX, SEED_MAX
 from .spectral import AngularBasis, evolve_measurement_spectral
 from .stochastic import StochasticParams
 from .trajectories import N_BINS_MIN, EnsembleSpec
@@ -122,6 +122,12 @@ _COUNT_MINIMA = {
     ("equivariance", "n_bins"): N_BINS_MIN,
     ("prior", "n_mc"): N_MC_MIN,
     ("checks", "n_draws"): 2,
+}
+# largest value of each trial count: a run keys trials 0..n_trials-1, and a
+# repeatability run its repeats as trials 1..n_repeats, all at most INDEX_MAX
+_COUNT_MAXIMA = {
+    ("ensemble", "n_trials"): INDEX_MAX + 1,
+    ("repeat", "n_repeats"): INDEX_MAX,
 }
 
 # thresholds of the declared checks that only a positive value lets a run pass
@@ -254,6 +260,9 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
     for (section, key), least in _COUNT_MINIMA.items():
         violations += [f"{section}.{name}: {message}" for name, message in
                        field_errors(require_count, key, cfg[section][key], least)]
+    violations += [f"{section}.{key}: must be at most {most}, so that no trial index "
+                   f"passes {INDEX_MAX}" for (section, key), most in _COUNT_MAXIMA.items()
+                   if cfg[section][key] > most]
     # declared-check thresholds no run could pass: a p-value never exceeds 1,
     # and a rate, deviation or z-score is never below 0
     if not cfg["checks"]["chi2_p_min"] < 1:

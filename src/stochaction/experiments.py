@@ -33,7 +33,7 @@ from .config import ExperimentConfig
 from .core import DomainOverflowError, canonical_json, csv_text, field_to_csv
 from .gridop import (blas_threads, build_metric_hamiltonian, evolve_grid,
                      verify_hjm_residual)
-from .measurement import _collapsed, average_prior, run_ensemble
+from .measurement import average_prior, correlated_eigenstate, run_ensemble
 from .potentials import OBSERVABLE_MENU, _observables, _sweep, appendix_setup
 from .rng import GENERIC, stream
 from .stochastic import (ActionIncrement, check_separability, gaussian_log_weight,
@@ -51,10 +51,13 @@ Result = tuple[dict, Checks]
 
 
 class RunOutput:
-    """Collects result files, then writes them with a hashed manifest."""
+    """Makes the output directory, collects result files, then writes them
+    with a hashed manifest.  The directory is made before the run, so one
+    that cannot be made (OSError) costs no work."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.files: dict[str, bytes] = {}
         self.telemetry: dict = {}   # extra manifest blocks, outside the byte contract
 
@@ -65,7 +68,6 @@ class RunOutput:
         self.add_text(name, canonical_json(obj))
 
     def write(self, cfg: ExperimentConfig, started: float) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         hashes = {}
         for name, blob in sorted(self.files.items()):
             (self.out_dir / name).write_bytes(blob)
@@ -232,7 +234,7 @@ def _run_repeatability(cfg: ExperimentConfig, out: RunOutput) -> Result:
         # a flagged first event names no eigenstate to repeat
         agree, detail = 0, "first event was flagged; no repeats run"
     else:
-        eigenstate = _collapsed(state0, first.outcome_index, cfg.physical())
+        eigenstate = correlated_eigenstate(state0, first.outcome_index, cfg.physical())
         records, _, extras = _ensemble(cfg, eigenstate, range(1, n_rep + 1))
         out.telemetry["ensemble"] = _ensemble_counters(first_extras, extras)
         agree = sum(1 for r in records if r.outcome_index == first.outcome_index)

@@ -7,7 +7,7 @@ the pointer position: the packet window that ``q2(t_M)`` landed in names the
 recorded eigenvalue.  The wavefunction never collapses during an event; the
 replacement of the system state by the correlated eigenfunction between
 successive measurements is an explicit bookkeeping step
-(:func:`repeat_measurement`).
+(:func:`correlated_eigenstate`).
 
 Position and linear-momentum measurements reuse the same pipeline through
 :func:`substitute_observable`, with bin centers standing in for the discrete
@@ -397,16 +397,31 @@ def _run_chunk(pipe: MeasurementPipeline, flow: ModeFlow | PointerReadoutFlow,
     return dict(result, initial_configs=q0, signs0=signs[:, 0], snapshot_signs=held)
 
 
-def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: EnsembleSpec,
-                seed: int, trials: np.ndarray, stoch: StochasticParams | None, threads: int,
-                snapshot_steps: tuple[int, ...]):
-    """Validate, integrate ``trials`` in chunks (:func:`_chunk_rows`) on the
-    :func:`~stochaction.core.fork_workers` forked worker processes, and record
-    one event each; ``stoch`` makes the run actual-velocity.
+def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, trials: int | range,
+                 seed: int, stoch: StochasticParams | None = None, threads: int = 1,
+                 snapshot_steps: tuple[int, ...] = ()):
+    """Seeded batch of measurement events: the ``trials`` of the seed's ensemble,
+    a count n (trials 0..n-1) or a non-empty range of indices in
+    [0, ``rng.INDEX_MAX``]; one event is a one-trial range.
 
-    Each worker inherits the flow through the fork and is sent only the
-    index of its chunk.
+    A trial's event depends on ``(seed, trial)`` alone.  Returns ``(records,
+    stats, extras)``; extras carries trajectory snapshots for equivariance
+    diagnostics.  ``stoch`` makes the run actual-velocity.  Trials are
+    integrated in chunks (:func:`_chunk_rows`) on up to ``threads``
+    :func:`~stochaction.core.fork_workers` forked worker processes, with the
+    same results at any chunking and worker count; each worker inherits the
+    flow through the fork and is sent only the index of its chunk.  The
+    state's packet width must be ``config.sigma`` (InvalidSystemError).
     """
+    if not isinstance(trials, range):
+        require_count("n_trials", trials, N_TRIALS_MIN)
+        trials = range(trials)
+    elif not (trials and min(trials[0], trials[-1]) >= 0):
+        raise ValueError(f"trials {trials!r} names no trial or a negative one")
+    if max(trials[0], trials[-1]) > rngmod.INDEX_MAX:
+        raise ValueError(f"trials {trials!r} go past the largest trial index "
+                         f"{rngmod.INDEX_MAX}")
+    pipe, trials = _resolve_pipeline(prepared), np.asarray(trials)
     state0 = pipe.state0
     # the separation check, readout windows and osmotic term read the config's scales
     if state0.packet.sigma != config.sigma:
@@ -464,34 +479,6 @@ def _run_events(pipe: MeasurementPipeline, config: PhysicalConfig, spec: Ensembl
     return records, stats, extras
 
 
-def run_ensemble(prepared, config: PhysicalConfig, spec: EnsembleSpec, trials: int | range,
-                 seed: int, stoch: StochasticParams | None = None, threads: int = 1,
-                 snapshot_steps: tuple[int, ...] = ()):
-    """Seeded batch of measurement events: the ``trials`` of the seed's ensemble,
-    a count n (trials 0..n-1) or a non-empty range of non-negative indices.
-
-    A trial's event depends on ``(seed, trial)`` alone.  Returns ``(records,
-    stats, extras)``; extras carries trajectory snapshots for equivariance
-    diagnostics.  ``stoch`` makes the run actual-velocity.  Trials are
-    integrated in chunks (:func:`_chunk_rows`) on up to ``threads`` worker
-    processes, with the same results at any chunking and worker count.  The
-    state's packet width must be ``config.sigma`` (InvalidSystemError).
-    """
-    if not isinstance(trials, range):
-        require_count("n_trials", trials, N_TRIALS_MIN)
-        trials = range(trials)
-    elif not (trials and min(trials[0], trials[-1]) >= 0):
-        raise ValueError(f"trials {trials!r} names no trial or a negative one")
-    return _run_events(_resolve_pipeline(prepared), config, spec, seed,
-                       np.asarray(trials), stoch, threads, snapshot_steps)
-
-
-def run_single_event(prepared, config: PhysicalConfig, spec: EnsembleSpec, seed: int,
-                     trial: int = 0, stoch: StochasticParams | None = None) -> MeasurementRecord:
-    """One seeded measurement event: trial ``trial`` of the seed's ensemble."""
-    return run_ensemble(prepared, config, spec, range(trial, trial + 1), seed, stoch)[0][0]
-
-
 # ---------------------------------------------------------------------------
 # observable values before and after a measurement
 # ---------------------------------------------------------------------------
@@ -542,24 +529,18 @@ def average_prior(coeffs, basis: AngularBasis, n_mc: int, seed: int,
     return {"mean": mean, "se": se, "analytic": analytic, "n": n_mc}
 
 
-def repeat_measurement(record: MeasurementRecord, state0: SpectralState,
-                       config: PhysicalConfig, spec: EnsembleSpec, seed: int,
-                       trial: int = 0) -> MeasurementRecord:
-    """Non-destructive follow-up measurement.
+def correlated_eigenstate(state0: SpectralState, outcome_index: int | None,
+                          config: PhysicalConfig) -> SpectralState:
+    """Eigenstate of ``outcome_index`` under ``state0``'s pointer packet, at t = 0.
 
-    The system wavefunction is replaced by the eigenfunction correlated with
-    the first outcome (the explicit bookkeeping step) and a fresh pointer
-    packet is attached; the follow-up event then must reproduce the outcome.
+    The bookkeeping step between measurements: the system wavefunction is
+    replaced by the eigenfunction correlated with the recorded outcome and a
+    fresh pointer packet is attached, after which a repeat is an ordinary
+    event of :func:`run_ensemble` that must reproduce the outcome.  A flagged
+    event (``outcome_index`` None) names no eigenstate (ValueError).
     """
-    if record.outcome_index is None:
-        raise ValueError("cannot repeat a flagged measurement")
-    return run_single_event(_collapsed(state0, record.outcome_index, config), config,
-                            spec, seed, trial=trial)
-
-
-def _collapsed(state0: SpectralState, outcome_index: int,
-               config: PhysicalConfig) -> SpectralState:
-    """Eigenstate of ``outcome_index`` under ``state0``'s pointer packet, at t = 0."""
+    if outcome_index is None:
+        raise ValueError("a flagged measurement names no eigenstate to repeat")
     if not isinstance(state0.modes, AngularBasis):
         raise NotImplementedError("repetition protocol is defined for the ring system")
     return prepare_initial_state({outcome_index: 1.0}, state0.packet, config,

@@ -318,8 +318,11 @@ def classical_limit_check(system: MetricPotentialSystem, psi: np.ndarray,
     the scale must quarter its norm; the velocity field converges to the
     drift ``g^{ij} (d_j S - a_j)`` at rate ``lambda``.  Velocity distances
     are density-weighted root-mean-square over the valid region, the norm a
-    typical configuration actually samples.
+    typical configuration actually samples.  Every scale must be positive
+    and finite, as for :func:`build_metric_hamiltonian` (ValueError).
     """
+    if not all(0 < lam < np.inf for lam in lambdas):   # written so that a NaN fails it
+        raise ValueError(f"lambdas must be positive and finite, not {lambdas!r}")
     R = np.abs(psi)
     dens = R**2
     entries = []

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 SEED_MAX = (1 << 64) - 1
-_MASK48 = (1 << 48) - 1
+# the largest stream index, and so the largest trial a run can key
+INDEX_MAX = (1 << 48) - 1
 # a new stream's counter and buffer words
 _ZEROS4 = (0, 0, 0, 0)
 
@@ -28,7 +29,7 @@ GENERIC = 0
 def _key(seed: int, purpose: int, index: int) -> tuple[int, int]:
     if seed < 0 or seed > SEED_MAX:
         raise ValueError("stream seed out of range")
-    if index < 0 or index > _MASK48:
+    if index < 0 or index > INDEX_MAX:
         raise ValueError("stream index out of range")
     return seed, ((purpose & 0xFFFF) << 48) | index
 

@@ -171,4 +171,11 @@ SHAPE_AND_BOUND_RULES = [
     ("born", {"velocity": "actual", "stochastic": {"dt": 1e-20, "tau_xi": 1e-19},
               "physical": {"t_M": 1e-3, "g": 1000}, "ensemble": {"dt_traj": 1e-16}},
      "ensemble.dt_traj: dt_traj = 1e-16 exceeds tau_xi / hierarchy_factor = 1e-20"),
+    # every trial index a run keys is at most rng.INDEX_MAX = 2^48 - 1
+    ("born", {"ensemble": {"n_trials": 2**48 + 1}},
+     "ensemble.n_trials: must be at most 281474976710656"),
+    ("trajectories", {"ensemble": {"n_trials": 2**64}},
+     "ensemble.n_trials: must be at most 281474976710656"),
+    ("repeatability", {"repeat": {"n_repeats": 2**48}},
+     "repeat.n_repeats: must be at most 281474976710655"),
 ]

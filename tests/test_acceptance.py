@@ -15,10 +15,10 @@ from stochaction import (ActionIncrement, AngularBasis, CartesianGrid,
                          GaussianPacket, GridSpec, MetricPotentialSystem,
                          PhysicalConfig, actual_observable_prior,
                          average_prior, build_metric_hamiltonian, check_separability,
-                         classical_limit_check, equivariance_report,
+                         classical_limit_check, correlated_eigenstate, equivariance_report,
                          evolve_grid, gaussian_log_weight, integrate_ensemble,
-                         prepare_initial_state, repeat_measurement, run_ensemble,
-                         run_single_event, sample_deviation, verify_hjm_residual)
+                         prepare_initial_state, run_ensemble, sample_deviation,
+                         verify_hjm_residual)
 from stochaction.cli import main as cli_main
 from stochaction.rng import stream
 from stochaction.trajectories import EnsembleSpec, ModeFlow
@@ -143,26 +143,24 @@ def test_criterion_06_effective_post_and_repeatability(born_run):
     # the post-measurement value: the observable of the collapsed state at lambda 0
     post_ok = all(
         np.max(np.abs(actual_observable_prior(
-            prepare_initial_state({l: 1.0}, PACKET, CONFIG, GRID, BASIS).coeffs,
+            correlated_eigenstate(state, l, CONFIG).coeffs,
             BASIS, thetas, 0.0) - float(l))) < 1e-10
         for l in outcomes)
 
     spec1 = EnsembleSpec(dt_traj=1e-3)
-    first = run_single_event(state, CONFIG, spec1, SEED + 7)
-    collapsed = prepare_initial_state({first.outcome_index: 1.0}, PACKET,
-                                      CONFIG, GRID, BASIS)
+    (first,), _, _ = run_ensemble(state, CONFIG, spec1, 1, SEED + 7)
+    collapsed = correlated_eigenstate(state, first.outcome_index, CONFIG)
     _, rep_stats, _ = run_ensemble(collapsed, CONFIG,
                                    EnsembleSpec(dt_traj=1e-3),
                                    1000, SEED + 8)
     unanimous = (rep_stats.indices.tolist() == [first.outcome_index]
                  and rep_stats.frequencies.tolist() == [1.0]
                  and rep_stats.n_ambiguous == 0)
-    op_repeats = [repeat_measurement(first, state, CONFIG, spec1, SEED + 9, trial=k)
-                  for k in range(3)]
+    op_repeats, _, _ = run_ensemble(collapsed, CONFIG, spec1, 3, SEED + 9)
     report(6, "post-measurement value equals the outcome; repetition agrees", [
         ("effective value is omega_l within 1e-10", post_ok),
         ("1000 repeats agree with the first outcome", unanimous),
-        ("repeat_measurement reproduces the outcome",
+        ("repeats of the correlated eigenstate reproduce the outcome",
          all(r.outcome_index == first.outcome_index for r in op_repeats)),
     ])
 

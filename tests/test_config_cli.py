@@ -562,6 +562,11 @@ class TestCli:
                            "--trials", "64", "--out", str(out)])
         assert status in (0, 3)
         assert len((out / "records.jsonl").read_text().splitlines()) == 64
+        # the repeatability example's repeats all reproduce its first outcome
+        out = tmp_path / "repeats"
+        assert cli_main(["repeatability", "--config", str(EXAMPLES / "repeatability.json"),
+                         "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["agreement"] == 1.0
 
     def test_run_and_exit_zero(self, tmp_path, capsys):
         path, data = make_config(tmp_path)
@@ -697,6 +702,22 @@ class TestCli:
         err = json.loads((Path(data["out_dir"]) / "error.json").read_text())
         assert err["error"] == "DomainOverflowError"
         assert err["trial"] == trial
+
+    def test_output_directory_that_cannot_be_made_fails_before_the_run(self, tmp_path,
+                                                                       capsys, monkeypatch):
+        import stochaction.experiments as experiments
+        calls = []
+        monkeypatch.setitem(experiments._RUNNERS, "stochastic-check",
+                            lambda cfg, out: calls.append(cfg))
+        (tmp_path / "afile").write_text("")
+        path, _ = make_config(tmp_path, overrides={"checks": {"n_draws": 100}},
+                              experiment="stochastic-check",
+                              out_dir=str(tmp_path / "afile" / "sub"))
+        assert cli_main(["stochastic-check", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [err.strip()] and err.startswith("NotADirectoryError: ")
+        assert calls == []
 
     @pytest.mark.parametrize("experiment", ["born", "trajectories"])
     def test_fail_on_overflow_holds_for_every_ensemble_kind(self, tmp_path, experiment):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from stochaction import (AngularBasis, DegenerateInputError, DomainOverflowError,
                          EnsembleStats, GaussianPacket, GridSpec, InvalidSystemError,
                          PhysicalConfig, StochasticParams, actual_observable_prior,
-                         average_prior, prepare_initial_state, repeat_measurement,
-                         run_ensemble, run_single_event, substitute_observable)
+                         average_prior, correlated_eigenstate, prepare_initial_state,
+                         run_ensemble, substitute_observable)
 from stochaction.rng import INITIAL, SIGNS, stream
 from stochaction.stochastic import sample_sign_path
 from stochaction.trajectories import EnsembleSpec
@@ -81,8 +81,8 @@ class TestPreparation:
 class TestSingleEvent:
     def test_eigenstate_outcome_deterministic(self, grid, basis, config, packet, espec):
         state = prepare_initial_state({2: 1.0}, packet, config, grid, basis)
-        for trial in range(5):
-            rec = run_single_event(state, config, espec, seed=9, trial=trial)
+        records, _, _ = run_ensemble(state, config, espec, 5, seed=9)
+        for rec in records:
             assert rec.outcome_index == 2
             assert rec.omega == pytest.approx(2.0)
             assert rec.q2_final - rec.q2_initial == pytest.approx(2.0, abs=1e-6)
@@ -91,14 +91,13 @@ class TestSingleEvent:
         free = PhysicalConfig(g=0.0, t_M=1.0, sigma=0.05, sep_factor=8.0)
         state = prepare_initial_state(fixture_coeffs(), packet, free, grid, basis,
                                       enforce_separation=False)
-        recs = [run_single_event(state, free, espec, seed=10, trial=t)
-                for t in range(8)]
+        recs, _, _ = run_ensemble(state, free, espec, 8, seed=10)
         assert all(r.ambiguous for r in recs)
 
     def test_no_collapse_during_event(self, grid, basis, config, packet, espec):
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
         before = state.coeffs.copy()
-        run_single_event(state, config, espec, seed=11)
+        run_ensemble(state, config, espec, 1, seed=11)
         assert np.array_equal(state.coeffs, before)
 
 
@@ -212,8 +211,6 @@ class TestEnsemble:
         some, stats, _ = run_ensemble(state, config, spec, range(3, 6), seed=32, stoch=stoch)
         assert [r.json_line() for r in some] == [r.json_line() for r in every[3:6]]
         assert [r.trial for r in some] == [3, 4, 5] and stats.n_trials == 3
-        single = run_single_event(state, config, spec, seed=32, trial=4, stoch=stoch)
-        assert single.json_line() == every[4].json_line()
 
     @pytest.mark.parametrize("trials", [range(0), range(2, 2), range(-1, 2)])
     def test_empty_or_negative_trial_range_rejected(self, grid, basis, config, packet,
@@ -221,6 +218,18 @@ class TestEnsemble:
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
         with pytest.raises(ValueError, match="names no trial or a negative one"):
             run_ensemble(state, config, EnsembleSpec(dt_traj=5e-3), trials, seed=32)
+
+    @pytest.mark.parametrize("trials", [range(2**48 - 1, 2**48 + 1), 2**48 + 1, 2**64])
+    def test_trial_past_the_index_bound_rejected_before_any_work(self, grid, basis, config,
+                                                                 packet, monkeypatch, trials):
+        import stochaction.measurement as measurement
+        from stochaction.rng import INDEX_MAX
+        state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
+        calls = []
+        monkeypatch.setattr(measurement, "ModeFlow", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=rf"trials .* largest trial index {INDEX_MAX}"):
+            run_ensemble(state, config, EnsembleSpec(dt_traj=5e-3), trials, seed=3)
+        assert calls == []
 
     def test_workers_capped_at_cpu_count(self, grid, basis, config, packet, monkeypatch):
         # more threads than CPUs would only cut the trials into more, shorter chunks
@@ -425,19 +434,17 @@ class TestEffectivePost:
 class TestRepeatability:
     def test_repeat_agrees(self, grid, basis, config, packet, espec):
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
-        first = run_single_event(state, config, espec, seed=19, trial=0)
+        (first,), _, _ = run_ensemble(state, config, espec, 1, seed=19)
         assert first.outcome_index is not None
-        for k in range(5):
-            again = repeat_measurement(first, state, config, espec,
-                                       seed=20, trial=k)
+        eigenstate = correlated_eigenstate(state, first.outcome_index, config)
+        for again in run_ensemble(eigenstate, config, espec, 5, seed=20)[0]:
             assert again.outcome_index == first.outcome_index
 
-    def test_collapsed_ensemble_unanimous(self, grid, basis, config, packet):
+    def test_correlated_eigenstate_ensemble_unanimous(self, grid, basis, config, packet):
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
         spec = EnsembleSpec(dt_traj=1e-3)
-        first = run_single_event(state, config, spec, seed=21)
-        collapsed = prepare_initial_state({first.outcome_index: 1.0}, packet,
-                                          config, grid, basis)
+        (first,), _, _ = run_ensemble(state, config, spec, 1, seed=21)
+        collapsed = correlated_eigenstate(state, first.outcome_index, config)
         _, stats, _ = run_ensemble(collapsed, config,
                                    EnsembleSpec(dt_traj=1e-3),
                                    400, seed=22)
@@ -450,12 +457,12 @@ class TestRepeatability:
         _, stats, _ = run_ensemble(state, config, spec, 400, seed=23)
         assert np.count_nonzero(stats.counts) >= 2
 
-    def test_flagged_record_rejected(self, grid, basis, config, packet, espec):
+    def test_flagged_record_rejected(self, grid, basis, config, packet):
         from stochaction import MeasurementRecord
         bad = MeasurementRecord(None, None, 0.0, 0.0, 0.0, 1, 0, ambiguous=True)
         state = prepare_initial_state(fixture_coeffs(), packet, config, grid, basis)
         with pytest.raises(ValueError):
-            repeat_measurement(bad, state, config, espec, seed=0)
+            correlated_eigenstate(state, bad.outcome_index, config)
 
 
 class TestRecordLine:
@@ -665,7 +672,7 @@ class TestSubstituteObservable:
             substitute_observable(kind, psi, x, window=window, n_bins=1, config=config,
                                   grid=grid)
 
-    def test_plane_wave_state_is_not_repeated(self, grid, espec):
+    def test_plane_wave_state_is_not_repeated(self, grid):
         # the repetition protocol collapses onto a ring eigenstate
         from stochaction import MeasurementRecord
         config = PhysicalConfig(sigma=0.02, sep_factor=8.0, g=1.0, t_M=1.0)
@@ -674,7 +681,7 @@ class TestSubstituteObservable:
                                      n_bins=10, config=config, grid=GridSpec(-8, 8))
         first = MeasurementRecord(0, 1.5, 0.0, 1.5, 0.0, 1, 0)
         with pytest.raises(NotImplementedError, match="defined for the ring system"):
-            repeat_measurement(first, pipe.state0, config, espec, seed=0)
+            correlated_eigenstate(pipe.state0, first.outcome_index, config)
 
 
 def oracle_sample_line(density, points, n, rng):

@@ -295,6 +295,16 @@ class TestClassicalLimit:
         assert smallest["lambda"] == 1e-3
         assert smallest["velocity_rms_distance"] < 1e-4
 
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+    def test_scale_not_positive_and_finite_rejected(self, bad):
+        grid = CartesianGrid((-8.0,), (8.0,), (128,), (False,))
+        x = grid.axis(0)
+        psi = np.exp(-x**2 / 2).astype(complex)
+        psi /= np.sqrt(grid.norm2(psi))
+        system = MetricPotentialSystem(1)
+        with pytest.raises(ValueError, match="lambdas must be positive and finite"):
+            classical_limit_check(system, psi, grid, lambdas=(1.0, bad))
+
     def test_masked_points_reported_near_node(self):
         grid = CartesianGrid((-8.0,), (8.0,), (512,), (False,))
         x = grid.axis(0)
