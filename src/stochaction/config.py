@@ -6,13 +6,14 @@ the ``physical``, ``stochastic``, ``ensemble.dt_traj``, ``state`` and
 ``StochasticParams``, ``EnsembleSpec``, ``StateSpec`` and ``AppendixSpec``:
 their types and defaults are read from the dataclasses, each section's
 rules are stated once in its dataclass, and each section's view is its
-dataclass; an engine call's rule on a plain argument (the least trial,
-draw and bin counts) is its engine module's, called here.  Only the config
-reads the velocity names: an actual run hands the engine ``StochasticParams``.
-Validation reports every violation with its path; cross-section invariants
+dataclass.  Every other key states its type, default and rule together,
+in its ``_SCHEMA`` entry; an engine call's rule on a plain argument (the
+least trial, draw and bin counts) is its engine module's, called there.
+Only the config reads the velocity names: an actual run hands the engine
+``StochasticParams``.  Validation reports every violation with its path, in
+one pass over every key rule, section rule and cross-section invariant
 (packet separation, time-scale hierarchy, grid headroom, step count,
-grid-run scales) are checked at load time so a bad run fails before any
-work happens.
+grid-run scales), at load time so a bad run fails before any work happens.
 """
 from __future__ import annotations
 
@@ -56,83 +57,91 @@ _JSON_TYPES = {"float": (float, int), "int": (int,), "bool": (bool,), "str": (st
 
 def _fields(cls) -> dict:
     return {f.name: (tuple(t for name in f.type.split(" | ") for t in _JSON_TYPES[name]),
-                     f.default_factory() if f.default is MISSING else f.default)
+                     f.default_factory() if f.default is MISSING else f.default, None)
             for f in fields(cls)}
 
 
-# schema: section -> key -> (type tuple, default)
-_SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any]]] = {
+def _rule(ok, message: str):
+    """The rule that gives ``message`` unless ``ok(value)`` holds."""
+    return lambda value: None if ok(value) else message
+
+
+def _count(least: int, most: int | None = None):
+    """:func:`core.require_count`'s rule at ``least``; a trial count's ``most``
+    keeps every trial index a run keys at most ``rng.INDEX_MAX``."""
+    def rule(value):
+        for _, message in field_errors(require_count, "", value, least):
+            return message
+        if most is not None and value > most:
+            return f"must be at most {most}, so that no trial index passes {INDEX_MAX}"
+    return rule
+
+
+# declared-check thresholds no run could pass: a rate, deviation or z-score
+# is never below 0
+_POSITIVE = _rule(lambda v: v > 0, "must be positive")
+
+# schema: section -> key -> (type tuple, default, rule); a rule gives the
+# value's violation message or None, and a view field's rules are its
+# dataclass's (None here).  A count's least value is the engine call's own
+# minimum where it has one
+_SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], Any, Any]]] = {
     "": {
-        "experiment": ((str,), None),
-        "seed": ((int,), 0),
-        "out_dir": ((str,), "out"),
-        "threads": ((int,), 1),
-        "velocity": ((str,), "effective"),
+        "experiment": ((str,), None, _rule(lambda v: v in EXPERIMENT_KINDS,
+                                           f"must be one of {EXPERIMENT_KINDS}")),
+        "seed": ((int,), 0, _rule(lambda v: 0 <= v <= SEED_MAX, f"must be in [0, {SEED_MAX}]")),
+        "out_dir": ((str,), "out", None),
+        "threads": ((int,), 1, _rule(lambda v: v >= 1, "must be at least 1")),
+        "velocity": ((str,), "effective", _rule(lambda v: v in VELOCITIES,
+                                                f"must be {' or '.join(VELOCITIES)}")),
     },
-    "grid": {"n_theta": ((int,), 128), **_fields(GridSpec), "n_q2": ((int,), 1024)},
+    # the two grid counts are read by no run and are only range-checked
+    "grid": {"n_theta": ((int,), 128, _count(8)), **_fields(GridSpec),
+             "n_q2": ((int,), 1024, _count(32))},
     "physical": _fields(PhysicalConfig),
     # a null tau_lambda is inf
     "stochastic": {**_fields(StochasticParams),
-                   "tau_lambda": ((float, int, type(None)), None)},
+                   "tau_lambda": ((float, int, type(None)), None, None)},
     "ensemble": {
-        "n_trials": ((int,), 1000),
+        # a run keys trials 0..n_trials-1
+        "n_trials": ((int,), 1000, _count(N_TRIALS_MIN, INDEX_MAX + 1)),
         **_fields(EnsembleSpec),
         # each parses at its one value only; the keys stay while benchmark
         # configs still set them
-        "integrator": ((str,), "rk4"),
-        "node_policy": ((str,), "reject-resample"),
-        "fail_on_overflow": ((bool,), False),
-        "n_store": ((int,), 20),
-        "store_every": ((int,), 10),
+        "integrator": ((str,), "rk4", _rule(lambda v: v == "rk4", "must be rk4")),
+        "node_policy": ((str,), "reject-resample", _rule(lambda v: v == "reject-resample",
+                                                         "must be reject-resample")),
+        "fail_on_overflow": ((bool,), False, None),
+        # a trajectory table stores its trials (it may store none) every
+        # store_every >= 1 steps
+        "n_store": ((int,), 20, _count(0)),
+        "store_every": ((int,), 10, _count(1)),
     },
     "state": _fields(StateSpec),
     "prior": {
-        "n_mc": ((int,), 100000),
-        "z_max": ((float, int), 4.0),
+        "n_mc": ((int,), 100000, _count(N_MC_MIN)),
+        "z_max": ((float, int), 4.0, _POSITIVE),
     },
     "repeat": {
-        "n_repeats": ((int,), 1000),
+        # a repeatability run keys its repeats as trials 1..n_repeats
+        "n_repeats": ((int,), 1000, _count(1, INDEX_MAX)),
     },
     "appendix": _fields(AppendixSpec),
     "checks": {
-        "chi2_p_min": ((float, int), 0.01),
-        "max_ambiguous_rate": ((float, int), 1e-3),
-        "freq_within_3sigma": ((bool,), True),
-        "mean_abs_dev_rtol": ((float, int), 0.01),
-        "n_draws": ((int,), 1000000),
-        "enabled": ((bool,), True),
+        # a p-value never exceeds 1
+        "chi2_p_min": ((float, int), 0.01, _rule(lambda v: v < 1, "must be below 1")),
+        "max_ambiguous_rate": ((float, int), 1e-3, _POSITIVE),
+        "freq_within_3sigma": ((bool,), True, None),
+        "mean_abs_dev_rtol": ((float, int), 0.01, _POSITIVE),
+        # a lag-1 product needs two samples
+        "n_draws": ((int,), 1000000, _count(2)),
+        "enabled": ((bool,), True, None),
     },
     "equivariance": {
-        "enabled": ((bool,), False),
-        "n_bins": ((int,), 50),
+        "enabled": ((bool,), False, None),
+        "n_bins": ((int,), 50, _count(N_BINS_MIN)),
     },
 }
-
-# smallest value each count key outside the views can run with: the engine
-# calls' own minima, a lag-1 product two samples, a trajectory table a stride
-# of a step (and it may store no trial); the two grid counts are read by no
-# run and are only range-checked
-_COUNT_MINIMA = {
-    ("grid", "n_theta"): 8,
-    ("grid", "n_q2"): 32,
-    ("ensemble", "n_trials"): N_TRIALS_MIN,
-    ("ensemble", "n_store"): 0,
-    ("ensemble", "store_every"): 1,
-    ("repeat", "n_repeats"): 1,
-    ("equivariance", "n_bins"): N_BINS_MIN,
-    ("prior", "n_mc"): N_MC_MIN,
-    ("checks", "n_draws"): 2,
-}
-# largest value of each trial count: a run keys trials 0..n_trials-1, and a
-# repeatability run its repeats as trials 1..n_repeats, all at most INDEX_MAX
-_COUNT_MAXIMA = {
-    ("ensemble", "n_trials"): INDEX_MAX + 1,
-    ("repeat", "n_repeats"): INDEX_MAX,
-}
-
-# thresholds of the declared checks that only a positive value lets a run pass
-_POSITIVE_THRESHOLDS = (("checks", "max_ambiguous_rate"), ("checks", "mean_abs_dev_rtol"),
-                        ("prior", "z_max"))
 
 
 @dataclass(frozen=True)
@@ -200,7 +209,7 @@ def _check_types(data: dict, violations: list[str]) -> dict:
             given = {}
         prefix = f"{section}." if section else ""
         out = merged.setdefault(section, {}) if section else merged
-        for key, (types, default) in fields.items():
+        for key, (types, default, _) in fields.items():
             if key not in given:
                 if default is None and type(None) not in types:
                     violations.append(f"{prefix}{key}: required")
@@ -220,19 +229,13 @@ def _check_types(data: dict, violations: list[str]) -> dict:
 
 
 def _check_invariants(cfg: dict, violations: list[str]) -> None:
-    if cfg.get("experiment") not in EXPERIMENT_KINDS:
-        violations.append(f"experiment: must be one of {EXPERIMENT_KINDS}")
-    if cfg.get("velocity") not in VELOCITIES:
-        violations.append(f"velocity: must be {' or '.join(VELOCITIES)}")
-    for key, only in (("integrator", "rk4"), ("node_policy", "reject-resample")):
-        if cfg["ensemble"][key] != only:
-            violations.append(f"ensemble.{key}: must be {only}")
-    if cfg.get("threads", 1) < 1:
-        violations.append("threads: must be at least 1")
-    if not 0 <= cfg["seed"] <= SEED_MAX:
-        violations.append(f"seed: must be in [0, {SEED_MAX}]")
-    if violations:
-        return
+    # every key's own rule, then each view's and the cross-section rules
+    for section, entries in _SCHEMA.items():
+        values, prefix = (cfg[section], f"{section}.") if section else (cfg, "")
+        for key, (_, _, rule) in entries.items():
+            message = rule and rule(values[key])
+            if message:
+                violations.append(f"{prefix}{key}: {message}")
 
     view = ExperimentConfig(cfg)
     views = {}
@@ -257,19 +260,6 @@ def _check_invariants(cfg: dict, violations: list[str]) -> None:
             evolve_measurement_spectral(prepared, physical.t_M, physical.g)
         except DomainOverflowError as exc:
             violations.append(f"grid.q2_max/q2_min: {exc}")
-    for (section, key), least in _COUNT_MINIMA.items():
-        violations += [f"{section}.{name}: {message}" for name, message in
-                       field_errors(require_count, key, cfg[section][key], least)]
-    violations += [f"{section}.{key}: must be at most {most}, so that no trial index "
-                   f"passes {INDEX_MAX}" for (section, key), most in _COUNT_MAXIMA.items()
-                   if cfg[section][key] > most]
-    # declared-check thresholds no run could pass: a p-value never exceeds 1,
-    # and a rate, deviation or z-score is never below 0
-    if not cfg["checks"]["chi2_p_min"] < 1:
-        violations.append("checks.chi2_p_min: must be below 1")
-    for section, key in _POSITIVE_THRESHOLDS:
-        if not cfg[section][key] > 0:
-            violations.append(f"{section}.{key}: must be positive")
     # only actual-velocity runs draw sign paths
     if stochastic and ensemble and cfg["velocity"] == "actual":
         violations += [f"ensemble.{key}: {message}" for key, message in

@@ -65,8 +65,10 @@ def field_errors(rule, *args, name: str | None = None) -> list[tuple[str, str]]:
 
 
 def require_count(name: str, value, least: int) -> None:
-    """Raise :class:`FieldErrors` naming ``name`` unless ``value`` is an integer ``>= least``."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    """Raise :class:`FieldErrors` naming ``name`` unless ``value`` is an integer ``>= least``;
+    a bool is no count."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
         raise FieldErrors([(name, f"must be an integer at least {least}, not {value!r}")])
 
 

@@ -58,11 +58,10 @@ class CartesianGrid:
             raise InvalidSystemError("only 1-D and 2-D grids are supported")
         if not (len(self.mins) == len(self.maxs) == len(self.periodic) == d):
             raise InvalidSystemError("grid axis descriptors disagree in length")
-        # written so that a NaN fails it
-        spans = all(hi > lo for lo, hi in zip(self.mins, self.maxs))
-        errors = [(name, message) for name, message, ok in (
-            ("maxs", "each axis needs hi > lo", spans),
-            ("ns", "each axis needs at least 8 points", min(self.ns) >= 8)) if not ok]
+        # written so that a NaN fails it; ns is named once, by its first broken count
+        spans = all(-np.inf < lo < hi < np.inf for lo, hi in zip(self.mins, self.maxs))
+        errors = [] if spans else [("maxs", "each axis needs -inf < lo < hi < inf")]
+        errors += [error for n in self.ns for error in field_errors(require_count, "ns", n, 8)][:1]
         if errors:
             raise FieldErrors(errors)
 

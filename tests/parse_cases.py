@@ -179,3 +179,22 @@ SHAPE_AND_BOUND_RULES = [
     ("repeatability", {"repeat": {"n_repeats": 2**48}},
      "repeat.n_repeats: must be at most 281474976710655"),
 ]
+
+# (kind, overrides, every broken path): key, section and cross-section rules
+# are all reported in one pass, whichever of them break
+FULL_REPORTS = [
+    ("born", {"threads": 0, "seed": -1, "ensemble": {"n_trials": 0},
+              "state": {"weights": [0, 0, 0]}, "checks": {"chi2_p_min": 1}},
+     ["checks.chi2_p_min", "ensemble.n_trials", "seed", "state.weights", "threads"]),
+    ("trajectories", {"velocity": "drift", "physical": {"sep_factor": 5.0},
+                      "ensemble": {"integrator": "euler", "node_policy": "keep",
+                                   "store_every": 0}},
+     ["ensemble.integrator", "ensemble.node_policy", "ensemble.store_every", "physical",
+      "velocity"]),
+    # the sign hierarchy: dt_traj 0.004 exceeds tau_xi / hierarchy_factor = 0.002
+    ("born", {"velocity": "actual", "threads": 0, "ensemble": {"dt_traj": 0.004}},
+     ["ensemble.dt_traj", "threads"]),
+    ("lambda-sweep", {"seed": 2**64, "repeat": {"n_repeats": 0}, "prior": {"z_max": 0},
+                      "appendix": {"dt": 0}},
+     ["appendix.dt", "prior.z_max", "repeat.n_repeats", "seed"]),
+]

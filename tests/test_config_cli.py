@@ -14,8 +14,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from parse_cases import (ARITHMETIC_FAILURES, BAD_APPENDIX_FIELDS, BAD_SECTION_KEYS,
-                         ENGINE_RULES, GRID_RUN, GRID_SCALES_TOO_LARGE, OUT_OF_RANGE_SEEDS,
-                         SHAPE_AND_BOUND_RULES, TOO_SMALL_COUNTS, UNPASSABLE_THRESHOLDS,
+                         ENGINE_RULES, FULL_REPORTS, GRID_RUN, GRID_SCALES_TOO_LARGE,
+                         OUT_OF_RANGE_SEEDS, SHAPE_AND_BOUND_RULES, TOO_SMALL_COUNTS, UNPASSABLE_THRESHOLDS,
                          UNRUNNABLE_APPENDIX, UNRUNNABLE_STATES)
 from stochaction import (AngularBasis, AppendixSpec, CartesianGrid, ConfigError,
                          DegenerateInputError, EnsembleSpec, FieldErrors, GaussianPacket,
@@ -567,6 +567,16 @@ class TestCli:
         assert cli_main(["repeatability", "--config", str(EXAMPLES / "repeatability.json"),
                          "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["agreement"] == 1.0
+        # every other kind's example runs and writes that kind's result files
+        for kind, written in (("trajectories", {"trajectories.csv"}),
+                              ("prior-average", set()),
+                              ("appendix", {"observables.csv", "psi_final.csv"}),
+                              ("lambda-sweep", {"sweep.csv"}), ("stochastic-check", set())):
+            out = tmp_path / kind
+            assert cli_main(["run", "--config", str(EXAMPLES / f"{kind}.json"),
+                             "--out", str(out)]) == 0
+            assert {path.name for path in out.iterdir()} == {"summary.json", "manifest.json",
+                                                            *written}
 
     def test_run_and_exit_zero(self, tmp_path, capsys):
         path, data = make_config(tmp_path)
@@ -610,6 +620,14 @@ class TestCli:
         assert cli_main([kind, "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, overrides, paths", FULL_REPORTS)
+    def test_every_broken_rule_reported_in_one_pass(self, tmp_path, capsys, kind, overrides,
+                                                   paths):
+        path, _ = make_config(tmp_path, overrides, experiment=kind)
+        assert cli_main(["run", "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert sorted(line[4:].split(": ", 1)[0] for line in lines[1:]) == paths
 
     def test_missing_config_exit_one(self, tmp_path):
         assert cli_main(["born", "--config", str(tmp_path / "nope.json")]) == 1

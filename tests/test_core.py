@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from joint_oracle import JointAxes
-from stochaction import (DomainOverflowError, FieldErrors, GridSpec, InvalidSystemError,
-                         PhysicalConfig)
-from stochaction.core import csv_text, field_to_csv, fork_map, fork_workers
+from stochaction import (AngularBasis, DomainOverflowError, FieldErrors, GridSpec,
+                         InvalidSystemError, PhysicalConfig)
+from stochaction.core import csv_text, field_to_csv, fork_map, fork_workers, require_count
+from stochaction.gridop import check_schedule
 
 
 @pytest.fixture
@@ -19,6 +20,19 @@ def grid():
 @pytest.fixture
 def axes(grid):
     return JointAxes(grid, 128, 512)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_no_count(flag):
+    # Python's bool is an int, but no count: not at least 0, and not as the
+    # counts of a Cayley schedule or an angular basis
+    with pytest.raises(FieldErrors, match="n: must be an integer at least 0"):
+        require_count("n", flag, 0)
+    with pytest.raises(FieldErrors) as err:
+        check_schedule(0.01, flag, flag)
+    assert [name for name, _ in err.value.errors] == ["n_steps", "record_every"]
+    with pytest.raises(FieldErrors, match="l_max"):
+        AngularBasis(flag)
 
 
 class TestGridSpec:

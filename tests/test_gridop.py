@@ -94,13 +94,20 @@ class TestHamiltonianAssembly:
         ((1.0,), (-1.0,), (4,), ["maxs", "ns"]),
         ((float("nan"),), (1.0,), (64,), ["maxs"]),
         ((-1.0, float("nan")), (1.0, 1.0), (16, 16), ["maxs"]),
+        ((0.0,), (1.0,), (8.5,), ["ns"]), ((0.0,), (1.0,), (True,), ["ns"]),
+        ((-1.0, 0.0), (1.0, 1.0), (4, 4), ["ns"]),
+        ((-float("inf"),), (0.0,), (16,), ["maxs"]),
+        ((0.0, 0.0), (1.0, float("inf")), (16, 16), ["maxs"]),
     ])
     def test_bad_axes_rejected(self, mins, maxs, ns, fields):
-        # each broken rule is named by its field
-        messages = {"maxs": "each axis needs hi > lo", "ns": "each axis needs at least 8 points"}
+        # each broken rule is named once by its field; a count is an integer
+        # (not a bool) and a span finite
+        messages = {"maxs": "each axis needs -inf < lo < hi < inf",
+                    "ns": "must be an integer at least 8, not "}
         with pytest.raises(FieldErrors) as err:
             CartesianGrid(mins, maxs, ns, (False,) * len(ns))
-        assert err.value.errors == [(name, messages[name]) for name in fields]
+        assert [name for name, _ in err.value.errors] == fields
+        assert all(message.startswith(messages[name]) for name, message in err.value.errors)
 
     @pytest.mark.parametrize("mins, maxs, ns, periodic, message", [
         ((0.0,) * 3, (1.0,) * 3, (8,) * 3, (False,) * 3, "only 1-D and 2-D grids"),

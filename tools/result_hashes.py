@@ -182,6 +182,8 @@ def parse_corpus() -> dict:
             cases.OUT_OF_RANGE_SEEDS, lambda kind, seed: (kind, {"seed": seed})),
         "shape_and_bound_rules_rejected_at_parse": (
             cases.SHAPE_AND_BOUND_RULES, lambda kind, overrides, _: (kind, overrides)),
+        "every_broken_rule_reported_in_one_pass": (
+            cases.FULL_REPORTS, lambda kind, overrides, _: (kind, overrides)),
     }
     corpus = {f"{name}/{rule}": _config(kind, overrides, broken)
               for name, (kind, overrides) in CONFIGS.items()
